@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.compilers.fragments import FRAGMENTS
-from repro.exec import get_backend
+from repro.exec import execute
 from repro.fusion import C2F3, plan_program
 from repro.ir import normalize_source
 from repro.scalarize import scalarize
@@ -42,11 +42,10 @@ REPEATS = {"interp": 1, "codegen_py": 3, "codegen_np": 10}
 
 
 def time_backend(scalar_program, name: str) -> float:
-    backend = get_backend(name)
     best = float("inf")
     for _ in range(REPEATS[name]):
         start = time.perf_counter()
-        backend.execute(scalar_program)
+        execute(scalar_program, name)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -63,7 +62,7 @@ def test_numpy_backend_speedup(save_result):
         program = normalize_source(source, config)
         scalar_program = scalarize(program, plan_program(program, C2F3))
         results = {
-            name: get_backend(name).execute(scalar_program)
+            name: execute(scalar_program, name)
             for name in ("interp", "codegen_py", "codegen_np")
         }
         anchor = results["interp"]

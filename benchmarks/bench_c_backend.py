@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.exec import get_backend
+from repro.exec import execute
 from repro.exec.native import cc_available, find_cc
 from repro.fusion import LEVELS_BY_NAME, plan_program
 from repro.ir import normalize_source
@@ -110,12 +110,11 @@ def _compile(source):
 
 
 def _best_time(scalar_program, backend_name):
-    backend = get_backend(backend_name)
-    backend.execute(scalar_program)  # warm: compile memo, caches
+    execute(scalar_program, backend_name)  # warm: compile memo, caches
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        backend.execute(scalar_program)
+        execute(scalar_program, backend_name)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -131,8 +130,8 @@ def test_c_backend_speedup_and_cache_latency(save_result):
     ratios = {}
     for label, source in CASES:
         scalar_program = _compile(source)
-        c_result = get_backend("c").execute(scalar_program)
-        np_result = get_backend("codegen_np").execute(scalar_program)
+        c_result = execute(scalar_program, "c")
+        np_result = execute(scalar_program, "codegen_np")
         for name, values in c_result.arrays.items():
             assert np.allclose(
                 values, np_result.arrays[name], equal_nan=True

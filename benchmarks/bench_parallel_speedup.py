@@ -29,11 +29,11 @@ import time
 
 import numpy as np
 
+from repro.exec import execute
 from repro.fusion import C2F4, plan_program
 from repro.ir import normalize_source
-from repro.parallel.engine import TileEngine, execute_numpy_par
+from repro.parallel.engine import TileEngine
 from repro.scalarize import scalarize
-from repro.scalarize.codegen_np import execute_numpy
 
 N = 1600
 WORKERS = 4
@@ -112,8 +112,8 @@ def _compile(source):
 
 
 def _assert_identical(scalar_program, engine, label):
-    np_arrays, np_scalars = execute_numpy(scalar_program)
-    par_arrays, par_scalars = execute_numpy_par(scalar_program, engine=engine)
+    np_arrays, np_scalars = execute(scalar_program, "codegen_np")
+    par_arrays, par_scalars = execute(scalar_program, "np-par", engine=engine)
     for name in np_arrays:
         assert par_arrays[name].dtype == np_arrays[name].dtype, label
         assert np.array_equal(
@@ -139,10 +139,10 @@ def test_tile_parallel_speedup(save_result):
             for _round in range(ROUNDS):
                 for _rep in range(REPS):
                     start = time.perf_counter()
-                    execute_numpy(scalar_program)
+                    execute(scalar_program, "codegen_np")
                     best_np = min(best_np, time.perf_counter() - start)
                     start = time.perf_counter()
-                    execute_numpy_par(scalar_program, engine=engine)
+                    execute(scalar_program, "np-par", engine=engine)
                     best_par = min(best_par, time.perf_counter() - start)
         speedups[label] = best_np / best_par
         lines.append(

@@ -481,6 +481,9 @@ def _print_scalars(scalars: Dict[str, object], prefix: str = "") -> None:
 #: --check fails when the fast path diverges from the interpreter by more.
 CHECK_TOLERANCE = 1e-6
 
+#: The semantic-anchor backend --check cross-executes against.
+CHECK_BACKEND = "interp"
+
 
 def _max_divergence(result, reference) -> float:
     """Max absolute element-wise difference between two execution results."""
@@ -514,31 +517,32 @@ def cmd_run(args) -> int:
     program, plan = _compile(args)
     scalar_program = scalarize(program, plan)
     options = {}
-    for flag, value in (("workers", args.workers), ("tile_shape", args.tile_shape)):
-        if value is not None:
-            if args.backend != "np-par":
-                raise SystemExit(
-                    "--%s only applies to the np-par backend "
-                    "(got --backend %s)" % (flag.replace("_", "-"), args.backend)
+    accepted = get_backend(args.backend).options
+    for flag in ("workers", "tile_shape", "procs", "local_backend"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in accepted:
+            raise SystemExit(
+                "--%s only applies to the %s backend (got --backend %s)"
+                % (
+                    flag.replace("_", "-"),
+                    "/".join(
+                        name
+                        for name in BACKEND_CHOICES
+                        if flag in get_backend(name).options
+                    ),
+                    args.backend,
                 )
-            options[flag] = value
-    for flag, value in (("procs", args.procs),
-                        ("local_backend", args.local_backend)):
-        if value is not None:
-            if args.backend != "mp-shard":
-                raise SystemExit(
-                    "--%s only applies to the mp-shard backend "
-                    "(got --backend %s)"
-                    % (flag.replace("_", "-"), args.backend)
-                )
-            options[flag] = value
+            )
+        options[flag] = value
     result = execute(scalar_program, args.backend, **options)
     _print_scalars(result.scalars)
     if args.check:
-        if args.backend == "interp":
+        if args.backend == CHECK_BACKEND:
             print("check vs interp: backend is interp, divergence = 0")
             return 0
-        reference = execute(scalar_program, "interp")
+        reference = execute(scalar_program, CHECK_BACKEND)
         divergence = _max_divergence(result, reference)
         print("check vs interp: max |divergence| = %g" % divergence)
         if not divergence <= CHECK_TOLERANCE:
@@ -828,7 +832,7 @@ def cmd_backends(args) -> int:
                 backend.name,
                 ", ".join(aliases_of(name)) or "-",
                 available,
-                backend.options or "-",
+                ", ".join("%s=" % option for option in backend.options) or "-",
                 backend.description,
             )
         )

@@ -4,6 +4,7 @@ from repro.exec.backends import (
     ALIASES,
     BACKEND_CHOICES,
     BACKENDS,
+    Artifacts,
     Backend,
     ExecutionResult,
     InitialArrays,
@@ -15,6 +16,7 @@ from repro.exec.backends import (
 __all__ = [
     "ALIASES",
     "BACKEND_CHOICES",
+    "Artifacts",
     "BACKENDS",
     "Backend",
     "ExecutionResult",

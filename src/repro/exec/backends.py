@@ -1,6 +1,15 @@
 """The execution-backend registry.
 
-Three ways to execute a scalarized program, one calling convention:
+Six ways to execute a scalarized program, one lifecycle.  The scalarizer
+hands every executor the same thing — one loop nest per fusible cluster,
+a single :class:`~repro.scalarize.loopnest.ScalarProgram` — and every
+:class:`Backend` record turns it into a callable the same way:
+``render(program)`` produces the backend's source text (``None`` for the
+backends that run the program directly), ``load(program, code,
+artifacts)`` produces ``run``, and ``run(inputs, **options)`` returns an
+:class:`ExecutionResult`.  :func:`execute`, the serving layer, the
+autotuner and ``mp-shard``'s per-worker executor all go through that
+record, so adding a backend is one entry in :data:`BACKENDS`.
 
 ``interp``
     The tree-walking loop interpreter (:mod:`repro.interp.loop_interp`).
@@ -49,10 +58,13 @@ array and scalar state, directly comparable across back ends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.scalarize.codegen_c import c_abi, render_c_module
+from repro.scalarize.codegen_np import render_numpy
+from repro.scalarize.codegen_py import render_python
 from repro.scalarize.loopnest import ScalarProgram
 from repro.util.errors import ReproError
 
@@ -68,112 +80,179 @@ class ExecutionResult(NamedTuple):
     scalars: Dict[str, object]
 
 
+class Artifacts(NamedTuple):
+    """What a loader may reuse across processes, handed in by the caller.
+
+    Every ``Backend.load`` accepts one; only ``c`` consults it, for the
+    content-addressed ``.so`` tier of ``cache`` (keyed from the payload
+    ``digest``).  ``metrics`` counts compiler invocations and ``timers``
+    (anything with ``.time(name)``; default ``metrics``) times them.
+    """
+
+    cache: object
+    digest: str
+    metrics: object
+    timers: object = None
+
+
+#: ``run(inputs, **options)``: one execution of a loaded program.
+Run = Callable[..., ExecutionResult]
+
+
 class Backend(NamedTuple):
     name: str
     description: str
-    execute: Callable[..., ExecutionResult]
-    #: Human-readable hint for the keyword options this backend accepts
-    #: (shown by ``repro backends``); empty: positional inputs only.
-    options: str = ""
+    #: ``render(program)`` -> the source text ``load`` consumes and the
+    #: serving layer stores in its artifacts, or None when the backend
+    #: executes the :class:`ScalarProgram` directly.
+    render: Callable[[ScalarProgram], Optional[str]]
+    #: ``load(program, code=None, artifacts=None)`` -> :data:`Run`.  All
+    #: one-time work (rendering when ``code`` is None, ``compile()``, the
+    #: host C compiler) happens here, never inside ``run``.
+    load: Callable[..., Run]
+    #: The run-time keyword names ``run`` accepts besides the inputs.
+    options: Tuple[str, ...] = ()
+    #: True when ``load`` leaves a product in ``artifacts.cache`` that
+    #: later processes reuse, so the serving layer loads at build time
+    #: (under its cross-process build lock) instead of on first execute.
+    eager: bool = False
 
 
-def _run_interp(
-    program: ScalarProgram, initial_arrays: InitialArrays = None
-) -> ExecutionResult:
+def _render_nothing(program: ScalarProgram) -> None:
+    return None
+
+
+def _render_numpy_par(program: ScalarProgram) -> str:
+    from repro.parallel.engine import render_numpy_par
+
+    return render_numpy_par(program)
+
+
+def _load_interp(program: ScalarProgram, code=None, artifacts=None) -> Run:
     from repro.interp import run_scalarized
 
-    storage = run_scalarized(program, initial_arrays)
-    return ExecutionResult(storage.snapshot(), dict(storage.scalars))
+    def run(inputs: InitialArrays = None) -> ExecutionResult:
+        storage = run_scalarized(program, inputs)
+        return ExecutionResult(storage.snapshot(), dict(storage.scalars))
+
+    return run
 
 
-def _run_codegen_py(
-    program: ScalarProgram, initial_arrays: InitialArrays = None
-) -> ExecutionResult:
-    from repro.scalarize.codegen_py import execute_python
-
-    arrays, scalars = execute_python(program, inputs=initial_arrays)
-    return ExecutionResult(dict(arrays), dict(scalars))
-
-
-def _run_codegen_np(
-    program: ScalarProgram, initial_arrays: InitialArrays = None
-) -> ExecutionResult:
-    from repro.scalarize.codegen_np import execute_numpy
-
-    arrays, scalars = execute_numpy(program, inputs=initial_arrays)
-    return ExecutionResult(dict(arrays), dict(scalars))
+def _generated_entry(render, filename: str, program: ScalarProgram, code):
+    """The ``run`` function of one generated-Python module."""
+    if code is None:
+        code = render(program)
+    namespace: Dict[str, object] = {}
+    exec(compile(code, filename, "exec"), namespace)
+    return namespace["run"]
 
 
-def _run_np_par(
-    program: ScalarProgram,
-    initial_arrays: InitialArrays = None,
-    workers: Optional[int] = None,
-    tile_shape=None,
-    engine=None,
-) -> ExecutionResult:
-    from repro.parallel.engine import TileEngine, execute_numpy_par
+def _generated_loader(render, filename: str):
+    def load(program: ScalarProgram, code=None, artifacts=None) -> Run:
+        entry = _generated_entry(render, filename, program, code)
 
-    if engine is None and (workers is not None or tile_shape is not None):
-        engine = TileEngine(workers=workers, tile_shape=tile_shape)
-    arrays, scalars = execute_numpy_par(
-        program, inputs=initial_arrays, engine=engine
+        def run(inputs: InitialArrays = None) -> ExecutionResult:
+            arrays, scalars = entry(inputs)
+            return ExecutionResult(dict(arrays), dict(scalars))
+
+        return run
+
+    return load
+
+
+def _load_np_par(program: ScalarProgram, code=None, artifacts=None) -> Run:
+    entry = _generated_entry(
+        _render_numpy_par, "<repro-codegen-np-par>", program, code
     )
-    return ExecutionResult(dict(arrays), dict(scalars))
+
+    def run(
+        inputs: InitialArrays = None,
+        workers: Optional[int] = None,
+        tile_shape=None,
+        engine=None,
+    ) -> ExecutionResult:
+        if engine is None and (workers is not None or tile_shape is not None):
+            from repro.parallel.engine import TileEngine
+
+            engine = TileEngine(workers=workers, tile_shape=tile_shape)
+        arrays, scalars = entry(inputs, engine)
+        return ExecutionResult(dict(arrays), dict(scalars))
+
+    return run
 
 
-def _run_c(
-    program: ScalarProgram, initial_arrays: InitialArrays = None
-) -> ExecutionResult:
-    from repro.exec.native import execute_c
+def _load_c(program: ScalarProgram, code=None, artifacts=None) -> Run:
+    from repro.exec import native
 
-    arrays, scalars = execute_c(program, inputs=initial_arrays)
-    return ExecutionResult(dict(arrays), dict(scalars))
+    if code is None:
+        code = render_c_module(program)
+    kernel = native.kernel_for_source(code, artifacts=artifacts)
+    abi = c_abi(program)
+
+    def run(inputs: InitialArrays = None) -> ExecutionResult:
+        arrays, scalars = native.run_kernel(kernel, abi, inputs)
+        return ExecutionResult(dict(arrays), dict(scalars))
+
+    return run
 
 
-def _run_mp_shard(
-    program: ScalarProgram,
-    initial_arrays: InitialArrays = None,
-    procs: Optional[int] = None,
-    local_backend: str = "codegen_np",
-    comm_options=None,
-    metrics=None,
-    tracer=None,
-) -> ExecutionResult:
-    from repro.exec.mp_shard import execute_mp_shard
+def _load_mp_shard(program: ScalarProgram, code=None, artifacts=None) -> Run:
+    def run(
+        inputs: InitialArrays = None,
+        procs: Optional[int] = None,
+        local_backend: str = "codegen_np",
+        comm_options=None,
+    ) -> ExecutionResult:
+        from repro.exec.mp_shard import execute_sharded
 
-    return execute_mp_shard(
-        program,
-        initial_arrays=initial_arrays,
-        procs=procs,
-        local_backend=local_backend,
-        comm_options=comm_options,
-        metrics=metrics,
-        tracer=tracer,
-    )
+        result, _report = execute_sharded(
+            program,
+            initial_arrays=inputs,
+            procs=procs,
+            local_backend=local_backend,
+            comm_options=comm_options,
+        )
+        return result
+
+    return run
 
 
 BACKENDS: Dict[str, Backend] = {
-    "interp": Backend("interp", "tree-walking loop interpreter", _run_interp),
+    "interp": Backend(
+        "interp", "tree-walking loop interpreter", _render_nothing, _load_interp
+    ),
     "codegen_py": Backend(
-        "codegen_py", "generated Python element loops", _run_codegen_py
+        "codegen_py",
+        "generated Python element loops",
+        render_python,
+        _generated_loader(render_python, "<repro-codegen>"),
     ),
     "codegen_np": Backend(
-        "codegen_np", "generated whole-region NumPy slices", _run_codegen_np
+        "codegen_np",
+        "generated whole-region NumPy slices",
+        render_numpy,
+        _generated_loader(render_numpy, "<repro-codegen-np>"),
     ),
     "np-par": Backend(
         "np-par",
         "tile-parallel NumPy sweeps on a worker pool",
-        _run_np_par,
-        options="workers=N, tile_shape=N|NxM, engine=TileEngine",
+        _render_numpy_par,
+        _load_np_par,
+        options=("workers", "tile_shape", "engine"),
     ),
     "c": Backend(
-        "c", "host-compiled C loop nests (cc + ctypes)", _run_c
+        "c",
+        "host-compiled C loop nests (cc + ctypes)",
+        render_c_module,
+        _load_c,
+        eager=True,
     ),
     "mp-shard": Backend(
         "mp-shard",
         "multi-process sharding with modeled halo exchanges",
-        _run_mp_shard,
-        options="procs=N, local_backend=NAME, comm_options=CommOptions",
+        _render_nothing,
+        _load_mp_shard,
+        options=("procs", "local_backend", "comm_options"),
     ),
 }
 
@@ -242,4 +321,4 @@ def execute(
     from repro.scalarize.emit_common import validate_inputs
 
     initial_arrays = validate_inputs(program, initial_arrays)
-    return get_backend(backend).execute(program, initial_arrays, **options)
+    return get_backend(backend).load(program)(initial_arrays, **options)

@@ -89,7 +89,7 @@ from repro.scalarize.loopnest import (
     SNode,
     SWhile,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import InterpError, ReproError
 
 Bounds = Tuple[Tuple[int, int], ...]
 
@@ -659,9 +659,16 @@ class _Worker:
                             clamp: Optional[Bounds], reduce_specs, result,
                             seg_prefix: str, step: int) -> None:
         """Gather per-point operands to rank 0; fold in oracle order."""
+        full = _elements(bounds)
+        if full == 0:
+            # Every rank sees the same empty bounds, so all of them leave
+            # here together, before the first barrier.  A fused reduction
+            # folds from its accumulator's value: nothing to add.
+            if isinstance(node, ReductionLoop):
+                raise InterpError("reduction over an empty region")
+            return
         offsets: Dict[str, int] = {}
         cursor = 0
-        full = _elements(bounds)
         kinds: Dict[str, str] = {}
         for red_name, _op, _target, rhs in reduce_specs:
             kinds[red_name] = infer_expr_kind(
@@ -900,8 +907,11 @@ def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
         )
         worker.execute_body(program.body)
         result_queue.put(worker.finish(out_names))
-    except BaseException:
-        error_queue.put((rank, traceback.format_exc()))
+    except BaseException as error:
+        # Run-time errors the single-process backends also raise keep
+        # their type across the process boundary.
+        kind = type(error) if isinstance(error, InterpError) else ReproError
+        error_queue.put((rank, kind, traceback.format_exc()))
         try:
             barrier.abort()
         except (ValueError, OSError):
@@ -922,6 +932,19 @@ def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
 
 
 # -- the coordinator -------------------------------------------------------
+
+
+def _has_boundary(body: Sequence[SNode]) -> bool:
+    for node in body:
+        if isinstance(node, SBoundary):
+            return True
+        if isinstance(node, (SeqLoop, SWhile)) and _has_boundary(node.body):
+            return True
+        if isinstance(node, SIf) and (
+            _has_boundary(node.then_body) or _has_boundary(node.else_body)
+        ):
+            return True
+    return False
 
 
 def _single_process(program: ScalarProgram, initial_arrays, local_backend,
@@ -971,7 +994,9 @@ def execute_sharded(
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
     initial_arrays = validate_inputs(program, initial_arrays)
     started = time.perf_counter()
-    if procs == 1 or not grid.cut_dimensions():
+    # Boundary statements (wrap/reflect fills) address whole global
+    # edges and have no clamped form: such programs run unsharded.
+    if procs == 1 or not grid.cut_dimensions() or _has_boundary(program.body):
         result, report = _single_process(
             program, initial_arrays, local_backend, procs, grid
         )
@@ -1039,10 +1064,8 @@ def execute_sharded(
         if failure is None and not error_queue.empty():
             failure = error_queue.get()
         if failure is not None:
-            failed_rank, text = failure
-            raise ReproError(
-                "mp-shard worker %d failed:\n%s" % (failed_rank, text)
-            )
+            failed_rank, kind, text = failure
+            raise kind("mp-shard worker %d failed:\n%s" % (failed_rank, text))
         if len(summaries) != procs:
             raise ReproError(
                 "mp-shard collected %d/%d worker results" % (
@@ -1112,25 +1135,3 @@ def _emit_obs(report: CommReport, metrics, tracer, elapsed_s: float) -> None:
                 post_point=record.post_point,
                 wait_point=record.wait_point,
             )
-
-
-def execute_mp_shard(
-    program: ScalarProgram,
-    initial_arrays=None,
-    procs: Optional[int] = None,
-    local_backend: str = "codegen_np",
-    comm_options: Optional[CommOptions] = None,
-    metrics=None,
-    tracer=None,
-):
-    """Backend-registry entry point: result only, report discarded."""
-    result, _report = execute_sharded(
-        program,
-        initial_arrays=initial_arrays,
-        procs=procs,
-        local_backend=local_backend,
-        comm_options=comm_options,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    return result

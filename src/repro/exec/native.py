@@ -23,14 +23,16 @@ Pieces:
 * :class:`NativeKernel` — a loaded shared object plus the marshalling
   that seeds allocation-region buffers (the ``Storage.seed_arrays``
   contract) and reads scalars back from one-element buffers.
-* :func:`execute_c` — the registry-facing entry: renders, compiles
-  (memoized per process by source hash), runs.  Cross-process ``.so``
-  reuse lives in the service layer's artifact cache, not here.
+* :func:`kernel_for_source` — the one ladder from a rendered
+  translation unit to a loaded kernel: per-process memo (by source
+  hash), then the service layer's content-addressed ``.so`` artifacts
+  when the caller hands them in, then the host compiler.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -41,9 +43,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.scalarize.codegen_c import AbiEntry, c_abi, render_c_module
+from repro.scalarize.codegen_c import AbiEntry
 from repro.scalarize.emit_common import DTYPES
-from repro.scalarize.loopnest import ScalarProgram
 from repro.util.errors import (
     BackendUnavailableError,
     InterpError,
@@ -248,51 +249,62 @@ def run_kernel(
     return arrays, {name: buf[0] for name, buf in scalar_bufs.items()}
 
 
-# -- registry-facing execution ----------------------------------------------
+# -- the kernel ladder ---------------------------------------------------------
 
 #: Per-process JIT memo: (compiler, source hash) -> loaded kernel.  The
 #: differential fuzz corpus compiles thousands of small programs; this
-#: dedupes repeats within a process.  Cross-process reuse is the service
-#: layer's job (content-addressed ``.so`` artifacts).
+#: dedupes repeats within a process.
 _kernel_memo: Dict[Tuple[str, str], NativeKernel] = {}
 
 
-def _memo_key(source: str, cc: str) -> Tuple[str, str]:
-    return (cc, hashlib.sha256(source.encode("utf-8")).hexdigest())
+def kernel_for_source(
+    source: str, cc: Optional[str] = None, artifacts=None
+) -> NativeKernel:
+    """The loaded kernel for one rendered translation unit.
 
-
-def cached_kernel(source: str, cc: str) -> Optional[NativeKernel]:
-    """The already-loaded kernel for this (compiler, source), if any."""
-    return _kernel_memo.get(_memo_key(source, cc))
-
-
-def remember_kernel(source: str, cc: str, kernel: NativeKernel) -> None:
-    """Prime the per-process memo (e.g. after a service-layer compile)."""
-    _kernel_memo[_memo_key(source, cc)] = kernel
-
-
-def kernel_for_source(source: str, cc: Optional[str] = None) -> NativeKernel:
-    """Compile (or reuse) the kernel for one rendered translation unit."""
+    Resolution order: the per-process memo, the content-addressed ``.so``
+    tier of ``artifacts.cache`` (a :class:`repro.exec.Artifacts`; a warm
+    serve in a fresh process performs *zero* compiler invocations), and
+    only then the host ``cc`` — with the shared object stored back for
+    the next process.  A persistent cache's own file is what gets
+    dlopened; the ``repro-native-*`` scratch directory is used only
+    without one.  Machines without a compiler raise
+    :class:`BackendUnavailableError`.
+    """
     cc = cc or find_cc()
     if cc is None:
         raise BackendUnavailableError(
             "the c backend needs a host C compiler "
             "(cc, gcc or clang on PATH, or REPRO_CC=/path/to/cc)"
         )
-    kernel = cached_kernel(source, cc)
+    key = (cc, hashlib.sha256(source.encode("utf-8")).hexdigest())
+    kernel = _kernel_memo.get(key)
     if kernel is None:
-        kernel = load_kernel(compile_shared(source, cc))
-        remember_kernel(source, cc, kernel)
+        kernel = _kernel_memo[key] = _build_kernel(source, cc, artifacts)
     return kernel
 
 
-def execute_c(
-    program: ScalarProgram, inputs=None
-) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """Render, compile and run a scalarized program natively.
+def _build_kernel(source: str, cc: str, artifacts) -> NativeKernel:
+    native_key = None
+    timed = contextlib.nullcontext()
+    if artifacts is not None:
+        from repro.service import fingerprint
 
-    Returns ``(arrays, scalars)`` in the same allocation-region layout
-    as :func:`repro.scalarize.codegen_py.execute_python`.
-    """
-    kernel = kernel_for_source(render_c_module(program))
-    return run_kernel(kernel, c_abi(program), inputs)
+        native_key = fingerprint.native_digest(
+            artifacts.digest,
+            compiler_identity(cc),
+            DEFAULT_CFLAGS,
+            code_version=artifacts.cache.code_version,
+        )
+        so_path = artifacts.cache.get_native(native_key)
+        if so_path is not None:
+            return NativeKernel(so_path)
+        timed = (artifacts.timers or artifacts.metrics).time("compile.cc")
+    with timed:
+        so_bytes = compile_shared(source, cc)
+    if artifacts is not None:
+        artifacts.metrics.incr("native.cc_invocations")
+        so_path = artifacts.cache.put_native(native_key, so_bytes)
+        if so_path is not None:
+            return NativeKernel(so_path)
+    return load_kernel(so_bytes)

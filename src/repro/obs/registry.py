@@ -90,7 +90,7 @@ SPANS: List[SpanDef] = [
     SpanDef(
         "compile.cc",
         (),
-        "Service._compile_native",
+        "exec.native.kernel_for_source",
         "One host C-compiler invocation turning the rendered translation "
         "unit into a shared object; build-path (cache-miss) only — warm "
         "serves load the content-addressed .so without this span.",

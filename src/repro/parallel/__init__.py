@@ -23,7 +23,6 @@ from repro.parallel.engine import (
     TileEngine,
     default_engine,
     default_workers,
-    execute_numpy_par,
     render_numpy_par,
 )
 from repro.parallel.shard import (
@@ -77,7 +76,6 @@ __all__ = [
     "elimination_coverage",
     "estimate_parallel",
     "exchange_table",
-    "execute_numpy_par",
     "halo_elements",
     "halo_widths",
     "message_cost_us",

@@ -445,23 +445,6 @@ def render_numpy_par(
     return ParNumpyGenerator(program, env).render()
 
 
-def execute_numpy_par(
-    program: ScalarProgram,
-    env: Optional[Dict[str, int]] = None,
-    inputs=None,
-    engine: Optional[TileEngine] = None,
-):
-    """Compile and run the tile-parallel code; returns (arrays, scalars).
-
-    ``engine`` carries the worker count, forced tile shape and metrics;
-    omitted, the process-wide :func:`default_engine` is used.
-    """
-    source = render_numpy_par(program, env)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<repro-codegen-np-par>", "exec"), namespace)
-    return namespace["run"](inputs, engine)
-
-
 def program_shard_summary(program: ScalarProgram) -> Dict[str, int]:
     """Counts of nests per shard mode, for diagnostics and tests."""
     from repro.scalarize.codegen_np import program_shard_plans

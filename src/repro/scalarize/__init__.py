@@ -7,8 +7,8 @@ from repro.scalarize.codegen_c import (
     render_c,
     render_c_module,
 )
-from repro.scalarize.codegen_np import NumpyGenerator, execute_numpy, render_numpy
-from repro.scalarize.codegen_py import PyGenerator, execute_python, render_python
+from repro.scalarize.codegen_np import NumpyGenerator, render_numpy
+from repro.scalarize.codegen_py import PyGenerator, render_python
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -36,8 +36,6 @@ __all__ = [
     "ElemAssign",
     "NumpyGenerator",
     "PyGenerator",
-    "execute_numpy",
-    "execute_python",
     "render_numpy",
     "render_python",
     "LoopNest",

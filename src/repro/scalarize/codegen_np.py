@@ -456,17 +456,3 @@ def render_numpy(
 ) -> str:
     """Render a scalarized program as vectorized NumPy source."""
     return NumpyGenerator(program, env).render()
-
-
-def execute_numpy(
-    program: ScalarProgram, env: Optional[Dict[str, int]] = None, inputs=None
-):
-    """Compile and run the vectorized NumPy code; returns (arrays, scalars).
-
-    ``inputs`` optionally seeds named arrays with initial contents of the
-    allocation-region shape instead of zeros.
-    """
-    source = render_numpy(program, env)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<repro-codegen-np>", "exec"), namespace)
-    return namespace["run"](inputs)

@@ -383,19 +383,3 @@ def render_python(
     configuration scalars; it defaults to the program's own config table.
     """
     return PyGenerator(program, env).render()
-
-
-def execute_python(
-    program: ScalarProgram, env: Optional[Dict[str, int]] = None, inputs=None
-):
-    """Compile and run the generated Python; returns (arrays, scalars).
-
-    ``arrays`` maps array names to numpy arrays over their allocation
-    regions (same layout as :class:`repro.interp.storage.Storage`).
-    ``inputs`` optionally seeds named arrays with initial contents of that
-    same allocation-region shape instead of zeros.
-    """
-    source = render_python(program, env)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<repro-codegen>", "exec"), namespace)
-    return namespace["run"](inputs)

@@ -3,8 +3,9 @@
 ``CompiledProgram`` wraps a cached artifact payload (the scalarized
 program plus the rendered backend code) and executes it repeatedly with
 per-request initial array contents, without ever re-running the
-array-level pipeline.  The rendered code is compiled to a Python code
-object once per backend and reused across requests.
+array-level pipeline.  The rendered code is loaded through the backend
+registry (:class:`repro.exec.Backend`) once per backend and the
+resulting ``run`` reused across requests.
 
 Configuration bindings are *compile-time* in this compiler —
 normalization folds config values into region bounds and expressions —
@@ -19,7 +20,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.exec import ExecutionResult, get_backend
+from repro.exec import Artifacts, Backend, ExecutionResult, get_backend
 from repro.obs.tracer import NOOP_SPAN
 from repro.scalarize.loopnest import ScalarProgram
 from repro.service.metrics import Metrics
@@ -29,12 +30,6 @@ from repro.util.errors import ReproError
 #: the Service to a per-binding artifact) and ``arrays`` (initial array
 #: contents, allocation-region layout) keys.
 Request = Optional[Mapping[str, object]]
-
-_RENDERERS = {
-    "codegen_py": ("repro.scalarize.codegen_py", "render_python", "<repro-serve>"),
-    "codegen_np": ("repro.scalarize.codegen_np", "render_numpy", "<repro-serve-np>"),
-    "np-par": ("repro.parallel.engine", "render_numpy_par", "<repro-serve-np-par>"),
-}
 
 
 def split_request(request: Request) -> Tuple[Dict[str, object], Optional[Mapping]]:
@@ -69,9 +64,9 @@ class CompiledProgram:
         cache=None,
     ) -> None:
         self._payload = payload
-        #: Optional :class:`repro.service.cache.ArtifactCache`; lets the
-        #: ``c`` backend reuse content-addressed ``.so`` artifacts
-        #: instead of re-invoking the compiler.
+        #: Optional :class:`repro.service.cache.ArtifactCache`; handed to
+        #: the backend's loader so products it keeps there (the ``c``
+        #: backend's content-addressed ``.so``) are reused, not rebuilt.
         self._cache = cache
         self.metrics = metrics or Metrics()
         #: Optional :class:`repro.obs.Tracer`; every ``execute`` records
@@ -79,8 +74,8 @@ class CompiledProgram:
         self._tracer = tracer
         #: Whether this instance was served from the artifact cache.
         self.from_cache = from_cache
-        #: Tile engine handed to ``np-par`` executions (None: the
-        #: process-wide default engine).
+        #: Tile engine handed to backends taking an ``engine`` option
+        #: (None: the process-wide default engine).
         self.engine = engine
         #: The serving plan this artifact runs under: level, backend,
         #: workers, tile shape, and whether the autotuner chose it.
@@ -94,10 +89,8 @@ class CompiledProgram:
             "tuned": False,
         }
         self._lock = threading.Lock()
-        #: backend name -> compiled ``run`` callable (codegen backends).
-        self._runners: Dict[str, Callable] = {}
-        #: Loaded native kernel (``c`` backend), memoized per instance.
-        self._native_kernel_obj = None
+        #: backend name -> (loaded ``run``, the options every call passes).
+        self._runs: Dict[str, Tuple[Callable, Dict[str, object]]] = {}
 
     # -- payload views -----------------------------------------------------
 
@@ -163,7 +156,8 @@ class CompiledProgram:
         rejected — route it through ``Service.submit`` instead, which
         compiles (or cache-hits) the artifact for that binding.
         """
-        backend_name = get_backend(backend or self.backend).name
+        backend_obj = get_backend(backend or self.backend)
+        backend_name = backend_obj.name
         config, arrays = split_request(request)
         if arrays is not None:
             from repro.scalarize.emit_common import validate_inputs
@@ -190,26 +184,11 @@ class CompiledProgram:
             else NOOP_SPAN
         )
         with span_cm, self.metrics.time("execute.%s" % backend_name):
-            if backend_name in _RENDERERS:
-                runner = self._runner(backend_name)
-                if backend_name == "np-par":
-                    raw_arrays, raw_scalars = runner(arrays, self.engine)
-                else:
-                    raw_arrays, raw_scalars = runner(arrays)
-                result = ExecutionResult(dict(raw_arrays), dict(raw_scalars))
-            elif backend_name == "c":
-                from repro.exec import native
-                from repro.scalarize.codegen_c import c_abi
-
-                kernel = self._native_kernel()
-                raw_arrays, raw_scalars = native.run_kernel(
-                    kernel, c_abi(self.scalar_program), arrays
-                )
-                result = ExecutionResult(dict(raw_arrays), dict(raw_scalars))
-            else:
-                result = get_backend(backend_name).execute(
-                    self.scalar_program, arrays
-                )
+            loaded = self._runs.get(backend_name)
+            if loaded is None:
+                loaded = self._load(backend_obj)
+            run, options = loaded
+            result = run(arrays, **options)
         self.metrics.incr("execute.requests")
         self.metrics.incr("plan.%s" % self.plan_id)
         if self._plan.get("tuned"):
@@ -226,89 +205,32 @@ class CompiledProgram:
                 return list(pool.map(self.execute, requests))
         return [self.execute(request) for request in requests]
 
-    # -- codegen runner memoization ---------------------------------------
+    # -- loaded-run memoization -------------------------------------------
 
-    def _runner(self, backend_name: str) -> Callable:
-        with self._lock:
-            runner = self._runners.get(backend_name)
-        if runner is not None:
-            return runner
-        module_name, renderer_name, filename = _RENDERERS[backend_name]
-        source = self.code if backend_name == self.backend else None
-        if source is None:
-            # Cross-backend execution of an artifact rendered for another
-            # backend: render this one's code on first use.
-            module = __import__(module_name, fromlist=[renderer_name])
-            with self.metrics.time("compile.codegen"):
-                source = getattr(module, renderer_name)(self.scalar_program)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, filename, "exec"), namespace)
-        runner = namespace["run"]
-        with self._lock:
-            self._runners[backend_name] = runner
-        return runner
+    def _load(self, backend: Backend):
+        """Load this artifact on ``backend`` once; later calls hit the memo.
 
-    # -- native kernel memoization ----------------------------------------
-
-    def _native_kernel(self):
-        """The loaded ``.so`` for this artifact, reusing every cache tier.
-
-        Resolution order: this instance's memo, the per-process kernel
-        memo, the content-addressed ``.so`` artifact cache (a warm serve
-        performs *zero* compiler invocations), and only then the host
-        ``cc`` — with the resulting shared object stored back into the
-        artifact cache for the next process.
+        The stored code is reused when it was rendered for this backend;
+        cross-backend execution renders on first use.
         """
         with self._lock:
-            kernel = self._native_kernel_obj
-        if kernel is not None:
-            return kernel
-        from repro.exec import native
-        from repro.util.errors import BackendUnavailableError
-
-        cc = native.find_cc()
-        if cc is None:
-            raise BackendUnavailableError(
-                "the c backend needs a host C compiler "
-                "(cc, gcc or clang on PATH, or REPRO_CC=/path/to/cc)"
-            )
-        source = self.code if self.backend == "c" else None
-        if source is None:
-            # Cross-backend execution of an artifact rendered for another
-            # backend: render the translation unit on first use.
-            from repro.scalarize.codegen_c import render_c_module
-
-            with self.metrics.time("compile.codegen"):
-                source = render_c_module(self.scalar_program)
-        kernel = native.cached_kernel(source, cc)
-        if kernel is None:
-            kernel = self._load_or_compile_native(source, cc)
-            native.remember_kernel(source, cc, kernel)
-        with self._lock:
-            self._native_kernel_obj = kernel
-        return kernel
-
-    def _load_or_compile_native(self, source: str, cc: str):
-        from repro.exec import native
-        from repro.service import fingerprint
-
-        native_key = None
-        if self._cache is not None:
-            native_key = fingerprint.native_digest(
-                self.digest,
-                native.compiler_identity(cc),
-                native.DEFAULT_CFLAGS,
-                code_version=self._cache.code_version,
-            )
-            so_path = self._cache.get_native(native_key)
-            if so_path is not None:
-                return native.NativeKernel(so_path)
-        with self.metrics.time("compile.cc"):
-            so_bytes = native.compile_shared(source, cc)
-        self.metrics.incr("native.cc_invocations")
-        if self._cache is not None and native_key is not None:
-            self._cache.put_native(native_key, so_bytes)
-        return native.load_kernel(so_bytes)
+            loaded = self._runs.get(backend.name)
+            if loaded is None:
+                code = self.code if backend.name == self.backend else None
+                if code is None:
+                    with self.metrics.time("compile.codegen"):
+                        code = backend.render(self.scalar_program)
+                artifacts = (
+                    Artifacts(self._cache, self.digest, self.metrics)
+                    if self._cache is not None
+                    else None
+                )
+                run = backend.load(self.scalar_program, code, artifacts)
+                options = (
+                    {"engine": self.engine} if "engine" in backend.options else {}
+                )
+                loaded = self._runs[backend.name] = (run, options)
+        return loaded
 
     def __repr__(self) -> str:
         return "CompiledProgram(%s, level=%s, backend=%s%s)" % (

@@ -22,21 +22,16 @@ import threading
 from concurrent.futures import Future
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.exec import ExecutionResult, get_backend
+from repro.exec import Artifacts, ExecutionResult, get_backend
 from repro.fusion import C2P, LEVELS_BY_NAME, Level, plan_program
 from repro.ir import normalize_source
 from repro.obs.tracer import NOOP_SPAN, TracedTimers, resolve_tracer
-from repro.scalarize import (
-    render_c_module,
-    render_numpy,
-    render_python,
-    scalarize,
-)
+from repro.scalarize import scalarize
 from repro.service import fingerprint
 from repro.service.cache import ArtifactCache
 from repro.service.compiled import CompiledProgram, Request, split_request
 from repro.service.metrics import Metrics
-from repro.util.errors import ReproError
+from repro.util.errors import BackendUnavailableError, ReproError
 
 #: Compile passes timed on every cold compile, in pipeline order.
 COMPILE_PASSES = (
@@ -109,9 +104,9 @@ class Service:
         #: tuning DB), True (consult the default DB), or a
         #: :class:`repro.tune.tunedb.TuneDB` instance.
         self.tune = tune
-        #: Tile engine shared by every ``np-par`` execution this service
-        #: runs, so tile/sweep/serial-fallback counts land in the
-        #: service's metrics registry.
+        #: Tile engine shared by every tile-parallel execution this
+        #: service runs, so tile/sweep/serial-fallback counts land in
+        #: the service's metrics registry.
         from repro.parallel.engine import TileEngine
 
         self.tile_engine = TileEngine(
@@ -363,7 +358,7 @@ class Service:
         plan: Optional[Dict[str, object]] = None,
     ) -> CompiledProgram:
         engine = self.tile_engine
-        if plan is not None and plan.get("backend") == "np-par":
+        if plan is not None and "engine" in get_backend(plan["backend"]).options:
             engine = self.engine_for(plan.get("workers"), plan.get("tile_shape"))
         return CompiledProgram(
             payload,
@@ -397,10 +392,8 @@ class Service:
 
                     simplify_program(program)
             scalar_program, code = self._plan_and_render(
-                program, level, backend_name, timers
+                program, level, backend_name, digest, timers
             )
-            if backend_name == "c" and code is not None:
-                self._compile_native(digest, code, timers)
         return self._finish_build(
             build, digest, level, config, backend_name, scalar_program, code
         )
@@ -419,67 +412,41 @@ class Service:
         with build.time("compile.total"):
             program = build_ir()
             scalar_program, code = self._plan_and_render(
-                program, level, backend_name, timers
+                program, level, backend_name, digest, timers
             )
-            if backend_name == "c" and code is not None:
-                self._compile_native(digest, code, timers)
         return self._finish_build(
             build, digest, level, None, backend_name, scalar_program, code
         )
 
-    def _plan_and_render(self, program, level, backend_name, timers):
-        """Fuse, scalarize and render one normalized program."""
+    def _plan_and_render(self, program, level, backend_name, digest, timers):
+        """Fuse, scalarize and render one normalized program.
+
+        A backend whose loader keeps a product in the artifact cache
+        (``Backend.eager`` — the ``c`` backend's shared object) is also
+        loaded here, on the build (miss) path and under the build lock,
+        so the ``compile.cc`` span and ``native.cc_invocations`` counter
+        measure exactly the cold cost a warm serve avoids.  Machines that
+        cannot load it skip silently — execution raises
+        ``BackendUnavailableError`` there, but the rendered code in the
+        payload stays inspectable and cacheable.
+        """
+        backend = get_backend(backend_name)
         # plan_program times compile.deps / compile.fusion internally.
         plan = plan_program(program, level, timers=timers)
         with timers.time("compile.scalarize"):
             scalar_program = scalarize(program, plan)
-        code: Optional[str] = None
         with timers.time("compile.codegen"):
-            if backend_name == "codegen_py":
-                code = render_python(scalar_program)
-            elif backend_name == "codegen_np":
-                code = render_numpy(scalar_program)
-            elif backend_name == "np-par":
-                from repro.parallel.engine import render_numpy_par
-
-                code = render_numpy_par(scalar_program)
-            elif backend_name == "c":
-                code = render_c_module(scalar_program)
+            code = backend.render(scalar_program)
+        if backend.eager:
+            try:
+                backend.load(
+                    scalar_program,
+                    code,
+                    Artifacts(self.cache, digest, self.metrics, timers),
+                )
+            except BackendUnavailableError:
+                pass
         return scalar_program, code
-
-    def _compile_native(self, digest: str, code: str, timers) -> None:
-        """Eagerly compile a ``c`` artifact's translation unit.
-
-        Runs on the build (miss) path only, so the ``compile.cc`` span
-        and ``native.cc_invocations`` counter measure exactly the cold
-        cost a warm serve avoids.  The shared object lands in the
-        content-addressed cache keyed by :func:`fingerprint.native_digest`
-        (payload digest x compiler identity x flags); the per-process
-        kernel memo is primed so this service never recompiles either.
-        Machines without a C compiler skip silently — execution raises
-        ``BackendUnavailableError`` there, but the rendered C in the
-        payload stays inspectable and cacheable.
-        """
-        from repro.exec import native
-
-        cc = native.find_cc()
-        if cc is None:
-            return
-        native_key = fingerprint.native_digest(
-            digest,
-            native.compiler_identity(cc),
-            native.DEFAULT_CFLAGS,
-            code_version=self.cache.code_version,
-        )
-        if self.cache.get_native(native_key) is not None:
-            return
-        if native.cached_kernel(code, cc) is not None:
-            return
-        with timers.time("compile.cc"):
-            so_bytes = native.compile_shared(code, cc)
-        self.metrics.incr("native.cc_invocations")
-        self.cache.put_native(native_key, so_bytes)
-        native.remember_kernel(code, cc, native.load_kernel(so_bytes))
 
     def _finish_build(
         self, build, digest, level, config, backend_name, scalar_program, code

@@ -22,8 +22,10 @@ rather than silently absorbed.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from repro.exec import get_backend
 from repro.fusion import plan_program
 from repro.ir import normalize_source
 from repro.scalarize import scalarize
@@ -39,7 +41,6 @@ from repro.tune.space import (
     rank_plans,
 )
 from repro.tune.tunedb import TuneDB, fresh_record
-from repro.util.errors import ReproError
 
 #: How many top-ranked candidates are measured by default.
 DEFAULT_TOP_K = 6
@@ -138,18 +139,12 @@ def _compile_levels(
     compiled: Dict[str, ScalarProgram] = {}
     for level_name in dict.fromkeys(levels):
         level = _resolve_level(level_name, level_name)
-        timer = metrics.time if metrics is not None else None
-        if timer is not None:
-            with timer("tune.compile"):
-                program = normalize_source(source, config, self_temp_policy)
-                if simplify:
-                    from repro.ir import simplify_program
-
-                    simplify_program(program)
-                compiled[level_name] = scalarize(
-                    program, plan_program(program, level)
-                )
-        else:
+        timed = (
+            metrics.time("tune.compile")
+            if metrics is not None
+            else contextlib.nullcontext()
+        )
+        with timed:
             program = normalize_source(source, config, self_temp_policy)
             if simplify:
                 from repro.ir import simplify_program
@@ -164,41 +159,19 @@ def _compile_levels(
 def make_executor(scalar_program: ScalarProgram, plan: Plan):
     """(callable, closer) executing one run of ``plan`` on its program.
 
-    The expensive one-time work — rendering, ``compile()``, tile-engine
-    construction — happens here, outside the runner's timed region (the
-    warmup runs then absorb pool spin-up and allocator effects).
+    The expensive one-time work — the backend's ``load`` (rendering,
+    ``compile()``, the host C compiler) and tile-engine construction —
+    happens here, outside the runner's timed region (the warmup runs
+    then absorb pool spin-up and allocator effects).
     """
-    if plan.backend == "interp":
-        from repro.exec import get_backend
+    backend = get_backend(plan.backend)
+    run = backend.load(scalar_program)
+    if "engine" not in backend.options:
+        return (lambda: run(None)), (lambda: None)
+    from repro.parallel.engine import TileEngine
 
-        backend = get_backend("interp")
-        return (lambda: backend.execute(scalar_program)), (lambda: None)
-    if plan.backend == "codegen_py":
-        from repro.scalarize.codegen_py import render_python
-
-        source = render_python(scalar_program)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, "<repro-tune-py>", "exec"), namespace)
-        run = namespace["run"]
-        return (lambda: run()), (lambda: None)
-    if plan.backend == "codegen_np":
-        from repro.scalarize.codegen_np import render_numpy
-
-        source = render_numpy(scalar_program)
-        namespace = {}
-        exec(compile(source, "<repro-tune-np>", "exec"), namespace)
-        run = namespace["run"]
-        return (lambda: run()), (lambda: None)
-    if plan.backend == "np-par":
-        from repro.parallel.engine import TileEngine, render_numpy_par
-
-        source = render_numpy_par(scalar_program)
-        namespace = {}
-        exec(compile(source, "<repro-tune-np-par>", "exec"), namespace)
-        run = namespace["run"]
-        engine = TileEngine(workers=plan.workers, tile_shape=plan.tile_shape)
-        return (lambda: run(None, engine)), engine.close
-    raise ReproError("cannot build a tuning executor for backend %r" % plan.backend)
+    engine = TileEngine(workers=plan.workers, tile_shape=plan.tile_shape)
+    return (lambda: run(None, engine=engine)), engine.close
 
 
 def tune(

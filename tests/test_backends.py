@@ -182,3 +182,109 @@ def test_cli_compile_emits_numpy(tmp_path, capsys):
     assert main(["compile", str(path), "--emit", "np", "--level", "c2+f3"]) == 0
     out = capsys.readouterr().out
     assert "np.sum(" in out
+
+
+# -- one lifecycle: every consumer goes through the registry record ----------
+
+
+def assert_identical(got, want, context):
+    assert set(got.arrays) == set(want.arrays), context
+    for name, array in want.arrays.items():
+        assert got.arrays[name].dtype == array.dtype, (context, name)
+        assert np.array_equal(got.arrays[name], array), (context, name)
+    assert set(got.scalars) == set(want.scalars), context
+    for name, value in want.scalars.items():
+        assert repr(got.scalars[name]) == repr(value), (context, name)
+
+
+def test_substituted_backend_is_picked_up_everywhere(monkeypatch, tmp_path):
+    # Adding a backend is one registry entry: execute, the serving layer
+    # (cold, then a cache hit in a fresh Service) and the autotuner's
+    # executor factory all reach it with no other edit.
+    from repro.exec import Backend
+    from repro.service import Service
+    from repro.tune.space import Plan
+    from repro.tune.tuner import make_executor
+
+    loads = []
+
+    def load(program, code=None, artifacts=None):
+        loads.append(code)
+        return BACKENDS["interp"].load(program)
+
+    monkeypatch.setitem(
+        BACKENDS,
+        "toy",
+        Backend("toy", "interp behind a marker", lambda program: "toy-marker", load),
+    )
+    program = scalar_program()
+    want = execute(program, "interp")
+
+    assert_identical(execute(program, "toy"), want, "execute")
+    assert loads == [None]
+
+    cache_dir = str(tmp_path / "cache")
+    cold = Service(cache_dir=cache_dir, level="c2").compile(SOURCE, backend="toy")
+    assert not cold.from_cache and cold.code == "toy-marker"
+    assert_identical(cold.execute(), want, "cold serve")
+    warm = Service(cache_dir=cache_dir, level="c2").compile(SOURCE, backend="toy")
+    assert warm.from_cache and warm.code == "toy-marker"
+    assert_identical(warm.execute(), want, "warm serve")
+    assert loads[1:] == ["toy-marker", "toy-marker"]
+
+    run, close = make_executor(program, Plan("c2", "toy"))
+    try:
+        assert_identical(run(), want, "make_executor")
+    finally:
+        close()
+
+
+def test_make_executor_runs_every_tunable_backend_bit_identically():
+    # The tuner's executor factory has no per-backend arm to forget: every
+    # backend the default space can name (c included wherever a compiler
+    # exists) plus interp builds, runs and matches execute bit for bit.
+    from repro.exec.native import cc_available
+    from repro.tune.space import Plan, default_space
+    from repro.tune.tuner import make_executor
+
+    program = scalar_program()
+    backends = dict.fromkeys(default_space().backends + ("interp",))
+    assert ("c" in backends) == cc_available()
+    for backend in backends:
+        run, close = make_executor(program, Plan("c2", backend))
+        try:
+            assert_identical(run(), execute(program, backend), backend)
+        finally:
+            close()
+
+
+def _real_backends():
+    from repro.exec.native import cc_available
+
+    no_cc = pytest.mark.skipif(not cc_available(), reason="no host C compiler")
+    return [
+        pytest.param(name, marks=no_cc) if name == "c" else name
+        for name in sorted(BACKENDS)
+    ]
+
+
+@pytest.mark.parametrize("backend", _real_backends())
+def test_service_matches_execute_on_every_backend(backend):
+    # The serving layer and bare execute share one loader per backend, so
+    # an artifact compiled for any backend reproduces execute bit for bit —
+    # on its own backend and on every other one (cross-backend execution
+    # renders on first use).
+    from repro.benchsuite import get_benchmark
+    from repro.exec.native import cc_available
+    from repro.service import Service
+
+    bench = get_benchmark("Frac")
+    service = Service(level="c2+f4", backend=backend, persistent=False)
+    compiled = service.compile(bench.source, config={"n": 12, "m": 10})
+    others = [name for name in sorted(BACKENDS) if name != "c" or cc_available()]
+    for other in [backend] + [name for name in others if name != backend]:
+        assert_identical(
+            compiled.execute(backend=other),
+            execute(compiled.scalar_program, other),
+            "%s artifact on %s" % (backend, other),
+        )

@@ -6,7 +6,8 @@ import pytest
 from repro.fusion import ALL_LEVELS, C2, plan_program
 from repro.interp import Storage, fill_boundary, run_reference, run_scalarized
 from repro.ir import BoundaryStatement, Region, normalize_source
-from repro.scalarize import execute_python, render_c, scalarize
+from repro.exec import execute
+from repro.scalarize import render_c, scalarize
 from repro.util.errors import InterpError, NormalizationError, SemanticError
 
 TEMPLATE = """
@@ -127,7 +128,7 @@ class TestSemantics:
             assert np.isclose(
                 float(result.scalars["s"]), float(reference.scalars["s"])
             ), level.name
-            _arrays, scalars = execute_python(scalar_program)
+            _arrays, scalars = execute(scalar_program, "codegen_py")
             assert np.isclose(
                 float(scalars["s"]), float(reference.scalars["s"])
             ), ("codegen", level.name)

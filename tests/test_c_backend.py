@@ -283,7 +283,7 @@ def test_c_integer_reduction_initializers_are_typed():
 # -- service integration: compile once, serve the .so everywhere -------------
 
 _SERVE_SCRIPT = """
-import json, sys
+import glob, json, os, sys, tempfile
 from repro.service import Service
 
 SRC = '''%s'''
@@ -297,12 +297,13 @@ print(json.dumps({
     "compiles": counters.get("service.compiles", 0),
     "cc": counters.get("native.cc_invocations", 0),
     "native_hits": counters.get("cache.native_hits", 0),
+    "scratch": glob.glob(os.path.join(tempfile.gettempdir(), "repro-native-*")),
 }))
 """ % BASIC_SOURCE
 
 
-def _serve_in_subprocess(cache_dir):
-    env = dict(os.environ)
+def _serve_in_subprocess(cache_dir, **extra_env):
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR)
     proc = subprocess.run(
         [sys.executable, "-c", _SERVE_SCRIPT, cache_dir],
@@ -351,6 +352,37 @@ def test_service_reuses_kernel_within_process(tmp_path):
     assert counters.get("native.cc_invocations") == 1
     assert repr(float(r1.scalars["s"])) == repr(float(r2.scalars["s"]))
     assert "compile.cc" in first.compile_timings
+
+
+@needs_cc
+def test_persistent_cache_dlopens_its_own_so_without_scratch_dir(tmp_path):
+    # With a persistent cache the kernel is dlopened from the cache's own
+    # content-addressed file: no ``repro-native-*`` scratch copy exists to
+    # leak when a worker is killed before its atexit hooks run.  Listed
+    # while each process is still alive, cold (cc run) and warm (reload).
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    cache_dir = str(tmp_path / "cache")
+    runs = [_serve_in_subprocess(cache_dir, TMPDIR=str(tmp)) for _ in range(2)]
+    assert [run["cc"] for run in runs] == [1, 0]
+    assert [run["scratch"] for run in runs] == [[], []]
+    assert os.listdir(tmp) == []
+
+
+# -- the autotuner reaches c through the same registry -------------------------
+
+
+@needs_cc
+def test_tune_with_c_as_the_configured_backend(tmp_path):
+    from repro.service import Metrics
+    from repro.tune import TuneDB, tune
+    from repro.tune.space import default_plan
+
+    db = TuneDB(root=str(tmp_path / "tunedb"), metrics=Metrics())
+    result = tune(BASIC_SOURCE, backend="c", db=db, budget_s=10.0, top_k=1)
+    measured = {row.plan for row in result.ranking if row.measurement is not None}
+    assert default_plan("c2", "c") in measured
+    assert any(row.note.endswith("<- winner") for row in result.ranking)
 
 
 # -- degradation without a compiler ------------------------------------------

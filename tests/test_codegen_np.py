@@ -10,6 +10,7 @@ that the fallbacks fall back.
 import numpy as np
 import pytest
 
+from repro.exec import execute
 from repro.fusion import BASELINE, C2, C2F3, F3, plan_program
 from repro.interp import run_reference
 from repro.ir import normalize_source
@@ -17,7 +18,7 @@ from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.scalarize import scalarize
-from repro.scalarize.codegen_np import execute_numpy, render_numpy
+from repro.scalarize.codegen_np import render_numpy
 from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
 
 
@@ -53,7 +54,7 @@ def test_stencil_offsets_become_shifted_slices():
     assert "A[3:9, 2:8]" in source
     assert "A[2:8, 1:7]" in source
     assert "A[2:8, 3:9]" in source
-    arrays, _ = execute_numpy(scalar_program)
+    arrays, _ = execute(scalar_program, "codegen_np")
     reference = run_reference(program)
     assert np.allclose(arrays["B"], reference.arrays["B"])
 
@@ -81,7 +82,7 @@ def test_carried_dependence_peels_outer_loop_only():
     assert nests[-1].carried_depth == 1
     assert "for _i1 in" in source
     assert "for _i2" not in source
-    arrays, _ = execute_numpy(scalar_program)
+    arrays, _ = execute(scalar_program, "codegen_np")
     reference = run_reference(program)
     assert np.allclose(arrays["A"], reference.arrays["A"])
     assert np.allclose(arrays["B"], reference.arrays["B"])
@@ -116,7 +117,7 @@ def test_reversed_loops_take_corner_at_zero():
     )
     source = render_numpy(program)
     assert "T__s = T__s[0]" in source
-    _arrays, scalars = execute_numpy(program)
+    _arrays, scalars = execute(program, "codegen_np")
     # Downward iteration ends at the region's low bound.
     assert scalars["T__s"] == 1
 
@@ -157,7 +158,7 @@ end;
     source = render_numpy(scalar_program)
     # Circular buffers index modulo their depth: no slice form exists.
     assert "% 2" in source
-    arrays, _ = execute_numpy(scalar_program)
+    arrays, _ = execute(scalar_program, "codegen_np")
     reference = run_reference(program)
     assert np.allclose(arrays["A"], reference.arrays["A"])
 
@@ -175,7 +176,7 @@ end;
     program, scalar_program, source = compile_np(source_text, BASELINE)
     assert "np.arange(1, 6).reshape(-1, 1)" in source
     assert "np.arange(1, 6).reshape(1, -1)" in source
-    arrays, _ = execute_numpy(scalar_program)
+    arrays, _ = execute(scalar_program, "codegen_np")
     assert np.allclose(arrays["A"], run_reference(program).arrays["A"])
 
 
@@ -193,7 +194,7 @@ end;
 """
     program, scalar_program, source = compile_np(source_text, C2F3)
     assert "np.sum(" in source
-    _arrays, scalars = execute_numpy(scalar_program)
+    _arrays, scalars = execute(scalar_program, "codegen_np")
     assert float(scalars["s"]) == 21.0
 
 
@@ -213,6 +214,6 @@ begin
 end;
 """
     program, scalar_program, source = compile_np(source_text, BASELINE)
-    _arrays, scalars = execute_numpy(scalar_program)
+    _arrays, scalars = execute(scalar_program, "codegen_np")
     reference = run_reference(program)
     assert float(scalars["s"]) == float(reference.scalars["s"])

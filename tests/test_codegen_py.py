@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.benchsuite import ALL_BENCHMARKS
+from repro.exec import execute
 from repro.fusion import ALL_LEVELS, BASELINE, C2, plan_program
 from repro.interp import run_reference, run_scalarized
 from repro.ir import normalize_source
-from repro.scalarize import compile_program, execute_python, render_python, scalarize
+from repro.scalarize import compile_program, render_python, scalarize
 
 TEMPLATE = """
 program p;
@@ -66,7 +67,7 @@ class TestExecution:
         reference = run_reference(program)
         scalar_program = compile_program(program, level)
         interpreted = run_scalarized(scalar_program)
-        arrays, scalars = execute_python(scalar_program)
+        arrays, scalars = execute(scalar_program, "codegen_py")
         for name, array in arrays.items():
             if name.startswith("_"):
                 continue
@@ -78,7 +79,7 @@ class TestExecution:
         body = "s := 0.0;\nfor i := n downto 1 do s := s * 10.0 + i; end;"
         program = normalize_source(TEMPLATE % body)
         scalar_program = compile_program(program, BASELINE)
-        _arrays, scalars = execute_python(scalar_program)
+        _arrays, scalars = execute(scalar_program, "codegen_py")
         assert scalars["s"] == 654321.0
 
     def test_while_and_if(self):
@@ -87,7 +88,7 @@ class TestExecution:
             "\nif i = 5 then s := 9.0; end;"
         )
         program = normalize_source(TEMPLATE % body)
-        _arrays, scalars = execute_python(compile_program(program, BASELINE))
+        _arrays, scalars = execute(compile_program(program, BASELINE), "codegen_py")
         assert scalars["i"] == 5
         assert scalars["s"] == 9.0
 
@@ -95,7 +96,7 @@ class TestExecution:
         body = "[R] A := sqrt(4.0) + min(Index1, 2) + abs(0.0 - 1.0);\ns := max<< [R] A;"
         program = normalize_source(TEMPLATE % body)
         reference = run_reference(program)
-        _arrays, scalars = execute_python(compile_program(program, BASELINE))
+        _arrays, scalars = execute(compile_program(program, BASELINE), "codegen_py")
         assert np.isclose(float(scalars["s"]), float(reference.scalars["s"]))
 
 
@@ -105,7 +106,7 @@ class TestBenchmarks:
         program = bench.test_program()
         reference = run_reference(program)
         scalar_program = scalarize(program, plan_program(program, C2))
-        _arrays, scalars = execute_python(scalar_program)
+        _arrays, scalars = execute(scalar_program, "codegen_py")
         for name in bench.check_scalars:
             assert np.isclose(
                 float(scalars[name]), float(reference.scalars[name])

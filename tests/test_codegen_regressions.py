@@ -205,6 +205,23 @@ def test_nonempty_reduction_loop_still_works(backend):
     assert float(result.scalars["s"]) == 3.0
 
 
+@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
+def test_empty_fused_reduction_leaves_the_accumulator(backend):
+    # A reduction *statement* fused into a nest folds from its
+    # accumulator, so over an empty region it adds nothing (only the
+    # stand-alone ReductionLoop above has no value to return).
+    program = empty_reduction_program(2, 4)
+    program.body.append(
+        LoopNest(
+            Region([(LinearExpr(3), LinearExpr(2))]),
+            (1,),
+            [ElemAssign(None, "s", ir.ArrayRef("A", (0,)), reduce_op="+")],
+            carried_depth=0,
+        )
+    )
+    assert float(execute(program, backend).scalars["s"]) == 3.0
+
+
 def test_empty_reduction_guard_is_emitted():
     program = empty_reduction_program()
     for source in (render_python(program), render_numpy(program)):

@@ -11,7 +11,8 @@ from repro.fusion.contract import (
 )
 from repro.interp import run_reference, run_scalarized
 from repro.ir import normalize_source
-from repro.scalarize import execute_python, scalarize
+from repro.exec import execute
+from repro.scalarize import scalarize
 
 TEMPLATE = """
 program p;
@@ -121,7 +122,7 @@ class TestEndToEnd:
         assert np.isclose(
             float(result.scalars["s"]), float(reference.scalars["s"])
         )
-        _arrays, scalars = execute_python(scalar_program)
+        _arrays, scalars = execute(scalar_program, "codegen_py")
         assert np.isclose(float(scalars["s"]), float(reference.scalars["s"]))
 
     def test_last_range_not_contracted_when_observable(self):

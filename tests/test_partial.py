@@ -9,7 +9,8 @@ from repro.fusion.partial import buffer_bytes, find_partial_contractions
 from repro.interp import run_reference, run_scalarized
 from repro.ir import normalize_source
 from repro.machine import MemoryLayout
-from repro.scalarize import execute_python, render_c, render_python, scalarize
+from repro.exec import execute
+from repro.scalarize import render_c, render_python, scalarize
 
 SWEEP = """
 program sweep;
@@ -117,7 +118,7 @@ class TestExecution:
         source = render_python(scalar_program)
         assert "% 2" in source
         reference = run_reference(program)
-        _arrays, scalars = execute_python(scalar_program)
+        _arrays, scalars = execute(scalar_program, "codegen_py")
         assert np.isclose(float(scalars["s"]), float(reference.scalars["s"]))
 
     def test_codegen_c_wraps(self):

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.benchsuite import ALL_BENCHMARKS
+from repro.exec import execute
 from repro.fusion import ALL_LEVELS, plan_program
 from repro.ir import expr as ir
 from repro.ir import normalize_source
@@ -31,7 +32,6 @@ from repro.parallel import ProcessorGrid, analyze_run
 from repro.parallel.engine import (
     TileEngine,
     default_workers,
-    execute_numpy_par,
     render_numpy_par,
 )
 from repro.parallel.tiling import (
@@ -42,7 +42,6 @@ from repro.parallel.tiling import (
 )
 from repro.scalarize import scalarize
 from repro.scalarize.codegen_np import (
-    execute_numpy,
     program_shard_plans,
     shard_plan,
 )
@@ -294,9 +293,9 @@ def test_benchsuite_bit_identical_at_all_levels(bench, workers):
     for level in ALL_LEVELS:
         program = bench.test_program()
         scalar_program = scalarize(program, plan_program(program, level))
-        expected = execute_numpy(scalar_program)
+        expected = execute(scalar_program, "codegen_np")
         with TileEngine(workers=workers) as engine:
-            actual = execute_numpy_par(scalar_program, engine=engine)
+            actual = execute(scalar_program, "np-par", engine=engine)
         assert_bit_identical(
             actual,
             expected,
@@ -315,14 +314,14 @@ def test_benchsuite_bit_identical_under_degenerate_tiles(tile_shape):
         scalar_program = scalarize(
             program, plan_program(program, ALL_LEVELS[-1])
         )
-        expected = execute_numpy(scalar_program)
+        expected = execute(scalar_program, "codegen_np")
         rank_ok = not isinstance(tile_shape, tuple)
         shape = tile_shape
         if not rank_ok:
             # Per-dimension shapes only fit rank-2 sweeps; widen scalars.
             shape = tile_shape[0]
         with TileEngine(workers=3, tile_shape=shape) as engine:
-            actual = execute_numpy_par(scalar_program, engine=engine)
+            actual = execute(scalar_program, "np-par", engine=engine)
         assert_bit_identical(
             actual, expected, "%s tiles=%r" % (bench.name, tile_shape)
         )
@@ -342,9 +341,9 @@ end;
 """
     program = normalize_source(source)
     scalar_program = scalarize(program, plan_program(program, ALL_LEVELS[0]))
-    expected = execute_numpy(scalar_program)
+    expected = execute(scalar_program, "codegen_np")
     with TileEngine(workers=2) as engine:
-        actual = execute_numpy_par(scalar_program, engine=engine)
+        actual = execute(scalar_program, "np-par", engine=engine)
     assert_bit_identical(actual, expected, "empty interior")
     assert np.all(actual[0]["B"] == 0.0)
 
@@ -388,9 +387,9 @@ def test_self_hazard_statement_gets_a_snapshot():
     assert plan.halo == {1: 1}
 
     seed = {"A": np.arange(66, dtype=np.float64)}
-    expected = execute_numpy(program, inputs=seed)
+    expected = execute(program, "codegen_np", seed)
     with TileEngine(workers=2, tile_shape=1) as engine:
-        actual = execute_numpy_par(program, inputs=seed, engine=engine)
+        actual = execute(program, "np-par", seed, engine=engine)
         assert engine.snapshots == 1
         assert engine.sweeps == 1
     assert_bit_identical(actual, expected, "self-hazard snapshot")
@@ -414,9 +413,9 @@ def test_cross_statement_hazard_uses_barriers_not_snapshots():
     assert plan.hazard_arrays == ("A",)
 
     seed = {"A": np.arange(66, dtype=np.float64) ** 2}
-    expected = execute_numpy(program, inputs=seed)
+    expected = execute(program, "codegen_np", seed)
     with TileEngine(workers=4, tile_shape=3) as engine:
-        actual = execute_numpy_par(program, inputs=seed, engine=engine)
+        actual = execute(program, "np-par", seed, engine=engine)
         assert engine.snapshots == 0
         assert engine.sweeps == 2  # one barrier-separated sweep per stmt
     assert_bit_identical(actual, expected, "cross-statement hazard")
@@ -431,7 +430,7 @@ def test_engine_counters_and_metrics():
     scalar_program = scalarize(program, plan_program(program, ALL_LEVELS[-1]))
     metrics = Metrics()
     with TileEngine(workers=2, tile_shape=2, metrics=metrics) as engine:
-        execute_numpy_par(scalar_program, engine=engine)
+        execute(scalar_program, "np-par", engine=engine)
         assert engine.sweeps > 0
         assert engine.tiles_executed >= engine.sweeps
     assert metrics.counter("par.sweeps") == engine.sweeps
@@ -454,7 +453,7 @@ end;
     program = normalize_source(source)
     scalar_program = scalarize(program, plan_program(program, ALL_LEVELS[-1]))
     with TileEngine(workers=1) as engine:
-        execute_numpy_par(scalar_program, engine=engine)
+        execute(scalar_program, "np-par", engine=engine)
         assert engine.serial_nests > 0
 
 
