@@ -1,24 +1,22 @@
 """The two-tier compiled-artifact cache.
 
 Tier 1 is an in-memory LRU (bounded entry count) holding live artifact
-dicts; tier 2 is a content-addressed on-disk store so warmth survives the
+payloads, each with the backend ``run`` callables loaded from it, so
+every :class:`~repro.service.compiled.CompiledProgram` handle for a
+digest shares one load and the loaded code is dropped with the entry.
+Tier 2 is a content-addressed on-disk store so warmth survives the
 process — the analogue of Bohrium's fuse cache, amortizing array-level
 analysis across runs.
 
-Disk layout: ``<root>/<digest[:2]>/<digest>.pkl``, each file a pickled
-envelope ``{"schema", "code_version", "digest", "payload"}``.  Loads
-verify all three stamps; any mismatch or unpicklable file is treated as a
-miss and the file is deleted (a corrupted cache can only cost a
-recompile, never a wrong answer).  Writes are atomic (temp file +
-``os.replace``) so concurrent services never observe torn artifacts.
-
-Native artifacts — shared objects the ``c`` backend compiled — are a
-second kind in the same store: ``<root>/<digest[:2]>/<digest>.so`` plus a
-JSON stamp sidecar ``<digest>.so.json`` recording schema, code version,
-digest and the SHA-256 of the object bytes.  The same self-invalidation
-discipline applies: any stamp or checksum mismatch deletes both files and
-reads as a miss, so a stale or torn ``.so`` costs one recompile, never a
-wrong (or crashing) kernel.
+The disk tier is two kinds on :class:`repro.service.store.Store`, which
+owns the layout, atomic publication and the verified, self-invalidating
+read (a corrupted cache can only cost a recompile, never a wrong
+answer): ``<root>/<digest[:2]>/<digest>.pkl``, a pickled envelope
+``{"schema", "code_version", "digest", "payload"}``; and the shared
+objects the ``c`` backend compiled, ``<digest>.so`` plus a JSON stamp
+sidecar ``<digest>.so.json`` that adds the SHA-256 of the object bytes,
+so a stale or torn ``.so`` costs one recompile, never a wrong (or
+crashing) kernel.
 
 The root defaults to ``.repro-cache/`` and is overridable with the
 ``REPRO_CACHE_DIR`` environment variable; the disk tier is size-bounded
@@ -32,18 +30,23 @@ the rest block and then hit the artifact it persisted.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from repro.service import fingerprint
 from repro.service.metrics import Metrics
+from repro.service.store import Store, evict
+
+try:
+    import fcntl
+except ImportError:  # no flock: build_lock degrades to a no-op
+    fcntl = None
 
 #: Envelope layout version — independent of the compiler's CODE_VERSION.
 ARTIFACT_SCHEMA = 1
@@ -69,6 +72,59 @@ def _default_max_bytes() -> int:
     return DEFAULT_MAX_BYTES
 
 
+class _Kind(Store):
+    schema = ARTIFACT_SCHEMA
+    counters = {
+        "invalid": "cache.invalid_artifacts",
+        "write_error": "cache.write_errors",
+        "evict": "cache.disk_evictions",
+    }
+
+
+class _PickledArtifacts(_Kind):
+    """``<digest>.pkl``: the envelope, pickled with the payload in it.
+
+    Unpickling can run code: only files this program wrote belong here.
+    """
+
+    suffix = ".pkl"
+    counters = dict(_Kind.counters, hit="cache.disk_hits")
+    _parse = staticmethod(pickle.load)
+
+    def _encode(self, stamps, payload):
+        envelope = dict(stamps, payload=payload)
+        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def _body(self, path, envelope):
+        payload = envelope["payload"]
+        if not isinstance(payload, dict):
+            raise ValueError("artifact payload is not a dict")
+        return payload
+
+
+class _NativeObjects(_Kind):
+    """``<digest>.so`` as compiled, stamped by ``<digest>.so.json``.
+
+    ``get`` returns the object's *path*: the caller hands it straight to
+    ``dlopen``, so the file must stay on disk.
+    """
+
+    suffix = ".so"
+    sidecar = ".json"
+    counters = dict(_Kind.counters, hit="cache.native_hits")
+
+    def _encode(self, stamps, so_bytes):
+        stamp = dict(stamps, sha256=hashlib.sha256(so_bytes).hexdigest())
+        return json.dumps(stamp, sort_keys=True).encode("ascii")
+
+    def _body(self, path, stamp):
+        with open(path, "rb") as handle:
+            so_bytes = handle.read()
+        if stamp.get("sha256") != hashlib.sha256(so_bytes).hexdigest():
+            raise ValueError("native artifact checksum mismatch")
+        return path
+
+
 class ArtifactCache:
     """In-memory LRU over a persistent content-addressed store."""
 
@@ -86,10 +142,11 @@ class ArtifactCache:
         self.memory_entries = max(int(memory_entries), 1)
         self.max_bytes = max_bytes if max_bytes is not None else _default_max_bytes()
         self.metrics = metrics or Metrics()
-        #: Resolved at access time when None so tests can monkeypatch
-        #: ``fingerprint.CODE_VERSION`` and see stale artifacts rejected.
-        self._code_version = code_version
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._artifacts = _PickledArtifacts(self.root, self.metrics, code_version)
+        self._natives = _NativeObjects(self.root, self.metrics, code_version)
+        #: digest -> (payload, (backend name -> the ``run`` loaded from it,
+        #: the lock that makes each load happen once)).
+        self._memory: "OrderedDict[str, Tuple[dict, tuple]]" = OrderedDict()
         #: Guards the memory tier: OrderedDict reordering under
         #: concurrent ``get``/``put`` (``Service.submit_many`` worker
         #: threads) is not atomic on its own.
@@ -97,29 +154,37 @@ class ArtifactCache:
 
     @property
     def code_version(self) -> str:
-        return self._code_version or fingerprint.CODE_VERSION
+        return self._artifacts.code_version
 
     # -- lookup ------------------------------------------------------------
 
     def get(self, digest: str) -> Optional[dict]:
         """The artifact payload for ``digest``, or None on miss."""
         with self._memory_lock:
-            artifact = self._memory.get(digest)
-            if artifact is not None:
+            entry = self._memory.get(digest)
+            if entry is not None:
                 self._memory.move_to_end(digest)
-        if artifact is not None:
+        if entry is not None:
             self.metrics.incr("cache.memory_hits")
-            return artifact
-        artifact = self._disk_get(digest)
-        if artifact is not None:
-            self.metrics.incr("cache.disk_hits")
-            self._memory_put(digest, artifact)
-        return artifact
+            return entry[0]
+        payload = self._artifacts.get(digest) if self.persistent else None
+        if payload is not None:
+            self._memory_put(digest, payload)
+        return payload
 
     def put(self, digest: str, payload: dict) -> None:
         self._memory_put(digest, payload)
-        if self.persistent:
-            self._disk_put(digest, payload)
+        if self.persistent and self._artifacts.put(digest, payload):
+            evict((self._artifacts, self._natives), self.max_bytes)
+
+    def loaded_runs(self, digest: str) -> Tuple[dict, threading.Lock]:
+        """The loaded-run memo (and its load lock) of ``digest``'s
+        memory-tier entry: every handle for a resident digest shares it,
+        so a backend loads the artifact once per process and the loaded
+        code is evicted with the entry.  Not resident: a private memo."""
+        with self._memory_lock:
+            entry = self._memory.get(digest)
+        return entry[1] if entry is not None else ({}, threading.Lock())
 
     # -- cross-process single-flight ---------------------------------------
 
@@ -141,12 +206,7 @@ class ArtifactCache:
         platform has no ``fcntl`` — single-process semantics are
         unchanged either way.
         """
-        if not self.persistent:
-            yield
-            return
-        try:
-            import fcntl
-        except ImportError:
+        if not self.persistent or fcntl is None:
             yield
             return
         lock_dir = os.path.join(self.root, "locks")
@@ -155,7 +215,7 @@ class ArtifactCache:
             os.makedirs(lock_dir, exist_ok=True)
             fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
         except OSError:
-            # Read-only cache directory: same degradation as _disk_put.
+            # Read-only cache directory: same degradation as ``put``.
             yield
             return
         try:
@@ -174,28 +234,37 @@ class ArtifactCache:
     def invalidate(self, digest: str) -> None:
         with self._memory_lock:
             self._memory.pop(digest, None)
-        path = self._path(digest)
-        if os.path.exists(path):
-            os.remove(path)
+        self._artifacts.invalidate(digest)
 
     def clear(self) -> None:
         with self._memory_lock:
             self._memory.clear()
-        for path, _size, _mtime in self.disk_entries() + self.native_entries():
-            for victim in (
-                (path, path + ".json") if path.endswith(".so") else (path,)
-            ):
-                try:
-                    os.remove(victim)
-                except OSError:
-                    pass
+        self._artifacts.clear()
+        self._natives.clear()
+        # Lock files too, except any a process holds: a build in flight.
+        # (One that has opened its lock but not yet taken it loses the
+        # file and may build twice; publication is atomic, so that is
+        # wasted work, never a torn artifact.)
+        locks = os.path.join(self.root, "locks", "*.lock")
+        for lock_path in glob.glob(locks) if fcntl is not None else ():
+            try:
+                fd = os.open(lock_path, os.O_RDWR)
+            except OSError:
+                continue
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                os.remove(lock_path)
+            except OSError:
+                pass
+            finally:
+                os.close(fd)
 
     # -- memory tier -------------------------------------------------------
 
     def _memory_put(self, digest: str, payload: dict) -> None:
         evictions = 0
         with self._memory_lock:
-            self._memory[digest] = payload
+            self._memory[digest] = (payload, ({}, threading.Lock()))
             self._memory.move_to_end(digest)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
@@ -205,219 +274,28 @@ class ArtifactCache:
 
     # -- disk tier ---------------------------------------------------------
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".pkl")
-
-    def _disk_get(self, digest: str) -> Optional[dict]:
-        if not self.persistent:
-            return None
-        path = self._path(digest)
-        try:
-            with open(path, "rb") as handle:
-                envelope = pickle.load(handle)
-            if not isinstance(envelope, dict):
-                raise ValueError("artifact envelope is not a dict")
-            if (
-                envelope.get("schema") != ARTIFACT_SCHEMA
-                or envelope.get("code_version") != self.code_version
-                or envelope.get("digest") != digest
-            ):
-                raise ValueError("artifact stamp mismatch")
-            payload = envelope["payload"]
-            if not isinstance(payload, dict):
-                raise ValueError("artifact payload is not a dict")
-            # Refresh mtime so size eviction stays LRU-ish across processes.
-            os.utime(path, None)
-            return payload
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Corrupted, truncated, or stale-versioned file: drop it and
-            # recompile rather than risk replaying a wrong artifact.
-            self.metrics.incr("cache.invalid_artifacts")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-
-    def _disk_put(self, digest: str, payload: dict) -> None:
-        path = self._path(digest)
-        envelope = {
-            "schema": ARTIFACT_SCHEMA,
-            "code_version": self.code_version,
-            "digest": digest,
-            "payload": payload,
-        }
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # A read-only or full cache directory degrades to memory-only.
-            self.metrics.incr("cache.write_errors")
-            return
-        self._evict_disk()
-
-    # -- native (.so) artifacts --------------------------------------------
-
-    def _native_path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".so")
-
     def get_native(self, digest: str) -> Optional[str]:
-        """Path to a verified cached shared object, or None on miss.
-
-        Returns a filesystem path (not bytes): the caller hands it
-        straight to ``dlopen``, so the file must stay on disk.  The JSON
-        stamp sidecar is verified on every load — schema, code version,
-        digest and the SHA-256 of the object bytes — and any mismatch
-        deletes both files and reads as a miss.
-        """
-        if not self.persistent:
-            return None
-        path = self._native_path(digest)
-        stamp_path = path + ".json"
-        try:
-            with open(stamp_path, "r") as handle:
-                stamp = json.load(handle)
-            with open(path, "rb") as handle:
-                so_bytes = handle.read()
-            if (
-                not isinstance(stamp, dict)
-                or stamp.get("schema") != ARTIFACT_SCHEMA
-                or stamp.get("code_version") != self.code_version
-                or stamp.get("digest") != digest
-                or stamp.get("sha256") != hashlib.sha256(so_bytes).hexdigest()
-            ):
-                raise ValueError("native artifact stamp mismatch")
-            os.utime(path, None)
-            self.metrics.incr("cache.native_hits")
-            return path
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.metrics.incr("cache.invalid_artifacts")
-            for victim in (path, stamp_path):
-                try:
-                    os.remove(victim)
-                except OSError:
-                    pass
-            return None
+        """Path to a verified cached shared object, or None on miss."""
+        return self._natives.get(digest) if self.persistent else None
 
     def put_native(self, digest: str, so_bytes: bytes) -> Optional[str]:
         """Store compiled shared-object bytes; returns the stored path.
 
         Non-persistent caches return None — the native runner's
-        per-process scratch directory covers that mode.  Both the object
-        and its stamp are written atomically, object first, so a crash
-        between the two leaves an unstamped ``.so`` that reads as a miss.
+        per-process scratch directory covers that mode.
         """
-        if not self.persistent:
-            return None
-        path = self._native_path(digest)
-        stamp = {
-            "schema": ARTIFACT_SCHEMA,
-            "code_version": self.code_version,
-            "digest": digest,
-            "sha256": hashlib.sha256(so_bytes).hexdigest(),
-        }
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            for target, data, mode in (
-                (path, so_bytes, "wb"),
-                (path + ".json", json.dumps(stamp, sort_keys=True), "w"),
-            ):
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, mode) as handle:
-                        handle.write(data)
-                    os.replace(tmp, target)
-                except BaseException:
-                    try:
-                        os.remove(tmp)
-                    except OSError:
-                        pass
-                    raise
-        except OSError:
-            self.metrics.incr("cache.write_errors")
-            return None
-        self._evict_disk()
+        path = self._natives.put(digest, so_bytes) if self.persistent else None
+        if path is not None:
+            evict((self._artifacts, self._natives), self.max_bytes)
         return path
 
     def native_entries(self) -> List[Tuple[str, int, float]]:
         """All stored shared objects as ``(path, bytes, mtime)``."""
-        entries: List[Tuple[str, int, float]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".so"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
+        return self._natives.entries()
 
     def disk_entries(self) -> List[Tuple[str, int, float]]:
         """All stored artifact files as ``(path, bytes, mtime)``."""
-        entries: List[Tuple[str, int, float]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".pkl"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
-
-    def _evict_disk(self) -> None:
-        if self.max_bytes <= 0:
-            return
-        entries = self.disk_entries() + self.native_entries()
-        total = sum(size for _path, size, _mtime in entries)
-        if total <= self.max_bytes:
-            return
-        for path, size, _mtime in sorted(entries, key=lambda e: e[2]):
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            if path.endswith(".so"):
-                try:
-                    os.remove(path + ".json")
-                except OSError:
-                    pass
-            self.metrics.incr("cache.disk_evictions")
-            total -= size
-            if total <= self.max_bytes:
-                break
+        return self._artifacts.entries()
 
     # -- introspection -----------------------------------------------------
 

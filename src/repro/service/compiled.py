@@ -5,7 +5,12 @@ program plus the rendered backend code) and executes it repeatedly with
 per-request initial array contents, without ever re-running the
 array-level pipeline.  The rendered code is loaded through the backend
 registry (:class:`repro.exec.Backend`) once per backend and the
-resulting ``run`` reused across requests.
+resulting ``run`` reused across requests: handles a
+:class:`~repro.service.service.Service` builds keep their loaded runs on
+the artifact cache's memory-tier entry, so every handle for one digest
+(each ``submit``, daemon job and ``repro.array`` materialization makes a
+new one) shares a single load; a handle built directly from a payload
+keeps a private memo.
 
 Configuration bindings are *compile-time* in this compiler —
 normalization folds config values into region bounds and expressions —
@@ -18,7 +23,7 @@ here.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.exec import Artifacts, Backend, ExecutionResult, get_backend
 from repro.obs.tracer import NOOP_SPAN
@@ -88,9 +93,13 @@ class CompiledProgram:
             "tile_shape": None,
             "tuned": False,
         }
-        self._lock = threading.Lock()
-        #: backend name -> (loaded ``run``, the options every call passes).
-        self._runs: Dict[str, Tuple[Callable, Dict[str, object]]] = {}
+        #: backend name -> loaded ``run``, and the lock loads happen under:
+        #: the cache's memory-tier memo for this digest when there is one.
+        self._runs, self._lock = (
+            cache.loaded_runs(self.digest)
+            if cache is not None
+            else ({}, threading.Lock())
+        )
 
     # -- payload views -----------------------------------------------------
 
@@ -184,11 +193,11 @@ class CompiledProgram:
             else NOOP_SPAN
         )
         with span_cm, self.metrics.time("execute.%s" % backend_name):
-            loaded = self._runs.get(backend_name)
-            if loaded is None:
-                loaded = self._load(backend_obj)
-            run, options = loaded
-            result = run(arrays, **options)
+            run = self._runs.get(backend_name) or self._load(backend_obj)
+            if "engine" in backend_obj.options:
+                result = run(arrays, engine=self.engine)
+            else:
+                result = run(arrays)
         self.metrics.incr("execute.requests")
         self.metrics.incr("plan.%s" % self.plan_id)
         if self._plan.get("tuned"):
@@ -214,8 +223,8 @@ class CompiledProgram:
         cross-backend execution renders on first use.
         """
         with self._lock:
-            loaded = self._runs.get(backend.name)
-            if loaded is None:
+            run = self._runs.get(backend.name)
+            if run is None:
                 code = self.code if backend.name == self.backend else None
                 if code is None:
                     with self.metrics.time("compile.codegen"):
@@ -225,12 +234,10 @@ class CompiledProgram:
                     if self._cache is not None
                     else None
                 )
-                run = backend.load(self.scalar_program, code, artifacts)
-                options = (
-                    {"engine": self.engine} if "engine" in backend.options else {}
+                run = self._runs[backend.name] = backend.load(
+                    self.scalar_program, code, artifacts
                 )
-                loaded = self._runs[backend.name] = (run, options)
-        return loaded
+        return run
 
     def __repr__(self) -> str:
         return "CompiledProgram(%s, level=%s, backend=%s%s)" % (

@@ -1,10 +1,10 @@
 """The persistent tuning database.
 
 A tuning run is expensive (it measures real executions), so its outcome
-is cached with the same discipline the artifact cache applies to
-compiled code: content-addressed files, stamped envelopes, and
-self-invalidation on read — a stale or corrupt record can only ever cost
-a re-tune, never a wrong plan.
+is cached as one more kind on :class:`repro.service.store.Store`, the
+store under the artifact cache: content-addressed files, stamped
+envelopes, atomic publication and self-invalidation on read — a stale
+or corrupt record can only ever cost a re-tune, never a wrong plan.
 
 Records live under ``<cache root>/tunedb/<digest[:2]>/<digest>.json``
 (the same root as the artifact cache, so ``REPRO_CACHE_DIR`` moves
@@ -26,13 +26,12 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
-import threading
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 from repro.service import fingerprint
 from repro.service.cache import default_cache_dir
+from repro.service.store import Store
 from repro.tune.space import Plan
 
 #: Envelope layout version — bump on any change to the record format.
@@ -96,8 +95,27 @@ class TuneRecord(NamedTuple):
         )
 
 
-class TuneDB:
-    """Content-addressed, machine-stamped storage of winning plans."""
+class TuneDB(Store):
+    """Content-addressed, machine-stamped storage of winning plans.
+
+    The :class:`~repro.service.store.Store` kind whose envelope is JSON
+    and carries the record, machine signature included, under
+    ``"record"``; ``get`` / ``put`` / ``entries`` / ``invalidate`` /
+    ``clear`` are the store's.  A record is invalid — deleted on read,
+    forcing a re-tune — when its schema, code version, digest stamp or
+    machine signature disagrees with this database, or when the file is
+    not parseable at all.
+    """
+
+    suffix = ".json"
+    schema = TUNEDB_SCHEMA
+    counters = {
+        "hit": "tune.db_hits",
+        "miss": "tune.db_misses",
+        "invalid": "tune.db_invalid",
+        "write": "tune.db_writes",
+        "write_error": "tune.db_write_errors",
+    }
 
     def __init__(
         self,
@@ -106,17 +124,14 @@ class TuneDB:
         code_version: Optional[str] = None,
         signature: Optional[Dict[str, object]] = None,
     ) -> None:
-        self.root = os.fspath(root) if root is not None else default_tunedb_dir()
-        self.metrics = metrics
-        self._code_version = code_version
+        super().__init__(
+            os.fspath(root) if root is not None else default_tunedb_dir(),
+            metrics,
+            code_version,
+        )
         #: Resolved lazily when None so tests can monkeypatch
-        #: ``machine_signature`` / ``fingerprint.CODE_VERSION``.
+        #: ``machine_signature``.
         self._signature = signature
-        self._lock = threading.Lock()
-
-    @property
-    def code_version(self) -> str:
-        return self._code_version or fingerprint.CODE_VERSION
 
     @property
     def signature(self) -> Dict[str, object]:
@@ -124,9 +139,19 @@ class TuneDB:
             self._signature = machine_signature()
         return self._signature
 
-    def _incr(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name)
+    # -- the codec ---------------------------------------------------------
+
+    def _encode(self, stamps, record: TuneRecord) -> bytes:
+        envelope = dict(stamps, record=record.to_dict())
+        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        return text.encode("utf-8")
+
+    def _body(self, path, envelope) -> TuneRecord:
+        record = TuneRecord.from_dict(envelope["record"])
+        if record.signature != self.signature:
+            # Tuned on another machine: as untrustworthy as a corrupt file.
+            raise ValueError("machine signature mismatch")
+        return record
 
     # -- addressing --------------------------------------------------------
 
@@ -145,79 +170,6 @@ class TuneDB:
             code_version=self.code_version,
         )
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".json")
-
-    # -- lookup ------------------------------------------------------------
-
-    def get(self, digest: str) -> Optional[TuneRecord]:
-        """The stored record, or None; invalid records are deleted.
-
-        A record is invalid when its schema, code version, digest stamp
-        or machine signature disagrees with this database — or when the
-        file is not parseable at all.
-        """
-        path = self._path(digest)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-            if not isinstance(envelope, dict):
-                raise ValueError("tunedb envelope is not an object")
-            if (
-                envelope.get("schema") != TUNEDB_SCHEMA
-                or envelope.get("code_version") != self.code_version
-                or envelope.get("digest") != digest
-            ):
-                raise ValueError("tunedb stamp mismatch")
-            record = TuneRecord.from_dict(envelope["record"])
-            if record.signature != self.signature:
-                raise ValueError("machine signature mismatch")
-            self._incr("tune.db_hits")
-            return record
-        except FileNotFoundError:
-            self._incr("tune.db_misses")
-            return None
-        except Exception:
-            # Corrupt, stale-versioned, or tuned-on-another-machine:
-            # drop it and re-tune rather than replay a wrong plan.
-            self._incr("tune.db_invalid")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-
-    def put(self, digest: str, record: TuneRecord) -> None:
-        path = self._path(digest)
-        envelope = {
-            "schema": TUNEDB_SCHEMA,
-            "code_version": self.code_version,
-            "digest": digest,
-            "record": record.to_dict(),
-        }
-        text = json.dumps(envelope, indent=2, sort_keys=True)
-        with self._lock:
-            try:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        handle.write(text + "\n")
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.remove(tmp)
-                    except OSError:
-                        pass
-                    raise
-            except OSError:
-                # A read-only tree degrades to tune-every-process.
-                self._incr("tune.db_write_errors")
-                return
-        self._incr("tune.db_writes")
-
     def record(
         self,
         source: str,
@@ -231,41 +183,7 @@ class TuneDB:
         self.put(digest, record)
         return digest
 
-    def invalidate(self, digest: str) -> None:
-        path = self._path(digest)
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    def clear(self) -> None:
-        for path, _size, _mtime in self.entries():
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-
     # -- introspection -----------------------------------------------------
-
-    def entries(self) -> List[Tuple[str, int, float]]:
-        """All record files as ``(path, bytes, mtime)``."""
-        entries: List[Tuple[str, int, float]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
 
     def stats(self) -> Dict[str, object]:
         entries = self.entries()

@@ -282,6 +282,31 @@ def test_same_trace_shape_compiles_exactly_once(service):
     assert counters["trace.materializations"] == 5
 
 
+def test_warm_trace_digest_loads_generated_code_once(service, monkeypatch):
+    # Every materialization makes a new CompiledProgram handle; the loaded
+    # run is kept on the cache's memory-tier entry, so a warm trace digest
+    # never re-executes the generated module.
+    from repro.exec import BACKENDS
+
+    real = BACKENDS["codegen_np"]
+    loads = []
+
+    def load(program, code=None, artifacts=None):
+        loads.append(code)
+        return real.load(program, code, artifacts)
+
+    monkeypatch.setitem(BACKENDS, "codegen_np", real._replace(load=load))
+    rng = np.random.default_rng(11)
+    for _round in range(5):
+        values = rng.uniform(-1.0, 1.0, size=(5, 6))
+        out = (ra.asarray(values) * 2.0 + 1.0).compute(
+            backend="codegen_np", service=service
+        )
+        assert np.array_equal(out, values * 2.0 + 1.0)
+    assert service.metrics.counter("service.compiles") == 1
+    assert len(loads) == 1
+
+
 def test_distinct_shapes_and_levels_get_distinct_artifacts(service):
     a = ra.asarray(np.ones((4, 4)))
     (a * 2.0).compute(service=service)

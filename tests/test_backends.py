@@ -232,6 +232,22 @@ def test_substituted_backend_is_picked_up_everywhere(monkeypatch, tmp_path):
     assert_identical(warm.execute(), want, "warm serve")
     assert loads[1:] == ["toy-marker", "toy-marker"]
 
+    # Warm traffic shares one load per (digest, backend) per process: the
+    # loaded run lives on the cache's memory-tier entry, not on the handle
+    # each submit/compile call makes.
+    service = Service(cache_dir=cache_dir, level="c2")
+    for _ in range(5):
+        assert_identical(service.submit(SOURCE, backend="toy"), want, "submit")
+    for _ in range(5):
+        handle = service.compile(SOURCE, backend="toy")
+        assert_identical(handle.execute(), want, "compile+execute")
+    assert_identical(
+        service.submit_many(SOURCE, [None] * 8, workers=4, backend="toy")[-1],
+        want,
+        "submit_many",
+    )
+    assert loads[3:] == ["toy-marker"]
+
     run, close = make_executor(program, Plan("c2", "toy"))
     try:
         assert_identical(run(), want, "make_executor")

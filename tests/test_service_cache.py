@@ -165,15 +165,23 @@ def test_env_var_overrides_default_dir(monkeypatch, tmp_path):
     assert default_cache_dir() == ".repro-cache"
 
 
-def test_invalidate_and_clear(cache):
-    cache.put(DIGEST_A, {"v": 1})
-    cache.put(DIGEST_B, {"v": 2})
+def test_invalidate_and_clear(cache, monkeypatch):
+    for digest, value in ((DIGEST_A, 1), (DIGEST_B, 2)):
+        with cache.build_lock(digest):
+            cache.put(digest, {"v": value})
     cache.invalidate(DIGEST_A)
     assert cache.get(DIGEST_A) is None
     assert cache.get(DIGEST_B) == {"v": 2}
-    cache.clear()
+    # Another process invalidating the same digest may unlink first.
+    monkeypatch.setattr(os.path, "exists", lambda path: True)
+    cache.invalidate(DIGEST_A)
+    monkeypatch.undo()
+    # clear() takes the lock files with it, except one a build holds.
+    with cache.build_lock(DIGEST_C):
+        cache.clear()
     assert cache.get(DIGEST_B) is None
     assert cache.disk_entries() == []
+    assert os.listdir(os.path.join(cache.root, "locks")) == [DIGEST_C + ".lock"]
 
 
 def test_stats_shape(cache):

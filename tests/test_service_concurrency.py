@@ -9,6 +9,7 @@ them proceeds — the schedule most likely to expose a
 check-then-act race between the cache probe and the build.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,7 +78,17 @@ def test_concurrent_compile_builds_exactly_once(tmp_path, backend):
         assert program.execute().scalars["s"] == reference
 
 
-def test_concurrent_submit_many_same_digest(tmp_path):
+def test_concurrent_submit_many_same_digest(tmp_path, monkeypatch):
+    from repro.exec import BACKENDS
+
+    real = BACKENDS["np-par"]
+    loads = []
+
+    def load(program, code=None, artifacts=None):
+        loads.append(code)
+        return real.load(program, code, artifacts)
+
+    monkeypatch.setitem(BACKENDS, "np-par", real._replace(load=load))
     metrics = Metrics()
     service = Service(
         backend="np-par",
@@ -90,8 +101,16 @@ def test_concurrent_submit_many_same_digest(tmp_path):
     def submit(_i):
         return service.submit_many(SOURCE, [None, None, None])
 
-    batches = _hammer(submit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        batches = _hammer(submit)
+    finally:
+        sys.setswitchinterval(interval)
     assert metrics.counter("service.compiles") == 1
+    # Eight handles, one digest: the loaded run is shared through the
+    # cache's memory-tier entry, so the generated module is loaded once.
+    assert len(loads) == 1
     reference = batches[0][0]
     for batch in batches:
         assert len(batch) == 3
