@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.array.graph import Node, Trace
 from repro.array.lowering import lower_trace
+from repro.fusion import resolve_level
 from repro.obs.tracer import NOOP_SPAN
 from repro.scalarize.emit_common import DTYPES
 from repro.util.errors import ReproError
@@ -84,8 +85,6 @@ def compute_nodes(
     service=None,
 ) -> List[object]:
     """Materialize graph nodes; one fused program, results in slot order."""
-    from repro.service.service import _resolve_level
-
     if service is None:
         service = default_service()
     tracer = service.tracer
@@ -106,7 +105,7 @@ def compute_nodes(
             if tuned is not None:
                 level = tuned.level
                 backend = tuned.backend
-        level_name = _resolve_level(level, service.level.name).name
+        level_name = resolve_level(level, service.level).name
         from repro.exec import get_backend
 
         backend_name = get_backend(backend or service.backend).name

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional
 
 from repro.deps import build_asdg
 from repro.exec import ALIASES, BACKEND_CHOICES, execute, get_backend
-from repro.fusion import LEVELS_BY_NAME, C2P, plan_program
+from repro.fusion import LEVEL_NAMES, plan_program, resolve_level
 from repro.ir import normalize_source
 from repro.machine import MACHINES_BY_NAME, estimate_sequential
 from repro.parallel import estimate_parallel
@@ -75,18 +75,11 @@ _MACHINE_ALIASES = {
     "paragon": "Intel Paragon",
 }
 
-_ALL_LEVEL_NAMES = sorted(set(LEVELS_BY_NAME) | {C2P.name})
-
-
 def _level(name: str):
-    if name == C2P.name:
-        return C2P
-    level = LEVELS_BY_NAME.get(name)
-    if level is None:
-        raise SystemExit(
-            "unknown level %r (choose from %s)" % (name, ", ".join(_ALL_LEVEL_NAMES))
-        )
-    return level
+    try:
+        return resolve_level(name)
+    except ReproError as error:
+        raise SystemExit(str(error))
 
 
 def _parse_config(pairs: Optional[List[str]]) -> Dict[str, int]:
@@ -187,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="mini-ZPL source file, or - for stdin")
         p.add_argument("--level", default="c2", help="optimization level "
-                       "(%s)" % ", ".join(_ALL_LEVEL_NAMES))
+                       "(%s)" % ", ".join(LEVEL_NAMES))
         p.add_argument("--config", action="append", metavar="NAME=VALUE",
                        help="override a config constant (repeatable)")
         p.add_argument("--self-temp-policy", default="always",

@@ -36,10 +36,13 @@ from typing import Dict, Optional
 from repro.daemon import protocol, shm
 from repro.daemon.admission import AdmissionQueue, Job
 from repro.daemon.pool import WorkerPool
+from repro.exec import get_backend
+from repro.fusion import resolve_level
 from repro.obs.prom import render_prometheus
 from repro.obs.tracer import NOOP_SPAN, resolve_tracer
 from repro.service import fingerprint
 from repro.service.metrics import Metrics
+from repro.util.errors import ReproError
 
 
 @dataclass
@@ -175,13 +178,17 @@ class Daemon:
         except protocol.ProtocolError as error:
             self.metrics.incr("daemon.errors")
             return _json_error(400, str(error))
-        level = head.get("level") or self.config.level
-        backend = head.get("backend") or self.config.backend
+        # Resolve names at admission: a typo is the client's error (400,
+        # no queue slot, no worker dispatch), and an alias must batch with
+        # its canonical spelling, so the digest hashes canonical names.
+        try:
+            level = resolve_level(head.get("level"), self.config.level).name
+            backend = get_backend(head.get("backend") or self.config.backend).name
+        except ReproError as error:
+            self.metrics.incr("daemon.errors")
+            return _json_error(400, str(error))
         digest = fingerprint.source_digest(
-            head["program"],
-            str(level),
-            head.get("config"),
-            str(backend),
+            head["program"], level, head.get("config"), backend
         )
         span_cm = (
             self.tracer.span("daemon.request", digest=digest)

@@ -72,7 +72,6 @@ class ASDG:
             raise DependenceError("duplicate statements in ASDG")
         self._labels: Dict[Tuple[int, int], List[DepLabel]] = {}
         self._succ: Dict[int, Set[int]] = {stmt.uid: set() for stmt in self.statements}
-        self._pred: Dict[int, Set[int]] = {stmt.uid: set() for stmt in self.statements}
         # Self dependences: a statement that reads its own target (allowed
         # only when the normalizer's self-temp policy elided the compiler
         # temporary) constrains the loop structure of whatever cluster it
@@ -99,7 +98,6 @@ class ASDG:
         if label not in labels:
             labels.append(label)
         self._succ[source.uid].add(target.uid)
-        self._pred[target.uid].add(source.uid)
 
     def add_self_dependence(self, stmt: ArrayStatement, label: DepLabel) -> None:
         """Record a within-statement dependence (target read by its own RHS)."""
@@ -141,9 +139,6 @@ class ASDG:
     def successors(self, stmt: ArrayStatement) -> List[ArrayStatement]:
         return [self.statement(uid) for uid in sorted(self._succ[stmt.uid])]
 
-    def predecessors(self, stmt: ArrayStatement) -> List[ArrayStatement]:
-        return [self.statement(uid) for uid in sorted(self._pred[stmt.uid])]
-
     def dependences_on(self, variable: str) -> List[
         Tuple[ArrayStatement, ArrayStatement, DepLabel]
     ]:
@@ -177,10 +172,6 @@ class ASDG:
             ):
                 result.append(stmt)
         return result
-
-    def successor_map(self) -> Dict[int, Set[int]]:
-        """Adjacency over statement uids (copy; for graph algorithms)."""
-        return {uid: set(succs) for uid, succs in self._succ.items()}
 
     # -- rendering --------------------------------------------------------------
 

@@ -18,10 +18,12 @@ the exchange schedules :mod:`repro.parallel.commopt` derives:
 
 The driver walk is *lockstep deterministic*: every worker performs the
 same walk over the same program, so barrier sequences, segment names and
-exchange ordinals agree without any coordination messages.  Scalar state
-is replicated (sequential control flow evaluates everywhere); reduction
-results and contraction-corner scalars are broadcast through a small
-pickle segment so the replicas never diverge.
+exchange ordinals agree without any coordination messages.  The walk
+executes runs of consecutive :class:`~repro.scalarize.loopnest.LoopNest`
+nodes (the one node kind that touches arrays; a reduction is a fold
+statement inside one) and evaluates everything else as replicated scalar
+control flow.  Reduction results and contraction-corner scalars are
+broadcast through a small pickle segment so the replicas never diverge.
 
 Two situations cannot execute clamped and fall back to whole-nest
 execution on rank 0 (gather → execute → scatter, counted under
@@ -33,10 +35,12 @@ their buffered dimension.
 
 Bit-identity with the single-process oracle is a design invariant, not a
 tolerance: clamped nests compute the same elementwise values (halos hold
-the pre-statement values normal form reads), and reductions materialize
-per-point operands into a scratch array that rank 0 folds over the full
-region in the oracle's own order, so even non-associative float
-reductions match the oracle bitwise.
+the pre-statement values normal form reads), and fold statements
+materialize per-point operands into a scratch array that rank 0 folds
+over the full region in the oracle's own order, from the accumulator's
+pre-nest value, so even non-associative float reductions match the oracle
+bitwise.  Over an empty region nothing is folded and the accumulator
+keeps its value, as on every single-process backend.
 
 Measured traffic is validated against the analytic model by
 :mod:`repro.parallel.validate`; the byte accounting (``comm.bytes``)
@@ -80,7 +84,6 @@ from repro.scalarize.emit_common import (
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -88,6 +91,7 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    walk,
 )
 from repro.util.errors import InterpError, ReproError
 
@@ -98,6 +102,17 @@ _SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
 _SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
 _RED_PREFIX = "__shard_red"
+
+#: Every counter a run reports, so unused ones read 0 instead of vanishing.
+_COMM_COUNTERS = (
+    "comm.exchanges",
+    "comm.bytes",
+    "comm.combined",
+    "comm.eliminated",
+    "comm.fallback_nests",
+    "comm.reduce_bytes",
+    "comm.gather_bytes",
+)
 
 
 def default_procs() -> int:
@@ -215,40 +230,6 @@ def _scalar_value(value: object) -> object:
     return float(value)
 
 
-def _node_scalar_reads(node: SNode) -> Set[str]:
-    names: Set[str] = set()
-    exprs: List[ir.IRExpr] = []
-    if isinstance(node, LoopNest):
-        exprs = [stmt.rhs for stmt in node.body]
-    elif isinstance(node, ReductionLoop):
-        exprs = [node.operand]
-    for expr in exprs:
-        for sub in expr.walk():
-            if isinstance(sub, ir.ScalarRef):
-                names.add(sub.name)
-    return names
-
-
-def _node_arrays(node: SNode) -> Set[str]:
-    names: Set[str] = set()
-    if isinstance(node, LoopNest):
-        for stmt in node.body:
-            if stmt.target is not None:
-                names.add(stmt.target)
-            for ref in stmt.rhs.array_refs():
-                names.add(ref.name)
-    elif isinstance(node, ReductionLoop):
-        for ref in node.operand.array_refs():
-            names.add(ref.name)
-    return names
-
-
-def _written_arrays(node: SNode) -> Set[str]:
-    if isinstance(node, LoopNest):
-        return {stmt.target for stmt in node.body if stmt.target is not None}
-    return set()
-
-
 # -- the worker ------------------------------------------------------------
 
 
@@ -290,15 +271,7 @@ class _Worker:
         self.next_ordinal = 0
         self.measured: Dict[int, int] = {}
         self.records: List[ExchangeRecord] = []
-        self.counters: Dict[str, int] = {
-            "comm.exchanges": 0,
-            "comm.bytes": 0,
-            "comm.combined": 0,
-            "comm.eliminated": 0,
-            "comm.fallback_nests": 0,
-            "comm.reduce_bytes": 0,
-            "comm.gather_bytes": 0,
-        }
+        self.counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
         self._inflight: Dict[int, float] = {}
         self._steps = 0
 
@@ -370,22 +343,17 @@ class _Worker:
             if name in self.scalars
         ]
 
-    def _mini(self, body_node: SNode,
+    def _mini(self, body_node: LoopNest,
               allocs: Dict[str, Tuple[Bounds, str]]) -> ScalarProgram:
-        scalar_names = _node_scalar_reads(body_node)
+        scalar_names = body_node.scalar_reads()
         scalar_kinds = {
             name: self._scalar_kind(name) for name in scalar_names
         }
-        if isinstance(body_node, LoopNest):
-            for stmt in body_node.body:
-                if stmt.scalar_target is not None:
-                    scalar_kinds[stmt.scalar_target] = self._scalar_kind(
-                        stmt.scalar_target
-                    )
-        elif isinstance(body_node, ReductionLoop):
-            scalar_kinds[body_node.target] = self._scalar_kind(
-                body_node.target
-            )
+        for stmt in body_node.body:
+            if stmt.scalar_target is not None:
+                scalar_kinds[stmt.scalar_target] = self._scalar_kind(
+                    stmt.scalar_target
+                )
         partial = {
             name: spec for name, spec in self.program.partial.items()
             if name in allocs
@@ -449,7 +417,7 @@ class _Worker:
 
     # -- run execution -----------------------------------------------------
 
-    def _plan_for(self, run: Sequence[SNode],
+    def _plan_for(self, run: Sequence[LoopNest],
                   env: Mapping[str, int]) -> Tuple[RunPlan, str]:
         bounds_key = tuple(
             tuple(node.region.concrete_bounds(env)) for node in run
@@ -468,7 +436,7 @@ class _Worker:
             self.plan_cache[key] = entry
         return entry
 
-    def _exec_run(self, run: Sequence[SNode]) -> None:
+    def _exec_run(self, run: Sequence[LoopNest]) -> None:
         env = self._region_env()
         plan, seg_name = self._plan_for(run, env)
         seg = (
@@ -553,13 +521,13 @@ class _Worker:
             for name in sorted(names)
         }
 
-    def _exec_clamped(self, node: SNode, env: Mapping[str, int],
+    def _exec_clamped(self, node: LoopNest, env: Mapping[str, int],
                       seg_prefix: str, step: int) -> None:
         bounds = tuple(node.region.concrete_bounds(env))
         clamp = self.layout.clamp(self.rank, bounds)
         reduce_specs = self._reduce_specs(node)
         corner_names = self._corner_scalar_names(node)
-        arrays = _node_arrays(node)
+        arrays = node.arrays()
         result = None
         if clamp is not None:
             allocs = self._local_allocs_for(arrays)
@@ -582,18 +550,14 @@ class _Worker:
             result = self._execute_mini(mini, {
                 name: self.locals[name] for name in arrays
             })
-            for name in _written_arrays(node):
+            for name in node.writes():
                 self.locals[name] = result.arrays[name]
         if reduce_specs:
             self._combine_reductions(
                 node, bounds, clamp, reduce_specs, result, seg_prefix, step
             )
         if corner_names:
-            structure = (
-                node.structure if isinstance(node, LoopNest)
-                else tuple(range(1, len(bounds) + 1))
-            )
-            owner = self.layout.corner_owner(bounds, structure)
+            owner = self.layout.corner_owner(bounds, node.structure)
             payload = None
             if self.rank == owner:
                 payload = {
@@ -603,31 +567,27 @@ class _Worker:
             updates = self._bcast(owner, payload)
             self.scalars.update(updates)
 
-    def _reduce_specs(self, node: SNode):
-        """(scratch array, op, accumulator scalar, operand) per reduction."""
-        specs = []
-        if isinstance(node, ReductionLoop):
-            specs.append((_RED_PREFIX + "0", node.op, node.target, node.operand))
-        elif isinstance(node, LoopNest):
-            for index, stmt in enumerate(node.body):
-                if stmt.reduce_op is not None:
-                    specs.append((
-                        "%s%d" % (_RED_PREFIX, index),
-                        stmt.reduce_op,
-                        stmt.scalar_target,
-                        stmt.rhs,
-                    ))
-        return specs
+    def _reduce_specs(self, node: LoopNest):
+        """(scratch array, op, accumulator scalar, operand) per fold."""
+        return [
+            (
+                "%s%d" % (_RED_PREFIX, index),
+                stmt.reduce_op,
+                stmt.scalar_target,
+                stmt.rhs,
+            )
+            for index, stmt in enumerate(node.body)
+            if stmt.reduce_op is not None
+        ]
 
-    def _corner_scalar_names(self, node: SNode) -> List[str]:
-        if not isinstance(node, LoopNest):
-            return []
+    def _corner_scalar_names(self, node: LoopNest) -> List[str]:
         return [
             stmt.scalar_target for stmt in node.body
             if stmt.is_contracted and stmt.reduce_op is None
         ]
 
-    def _materialized(self, node: SNode, clamp: Bounds, reduce_specs) -> SNode:
+    def _materialized(self, node: LoopNest, clamp: Bounds,
+                      reduce_specs) -> LoopNest:
         """The clamped nest with reductions turned into scratch writes.
 
         Every reduce statement becomes an elementwise store of its
@@ -635,11 +595,6 @@ class _Worker:
         body so earlier contraction scalars still feed it; rank 0 then
         folds the assembled full-region scratch in the oracle's order.
         """
-        region = Region.literal(*clamp)
-        if isinstance(node, ReductionLoop):
-            body = [ElemAssign(reduce_specs[0][0], None, node.operand)]
-            structure = tuple(range(1, len(clamp) + 1))
-            return LoopNest(region, structure, body, carried_depth=0)
         by_index = {
             int(name[len(_RED_PREFIX):]): name
             for name, _op, _target, _rhs in reduce_specs
@@ -651,21 +606,19 @@ class _Worker:
             else:
                 body.append(stmt)
         return LoopNest(
-            region, node.structure, body,
+            Region.literal(*clamp), node.structure, body,
             cluster_id=node.cluster_id, carried_depth=node.carried_depth,
         )
 
-    def _combine_reductions(self, node: SNode, bounds: Bounds,
+    def _combine_reductions(self, node: LoopNest, bounds: Bounds,
                             clamp: Optional[Bounds], reduce_specs, result,
                             seg_prefix: str, step: int) -> None:
         """Gather per-point operands to rank 0; fold in oracle order."""
         full = _elements(bounds)
         if full == 0:
             # Every rank sees the same empty bounds, so all of them leave
-            # here together, before the first barrier.  A fused reduction
-            # folds from its accumulator's value: nothing to add.
-            if isinstance(node, ReductionLoop):
-                raise InterpError("reduction over an empty region")
+            # here together, before the first barrier.  A fold starts
+            # from its accumulator's value: nothing to add.
             return
         offsets: Dict[str, int] = {}
         cursor = 0
@@ -701,30 +654,24 @@ class _Worker:
                 ).copy()
                 for red_name in offsets
             }
-            if isinstance(node, ReductionLoop):
-                red_name, op, target, _rhs = reduce_specs[0]
-                fold: SNode = ReductionLoop(
-                    target, op, region, ir.ArrayRef(red_name, zeros)
-                )
-            else:
-                fold = LoopNest(
-                    region,
-                    node.structure,
-                    [
-                        ElemAssign(
-                            None, target, ir.ArrayRef(red_name, zeros),
-                            reduce_op=op,
-                        )
-                        for red_name, op, target, _rhs in reduce_specs
-                    ],
-                    carried_depth=0,
-                )
+            fold = LoopNest(
+                region,
+                node.structure,
+                [
+                    ElemAssign(
+                        None, target, ir.ArrayRef(red_name, zeros),
+                        reduce_op=op,
+                    )
+                    for red_name, op, target, _rhs in reduce_specs
+                ],
+                carried_depth=0,
+            )
             allocs = {
                 red_name: (bounds, kinds[red_name]) for red_name in offsets
             }
             mini = self._mini(fold, allocs)
-            # Fused reductions fold from the accumulator's pre-nest value
-            # (the oracle's ``acc = acc + np.sum(...)``), so seed it.
+            # Folds start from the accumulator's pre-nest value (the
+            # oracle's ``acc = acc + np.sum(...)``), so seed it.
             mini.body = [
                 ScalarAssign(
                     target, ir.Const(_scalar_value(self.scalars[target]))
@@ -739,10 +686,10 @@ class _Worker:
         updates = self._bcast(0, payload)
         self.scalars.update(updates)
 
-    def _exec_fallback(self, node: SNode, env: Mapping[str, int],
+    def _exec_fallback(self, node: LoopNest, env: Mapping[str, int],
                        seg_prefix: str, step: int) -> None:
         """Gather → execute the whole nest on rank 0 → scatter."""
-        arrays = sorted(_node_arrays(node))
+        arrays = sorted(node.arrays())
         offsets: Dict[str, int] = {}
         cursor = 0
         for name in arrays:
@@ -776,21 +723,17 @@ class _Worker:
             result = self._execute_mini(
                 mini, {name: views[name].copy() for name in arrays}
             )
-            for name in _written_arrays(node):
+            for name in node.writes():
                 views[name][...] = result.arrays[name]
-            names = list(self._corner_scalar_names(node))
-            if isinstance(node, ReductionLoop):
-                names.append(node.target)
-            elif isinstance(node, LoopNest):
-                names.extend(
-                    stmt.scalar_target for stmt in node.body
-                    if stmt.reduce_op is not None
-                )
+            names = self._corner_scalar_names(node) + [
+                stmt.scalar_target for stmt in node.body
+                if stmt.reduce_op is not None
+            ]
             payload = {
                 name: _scalar_value(result.scalars[name]) for name in names
             }
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        for name in _written_arrays(node):
+        for name in node.writes():
             local = self.local_bounds[name]
             if _elements(local) > 0:
                 self.locals[name][...] = np.reshape(
@@ -815,11 +758,9 @@ class _Worker:
         while index < len(body):
             node = body[index]
             self._tick()
-            if isinstance(node, (LoopNest, ReductionLoop)):
+            if isinstance(node, LoopNest):
                 end = index
-                while end < len(body) and isinstance(
-                    body[end], (LoopNest, ReductionLoop)
-                ):
+                while end < len(body) and isinstance(body[end], LoopNest):
                     end += 1
                 self._exec_run(body[index:end])
                 index = end
@@ -879,20 +820,7 @@ class _Worker:
             summary["scalars"] = {
                 name: self.scalars[name] for name in self.program.scalars
             }
-            summary["records"] = [
-                {
-                    "ordinal": record.ordinal,
-                    "arrays": record.arrays,
-                    "events": record.events,
-                    "planned_bytes": record.planned_bytes,
-                    "model_bytes": record.model_bytes,
-                    "corner_bytes": record.corner_bytes,
-                    "post_point": record.post_point,
-                    "wait_point": record.wait_point,
-                    "duration_us": record.duration_us,
-                }
-                for record in self.records
-            ]
+            summary["records"] = self.records
         return summary
 
 
@@ -934,33 +862,14 @@ def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
 # -- the coordinator -------------------------------------------------------
 
 
-def _has_boundary(body: Sequence[SNode]) -> bool:
-    for node in body:
-        if isinstance(node, SBoundary):
-            return True
-        if isinstance(node, (SeqLoop, SWhile)) and _has_boundary(node.body):
-            return True
-        if isinstance(node, SIf) and (
-            _has_boundary(node.then_body) or _has_boundary(node.else_body)
-        ):
-            return True
-    return False
-
-
 def _single_process(program: ScalarProgram, initial_arrays, local_backend,
                     procs: int, grid: ProcessorGrid):
     from repro.exec.backends import execute
 
     result = execute(program, local_backend, initial_arrays=initial_arrays)
-    report = CommReport(procs, grid.shape, [], {
-        "comm.exchanges": 0,
-        "comm.bytes": 0,
-        "comm.combined": 0,
-        "comm.eliminated": 0,
-        "comm.fallback_nests": 0,
-        "comm.reduce_bytes": 0,
-        "comm.gather_bytes": 0,
-    })
+    report = CommReport(
+        procs, grid.shape, [], dict.fromkeys(_COMM_COUNTERS, 0)
+    )
     return result, report
 
 
@@ -996,7 +905,11 @@ def execute_sharded(
     started = time.perf_counter()
     # Boundary statements (wrap/reflect fills) address whole global
     # edges and have no clamped form: such programs run unsharded.
-    if procs == 1 or not grid.cut_dimensions() or _has_boundary(program.body):
+    if (
+        procs == 1
+        or not grid.cut_dimensions()
+        or any(isinstance(node, SBoundary) for node in walk(program.body))
+    ):
         result, report = _single_process(
             program, initial_arrays, local_backend, procs, grid
         )
@@ -1088,16 +1001,7 @@ def execute_sharded(
                 pass
 
     rank0 = next(s for s in summaries if s["rank"] == 0)
-    records = [
-        ExchangeRecord(
-            raw["ordinal"], tuple(raw["arrays"]), raw["events"],
-            raw["planned_bytes"], raw["model_bytes"], raw["corner_bytes"],
-            raw["post_point"], raw["wait_point"],
-        )
-        for raw in rank0["records"]
-    ]
-    for record, raw in zip(records, rank0["records"]):
-        record.duration_us = raw["duration_us"]
+    records: List[ExchangeRecord] = rank0["records"]
     measured_total: Dict[int, int] = {}
     counters: Dict[str, int] = {}
     for summary in summaries:

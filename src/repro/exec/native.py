@@ -195,8 +195,6 @@ class NativeKernel:
             *(buf.ctypes.data for buf in buffers)
         )
         status = self._fn(pointers)
-        if status == 1:
-            raise InterpError("reduction over an empty region")
         if status != 0:
             raise InterpError("native kernel returned status %d" % status)
 

@@ -29,12 +29,14 @@ from repro.fusion.pipeline import (
     F1,
     F2,
     F3,
+    LEVEL_NAMES,
     LEVELS_BY_NAME,
     PAPER_LEVELS,
     Level,
     ProgramPlan,
     plan_block,
     plan_program,
+    resolve_level,
 )
 from repro.fusion.redundancy import (
     BlockCSE,
@@ -66,6 +68,7 @@ __all__ = [
     "F2",
     "F3",
     "FusionPartition",
+    "LEVEL_NAMES",
     "LEVELS_BY_NAME",
     "PAPER_LEVELS",
     "Level",
@@ -87,6 +90,7 @@ __all__ = [
     "plan_block",
     "plan_program",
     "reference_weight",
+    "resolve_level",
     "structure_preserves",
     "weights_by_decreasing",
 ]

@@ -297,15 +297,3 @@ def range_is_contractible(
             if not is_zero(label.udv):
                 return False
     return True
-
-
-def contracted_rank(variable: str, partition: FusionPartition) -> int:
-    """Rank after contraction: 0 (a scalar) in the all-or-nothing scheme.
-
-    The paper contracts arrays all the way to scalars; SP's missed
-    lower-dimensional contractions are reproduced as a deficiency (Section
-    5.2).  The partial-contraction extension lives in
-    :mod:`repro.fusion.partial`.
-    """
-    del variable, partition
-    return 0

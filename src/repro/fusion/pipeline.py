@@ -18,7 +18,7 @@ contracted.  The plans drive scalarization and the performance models.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.deps.analysis import build_asdg
 from repro.fusion.algorithm import (
@@ -31,6 +31,7 @@ from repro.fusion.contract import eligible_candidates
 from repro.fusion.partition import FusionPartition
 from repro.ir.program import IRProgram
 from repro.ir.statement import ArrayStatement
+from repro.util.errors import ReproError
 
 
 class Level:
@@ -159,6 +160,31 @@ PAPER_LEVELS: List[Level] = [BASELINE, F1, C1, F2, F3, C2, C2F3, C2F4]
 
 #: Each +cse level's non-CSE twin (identical fusion/contraction flags).
 CSE_TWINS: Dict[str, str] = {"c2+f3+cse": "c2+f3", "c2+f4+cse": "c2+f4"}
+
+#: Everything :func:`resolve_level` accepts: the measured levels plus the
+#: ``c2+p`` extension, which sweeps over ``ALL_LEVELS`` leave out.
+_RESOLVABLE: Dict[str, Level] = {**LEVELS_BY_NAME, C2P.name: C2P}
+LEVEL_NAMES: Tuple[str, ...] = tuple(sorted(_RESOLVABLE))
+
+
+def resolve_level(
+    level: Union[Level, str, None], default: Union[Level, str, None] = None
+) -> Level:
+    """The :class:`Level` for a name (or a level itself; ``None`` = default).
+
+    The one place a user-supplied level name is validated: the CLI, the
+    service, the daemon, the tuner and ``repro.array`` all come here.
+    """
+    if level is None:
+        level = default
+    if isinstance(level, Level):
+        return level
+    resolved = _RESOLVABLE.get(level)
+    if resolved is None:
+        raise ReproError(
+            "unknown level %r (choose from %s)" % (level, ", ".join(LEVEL_NAMES))
+        )
+    return resolved
 
 
 class BlockPlan:

@@ -4,7 +4,8 @@ A boundary statement fills every allocated element of an array *outside*
 the given region: ``wrap`` copies periodically from the opposite edge,
 ``reflect`` mirrors across the region boundary.  Dimensions are processed
 in order, so corner halo cells combine both dimensions' rules (the
-standard order-dependent corner fill).
+standard order-dependent corner fill).  The plane order is
+:func:`repro.scalarize.emit_common.halo_planes`, shared with the emitters.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.interp.storage import Storage
+from repro.scalarize.emit_common import halo_planes
 from repro.util.errors import InterpError
 
 
@@ -33,30 +35,13 @@ def fill_boundary(
             "boundary region rank %d does not match array %s rank %d"
             % (len(region_bounds), array, data.ndim)
         )
-
-    for dim, (lo, hi) in enumerate(region_bounds):
-        lo_raw = lo - base[dim]
-        hi_raw = hi - base[dim]
-        extent = data.shape[dim]
-        period = hi_raw - lo_raw + 1
-        if period <= 0:
-            raise InterpError("empty boundary region for %s" % array)
-        for raw in range(0, lo_raw):
-            _copy_plane(data, dim, raw, _source_index(kind, raw, lo_raw, hi_raw, period))
-        for raw in range(hi_raw + 1, extent):
-            _copy_plane(data, dim, raw, _source_index(kind, raw, lo_raw, hi_raw, period))
-
-
-def _source_index(kind: str, raw: int, lo: int, hi: int, period: int) -> int:
-    if kind == "wrap":
-        # Shift into [lo, hi] by whole periods.
-        offset = (raw - lo) % period
-        return lo + offset
-    if kind == "reflect":
-        if raw < lo:
-            return 2 * lo - 1 - raw
-        return 2 * hi + 1 - raw
-    raise InterpError("unknown boundary kind %r" % kind)
+    if kind not in ("wrap", "reflect"):
+        raise InterpError("unknown boundary kind %r" % kind)
+    if any(hi < lo for lo, hi in region_bounds):
+        raise InterpError("empty boundary region for %s" % array)
+    alloc = [(lo, lo + extent - 1) for lo, extent in zip(base, data.shape)]
+    for dim, dest, source in halo_planes(kind, region_bounds, alloc):
+        _copy_plane(data, dim, dest, source)
 
 
 def _copy_plane(data: np.ndarray, dim: int, dest: int, source: int) -> None:

@@ -13,18 +13,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.interp.evalexpr import (
-    accumulate,
-    eval_point,
-    eval_region,
-    eval_scalar,
-    reduce_values,
-)
+from repro.interp.evalexpr import accumulate, eval_point, eval_scalar
 from repro.interp.storage import Storage
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -98,8 +91,6 @@ class LoopInterpreter:
                 node.region.concrete_bounds(self._int_env()),
                 node.kind,
             )
-        elif isinstance(node, ReductionLoop):
-            self._execute_reduction(node)
         elif isinstance(node, ScalarAssign):
             value = eval_scalar(node.rhs, self.storage.scalars)
             self.storage.set_scalar(node.target, value)
@@ -170,25 +161,6 @@ class LoopInterpreter:
             scalars[stmt.scalar_target] = value
         else:
             self.storage.set_element(stmt.target, index, value)
-
-    def _execute_reduction(self, node: ReductionLoop) -> None:
-        bounds = node.region.concrete_bounds(self._int_env())
-        if any(lo > hi for lo, hi in bounds):
-            raise InterpError("reduction over an empty region")
-
-        def array_view(name: str, offset) -> np.ndarray:
-            return self.storage.slice_view(name, bounds, offset)
-
-        def index_grid(dim: int) -> np.ndarray:
-            lo, hi = bounds[dim - 1]
-            shape = [1] * len(bounds)
-            shape[dim - 1] = hi - lo + 1
-            return np.arange(lo, hi + 1).reshape(shape)
-
-        values = eval_region(node.operand, self.storage.scalars, array_view, index_grid)
-        full_shape = tuple(hi - lo + 1 for lo, hi in bounds)
-        values = np.broadcast_to(np.asarray(values), full_shape)
-        self.storage.set_scalar(node.target, reduce_values(node.op, values))
 
 
 def run_scalarized(program: ScalarProgram, initial_arrays=None) -> Storage:

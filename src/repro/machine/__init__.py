@@ -19,7 +19,7 @@ from repro.machine.models import (
     MachineModel,
     host_machine_model,
 )
-from repro.machine.trace import MemoryLayout, nest_trace, reduction_trace, run_trace
+from repro.machine.trace import MemoryLayout, nest_trace, run_trace
 
 __all__ = [
     "ALL_MACHINES",
@@ -42,7 +42,6 @@ __all__ = [
     "estimate_sequential",
     "host_machine_model",
     "nest_trace",
-    "reduction_trace",
     "run_trace",
     "simulate_trace",
 ]

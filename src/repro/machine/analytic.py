@@ -29,7 +29,7 @@ from repro.ir import expr as ir
 from repro.machine.cache import CacheConfig
 from repro.machine.cost import Counts, SequentialCostModel, _expr_costs
 from repro.machine.models import MachineModel
-from repro.scalarize.loopnest import LoopNest, ReductionLoop, ScalarProgram, SNode
+from repro.scalarize.loopnest import LoopNest, ScalarProgram
 
 
 def effective_capacity(config: CacheConfig) -> float:
@@ -92,7 +92,7 @@ class AnalyticCostModel(SequentialCostModel):
 
     # ------------------------------------------------------------------
 
-    def _node_cost(self, node: SNode, env: Mapping[str, int], hierarchy) -> Counts:
+    def _node_cost(self, node: LoopNest, env: Mapping[str, int], hierarchy) -> Counts:
         del hierarchy  # analytic: no trace simulation
         counts = Counts(self._levels)
         bounds = node.region.concrete_bounds(env)
@@ -105,30 +105,19 @@ class AnalyticCostModel(SequentialCostModel):
 
         # Reference census: reads+writes per array, op counts.
         ref_counts: Dict[str, int] = {}
-        if isinstance(node, LoopNest):
-            for stmt in node.body:
-                piece = _expr_costs(stmt.rhs, self.layout)
-                counts.loads += points * piece["loads"]
-                counts.flops += points * piece["flops"]
-                counts.intrinsics += points * piece["intrinsics"]
-                for ref in stmt.rhs.array_refs():
-                    if ref.name in self.layout.bases:
-                        ref_counts[ref.name] = ref_counts.get(ref.name, 0) + 1
-                if stmt.reduce_op is not None:
-                    counts.flops += points
-                elif not stmt.is_contracted:
-                    counts.stores += points
-                    ref_counts[stmt.target] = ref_counts.get(stmt.target, 0) + 1
-        elif isinstance(node, ReductionLoop):
-            piece = _expr_costs(node.operand, self.layout)
+        for stmt in node.body:
+            piece = _expr_costs(stmt.rhs, self.layout)
             counts.loads += points * piece["loads"]
-            counts.flops += points * (piece["flops"] + 1)
+            counts.flops += points * piece["flops"]
             counts.intrinsics += points * piece["intrinsics"]
-            for ref in node.operand.array_refs():
+            for ref in stmt.rhs.array_refs():
                 if ref.name in self.layout.bases:
                     ref_counts[ref.name] = ref_counts.get(ref.name, 0) + 1
-        else:
-            return counts
+            if stmt.reduce_op is not None:
+                counts.flops += points
+            elif not stmt.is_contracted:
+                counts.stores += points
+                ref_counts[stmt.target] = ref_counts.get(stmt.target, 0) + 1
 
         elem_bytes = 8
         working_set = sum(

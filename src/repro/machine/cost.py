@@ -26,7 +26,6 @@ from repro.machine.models import MachineModel
 from repro.machine.trace import MemoryLayout, run_trace
 from repro.scalarize.loopnest import (
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -174,11 +173,9 @@ class SequentialCostModel:
         index = 0
         while index < len(body):
             node = body[index]
-            if isinstance(node, (LoopNest, ReductionLoop)):
-                run: List[SNode] = []
-                while index < len(body) and isinstance(
-                    body[index], (LoopNest, ReductionLoop)
-                ):
+            if isinstance(node, LoopNest):
+                run: List[LoopNest] = []
+                while index < len(body) and isinstance(body[index], LoopNest):
                     run.append(body[index])
                     index += 1
                 counts.add(self._run_cost(run, env, hierarchy))
@@ -255,7 +252,7 @@ class SequentialCostModel:
 
     def _run_cost(
         self,
-        run: Sequence[SNode],
+        run: Sequence[LoopNest],
         env: Mapping[str, int],
         hierarchy: CacheHierarchy,
     ) -> Counts:
@@ -268,11 +265,11 @@ class SequentialCostModel:
 
     def _node_cost(
         self,
-        node: SNode,
+        node: LoopNest,
         env: Mapping[str, int],
         hierarchy: CacheHierarchy,
     ) -> Counts:
-        """Cost of one loop nest or reduction through the shared hierarchy."""
+        """Cost of one loop nest through the shared hierarchy."""
         counts = Counts(self._levels)
         trace = run_trace([node], self.layout, env)
         misses = hierarchy.run_trace(trace.tolist())
@@ -283,26 +280,20 @@ class SequentialCostModel:
         for lo, hi in bounds:
             points *= max(0, hi - lo + 1)
         counts.points += points
-        if isinstance(node, LoopNest):
-            for stmt in node.body:
-                piece = _expr_costs(stmt.rhs, self.layout)
-                counts.loads += points * piece["loads"]
-                counts.flops += points * piece["flops"]
-                counts.intrinsics += points * piece["intrinsics"]
-                if stmt.reduce_op is not None:
-                    counts.flops += points  # the accumulate operation
-                elif not stmt.is_contracted:
-                    counts.stores += points
-        else:  # ReductionLoop
-            piece = _expr_costs(node.operand, self.layout)
+        for stmt in node.body:
+            piece = _expr_costs(stmt.rhs, self.layout)
             counts.loads += points * piece["loads"]
-            counts.flops += points * (piece["flops"] + 1)  # accumulate
+            counts.flops += points * piece["flops"]
             counts.intrinsics += points * piece["intrinsics"]
+            if stmt.reduce_op is not None:
+                counts.flops += points  # the accumulate operation
+            elif not stmt.is_contracted:
+                counts.stores += points
         return counts
 
     def _process_run(
         self,
-        run: Sequence[SNode],
+        run: Sequence[LoopNest],
         per_node: List[Counts],
         env: Mapping[str, int],
     ) -> None:

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.ir.expr import ArrayRef, IRExpr
-from repro.scalarize.loopnest import LoopNest, ReductionLoop, ScalarProgram
+from repro.scalarize.loopnest import LoopNest, ScalarProgram
 from repro.util.errors import MachineError
 
 _ELEM_SIZES = {"float": 8, "integer": 8, "boolean": 1}
@@ -143,38 +143,15 @@ def nest_trace(
     return np.stack(columns, axis=1).ravel()
 
 
-def reduction_trace(
-    node: ReductionLoop, layout: MemoryLayout, env: Mapping[str, int]
-) -> np.ndarray:
-    """The address trace of a reduction loop (reads only)."""
-    bounds = node.region.concrete_bounds(env)
-    if any(lo > hi for lo, hi in bounds):
-        return np.empty(0, dtype=np.int64)
-    structure = tuple(range(1, node.region.rank + 1))
-    grids = _iteration_grids(bounds, structure)
-    space_shape = tuple(hi - lo + 1 for lo, hi in bounds)
-    columns = [
-        _ref_addresses(name, offset, grids, layout, space_shape)
-        for name, offset in _collect_refs(node.operand)
-        if name in layout.bases
-    ]
-    if not columns:
-        return np.empty(0, dtype=np.int64)
-    return np.stack(columns, axis=1).ravel()
-
-
 def run_trace(
     run: Sequence[object], layout: MemoryLayout, env: Mapping[str, int]
 ) -> np.ndarray:
-    """Concatenated trace of a run of loop nests / reductions."""
+    """Concatenated trace of a run of loop nests."""
     pieces: List[np.ndarray] = []
     for node in run:
-        if isinstance(node, LoopNest):
-            pieces.append(nest_trace(node, layout, env))
-        elif isinstance(node, ReductionLoop):
-            pieces.append(reduction_trace(node, layout, env))
-        else:
+        if not isinstance(node, LoopNest):
             raise MachineError("cannot trace %r" % node)
+        pieces.append(nest_trace(node, layout, env))
     if not pieces:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(pieces)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.parallel.distribution import ProcessorGrid
-from repro.scalarize.loopnest import LoopNest, ReductionLoop, SNode
+from repro.scalarize.loopnest import LoopNest, SNode
 
 _ELEM_BYTES = 8
 
@@ -102,24 +102,13 @@ def analyze_run(
     events: List[CommEvent] = []
     last_writer: Dict[str, int] = {}
     for index, node in enumerate(run):
-        if isinstance(node, LoopNest):
-            reads = [
-                (ref.name, ref.offset)
-                for stmt in node.body
-                for ref in stmt.rhs.array_refs()
-            ]
-            writes = {
-                stmt.target for stmt in node.body if not stmt.is_contracted
-            }
-        elif isinstance(node, ReductionLoop):
-            reads = [(ref.name, ref.offset) for ref in node.operand.array_refs()]
-            writes = set()
-        else:
+        if not isinstance(node, LoopNest):
             continue
         if grid.rank >= 1:
             bounds = node.region.concrete_bounds(env)
         seen: Set[Tuple[str, int, int, int]] = set()
-        for name, offset in reads:
+        for ref in node.reads():
+            name, offset = ref.name, ref.offset
             if name not in distributed_arrays:
                 continue
             for dim in range(1, len(offset) + 1):
@@ -144,7 +133,7 @@ def analyze_run(
                         last_writer.get(name),
                     )
                 )
-        for name in writes:
+        for name in node.writes():
             last_writer[name] = index
     return events
 
@@ -155,13 +144,9 @@ def communicated_arrays(
     """Arrays requiring any border exchange within ``run``."""
     result: Set[str] = set()
     for node in run:
-        if isinstance(node, LoopNest):
-            refs = [ref for stmt in node.body for ref in stmt.rhs.array_refs()]
-        elif isinstance(node, ReductionLoop):
-            refs = node.operand.array_refs()
-        else:
+        if not isinstance(node, LoopNest):
             continue
-        for ref in refs:
+        for ref in node.reads():
             if ref.name not in distributed_arrays:
                 continue
             for dim in range(1, len(ref.offset) + 1):

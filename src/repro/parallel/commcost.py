@@ -11,25 +11,25 @@ per run of loop nests:
   and priced through the §5.5 optimizer
   (:func:`repro.parallel.commopt.optimized_comm_cost_us`), so the
   estimate reflects whichever :class:`~repro.parallel.commopt.
-  CommOptions` the caller selects;
-* a ``ceil(log2 p)``-stage combining tree for every full reduction in
-  the run, at one 8-byte message per stage.
+  CommOptions` the caller selects.
+
+Reductions are fold statements inside the nests and are priced as the
+nest's compute; no combining tree is charged for them.
 
 Contract: ``p`` is the total processor count; the grid shape is the
 :func:`~repro.parallel.distribution.balanced_factorization` of ``p``
 over the rank of the widest allocated region, matching what the
 ``mp-shard`` backend executes.  All arrays are treated as distributed
 (Section 6's "every dimension is a potential source of parallelism").
-``p == 1`` degenerates to the sequential model exactly — no events, no
-reduction tree.  Costs are attributed to node 0 of each run, which is
-correct for the per-node (not aggregate) time the scaled-speedup plots
-in Section 5.4 need.  :func:`estimate_parallel` is the one-call wrapper
-the CLI and benchmarks use.
+``p == 1`` degenerates to the sequential model exactly — no events.
+Costs are attributed to node 0 of each run, which is correct for the
+per-node (not aggregate) time the scaled-speedup plots in Section 5.4
+need.  :func:`estimate_parallel` is the one-call wrapper the CLI and
+benchmarks use.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Mapping, Sequence, Set
 
 from repro.machine.cost import CostResult, Counts, SequentialCostModel
@@ -37,9 +37,7 @@ from repro.machine.models import MachineModel
 from repro.parallel.comm import analyze_run
 from repro.parallel.commopt import ALL_COMM_OPTS, CommOptions, optimized_comm_cost_us
 from repro.parallel.distribution import ProcessorGrid
-from repro.scalarize.loopnest import ReductionLoop, ScalarProgram, SNode
-
-_REDUCTION_PAYLOAD_BYTES = 8
+from repro.scalarize.loopnest import ScalarProgram, SNode
 
 
 class ParallelCostModel(SequentialCostModel):
@@ -78,16 +76,7 @@ class ParallelCostModel(SequentialCostModel):
         comm_us = optimized_comm_cost_us(
             events, run, self.machine.comm, compute_us, self.comm_options
         )
-        comm_us += self._reduction_comm_us(run)
         per_node[0].comm_us += comm_us
-
-    def _reduction_comm_us(self, run: Sequence[SNode]) -> float:
-        stages = math.ceil(math.log2(self.p)) if self.p > 1 else 0
-        if stages == 0:
-            return 0.0
-        per_stage = self.machine.comm.message_cost_us(_REDUCTION_PAYLOAD_BYTES)
-        reductions = sum(1 for node in run if isinstance(node, ReductionLoop))
-        return reductions * stages * per_stage
 
 
 def estimate_parallel(

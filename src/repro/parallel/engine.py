@@ -443,13 +443,3 @@ def render_numpy_par(
 ) -> str:
     """Render a scalarized program as tile-parallel NumPy source."""
     return ParNumpyGenerator(program, env).render()
-
-
-def program_shard_summary(program: ScalarProgram) -> Dict[str, int]:
-    """Counts of nests per shard mode, for diagnostics and tests."""
-    from repro.scalarize.codegen_np import program_shard_plans
-
-    summary = {"parallel": 0, "per-statement": 0, "serial": 0}
-    for _nest, plan in program_shard_plans(program):
-        summary[plan.mode] += 1
-    return summary

@@ -49,9 +49,8 @@ accounts them separately (``corner_bytes``) and the validation asserts
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.ir import expr as ir
 from repro.ir.region import Region
 from repro.parallel.comm import CommEvent, analyze_run
 from repro.parallel.commopt import (
@@ -61,15 +60,7 @@ from repro.parallel.commopt import (
     singleton_messages,
 )
 from repro.parallel.distribution import ProcessorGrid
-from repro.scalarize.loopnest import (
-    LoopNest,
-    ReductionLoop,
-    ScalarProgram,
-    SeqLoop,
-    SIf,
-    SNode,
-    SWhile,
-)
+from repro.scalarize.loopnest import LoopNest, ScalarProgram
 from repro.util.errors import ReproError
 
 #: The model's element size (bytes): every counter and plan figure uses
@@ -84,35 +75,13 @@ class ShardError(ReproError):
     """A program shape the sharded backend cannot distribute."""
 
 
-def _walk_exec_nodes(body: Sequence[SNode]) -> Iterable[SNode]:
-    """All LoopNest/ReductionLoop nodes, recursing through control flow."""
-    for node in body:
-        if isinstance(node, (LoopNest, ReductionLoop)):
-            yield node
-        elif isinstance(node, SeqLoop):
-            yield from _walk_exec_nodes(node.body)
-        elif isinstance(node, SIf):
-            yield from _walk_exec_nodes(node.then_body)
-            yield from _walk_exec_nodes(node.else_body)
-        elif isinstance(node, SWhile):
-            yield from _walk_exec_nodes(node.body)
-
-
-def _node_refs(node: SNode) -> List[ir.ArrayRef]:
-    if isinstance(node, LoopNest):
-        return [ref for stmt in node.body for ref in stmt.rhs.array_refs()]
-    if isinstance(node, ReductionLoop):
-        return list(node.operand.array_refs())
-    return []
-
-
 def program_rank(program: ScalarProgram) -> int:
     """The distribution rank: widest region the program touches."""
     rank = 0
     for region, _kind in program.array_allocs.values():
         rank = max(rank, region.rank)
-    for node in _walk_exec_nodes(program.body):
-        rank = max(rank, node.region.rank)
+    for nest in program.loop_nests():
+        rank = max(rank, nest.rank)
     return rank
 
 
@@ -122,8 +91,8 @@ def halo_widths(program: ScalarProgram) -> Dict[str, Tuple[int, ...]]:
         name: [0] * region.rank
         for name, (region, _kind) in program.array_allocs.items()
     }
-    for node in _walk_exec_nodes(program.body):
-        for ref in _node_refs(node):
+    for nest in program.loop_nests():
+        for ref in nest.reads():
             have = widths.get(ref.name)
             if have is None:
                 continue
@@ -196,8 +165,8 @@ class ShardLayout:
         if lo is None:
             # No allocated arrays reach this dimension (e.g. a scalar-only
             # program like EP): partition the union of static node regions.
-            for node in _walk_exec_nodes(program.body):
-                region = node.region
+            for nest in program.loop_nests():
+                region = nest.region
                 if region.rank < dim:
                     continue
                 rlo, rhi = region.dims[dim - 1]
@@ -431,7 +400,7 @@ class RunPlan:
         self.fallback_indices = fallback_indices
 
 
-def event_spans(node: SNode, event: CommEvent) -> List[Tuple[int, int]]:
+def event_spans(node: LoopNest, event: CommEvent) -> List[Tuple[int, int]]:
     """Per dimension: (min, max) offset over the refs behind ``event``.
 
     Mirrors :func:`repro.parallel.comm.analyze_run`'s pooling: a ref
@@ -443,7 +412,7 @@ def event_spans(node: SNode, event: CommEvent) -> List[Tuple[int, int]]:
     spans: Dict[int, Tuple[int, int]] = {}
     d = event.dim
     want = event.direction * event.width
-    for ref in _node_refs(node):
+    for ref in node.reads():
         if ref.name != event.array or len(ref.offset) < d:
             continue
         if ref.offset[d - 1] != want:
@@ -485,7 +454,7 @@ def _consumer_box(
 
 
 def _event_copies(
-    consumers: Sequence[Tuple[SNode, Bounds]],
+    consumers: Sequence[Tuple[LoopNest, Bounds]],
     event: CommEvent,
     layout: ShardLayout,
     offset_bytes: int,
@@ -543,7 +512,7 @@ def _event_copies(
 
 
 def elimination_coverage(
-    events: Sequence[CommEvent], run: Sequence[SNode]
+    events: Sequence[CommEvent], run: Sequence[LoopNest]
 ) -> Tuple[List[CommEvent], Dict[int, List[CommEvent]]]:
     """``eliminate_redundant``'s sweep, with drops attributed to keeps.
 
@@ -553,14 +522,7 @@ def elimination_coverage(
     that kept event must carry (same clean-key window: no intervening
     write to the array).
     """
-    nest_writes: List[Set[str]] = []
-    for node in run:
-        if isinstance(node, LoopNest):
-            nest_writes.append(
-                {stmt.target for stmt in node.body if not stmt.is_contracted}
-            )
-        else:
-            nest_writes.append(set())
+    nest_writes: List[Set[str]] = [set(node.writes()) for node in run]
     clean: Dict[Tuple[str, int, int, int], CommEvent] = {}
     kept: List[CommEvent] = []
     coverage: Dict[int, List[CommEvent]] = {}
@@ -583,7 +545,7 @@ def elimination_coverage(
 
 
 def plan_run(
-    run: Sequence[SNode],
+    run: Sequence[LoopNest],
     layout: ShardLayout,
     env: Mapping[str, int],
     options: CommOptions,
@@ -652,7 +614,7 @@ def plan_run(
 # -- clamp-safety analysis -------------------------------------------------
 
 
-def nest_fallback_reason(node: SNode, layout: ShardLayout,
+def nest_fallback_reason(node: LoopNest, layout: ShardLayout,
                          partial: Mapping[str, Tuple[int, int]]) -> Optional[str]:
     """Why a nest cannot execute clamped to worker chunks, or None.
 
@@ -670,26 +632,16 @@ def nest_fallback_reason(node: SNode, layout: ShardLayout,
     cut = [d for d in range(1, layout.rank + 1) if layout.grid.is_cut(d)]
     if not cut:
         return None
-    if isinstance(node, ReductionLoop):
-        for ref in node.operand.array_refs():
-            if ref.name in partial:
-                dim, _depth = partial[ref.name]
-                if dim in cut:
-                    return "reduces over a circular buffer cut along dim %d" % dim
-        return None
-    if not isinstance(node, LoopNest):
-        return None
-    for name in {ref.name for stmt in node.body for ref in stmt.rhs.array_refs()}:
+    for name in {ref.name for ref in node.reads()}:
         if name in partial and partial[name][0] in cut:
             return "touches circular buffer %r cut along dim %d" % (
                 name, partial[name][0]
             )
-    for stmt in node.body:
-        if stmt.target is not None and stmt.target in partial:
-            if partial[stmt.target][0] in cut:
-                return "writes circular buffer %r cut along dim %d" % (
-                    stmt.target, partial[stmt.target][0]
-                )
+    for name in node.writes():
+        if name in partial and partial[name][0] in cut:
+            return "writes circular buffer %r cut along dim %d" % (
+                name, partial[name][0]
+            )
     written: Set[str] = set()
     for stmt in node.body:
         for ref in stmt.rhs.array_refs():

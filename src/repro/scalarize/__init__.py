@@ -12,7 +12,6 @@ from repro.scalarize.codegen_py import PyGenerator, render_python
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -21,6 +20,7 @@ from repro.scalarize.loopnest import (
     SNode,
     SWhile,
     loop_variable,
+    walk,
 )
 from repro.scalarize.scalarizer import (
     Scalarizer,
@@ -28,6 +28,10 @@ from repro.scalarize.scalarizer import (
     contraction_scalar,
     scalarize,
 )
+
+#: The frozen ``benchmarks/e2e`` tree names this next to ``LoopNest`` in an
+#: ``isinstance`` filter; there is no second executable node kind.
+ReductionLoop = LoopNest
 
 __all__ = [
     "AbiEntry",
@@ -54,4 +58,5 @@ __all__ = [
     "render_c",
     "render_c_module",
     "scalarize",
+    "walk",
 ]

@@ -2,7 +2,7 @@
 
 The emitted code mirrors what the ZPL compiler hands to its back-end C
 compiler: one loop nest per fusible cluster, contracted arrays as scalars,
-reductions as accumulation loops.  It renders in two modes:
+reductions as fold statements inside those nests.  It renders in two modes:
 
 * **inspection** (:func:`render_c`) — the historical static translation
   unit with a ``void <name>_main(void)`` driver, used for documentation
@@ -12,14 +12,15 @@ reductions as accumulation loops.  It renders in two modes:
   exposing ``int repro_run(void **bufs)``, compiled by the host ``cc``
   and loaded via ``ctypes`` by the native ``c`` backend
   (:mod:`repro.exec.native`).  Arrays and scalars travel through a flat
-  buffer vector in the deterministic order :func:`c_abi` defines; a
-  nonzero return signals a runtime error (1 = reduction over an empty
-  region, mirroring the interpreter's ``InterpError``).
+  buffer vector in the deterministic order :func:`c_abi` defines.  The
+  entry point returns 0; no emitted path returns anything else today, and
+  the runner treats any other value as a failed run.
 
 Emission is kind-typed end to end: ``double`` / ``int64_t`` /
-``unsigned char`` storage matching ``emit_common.DTYPES``, typed
-reduction accumulators with per-kind identities, floored integer and
-float modulo helpers, and exactly the ``min``/``max``/``sign`` tie and
+``unsigned char`` storage matching ``emit_common.DTYPES``, accumulators
+typed like the scalar they fold into (their identities arrive as ordinary
+scalar assignments from the scalarizer), floored integer and float modulo
+helpers, and exactly the ``min``/``max``/``sign`` tie and
 zero semantics of the Python element loops — the serial C output is
 required to be *bit-identical* to :mod:`codegen_py` (see
 ``tests/test_fuzz_differential.py``).
@@ -32,11 +33,9 @@ from typing import Dict, List, NamedTuple, Tuple
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.scalarize.emit_common import infer_expr_kind
+from repro.scalarize.emit_common import halo_planes, infer_expr_kind
 from repro.scalarize.loopnest import (
-    ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -45,6 +44,7 @@ from repro.scalarize.loopnest import (
     SNode,
     SWhile,
     loop_variable,
+    walk,
 )
 from repro.util.errors import ScalarizationError
 
@@ -57,7 +57,6 @@ _C_TYPES = {"float": "double", "integer": "int64_t", "boolean": "unsigned char"}
 #: ``-9223372036854775808`` as unary minus applied to an out-of-range
 #: positive constant.
 _C_INT64_MIN = "(-9223372036854775807LL - 1)"
-_C_INT64_MAX = "9223372036854775807LL"
 
 #: Helper functions emitted into the translation unit on first use.
 #: ``repro_mod``/``repro_imod`` are floored modulo (sign of the divisor,
@@ -101,24 +100,6 @@ _HELPERS = {
 }
 _HELPER_ORDER = ("repro_mod", "repro_imod", "repro_iabs", "repro_sign")
 
-#: Reduction identities per accumulator kind (the C spelling of
-#: ``emit_common.reduce_init_literal``): integer accumulators start from
-#: integer identities, float accumulators from float ones — initializing
-#: an ``int64_t`` product with ``1.0`` or a max with ``-DBL_MAX`` is the
-#: divergence class PR 1 fixed for the Python emitters.
-_C_FLOAT_REDUCE_INIT = {
-    "+": "0.0",
-    "*": "1.0",
-    "max": "-INFINITY",
-    "min": "INFINITY",
-}
-_C_INT_REDUCE_INIT = {
-    "+": "0",
-    "*": "1",
-    "max": _C_INT64_MIN,
-    "min": _C_INT64_MAX,
-}
-
 #: Fold steps.  The min/max comparison keeps the *accumulator* on ties,
 #: matching the Python fold ``min(acc, value)`` bit for bit (including
 #: -0.0/+0.0 ties and NaN propagation order).
@@ -128,18 +109,6 @@ _REDUCE_STEP = {
     "max": "%s = (%s > %s) ? %s : %s;",
     "min": "%s = (%s < %s) ? %s : %s;",
 }
-
-
-def _c_reduce_init(op: str, kind: str) -> str:
-    table = (
-        _C_INT_REDUCE_INIT
-        if kind in ("integer", "boolean")
-        else _C_FLOAT_REDUCE_INIT
-    )
-    init = table.get(op)
-    if init is None:
-        raise ScalarizationError("unknown reduction operator %r" % op)
-    return init
 
 
 class AbiEntry(NamedTuple):
@@ -288,56 +257,25 @@ class CGenerator:
     def _region_free_config_names(self) -> set:
         """Config names referenced symbolically by any region bound.
 
-        Mirrors ``PyGenerator._region_free_variables``: loop headers and
-        empty-reduction guards render symbolic bounds textually, so the
-        names must exist as constants in the translation unit.
+        Loop headers render symbolic bounds textually, so the names must
+        exist as constants in the translation unit.
         """
-        regions = [
-            region for region, _kind in self._program.array_allocs.values()
-        ]
-
-        def visit(body) -> None:
-            for node in body:
-                region = getattr(node, "region", None)
-                if region is not None:
-                    regions.append(region)
-                for attr in ("body", "then_body", "else_body"):
-                    inner = getattr(node, attr, None)
-                    if isinstance(inner, list):
-                        visit(inner)
-
-        visit(self._program.body)
-        names = set()
-        for region in regions:
-            for lo, hi in region.dims:
-                names.update(lo.free_variables())
-                names.update(hi.free_variables())
-        return names & set(self._env)
+        return self._program.region_free_variables() & set(self._env)
 
     def _loop_dims_needed(self) -> List[int]:
         """Every loop-variable dimension the body references.
 
-        Reduction loops and boundary fills use the same ``_i<d>``
-        variables as the fused nests; collecting only nest ranks would
-        leave a reduction-only program with undeclared loop variables.
+        Boundary fills use the same ``_i<d>`` variables as the nests;
+        collecting only nest ranks would leave a fill-only program with
+        undeclared loop variables.
         """
         dims: set = set()
-
-        def visit(body) -> None:
-            for node in body:
-                if isinstance(node, LoopNest):
-                    dims.update(range(1, node.rank + 1))
-                elif isinstance(node, ReductionLoop):
-                    dims.update(range(1, node.region.rank + 1))
-                elif isinstance(node, SBoundary):
-                    region, _kind = self._program.array_allocs[node.array]
-                    dims.update(range(1, len(region.dims) + 1))
-                for attr in ("body", "then_body", "else_body"):
-                    inner = getattr(node, attr, None)
-                    if isinstance(inner, list):
-                        visit(inner)
-
-        visit(self._program.body)
+        for node in walk(self._program.body):
+            if isinstance(node, LoopNest):
+                dims.update(range(1, node.rank + 1))
+            elif isinstance(node, SBoundary):
+                region, _kind = self._program.array_allocs[node.array]
+                dims.update(range(1, len(region.dims) + 1))
         return sorted(dims)
 
     # ------------------------------------------------------------------
@@ -380,8 +318,6 @@ class CGenerator:
         for node in body:
             if isinstance(node, LoopNest):
                 self._emit_loop_nest(node, depth)
-            elif isinstance(node, ReductionLoop):
-                self._emit_reduction(node, depth)
             elif isinstance(node, SBoundary):
                 self._emit_boundary(node, depth)
             elif isinstance(node, ScalarAssign):
@@ -452,107 +388,41 @@ class CGenerator:
         for level in range(len(nest.structure) - 1, -1, -1):
             self._emit("}", depth + level)
 
-    def _emit_empty_reduction_guard(self, region: Region, depth: int) -> None:
-        """Signal reductions over empty regions, as the interpreter does.
-
-        Constant bounds are decided at generation time; symbolic bounds
-        (dynamic regions) emit a runtime check.  The module entry point
-        returns 1, which the native runner turns into the same
-        ``InterpError`` the Python emitters raise.
-        """
-        clauses: List[str] = []
-        statically_empty = False
-        for lo, hi in region.dims:
-            extent = hi - lo
-            if extent.is_constant:
-                if extent.const < 0:
-                    statically_empty = True
-            else:
-                clauses.append(
-                    "(%s) < (%s)" % (self._linexpr(hi), self._linexpr(lo))
-                )
-        if statically_empty:
-            self._emit("return 1; /* reduction over an empty region */", depth)
-        elif clauses:
-            self._emit(
-                "if (%s) { return 1; } /* reduction over an empty region */"
-                % " || ".join(clauses),
-                depth,
-            )
-
-    def _emit_reduction(self, node: ReductionLoop, depth: int) -> None:
-        if self._module:
-            self._emit_empty_reduction_guard(node.region, depth)
-        kind = self._kind(node.operand)
-        ctype = "double" if kind == "float" else "int64_t"
-        self._emit("{", depth)
-        self._emit(
-            "%s _acc = %s;" % (ctype, _c_reduce_init(node.op, kind)), depth + 1
-        )
-        structure = tuple(range(1, node.region.rank + 1))
-        inner = self._emit_loop_headers(node.region, structure, depth + 1)
-        value = self._expr(node.operand)
-        if node.op in ("+", "*"):
-            self._emit(_REDUCE_STEP[node.op] % ("_acc", value), inner)
-        else:
-            self._emit(
-                _REDUCE_STEP[node.op]
-                % ("_acc", value, "_acc", value, "_acc"),
-                inner,
-            )
-        for level in range(node.region.rank - 1, -1, -1):
-            self._emit("}", depth + 1 + level)
-        self._emit("%s = _acc;" % node.target, depth + 1)
-        self._emit("}", depth)
-
     def _emit_boundary(self, node: SBoundary, depth: int) -> None:
         """Halo fill as element copy loops (bounds are constant or
         config-dependent; the config environment resolves the latter)."""
         bounds = node.region.concrete_bounds(self._env)
-        bases = self._bases[node.array]
         region, _kind = self._program.array_allocs[node.array]
         alloc = region.concrete_bounds(self._env)
         rank = len(bounds)
         self._emit("/* %s %s */" % (node.kind, node.array), depth)
-        for dim, ((lo, hi), (alo, ahi)) in enumerate(zip(bounds, alloc)):
-            lo_raw = lo - bases[dim]
-            hi_raw = hi - bases[dim]
-            extent = ahi - alo + 1
-            period = hi_raw - lo_raw + 1
-            planes = list(range(0, lo_raw)) + list(range(hi_raw + 1, extent))
-            for raw in planes:
-                if node.kind == "wrap":
-                    src = lo_raw + ((raw - lo_raw) % period)
-                elif raw < lo_raw:
-                    src = 2 * lo_raw - 1 - raw
-                else:
-                    src = 2 * hi_raw + 1 - raw
-                inner = depth
-                for d in range(rank):
-                    if d == dim:
-                        continue
-                    var = loop_variable(d + 1)
-                    other_extent = alloc[d][1] - alloc[d][0] + 1
-                    self._emit(
-                        "for (%s = 0; %s < %d; %s++) {"
-                        % (var, var, other_extent, var),
-                        inner,
-                    )
-                    inner += 1
-                dest_idx = "".join(
-                    "[%d]" % raw if d == dim else "[%s]" % loop_variable(d + 1)
-                    for d in range(rank)
-                )
-                src_idx = "".join(
-                    "[%d]" % src if d == dim else "[%s]" % loop_variable(d + 1)
-                    for d in range(rank)
-                )
+        for dim, raw, src in halo_planes(node.kind, bounds, alloc):
+            inner = depth
+            for d in range(rank):
+                if d == dim:
+                    continue
+                var = loop_variable(d + 1)
+                other_extent = alloc[d][1] - alloc[d][0] + 1
                 self._emit(
-                    "%s%s = %s%s;" % (node.array, dest_idx, node.array, src_idx),
+                    "for (%s = 0; %s < %d; %s++) {"
+                    % (var, var, other_extent, var),
                     inner,
                 )
-                for level in range(inner - 1, depth - 1, -1):
-                    self._emit("}", level)
+                inner += 1
+            dest_idx = "".join(
+                "[%d]" % raw if d == dim else "[%s]" % loop_variable(d + 1)
+                for d in range(rank)
+            )
+            src_idx = "".join(
+                "[%d]" % src if d == dim else "[%s]" % loop_variable(d + 1)
+                for d in range(rank)
+            )
+            self._emit(
+                "%s%s = %s%s;" % (node.array, dest_idx, node.array, src_idx),
+                inner,
+            )
+            for level in range(inner - 1, depth - 1, -1):
+                self._emit("}", level)
 
     def _emit_seq_loop(self, node: SeqLoop, depth: int) -> None:
         # Match Python's ``for var in range(...)`` exactly: bounds are
@@ -712,7 +582,6 @@ def render_c_module(program: ScalarProgram) -> str:
 
     The unit exposes ``int repro_run(void **bufs)``; buffers arrive in
     :func:`c_abi` order (arrays over their allocation regions, then
-    one-element scalar buffers, both name-sorted).  Returns 0 on
-    success, 1 on a reduction over an empty region.
+    one-element scalar buffers, both name-sorted) and it returns 0.
     """
     return CGenerator(program, module=True).render()

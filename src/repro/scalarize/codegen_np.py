@@ -33,10 +33,10 @@ ascending dimensions and ``0`` along descending ones — so subsequent
 reads outside the nest observe exactly the value serial execution would
 have left behind.
 
-Reductions evaluate their operand over the whole region and fold it with
-``np.sum``/``np.prod``/``np.max``/``np.min``, mirroring the interpreters
-(:mod:`repro.interp.evalexpr`); empty regions raise
-:class:`~repro.util.errors.InterpError` exactly as the interpreter does.
+Fold statements evaluate their operand over the whole region and combine
+``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator,
+mirroring the interpreters (:mod:`repro.interp.evalexpr`); over an empty
+region the fold does not run and the accumulator keeps its value.
 """
 
 from __future__ import annotations
@@ -51,22 +51,10 @@ from repro.scalarize.emit_common import NP_INTRINSICS, bound_text
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     ScalarProgram,
     loop_variable,
 )
 from repro.util.errors import ScalarizationError
-
-
-def _nest_array_names(nest: LoopNest) -> List[str]:
-    names = []
-    for stmt in nest.body:
-        if stmt.target is not None:
-            names.append(stmt.target)
-        for node in stmt.rhs.walk():
-            if isinstance(node, ir.ArrayRef):
-                names.append(node.name)
-    return names
 
 
 def vector_split(
@@ -84,7 +72,7 @@ def vector_split(
     """
     if nest.carried_depth is None or nest.carried_depth >= nest.rank:
         return None
-    if partial and any(name in partial for name in _nest_array_names(nest)):
+    if partial and not nest.arrays().isdisjoint(partial):
         return None
     serial_levels = tuple(nest.structure[: nest.carried_depth])
     vdims = tuple(
@@ -197,16 +185,6 @@ def shard_plan(
             tuple(sorted(hazard_arrays)),
         )
     return ShardPlan(serial_levels, vdims, "parallel", None, halo, ())
-
-
-def program_shard_plans(
-    program: ScalarProgram,
-) -> List[Tuple[LoopNest, ShardPlan]]:
-    """Per-nest shardability metadata for a whole scalarized program."""
-    return [
-        (nest, shard_plan(nest, program.partial))
-        for nest in program.loop_nests()
-    ]
 
 
 class _VectorContext:
@@ -361,26 +339,6 @@ class NumpyGenerator(PyGenerator):
             lo, hi = ctx.region.dims[dim - 1]
             extents.append(bound_text(hi - lo, 1))
         return "(%s,)" % ", ".join(extents)
-
-    # -- reductions --------------------------------------------------------
-
-    _REDUCERS = {"+": "np.sum", "*": "np.prod", "max": "np.max", "min": "np.min"}
-
-    def _emit_reduction(self, node: ReductionLoop, depth: int) -> None:
-        touches_wrapped = self._program.partial and any(
-            isinstance(n, ir.ArrayRef) and n.name in self._program.partial
-            for n in node.operand.walk()
-        )
-        if touches_wrapped:
-            super()._emit_reduction(node, depth)
-            return
-        self._emit_empty_reduction_guard(node.region, depth)
-        ctx = _VectorContext(node.region, range(1, node.region.rank + 1))
-        reducer = self._REDUCERS.get(node.op)
-        if reducer is None:
-            raise ScalarizationError("unknown reduction operator %r" % node.op)
-        value = self._broadcast(self._vexpr(node.operand, ctx), ctx)
-        self._emit("%s = %s(%s)" % (node.target, reducer, value), depth)
 
     # -- vector expression rendering ---------------------------------------
 

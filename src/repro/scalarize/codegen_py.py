@@ -7,8 +7,8 @@ tree-walking interpreter and cross-validates code generation — the tests
 require codegen output, interpreter output and reference semantics to agree.
 
 The vectorizing back end (:mod:`repro.scalarize.codegen_np`) subclasses
-:class:`PyGenerator`, overriding loop-nest and reduction emission with
-whole-region slice operations; everything the two back ends must agree on
+:class:`PyGenerator`, overriding loop-nest emission with whole-region
+slice operations; everything the two back ends must agree on
 lives in :mod:`repro.scalarize.emit_common`.
 """
 
@@ -25,15 +25,12 @@ from repro.scalarize.emit_common import (
     DTYPES,
     PY_INTRINSICS,
     SCALAR_INIT,
-    bound_text,
-    infer_expr_kind,
+    halo_planes,
     int_config_env,
-    reduce_init_literal,
 )
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -80,28 +77,6 @@ class PyGenerator:
         self._emit_return()
         return "\n".join(self._lines) + "\n"
 
-    def _region_free_variables(self) -> set:
-        """Names referenced symbolically by any region bound in the program."""
-        regions = [region for region, _kind in self._program.array_allocs.values()]
-
-        def visit(body) -> None:
-            for node in body:
-                region = getattr(node, "region", None)
-                if region is not None:
-                    regions.append(region)
-                for attr in ("body", "then_body", "else_body"):
-                    inner = getattr(node, attr, None)
-                    if isinstance(inner, list):
-                        visit(inner)
-
-        visit(self._program.body)
-        names = set()
-        for region in regions:
-            for lo, hi in region.dims:
-                names.update(lo.free_variables())
-                names.update(hi.free_variables())
-        return names
-
     def _emit_config_bindings(self) -> None:
         """Bind configuration scalars that region bounds reference by name.
 
@@ -110,7 +85,7 @@ class PyGenerator:
         generated function.  Loop variables are assigned by their own
         loops; only configuration bindings need materializing.
         """
-        free = self._region_free_variables()
+        free = self._program.region_free_variables()
         for name in sorted(free & set(self._env)):
             self._emit("%s = %d" % (name, self._env[name]))
 
@@ -152,8 +127,6 @@ class PyGenerator:
         for node in body:
             if isinstance(node, LoopNest):
                 self._emit_nest(node, depth)
-            elif isinstance(node, ReductionLoop):
-                self._emit_reduction(node, depth)
             elif isinstance(node, SBoundary):
                 self._emit_boundary(node, depth)
             elif isinstance(node, ScalarAssign):
@@ -225,72 +198,14 @@ class PyGenerator:
                     inner,
                 )
 
-    def _reduction_kind(self, node: ReductionLoop) -> str:
-        array_kinds = {
-            name: kind for name, (_region, kind) in self._program.array_allocs.items()
-        }
-        return infer_expr_kind(node.operand, array_kinds, self._program.scalars)
-
-    def _emit_empty_reduction_guard(self, region: Region, depth: int) -> None:
-        """Raise on reductions over empty regions, as the interpreter does.
-
-        Constant bounds are decided at generation time; symbolic bounds
-        (dynamic regions) emit a runtime check.
-        """
-        clauses: List[str] = []
-        statically_empty = False
-        for lo, hi in region.dims:
-            extent = hi - lo
-            if extent.is_constant:
-                if extent.const < 0:
-                    statically_empty = True
-            else:
-                clauses.append("%s < %s" % (bound_text(hi), bound_text(lo)))
-        message = "reduction over an empty region"
-        if statically_empty:
-            self._emit("raise InterpError(%r)" % message, depth)
-        elif clauses:
-            self._emit("if %s:" % " or ".join(clauses), depth)
-            self._emit("raise InterpError(%r)" % message, depth + 1)
-
-    def _emit_reduction(self, node: ReductionLoop, depth: int) -> None:
-        self._emit_empty_reduction_guard(node.region, depth)
-        init = reduce_init_literal(node.op, self._reduction_kind(node))
-        self._emit("%s = %s" % (node.target, init), depth)
-        structure = tuple(range(1, node.region.rank + 1))
-        inner = self._emit_loop_headers(node.region, structure, depth)
-        value = self._expr(node.operand)
-        self._emit(
-            "%s = %s" % (node.target, self._fold(node.op, node.target, value)),
-            inner,
-        )
-
     def _emit_boundary(self, node: SBoundary, depth: int) -> None:
         """Halo fill as per-plane numpy copies (bounds are constant or
         config-dependent; the config environment resolves the latter)."""
         bounds = node.region.concrete_bounds(self._env)
-        bases = self._bases[node.array]
         region, _kind = self._program.array_allocs[node.array]
         alloc = region.concrete_bounds(self._env)
-        for dim, ((lo, hi), (alo, ahi)) in enumerate(zip(bounds, alloc)):
-            lo_raw = lo - bases[dim]
-            hi_raw = hi - bases[dim]
-            extent = ahi - alo + 1
-            period = hi_raw - lo_raw + 1
-            for raw in range(0, lo_raw):
-                src = self._boundary_source(node.kind, raw, lo_raw, hi_raw, period)
-                self._emit_plane_copy(node.array, dim, raw, src, len(bounds), depth)
-            for raw in range(hi_raw + 1, extent):
-                src = self._boundary_source(node.kind, raw, lo_raw, hi_raw, period)
-                self._emit_plane_copy(node.array, dim, raw, src, len(bounds), depth)
-
-    @staticmethod
-    def _boundary_source(kind: str, raw: int, lo: int, hi: int, period: int) -> int:
-        if kind == "wrap":
-            return lo + ((raw - lo) % period)
-        if raw < lo:
-            return 2 * lo - 1 - raw
-        return 2 * hi + 1 - raw
+        for dim, dest, source in halo_planes(node.kind, bounds, alloc):
+            self._emit_plane_copy(node.array, dim, dest, source, len(bounds), depth)
 
     def _emit_plane_copy(
         self, array: str, dim: int, dest: int, source: int, rank: int, depth: int

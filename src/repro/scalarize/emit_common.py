@@ -2,20 +2,20 @@
 
 Both back ends — the element-loop emitter (:mod:`codegen_py`) and the
 whole-region slice emitter (:mod:`codegen_np`) — agree on dtype mapping,
-scalar initialization, intrinsic spelling, reduction identities and the
-slice/offset translation that turns a region bound plus a constant
-reference offset into a storage index.  This module centralizes those
-rules so the two emitters cannot drift apart, and so they match the
+scalar initialization, intrinsic spelling, the halo-plane order of boundary
+fills and the slice/offset translation that turns a region bound plus a
+constant reference offset into a storage index.  This module centralizes
+those rules so the two emitters cannot drift apart, and so they match the
 interpreters in :mod:`repro.interp`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
-from repro.util.errors import InputError, ScalarizationError
+from repro.util.errors import InputError
 
 #: Element-kind -> numpy dtype attribute name (matches interp.storage).
 DTYPES = {"float": "float64", "integer": "int64", "boolean": "bool_"}
@@ -59,27 +59,6 @@ NP_INTRINSICS = {
     "mod": "np.mod",
     "sign": "np.sign",
 }
-
-_INT64_MIN = "-9223372036854775808"
-_INT64_MAX = "9223372036854775807"
-
-_FLOAT_REDUCE_INIT = {"+": "0.0", "*": "1.0", "max": "-math.inf", "min": "math.inf"}
-_INT_REDUCE_INIT = {"+": "0", "*": "1", "max": _INT64_MIN, "min": _INT64_MAX}
-
-
-def reduce_init_literal(op: str, kind: str) -> str:
-    """The reduction identity literal for an accumulator of ``kind``.
-
-    Integer accumulators must start from integer identities: ``0.0 +
-    np.int64`` silently floats an integer reduction, which is the
-    interpreter/codegen divergence this helper exists to prevent.
-    """
-    table = _INT_REDUCE_INIT if kind in ("integer", "boolean") else _FLOAT_REDUCE_INIT
-    init = table.get(op)
-    if init is None:
-        raise ScalarizationError("unknown reduction operator %r" % op)
-    return init
-
 
 _KIND_RANK = {"boolean": 0, "integer": 1, "float": 2}
 
@@ -209,6 +188,33 @@ def validate_inputs(program, inputs):
             )
         checked[name] = value
     return checked
+
+
+def halo_planes(
+    kind: str,
+    bounds: Sequence[Tuple[int, int]],
+    alloc: Sequence[Tuple[int, int]],
+) -> Iterator[Tuple[int, int, int]]:
+    """The plane copies of a ``wrap``/``reflect`` fill, in execution order.
+
+    Yields ``(dim, dest, source)``: along 0-based ``dim``, raw storage
+    plane ``dest`` (outside ``bounds``, inside the allocation ``alloc``)
+    is overwritten from raw plane ``source``.  Dimensions go in order and
+    within one the low halo precedes the high halo, so corner cells
+    combine both dimensions' rules; the interpreters and all three
+    emitters replay exactly this sequence.
+    """
+    for dim, ((lo, hi), (alo, ahi)) in enumerate(zip(bounds, alloc)):
+        lo_raw = lo - alo
+        hi_raw = hi - alo
+        period = hi_raw - lo_raw + 1
+        for raw in (*range(0, lo_raw), *range(hi_raw + 1, ahi - alo + 1)):
+            if kind == "wrap":
+                yield dim, raw, lo_raw + ((raw - lo_raw) % period)
+            elif raw < lo_raw:
+                yield dim, raw, 2 * lo_raw - 1 - raw
+            else:
+                yield dim, raw, 2 * hi_raw + 1 - raw
 
 
 def slice_start_stop(

@@ -3,17 +3,31 @@
 Scalarization turns each fusible cluster into a single :class:`LoopNest`: a
 rank-n nest of element loops described by the cluster's region and loop
 structure vector, with one element assignment per statement.  Contracted
-arrays appear as plain scalars.  Reductions lower to accumulation nests.
+arrays appear as plain scalars.
+
+:class:`LoopNest` is the only node that touches array elements.  A
+reduction is not a second kind of kernel: it is a *fold statement* (an
+:class:`ElemAssign` with ``reduce_op`` set) inside a nest, preceded by a
+:class:`ScalarAssign` of the operator's identity, whether the reduction
+was fused with its neighbours or stands alone.  Everything else is scalar
+control flow (:class:`ScalarAssign`, :class:`SeqLoop`, :class:`SIf`,
+:class:`SWhile`) or a halo fill (:class:`SBoundary`).
+
+Consumers query the tree instead of recursing through it themselves:
+:func:`walk` enumerates every node in pre-order, and
+:meth:`LoopNest.reads` / :meth:`LoopNest.writes` /
+:meth:`LoopNest.arrays` / :meth:`LoopNest.scalar_reads` say what a nest
+touches.
 
 This IR is what the interpreters execute, the cache simulator traces, and
-the C code generator prints.
+the code generators print.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.ir.expr import IRExpr
+from repro.ir.expr import ArrayRef, IRExpr
 from repro.ir.region import Region
 from repro.util.vectors import IntVector
 
@@ -109,6 +123,26 @@ class LoopNest(SNode):
     def rank(self) -> int:
         return self.region.rank
 
+    def reads(self) -> List[ArrayRef]:
+        """Every array reference on a right-hand side, in statement order."""
+        return [ref for stmt in self.body for ref in stmt.rhs.array_refs()]
+
+    def writes(self) -> List[str]:
+        """The arrays the nest stores to, in first-write order."""
+        return list(
+            dict.fromkeys(
+                stmt.target for stmt in self.body if stmt.target is not None
+            )
+        )
+
+    def arrays(self) -> Set[str]:
+        """Every array the nest reads or stores to."""
+        return {ref.name for ref in self.reads()}.union(self.writes())
+
+    def scalar_reads(self) -> Set[str]:
+        """The scalars any right-hand side reads."""
+        return {ref.name for stmt in self.body for ref in stmt.rhs.scalar_refs()}
+
     def __repr__(self) -> str:
         return "LoopNest(%s, p=%s, %d stmts)" % (
             self.region,
@@ -116,25 +150,6 @@ class LoopNest(SNode):
             len(self.body),
         )
 
-
-class ReductionLoop(SNode):
-    """A reduction of an element-wise expression over a region to a scalar."""
-
-    __slots__ = ("target", "op", "region", "operand")
-
-    def __init__(self, target: str, op: str, region: Region, operand: IRExpr):
-        self.target = target
-        self.op = op
-        self.region = region
-        self.operand = operand
-
-    def __repr__(self) -> str:
-        return "ReductionLoop(%s := %s<< %s %s)" % (
-            self.target,
-            self.op,
-            self.region,
-            self.operand,
-        )
 
 
 class SBoundary(SNode):
@@ -209,6 +224,21 @@ class SWhile(SNode):
         return "SWhile(%s)" % (self.cond,)
 
 
+def walk(body: Sequence[SNode]) -> Iterator[SNode]:
+    """Every node under ``body``, pre-order, through all control flow.
+
+    A :class:`SeqLoop`, :class:`SIf` (then-branch before else-branch) or
+    :class:`SWhile` is yielded before the nodes it contains.
+    """
+    for node in body:
+        yield node
+        if isinstance(node, (SeqLoop, SWhile)):
+            yield from walk(node.body)
+        elif isinstance(node, SIf):
+            yield from walk(node.then_body)
+            yield from walk(node.else_body)
+
+
 class ScalarProgram:
     """A fully scalarized program, ready for execution or code generation."""
 
@@ -235,22 +265,21 @@ class ScalarProgram:
 
     def loop_nests(self) -> List[LoopNest]:
         """All loop nests in the program, in pre-order."""
-        result: List[LoopNest] = []
+        return [node for node in walk(self.body) if isinstance(node, LoopNest)]
 
-        def visit(body: Sequence[SNode]) -> None:
-            for node in body:
-                if isinstance(node, LoopNest):
-                    result.append(node)
-                elif isinstance(node, SeqLoop):
-                    visit(node.body)
-                elif isinstance(node, SIf):
-                    visit(node.then_body)
-                    visit(node.else_body)
-                elif isinstance(node, SWhile):
-                    visit(node.body)
+    def region_free_variables(self) -> Set[str]:
+        """Names referenced symbolically by any region bound in the program.
 
-        visit(self.body)
-        return result
+        Emitters render symbolic bounds textually (``range(1, n + 1)``), so
+        the configuration scalars among these must exist in generated code.
+        """
+        regions = [region for region, _kind in self.array_allocs.values()]
+        regions.extend(
+            node.region
+            for node in walk(self.body)
+            if isinstance(node, (LoopNest, SBoundary))
+        )
+        return {name for region in regions for name in region.free_variables()}
 
     def array_count(self) -> int:
         """Number of arrays still requiring allocation."""

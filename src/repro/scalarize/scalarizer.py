@@ -32,7 +32,6 @@ from repro.scalarize.emit_common import infer_expr_kind
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -174,8 +173,28 @@ class Scalarizer:
             return [SWhile(stmt.cond, self._convert_body(stmt.body))]
         raise ScalarizationError("unexpected statement %r" % stmt)
 
+    def _fold_nest(self, target: str, node: ir.Reduce) -> List[SNode]:
+        """``target := identity`` then a one-statement fold nest over the region."""
+        kind = self._expr_kind(node.operand)
+        step = ElemAssign(
+            None, target, self._rewrite(node.operand), reduce_op=node.op
+        )
+        structure = tuple(range(1, node.region.rank + 1))
+        return [
+            ScalarAssign(target, _reduction_init(node.op, kind)),
+            LoopNest(node.region, structure, [step], carried_depth=0),
+        ]
+
     def _convert_scalar_statement(self, stmt: ScalarStatement) -> List[SNode]:
-        """Lower a scalar assignment, extracting reductions into loops."""
+        """Lower a scalar assignment, extracting reductions into fold nests.
+
+        Normalization hoists every source-level reduction into a block
+        (see :meth:`_convert_block`); only hand-built IR still carries an
+        ``ir.Reduce`` here, and it lowers to the same form.
+        """
+        if isinstance(stmt.rhs, ir.Reduce):
+            # The whole RHS is one reduction: fold straight into the target.
+            return self._fold_nest(stmt.target, stmt.rhs)
         extracted: List[SNode] = []
 
         def visit(node: ir.IRExpr) -> Optional[ir.IRExpr]:
@@ -183,26 +202,11 @@ class Scalarizer:
                 self._reduce_temp_count += 1
                 temp = "_red%d" % self._reduce_temp_count
                 self._scalars[temp] = self._expr_kind(node.operand)
-                extracted.append(
-                    ReductionLoop(
-                        temp, node.op, node.region, self._rewrite(node.operand)
-                    )
-                )
+                extracted.extend(self._fold_nest(temp, node))
                 return ir.ScalarRef(temp)
             return None
 
         rhs = stmt.rhs.map(visit)
-        if (
-            len(extracted) == 1
-            and isinstance(rhs, ir.ScalarRef)
-            and isinstance(extracted[0], ReductionLoop)
-            and rhs.name == extracted[0].target
-        ):
-            # The whole RHS was a single reduction: reduce straight into the
-            # target instead of a temporary.
-            only = extracted[0]
-            self._scalars.pop(only.target, None)
-            return [ReductionLoop(stmt.target, only.op, only.region, only.operand)]
         return extracted + [ScalarAssign(stmt.target, rhs)]
 
     def _convert_block(self, block: List[ArrayStatement]) -> List[SNode]:

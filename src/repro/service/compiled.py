@@ -204,16 +204,6 @@ class CompiledProgram:
             self.metrics.incr("execute.tuned_requests")
         return result
 
-    def execute_many(self, requests, workers: Optional[int] = None):
-        """Run a batch of requests, optionally across a thread pool."""
-        requests = list(requests)
-        if workers is not None and workers > 1 and len(requests) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(self.execute, requests))
-        return [self.execute(request) for request in requests]
-
     # -- loaded-run memoization -------------------------------------------
 
     def _load(self, backend: Backend):

@@ -16,7 +16,6 @@ from worker-pool threads.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -199,9 +198,6 @@ class Metrics:
                     for name, stat in sorted(self._timers.items())
                 },
             }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def reset(self) -> None:
         with self._lock:

@@ -23,7 +23,7 @@ from concurrent.futures import Future
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exec import Artifacts, ExecutionResult, get_backend
-from repro.fusion import C2P, LEVELS_BY_NAME, Level, plan_program
+from repro.fusion import Level, plan_program, resolve_level
 from repro.ir import normalize_source
 from repro.obs.tracer import NOOP_SPAN, TracedTimers, resolve_tracer
 from repro.scalarize import scalarize
@@ -31,7 +31,7 @@ from repro.service import fingerprint
 from repro.service.cache import ArtifactCache
 from repro.service.compiled import CompiledProgram, Request, split_request
 from repro.service.metrics import Metrics
-from repro.util.errors import BackendUnavailableError, ReproError
+from repro.util.errors import BackendUnavailableError
 
 #: Compile passes timed on every cold compile, in pipeline order.
 COMPILE_PASSES = (
@@ -42,22 +42,6 @@ COMPILE_PASSES = (
     "compile.codegen",
     "compile.cc",
 )
-
-
-def _resolve_level(level: Union[Level, str, None], default: str) -> Level:
-    if level is None:
-        level = default
-    if isinstance(level, Level):
-        return level
-    if level == C2P.name:
-        return C2P
-    resolved = LEVELS_BY_NAME.get(level)
-    if resolved is None:
-        raise ReproError(
-            "unknown level %r (choose from %s)"
-            % (level, ", ".join(sorted(set(LEVELS_BY_NAME) | {C2P.name})))
-        )
-    return resolved
 
 
 class Service:
@@ -78,7 +62,7 @@ class Service:
         tune: object = False,
         trace: object = None,
     ) -> None:
-        self.level = _resolve_level(level, "c2")
+        self.level = resolve_level(level, "c2")
         self.backend = get_backend(backend).name
         self.metrics = metrics or Metrics()
         # Every statically-named counter starts visible at zero, so a
@@ -136,7 +120,7 @@ class Service:
         backend: Optional[str] = None,
     ) -> str:
         """The content address ``compile`` would use for these inputs."""
-        level_obj = _resolve_level(level, self.level.name)
+        level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
         return fingerprint.source_digest(
             source,
@@ -227,7 +211,7 @@ class Service:
         if tuned is not None:
             level = tuned.level
             backend = tuned.backend
-        level_obj = _resolve_level(level, self.level.name)
+        level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
         plan = {
             "level": level_obj.name,
@@ -262,7 +246,7 @@ class Service:
         Identical to :meth:`compile` minus the normalize pass: cache
         probe, single-flight build, per-pass spans, artifact persistence.
         """
-        level_obj = _resolve_level(level, self.level.name)
+        level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
         if callable(program):
             build_ir = program

@@ -47,7 +47,6 @@ from repro.parallel.tiling import TileShape, halo_elements, plan_tiles
 from repro.scalarize.codegen_np import shard_plan
 from repro.scalarize.loopnest import (
     LoopNest,
-    ReductionLoop,
     SBoundary,
     ScalarAssign,
     ScalarProgram,
@@ -311,10 +310,6 @@ def _collect_profiles(
     for node in body:
         if isinstance(node, LoopNest):
             out.append((_nest_profile(node, program, layout, machine), factor))
-        elif isinstance(node, ReductionLoop):
-            out.append(
-                (_reduction_profile(node, layout, machine), factor)
-            )
         elif isinstance(node, SeqLoop):
             _collect_profiles(
                 node.body, program, layout, factor * _safe_trips(node), machine, out
@@ -355,7 +350,6 @@ def _nest_profile(
     compute = 0.0
     ref_slots = 0.0
     cse_slots = 0.0
-    arrays = set()
     for stmt in nest.body:
         piece = _expr_costs(stmt.rhs, layout)
         compute += (
@@ -365,8 +359,6 @@ def _nest_profile(
             + machine.loop_overhead_cycles
         )
         ref_slots += piece["loads"]
-        for ref in stmt.rhs.array_refs():
-            arrays.add(ref.name)
         # Redundancy-elimination scalars are loop-local values in the
         # element backends, but the slice backends materialize each one
         # as a region-sized temporary: count its def and every use so
@@ -381,7 +373,6 @@ def _nest_profile(
         elif not stmt.is_contracted:
             compute += machine.store_cycles
             ref_slots += 1
-            arrays.add(stmt.target)
     plan = shard_plan(nest, program.partial)
     sweep_bounds: Optional[Tuple[Tuple[int, int], ...]] = None
     serial_iterations = 1.0
@@ -401,42 +392,12 @@ def _nest_profile(
         compute_cycles=compute * points,
         ref_slots=ref_slots,
         cse_slots=cse_slots,
-        distinct_arrays=max(1, len(arrays)),
+        distinct_arrays=max(1, len(nest.arrays())),
         statements=len(nest.body),
         parallel=plan.parallel and sweep_bounds is not None,
         sweep_bounds=sweep_bounds,
         serial_iterations=serial_iterations,
         halo=halo,
-    )
-
-
-def _reduction_profile(
-    node: ReductionLoop, layout: MemoryLayout, machine: MachineModel
-) -> _NestProfile:
-    try:
-        bounds = node.region.concrete_bounds({})
-    except Exception:
-        bounds = tuple((1, UNKNOWN_TRIPS) for _ in node.region.dims)
-    points = _points(bounds)
-    piece = _expr_costs(node.operand, layout)
-    compute = (
-        piece["loads"] * machine.load_hit_cycles
-        + (piece["flops"] + 1) * machine.flop_cycles
-        + piece["intrinsics"] * machine.intrinsic_cycles
-        + machine.loop_overhead_cycles
-    )
-    arrays = {ref.name for ref in node.operand.array_refs()}
-    return _NestProfile(
-        points=points,
-        compute_cycles=compute * points,
-        ref_slots=float(piece["loads"]),
-        cse_slots=0.0,
-        distinct_arrays=max(1, len(arrays)),
-        statements=1,
-        parallel=False,  # tiling a fold would reassociate it
-        sweep_bounds=None,
-        serial_iterations=1.0,
-        halo=(),
     )
 
 

@@ -26,7 +26,7 @@ import contextlib
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.exec import get_backend
-from repro.fusion import plan_program
+from repro.fusion import plan_program, resolve_level
 from repro.ir import normalize_source
 from repro.scalarize import scalarize
 from repro.scalarize.loopnest import ScalarProgram
@@ -134,11 +134,9 @@ def _compile_levels(
     simplify: bool = False,
     metrics: Optional[Metrics] = None,
 ) -> Dict[str, ScalarProgram]:
-    from repro.service.service import _resolve_level
-
     compiled: Dict[str, ScalarProgram] = {}
     for level_name in dict.fromkeys(levels):
-        level = _resolve_level(level_name, level_name)
+        level = resolve_level(level_name)
         timed = (
             metrics.time("tune.compile")
             if metrics is not None

@@ -191,29 +191,6 @@ end;
     assert float(c.scalars["s"]) == (0.0 if n == 0 else 6.0)
 
 
-def test_c_reduction_loop_guard_returns_distinct_status():
-    # The standalone-ReductionLoop guard path: a statically empty region
-    # compiles to ``return 1``, which NativeKernel maps to the same
-    # InterpError message codegen_py raises on that path.
-    from repro.ir.linexpr import LinearExpr
-    from repro.ir.region import Region
-    from repro.ir import expr as ir
-    from repro.scalarize.codegen_c import CGenerator
-    from repro.scalarize.loopnest import ReductionLoop
-
-    _program, sp = compile_at(BASIC_SOURCE)
-    gen = CGenerator(sp, module=True)
-    empty = Region(
-        ((LinearExpr.constant(1), LinearExpr.constant(0)),)
-    )
-    node = ReductionLoop("s", "+", empty, ir.ScalarRef("t"))
-    gen._emit_reduction(node, 1)
-    assert any(
-        "return 1; /* reduction over an empty region */" in line
-        for line in gen._lines
-    )
-
-
 @needs_cc
 def test_c_config_bound_region_extents():
     source = """program sized;

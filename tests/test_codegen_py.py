@@ -111,3 +111,45 @@ class TestBenchmarks:
             assert np.isclose(
                 float(scalars[name]), float(reference.scalars[name])
             ), (bench.name, name)
+
+
+# -- pinned emitter text -----------------------------------------------------
+#
+# sha256 of the three Python emitters' output for every benchsuite program
+# at four levels.  Generated text is what the artifact cache stores under
+# ``fingerprint.CODE_VERSION``: a change here without a version bump would
+# serve stale artifacts.  Regenerate tests/golden/py_emitters.sha256.json
+# (keys ``<bench>|<level>|<renderer>``) only together with such a bump.
+
+
+def _emitter_pins():
+    import json
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), "golden", "py_emitters.sha256.json"
+    )
+    with open(path) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
+def test_python_emitter_text_is_pinned(bench):
+    import hashlib
+
+    from repro.fusion import C2P, LEVELS_BY_NAME
+    from repro.parallel.engine import render_numpy_par
+    from repro.scalarize import render_numpy
+
+    pins = _emitter_pins()
+    renderers = (render_python, render_numpy, render_numpy_par)
+    program = bench.test_program()
+    checked = 0
+    for level in (BASELINE, C2, LEVELS_BY_NAME["c2+f4+cse"], C2P):
+        scalar_program = scalarize(program, plan_program(program, level))
+        for render in renderers:
+            key = "%s|%s|%s" % (bench.name, level.name, render.__name__)
+            digest = hashlib.sha256(render(scalar_program).encode()).hexdigest()
+            assert digest == pins[key], key
+            checked += 1
+    assert checked * len(ALL_BENCHMARKS) == len(pins)

@@ -9,8 +9,10 @@ the generated-code back ends:
 2. Reduction accumulators initialized with float literals (``0.0``,
    ``-math.inf``) regardless of the reduced values' kind, silently
    promoting integer reductions to float.
-3. Reductions over empty regions raising ``InterpError`` in the
-   interpreters but silently returning the identity in generated code.
+3. Reductions over empty regions: the array-level reference raises
+   ``InterpError``; every scalarized backend folds from the operator's
+   identity and so yields it, for source-level and hand-built
+   reductions alike.
 4. Allocation and halo-fill bounds evaluated with an empty environment,
    crashing on region bounds that reference configuration scalars.
 """
@@ -144,7 +146,7 @@ def test_integer_reduction_init_literals_are_integral():
         assert "k = 0.0" not in source and "m = 0.0" not in source
 
 
-# -- 3: empty-region reductions raise everywhere ----------------------------
+# -- 3: empty-region and stand-alone reductions ------------------------------
 
 EMPTY_REDUCE_SOURCE = """
 program emptyred;
@@ -165,67 +167,142 @@ def test_empty_reduction_raises_in_reference():
         run_reference(normalize_source(EMPTY_REDUCE_SOURCE))
 
 
-def empty_reduction_program(lo=3, hi=2):
-    """A hand-built program with a :class:`ReductionLoop` over [lo..hi].
-
-    Source programs lower reductions into fused reduction statements;
-    ``ReductionLoop`` appears for programmatically built scalar programs,
-    and the interpreter raises on empty regions while generated code used
-    to silently return the identity.
-    """
-    from repro.scalarize.loopnest import ReductionLoop
-
-    region = Region([(LinearExpr(1), LinearExpr(4))])
-    nest = LoopNest(
-        region,
-        (1,),
-        [ElemAssign("A", None, ir.Const(1.0))],
-        carried_depth=0,
-    )
-    reduce_region = Region([(LinearExpr(lo), LinearExpr(hi))])
-    loop = ReductionLoop("s", "+", reduce_region, ir.ArrayRef("A", (0,)))
-    return ScalarProgram(
-        "emptyloop",
-        {},
-        {"A": (region, "float")},
-        {"s": "float"},
-        [nest, loop],
-    )
-
-
 @pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
-def test_empty_reduction_loop_raises_on_every_backend(backend):
-    with pytest.raises(InterpError, match="empty region"):
-        execute(empty_reduction_program(), backend)
+def test_empty_source_reduction_yields_the_identity(backend):
+    # The array-level reference raises (above); every scalarized backend
+    # starts the fold from the operator's identity and adds nothing.
+    program = normalize_source(EMPTY_REDUCE_SOURCE)
+    scalar_program = scalarize(program, plan_program(program, BASELINE))
+    assert float(execute(scalar_program, backend).scalars["s"]) == 0.0
+
+
+HAND_REDUCE_SOURCE = """
+program handred;
+config n : integer = 5;
+region R = [1..n];
+var A : [R] float;
+var K : [R] integer;
+var fsum, fprod, fmax, fmin, t : float;
+var ksum, kprod, kmax, kmin : integer;
+begin
+  [R] A := Index1 * 0.5 - 1.25;
+  [R] K := Index1 - 3;
+end;
+"""
+
+_HAND_REDUCTIONS = [
+    (prefix + name, op, array)
+    for prefix, array in (("f", "A"), ("k", "K"))
+    for name, op in (("sum", "+"), ("prod", "*"), ("max", "max"), ("min", "min"))
+]
+
+
+def hand_reduction_ir(lo=1, hi=5):
+    """An IR program with ``ir.Reduce`` left inside scalar statements.
+
+    No frontend produces this (normalization hoists every reduction into
+    a block-resident reduction statement), so it is appended by hand: one
+    whole-RHS reduction per operator and operand kind over ``[lo..hi]``,
+    plus one reduction embedded in a larger expression.
+    """
+    from repro.ir.statement import ScalarStatement
+
+    program = normalize_source(HAND_REDUCE_SOURCE)
+    region = Region([(LinearExpr(lo), LinearExpr(hi))])
+    for target, op, array in _HAND_REDUCTIONS:
+        operand = ir.BinOp("*", ir.ArrayRef(array, (0,)), ir.Const(2))
+        program.body.append(
+            ScalarStatement(target, ir.Reduce(op, region, operand))
+        )
+    program.body.append(
+        ScalarStatement(
+            "t",
+            ir.BinOp(
+                "+",
+                ir.Reduce("max", region, ir.ArrayRef("A", (0,))),
+                ir.Const(1.0),
+            ),
+        )
+    )
+    return program
+
+
+@pytest.mark.parametrize("level", [BASELINE, ALL_LEVELS[-1]], ids=lambda l: l.name)
+def test_hand_built_reduce_lowers_to_identity_plus_fold_nest(level):
+    from repro.scalarize.loopnest import ScalarAssign, walk
+
+    program = hand_reduction_ir()
+    scalar_program = scalarize(program, plan_program(program, level))
+    kinds = {type(node) for node in walk(scalar_program.body)}
+    assert kinds == {ScalarAssign, LoopNest}
+    tail = scalar_program.body[-2 * len(_HAND_REDUCTIONS) - 3 : -3]
+    for (target, op, _array), init, nest in zip(
+        _HAND_REDUCTIONS, tail[0::2], tail[1::2]
+    ):
+        assert isinstance(init, ScalarAssign) and init.target == target
+        assert isinstance(init.rhs, ir.Const)
+        assert isinstance(init.rhs.value, int if target[0] == "k" else float)
+        assert nest.structure == (1,) and nest.carried_depth == 0
+        (fold,) = nest.body
+        assert (fold.scalar_target, fold.reduce_op) == (target, op)
+    # The embedded reduction folds into a typed temporary first.
+    init, nest, assign = scalar_program.body[-3:]
+    assert init.target == nest.body[0].scalar_target == "_red1"
+    assert scalar_program.scalars["_red1"] == "float"
+    assert assign.target == "t"
 
 
 @pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
 def test_nonempty_reduction_loop_still_works(backend):
-    result = execute(empty_reduction_program(2, 4), backend)
-    assert float(result.scalars["s"]) == 3.0
+    # A stand-alone reduction (hand-built ``ir.Reduce`` in a scalar
+    # statement) agrees with the array-level reference for every operator
+    # over float and integer operands.
+    program = hand_reduction_ir()
+    reference = run_reference(program)
+    result = execute(scalarize(program, plan_program(program, BASELINE)), backend)
+    for target, _op, _array in _HAND_REDUCTIONS + [("t", "max", "A")]:
+        value, expected = result.scalars[target], reference.scalars[target]
+        if target[0] == "k":
+            assert isinstance(value, (int, np.integer)), (target, type(value))
+            assert int(value) == int(expected), target
+        else:
+            assert np.isclose(float(value), float(expected), rtol=1e-12), target
+
+
+@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
+def test_empty_standalone_reduction_yields_the_identity(backend):
+    # Like every source-level reduction, a hand-built stand-alone one over
+    # an empty region leaves the identity (it used to raise).
+    program = hand_reduction_ir(3, 2)
+    result = execute(scalarize(program, plan_program(program, BASELINE)), backend)
+    assert float(result.scalars["fsum"]) == 0.0
+    assert float(result.scalars["fprod"]) == 1.0
+    assert float(result.scalars["fmax"]) == -np.inf
+    assert int(result.scalars["ksum"]) == 0
+    assert int(result.scalars["kmin"]) == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
 def test_empty_fused_reduction_leaves_the_accumulator(backend):
-    # A reduction *statement* fused into a nest folds from its
-    # accumulator, so over an empty region it adds nothing (only the
-    # stand-alone ReductionLoop above has no value to return).
-    program = empty_reduction_program(2, 4)
-    program.body.append(
-        LoopNest(
-            Region([(LinearExpr(3), LinearExpr(2))]),
-            (1,),
-            [ElemAssign(None, "s", ir.ArrayRef("A", (0,)), reduce_op="+")],
-            carried_depth=0,
-        )
+    # A fold statement starts from its accumulator's value, so over an
+    # empty region it adds nothing.
+    region = Region([(LinearExpr(1), LinearExpr(4))])
+    empty = Region([(LinearExpr(3), LinearExpr(2))])
+    fold = [ElemAssign(None, "s", ir.ArrayRef("A", (0,)), reduce_op="+")]
+    program = ScalarProgram(
+        "emptyfold",
+        {},
+        {"A": (region, "float")},
+        {"s": "float"},
+        [
+            LoopNest(
+                region, (1,), [ElemAssign("A", None, ir.Const(1.0))], carried_depth=0
+            ),
+            LoopNest(region, (1,), fold, carried_depth=0),
+            LoopNest(empty, (1,), fold, carried_depth=0),
+        ],
     )
-    assert float(execute(program, backend).scalars["s"]) == 3.0
-
-
-def test_empty_reduction_guard_is_emitted():
-    program = empty_reduction_program()
-    for source in (render_python(program), render_numpy(program)):
-        assert "raise InterpError" in source
+    assert float(execute(program, backend).scalars["s"]) == 4.0
 
 
 # -- 4: config-dependent region bounds --------------------------------------

@@ -93,6 +93,38 @@ class TestExecute:
         assert err.value.status == 500
         assert "allocation needs" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field,value", [("level", "zzz"), ("backend", "bogus")]
+    )
+    def test_unknown_level_or_backend_is_a_400_before_admission(
+        self, daemon, field, value
+    ):
+        # A client typo costs no queue slot and no worker dispatch.
+        offered = []
+        offer = daemon.queue.offer
+        daemon.queue.offer = lambda job: offered.append(job) or offer(job)
+        before = daemon.metrics.counter("daemon.dispatches")
+        with DaemonClient(port=daemon.port) as client:
+            with pytest.raises(DaemonError) as err:
+                client.execute(SOURCE, **{field: value})
+            assert err.value.status == 400
+            assert "unknown %s %r" % (field, value) in str(err.value)
+            assert client.execute(SOURCE)["scalars"]["s"] == pytest.approx(1504.0)
+        assert len(offered) == 1  # only the valid request was enqueued
+        assert daemon.metrics.counter("daemon.dispatches") == before + 1
+
+    def test_alias_and_canonical_backend_share_one_admission_digest(self, daemon):
+        digests = []
+        offer = daemon.queue.offer
+        daemon.queue.offer = lambda job: digests.append(job.digest) or offer(job)
+        with DaemonClient(port=daemon.port) as client:
+            for backend in ("np", "codegen_np", "NumPy", None):
+                client.execute(SOURCE, backend=backend)
+            client.execute(SOURCE, backend="py")
+        assert len(digests) == 5
+        assert len(set(digests[:4])) == 1  # one batching key per artifact
+        assert digests[4] != digests[0]
+
     def test_bad_frame_is_a_400(self, daemon):
         import http.client
 

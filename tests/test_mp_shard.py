@@ -49,20 +49,14 @@ def bench_program(name, level="Level(c2)"):
 def _all_runs(program):
     """Maximal consecutive loop-nest sequences, as the executor groups
     them — including runs nested inside sequential control flow."""
-    from repro.scalarize.loopnest import (
-        LoopNest,
-        ReductionLoop,
-        SeqLoop,
-        SIf,
-        SWhile,
-    )
+    from repro.scalarize.loopnest import LoopNest, SeqLoop, SIf, SWhile
 
     runs = []
 
     def walk(body):
         current = []
         for node in body:
-            if isinstance(node, (LoopNest, ReductionLoop)):
+            if isinstance(node, LoopNest):
                 current.append(node)
                 continue
             if current:

@@ -79,7 +79,7 @@ def run_of(program, level=BASELINE):
     return [
         node
         for node in sp.body
-        if type(node).__name__ in ("LoopNest", "ReductionLoop")
+        if type(node).__name__ == "LoopNest"
     ], sp
 
 

@@ -7,7 +7,6 @@ from repro.ir import normalize_source
 from repro.scalarize import (
     ElemAssign,
     LoopNest,
-    ReductionLoop,
     ScalarAssign,
     SeqLoop,
     compile_program,
@@ -60,6 +59,79 @@ class TestLoopNests:
         nests = sp.loop_nests()
         targets = [stmt.target for nest in nests for stmt in nest.body]
         assert targets.index("A") < targets.index("C")
+
+
+class TestQueries:
+    """``walk`` / ``reads`` / ``writes`` / ``arrays`` / ``scalar_reads``."""
+
+    @staticmethod
+    def reference_loop_nests(body):
+        # The hand-written recursion ``loop_nests`` used before ``walk``.
+        from repro.scalarize import SIf, SWhile
+
+        result = []
+        for node in body:
+            if isinstance(node, LoopNest):
+                result.append(node)
+            elif isinstance(node, (SeqLoop, SWhile)):
+                result.extend(TestQueries.reference_loop_nests(node.body))
+            elif isinstance(node, SIf):
+                result.extend(TestQueries.reference_loop_nests(node.then_body))
+                result.extend(TestQueries.reference_loop_nests(node.else_body))
+        return result
+
+    def test_walk_order_matches_the_recursion_it_replaced(self):
+        from repro.benchsuite import get_benchmark
+        from repro.fusion import ALL_LEVELS
+        from repro.scalarize import walk
+
+        for name in ("SP", "Tomcatv"):
+            program = get_benchmark(name).test_program()
+            for level in ALL_LEVELS:
+                sp = compile_program(program, level)
+                expected = self.reference_loop_nests(sp.body)
+                assert len(expected) > 1
+                walked = [n for n in walk(sp.body) if isinstance(n, LoopNest)]
+                assert [id(n) for n in walked] == [id(n) for n in expected]
+                assert [id(n) for n in sp.loop_nests()] == [
+                    id(n) for n in expected
+                ]
+
+    def test_walk_yields_parents_before_children_and_then_before_else(self):
+        from repro.scalarize import SIf, walk
+
+        body = (
+            "for i := 1 to 2 do\n"
+            "  if i > 1 then [R] A := B; else [R] C := B; s := 1.0; end;\n"
+            "end;\ns := 2.0;"
+        )
+        program, sp = compiled(body, BASELINE)
+        kinds = [type(node).__name__ for node in walk(sp.body)]
+        assert kinds == [
+            "SeqLoop", "SIf", "LoopNest", "LoopNest", "ScalarAssign",
+            "ScalarAssign",
+        ]
+        nests = sp.loop_nests()
+        assert [nest.writes() for nest in nests] == [["A"], ["C"]]
+        assert isinstance(sp.body[0].body[0], SIf)
+
+    def test_reads_writes_scalar_reads(self):
+        program, sp = compiled(
+            "s := 2.0;\n[R] B := A@(0,1) * s + A;\n[R] C := B + B@(1,0);",
+            BASELINE,
+        )
+        nests = sp.loop_nests()
+        assert [(r.name, r.offset) for r in nests[0].reads()] == [
+            ("A", (0, 1)), ("A", (0, 0)),
+        ]
+        assert nests[0].writes() == ["B"]
+        assert nests[0].arrays() == {"A", "B"}
+        assert nests[0].scalar_reads() == {"s"}
+        assert nests[1].scalar_reads() == set()
+        program, sp = compiled("[R] B := A;\ns := +<< [R] B;")
+        (nest,) = sp.loop_nests()
+        assert nest.writes() == []  # B contracted, s is a fold target
+        assert [r.name for r in nest.reads()] == ["A"]
 
 
 class TestContractionRewrite:

@@ -41,10 +41,7 @@ from repro.parallel.tiling import (
     tile_count,
 )
 from repro.scalarize import scalarize
-from repro.scalarize.codegen_np import (
-    program_shard_plans,
-    shard_plan,
-)
+from repro.scalarize.codegen_np import shard_plan
 from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
 from repro.service.metrics import Metrics
 from repro.util.errors import MachineError
@@ -182,7 +179,10 @@ def _nests(source, level_name="c2"):
     program = normalize_source(source)
     plan = plan_program(program, LEVELS_BY_NAME[level_name])
     scalar_program = scalarize(program, plan)
-    return scalar_program, program_shard_plans(scalar_program)
+    return scalar_program, [
+        (nest, shard_plan(nest, scalar_program.partial))
+        for nest in scalar_program.loop_nests()
+    ]
 
 
 def test_stencil_plan_is_parallel_with_halo_from_offsets():
