@@ -6,10 +6,12 @@ a single :class:`~repro.scalarize.loopnest.ScalarProgram` — and every
 :class:`Backend` record turns it into a callable the same way:
 ``render(program)`` produces the backend's source text (``None`` for the
 backends that run the program directly), ``load(program, code,
-artifacts)`` produces ``run``, and ``run(inputs, **options)`` returns an
-:class:`ExecutionResult`.  :func:`execute`, the serving layer, the
-autotuner and ``mp-shard``'s per-worker executor all go through that
-record, so adding a backend is one entry in :data:`BACKENDS`.
+artifacts)`` produces ``run``, and ``run(inputs, scalars=None,
+**options)`` returns an :class:`ExecutionResult` (``scalars`` carries the
+starting values of the program's ``scalar_inputs``, if it declares any).
+:func:`execute`, the serving layer, the autotuner and ``mp-shard``'s
+per-worker executor all go through that record, so adding a backend is
+one entry in :data:`BACKENDS`.
 
 ``interp``
     The tree-walking loop interpreter (:mod:`repro.interp.loop_interp`).
@@ -95,7 +97,12 @@ class Artifacts(NamedTuple):
     timers: object = None
 
 
-#: ``run(inputs, **options)``: one execution of a loaded program.
+#: Optional per-request scalars: the starting value of every name in the
+#: program's ``scalar_inputs`` (:func:`emit_common.validate_scalars`).
+InitialScalars = Optional[Mapping[str, object]]
+
+#: ``run(inputs, scalars=None, **options)``: one execution of a loaded
+#: program.
 Run = Callable[..., ExecutionResult]
 
 
@@ -131,29 +138,44 @@ def _render_numpy_par(program: ScalarProgram) -> str:
 def _load_interp(program: ScalarProgram, code=None, artifacts=None) -> Run:
     from repro.interp import run_scalarized
 
-    def run(inputs: InitialArrays = None) -> ExecutionResult:
-        storage = run_scalarized(program, inputs)
+    def run(
+        inputs: InitialArrays = None, scalars: InitialScalars = None
+    ) -> ExecutionResult:
+        storage = run_scalarized(program, inputs, scalars)
         return ExecutionResult(storage.snapshot(), dict(storage.scalars))
 
     return run
 
 
 def _generated_entry(render, filename: str, program: ScalarProgram, code):
-    """The ``run`` function of one generated-Python module."""
+    """The ``run`` function of one generated-Python module.
+
+    Generated modules take ``_scalars`` only when the program declares
+    scalar inputs, so it is passed by keyword and only when present.
+    """
     if code is None:
         code = render(program)
     namespace: Dict[str, object] = {}
     exec(compile(code, filename, "exec"), namespace)
-    return namespace["run"]
+    entry = namespace["run"]
+
+    def call(inputs, scalars, *args):
+        if scalars is None:
+            return entry(inputs, *args)
+        return entry(inputs, *args, _scalars=scalars)
+
+    return call
 
 
 def _generated_loader(render, filename: str):
     def load(program: ScalarProgram, code=None, artifacts=None) -> Run:
         entry = _generated_entry(render, filename, program, code)
 
-        def run(inputs: InitialArrays = None) -> ExecutionResult:
-            arrays, scalars = entry(inputs)
-            return ExecutionResult(dict(arrays), dict(scalars))
+        def run(
+            inputs: InitialArrays = None, scalars: InitialScalars = None
+        ) -> ExecutionResult:
+            arrays, final = entry(inputs, scalars)
+            return ExecutionResult(dict(arrays), dict(final))
 
         return run
 
@@ -167,6 +189,7 @@ def _load_np_par(program: ScalarProgram, code=None, artifacts=None) -> Run:
 
     def run(
         inputs: InitialArrays = None,
+        scalars: InitialScalars = None,
         workers: Optional[int] = None,
         tile_shape=None,
         engine=None,
@@ -175,8 +198,8 @@ def _load_np_par(program: ScalarProgram, code=None, artifacts=None) -> Run:
             from repro.parallel.engine import TileEngine
 
             engine = TileEngine(workers=workers, tile_shape=tile_shape)
-        arrays, scalars = entry(inputs, engine)
-        return ExecutionResult(dict(arrays), dict(scalars))
+        arrays, final = entry(inputs, scalars, engine)
+        return ExecutionResult(dict(arrays), dict(final))
 
     return run
 
@@ -189,9 +212,11 @@ def _load_c(program: ScalarProgram, code=None, artifacts=None) -> Run:
     kernel = native.kernel_for_source(code, artifacts=artifacts)
     abi = c_abi(program)
 
-    def run(inputs: InitialArrays = None) -> ExecutionResult:
-        arrays, scalars = native.run_kernel(kernel, abi, inputs)
-        return ExecutionResult(dict(arrays), dict(scalars))
+    def run(
+        inputs: InitialArrays = None, scalars: InitialScalars = None
+    ) -> ExecutionResult:
+        arrays, final = native.run_kernel(kernel, abi, inputs, scalars)
+        return ExecutionResult(dict(arrays), dict(final))
 
     return run
 
@@ -199,6 +224,7 @@ def _load_c(program: ScalarProgram, code=None, artifacts=None) -> Run:
 def _load_mp_shard(program: ScalarProgram, code=None, artifacts=None) -> Run:
     def run(
         inputs: InitialArrays = None,
+        scalars: InitialScalars = None,
         procs: Optional[int] = None,
         local_backend: str = "codegen_np",
         comm_options=None,
@@ -208,6 +234,7 @@ def _load_mp_shard(program: ScalarProgram, code=None, artifacts=None) -> Run:
         result, _report = execute_sharded(
             program,
             initial_arrays=inputs,
+            initial_scalars=scalars,
             procs=procs,
             local_backend=local_backend,
             comm_options=comm_options,
@@ -305,6 +332,7 @@ def execute(
     program: ScalarProgram,
     backend: str = "interp",
     initial_arrays: InitialArrays = None,
+    initial_scalars: InitialScalars = None,
     **options,
 ) -> ExecutionResult:
     """Execute a scalarized program on the named backend.
@@ -314,11 +342,18 @@ def execute(
     itself allocate (exactly what a previous run's result holds).
     Unknown names, shape mismatches and unsafe dtype casts raise
     :class:`repro.util.errors.InputError` before anything executes.
+    ``initial_scalars`` supplies the starting value of every name in
+    ``program.scalar_inputs`` (none for frontend-produced programs) under
+    the same contract: unknown, missing or wrong-kind names raise
+    ``InputError`` first.
     Keyword ``options`` pass through to the backend (``np-par`` takes
     ``workers=``, ``tile_shape=`` or ``engine=``); backends reject
     options they do not understand.
     """
-    from repro.scalarize.emit_common import validate_inputs
+    from repro.scalarize.emit_common import validate_inputs, validate_scalars
 
     initial_arrays = validate_inputs(program, initial_arrays)
-    return get_backend(backend).load(program)(initial_arrays, **options)
+    initial_scalars = validate_scalars(program, initial_scalars)
+    return get_backend(backend).load(program)(
+        initial_arrays, initial_scalars, **options
+    )

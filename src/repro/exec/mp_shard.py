@@ -22,8 +22,29 @@ exchange ordinals agree without any coordination messages.  The walk
 executes runs of consecutive :class:`~repro.scalarize.loopnest.LoopNest`
 nodes (the one node kind that touches arrays; a reduction is a fold
 statement inside one) and evaluates everything else as replicated scalar
-control flow.  Reduction results and contraction-corner scalars are
-broadcast through a small pickle segment so the replicas never diverge.
+control flow.
+
+Kernels are compiled once, not once per invocation.  Every nest a worker
+executes becomes a one-nest mini-program whose region is *symbolic* over
+reserved integer scalars (``__shard_lo<d>`` / ``__shard_hi<d>``) and whose
+live-in scalars are declared ``scalar_inputs``; the local backend loads
+it once per (nest, kind, allocation bounds) and every later execution —
+the next row of a sweep, the next time step — is a call with that
+invocation's clamp bounds and scalar values as arguments
+(``comm.kernel_loads`` counts the loads).
+
+Scalars travel through a small pickle segment.  Reduction results are
+broadcast from rank 0 as soon as they are folded, because replicated
+control flow usually tests them next.  A *contraction-corner* scalar (the
+value a contracted array's scalar holds after its nest's final index
+point, which only the rank owning that point computes) is merely recorded
+as *pending* on its owner: almost nothing ever reads one, so it is
+broadcast only before something does — a nest whose body observes it
+before redefining it, a region bound, a ``ScalarAssign`` / ``SeqLoop`` /
+``SIf`` / ``SWhile`` expression — and at the end of the run, so rank 0
+returns the oracle's final scalars.  Every rank takes the same flush
+decisions because they depend only on the lockstep walk
+(``comm.scalar_bcasts`` counts the broadcasts).
 
 Two situations cannot execute clamped and fall back to whole-nest
 execution on rank 0 (gather → execute → scatter, counted under
@@ -58,11 +79,22 @@ import struct
 import time
 import traceback
 import uuid
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.interp.evalexpr import eval_scalar
 from repro.ir import expr as ir
+from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.parallel.commopt import ALL_COMM_OPTS, CommOptions
 from repro.parallel.distribution import ProcessorGrid
@@ -80,6 +112,7 @@ from repro.scalarize.emit_common import (
     infer_expr_kind,
     int_config_env,
     validate_inputs,
+    validate_scalars,
 )
 from repro.scalarize.loopnest import (
     ElemAssign,
@@ -102,6 +135,8 @@ _SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
 _SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
 _RED_PREFIX = "__shard_red"
+#: The integer scalar inputs every kernel's region is symbolic over.
+_LO, _HI = "__shard_lo%d", "__shard_hi%d"
 
 #: Every counter a run reports, so unused ones read 0 instead of vanishing.
 _COMM_COUNTERS = (
@@ -112,49 +147,71 @@ _COMM_COUNTERS = (
     "comm.fallback_nests",
     "comm.reduce_bytes",
     "comm.gather_bytes",
+    "comm.kernel_loads",
+    "comm.scalar_bcasts",
 )
 
 
 def default_procs() -> int:
     """Worker count when the caller does not say: $REPRO_PROCS or ≤4."""
-    env = os.environ.get("REPRO_PROCS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    try:
+        return max(1, int(os.environ.get("REPRO_PROCS", "")))
+    except ValueError:
+        return min(4, os.cpu_count() or 1)
 
 
 # -- report types ----------------------------------------------------------
 
 
+class ExchangeDescription(NamedTuple):
+    """What one planned wire message carries, shared by its executions.
+
+    A row sweep executes value-equal messages hundreds of times, so the
+    worker interns descriptions by value and every
+    :class:`ExchangeRecord` of such a message points at one object
+    (pickle's memo keeps the sharing across the result queue).
+    """
+
+    arrays: Tuple[str, ...]
+    events: Tuple[dict, ...]
+    planned_bytes: int
+    model_bytes: int
+    corner_bytes: int
+    post_point: int
+    wait_point: int
+
+
+def _described(name: str) -> property:
+    return property(lambda self: getattr(self.description, name))
+
+
 class ExchangeRecord:
     """One executed wire message, with planned and measured bytes."""
 
-    __slots__ = (
-        "ordinal",
-        "arrays",
-        "events",
-        "planned_bytes",
-        "model_bytes",
-        "corner_bytes",
-        "measured_bytes",
-        "post_point",
-        "wait_point",
-        "duration_us",
-    )
+    __slots__ = ("ordinal", "description", "measured_bytes", "duration_us")
 
-    def __init__(self, ordinal: int, arrays: Tuple[str, ...],
-                 events: List[dict], planned_bytes: int, model_bytes: int,
-                 corner_bytes: int, post_point: int, wait_point: int) -> None:
+    def __init__(self, ordinal: int, description: ExchangeDescription,
+                 measured_bytes: int = 0, duration_us: float = 0.0) -> None:
         self.ordinal = ordinal
-        self.arrays = arrays
-        self.events = events
-        self.planned_bytes = planned_bytes
-        self.model_bytes = model_bytes
-        self.corner_bytes = corner_bytes
-        self.measured_bytes = 0
-        self.post_point = post_point
-        self.wait_point = wait_point
-        self.duration_us = 0.0
+        self.description = description
+        self.measured_bytes = measured_bytes
+        self.duration_us = duration_us
+
+    arrays = _described("arrays")
+    events = _described("events")
+    planned_bytes = _described("planned_bytes")
+    model_bytes = _described("model_bytes")
+    corner_bytes = _described("corner_bytes")
+    post_point = _described("post_point")
+    wait_point = _described("wait_point")
+
+    def __reduce__(self):
+        # Positional, so a report of hundreds of records pickles without
+        # repeating the slot names' state dict per record.
+        return ExchangeRecord, (
+            self.ordinal, self.description, self.measured_bytes,
+            self.duration_us,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -222,7 +279,7 @@ def _intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
 
 
 def _scalar_value(value: object) -> object:
-    """A plain Python value for ``Const`` baking (exact repr round-trip)."""
+    """A plain Python value: what crosses a broadcast or enters a kernel."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -233,12 +290,72 @@ def _scalar_value(value: object) -> object:
 # -- the worker ------------------------------------------------------------
 
 
+class _NestFacts:
+    """What the walk needs to know about one nest, derived once."""
+
+    __slots__ = (
+        "arrays", "writes", "live_in", "corners", "reductions", "kernels",
+    )
+
+    def __init__(self, node: LoopNest, array_kinds: Mapping[str, str],
+                 scalar_kinds: Mapping[str, str]) -> None:
+        self.arrays: Tuple[str, ...] = tuple(sorted(node.arrays()))
+        self.writes: List[str] = node.writes()
+        #: scalars whose pre-nest value the nest observes: a pending one
+        #: among them must be broadcast before the nest runs
+        self.live_in = node.live_in_scalars()
+        #: contraction scalars, left at their corner value by the nest
+        self.corners = [
+            stmt.scalar_target for stmt in node.body
+            if stmt.is_contracted and stmt.reduce_op is None
+        ]
+        #: (scratch array, operand kind, op, accumulator) per fold
+        self.reductions = [
+            (
+                "%s%d" % (_RED_PREFIX, index),
+                infer_expr_kind(stmt.rhs, array_kinds, scalar_kinds),
+                stmt.reduce_op,
+                stmt.scalar_target,
+            )
+            for index, stmt in enumerate(node.body)
+            if stmt.reduce_op is not None
+        ]
+        # Clamped, every fold becomes an elementwise store of its operand
+        # into a per-statement scratch array, *in place* in the body so
+        # earlier contraction scalars still feed it; rank 0 then folds the
+        # assembled full-region scratch in the oracle's order.
+        scratch = iter(self.reductions)
+        zeros = (0,) * node.rank
+        #: mini kind -> (the body its kernel executes, its carried depth)
+        self.kernels = {
+            "clamped": (
+                [
+                    ElemAssign(next(scratch)[0], None, stmt.rhs)
+                    if stmt.reduce_op is not None else stmt
+                    for stmt in node.body
+                ],
+                node.carried_depth,
+            ),
+            "fold": (
+                [
+                    ElemAssign(
+                        None, target, ir.ArrayRef(name, zeros), reduce_op=op
+                    )
+                    for name, _kind, op, target in self.reductions
+                ],
+                0,
+            ),
+            "fallback": (node.body, node.carried_depth),
+        }
+
+
 class _Worker:
     """One shard: local arrays, replicated scalars, the lockstep walk."""
 
     def __init__(self, rank: int, program: ScalarProgram, layout: ShardLayout,
                  options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs: Optional[Mapping[str, np.ndarray]]) -> None:
+                 barrier, inputs: Optional[Mapping[str, np.ndarray]],
+                 scalars: Optional[Mapping[str, object]] = None) -> None:
         self.rank = rank
         self.program = program
         self.layout = layout
@@ -251,6 +368,10 @@ class _Worker:
             name: _SCALAR_DEFAULTS[kind]
             for name, kind in program.scalars.items()
         }
+        self.scalars.update(scalars or {})
+        #: contraction-corner scalars only their owner holds: name -> rank
+        self.pending: Dict[str, int] = {}
+        self.array_kinds = {n: k for n, (_b, k) in layout.allocs.items()}
         self.local_bounds: Dict[str, Bounds] = {}
         self.locals: Dict[str, np.ndarray] = {}
         for name, (bounds, kind) in layout.allocs.items():
@@ -266,7 +387,16 @@ class _Worker:
             self.locals[name] = array
         self.segments: Dict[str, object] = {}
         self.created: List[str] = []
-        self.plan_cache: Dict[object, Tuple[RunPlan, str]] = {}
+        self.plan_cache: Dict[
+            tuple, Tuple[RunPlan, str, Optional[List[ExchangeDescription]]]
+        ] = {}
+        self.facts: Dict[int, _NestFacts] = {}
+        #: (nest identity, mini kind, allocation bounds) -> (loaded run,
+        #: scalar input names besides the region bounds): the one memo
+        #: behind every nest execution
+        self.kernels: Dict[tuple, tuple] = {}
+        self.descriptions: Dict[tuple, ExchangeDescription] = {}
+        self.event_dicts: Dict[tuple, dict] = {}
         self.next_seg = 0
         self.next_ordinal = 0
         self.measured: Dict[int, int] = {}
@@ -306,9 +436,13 @@ class _Worker:
                 except OSError:
                     pass
 
-    def _bcast(self, owner: int, payload: Optional[dict]) -> dict:
-        """Owner → everyone, through the pickle segment, double-fenced."""
+    # -- replicated scalars ------------------------------------------------
+
+    def _bcast(self, owner: int, payload: Optional[dict]) -> None:
+        """Owner → every replica, through the pickle segment, double-fenced."""
         seg = self._segment(self.sid + "_scal", _SCAL_SEG_BYTES)
+        if self.rank == 0:
+            self.counters["comm.scalar_bcasts"] += 1
         if self.rank == owner:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             if len(blob) + 8 > seg.size:
@@ -317,11 +451,36 @@ class _Worker:
             seg.buf[8:8 + len(blob)] = blob
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         (length,) = struct.unpack_from("<Q", seg.buf, 0)
-        out = pickle.loads(bytes(seg.buf[8:8 + length]))
+        self._assign(pickle.loads(bytes(seg.buf[8:8 + length])))
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        return out
 
-    # -- env and mini-program construction ---------------------------------
+    def _assign(self, values: Mapping[str, object]) -> None:
+        """Set scalars to values every rank agrees on."""
+        self.scalars.update(values)
+        for name in values:
+            self.pending.pop(name, None)
+
+    def _flush(self, names: Iterable[str]) -> None:
+        """Broadcast the pending scalars among ``names`` before a read.
+
+        One broadcast per distinct owner, carrying everything still
+        pending there.  ``pending`` evolves identically on every rank, so
+        all of them reach the same barriers.
+        """
+        if not self.pending:
+            return
+        owners = {self.pending[name] for name in names if name in self.pending}
+        for owner in sorted(owners):
+            held = [n for n, rank in self.pending.items() if rank == owner]
+            self._bcast(
+                owner,
+                {name: self.scalars[name] for name in held}
+                if self.rank == owner else None,
+            )
+
+    def _eval(self, expr: ir.IRExpr):
+        self._flush(ref.name for ref in expr.scalar_refs())
+        return eval_scalar(expr, self.scalars)
 
     def _region_env(self) -> Dict[str, int]:
         env = dict(self.config_env)
@@ -333,48 +492,82 @@ class _Worker:
         )
         return env
 
-    def _scalar_kind(self, name: str) -> str:
-        return self.program.scalars.get(name, "float")
+    # -- kernels -----------------------------------------------------------
 
-    def _prologue(self, names: Set[str]) -> List[SNode]:
-        return [
-            ScalarAssign(name, ir.Const(_scalar_value(self.scalars[name])))
-            for name in sorted(names)
-            if name in self.scalars
-        ]
+    def _facts(self, node: LoopNest) -> _NestFacts:
+        facts = self.facts.get(id(node))
+        if facts is None:
+            facts = self.facts[id(node)] = _NestFacts(
+                node, self.array_kinds, self.program.scalars
+            )
+        return facts
 
-    def _mini(self, body_node: LoopNest,
-              allocs: Dict[str, Tuple[Bounds, str]]) -> ScalarProgram:
-        scalar_names = body_node.scalar_reads()
-        scalar_kinds = {
-            name: self._scalar_kind(name) for name in scalar_names
+    def _run_kernel(self, node: LoopNest, kind: str,
+                    allocs: Dict[str, Tuple[Bounds, str]], bounds: Bounds,
+                    arrays: Mapping[str, np.ndarray]):
+        """Execute one mini kind of ``node`` over ``bounds``.
+
+        The kernel is built on first use and kept for the life of the
+        worker: its region is symbolic over the ``__shard_lo/hi`` scalars
+        and every scalar its body observes is a scalar input, so one load
+        serves every clamp and every scalar state the walk ever reaches.
+        """
+        key = (
+            id(node), kind,
+            tuple((name, alloc) for name, (alloc, _kind) in allocs.items()),
+        )
+        kernel = self.kernels.get(key)
+        if kernel is None:
+            kernel = self.kernels[key] = self._load_kernel(node, kind, allocs)
+        run, names = kernel
+        scalars = {name: _scalar_value(self.scalars[name]) for name in names}
+        for d, (lo, hi) in enumerate(bounds, start=1):
+            scalars[_LO % d] = lo
+            scalars[_HI % d] = hi
+        return run(arrays, scalars)
+
+    def _load_kernel(self, node: LoopNest, kind: str,
+                     allocs: Dict[str, Tuple[Bounds, str]]) -> tuple:
+        """(loaded run, its scalar input names besides the region bounds)."""
+        from repro.exec.backends import get_backend
+
+        body, carried_depth = self._facts(node).kernels[kind]
+        dims = range(1, node.rank + 1)
+        nest = LoopNest(
+            Region([
+                (LinearExpr.variable(_LO % d), LinearExpr.variable(_HI % d))
+                for d in dims
+            ]),
+            node.structure, body,
+            cluster_id=node.cluster_id, carried_depth=carried_depth,
+        )
+        names = tuple(sorted(nest.live_in_scalars()))
+        scalars = {
+            name: self.program.scalars.get(name, "float")
+            for name in nest.scalar_reads().union(
+                stmt.scalar_target for stmt in body
+                if stmt.scalar_target is not None
+            )
         }
-        for stmt in body_node.body:
-            if stmt.scalar_target is not None:
-                scalar_kinds[stmt.scalar_target] = self._scalar_kind(
-                    stmt.scalar_target
-                )
-        partial = {
-            name: spec for name, spec in self.program.partial.items()
-            if name in allocs
-        }
-        return ScalarProgram(
+        bound_names = [text % d for d in dims for text in (_LO, _HI)]
+        scalars.update(dict.fromkeys(bound_names, "integer"))
+        mini = ScalarProgram(
             self.program.name + "__shard",
             {},
             {
-                name: (Region.literal(*bounds), kind)
-                for name, (bounds, kind) in allocs.items()
+                name: (Region.literal(*alloc), elem_kind)
+                for name, (alloc, elem_kind) in allocs.items()
             },
-            scalar_kinds,
-            self._prologue(scalar_names) + [body_node],
-            partial=partial,
+            scalars,
+            [nest],
+            partial={
+                name: spec for name, spec in self.program.partial.items()
+                if name in allocs
+            },
+            scalar_inputs=names + tuple(bound_names),
         )
-
-    def _execute_mini(self, mini: ScalarProgram,
-                      arrays: Mapping[str, np.ndarray]):
-        from repro.exec.backends import execute
-
-        return execute(mini, self.local_backend, initial_arrays=dict(arrays))
+        self.counters["comm.kernel_loads"] += 1
+        return get_backend(self.local_backend).load(mini), names
 
     # -- exchange execution ------------------------------------------------
 
@@ -415,14 +608,47 @@ class _Worker:
                     _index(copy.box, sub)
                 ]
 
+    def _describe(self, message) -> ExchangeDescription:
+        """The interned description of one planned message."""
+        events = [
+            (
+                ("array", pe.event.array),
+                ("dim", pe.event.dim),
+                ("direction", pe.event.direction),
+                ("width", pe.event.width),
+                ("nest_index", pe.event.nest_index),
+                ("event_bytes", pe.event.bytes),
+                ("pairs", len(pe.copies)),
+                ("clipped", pe.clipped),
+                ("planned_bytes", pe.bytes),
+                ("model_bytes", pe.model_bytes),
+                ("corner_bytes", pe.corner_bytes),
+            )
+            for pe in message.events
+        ]
+        key = (
+            message.arrays, tuple(events), message.size_bytes,
+            message.model_bytes, message.corner_bytes,
+            message.post_point, message.wait_point,
+        )
+        description = self.descriptions.get(key)
+        if description is None:
+            description = self.descriptions[key] = ExchangeDescription(
+                message.arrays,
+                tuple(
+                    self.event_dicts.setdefault(items, dict(items))
+                    for items in events
+                ),
+                *key[2:],
+            )
+        return description
+
     # -- run execution -----------------------------------------------------
 
-    def _plan_for(self, run: Sequence[LoopNest],
-                  env: Mapping[str, int]) -> Tuple[RunPlan, str]:
-        bounds_key = tuple(
-            tuple(node.region.concrete_bounds(env)) for node in run
-        )
-        key = (tuple(id(node) for node in run), bounds_key)
+    def _plan_for(self, run: Sequence[LoopNest], bounds: Sequence[Bounds],
+                  env: Mapping[str, int]) -> tuple:
+        """(plan, segment name, rank 0's description per message)."""
+        key = (tuple(id(node) for node in run), tuple(bounds))
         entry = self.plan_cache.get(key)
         if entry is None:
             fallback = tuple(
@@ -432,58 +658,40 @@ class _Worker:
             plan = plan_run(run, self.layout, env, self.options, fallback)
             name = "%s_x%d" % (self.sid, self.next_seg)
             self.next_seg += 1
-            entry = (plan, name)
-            self.plan_cache[key] = entry
+            described = (
+                [self._describe(message) for message in plan.messages]
+                if self.rank == 0 else None
+            )
+            entry = self.plan_cache[key] = (plan, name, described)
         return entry
 
     def _exec_run(self, run: Sequence[LoopNest]) -> None:
+        self._flush(
+            name for node in run for name in node.region.free_variables()
+        )
         env = self._region_env()
-        plan, seg_name = self._plan_for(run, env)
+        bounds = [tuple(node.region.concrete_bounds(env)) for node in run]
+        plan, seg_name, described = self._plan_for(run, bounds, env)
         seg = (
             self._segment(seg_name, plan.segment_bytes)
             if plan.segment_bytes else None
         )
         posts: Dict[int, List] = {}
         waits: Dict[int, List] = {}
-        ordinals: Dict[int, int] = {}
+        first = self.next_ordinal  # message.index is its position in the plan
+        self.next_ordinal += len(plan.messages)
         for message in plan.messages:
             posts.setdefault(message.post_point, []).append(message)
             waits.setdefault(message.wait_point, []).append(message)
-            ordinals[message.index] = self.next_ordinal
-            self.next_ordinal += 1
         if self.rank == 0:
             self.counters["comm.exchanges"] += len(plan.messages)
             self.counters["comm.combined"] += plan.combined
             self.counters["comm.eliminated"] += plan.eliminated
             self.counters["comm.fallback_nests"] += len(plan.fallback_indices)
-            for message in plan.messages:
-                self.records.append(
-                    ExchangeRecord(
-                        ordinals[message.index],
-                        message.arrays,
-                        [
-                            {
-                                "array": pe.event.array,
-                                "dim": pe.event.dim,
-                                "direction": pe.event.direction,
-                                "width": pe.event.width,
-                                "nest_index": pe.event.nest_index,
-                                "event_bytes": pe.event.bytes,
-                                "pairs": len(pe.copies),
-                                "clipped": pe.clipped,
-                                "planned_bytes": pe.bytes,
-                                "model_bytes": pe.model_bytes,
-                                "corner_bytes": pe.corner_bytes,
-                            }
-                            for pe in message.events
-                        ],
-                        message.size_bytes,
-                        message.model_bytes,
-                        message.corner_bytes,
-                        message.post_point,
-                        message.wait_point,
-                    )
-                )
+            self.records.extend(
+                ExchangeRecord(first + index, description)
+                for index, description in enumerate(described)
+            )
         fallback = set(plan.fallback_indices)
         for step in range(len(run) + 1):
             post_here = posts.get(step)
@@ -491,153 +699,82 @@ class _Worker:
             if post_here or wait_here:
                 now = time.perf_counter()
                 for message in post_here or ():
-                    self._inflight[ordinals[message.index]] = now
-                    self._write_message(seg, message, ordinals[message.index])
+                    self._inflight[first + message.index] = now
+                    self._write_message(seg, message, first + message.index)
                 self.barrier.wait(_BARRIER_TIMEOUT_S)
                 for message in wait_here or ():
                     self._read_message(seg, message)
                 self.barrier.wait(_BARRIER_TIMEOUT_S)
-                if self.rank == 0 and wait_here:
-                    done = time.perf_counter()
-                    for message in wait_here:
-                        ordinal = ordinals[message.index]
-                        for record in self.records:
-                            if record.ordinal == ordinal:
-                                record.duration_us = (
-                                    done - self._inflight.get(ordinal, now)
-                                ) * 1e6
+                done = time.perf_counter()
+                for message in wait_here or ():
+                    ordinal = first + message.index
+                    posted = self._inflight.pop(ordinal, now)
+                    if self.rank == 0:
+                        # ordinals are dense: a record sits at its ordinal
+                        self.records[ordinal].duration_us = (
+                            done - posted
+                        ) * 1e6
             if step < len(run):
-                node = run[step]
                 if step in fallback:
-                    self._exec_fallback(node, env, seg_name, step)
+                    self._exec_fallback(run[step], bounds[step], seg_name, step)
                 else:
-                    self._exec_clamped(node, env, seg_name, step)
+                    self._exec_clamped(run[step], bounds[step], seg_name, step)
 
     # -- node execution ----------------------------------------------------
 
-    def _local_allocs_for(self, names: Set[str]) -> Dict[str, Tuple[Bounds, str]]:
-        return {
-            name: (self.local_bounds[name], self.layout.allocs[name][1])
-            for name in sorted(names)
-        }
-
-    def _exec_clamped(self, node: LoopNest, env: Mapping[str, int],
+    def _exec_clamped(self, node: LoopNest, bounds: Bounds,
                       seg_prefix: str, step: int) -> None:
-        bounds = tuple(node.region.concrete_bounds(env))
+        facts = self._facts(node)
+        self._flush(facts.live_in)
         clamp = self.layout.clamp(self.rank, bounds)
-        reduce_specs = self._reduce_specs(node)
-        corner_names = self._corner_scalar_names(node)
-        arrays = node.arrays()
         result = None
         if clamp is not None:
-            allocs = self._local_allocs_for(arrays)
-            if reduce_specs:
-                exec_node = self._materialized(node, clamp, reduce_specs)
-                for red_name, _op, _target, rhs in reduce_specs:
-                    kind = infer_expr_kind(
-                        rhs,
-                        {n: k for n, (_b, k) in self.layout.allocs.items()},
-                        self.program.scalars,
-                    )
-                    allocs[red_name] = (clamp, kind)
-            else:
-                exec_node = LoopNest(
-                    Region.literal(*clamp), node.structure, node.body,
-                    cluster_id=node.cluster_id,
-                    carried_depth=node.carried_depth,
-                )
-            mini = self._mini(exec_node, allocs)
-            result = self._execute_mini(mini, {
-                name: self.locals[name] for name in arrays
-            })
-            for name in node.writes():
+            allocs = {
+                name: (self.local_bounds[name], self.array_kinds[name])
+                for name in facts.arrays
+            }
+            for red_name, kind, _op, _target in facts.reductions:
+                allocs[red_name] = (clamp, kind)
+            result = self._run_kernel(
+                node, "clamped", allocs, clamp,
+                {name: self.locals[name] for name in facts.arrays},
+            )
+            for name in facts.writes:
                 self.locals[name] = result.arrays[name]
-        if reduce_specs:
+        if facts.reductions and _elements(bounds):
+            # Over an empty region nothing is folded: every rank sees the
+            # same bounds, so all of them skip the barriers together.
             self._combine_reductions(
-                node, bounds, clamp, reduce_specs, result, seg_prefix, step
+                node, facts, bounds, clamp, result, seg_prefix, step
             )
-        if corner_names:
+        if facts.corners and _elements(bounds):
+            # Only the rank owning the final index point holds the values
+            # serial execution leaves behind; the others learn them when
+            # (if ever) something reads them.
             owner = self.layout.corner_owner(bounds, node.structure)
-            payload = None
-            if self.rank == owner:
-                payload = {
-                    name: _scalar_value(result.scalars[name])
-                    for name in corner_names
-                }
-            updates = self._bcast(owner, payload)
-            self.scalars.update(updates)
+            for name in facts.corners:
+                if self.rank == owner:
+                    self.scalars[name] = _scalar_value(result.scalars[name])
+                self.pending[name] = owner
 
-    def _reduce_specs(self, node: LoopNest):
-        """(scratch array, op, accumulator scalar, operand) per fold."""
-        return [
-            (
-                "%s%d" % (_RED_PREFIX, index),
-                stmt.reduce_op,
-                stmt.scalar_target,
-                stmt.rhs,
-            )
-            for index, stmt in enumerate(node.body)
-            if stmt.reduce_op is not None
-        ]
-
-    def _corner_scalar_names(self, node: LoopNest) -> List[str]:
-        return [
-            stmt.scalar_target for stmt in node.body
-            if stmt.is_contracted and stmt.reduce_op is None
-        ]
-
-    def _materialized(self, node: LoopNest, clamp: Bounds,
-                      reduce_specs) -> LoopNest:
-        """The clamped nest with reductions turned into scratch writes.
-
-        Every reduce statement becomes an elementwise store of its
-        operand into a per-statement scratch array, *in place* in the
-        body so earlier contraction scalars still feed it; rank 0 then
-        folds the assembled full-region scratch in the oracle's order.
-        """
-        by_index = {
-            int(name[len(_RED_PREFIX):]): name
-            for name, _op, _target, _rhs in reduce_specs
-        }
-        body = []
-        for index, stmt in enumerate(node.body):
-            if index in by_index:
-                body.append(ElemAssign(by_index[index], None, stmt.rhs))
-            else:
-                body.append(stmt)
-        return LoopNest(
-            Region.literal(*clamp), node.structure, body,
-            cluster_id=node.cluster_id, carried_depth=node.carried_depth,
-        )
-
-    def _combine_reductions(self, node: LoopNest, bounds: Bounds,
-                            clamp: Optional[Bounds], reduce_specs, result,
+    def _combine_reductions(self, node: LoopNest, facts: _NestFacts,
+                            bounds: Bounds, clamp: Optional[Bounds], result,
                             seg_prefix: str, step: int) -> None:
         """Gather per-point operands to rank 0; fold in oracle order."""
-        full = _elements(bounds)
-        if full == 0:
-            # Every rank sees the same empty bounds, so all of them leave
-            # here together, before the first barrier.  A fold starts
-            # from its accumulator's value: nothing to add.
-            return
-        offsets: Dict[str, int] = {}
-        cursor = 0
-        kinds: Dict[str, str] = {}
-        for red_name, _op, _target, rhs in reduce_specs:
-            kinds[red_name] = infer_expr_kind(
-                rhs,
-                {n: k for n, (_b, k) in self.layout.allocs.items()},
-                self.program.scalars,
+        slot_bytes = _elements(bounds) * ELEM_BYTES
+        seg = self._segment(
+            "%s_r%d" % (seg_prefix, step), slot_bytes * len(facts.reductions)
+        )
+        views = {
+            red_name: np.ndarray(
+                _shape_of(bounds), dtype=DTYPES[kind],
+                buffer=seg.buf, offset=slot * slot_bytes,
             )
-            offsets[red_name] = cursor
-            cursor += full * ELEM_BYTES
-        seg = self._segment("%s_r%d" % (seg_prefix, step), cursor)
-        if clamp is not None and result is not None:
-            for red_name in offsets:
-                view = np.ndarray(
-                    _shape_of(bounds), dtype=DTYPES[kinds[red_name]],
-                    buffer=seg.buf, offset=offsets[red_name],
-                )
+            for slot, (red_name, kind, _op, _target)
+            in enumerate(facts.reductions)
+        }
+        if result is not None:
+            for red_name, view in views.items():
                 view[_index(bounds, clamp)] = result.arrays[red_name]
                 self.counters["comm.reduce_bytes"] += (
                     _elements(clamp) * ELEM_BYTES
@@ -645,104 +782,79 @@ class _Worker:
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         payload = None
         if self.rank == 0:
-            zeros = (0,) * len(bounds)
-            region = Region.literal(*bounds)
-            scratch = {
-                red_name: np.ndarray(
-                    _shape_of(bounds), dtype=DTYPES[kinds[red_name]],
-                    buffer=seg.buf, offset=offsets[red_name],
-                ).copy()
-                for red_name in offsets
-            }
-            fold = LoopNest(
-                region,
-                node.structure,
-                [
-                    ElemAssign(
-                        None, target, ir.ArrayRef(red_name, zeros),
-                        reduce_op=op,
-                    )
-                    for red_name, op, target, _rhs in reduce_specs
-                ],
-                carried_depth=0,
-            )
-            allocs = {
-                red_name: (bounds, kinds[red_name]) for red_name in offsets
-            }
-            mini = self._mini(fold, allocs)
             # Folds start from the accumulator's pre-nest value (the
-            # oracle's ``acc = acc + np.sum(...)``), so seed it.
-            mini.body = [
-                ScalarAssign(
-                    target, ir.Const(_scalar_value(self.scalars[target]))
-                )
-                for _red, _op, target, _rhs in reduce_specs
-            ] + mini.body
-            folded = self._execute_mini(mini, scratch)
+            # oracle's ``acc = acc + np.sum(...)``): it is a scalar input.
+            folded = self._run_kernel(
+                node, "fold",
+                {
+                    red_name: (bounds, kind)
+                    for red_name, kind, _op, _target in facts.reductions
+                },
+                bounds,
+                {red_name: view.copy() for red_name, view in views.items()},
+            )
             payload = {
                 target: _scalar_value(folded.scalars[target])
-                for _red, _op, target, _rhs in reduce_specs
+                for _red, _kind, _op, target in facts.reductions
             }
-        updates = self._bcast(0, payload)
-        self.scalars.update(updates)
+        self._bcast(0, payload)
 
-    def _exec_fallback(self, node: LoopNest, env: Mapping[str, int],
+    def _exec_fallback(self, node: LoopNest, bounds: Bounds,
                        seg_prefix: str, step: int) -> None:
         """Gather → execute the whole nest on rank 0 → scatter."""
-        arrays = sorted(node.arrays())
+        if not _elements(bounds):
+            return  # nothing executes: arrays and scalars keep their values
+        facts = self._facts(node)
+        self._flush(facts.live_in)
+        allocs = self.layout.allocs
         offsets: Dict[str, int] = {}
         cursor = 0
-        for name in arrays:
+        for name in facts.arrays:
             offsets[name] = cursor
-            cursor += _elements(self.layout.allocs[name][0]) * ELEM_BYTES
+            cursor += _elements(allocs[name][0]) * ELEM_BYTES
         seg = self._segment("%s_f%d" % (seg_prefix, step), cursor)
         views = {
             name: np.ndarray(
-                _shape_of(self.layout.allocs[name][0]),
-                dtype=DTYPES[self.layout.allocs[name][1]],
+                _shape_of(allocs[name][0]), dtype=DTYPES[allocs[name][1]],
                 buffer=seg.buf, offset=offsets[name],
             )
-            for name in arrays
+            for name in facts.arrays
         }
-        for name in arrays:
-            own = self.layout.owned_box(self.rank, self.layout.allocs[name][0])
+        for name in facts.arrays:
+            own = self.layout.owned_box(self.rank, allocs[name][0])
             if own is None:
                 continue
-            views[name][_index(self.layout.allocs[name][0], own)] = (
+            views[name][_index(allocs[name][0], own)] = (
                 self.locals[name][_index(self.local_bounds[name], own)]
             )
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         payload = None
         if self.rank == 0:
             self.counters["comm.gather_bytes"] += cursor
-            allocs = {
-                name: (self.layout.allocs[name][0], self.layout.allocs[name][1])
-                for name in arrays
-            }
-            mini = self._mini(node, allocs)
-            result = self._execute_mini(
-                mini, {name: views[name].copy() for name in arrays}
+            result = self._run_kernel(
+                node, "fallback",
+                {name: allocs[name] for name in facts.arrays}, bounds,
+                {name: views[name].copy() for name in facts.arrays},
             )
-            for name in node.writes():
+            for name in facts.writes:
                 views[name][...] = result.arrays[name]
-            names = self._corner_scalar_names(node) + [
-                stmt.scalar_target for stmt in node.body
-                if stmt.reduce_op is not None
-            ]
             payload = {
-                name: _scalar_value(result.scalars[name]) for name in names
+                name: _scalar_value(result.scalars[name])
+                for name in facts.corners + [
+                    target for _r, _k, _op, target in facts.reductions
+                ]
             }
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        for name in node.writes():
+        for name in facts.writes:
             local = self.local_bounds[name]
             if _elements(local) > 0:
                 self.locals[name][...] = np.reshape(
-                    views[name][_index(self.layout.allocs[name][0], local)],
+                    views[name][_index(allocs[name][0], local)],
                     self.locals[name].shape,
                 )
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        updates = self._bcast(0, payload)
-        self.scalars.update(updates)
+        if facts.corners or facts.reductions:
+            self._bcast(0, payload)
 
     # -- the walk ----------------------------------------------------------
 
@@ -752,8 +864,6 @@ class _Worker:
             raise ShardError("step limit exceeded (runaway loop?)")
 
     def execute_body(self, body: Sequence[SNode]) -> None:
-        from repro.interp.evalexpr import eval_scalar
-
         index = 0
         while index < len(body):
             node = body[index]
@@ -766,23 +876,23 @@ class _Worker:
                 index = end
                 continue
             if isinstance(node, ScalarAssign):
-                self.scalars[node.target] = eval_scalar(node.rhs, self.scalars)
+                self._assign({node.target: self._eval(node.rhs)})
             elif isinstance(node, SeqLoop):
-                lo = int(eval_scalar(node.lo, self.scalars))
-                hi = int(eval_scalar(node.hi, self.scalars))
+                lo = int(self._eval(node.lo))
+                hi = int(self._eval(node.hi))
                 iterator = (
                     range(lo, hi - 1, -1) if node.downto else range(lo, hi + 1)
                 )
                 for value in iterator:
-                    self.scalars[node.var] = value
+                    self._assign({node.var: value})
                     self.execute_body(node.body)
             elif isinstance(node, SIf):
-                if bool(eval_scalar(node.cond, self.scalars)):
+                if bool(self._eval(node.cond)):
                     self.execute_body(node.then_body)
                 else:
                     self.execute_body(node.else_body)
             elif isinstance(node, SWhile):
-                while bool(eval_scalar(node.cond, self.scalars)):
+                while bool(self._eval(node.cond)):
                     self._tick()
                     self.execute_body(node.body)
             elif isinstance(node, SBoundary):
@@ -795,6 +905,7 @@ class _Worker:
 
     def finish(self, out_names: Mapping[str, str]) -> dict:
         """Write owned boxes to the output segments; return the summary."""
+        self._flush(list(self.pending))  # rank 0 reports every final scalar
         for name, seg_name in out_names.items():
             bounds, kind = self.layout.allocs[name]
             seg = self.segments.get(seg_name)
@@ -826,12 +937,13 @@ class _Worker:
 
 def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
                  options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs, out_names: Mapping[str, str],
+                 barrier, inputs, scalars, out_names: Mapping[str, str],
                  result_queue, error_queue) -> None:
     worker = None
     try:
         worker = _Worker(
-            rank, program, layout, options, local_backend, sid, barrier, inputs
+            rank, program, layout, options, local_backend, sid, barrier,
+            inputs, scalars,
         )
         worker.execute_body(program.body)
         result_queue.put(worker.finish(out_names))
@@ -862,11 +974,14 @@ def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
 # -- the coordinator -------------------------------------------------------
 
 
-def _single_process(program: ScalarProgram, initial_arrays, local_backend,
-                    procs: int, grid: ProcessorGrid):
+def _single_process(program: ScalarProgram, initial_arrays, initial_scalars,
+                    local_backend, procs: int, grid: ProcessorGrid):
     from repro.exec.backends import execute
 
-    result = execute(program, local_backend, initial_arrays=initial_arrays)
+    result = execute(
+        program, local_backend, initial_arrays=initial_arrays,
+        initial_scalars=initial_scalars,
+    )
     report = CommReport(
         procs, grid.shape, [], dict.fromkeys(_COMM_COUNTERS, 0)
     )
@@ -881,6 +996,7 @@ def execute_sharded(
     comm_options: Optional[CommOptions] = None,
     metrics=None,
     tracer=None,
+    initial_scalars=None,
 ):
     """Run ``program`` sharded over ``procs`` workers.
 
@@ -888,6 +1004,8 @@ def execute_sharded(
     :class:`ExchangeRecord` per executed wire message with planned,
     model, corner and measured byte counts — the raw material of the
     measured-vs-modeled validation in :mod:`repro.parallel.validate`.
+    ``initial_scalars`` seeds the program's ``scalar_inputs``, as in
+    :func:`repro.exec.execute`.
     """
     from repro.exec.backends import ExecutionResult, get_backend
 
@@ -902,6 +1020,7 @@ def execute_sharded(
     grid = ProcessorGrid(procs, rank)
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
     initial_arrays = validate_inputs(program, initial_arrays)
+    initial_scalars = validate_scalars(program, initial_scalars)
     started = time.perf_counter()
     # Boundary statements (wrap/reflect fills) address whole global
     # edges and have no clamped form: such programs run unsharded.
@@ -911,7 +1030,8 @@ def execute_sharded(
         or any(isinstance(node, SBoundary) for node in walk(program.body))
     ):
         result, report = _single_process(
-            program, initial_arrays, local_backend, procs, grid
+            program, initial_arrays, initial_scalars, local_backend, procs,
+            grid,
         )
         _emit_obs(report, metrics, tracer, time.perf_counter() - started)
         return result, report
@@ -949,7 +1069,7 @@ def execute_sharded(
                 target=_worker_main,
                 args=(
                     worker_rank, program, layout, options, local_backend,
-                    sid, barrier, initial_arrays, out_names,
+                    sid, barrier, initial_arrays, initial_scalars, out_names,
                     result_queue, error_queue,
                 ),
             )

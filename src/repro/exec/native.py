@@ -22,7 +22,7 @@ Pieces:
   ``np.int64`` wraparound.
 * :class:`NativeKernel` — a loaded shared object plus the marshalling
   that seeds allocation-region buffers (the ``Storage.seed_arrays``
-  contract) and reads scalars back from one-element buffers.
+  contract) and passes scalars in and out through one-element buffers.
 * :func:`kernel_for_source` — the one ladder from a rendered
   translation unit to a loaded kernel: per-process memo (by source
   hash), then the service layer's content-addressed ``.so`` artifacts
@@ -212,18 +212,19 @@ def load_kernel(so_bytes: bytes) -> NativeKernel:
 
 
 def marshal_buffers(
-    abi: List[AbiEntry], inputs=None
+    abi: List[AbiEntry], inputs=None, scalars=None
 ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
     """Allocate and seed the flat buffer vector for one kernel call.
 
     Arrays get zero-filled allocation-region buffers (seeded from
     ``inputs`` exactly like ``Storage.seed_arrays``); scalars get
-    one-element buffers the kernel writes back on return.  Returns the
-    ordered buffer list plus name-keyed views of both.
+    one-element buffers the kernel reads its starting values from — the
+    kind's zero unless ``scalars`` names the slot — and writes back on
+    return.  Returns the ordered buffer list plus name-keyed views of both.
     """
     buffers: List[np.ndarray] = []
     arrays: Dict[str, np.ndarray] = {}
-    scalars: Dict[str, np.ndarray] = {}
+    scalar_bufs: Dict[str, np.ndarray] = {}
     for entry in abi:
         dtype = np.dtype(getattr(np, DTYPES[entry.kind]))
         if entry.role == "array":
@@ -233,16 +234,18 @@ def marshal_buffers(
             arrays[entry.name] = buf
         else:
             buf = np.zeros(1, dtype=dtype)
-            scalars[entry.name] = buf
+            if scalars is not None and entry.name in scalars:
+                buf[0] = scalars[entry.name]
+            scalar_bufs[entry.name] = buf
         buffers.append(buf)
-    return buffers, arrays, scalars
+    return buffers, arrays, scalar_bufs
 
 
 def run_kernel(
-    kernel: NativeKernel, abi: List[AbiEntry], inputs=None
+    kernel: NativeKernel, abi: List[AbiEntry], inputs=None, scalars=None
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
     """One marshalled call: returns (arrays, scalars) like the emitters."""
-    buffers, arrays, scalar_bufs = marshal_buffers(abi, inputs)
+    buffers, arrays, scalar_bufs = marshal_buffers(abi, inputs, scalars)
     kernel.run(buffers)
     return arrays, {name: buf[0] for name, buf in scalar_bufs.items()}
 

@@ -33,7 +33,9 @@ from repro.util.vectors import add
 class LoopInterpreter:
     """Executes a :class:`ScalarProgram`."""
 
-    def __init__(self, program: ScalarProgram, initial_arrays=None) -> None:
+    def __init__(
+        self, program: ScalarProgram, initial_arrays=None, initial_scalars=None
+    ) -> None:
         from repro.scalarize.emit_common import int_config_env
 
         self.program = program
@@ -51,6 +53,8 @@ class LoopInterpreter:
             self.storage.seed_arrays(initial_arrays)
         for name, kind in program.scalars.items():
             self.storage.declare_scalar(name, kind)
+        if initial_scalars:
+            self.storage.scalars.update(initial_scalars)
         self._steps = 0
         self._max_steps = 50_000_000
 
@@ -163,6 +167,9 @@ class LoopInterpreter:
             self.storage.set_element(stmt.target, index, value)
 
 
-def run_scalarized(program: ScalarProgram, initial_arrays=None) -> Storage:
-    """Execute a scalarized program, optionally seeding array contents."""
-    return LoopInterpreter(program, initial_arrays).run()
+def run_scalarized(
+    program: ScalarProgram, initial_arrays=None, initial_scalars=None
+) -> Storage:
+    """Execute a scalarized program, optionally seeding array contents and
+    the starting values of its ``scalar_inputs``."""
+    return LoopInterpreter(program, initial_arrays, initial_scalars).run()

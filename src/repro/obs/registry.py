@@ -300,6 +300,18 @@ COUNTERS: List[CounterDef] = [
         "outside the model's strip accounting).",
     ),
     CounterDef(
+        "comm.kernel_loads",
+        "Per-nest kernels loaded by mp-shard workers (Backend.load calls, "
+        "summed over workers): one per nest, kind and allocation, however "
+        "many rows or time steps then call it.",
+    ),
+    CounterDef(
+        "comm.scalar_bcasts",
+        "Scalar broadcasts mp-shard performed (counted on rank 0): one per "
+        "folded reduction nest, plus one per owner whenever a pending "
+        "contraction-corner scalar is about to be read or the run ends.",
+    ),
+    CounterDef(
         "daemon.worker_cc",
         "Host C-compiler invocations inside worker processes (zero on a "
         "warm .so cache).",

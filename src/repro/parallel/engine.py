@@ -288,7 +288,7 @@ class ParNumpyGenerator(NumpyGenerator):
             "from repro.parallel.engine import default_engine",
             "from repro.util.errors import InterpError",
             "",
-            "def run(_inputs=None, _engine=None):",
+            self._run_header("_engine=None"),
             "    if _engine is None:",
             "        _engine = default_engine()",
         ]

@@ -127,7 +127,8 @@ def c_abi(program: ScalarProgram) -> List[AbiEntry]:
     Both the emitter (:func:`render_c_module`) and the runner
     (:mod:`repro.exec.native`) derive the ABI from this one function, so
     they cannot drift: arrays in sorted name order, then scalars in
-    sorted name order.  Scalars travel as one-element buffers and are
+    sorted name order.  Scalars travel as one-element buffers, read on
+    entry (the runner seeds a program's ``scalar_inputs`` there) and
     written back on return.
     """
     from repro.scalarize.emit_common import int_config_env

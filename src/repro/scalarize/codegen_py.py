@@ -66,8 +66,16 @@ class PyGenerator:
             "",
             "from repro.util.errors import InterpError",
             "",
-            "def run(_inputs=None):",
+            self._run_header(),
         ]
+
+    def _run_header(self, *extra: str) -> str:
+        """``def run(...)``: ``_scalars`` only when the program takes any,
+        so text rendered for frontend-produced programs never changes."""
+        params = ["_inputs=None", *extra]
+        if self._program.scalar_inputs:
+            params.append("_scalars=None")
+        return "def run(%s):" % ", ".join(params)
 
     def render(self) -> str:
         self._lines = self._preamble()
@@ -108,6 +116,8 @@ class PyGenerator:
             )
         for name, kind in self._program.scalars.items():
             self._emit("%s = %s" % (name, SCALAR_INIT[kind]))
+        for name in self._program.scalar_inputs:
+            self._emit("%s = _scalars[%r]" % (name, name))
 
     def _emit_return(self) -> None:
         arrays = ", ".join(

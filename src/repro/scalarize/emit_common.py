@@ -190,6 +190,60 @@ def validate_inputs(program, inputs):
     return checked
 
 
+_KIND_TYPES = {"float": float, "integer": int, "boolean": bool}
+
+
+def _is_kind(value, kind: str) -> bool:
+    import numpy as np
+
+    if isinstance(value, (bool, np.bool_)):
+        return kind == "boolean"
+    if isinstance(value, (int, np.integer)):
+        return kind in ("integer", "float")
+    return isinstance(value, (float, np.floating)) and kind == "float"
+
+
+def validate_scalars(program, scalars):
+    """Check per-request initial scalars against a scalarized program.
+
+    The scalar twin of :func:`validate_inputs`: exactly the names
+    ``program.scalar_inputs`` declares must be supplied — an unknown or a
+    missing name raises :class:`repro.util.errors.InputError` — and each
+    value must be of its scalar's declared kind (an integer is accepted
+    for a float scalar, nothing else converts).
+
+    Returns plain Python values keyed by name, or None when the program
+    declares no scalar inputs and none were given.
+    """
+    expected = program.scalar_inputs
+    if not expected and not scalars:
+        return None
+    scalars = dict(scalars or {})
+    unknown = sorted(set(scalars) - set(expected))
+    if unknown:
+        raise InputError(
+            "cannot seed unknown scalar input %s (have: %s)"
+            % (", ".join(map(repr, unknown)),
+               ", ".join(sorted(expected)) or "none")
+        )
+    missing = sorted(set(expected) - set(scalars))
+    if missing:
+        raise InputError(
+            "missing initial value for scalar input %s"
+            % ", ".join(map(repr, missing))
+        )
+    checked = {}
+    for name in expected:
+        value, kind = scalars[name], program.scalars[name]
+        if not _is_kind(value, kind):
+            raise InputError(
+                "initial value %r for scalar input %r is not of kind %s"
+                % (value, name, kind)
+            )
+        checked[name] = _KIND_TYPES[kind](value)
+    return checked
+
+
 def halo_planes(
     kind: str,
     bounds: Sequence[Tuple[int, int]],

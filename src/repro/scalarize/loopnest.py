@@ -143,6 +143,27 @@ class LoopNest(SNode):
         """The scalars any right-hand side reads."""
         return {ref.name for stmt in self.body for ref in stmt.rhs.scalar_refs()}
 
+    def live_in_scalars(self) -> Set[str]:
+        """The scalars whose value from *before* the nest the body observes.
+
+        A right-hand side reading a name no earlier statement of the body
+        assigned (an upward-exposed read), and every fold accumulator.  A
+        contraction scalar the body defines before reading is not live in.
+        """
+        live: Set[str] = set()
+        defined: Set[str] = set()
+        for stmt in self.body:
+            live.update(
+                ref.name
+                for ref in stmt.rhs.scalar_refs()
+                if ref.name not in defined
+            )
+            if stmt.reduce_op is not None:
+                live.add(stmt.scalar_target)
+            elif stmt.scalar_target is not None:
+                defined.add(stmt.scalar_target)
+        return live
+
     def __repr__(self) -> str:
         return "LoopNest(%s, p=%s, %d stmts)" % (
             self.region,
@@ -242,6 +263,10 @@ def walk(body: Sequence[SNode]) -> Iterator[SNode]:
 class ScalarProgram:
     """A fully scalarized program, ready for execution or code generation."""
 
+    #: Class-level default so programs unpickled from artifacts written
+    #: before the attribute existed read as having no scalar inputs.
+    scalar_inputs: Tuple[str, ...] = ()
+
     def __init__(
         self,
         name: str,
@@ -250,6 +275,7 @@ class ScalarProgram:
         scalars: Dict[str, str],
         body: List[SNode],
         partial: Optional[Dict[str, Tuple[int, int]]] = None,
+        scalar_inputs: Sequence[str] = (),
     ) -> None:
         self.name = name
         self.configs = configs
@@ -262,6 +288,15 @@ class ScalarProgram:
         #: allocation region's dim is already the buffer [0..depth-1], and
         #: indices along it are taken modulo depth
         self.partial = dict(partial or {})
+        #: declared scalars whose starting value the caller supplies on
+        #: every run (``run(inputs, scalars={...})``) instead of the kind's
+        #: default; empty for everything a frontend produces
+        self.scalar_inputs: Tuple[str, ...] = tuple(scalar_inputs)
+        undeclared = [n for n in self.scalar_inputs if n not in scalars]
+        if undeclared:
+            raise ValueError(
+                "scalar inputs %s are not declared scalars" % undeclared
+            )
 
     def loop_nests(self) -> List[LoopNest]:
         """All loop nests in the program, in pre-order."""

@@ -9,8 +9,9 @@ import pytest
 
 import repro.parallel
 from repro.benchsuite import get_benchmark
+from repro.exec import native
 from repro.exec.backends import execute
-from repro.exec.mp_shard import execute_sharded
+from repro.exec.mp_shard import default_procs, execute_sharded
 from repro.fusion import ALL_LEVELS
 from repro.parallel.comm import analyze_run
 from repro.parallel.commopt import (
@@ -284,6 +285,246 @@ class TestExecution:
         assert counters.get("comm.bytes", 0) == sum(
             record.measured_bytes for record in report.records
         )
+
+
+# -- kernels are loaded once, corner scalars broadcast on demand --------------
+
+
+def sized_program(name, n, steps, level="Level(c2+f4+cse)"):
+    bench = get_benchmark(name)
+    config = dict(bench.default_config, n=n, m=n, steps=steps)
+    return compile_program(bench.program(config), LEVELS[level])
+
+
+class TestLoadOnce:
+    @pytest.mark.parametrize("bench", ["Tomcatv", "SP"])
+    def test_loads_do_not_grow_with_time_steps(self, bench):
+        counters = {}
+        for steps in (2, 4):
+            program = sized_program(bench, 16, steps)
+            _result, report = execute_sharded(program, procs=2)
+            check_report(report)
+            counters[steps] = report.counters
+        nests = program.loop_nests()
+        folds = [
+            nest for nest in nests
+            if any(stmt.reduce_op is not None for stmt in nest.body)
+        ]
+        assert counters[2]["comm.exchanges"] < counters[4]["comm.exchanges"]
+        assert (
+            counters[2]["comm.kernel_loads"] == counters[4]["comm.kernel_loads"]
+        )
+        # one clamped (or fallback) kernel per nest and worker, plus rank
+        # 0's fold kernel per reduction nest
+        assert counters[4]["comm.kernel_loads"] <= 2 * len(nests) + len(folds)
+
+    @pytest.mark.parametrize("bench", ["Tomcatv", "SP"])
+    def test_broadcasts_do_not_grow_with_row_sweeps(self, bench):
+        counters = {}
+        for n in (12, 24):
+            _result, report = execute_sharded(
+                sized_program(bench, n, 2), procs=2
+            )
+            counters[n] = report.counters
+        assert counters[12]["comm.exchanges"] < counters[24]["comm.exchanges"]
+        assert (
+            counters[12]["comm.scalar_bcasts"]
+            == counters[24]["comm.scalar_bcasts"]
+        )
+        assert (
+            counters[12]["comm.kernel_loads"] == counters[24]["comm.kernel_loads"]
+        )
+
+    @pytest.mark.parametrize(
+        "local_backend",
+        [
+            "interp", "py", "np", "np-par",
+            pytest.param(
+                "c",
+                marks=pytest.mark.skipif(
+                    not native.cc_available(), reason="no cc"
+                ),
+            ),
+        ],
+    )
+    def test_every_local_backend(self, local_backend):
+        program = sized_program("Tomcatv", 16, 2)
+        # The local executor decides the fold order of float reductions.
+        oracle = execute(
+            program, "np" if local_backend == "np-par" else local_backend
+        )
+        result, report = execute_sharded(
+            program, procs=2, local_backend=local_backend
+        )
+        assert_identical(result, oracle)
+        check_report(report)
+
+
+def _corner_program(reader, kind="float"):
+    """``t`` is contracted in a nest whose final point the *last* rank
+    owns; ``reader`` (a list of nodes) is what then observes it."""
+    from repro.ir import expr as ir
+    from repro.ir.region import Region
+    from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
+
+    full = Region.literal((1, 8), (1, 8))
+    here = (0, 0)
+    position = ir.BinOp(
+        "+", ir.BinOp("*", ir.IndexRef(1), ir.Const(10)), ir.IndexRef(2)
+    )
+    producer = LoopNest(
+        full, (1, 2),
+        [
+            ElemAssign(
+                None, "t",
+                ir.IndexRef(1) if kind == "integer"
+                else ir.BinOp("*", position, ir.Const(0.5)),
+            ),
+            ElemAssign("A", None, ir.BinOp("+", ir.ScalarRef("t"), position)),
+        ],
+        carried_depth=0,
+    )
+    return ScalarProgram(
+        "corner", {},
+        {"A": (full, "float"), "B": (full, "float")},
+        {"t": kind, "u": "float", "j": "integer", "z": "integer"},
+        [producer] + reader,
+    )
+
+
+def _corner_readers():
+    from repro.ir import expr as ir
+    from repro.ir.linexpr import LinearExpr
+    from repro.ir.region import Region
+    from repro.scalarize.loopnest import (
+        ElemAssign, LoopNest, ScalarAssign, SeqLoop, SIf, SWhile,
+    )
+
+    full = Region.literal((1, 8), (1, 8))
+    here = (0, 0)
+
+    def store(rhs, region=full):
+        return LoopNest(
+            region, (1, 2), [ElemAssign("B", None, rhs)], carried_depth=0
+        )
+
+    t, u, b = ir.ScalarRef("t"), ir.ScalarRef("u"), ir.ArrayRef("B", here)
+    bump = store(ir.BinOp("+", b, ir.ArrayRef("A", here)))
+    return {
+        "scalar-assign": ("float", [
+            ScalarAssign("u", ir.BinOp("+", t, ir.Const(1.0))),
+            store(ir.BinOp("*", u, ir.ArrayRef("A", here))),
+        ]),
+        "if-condition": ("float", [
+            SIf(
+                ir.BinOp(">", t, ir.Const(40.0)),
+                [store(ir.Const(1.0))], [store(ir.Const(2.0))],
+            ),
+        ]),
+        "while-condition": ("float", [
+            SWhile(
+                ir.BinOp(">", t, u),
+                [ScalarAssign("u", ir.BinOp("+", u, ir.Const(20.0))), bump],
+            ),
+        ]),
+        "loop-bound": ("integer", [
+            SeqLoop("j", ir.Const(3), t, [bump], downto=False),
+        ]),
+        "region-bound": ("integer", [
+            ScalarAssign("z", ir.Const(0)),  # ends the producer's run
+            store(
+                ir.ArrayRef("A", here),
+                Region([(2, LinearExpr.variable("t") - 1), (1, 8)]),
+            ),
+        ]),
+        "exposed-read": ("float", [
+            store(ir.BinOp("+", t, ir.ArrayRef("A", here))),
+        ]),
+    }
+
+
+class TestDeferredBroadcast:
+    @pytest.mark.parametrize("procs", [2, 4])
+    @pytest.mark.parametrize("reader", sorted(_corner_readers()))
+    def test_pending_scalar_reaches_its_reader(self, reader, procs):
+        kind, nodes = _corner_readers()[reader]
+        program = _corner_program(nodes, kind)
+        oracle = execute(program, "codegen_np")
+        assert oracle.scalars["t"] != 0 and oracle.arrays["B"].any()
+        result, report = execute_sharded(program, procs=procs)
+        assert_identical(result, oracle)
+        # the value came from the last rank, in one broadcast
+        assert report.counters["comm.scalar_bcasts"] == 1
+
+    def test_unread_corner_scalars_cost_one_broadcast_at_the_end(self):
+        program = _corner_program([])
+        result, report = execute_sharded(program, procs=4)
+        assert_identical(result, execute(program, "codegen_np"))
+        assert report.counters["comm.scalar_bcasts"] == 1
+
+    def test_replicated_assignment_clears_a_pending_scalar(self):
+        from repro.ir import expr as ir
+        from repro.scalarize.loopnest import ScalarAssign
+
+        program = _corner_program([ScalarAssign("t", ir.Const(7.0))])
+        result, report = execute_sharded(program, procs=2)
+        assert result.scalars["t"] == 7.0
+        assert report.counters["comm.scalar_bcasts"] == 0
+
+
+class TestRecords:
+    def test_executions_of_one_message_share_their_description(self):
+        import pickle
+
+        program = sized_program("SP", 64, 2)
+        _result, report = execute_sharded(program, procs=2)
+        check_report(report)
+        by_events = {}
+        for record in report.records:
+            by_events.setdefault(id(record.events), []).append(record)
+        assert len(by_events) < len(report.records) / 4
+        first, second = max(by_events.values(), key=len)[:2]
+        assert first.events is second.events
+        assert first.ordinal != second.ordinal
+        assert first.events[0]["array"] in first.arrays
+        assert [r.ordinal for r in report.records] == list(
+            range(len(report.records))
+        )
+
+        blob = pickle.dumps(report)
+        assert len(blob) < 25_000  # 67 KB before descriptions were shared
+        clone = pickle.loads(blob)
+        twins = [clone.records[first.ordinal], clone.records[second.ordinal]]
+        assert twins[0].events is twins[1].events
+        assert twins[0].events == first.events
+        assert twins[0].duration_us == first.duration_us
+        check_report(clone)
+
+    def test_every_exchange_is_timed(self):
+        _result, report = execute_sharded(
+            sized_program("Tomcatv", 16, 2), procs=2
+        )
+        assert report.records
+        assert all(record.duration_us > 0 for record in report.records)
+
+
+class TestDefaultProcs:
+    @pytest.mark.parametrize(
+        "value,expected",
+        [("3", 3), (" 2 ", 2), ("0", 1), ("-4", 1)],
+    )
+    def test_numeric_values(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_PROCS", value)
+        assert default_procs() == expected
+
+    @pytest.mark.parametrize("value", ["abc", "", "  ", "2.5", "4x"])
+    def test_unparsable_values_mean_the_default(self, monkeypatch, value):
+        import os
+
+        monkeypatch.setenv("REPRO_PROCS", value)
+        assert default_procs() == min(4, os.cpu_count() or 1)
+        monkeypatch.delenv("REPRO_PROCS")
+        assert default_procs() == min(4, os.cpu_count() or 1)
 
 
 # -- zero-valued registered counters -----------------------------------------
