@@ -52,6 +52,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -464,10 +465,10 @@ def _print_scalars(scalars: Dict[str, object], prefix: str = "") -> None:
         value = scalars[name]
         if isinstance(value, bool):
             text = str(value)
-        elif float(value) == int(value):
+        elif math.isfinite(value) and float(value) == int(value):
             text = "%g" % float(value)
         else:
-            text = repr(float(value))
+            text = repr(float(value))  # "nan" / "inf" / "-inf" included
         print("%s%s = %s" % (prefix, name, text))
 
 

@@ -33,7 +33,11 @@ from typing import Dict, List, NamedTuple, Tuple
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.scalarize.emit_common import halo_planes, infer_expr_kind
+from repro.scalarize.emit_common import (
+    frac_operand,
+    halo_planes,
+    infer_expr_kind,
+)
 from repro.scalarize.loopnest import (
     LoopNest,
     SBoundary,
@@ -44,6 +48,7 @@ from repro.scalarize.loopnest import (
     SNode,
     SWhile,
     loop_variable,
+    sinkable,
     walk,
 )
 from repro.util.errors import ScalarizationError
@@ -58,10 +63,13 @@ _C_TYPES = {"float": "double", "integer": "int64_t", "boolean": "unsigned char"}
 #: positive constant.
 _C_INT64_MIN = "(-9223372036854775807LL - 1)"
 
-#: Helper functions emitted into the translation unit on first use.
+#: Helper functions emitted into the translation unit on first use, in
+#: this order.
 #: ``repro_mod``/``repro_imod`` are floored modulo (sign of the divisor,
 #: and a zero result takes the divisor's sign) — exactly CPython's float
 #: ``%`` and ``np.mod``, where C's ``fmod``/``%`` truncate toward zero.
+#: ``repro_frac`` is ``repro_mod(a, 1.0)`` without the libm ``fmod`` call
+#: (see :func:`repro.scalarize.emit_common.frac_operand`).
 #: ``repro_sign`` mirrors ``codegen_py``'s ``0.0 if x == 0 else
 #: copysign(1.0, x)`` (plain ``copysign`` is wrong at zero).
 _HELPERS = {
@@ -76,6 +84,11 @@ _HELPERS = {
         "        r = copysign(0.0, b);",
         "    }",
         "    return r;",
+        "}",
+    ],
+    "repro_frac": [
+        "static inline double repro_frac(double a) {",
+        "    return a - floor(a);",
         "}",
     ],
     "repro_imod": [
@@ -98,7 +111,6 @@ _HELPERS = {
         "}",
     ],
 }
-_HELPER_ORDER = ("repro_mod", "repro_imod", "repro_iabs", "repro_sign")
 
 #: Fold steps.  The min/max comparison keeps the *accumulator* on ties,
 #: matching the Python fold ``min(acc, value)`` bit for bit (including
@@ -187,9 +199,9 @@ class CGenerator:
             "#include <stdint.h>",
             "",
         ]
-        for name in _HELPER_ORDER:
+        for name, lines in _HELPERS.items():
             if name in self._helpers:
-                header.extend(_HELPERS[name])
+                header.extend(lines)
                 header.append("")
         return "\n".join(header + self._lines) + "\n"
 
@@ -365,8 +377,14 @@ class CGenerator:
             self._emit(header, depth + level)
         return depth + len(structure)
 
-    def _emit_loop_nest(self, nest: LoopNest, depth: int) -> None:
-        inner = self._emit_loop_headers(nest.region, nest.structure, depth)
+    def _emit_loop_nest(
+        self, nest: LoopNest, depth: int, structure=None
+    ) -> None:
+        """The nest's statements under the loops of ``structure`` (default:
+        all of ``nest.structure``; the rest are already open)."""
+        if structure is None:
+            structure = nest.structure
+        inner = self._emit_loop_headers(nest.region, structure, depth)
         for stmt in nest.body:
             target = (
                 stmt.scalar_target
@@ -386,8 +404,8 @@ class CGenerator:
                     % (target, value, target, value, target),
                     inner,
                 )
-        for level in range(len(nest.structure) - 1, -1, -1):
-            self._emit("}", depth + level)
+        for level in range(inner - 1, depth - 1, -1):
+            self._emit("}", level)
 
     def _emit_boundary(self, node: SBoundary, depth: int) -> None:
         """Halo fill as element copy loops (bounds are constant or
@@ -431,22 +449,39 @@ class CGenerator:
         # iteration's value after the loop (not one past it), and an
         # empty trip count leaves it untouched.  A private iterator
         # carries the stepping; the program variable is assigned inside.
+        #
+        # A column sweep (see ``loopnest.sinkable``) is emitted with its
+        # row loops *outside* the serial loop, so the innermost accesses
+        # walk along a row instead of striding a whole row per element —
+        # FIND-LOOP-STRUCTURE's inner-loop/last-dimension rule, which the
+        # serial loop sitting outside the nest would otherwise defeat.
         self._seq_counter += 1
         it = "_seq%d" % self._seq_counter
         cmp_op, step = (">=", "--") if node.downto else ("<=", "++")
+        lo = self._expr(node.lo)
+        inner = depth + 1
         self._emit("{", depth)
-        self._emit(
-            "int64_t %s_hi = %s;" % (it, self._expr(node.hi)), depth + 1
-        )
+        self._emit("int64_t %s_hi = %s;" % (it, self._expr(node.hi)), inner)
+        sunk = sinkable(node, self._program.partial, self._env)
+        if sunk:
+            (nest,) = node.body
+            self._emit("int64_t %s_lo = %s;" % (it, lo), inner)
+            lo = it + "_lo"
+            rows = [d for d in nest.structure if abs(d) != nest.rank]
+            inner = self._emit_loop_headers(nest.region, rows, inner)
         self._emit(
             "for (int64_t %s = %s; %s %s %s_hi; %s%s) {"
-            % (it, self._expr(node.lo), it, cmp_op, it, it, step),
-            depth + 1,
+            % (it, lo, it, cmp_op, it, it, step),
+            inner,
         )
-        self._emit("%s = %s;" % (node.var, it), depth + 2)
-        self._emit_body(node.body, depth + 2)
-        self._emit("}", depth + 1)
-        self._emit("}", depth)
+        self._emit("%s = %s;" % (node.var, it), inner + 1)
+        if sunk:
+            pinned = [d for d in nest.structure if abs(d) == nest.rank]
+            self._emit_loop_nest(nest, inner + 1, pinned)
+        else:
+            self._emit_body(node.body, inner + 1)
+        for level in range(inner, depth - 1, -1):
+            self._emit("}", level)
 
     # ------------------------------------------------------------------
 
@@ -479,7 +514,12 @@ class CGenerator:
         self._helpers.add(name)
         return name
 
-    def _mod(self, left: ir.IRExpr, right: ir.IRExpr) -> str:
+    def _mod(self, expr: ir.IRExpr) -> str:
+        """``expr`` is a ``%`` :class:`~repro.ir.expr.BinOp` or a ``mod`` call."""
+        dividend = frac_operand(expr)
+        if dividend is not None:
+            return "%s(%s)" % (self._helper("repro_frac"), self._expr(dividend))
+        left, right = expr.children()
         if self._kind(left) == "float" or self._kind(right) == "float":
             fn = self._helper("repro_mod")
         else:
@@ -522,7 +562,7 @@ class CGenerator:
             if expr.op == "%":
                 # C's % truncates toward zero (and rejects doubles);
                 # the canonical semantics is floored np.mod.
-                return self._mod(expr.left, expr.right)
+                return self._mod(expr)
             if expr.op == "/":
                 # Language division is float division; C would truncate
                 # when both operands are integral.
@@ -543,7 +583,7 @@ class CGenerator:
             return "(%s%s)" % (op, self._expr(expr.operand))
         if isinstance(expr, ir.Call):
             if expr.name == "mod":
-                return self._mod(expr.args[0], expr.args[1])
+                return self._mod(expr)
             if expr.name == "abs":
                 (arg,) = expr.args
                 fn = (

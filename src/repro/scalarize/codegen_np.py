@@ -47,7 +47,11 @@ from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.scalarize.codegen_py import PyGenerator
-from repro.scalarize.emit_common import NP_INTRINSICS, bound_text
+from repro.scalarize.emit_common import (
+    NP_INTRINSICS,
+    bound_text,
+    frac_operand,
+)
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -377,6 +381,11 @@ class NumpyGenerator(PyGenerator):
             return loop_variable(expr.dim)
         if isinstance(expr, (ir.Const, ir.ScalarRef)):
             return self._expr(expr)
+        dividend = frac_operand(expr)
+        if dividend is not None:
+            # ``np.mod(x, 1.0)`` without its per-element libm fmod; the
+            # walrus keeps the operand evaluated once.
+            return "((_f := %s) - np.floor(_f))" % self._vexpr(dividend, ctx)
         if isinstance(expr, ir.BinOp):
             left = self._vexpr(expr.left, ctx)
             right = self._vexpr(expr.right, ctx)

@@ -11,7 +11,7 @@ interpreters in :mod:`repro.interp`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -118,6 +118,33 @@ def infer_expr_kind(
     if isinstance(expr, ir.Reduce):
         return infer_expr_kind(expr.operand, array_kinds, scalar_kinds)
     return "float"
+
+
+def frac_operand(expr: ir.IRExpr) -> Optional[ir.IRExpr]:
+    """The dividend of a modulo by the float constant ``1.0``, else ``None``.
+
+    ``x % 1.0`` and ``mod(x, 1.0)`` are the fractional part ``x - floor(x)``,
+    bit for bit: both are the correctly rounded value of the same real
+    number, ``-0.0`` and every ``|x| >= 2**52`` give ``+0.0`` (the zero takes
+    the divisor's sign), infinities and NaN give NaN.  The emitters that call
+    libm per element lower it that way (glibc's ``fmod`` costs ~30x a
+    ``floor``).  No other divisor qualifies, powers of two included:
+    ``-5e-324 % 2.0`` is ``2.0``, but ``x / 2.0`` rounds to ``-0.0`` there
+    and the floor form returns ``-5e-324``.
+    """
+    if isinstance(expr, ir.BinOp) and expr.op == "%":
+        dividend, divisor = expr.left, expr.right
+    elif isinstance(expr, ir.Call) and expr.name == "mod":
+        dividend, divisor = expr.args
+    else:
+        return None
+    if (
+        isinstance(divisor, ir.Const)
+        and isinstance(divisor.value, float)
+        and divisor.value == 1.0
+    ):
+        return dividend
+    return None
 
 
 def int_config_env(configs: Mapping[str, object]) -> Dict[str, int]:

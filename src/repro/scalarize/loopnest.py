@@ -17,7 +17,8 @@ Consumers query the tree instead of recursing through it themselves:
 :func:`walk` enumerates every node in pre-order, and
 :meth:`LoopNest.reads` / :meth:`LoopNest.writes` /
 :meth:`LoopNest.arrays` / :meth:`LoopNest.scalar_reads` say what a nest
-touches.
+touches, and :func:`sinkable` says whether a column sweep's serial loop may
+move under its row loops.
 
 This IR is what the interpreters execute, the cache simulator traces, and
 the code generators print.
@@ -25,9 +26,19 @@ the code generators print.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.ir.expr import ArrayRef, IRExpr
+from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.util.vectors import IntVector
 
@@ -258,6 +269,62 @@ def walk(body: Sequence[SNode]) -> Iterator[SNode]:
         elif isinstance(node, SIf):
             yield from walk(node.then_body)
             yield from walk(node.else_body)
+
+
+def sinkable(
+    loop: SeqLoop,
+    partial: Mapping[str, Tuple[int, int]],
+    env: Mapping[str, int],
+) -> bool:
+    """May the row loops of the nest ``loop`` wraps run *outside* it?
+
+    A column sweep ``for j do [lo..hi, j+c] ...`` scalarizes to a serial
+    loop around a nest whose last dimension is pinned to the loop variable,
+    so an element-order emitter that prints it as it stands walks every
+    array with a whole-row stride.  The serial loop may be sunk under the
+    other (row) loops iff all of:
+
+    1. the body is exactly one :class:`LoopNest` of rank >= 2 touching no
+       circular-buffer (``partial``) array;
+    2. its last dimension is ``[var+c .. var+c]`` and every other dimension
+       has constant, non-empty bounds under ``env`` (an empty row range
+       would leave the loop variable unassigned);
+    3. no statement is a fold;
+    4. every read of an array the nest writes has offset 0 in every
+       non-pinned dimension;
+    5. every scalar the nest assigns is defined before it is read, and
+       none is the loop variable.
+
+    Then rows touch disjoint elements of every written array, the order
+    inside a row is kept, and the last iteration executed is the same
+    index point in both orders: arrays, contraction-corner scalars and the
+    loop variable end identical.  Whole-region emitters want the opposite
+    order (serial loop outside, slice over the rows) and do not ask.
+    """
+    if len(loop.body) != 1 or not isinstance(loop.body[0], LoopNest):
+        return False
+    nest = loop.body[0]
+    if nest.rank < 2 or not nest.arrays().isdisjoint(partial):
+        return False
+    lo, hi = nest.region.dims[-1]
+    if lo != hi or not (lo - LinearExpr.variable(loop.var)).is_constant:
+        return False
+    rows = Region(nest.region.dims[:-1])
+    if not set(rows.free_variables()) <= set(env) or rows.is_empty(env):
+        return False
+    if any(stmt.reduce_op is not None for stmt in nest.body):
+        return False
+    written = set(nest.writes())
+    if any(ref.name in written and any(ref.offset[:-1]) for ref in nest.reads()):
+        return False
+    assigned = {
+        stmt.scalar_target
+        for stmt in nest.body
+        if stmt.scalar_target is not None
+    }
+    return loop.var not in assigned and assigned.isdisjoint(
+        nest.live_in_scalars()
+    )
 
 
 class ScalarProgram:

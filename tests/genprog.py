@@ -16,7 +16,9 @@ Programs exercise the surfaces the optimizer transforms:
 * full reductions (``+<<``, ``max<<``, ``min<<``) over non-empty
   regions;
 * sequential loops, including row sweeps over dynamic regions
-  (``[i, 1..n]`` — the contraction-soundness frontier);
+  (``[i, 1..n]`` — the contraction-soundness frontier) and column sweeps
+  (``[2..n-1, j]`` — the nests whose serial loop the C emitter sinks
+  under the row loop, or must not);
 * randomized config bounds, so region extents (and therefore tile
   layouts) differ per program;
 * shared subexpressions reused across adjacent statements and repeated
@@ -41,7 +43,9 @@ _SEEDS = [
     "Index1 - Index2 * 0.5",
     "(Index1 * 3.7 + Index2 * 1.3) % 2.0",
     "1.0",
-    "0.25 * Index2",
+    # ``% 1.0`` is lowered as a fractional part by the c / NumPy emitters
+    # (``% 2.0`` above keeps the general path); the operand is negative.
+    "0.25 * Index2 + (Index1 * -3.7 + Index2 * 1.3) % 1.0",
 ]
 
 
@@ -168,6 +172,16 @@ class ProgramGenerator:
             value = "%s@(%d,0)" % (source, row_offset)
         return "  [i, 1..n] %s := %s + %s;" % (target, value, self.expr(2))
 
+    def column_statement(self) -> str:
+        """A column recurrence for a column-sweep loop body."""
+        target = self.rng.choice(ARRAYS)
+        return "  [2..n-1, j] %s := %s@(0,-1) * %.2f + %s;" % (
+            target,
+            target,
+            self.rng.uniform(0.25, 1.5),
+            self.expr(2),
+        )
+
     # -- whole programs ----------------------------------------------------
 
     def generate(self) -> str:
@@ -184,7 +198,7 @@ class ProgramGenerator:
         )
         lines.append("var %s : [R] float;" % ", ".join(ARRAYS))
         lines.append("var s, t : float;")
-        lines.append("var i : integer;")
+        lines.append("var i, j : integer;")
         lines.append("begin")
         for name, seed_expr in zip(ARRAYS, _SEEDS):
             lines.append("  [R] %s := %s;" % (name, seed_expr))
@@ -212,6 +226,13 @@ class ProgramGenerator:
         if rng.random() < 0.4:
             body = [self.row_statement() for _ in range(rng.randint(1, 3))]
             lines.append("  for i := 2 to n do")
+            lines.extend(body)
+            lines.append("  end;")
+        if rng.random() < 0.4:
+            body = [self.column_statement() for _ in range(rng.randint(1, 3))]
+            lines.append(
+                rng.choice(["  for j := 2 to n do", "  for j := n downto 2 do"])
+            )
             lines.extend(body)
             lines.append("  end;")
 

@@ -87,6 +87,46 @@ class TestRun:
         assert interp_out == codegen_out
 
 
+NON_FINITE_SOURCE = """
+program nonfinite;
+region R = [1..3];
+var A : [R] float;
+var s : float;
+begin
+  [R] A := %s;
+  s := %s<< [R] A;
+end;
+"""
+
+#: printed text -> (element expression, reduction) that produces it.
+NON_FINITE = {
+    "nan": ("sqrt(2.5 - Index1)", "max"),
+    "inf": ("1.0 / (Index1 - 1.0)", "max"),
+    "-inf": ("(0.0 - 1.0) / (Index1 - 1.0)", "min"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["interp", "codegen_np"])
+@pytest.mark.parametrize("text", sorted(NON_FINITE))
+class TestNonFiniteScalars:
+    """A NaN or infinite scalar prints; it used to die in ``int(value)``."""
+
+    @pytest.fixture
+    def path(self, tmp_path, text):
+        path = tmp_path / "nonfinite.zpl"
+        path.write_text(NON_FINITE_SOURCE % NON_FINITE[text])
+        return str(path)
+
+    def test_run(self, path, text, backend, capsys):
+        assert main(["run", path, "--backend", backend]) == 0
+        assert "s = %s\n" % text in capsys.readouterr().out
+
+    def test_serve(self, path, text, backend, capsys):
+        assert main(["serve", path, "--backend", backend, "--no-cache"]) == 0
+        assert "request 0: s = %s\n" % text in capsys.readouterr().out
+
+
 class TestEstimate:
     def test_sequential(self, source_file, capsys):
         assert main(["estimate", source_file, "--machine", "t3e"]) == 0

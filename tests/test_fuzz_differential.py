@@ -221,6 +221,11 @@ def test_corpus_covers_optimizer_surfaces():
     assert any("wrap" in s or "reflect" in s for s in sources)
     assert any("max<<" in s or "min<<" in s for s in sources)
     assert any("for i := 2 to n do" in s for s in sources)
+    # Column sweeps in both directions (the c emitter's loop sink) and
+    # both float-modulo lowerings (fractional part / general divisor).
+    assert any("for j := 2 to n do" in s for s in sources)
+    assert any("for j := n downto 2 do" in s for s in sources)
+    assert all("% 1.0" in s and "% 2.0" in s for s in sources)
     assert any("@(-2" in s or "@(2" in s or ",2)" in s or ",-2)" in s
                for s in sources)
     # Redundancy-elimination surfaces: repeated multi-op terms and
