@@ -5,14 +5,15 @@ on a :class:`~repro.parallel.distribution.ProcessorGrid`, runs the
 existing single-process backends (``codegen_np`` by default — ``py`` and
 ``c`` work too) on each worker's clamped sub-region, and moves halo data
 between workers through ``multiprocessing.shared_memory`` using exactly
-the exchange schedules :mod:`repro.parallel.commopt` derives:
+the schedule :func:`repro.parallel.commopt.schedule` derives — the same
+messages, post and wait points the cost model prices:
 
 * **message vectorization** is implicit — each planned copy is one whole
   border strip written as a single contiguous segment write;
-* **redundancy elimination** — events ``eliminate_redundant`` drops are
+* **redundancy elimination** — the events the schedule drops are
   genuinely never executed (``comm.eliminated`` counts them);
-* **message combining** — events ``combine_messages`` groups share one
-  segment region and one barrier round-trip (``comm.combined``);
+* **message combining** — events the schedule groups share one segment
+  region and one barrier round-trip (``comm.combined``);
 * **pipelining** — posts happen at the schedule's post point, before the
   intervening nests execute, and the wait lands at the consuming nest.
 
@@ -46,13 +47,13 @@ returns the oracle's final scalars.  Every rank takes the same flush
 decisions because they depend only on the lockstep walk
 (``comm.scalar_bcasts`` counts the broadcasts).
 
-Two situations cannot execute clamped and fall back to whole-nest
-execution on rank 0 (gather → execute → scatter, counted under
-``comm.fallback_nests``): a statement reading, across a cut dimension,
-an array an earlier statement of the same nest wrote (a true fusion-made
-recurrence — the §5.5 ``FAVOR_COMM`` policy exists to avoid creating
-these), and circular-buffer (partially contracted) arrays cut along
-their buffered dimension.
+A nest's partition plan puts it in one of two rank classes for the
+dimensions the grid cuts (:meth:`repro.scalarize.loopnest.PartitionPlan.
+rank_class`, computed once per nest per worker).  *Clamped* nests run on
+every rank over its own chunk.  *Gathered* nests — a flow crossing or a
+circular buffer along a cut dimension — need their blocks in dependence
+order and execute whole on rank 0 (gather → execute → scatter, counted
+under ``comm.fallback_nests``).
 
 Bit-identity with the single-process oracle is a design invariant, not a
 tolerance: clamped nests compute the same elementwise values (halos hold
@@ -103,7 +104,6 @@ from repro.parallel.shard import (
     RunPlan,
     ShardError,
     ShardLayout,
-    nest_fallback_reason,
     plan_run,
     program_rank,
 )
@@ -124,6 +124,7 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    partition_plan,
     walk,
 )
 from repro.util.errors import InterpError, ReproError
@@ -295,20 +296,24 @@ class _NestFacts:
 
     __slots__ = (
         "arrays", "writes", "live_in", "corners", "reductions", "kernels",
+        "gathered",
     )
 
     def __init__(self, node: LoopNest, array_kinds: Mapping[str, str],
-                 scalar_kinds: Mapping[str, str]) -> None:
+                 scalar_kinds: Mapping[str, str],
+                 partial: Mapping[str, Tuple[int, int]],
+                 cut: Sequence[int]) -> None:
+        plan = partition_plan(node, partial)
+        #: the nest's rank class on this grid: executed whole on rank 0
+        #: instead of clamped to every rank's chunk
+        self.gathered = plan.rank_class(cut)[0] == "gathered"
         self.arrays: Tuple[str, ...] = tuple(sorted(node.arrays()))
         self.writes: List[str] = node.writes()
         #: scalars whose pre-nest value the nest observes: a pending one
         #: among them must be broadcast before the nest runs
         self.live_in = node.live_in_scalars()
         #: contraction scalars, left at their corner value by the nest
-        self.corners = [
-            stmt.scalar_target for stmt in node.body
-            if stmt.is_contracted and stmt.reduce_op is None
-        ]
+        self.corners = plan.corners
         #: (scratch array, operand kind, op, accumulator) per fold
         self.reductions = [
             (
@@ -386,7 +391,6 @@ class _Worker:
                     ]
             self.locals[name] = array
         self.segments: Dict[str, object] = {}
-        self.created: List[str] = []
         self.plan_cache: Dict[
             tuple, Tuple[RunPlan, str, Optional[List[ExchangeDescription]]]
         ] = {}
@@ -415,13 +419,15 @@ class _Worker:
 
         size = max(size, 1)
         if self.rank == 0:
-            seg = shared_memory.SharedMemory(name=name, create=True, size=size)
-            self.created.append(name)
+            # Registered before the wait: if the barrier breaks (a peer
+            # died), close() still unlinks what this rank created.
+            seg = self.segments[name] = shared_memory.SharedMemory(
+                name=name, create=True, size=size
+            )
             self.barrier.wait(_BARRIER_TIMEOUT_S)
         else:
             self.barrier.wait(_BARRIER_TIMEOUT_S)
-            seg = shared_memory.SharedMemory(name=name)
-        self.segments[name] = seg
+            seg = self.segments[name] = shared_memory.SharedMemory(name=name)
         return seg
 
     def close(self) -> None:
@@ -498,7 +504,8 @@ class _Worker:
         facts = self.facts.get(id(node))
         if facts is None:
             facts = self.facts[id(node)] = _NestFacts(
-                node, self.array_kinds, self.program.scalars
+                node, self.array_kinds, self.program.scalars,
+                self.program.partial, self.layout.grid.cut_dimensions(),
             )
         return facts
 
@@ -653,7 +660,7 @@ class _Worker:
         if entry is None:
             fallback = tuple(
                 index for index, node in enumerate(run)
-                if nest_fallback_reason(node, self.layout, self.program.partial)
+                if self._facts(node).gathered
             )
             plan = plan_run(run, self.layout, env, self.options, fallback)
             name = "%s_x%d" % (self.sid, self.next_seg)
@@ -840,9 +847,9 @@ class _Worker:
                 views[name][...] = result.arrays[name]
             payload = {
                 name: _scalar_value(result.scalars[name])
-                for name in facts.corners + [
+                for name in facts.corners + tuple(
                     target for _r, _k, _op, target in facts.reductions
-                ]
+                )
             }
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         for name in facts.writes:
@@ -988,6 +995,44 @@ def _single_process(program: ScalarProgram, initial_arrays, initial_scalars,
     return result, report
 
 
+def _dead_rank(workers) -> Optional[tuple]:
+    """``(rank, error type, what happened)`` for a worker that died mute.
+
+    A worker that posted its result — or caught an error and posted that
+    — exits with code 0.  Any other exit (a signal, the OOM killer,
+    ``os._exit``) posted nothing and leaves its peers waiting for it.
+    """
+    for rank, process in enumerate(workers):
+        code = process.exitcode
+        if code:
+            how = (
+                "killed by signal %d" % -code if code < 0
+                else "exited with code %d" % code
+            )
+            return rank, ReproError, "process %s before posting a result" % how
+    return None
+
+
+def _reclaim(sid: str) -> None:
+    """Unlink every segment of run ``sid`` a dead rank left behind.
+
+    Ranks unlink what they create when they close, so this finds
+    something only after one was killed.  Linux-only (elsewhere there is
+    no ``/dev/shm`` to list)."""
+    try:
+        leftovers = [
+            entry for entry in os.listdir("/dev/shm")
+            if entry.startswith(sid + "_")
+        ]
+    except OSError:
+        return
+    if leftovers:
+        from repro.daemon.shm import unlink_quietly
+
+        for entry in leftovers:
+            unlink_quietly(entry)
+
+
 def execute_sharded(
     program: ScalarProgram,
     initial_arrays=None,
@@ -1081,8 +1126,13 @@ def execute_sharded(
         deadline = time.monotonic() + _BARRIER_TIMEOUT_S + 60
         failure = None
         while len(summaries) < procs and time.monotonic() < deadline:
-            if failure is None and not error_queue.empty():
+            if not error_queue.empty():
                 failure = error_queue.get()
+                break
+            failure = _dead_rank(workers)
+            if failure is not None:
+                # Its peers are, or soon will be, parked in Barrier.wait.
+                barrier.abort()
                 break
             if not any(p.is_alive() for p in workers) and result_queue.empty():
                 break
@@ -1094,6 +1144,7 @@ def execute_sharded(
             process.join(timeout=5 if failure is None else 1)
             if process.is_alive():
                 process.terminate()
+                process.join(timeout=1)
         if failure is None and not error_queue.empty():
             failure = error_queue.get()
         if failure is not None:
@@ -1119,6 +1170,7 @@ def execute_sharded(
                 seg.unlink()
             except OSError:
                 pass
+        _reclaim(sid)
 
     rank0 = next(s for s in summaries if s["rank"] == 0)
     records: List[ExchangeRecord] = rank0["records"]

@@ -1,7 +1,7 @@
 """Parallel substrate: distribution, communication, interaction
 policies, shard geometry, and measured-vs-modeled validation."""
 
-from repro.parallel.comm import CommEvent, analyze_run, communicated_arrays
+from repro.parallel.comm import CommEvent, analyze_run
 from repro.parallel.commcost import ParallelCostModel, estimate_parallel
 from repro.parallel.commopt import (
     ALL_COMM_OPTS,
@@ -11,12 +11,13 @@ from repro.parallel.commopt import (
     eliminate_redundant,
     message_cost_us,
     optimized_comm_cost_us,
+    schedule,
     singleton_messages,
 )
 from repro.parallel.distribution import (
     ProcessorGrid,
     balanced_factorization,
-    scaled_global_extent,
+    block_chunks,
 )
 from repro.parallel.engine import (
     ParNumpyGenerator,
@@ -28,12 +29,11 @@ from repro.parallel.engine import (
 from repro.parallel.shard import (
     RunPlan,
     ShardLayout,
-    elimination_coverage,
     halo_widths,
     plan_run,
     program_rank,
 )
-from repro.parallel.tiling import halo_elements, plan_tiles, tile_count
+from repro.parallel.tiling import halo_elements, plan_tiles
 from repro.parallel.validate import (
     ValidationError,
     ValidationRow,
@@ -66,14 +66,13 @@ __all__ = [
     "ValidationRow",
     "analyze_run",
     "balanced_factorization",
+    "block_chunks",
     "check_report",
     "combine_messages",
     "comm_merge_filter",
-    "communicated_arrays",
     "default_engine",
     "default_workers",
     "eliminate_redundant",
-    "elimination_coverage",
     "estimate_parallel",
     "exchange_table",
     "halo_elements",
@@ -84,9 +83,8 @@ __all__ = [
     "plan_tiles",
     "program_rank",
     "render_numpy_par",
-    "scaled_global_extent",
+    "schedule",
     "singleton_messages",
-    "tile_count",
     "validate_benchsuite",
     "validate_program",
 ]

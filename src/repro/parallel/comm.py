@@ -111,11 +111,7 @@ def analyze_run(
             name, offset = ref.name, ref.offset
             if name not in distributed_arrays:
                 continue
-            for dim in range(1, len(offset) + 1):
-                if offset[dim - 1] == 0 or dim > grid.rank:
-                    continue
-                if not grid.is_cut(dim):
-                    continue
+            for dim in grid.cut_crossings(offset):
                 width = abs(offset[dim - 1])
                 direction = 1 if offset[dim - 1] > 0 else -1
                 key = (name, dim, direction, width)
@@ -137,19 +133,3 @@ def analyze_run(
             last_writer[name] = index
     return events
 
-
-def communicated_arrays(
-    run: Sequence[SNode], grid: ProcessorGrid, distributed_arrays: Set[str]
-) -> Set[str]:
-    """Arrays requiring any border exchange within ``run``."""
-    result: Set[str] = set()
-    for node in run:
-        if not isinstance(node, LoopNest):
-            continue
-        for ref in node.reads():
-            if ref.name not in distributed_arrays:
-                continue
-            for dim in range(1, len(ref.offset) + 1):
-                if ref.offset[dim - 1] != 0 and dim <= grid.rank and grid.is_cut(dim):
-                    result.add(ref.name)
-    return result

@@ -12,11 +12,15 @@ Four classical optimizations over the event stream of one run of loop nests:
   same neighbor merge into one message (one latency, summed payload);
 * **pipelining** — the network portion of a message overlaps with the
   computation executed between the producing nest and the consuming nest.
+
+:func:`schedule` applies whichever of them :class:`CommOptions` selects
+and is the single derivation the cost model prices and ``mp-shard``
+executes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.machine.models import CommParams
 from repro.parallel.comm import CommEvent
@@ -52,39 +56,44 @@ NO_COMM_OPTS = CommOptions(False, False, False)
 
 def eliminate_redundant(
     events: Sequence[CommEvent], run: Sequence[SNode]
-) -> List[CommEvent]:
+) -> Dict[CommEvent, List[CommEvent]]:
     """Drop exchanges whose data is already present and still clean.
 
     ``events`` must be in program order (as produced by ``analyze_run``).
     A cached border becomes stale when any nest rewrites its array.
+    Returns the kept events, in order, each mapped to the dropped events
+    it *covers*: the later, identical exchanges it stands in for, whose
+    consumers read the strip this one delivered (a wire strip must
+    therefore carry the union of what they read).
     """
-    nest_writes: List[Set[str]] = []
-    for node in run:
-        if isinstance(node, LoopNest):
-            nest_writes.append(
-                {stmt.target for stmt in node.body if not stmt.is_contracted}
-            )
-        else:
-            nest_writes.append(set())
-
-    clean: Set[Tuple[str, int, int, int]] = set()
-    result: List[CommEvent] = []
+    nest_writes = [
+        set(node.writes()) if isinstance(node, LoopNest) else set()
+        for node in run
+    ]
+    clean: Dict[Tuple[str, int, int, int], CommEvent] = {}
+    kept: Dict[CommEvent, List[CommEvent]] = {}
     cursor = 0  # next nest whose writes have not yet invalidated borders
     for event in events:
         while cursor < event.nest_index:
             stale = nest_writes[cursor]
             if stale:
-                clean = {key for key in clean if key[0] not in stale}
+                clean = {
+                    key: owner
+                    for key, owner in clean.items()
+                    if key[0] not in stale
+                }
             cursor += 1
-        if event.key() in clean:
+        owner = clean.get(event.key())
+        if owner is not None:
+            kept[owner].append(event)
             continue
-        clean.add(event.key())
-        result.append(event)
-    return result
+        clean[event.key()] = event
+        kept[event] = []
+    return kept
 
 
 def combine_messages(
-    events: Sequence[CommEvent],
+    events: Iterable[CommEvent],
 ) -> List[List[CommEvent]]:
     """Group events into messages: one group = one wire message.
 
@@ -103,34 +112,76 @@ def combine_messages(
     return [groups[key] for key in order]
 
 
-def singleton_messages(events: Sequence[CommEvent]) -> List[List[CommEvent]]:
+def singleton_messages(events: Iterable[CommEvent]) -> List[List[CommEvent]]:
     return [[event] for event in events]
 
 
+class Message(NamedTuple):
+    """One wire message of a run's schedule.
+
+    ``events`` are the kept events that share it and ``covered[i]`` the
+    dropped events ``events[i]`` stands in for.  It is posted before nest
+    ``post`` executes and waited for before nest ``wait`` — the consumer —
+    does; the nests in ``[post, wait)`` are its pipelining window.
+    """
+
+    events: Tuple[CommEvent, ...]
+    covered: Tuple[Tuple[CommEvent, ...], ...]
+    post: int
+    wait: int
+
+
+def schedule(
+    events: Sequence[CommEvent], run: Sequence[SNode], options: CommOptions
+) -> List[Message]:
+    """The §5.5 schedule of one run's event stream under ``options``.
+
+    This is the one derivation both halves consume: the cost model prices
+    it (:func:`optimized_comm_cost_us`) and ``mp-shard`` turns it into
+    byte-addressed boxes (:func:`repro.parallel.shard.plan_run`).  A
+    pipelined message is posted right after the last nest that produced
+    any of its arrays — at the head of the run when every value came from
+    outside it — and otherwise where it is consumed.
+    """
+    if options.redundancy_elimination:
+        kept = eliminate_redundant(events, run)
+    else:
+        kept = {event: [] for event in events}
+    groups = combine_messages(kept) if options.combining else singleton_messages(kept)
+    messages: List[Message] = []
+    for group in groups:
+        wait = post = min(event.nest_index for event in group)
+        if options.pipelining:
+            producers = [
+                event.producer_index
+                for event in group
+                if event.producer_index is not None
+            ]
+            post = min(max(producers) + 1, wait) if producers else 0
+        messages.append(
+            Message(
+                tuple(group), tuple(tuple(kept[ev]) for ev in group), post, wait
+            )
+        )
+    return messages
+
+
 def message_cost_us(
-    message: Sequence[CommEvent],
+    message: Message,
     comm: CommParams,
     compute_us_per_nest: Sequence[float],
     pipelining: bool,
 ) -> float:
-    """Cost of one message after optional pipelining overlap.
+    """Cost of one scheduled message after optional pipelining overlap.
 
     The overlappable portion (latency + transfer) hides behind the
-    computation of the nests strictly between the producer and the consumer;
-    software overhead always occupies the processor.
+    computation of the message's window; software overhead always
+    occupies the processor.
     """
-    total_bytes = sum(event.bytes for event in message)
-    consumer = min(event.nest_index for event in message)
-    producers = [
-        event.producer_index for event in message if event.producer_index is not None
-    ]
+    total_bytes = sum(event.bytes for event in message.events)
     if not pipelining:
         return comm.message_cost_us(total_bytes)
-    if producers:
-        start = max(producers) + 1
-    else:
-        start = 0  # value came from outside the run: hoist to the run head
-    window = sum(compute_us_per_nest[start:consumer])
+    window = sum(compute_us_per_nest[message.post:message.wait])
     overlappable = comm.overlappable_us(total_bytes)
     hidden = min(window, overlappable)
     return comm.sw_overhead_us + (overlappable - hidden)
@@ -144,14 +195,7 @@ def optimized_comm_cost_us(
     options: CommOptions,
 ) -> float:
     """Total communication time of a run under the given optimizations."""
-    working: Sequence[CommEvent] = list(events)
-    if options.redundancy_elimination:
-        working = eliminate_redundant(working, run)
-    if options.combining:
-        messages = combine_messages(working)
-    else:
-        messages = singleton_messages(working)
     return sum(
         message_cost_us(message, comm, compute_us_per_nest, options.pipelining)
-        for message in messages
+        for message in schedule(events, run, options)
     )

@@ -10,7 +10,7 @@ compiled local program serves every processor count.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.util.errors import MachineError
 
@@ -43,6 +43,26 @@ def balanced_factorization(p: int, rank: int) -> Tuple[int, ...]:
     return tuple(factors)
 
 
+def block_chunks(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
+    """Split ``[lo..hi]`` into ``parts`` contiguous chunks, sizes within 1.
+
+    The one block chunker: processor chunks of a distribution domain and
+    tile chunks of a sweep both come from here.  Larger chunks come
+    first (the remainder is spread over the leading chunks); when the
+    extent is smaller than ``parts`` the tail chunks are empty
+    (``lo > hi``), which is what a rank with nothing to own looks like —
+    a caller that wants only non-empty chunks asks for at most the extent.
+    """
+    base, remainder = divmod(max(0, hi - lo + 1), parts)
+    chunks: List[Tuple[int, int]] = []
+    start = lo
+    for index in range(parts):
+        size = base + (1 if index < remainder else 0)
+        chunks.append((start, start + size - 1))
+        start += size
+    return chunks
+
+
 class ProcessorGrid:
     """A rank-r grid of processors with block distribution."""
 
@@ -58,6 +78,15 @@ class ProcessorGrid:
     def cut_dimensions(self) -> List[int]:
         return [dim for dim in range(1, self.rank + 1) if self.is_cut(dim)]
 
+    def cut_crossings(self, offset: Sequence[int]) -> List[int]:
+        """The cut dimensions along which a reference at ``offset`` leaves
+        its processor's block (ascending): each needs a border exchange."""
+        return [
+            dim
+            for dim in range(1, min(self.rank, len(offset)) + 1)
+            if offset[dim - 1] != 0 and self.is_cut(dim)
+        ]
+
     def neighbor_count(self, dim: int) -> int:
         """Neighbors of an interior processor along ``dim`` (0, 1 or 2)."""
         if not self.is_cut(dim):
@@ -66,8 +95,3 @@ class ProcessorGrid:
 
     def __repr__(self) -> str:
         return "ProcessorGrid(p=%d, %s)" % (self.p, "x".join(map(str, self.shape)))
-
-
-def scaled_global_extent(local_extent: int, p_along_dim: int) -> int:
-    """Global extent under scaled problem size."""
-    return local_extent * p_along_dim

@@ -1,17 +1,14 @@
 """The tile-parallel execution engine and its code generator.
 
 The ``np-par`` backend executes each fusible cluster tile by tile
-instead of as one whole-region slice operation.  Legality comes from the
-array-level dependence information the scalarizer already attaches to
-every nest: the carry analysis (:func:`repro.fusion.loopstruct.
-serial_depth` over the cluster's unconstrained distance vectors, paper
-Definition 2) proves that no flow, anti or output dependence has a
-non-zero component along any dimension deeper than
-:attr:`~repro.scalarize.loopnest.LoopNest.carried_depth`.  Along those
-*shardable* dimensions tiles may therefore execute in any order — or
-concurrently — as long as a barrier separates consecutive iterations of
-the serial (carried) loops.  :func:`repro.scalarize.codegen_np.
-shard_plan` packages that proof per nest; :mod:`repro.parallel.tiling`
+instead of as one whole-region slice operation.  Legality is the nest's
+partition plan (:func:`repro.scalarize.loopnest.partition_plan`, where
+the argument from the carry analysis is stated once): tiles along its
+free dimensions may execute in any order — or concurrently — as long as
+a barrier separates consecutive iterations of the serial (carried)
+loops, and :meth:`~repro.scalarize.loopnest.PartitionPlan.thread_class`
+says whether one kernel may sweep all statements, each statement needs
+its own sweep, or the nest stays serial.  :mod:`repro.parallel.tiling`
 lays the tiles out with the same :func:`~repro.parallel.distribution.
 balanced_factorization` the block-distribution model uses for processor
 grids.
@@ -19,7 +16,7 @@ grids.
 Two pieces live here:
 
 :class:`ParNumpyGenerator`
-    Subclasses the vectorizing generator.  Nests whose shard plan allows
+    Subclasses the vectorizing generator.  Nests whose thread class allows
     it are emitted as *kernels* — nested functions taking per-dimension
     tile bounds and applying every statement's slice operation to just
     that tile — driven by ``_engine.sweep(kernel, bounds)`` calls.
@@ -34,10 +31,10 @@ Two pieces live here:
     joins every tile before returning — the inter-sweep barrier the
     safety argument requires.  Workers operate on slice-views of the
     shared arrays, so halo reads (constant-offset references reaching
-    into neighbor tiles) need no copies: the dependence proof guarantees
-    no sweep both writes an array and reads it across a tile boundary.
+    into neighbor tiles) need no copies: the thread class guarantees no
+    sweep both writes an array and reads it across a tile boundary.
     The one exception — a statement that reads *its own target* at a
-    non-zero shardable offset — gets a read snapshot
+    non-zero offset along a free dimension — gets a read snapshot
     (:meth:`TileEngine.snapshot`), reproducing NumPy's buffer-the-whole-
     RHS-then-assign semantics under tiling.
 
@@ -57,17 +54,14 @@ from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.parallel.tiling import TileShape, parse_tile_shape, plan_tiles
-from repro.scalarize.codegen_np import (
-    NumpyGenerator,
-    _VectorContext,
-    shard_plan,
-)
+from repro.scalarize.codegen_np import NumpyGenerator, _VectorContext
 from repro.scalarize.emit_common import bound_text
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
     ScalarProgram,
     loop_variable,
+    partition_plan,
 )
 
 ENV_WORKERS = "REPRO_WORKERS"
@@ -296,29 +290,30 @@ class ParNumpyGenerator(NumpyGenerator):
     # -- nest emission -----------------------------------------------------
 
     def _emit_nest(self, nest: LoopNest, depth: int) -> None:
-        plan = shard_plan(nest, self._program.partial)
-        if not plan.parallel:
+        plan = partition_plan(nest, self._program.partial)
+        threads = plan.thread_class()
+        if threads.mode == "serial":
             # Inherit the np backend's emission (vectorized or element
             # loops) so serial fallbacks stay bit-identical to it.
             self._emit("_engine.note_serial()", depth)
             super()._emit_nest(nest, depth)
             return
-        ctx = _VectorContext(nest.region, plan.shardable_dims)
+        ctx = _VectorContext(nest.region, plan.free)
         inner = self._emit_loop_headers(nest.region, plan.serial_levels, depth)
         emptiness = self._region_emptiness(ctx)
         if emptiness == "empty":
             if plan.serial_levels:
                 self._emit("pass", inner)
             return
-        tile_ctx = self._tile_context(nest.region, plan.shardable_dims)
-        if plan.mode == "per-statement":
-            for stmt in nest.body:
+        tile_ctx = self._tile_context(nest.region, plan.free)
+        if threads.mode == "per-statement":
+            for index, stmt in enumerate(nest.body):
                 self._emit_tile_sweep(
                     nest,
                     [stmt],
                     tile_ctx,
                     inner,
-                    snapshot=self._self_hazard(stmt, plan.shardable_dims),
+                    snapshot=index in threads.snapshots,
                 )
         else:
             self._emit_tile_sweep(nest, nest.body, tile_ctx, inner)
@@ -339,17 +334,6 @@ class ParNumpyGenerator(NumpyGenerator):
                 LinearExpr.variable("_t%dhi" % dim),
             )
         return _VectorContext(Region(dims), vdims)
-
-    @staticmethod
-    def _self_hazard(stmt: ElemAssign, vdims: Sequence[int]) -> bool:
-        """Does ``stmt`` read its own target across a tile boundary?"""
-        if stmt.target is None:
-            return False
-        return any(
-            ref.name == stmt.target
-            and any(ref.offset[dim - 1] for dim in vdims)
-            for ref in stmt.rhs.array_refs()
-        )
 
     def _emit_tile_sweep(
         self,
@@ -403,8 +387,8 @@ class ParNumpyGenerator(NumpyGenerator):
         The kernels' scalar materializations are kernel-local, so after
         the sweep the outer scalar is re-evaluated element-wise at the
         corner — the value serial execution would have left behind
-        (:func:`shard_plan` already rejected nests where a later
-        statement overwrites an array these right-hand sides read).
+        (the thread class is serial when a later statement overwrites an
+        array these right-hand sides read).
         """
         contracted = [
             stmt

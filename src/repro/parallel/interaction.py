@@ -62,11 +62,7 @@ def _comm_windows(
     last_writer: Dict[str, int] = {}
     for position, stmt in enumerate(block):
         for ref in stmt.reads():
-            needs_comm = any(
-                ref.offset[dim - 1] != 0 and dim <= grid.rank and grid.is_cut(dim)
-                for dim in range(1, len(ref.offset) + 1)
-            )
-            if needs_comm:
+            if grid.cut_crossings(ref.offset):
                 windows.append((last_writer.get(ref.name, -1), position))
         last_writer[stmt.target] = position
     return windows

@@ -4,9 +4,9 @@ The analytic communication model (:mod:`repro.parallel.comm`,
 :mod:`repro.parallel.commopt`) prices border exchanges without ever
 moving a byte.  This module is the bridge from that model to a real
 multi-process execution: it decides *which elements live where* and
-turns each run's :class:`~repro.parallel.comm.CommEvent` stream into a
-concrete, byte-addressed exchange schedule that the
-:mod:`repro.exec.mp_shard` backend executes through shared memory.
+turns each run's schedule (:func:`repro.parallel.commopt.schedule`, the
+same messages the model prices) into concrete, byte-addressed boxes that
+the :mod:`repro.exec.mp_shard` backend executes through shared memory.
 
 Everything here is pure and deterministic — no processes, no shared
 memory, no clocks — so the same code computes the *predicted* schedule
@@ -22,8 +22,7 @@ Layout contract
   to grid dimension ``d`` of a :class:`~repro.parallel.distribution.
   ProcessorGrid`.  The *domain* of dimension ``d`` — the union of every
   allocation region's bounds along it — splits into ``grid.shape[d-1]``
-  balanced contiguous chunks (largest remainders first, matching
-  ``balanced_factorization``'s bias toward early dimensions).
+  chunks with :func:`repro.parallel.distribution.block_chunks`.
 * A worker *owns* the Cartesian product of its chunks; the first and
   last non-empty chunk along each dimension extend outward so halo
   margins of the global allocation have a unique owner too.
@@ -49,18 +48,13 @@ accounts them separately (``corner_bytes``) and the validation asserts
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ir.region import Region
 from repro.parallel.comm import CommEvent, analyze_run
-from repro.parallel.commopt import (
-    CommOptions,
-    combine_messages,
-    eliminate_redundant,
-    singleton_messages,
-)
-from repro.parallel.distribution import ProcessorGrid
-from repro.scalarize.loopnest import LoopNest, ScalarProgram
+from repro.parallel.commopt import CommOptions, schedule
+from repro.parallel.distribution import ProcessorGrid, block_chunks
+from repro.scalarize.loopnest import LoopNest, ScalarProgram, partition_plan
 from repro.util.errors import ReproError
 
 #: The model's element size (bytes): every counter and plan figure uses
@@ -102,23 +96,6 @@ def halo_widths(program: ScalarProgram) -> Dict[str, Tuple[int, ...]]:
     return {name: tuple(vals) for name, vals in widths.items()}
 
 
-def _balanced_chunks(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``[lo..hi]`` into ``parts`` contiguous chunks, sizes within 1.
-
-    Larger chunks come first.  When the extent is smaller than ``parts``
-    the tail chunks are empty (``lo > hi``).
-    """
-    extent = max(0, hi - lo + 1)
-    base, rem = divmod(extent, parts)
-    chunks: List[Tuple[int, int]] = []
-    cursor = lo
-    for index in range(parts):
-        size = base + (1 if index < rem else 0)
-        chunks.append((cursor, cursor + size - 1))
-        cursor += size
-    return chunks
-
-
 class ShardLayout:
     """Where every element lives: chunks, ownership, local allocations.
 
@@ -140,7 +117,7 @@ class ShardLayout:
         for dim in range(1, self.rank + 1):
             self.domains.append(self._domain_of(program, dim))
         self.chunks: List[List[Tuple[int, int]]] = [
-            _balanced_chunks(lo, hi, grid.shape[dim - 1])
+            block_chunks(lo, hi, grid.shape[dim - 1])
             for dim, (lo, hi) in enumerate(self.domains, start=1)
         ]
         #: Per dim: strides to convert a linear rank to grid coordinates
@@ -374,30 +351,14 @@ class PlannedMessage:
         return tuple(seen)
 
 
-class RunPlan:
+class RunPlan(NamedTuple):
     """The executable exchange schedule for one run of nests."""
 
-    __slots__ = (
-        "messages",
-        "segment_bytes",
-        "events_raw",
-        "events_kept",
-        "eliminated",
-        "combined",
-        "fallback_indices",
-    )
-
-    def __init__(self, messages: List[PlannedMessage], segment_bytes: int,
-                 events_raw: List[CommEvent], events_kept: List[CommEvent],
-                 eliminated: int, combined: int,
-                 fallback_indices: Tuple[int, ...]) -> None:
-        self.messages = messages
-        self.segment_bytes = segment_bytes
-        self.events_raw = events_raw
-        self.events_kept = events_kept
-        self.eliminated = eliminated
-        self.combined = combined
-        self.fallback_indices = fallback_indices
+    messages: List[PlannedMessage]
+    segment_bytes: int
+    eliminated: int
+    combined: int
+    fallback_indices: Tuple[int, ...]
 
 
 def event_spans(node: LoopNest, event: CommEvent) -> List[Tuple[int, int]]:
@@ -511,39 +472,6 @@ def _event_copies(
     return copies, offset_bytes, clipped
 
 
-def elimination_coverage(
-    events: Sequence[CommEvent], run: Sequence[LoopNest]
-) -> Tuple[List[CommEvent], Dict[int, List[CommEvent]]]:
-    """``eliminate_redundant``'s sweep, with drops attributed to keeps.
-
-    Returns ``(kept, coverage)`` where ``kept`` is exactly what
-    :func:`repro.parallel.commopt.eliminate_redundant` returns and
-    ``coverage[id(kept_event)]`` lists the dropped events whose data
-    that kept event must carry (same clean-key window: no intervening
-    write to the array).
-    """
-    nest_writes: List[Set[str]] = [set(node.writes()) for node in run]
-    clean: Dict[Tuple[str, int, int, int], CommEvent] = {}
-    kept: List[CommEvent] = []
-    coverage: Dict[int, List[CommEvent]] = {}
-    cursor = 0
-    for event in events:
-        while cursor < event.nest_index:
-            stale = nest_writes[cursor]
-            if stale:
-                clean = {
-                    key: ev for key, ev in clean.items() if key[0] not in stale
-                }
-            cursor += 1
-        owner = clean.get(event.key())
-        if owner is not None:
-            coverage.setdefault(id(owner), []).append(event)
-            continue
-        clean[event.key()] = event
-        kept.append(event)
-    return kept, coverage
-
-
 def plan_run(
     run: Sequence[LoopNest],
     layout: ShardLayout,
@@ -558,55 +486,35 @@ def plan_run(
     schedule excludes them — the validation harness reports them
     separately rather than pretending they were border strips.
     """
-    distributed = set(layout.allocs)
-    events_raw = analyze_run(run, layout.grid, env, distributed)
     skip = set(fallback_indices)
-    events = [ev for ev in events_raw if ev.nest_index not in skip]
-    coverage: Dict[int, List[CommEvent]] = {}
-    if options.redundancy_elimination:
-        kept, coverage = elimination_coverage(events, run)
-    else:
-        kept = list(events)
-    eliminated = len(events) - len(kept)
-    groups = (
-        combine_messages(kept) if options.combining else singleton_messages(kept)
-    )
-    combined = sum(len(group) - 1 for group in groups)
+    events = [
+        event
+        for event in analyze_run(run, layout.grid, env, set(layout.allocs))
+        if event.nest_index not in skip
+    ]
+    scheduled = schedule(events, run, options)
     messages: List[PlannedMessage] = []
     segment_bytes = 0
-    for index, group in enumerate(groups):
-        consumer = min(ev.nest_index for ev in group)
-        if options.pipelining:
-            producers = [
-                ev.producer_index for ev in group
-                if ev.producer_index is not None
-            ]
-            post_point = max(producers) + 1 if producers else 0
-            post_point = min(post_point, consumer)
-        else:
-            post_point = consumer
+    for index, message in enumerate(scheduled):
         planned_events: List[PlannedEvent] = []
-        for ev in group:
-            consumers = [ev] + coverage.get(id(ev), [])
+        for event, covered in zip(message.events, message.covered):
             pairs = [
                 (run[c.nest_index],
                  tuple(run[c.nest_index].region.concrete_bounds(env)))
-                for c in consumers
+                for c in (event,) + covered
             ]
             copies, segment_bytes, clipped = _event_copies(
-                pairs, ev, layout, segment_bytes
+                pairs, event, layout, segment_bytes
             )
-            planned_events.append(PlannedEvent(ev, copies, clipped))
+            planned_events.append(PlannedEvent(event, copies, clipped))
         messages.append(
-            PlannedMessage(index, planned_events, post_point, consumer)
+            PlannedMessage(index, planned_events, message.post, message.wait)
         )
     return RunPlan(
         messages,
         segment_bytes,
-        list(events_raw),
-        kept,
-        eliminated,
-        combined,
+        sum(len(covered) for m in scheduled for covered in m.covered),
+        sum(len(m.events) - 1 for m in scheduled),
         tuple(fallback_indices),
     )
 
@@ -618,40 +526,13 @@ def nest_fallback_reason(node: LoopNest, layout: ShardLayout,
                          partial: Mapping[str, Tuple[int, int]]) -> Optional[str]:
     """Why a nest cannot execute clamped to worker chunks, or None.
 
-    Clamped execution reads neighbor values from pre-exchanged halos,
-    which hold *pre-nest* state.  That is exactly the mini-ZPL statement
-    semantics for self-references and for anti-dependences, but a
-    statement reading an array an *earlier statement of the same nest*
-    wrote at a non-zero offset along a cut dimension needs the
-    neighbor's fresh values mid-nest — the §5.5 FAVOR_COMM policy exists
-    to keep such merges from forming, and when they do form anyway the
-    backend executes the nest whole on rank 0.  Circular-buffer arrays
-    (partial contraction) carry a true flow dependence along their
-    buffered dimension, so any cut-dimension buffer also falls back.
+    The rank class of the nest's partition plan for the dimensions
+    ``layout`` cuts (:meth:`repro.scalarize.loopnest.PartitionPlan.
+    rank_class`, where the argument lives): a *gathered* nest — today
+    executed whole on rank 0 — comes with its reason, a *clamped* one
+    with ``None``.
     """
-    cut = [d for d in range(1, layout.rank + 1) if layout.grid.is_cut(d)]
-    if not cut:
-        return None
-    for name in {ref.name for ref in node.reads()}:
-        if name in partial and partial[name][0] in cut:
-            return "touches circular buffer %r cut along dim %d" % (
-                name, partial[name][0]
-            )
-    for name in node.writes():
-        if name in partial and partial[name][0] in cut:
-            return "writes circular buffer %r cut along dim %d" % (
-                name, partial[name][0]
-            )
-    written: Set[str] = set()
-    for stmt in node.body:
-        for ref in stmt.rhs.array_refs():
-            if ref.name in written and any(
-                d <= len(ref.offset) and ref.offset[d - 1] != 0 for d in cut
-            ):
-                return (
-                    "reads %r at offset %r from an earlier statement of the "
-                    "same nest across a cut dimension" % (ref.name, ref.offset)
-                )
-        if stmt.target is not None:
-            written.add(stmt.target)
-    return None
+    _mode, reason = partition_plan(node, partial).rank_class(
+        layout.grid.cut_dimensions()
+    )
+    return reason

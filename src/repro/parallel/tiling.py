@@ -1,19 +1,18 @@
 """Tile layout for the tile-parallel execution engine.
 
 A *sweep* is the dependence-free part of one loop nest execution: the
-index region spanned by the nest's shardable dimensions (the dimensions
-at depth >= ``carried_depth``, where the carry analysis proves no
-intra-cluster dependence has a non-zero component).  This module cuts
+index region spanned by the free dimensions of the nest's partition plan
+(:func:`repro.scalarize.loopnest.partition_plan`).  This module cuts
 that region into rectangular tiles:
 
 * the tile grid comes from :func:`repro.parallel.distribution.
-  balanced_factorization` over the shardable dimensions — the same
+  balanced_factorization` over the free dimensions — the same
   most-balanced layout the block distribution model uses for processor
   grids, largest factors on the earliest (slowest-varying) dimensions so
   tiles stay contiguous runs of rows under row-major allocation;
-* per dimension the extent splits into near-equal chunks (remainder
-  spread over the leading chunks, like a block distribution of an
-  extent that does not divide evenly);
+* per dimension the extent splits into near-equal chunks with
+  :func:`repro.parallel.distribution.block_chunks`, the chunker that
+  also blocks a distribution domain over processors;
 * the number of tiles *oversubscribes* the worker count for load
   balance, and is additionally raised until tiles fit a target element
   budget — tile-at-a-time execution of a fused cluster keeps the working
@@ -27,8 +26,8 @@ Tiles carry only bounds.  Workers execute NumPy slice-views of the
 shared arrays directly, so a tile's *halo* — the neighbor elements a
 constant-offset reference reads beyond the tile bounds (the strip widths
 :func:`repro.parallel.comm.analyze_run` accounts border-exchange bytes
-for) — needs no copying: the dependence proof guarantees those elements
-are not written during the same sweep.
+for) — needs no copying: the plan's thread class guarantees those
+elements are not written during the same sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.parallel.distribution import balanced_factorization
+from repro.parallel.distribution import balanced_factorization, block_chunks
 from repro.util.errors import MachineError
 
 #: Inclusive per-dimension bounds, e.g. ``((1, 64), (1, 64))``.
@@ -84,26 +83,6 @@ def parse_tile_shape(text: Optional[str]) -> TileShape:
     return extents[0] if len(extents) == 1 else extents
 
 
-def _chunk_bounds(lo: int, hi: int, parts: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``[lo..hi]`` into ``parts`` near-equal non-empty chunks.
-
-    ``parts`` is clamped to the extent; the remainder goes to the leading
-    chunks, matching a block distribution of an uneven extent.
-    """
-    extent = hi - lo + 1
-    if extent <= 0:
-        return ()
-    parts = max(1, min(parts, extent))
-    base, remainder = divmod(extent, parts)
-    chunks = []
-    start = lo
-    for index in range(parts):
-        size = base + (1 if index < remainder else 0)
-        chunks.append((start, start + size - 1))
-        start += size
-    return tuple(chunks)
-
-
 def _forced_extents(tile_shape: TileShape, rank: int) -> Optional[Tuple[int, ...]]:
     if tile_shape is None:
         return None
@@ -149,7 +128,7 @@ def plan_tiles(
     forced = _forced_extents(tile_shape, rank)
     if forced is not None:
         per_dim = [
-            _chunk_bounds(lo, hi, -(-extent // forced[dim]))
+            block_chunks(lo, hi, -(-extent // forced[dim]))
             for dim, ((lo, hi), extent) in enumerate(zip(bounds, extents))
         ]
     else:
@@ -161,8 +140,8 @@ def plan_tiles(
             return (tuple(bounds),)
         grid = balanced_factorization(parts, rank)
         per_dim = [
-            _chunk_bounds(lo, hi, factor)
-            for (lo, hi), factor in zip(bounds, grid)
+            block_chunks(lo, hi, min(factor, extent))
+            for (lo, hi), extent, factor in zip(bounds, extents, grid)
         ]
 
     tiles: list = [()]
@@ -171,16 +150,11 @@ def plan_tiles(
     return tuple(tiles)
 
 
-def tile_count(bounds: Bounds, workers: int = 1, tile_shape: TileShape = None) -> int:
-    """How many tiles :func:`plan_tiles` produces for these bounds."""
-    return len(plan_tiles(bounds, workers, tile_shape))
-
-
 def halo_elements(tile: Tile, halo: Sequence[int]) -> int:
     """Neighbor elements a tile reads beyond its bounds.
 
     ``halo[d]`` is the widest constant offset along sharded dimension
-    ``d`` (see :attr:`repro.scalarize.codegen_np.ShardPlan.halo`); the
+    ``d`` (see :attr:`repro.scalarize.loopnest.DimFacts.halo`); the
     count is the volume of the halo-expanded tile minus the tile itself,
     mirroring the border-strip byte accounting of
     :func:`repro.parallel.comm.analyze_run`.

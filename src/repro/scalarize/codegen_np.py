@@ -1,29 +1,23 @@
 """Whole-region NumPy code generation.
 
 A third execution back end: compile each fused cluster to slice
-operations over entire regions instead of element loops.  The legality
-analysis is the carry information the scalarizer attaches to every nest
-(:attr:`~repro.scalarize.loopnest.LoopNest.carried_depth`, computed by
-:func:`repro.fusion.loopstruct.serial_depth`):
+operations over entire regions instead of element loops.  Which
+dimensions may collapse to slices is one derivation
+(:meth:`~repro.scalarize.loopnest.PartitionPlan.slices`) of the nest's
+partition plan, where the legality argument is stated once; what this
+emitter does with the answer:
 
-* ``carried_depth == 0`` — no intra-cluster dependence is loop-carried,
-  so the nest is a dependence-free sweep.  Distributing it statement by
-  statement and executing each statement as one whole-region slice
-  operation preserves every dependence: zero-distance dependences are
-  preserved by statement order (a statement's full-region write completes
-  before the next statement reads), and there are no others.
-* ``0 < carried_depth < rank`` — the outermost ``carried_depth`` loops
-  carry dependences and are peeled as serial Python loops; the inner
-  loops are dependence-free and collapse to slices, one hyperplane at a
-  time (e.g. the Figure 1 tridiagonal solve: serial in ``i``, vectorized
-  over ``j``).
-* ``carried_depth == rank`` (or ``None``, for hand-built nests with no
-  carry analysis) — every level carries a dependence; fall back to the
-  element loops of :class:`~repro.scalarize.codegen_py.PyGenerator`.
-
-Nests touching partially contracted arrays (circular buffers indexed
-modulo their depth) also fall back to element loops: modular indexing has
-no contiguous slice form.
+* no serial prefix — the nest is a dependence-free sweep, distributed
+  statement by statement, each statement one whole-region slice
+  operation (zero-distance dependences are preserved by statement order:
+  a statement's full-region write completes before the next one reads);
+* a serial prefix — those loops are peeled as serial Python loops and
+  the free dimensions collapse to slices, one hyperplane at a time (e.g.
+  the Figure 1 tridiagonal solve: serial in ``i``, vectorized over
+  ``j``);
+* no slice form (every level carried, carry depth unknown, or a circular
+  buffer's modular indexing) — fall back to the element loops of
+  :class:`~repro.scalarize.codegen_py.PyGenerator`.
 
 Contraction scalars inside a vectorized nest become whole-region
 temporaries (the value at *every* index point, materialized with
@@ -41,7 +35,7 @@ region the fold does not run and the accumulator keeps its value.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -57,138 +51,9 @@ from repro.scalarize.loopnest import (
     LoopNest,
     ScalarProgram,
     loop_variable,
+    partition_plan,
 )
 from repro.util.errors import ScalarizationError
-
-
-def vector_split(
-    nest: LoopNest, partial: Optional[Dict[str, Tuple[int, int]]] = None
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The legal (serial prefix, vectorized dims) split for a nest.
-
-    ``None`` means the nest must run as element loops: unknown carry
-    depth, every level carried, or modular (circular-buffer) indexing.
-    Otherwise returns ``(serial_levels, vdims)``: the outermost
-    ``carried_depth`` signed structure entries that must stay serial
-    loops, and the array dimensions (1-based, ascending) proved
-    dependence-free by the carry analysis — the dimensions a vectorizer
-    may collapse to slices and a tile engine may shard across workers.
-    """
-    if nest.carried_depth is None or nest.carried_depth >= nest.rank:
-        return None
-    if partial and not nest.arrays().isdisjoint(partial):
-        return None
-    serial_levels = tuple(nest.structure[: nest.carried_depth])
-    vdims = tuple(
-        sorted(abs(d) for d in nest.structure[nest.carried_depth :])
-    )
-    return serial_levels, vdims
-
-
-class ShardPlan(NamedTuple):
-    """How one loop nest may be sharded into tiles (see Definition 2).
-
-    The proof obligation is discharged by the carry analysis: every
-    intra-cluster dependence (flow, anti and output, from the cluster's
-    unconstrained distance vectors) is carried by one of the
-    ``serial_levels`` loops, so along the ``shardable_dims`` no
-    dependence has a non-zero component and tiles may execute in any
-    order — or concurrently — between serial iterations.
-
-    ``mode`` is ``"parallel"`` (one kernel sweeps all statements per
-    tile), ``"per-statement"`` (statement-level barriers because a
-    statement reads an array another statement of the same nest writes
-    at a non-zero offset along a shardable dimension), or ``"serial"``
-    (``reason`` says why the nest must not be tiled at all).
-
-    ``halo`` maps each shardable dimension to the widest constant
-    reference offset along it — the number of neighbor elements a tile
-    reads beyond its own bounds, exactly the strip widths
-    :func:`repro.parallel.comm.analyze_run` accounts border-exchange
-    bytes for.
-    """
-
-    serial_levels: Tuple[int, ...]
-    shardable_dims: Tuple[int, ...]
-    mode: str
-    reason: Optional[str]
-    halo: Dict[int, int]
-    hazard_arrays: Tuple[str, ...]
-
-    @property
-    def parallel(self) -> bool:
-        return self.mode != "serial"
-
-
-def _serial_plan(reason: str) -> ShardPlan:
-    return ShardPlan((), (), "serial", reason, {}, ())
-
-
-def shard_plan(
-    nest: LoopNest, partial: Optional[Dict[str, Tuple[int, int]]] = None
-) -> ShardPlan:
-    """Decide how (and whether) a nest may execute as parallel tiles."""
-    split = vector_split(nest, partial)
-    if split is None:
-        if nest.carried_depth is None:
-            return _serial_plan("carried depth unknown (hand-built nest)")
-        if nest.carried_depth >= nest.rank:
-            return _serial_plan("every loop level carries a dependence")
-        return _serial_plan("touches a circular-buffer array")
-    serial_levels, vdims = split
-    body = nest.body
-    if any(stmt.reduce_op is not None for stmt in body):
-        # Tiling a fused reduction would reassociate the fold and break
-        # bit-identity with the whole-region backend.
-        return _serial_plan("fused reduction folds over the region")
-
-    written = {stmt.target for stmt in body if stmt.target is not None}
-    halo: Dict[int, int] = {dim: 0 for dim in vdims}
-    hazard_arrays = set()
-    for stmt in body:
-        for ref in stmt.rhs.array_refs():
-            crosses = False
-            for dim in vdims:
-                width = abs(ref.offset[dim - 1])
-                if width:
-                    halo[dim] = max(halo[dim], width)
-                    crosses = True
-            if crosses and ref.name in written:
-                hazard_arrays.add(ref.name)
-
-    contracted = [
-        stmt for stmt in body if stmt.reduce_op is None and stmt.is_contracted
-    ]
-    if contracted:
-        if hazard_arrays:
-            return _serial_plan(
-                "contraction scalars mixed with cross-tile reads of "
-                "nest-written arrays"
-            )
-        # The corner restore is recomputed at the final index point after
-        # the sweep; that is only the value serial execution leaves behind
-        # if no later statement overwrites an array the scalar reads.
-        for index, stmt in enumerate(body):
-            if stmt.reduce_op is None and stmt.is_contracted:
-                later = {
-                    s.target for s in body[index + 1 :] if s.target is not None
-                }
-                if any(ref.name in later for ref in stmt.rhs.array_refs()):
-                    return _serial_plan(
-                        "contraction scalar reads an array a later "
-                        "statement overwrites"
-                    )
-        return ShardPlan(serial_levels, vdims, "parallel", None, halo, ())
-    if hazard_arrays:
-        return ShardPlan(
-            serial_levels,
-            vdims,
-            "per-statement",
-            None,
-            halo,
-            tuple(sorted(hazard_arrays)),
-        )
-    return ShardPlan(serial_levels, vdims, "parallel", None, halo, ())
 
 
 class _VectorContext:
@@ -219,17 +84,15 @@ class NumpyGenerator(PyGenerator):
     # -- loop nests --------------------------------------------------------
 
     def _emit_nest(self, nest: LoopNest, depth: int) -> None:
-        plan = self._vector_plan(nest)
-        if plan is None:
+        plan = partition_plan(nest, self._program.partial)
+        split = plan.slices()
+        if split is None:
             super()._emit_nest(nest, depth)
             return
-        serial_levels, ctx = plan
+        serial_levels, vdims = split
+        ctx = _VectorContext(nest.region, vdims)
         inner = self._emit_loop_headers(nest.region, serial_levels, depth)
 
-        needs_guard = any(
-            stmt.reduce_op is not None or stmt.is_contracted
-            for stmt in nest.body
-        )
         emptiness = self._region_emptiness(ctx)
         if emptiness == "empty":
             # The vectorized dims are statically empty: the nest body never
@@ -238,34 +101,18 @@ class NumpyGenerator(PyGenerator):
             if serial_levels:
                 self._emit("pass", inner)
             return
-        if needs_guard and emptiness == "unknown":
+        if (plan.folds or plan.corners) and emptiness == "unknown":
             self._emit("if %s:" % self._nonempty_cond(ctx), inner)
             inner += 1
 
-        corner_targets: List[str] = []
         for stmt in nest.body:
             self._emit_vector_stmt(stmt, nest, ctx, inner)
-            if stmt.reduce_op is None and stmt.is_contracted:
-                if stmt.scalar_target not in corner_targets:
-                    corner_targets.append(stmt.scalar_target)
         corner = ", ".join(
             "-1" if self._dim_direction(nest, dim) > 0 else "0"
             for dim in ctx.vdims
         )
-        for name in corner_targets:
+        for name in plan.corners:
             self._emit("%s = %s[%s]" % (name, name, corner), inner)
-
-    def _vector_plan(self, nest: LoopNest):
-        """The (serial prefix, vector context) for a nest, or ``None``.
-
-        ``None`` means the nest must run as element loops: unknown carry
-        depth, every level carried, or modular (circular-buffer) indexing.
-        """
-        split = vector_split(nest, self._program.partial)
-        if split is None:
-            return None
-        serial_levels, vdims = split
-        return serial_levels, _VectorContext(nest.region, vdims)
 
     @staticmethod
     def _dim_direction(nest: LoopNest, dim: int) -> int:

@@ -17,7 +17,10 @@ Consumers query the tree instead of recursing through it themselves:
 :func:`walk` enumerates every node in pre-order, and
 :meth:`LoopNest.reads` / :meth:`LoopNest.writes` /
 :meth:`LoopNest.arrays` / :meth:`LoopNest.scalar_reads` say what a nest
-touches, and :func:`sinkable` says whether a column sweep's serial loop may
+touches, :func:`partition_plan` says along which dimensions it may be
+split, with what halo and what hazard left — the one answer the slice,
+thread, rank and loop-interchange consumers each derive their verdict
+from — and :func:`sinkable` says whether a column sweep's serial loop may
 move under its row loops.
 
 This IR is what the interpreters execute, the cache simulator traces, and
@@ -31,6 +34,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -271,6 +275,272 @@ def walk(body: Sequence[SNode]) -> Iterator[SNode]:
             yield from walk(node.else_body)
 
 
+class Crossing(NamedTuple):
+    """One read, at a non-zero offset along some dimension, of an array
+    the reading nest also stores: what a split along that dimension cuts.
+
+    ``(stmt, slot)`` is the read's position in the body (statement index,
+    then reference order on its right-hand side), so crossings recorded
+    along different dimensions still order as the body executes them.
+    ``own`` says the array is the reading statement's own target.
+    """
+
+    stmt: int
+    slot: int
+    ref: ArrayRef
+    own: bool
+
+
+class DimFacts(NamedTuple):
+    """What a split of a nest along one dimension has to respect.
+
+    ``halo`` is the widest ``|offset|`` any read applies along it — the
+    neighbor elements a block reads beyond its own bounds.  ``carried``
+    says one of the outermost ``carried_depth`` loops iterates it (all of
+    them when the depth is unknown), so blocks along it depend on each
+    other.  ``flow`` holds the crossings whose array an *earlier*
+    statement of the nest stores (the neighbor's value must be this
+    nest's, mid-nest), ``anti`` those whose array the *same or a later*
+    statement stores (the neighbor's value must still be the old one).
+    ``buffered`` lists ``(verb, array)`` for every circular buffer whose
+    modular dimension this is: ``"touches"`` when the nest reads it,
+    ``"writes"`` when it only stores to it.
+    """
+
+    halo: int
+    carried: bool
+    flow: Tuple[Crossing, ...]
+    anti: Tuple[Crossing, ...]
+    buffered: Tuple[Tuple[str, str], ...]
+
+
+class ThreadClass(NamedTuple):
+    """How a nest may run as concurrent blocks over shared arrays.
+
+    ``"parallel"``: one kernel sweeps every statement per block.
+    ``"per-statement"``: a barrier after each statement, because some
+    statement reads — across a free dimension — an array the nest stores
+    (``hazard_arrays``); the statements in ``snapshots`` read their *own*
+    target that way and need the pre-statement copy.  ``"serial"``: no
+    split, ``reason`` says why.
+    """
+
+    mode: str
+    reason: Optional[str] = None
+    hazard_arrays: Tuple[str, ...] = ()
+    snapshots: Tuple[int, ...] = ()
+
+
+class PartitionPlan(NamedTuple):
+    """Every split-legality fact of one loop nest, from one pass.
+
+    The proof obligation is the paper's: every intra-cluster dependence
+    (flow, anti and output, from the cluster's unconstrained distance
+    vectors, Definition 2) is carried by one of the ``serial_levels``
+    loops (Definition 4), so along the remaining :attr:`free` dimensions
+    no dependence has a non-zero component and blocks may run in any
+    order between serial iterations.  What a particular *kind* of split
+    must additionally respect — values crossing a block edge inside the
+    nest — is recorded per dimension in ``dims`` (:class:`DimFacts`,
+    index ``dim - 1``), and each consumer's verdict is a derivation:
+
+    * :meth:`slices` — whole-region slice operations (``codegen_np``);
+    * :meth:`thread_class` — blocks over shared arrays (``np-par``, the
+      tuner, an OpenMP loop);
+    * :meth:`rank_class` — blocks over private arrays with pre-exchanged
+      halos (``mp-shard``);
+    * :func:`sinkable` — interchanging an enclosing serial loop (``c``).
+
+    ``serial_levels`` is the signed structure prefix that must stay
+    serial loops (``None``: carry depth unknown, assume every level).
+    ``folds`` says some statement is a reduction step, ``corners`` names
+    the contraction scalars left at the final index point's value, and
+    ``unsafe_corner`` that one of them reads an array a later statement
+    overwrites (recomputing it after the sweep would see the new value).
+    """
+
+    dims: Tuple[DimFacts, ...]
+    serial_levels: Optional[Tuple[int, ...]]
+    folds: bool
+    corners: Tuple[str, ...]
+    unsafe_corner: bool
+
+    @property
+    def free(self) -> Tuple[int, ...]:
+        """The dimensions (1-based, ascending) no serial loop iterates."""
+        return tuple(
+            dim for dim, facts in enumerate(self.dims, start=1) if not facts.carried
+        )
+
+    @property
+    def buffered(self) -> bool:
+        """Does the nest touch any circular-buffer array?"""
+        return any(facts.buffered for facts in self.dims)
+
+    def slices(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """``(serial prefix, dimensions to collapse to slices)``, or
+        ``None`` when the nest must run as element loops: every level
+        carried (or the depth unknown), or modular indexing, which has no
+        contiguous slice form."""
+        if not self.free or self.buffered:
+            return None
+        return self.serial_levels, self.free
+
+    def thread_class(self) -> ThreadClass:
+        """The verdict for concurrent blocks along :attr:`free`."""
+        if self.serial_levels is None:
+            return ThreadClass("serial", "carried depth unknown (hand-built nest)")
+        if not self.free:
+            return ThreadClass("serial", "every loop level carries a dependence")
+        if self.buffered:
+            return ThreadClass("serial", "touches a circular-buffer array")
+        if self.folds:
+            # Blocks would reassociate the fold and break bit-identity
+            # with the whole-region backend.
+            return ThreadClass("serial", "fused reduction folds over the region")
+        crossings = [
+            crossing
+            for dim in self.free
+            for crossing in self.dims[dim - 1].flow + self.dims[dim - 1].anti
+        ]
+        if self.corners and crossings:
+            return ThreadClass(
+                "serial",
+                "contraction scalars mixed with cross-tile reads of "
+                "nest-written arrays",
+            )
+        if self.unsafe_corner:
+            return ThreadClass(
+                "serial",
+                "contraction scalar reads an array a later statement overwrites",
+            )
+        if crossings:
+            return ThreadClass(
+                "per-statement",
+                None,
+                tuple(sorted({crossing.ref.name for crossing in crossings})),
+                tuple(sorted({c.stmt for c in crossings if c.own})),
+            )
+        return ThreadClass("parallel")
+
+    def rank_class(self, cut: Sequence[int]) -> Tuple[str, Optional[str]]:
+        """``("clamped", None)`` or ``("gathered", reason)`` for blocks
+        along the ``cut`` dimensions, each block holding its own arrays.
+
+        A clamped block reads its neighbors' values from halos exchanged
+        *before* the nest, which hold pre-nest state.  That is exactly
+        what a self-reference or an anti dependence wants; a flow
+        crossing wants the neighbor's mid-nest value, and a circular
+        buffer carries a true flow dependence along its modular
+        dimension, so either along a cut dimension makes the nest
+        *gathered*: it needs its blocks to run in dependence order (today
+        whole on one rank; the §5.5 FAVOR_COMM policy exists to keep such
+        merges from forming).
+        """
+        cut = [dim for dim in cut if dim <= len(self.dims)]
+        buffers = [
+            (verb, name, dim)
+            for dim in cut
+            for verb, name in self.dims[dim - 1].buffered
+        ]
+        if buffers:
+            # min: a buffer the nest reads ("touches") is named before one
+            # it only "writes", then alphabetically.
+            return "gathered", "%s circular buffer %r cut along dim %d" % min(buffers)
+        flow = [crossing for dim in cut for crossing in self.dims[dim - 1].flow]
+        if flow:
+            first = min(flow, key=lambda crossing: crossing[:2])
+            return "gathered", (
+                "reads %r at offset %r from an earlier statement of the "
+                "same nest across a cut dimension"
+                % (first.ref.name, first.ref.offset)
+            )
+        return "clamped", None
+
+
+def partition_plan(
+    nest: LoopNest, partial: Mapping[str, Tuple[int, int]]
+) -> PartitionPlan:
+    """The :class:`PartitionPlan` of ``nest``: one pass over its reads.
+
+    ``partial`` maps circular-buffer arrays to ``(dimension, depth)``
+    (:attr:`ScalarProgram.partial`).  This is the only place a read's
+    offset is compared with the arrays its nest stores.
+    """
+    rank = nest.rank
+    first_store: Dict[str, int] = {}
+    last_store: Dict[str, int] = {}
+    for index, stmt in enumerate(nest.body):
+        if stmt.target is not None:
+            first_store.setdefault(stmt.target, index)
+            last_store[stmt.target] = index
+    halo = [0] * rank
+    flow: List[List[Crossing]] = [[] for _ in range(rank)]
+    anti: List[List[Crossing]] = [[] for _ in range(rank)]
+    buffers: Dict[str, str] = {}
+    corners: Dict[str, None] = {}
+    folds = unsafe_corner = False
+    for index, stmt in enumerate(nest.body):
+        corner = stmt.is_contracted and stmt.reduce_op is None
+        if corner:
+            corners[stmt.scalar_target] = None
+        elif stmt.reduce_op is not None:
+            folds = True
+        for slot, ref in enumerate(stmt.rhs.array_refs()):
+            if ref.name in partial:
+                buffers.setdefault(ref.name, "touches")
+            stored = last_store.get(ref.name, -1)
+            if corner and stored > index:
+                unsafe_corner = True
+            crossing = None
+            for axis, offset in enumerate(ref.offset[:rank]):
+                if not offset:
+                    continue
+                halo[axis] = max(halo[axis], abs(offset))
+                if stored < 0:
+                    continue
+                if crossing is None:
+                    crossing = Crossing(
+                        index, slot, ref, ref.name == stmt.target
+                    )
+                if first_store[ref.name] < index:
+                    flow[axis].append(crossing)
+                if stored >= index:
+                    anti[axis].append(crossing)
+    for name in first_store:
+        if name in partial:
+            buffers.setdefault(name, "writes")
+    buffered: List[List[Tuple[str, str]]] = [[] for _ in range(rank)]
+    for name, verb in buffers.items():
+        buffered[partial[name][0] - 1].append((verb, name))
+    serial_levels = (
+        None
+        if nest.carried_depth is None
+        else tuple(nest.structure[: nest.carried_depth])
+    )
+    carried = (
+        set(range(1, rank + 1))
+        if serial_levels is None
+        else {abs(level) for level in serial_levels}
+    )
+    return PartitionPlan(
+        tuple(
+            DimFacts(
+                halo[axis],
+                axis + 1 in carried,
+                tuple(flow[axis]),
+                tuple(anti[axis]),
+                tuple(buffered[axis]),
+            )
+            for axis in range(rank)
+        ),
+        serial_levels,
+        folds,
+        tuple(corners),
+        unsafe_corner,
+    )
+
+
 def sinkable(
     loop: SeqLoop,
     partial: Mapping[str, Tuple[int, int]],
@@ -290,11 +560,12 @@ def sinkable(
        has constant, non-empty bounds under ``env`` (an empty row range
        would leave the loop variable unassigned);
     3. no statement is a fold;
-    4. every read of an array the nest writes has offset 0 in every
-       non-pinned dimension;
+    4. no row dimension has a flow or anti crossing (every read of an
+       array the nest writes has offset 0 in every non-pinned dimension);
     5. every scalar the nest assigns is defined before it is read, and
        none is the loop variable.
 
+    Conditions 1, 3 and 4 are read off the nest's :class:`PartitionPlan`.
     Then rows touch disjoint elements of every written array, the order
     inside a row is kept, and the last iteration executed is the same
     index point in both orders: arrays, contraction-corner scalars and the
@@ -304,7 +575,7 @@ def sinkable(
     if len(loop.body) != 1 or not isinstance(loop.body[0], LoopNest):
         return False
     nest = loop.body[0]
-    if nest.rank < 2 or not nest.arrays().isdisjoint(partial):
+    if nest.rank < 2:
         return False
     lo, hi = nest.region.dims[-1]
     if lo != hi or not (lo - LinearExpr.variable(loop.var)).is_constant:
@@ -312,10 +583,10 @@ def sinkable(
     rows = Region(nest.region.dims[:-1])
     if not set(rows.free_variables()) <= set(env) or rows.is_empty(env):
         return False
-    if any(stmt.reduce_op is not None for stmt in nest.body):
+    plan = partition_plan(nest, partial)
+    if plan.buffered or plan.folds:
         return False
-    written = set(nest.writes())
-    if any(ref.name in written and any(ref.offset[:-1]) for ref in nest.reads()):
+    if any(facts.flow or facts.anti for facts in plan.dims[:-1]):
         return False
     assigned = {
         stmt.scalar_target

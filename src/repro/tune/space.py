@@ -44,7 +44,6 @@ from repro.machine.cost import _expr_costs
 from repro.machine.models import MachineModel, host_machine_model
 from repro.machine.trace import MemoryLayout
 from repro.parallel.tiling import TileShape, halo_elements, plan_tiles
-from repro.scalarize.codegen_np import shard_plan
 from repro.scalarize.loopnest import (
     LoopNest,
     SBoundary,
@@ -54,6 +53,7 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    partition_plan,
 )
 from repro.util.errors import ReproError
 
@@ -221,14 +221,14 @@ def tile_shapes_for(
     sweeps: List[Tuple[int, ...]] = []
     try:
         for nest in program.loop_nests():
-            plan = shard_plan(nest, program.partial)
-            if not plan.parallel or not plan.shardable_dims:
+            plan = partition_plan(nest, program.partial)
+            if plan.thread_class().mode == "serial":
                 continue
             bounds = nest.region.concrete_bounds({})
             sweeps.append(
                 tuple(
                     bounds[dim - 1][1] - bounds[dim - 1][0] + 1
-                    for dim in plan.shardable_dims
+                    for dim in plan.free
                 )
             )
     except Exception:
@@ -373,20 +373,19 @@ def _nest_profile(
         elif not stmt.is_contracted:
             compute += machine.store_cycles
             ref_slots += 1
-    plan = shard_plan(nest, program.partial)
+    plan = partition_plan(nest, program.partial)
+    threads = plan.thread_class()
     sweep_bounds: Optional[Tuple[Tuple[int, int], ...]] = None
     serial_iterations = 1.0
     halo: Tuple[int, ...] = ()
-    if plan.parallel and plan.shardable_dims:
-        sweep_bounds = tuple(
-            bounds[dim - 1] for dim in plan.shardable_dims
-        )
+    if threads.mode != "serial":
+        sweep_bounds = tuple(bounds[dim - 1] for dim in plan.free)
         sweep_points = _points(sweep_bounds)
         serial_iterations = points / sweep_points if sweep_points else 1.0
-        if plan.mode == "per-statement":
+        if threads.mode == "per-statement":
             # Statement-level barriers: each statement is its own sweep.
             serial_iterations *= max(1, len(nest.body))
-        halo = tuple(plan.halo.get(dim, 0) for dim in plan.shardable_dims)
+        halo = tuple(plan.dims[dim - 1].halo for dim in plan.free)
     return _NestProfile(
         points=points,
         compute_cycles=compute * points,
@@ -394,7 +393,7 @@ def _nest_profile(
         cse_slots=cse_slots,
         distinct_arrays=max(1, len(nest.arrays())),
         statements=len(nest.body),
-        parallel=plan.parallel and sweep_bounds is not None,
+        parallel=sweep_bounds is not None,
         sweep_bounds=sweep_bounds,
         serial_iterations=serial_iterations,
         halo=halo,

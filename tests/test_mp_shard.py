@@ -20,14 +20,12 @@ from repro.parallel.commopt import (
     CommOptions,
     eliminate_redundant,
 )
-from repro.parallel.distribution import ProcessorGrid, balanced_factorization
-from repro.parallel.shard import (
-    ShardLayout,
-    _balanced_chunks,
-    elimination_coverage,
-    halo_widths,
-    program_rank,
+from repro.parallel.distribution import (
+    ProcessorGrid,
+    balanced_factorization,
+    block_chunks,
 )
+from repro.parallel.shard import ShardLayout, halo_widths, program_rank
 from repro.parallel.validate import (
     ValidationError,
     assert_identical,
@@ -116,8 +114,8 @@ class TestFactorizationEdges:
 
 class TestGeometry:
     def test_balanced_chunks_partition(self):
-        assert _balanced_chunks(1, 10, 3) == [(1, 4), (5, 7), (8, 10)]
-        chunks = _balanced_chunks(1, 10, 4)
+        assert block_chunks(1, 10, 3) == [(1, 4), (5, 7), (8, 10)]
+        chunks = block_chunks(1, 10, 4)
         # Contiguous, covering, sizes within one of each other.
         assert chunks[0][0] == 1 and chunks[-1][1] == 10
         sizes = [hi - lo + 1 for lo, hi in chunks]
@@ -127,7 +125,7 @@ class TestGeometry:
             assert c == b + 1
 
     def test_balanced_chunks_more_parts_than_extent(self):
-        chunks = _balanced_chunks(1, 2, 4)
+        chunks = block_chunks(1, 2, 4)
         assert chunks[:2] == [(1, 1), (2, 2)]
         assert all(lo > hi for lo, hi in chunks[2:])
 
@@ -165,7 +163,25 @@ class TestGeometry:
         assert some_halo
 
 
-# -- elimination coverage mirrors eliminate_redundant ------------------------
+# -- elimination coverage: one sweep, checked against the plain rule ---------
+
+
+def _kept_by_the_rule(events, run):
+    """Redundancy elimination as §5.5 words it, with no bookkeeping: an
+    exchange is dropped iff an identical one was kept earlier and no nest
+    in between rewrote the array."""
+    kept = []
+    for event in events:
+        if not any(
+            earlier.key() == event.key()
+            and not any(
+                event.array in node.writes()
+                for node in run[earlier.nest_index:event.nest_index]
+            )
+            for earlier in kept
+        ):
+            kept.append(event)
+    return kept
 
 
 class TestEliminationCoverage:
@@ -187,11 +203,12 @@ class TestEliminationCoverage:
             events = analyze_run(run, grid, bound_env, distributed)
             if not events:
                 continue
-            kept, coverage = elimination_coverage(events, run)
-            expected = eliminate_redundant(events, run)
+            coverage = eliminate_redundant(events, run)
+            kept = list(coverage)
+            expected = _kept_by_the_rule(events, run)
             assert [id(e) for e in kept] == [id(e) for e in expected]
             kept_ids = {id(e) for e in kept}
-            assert set(coverage) <= kept_ids
+            assert {id(e) for e in coverage} <= kept_ids
             dropped = sum(len(v) for v in coverage.values())
             assert len(kept) + dropped == len(events)
             checked += 1
@@ -358,6 +375,81 @@ class TestLoadOnce:
         )
         assert_identical(result, oracle)
         check_report(report)
+
+
+    def test_rank_class_is_computed_once_per_nest_per_rank(self, monkeypatch):
+        # The gather-or-clamp verdict is a fact of (nest, grid): it lives
+        # beside the worker's other per-nest facts, not in the plan-cache
+        # miss path a row sweep takes once per row (251 calls per rank on
+        # SP at n=64 when it did).
+        import multiprocessing
+
+        from repro.scalarize.loopnest import PartitionPlan
+
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        rank_class = PartitionPlan.rank_class
+
+        def counting(self, cut):
+            with calls.get_lock():
+                calls.value += 1
+            return rank_class(self, cut)
+
+        monkeypatch.setattr(PartitionPlan, "rank_class", counting)
+        program = sized_program("SP", 24, 2)
+        _result, report = execute_sharded(program, procs=2)
+        check_report(report)
+        assert 0 < calls.value <= 2 * len(program.loop_nests())
+
+
+def _shard_segments():
+    import os
+
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to audit")
+    return {entry for entry in os.listdir("/dev/shm") if entry.startswith("rs")}
+
+
+class TestDeadRank:
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_a_killed_rank_fails_the_run_fast_and_leaks_nothing(
+        self, victim, monkeypatch
+    ):
+        # SIGKILL one of two ranks on its third run of nests: segments
+        # exist, its peer is (or soon will be) parked in a barrier wait.
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        from repro.exec import mp_shard
+
+        worker_main = mp_shard._worker_main
+
+        def dying_worker_main(rank, *args):
+            if rank == victim:  # patched in the forked child only
+                exec_run = mp_shard._Worker._exec_run
+                runs = []
+
+                def dying(self, run):
+                    runs.append(run)
+                    if len(runs) == 3:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    exec_run(self, run)
+
+                mp_shard._Worker._exec_run = dying
+            worker_main(rank, *args)
+
+        monkeypatch.setattr(mp_shard, "_worker_main", dying_worker_main)
+        before = _shard_segments()
+        started = time.monotonic()
+        with pytest.raises(
+            ReproError,
+            match=r"worker %d failed:\s+process killed by signal 9" % victim,
+        ):
+            execute_sharded(sized_program("Tomcatv", 16, 2), procs=2)
+        assert time.monotonic() - started < 5.0
+        assert _shard_segments() <= before
+        assert multiprocessing.active_children() == []
 
 
 def _corner_program(reader, kind="float"):

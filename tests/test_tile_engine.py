@@ -5,7 +5,7 @@ Four layers of coverage:
 * ``plan_tiles`` geometry: exact disjoint cover of the sweep bounds,
   row-major order, forced tile shapes (including extent-1 tiles), empty
   sweeps, the small-sweep single-tile policy.
-* ``shard_plan`` safety metadata: shardable dimensions come from the
+* ``partition_plan`` thread verdicts: free dimensions come from the
   carry analysis, halo widths equal the border-strip widths
   ``parallel/comm.analyze_run`` accounts bytes for, reductions and fully
   carried nests fall back to serial with a reason.
@@ -38,11 +38,14 @@ from repro.parallel.tiling import (
     MIN_SWEEP_ELEMS,
     halo_elements,
     plan_tiles,
-    tile_count,
 )
 from repro.scalarize import scalarize
-from repro.scalarize.codegen_np import shard_plan
-from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
+from repro.scalarize.loopnest import (
+    ElemAssign,
+    LoopNest,
+    ScalarProgram,
+    partition_plan,
+)
 from repro.service.metrics import Metrics
 from repro.util.errors import MachineError
 
@@ -109,9 +112,9 @@ def test_small_sweep_stays_one_tile():
 def test_large_sweep_oversubscribes_workers():
     side = 1 << 7
     bounds = ((1, side), (1, side))  # 16384 elements = 4 * MIN_SWEEP_ELEMS
-    count = tile_count(bounds, workers=4)
+    count = len(plan_tiles(bounds, workers=4))
     assert count == 4  # capped by total // MIN_SWEEP_ELEMS
-    assert tile_count(bounds, workers=1) == 4
+    assert len(plan_tiles(bounds, workers=1)) == 4
 
 
 def test_forced_tile_shape_and_extent_one_tiles():
@@ -180,9 +183,13 @@ def _nests(source, level_name="c2"):
     plan = plan_program(program, LEVELS_BY_NAME[level_name])
     scalar_program = scalarize(program, plan)
     return scalar_program, [
-        (nest, shard_plan(nest, scalar_program.partial))
+        (nest, partition_plan(nest, scalar_program.partial))
         for nest in scalar_program.loop_nests()
     ]
+
+
+def _halo(plan):
+    return {dim: plan.dims[dim - 1].halo for dim in plan.free}
 
 
 def test_stencil_plan_is_parallel_with_halo_from_offsets():
@@ -191,20 +198,20 @@ def test_stencil_plan_is_parallel_with_halo_from_offsets():
         (nest, plan)
         for nest, plan in plans
         if any("A" == ref.name for s in nest.body for ref in s.rhs.array_refs())
-        and plan.parallel
+        and plan.thread_class().mode != "serial"
     ]
     assert stencil_plans, "stencil nest should shard"
     nest, plan = stencil_plans[0]
-    assert plan.mode == "parallel"
+    assert plan.thread_class().mode == "parallel"
     assert plan.serial_levels == ()
-    assert plan.shardable_dims == (1, 2)
+    assert plan.free == (1, 2)
     # Widest constant offsets per dimension: the Section 5 border widths.
-    assert plan.halo == {1: 1, 2: 2}
-    assert plan.hazard_arrays == ()
+    assert _halo(plan) == {1: 1, 2: 2}
+    assert plan.thread_class().hazard_arrays == ()
 
 
 def test_halo_widths_match_comm_analysis():
-    # The tile halo per shardable dimension is exactly the widest border
+    # The plan's halo per free dimension is exactly the widest border
     # strip analyze_run would exchange for the same nest on a grid that
     # cuts that dimension.
     scalar_program, plans = _nests(STENCIL)
@@ -212,15 +219,15 @@ def test_halo_widths_match_comm_analysis():
     grid = ProcessorGrid(4, 2)  # 2x2: cuts both dimensions
     distributed = set(scalar_program.array_allocs)
     for nest, plan in plans:
-        if not plan.parallel:
+        if plan.thread_class().mode == "serial":
             continue
         events = analyze_run([nest], grid, env, distributed)
         widest = {}
         for event in events:
             widest[event.dim] = max(widest.get(event.dim, 0), event.width)
-        for dim in plan.shardable_dims:
-            assert plan.halo[dim] == widest.get(dim, 0), (
-                "dim %d: halo %r vs comm %r" % (dim, plan.halo, widest)
+        for dim in plan.free:
+            assert _halo(plan)[dim] == widest.get(dim, 0), (
+                "dim %d: halo %r vs comm %r" % (dim, _halo(plan), widest)
             )
 
 
@@ -237,10 +244,13 @@ begin
 end;
 """
     scalar_program, plans = _nests(source, "c2+f4")
-    serial = [plan for _nest, plan in plans if not plan.parallel]
-    for plan in serial:
-        assert plan.mode == "serial"
-        assert plan.reason
+    serial = [
+        plan.thread_class() for _nest, plan in plans
+        if plan.thread_class().mode == "serial"
+    ]
+    assert serial
+    for threads in serial:
+        assert threads.reason
 
 
 def test_carried_nest_keeps_serial_prefix():
@@ -261,14 +271,14 @@ end;
     carried = [
         (nest, plan)
         for nest, plan in plans
-        if plan.parallel and plan.serial_levels
+        if plan.thread_class().mode != "serial" and plan.serial_levels
     ]
     assert carried, "expected a serial-prefix nest"
     nest, plan = carried[0]
     assert abs(plan.serial_levels[0]) == 1
-    assert plan.shardable_dims == (2,)
-    # The carried offset is along the serial dim, not a shardable halo.
-    assert plan.halo == {2: 0}
+    assert plan.free == (2,)
+    # The carried offset is along the serial dim, not a free-dim halo.
+    assert _halo(plan) == {2: 0}
 
 
 def test_hand_built_nest_without_carry_info_is_serial():
@@ -278,9 +288,9 @@ def test_hand_built_nest_without_carry_info_is_serial():
         [ElemAssign("A", None, ir.Const(1.0))],
         carried_depth=None,
     )
-    plan = shard_plan(nest)
-    assert plan.mode == "serial"
-    assert "unknown" in plan.reason
+    threads = partition_plan(nest, {}).thread_class()
+    assert threads.mode == "serial"
+    assert "unknown" in threads.reason
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +391,12 @@ def test_self_hazard_statement_gets_a_snapshot():
         ]
 
     program = _hazard_program(body)
-    plan = shard_plan(program.loop_nests()[0])
-    assert plan.mode == "per-statement"
-    assert plan.hazard_arrays == ("A",)
-    assert plan.halo == {1: 1}
+    plan = partition_plan(program.loop_nests()[0], program.partial)
+    threads = plan.thread_class()
+    assert threads.mode == "per-statement"
+    assert threads.hazard_arrays == ("A",)
+    assert threads.snapshots == (0,)
+    assert _halo(plan) == {1: 1}
 
     seed = {"A": np.arange(66, dtype=np.float64)}
     expected = execute(program, "codegen_np", seed)
@@ -408,9 +420,12 @@ def test_cross_statement_hazard_uses_barriers_not_snapshots():
         ]
 
     program = _hazard_program(body)
-    plan = shard_plan(program.loop_nests()[0])
-    assert plan.mode == "per-statement"
-    assert plan.hazard_arrays == ("A",)
+    threads = partition_plan(
+        program.loop_nests()[0], program.partial
+    ).thread_class()
+    assert threads.mode == "per-statement"
+    assert threads.hazard_arrays == ("A",)
+    assert threads.snapshots == ()
 
     seed = {"A": np.arange(66, dtype=np.float64) ** 2}
     expected = execute(program, "codegen_np", seed)
