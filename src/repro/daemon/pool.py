@@ -1,7 +1,8 @@
 """The multiprocessing worker pool behind the daemon.
 
-One OS process per worker, one control :func:`multiprocessing.Pipe`
-each, and — the key structural choice — one *owner thread* per worker
+One OS process per worker on its own control pipe (a
+:class:`repro.daemon.proc.Child`, the substrate ``mp-shard``'s ranks run
+on too), and — the key structural choice — one *owner thread* per worker
 inside the daemon process.  Each owner thread loops: take a digest batch
 from the shared admission queue, send its metadata down the pipe, block
 on the reply, resolve the jobs' futures.  There is no central
@@ -29,7 +30,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.daemon import shm
+from repro.daemon import proc, shm
 from repro.daemon.admission import AdmissionQueue, Job
 from repro.daemon.worker import worker_main
 from repro.obs.tracer import NOOP_SPAN
@@ -69,8 +70,7 @@ class WorkerPool:
         self.token = settings["token"]
         self._ctx = multiprocessing.get_context(mp_method or default_start_method())
         self._threads: List[threading.Thread] = []
-        self._procs: Dict[int, object] = {}
-        self._conns: Dict[int, object] = {}
+        self._children: Dict[int, proc.Child] = {}
         self._lock = threading.Lock()
         self._stopping = False
         #: True during a non-draining stop: owner threads fail remaining
@@ -105,23 +105,17 @@ class WorkerPool:
                 self._kill_mode = True
         if not drain:
             with self._lock:
-                procs = list(self._procs.values())
-            for proc in procs:
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
+                children = list(self._children.values())
+            for child in children:
+                child.process.terminate()
         self.queue.close()
         for thread in self._threads:
             thread.join()
         with self._lock:
-            procs = list(self._procs.values())
-            self._procs.clear()
-        for proc in procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
+            children = list(self._children.values())
+            self._children.clear()
+        for child in children:
+            child.join(10)
 
     # -- introspection -----------------------------------------------------
 
@@ -132,17 +126,17 @@ class WorkerPool:
     def worker_pids(self) -> List[int]:
         with self._lock:
             return sorted(
-                proc.pid for proc in self._procs.values() if proc.pid
+                child.process.pid for child in self._children.values()
+                if child.process.pid
             )
 
     def kill_worker(self, index: int = 0) -> Optional[int]:
         """Fault injection for tests: SIGKILL one live worker, return pid."""
         with self._lock:
-            procs = sorted(self._procs.items())
-        if not procs or index >= len(procs):
+            children = sorted(self._children.items())
+        if not children or index >= len(children):
             return None
-        proc = procs[index][1]
-        pid = proc.pid
+        pid = children[index][1].process.pid
         if pid:
             os.kill(pid, 9)
         return pid
@@ -150,18 +144,12 @@ class WorkerPool:
     # -- internals ---------------------------------------------------------
 
     def _spawn(self, worker_id: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, child_conn, self.settings),
-            name="repro-daemon-worker-%d" % worker_id,
-            daemon=True,
+        child = proc.Child(
+            self._ctx, worker_main, (worker_id, self.settings),
+            "repro-daemon-worker-%d" % worker_id,
         )
-        proc.start()
-        child_conn.close()
         with self._lock:
-            self._procs[worker_id] = proc
-            self._conns[worker_id] = parent_conn
+            self._children[worker_id] = child
 
     def _owner_loop(self, worker_id: int) -> None:
         while True:
@@ -180,7 +168,7 @@ class WorkerPool:
 
     def _run_batch(self, worker_id: int, batch: List[Job]) -> None:
         with self._lock:
-            conn = self._conns[worker_id]
+            child = self._children[worker_id]
         self.metrics.incr("daemon.dispatches")
         now = time.monotonic()
         for job in batch:
@@ -207,9 +195,9 @@ class WorkerPool:
         ]
         with span_cm, self.metrics.time("daemon.dispatch"):
             try:
-                conn.send(("jobs", payload))
-                message = conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
+                child.send(("jobs", payload))
+                message = child.recv()
+            except proc.ChildDied:
                 self._recover(worker_id, batch)
                 return
         replies = {reply["id"]: reply for reply in message[2]}
@@ -236,15 +224,10 @@ class WorkerPool:
     def _recover(self, worker_id: int, inflight: List[Job]) -> None:
         """A worker died mid-batch: clean up, requeue, restart."""
         with self._lock:
-            proc = self._procs.pop(worker_id, None)
-            conn = self._conns.pop(worker_id, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        if proc is not None:
-            proc.join(timeout=5)
+            child = self._children.pop(worker_id, None)
+        if child is not None:
+            child.stop()
+            child.join(5)
         # The worker may have created response segments before dying;
         # their deterministic names make them reachable without a reply.
         for job in inflight:
@@ -273,14 +256,8 @@ class WorkerPool:
         self._spawn(worker_id)
 
     def _stop_worker(self, worker_id: int) -> None:
+        # Joined by stop(), which still finds the child in the table.
         with self._lock:
-            conn = self._conns.pop(worker_id, None)
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass
-            try:
-                conn.close()
-            except Exception:
-                pass
+            child = self._children.get(worker_id)
+        if child is not None:
+            child.stop()

@@ -71,6 +71,12 @@ class Daemon:
 
     def __init__(self, config: Optional[DaemonConfig] = None, trace=None) -> None:
         self.config = config or DaemonConfig()
+        if get_backend(self.config.backend).name == "mp-shard":
+            # Workers are daemonic by design and may not fork ranks: say
+            # so once, here, not on every request.
+            from repro.exec.mp_shard import DAEMONIC_MESSAGE
+
+            raise ReproError(DAEMONIC_MESSAGE)
         self.metrics = Metrics()
         from repro.obs.registry import registered_counter_names
 

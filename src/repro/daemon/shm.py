@@ -21,9 +21,13 @@ CPython's ``resource_tracker`` registers every ``SharedMemory`` handle —
 attached ones included (gh-82300) — and unlinks whatever is still
 registered when the registering process exits.  With segments crossing
 process boundaries that would tear mappings out from under the other
-side, so :func:`attach` and :func:`create` for a foreign-owned segment
-immediately unregister the name; only the owning process keeps its
+side, so :func:`attach` maps a foreign-owned segment without telling the
+tracker (:class:`Attached`) and :func:`pack` with ``owned_here=False``
+unregisters the name it just created; only the owning process keeps a
 registration (and clears it through ``unlink`` itself).
+
+``mp-shard`` (:mod:`repro.exec.mp_shard`) uses the same :func:`attach`
+and :func:`unlink_quietly` for its rank segments.
 """
 
 from __future__ import annotations
@@ -122,16 +126,44 @@ def pack(
     return shm, meta
 
 
-def attach(name: str):
-    """Attach to a foreign-owned segment without adopting its lifetime."""
-    from multiprocessing import shared_memory
+class Attached:
+    """A mapping of a segment some other process owns.
 
+    ``SharedMemory(name=...)`` registers even an attached handle with
+    the resource tracker (gh-82300; ``track=False`` only exists from
+    3.13), and unregistering afterwards is no way out when the attaching
+    process was *forked* from the creator: both share one tracker, whose
+    registrations are a set, so the unregister removes the creator's own
+    entry.  This opens and maps the segment directly instead; the
+    tracker never hears of it, and closing cannot unlink it.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str) -> None:
+        import _posixshmem
+        import mmap
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        finally:
+            os.close(fd)
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+def attach(name: str) -> Attached:
+    """Attach to a foreign-owned segment without adopting its lifetime."""
     try:
-        shm = shared_memory.SharedMemory(name=name)
+        return Attached(name)
     except FileNotFoundError:
-        raise ShmError("shared-memory segment %r is gone" % name)
-    _untrack(name)
-    return shm
+        raise ShmError("shared-memory segment %r is gone" % name) from None
 
 
 def views(shm, meta: Sequence[ArrayMeta]) -> Dict[str, np.ndarray]:

@@ -32,10 +32,9 @@ mid-batch, the parent's crash recovery requeues and restarts as usual.
 from __future__ import annotations
 
 import json
-import signal
 from typing import Dict, List, Optional, Tuple
 
-from repro.daemon import shm
+from repro.daemon import proc, shm
 
 
 def _coalesce_key(job: Dict[str, object]) -> Optional[tuple]:
@@ -137,9 +136,8 @@ def _execute_job(service, job: Dict[str, object], token: str) -> Dict[str, objec
     return reply
 
 
-def worker_main(worker_id: int, conn, settings: Dict[str, object]) -> None:
-    """Receive job batches on ``conn`` until a stop message arrives."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def worker_main(conn, worker_id: int, settings: Dict[str, object]) -> None:
+    """Answer job batches on ``conn`` until a stop message arrives."""
     from repro.service.service import Service
 
     service = Service(
@@ -150,15 +148,8 @@ def worker_main(worker_id: int, conn, settings: Dict[str, object]) -> None:
         workers=1,
     )
     token = settings["token"]
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] == "stop":
-            break
-        if message[0] != "jobs":
-            continue
+
+    def run_batch(message: tuple) -> tuple:
         jobs: List[Dict[str, object]] = message[1]
         replies = []
         shared: Dict[tuple, Dict[str, object]] = {}
@@ -174,11 +165,6 @@ def worker_main(worker_id: int, conn, settings: Dict[str, object]) -> None:
             if key is not None:
                 shared[key] = reply
             replies.append(reply)
-        try:
-            conn.send(("done", worker_id, replies))
-        except (BrokenPipeError, OSError):
-            break
-    try:
-        conn.close()
-    except Exception:
-        pass
+        return ("done", worker_id, replies)
+
+    proc.serve(conn, run_batch)

@@ -1,6 +1,6 @@
 """Multi-process sharded execution: the communication model, executed.
 
-``mp-shard`` partitions every region across worker *processes* laid out
+``mp-shard`` partitions every region across rank *processes* laid out
 on a :class:`~repro.parallel.distribution.ProcessorGrid`, runs the
 existing single-process backends (``codegen_np`` by default — ``py`` and
 ``c`` work too) on each worker's clamped sub-region, and moves halo data
@@ -13,25 +13,63 @@ messages, post and wait points the cost model prices:
 * **redundancy elimination** — the events the schedule drops are
   genuinely never executed (``comm.eliminated`` counts them);
 * **message combining** — events the schedule groups share one segment
-  region and one barrier round-trip (``comm.combined``);
+  region and one barrier round trip (``comm.combined``);
 * **pipelining** — posts happen at the schedule's post point, before the
   intervening nests execute, and the wait lands at the consuming nest.
 
-The driver walk is *lockstep deterministic*: every worker performs the
+The ranks are a *pool that lives behind* :func:`execute_sharded`.  The
+first call that needs N ranks forks them (children on control pipes,
+:mod:`repro.daemon.proc` — the substrate of the daemon's workers); later
+calls reuse them; a call with another N, any failure, ``_IDLE_S`` seconds
+without a call, and interpreter exit retire the pool, and a rank whose
+coordinator died reads EOF on its pipe and exits.  One run at a time:
+callers from several threads queue on the pool's lock.  A program
+reaches the ranks once — the one a pool is forked for arrives with the
+fork, a later one is pickled down the pipes the first time the pool sees
+it — and is recognised by identity afterwards (the last
+``_KEPT_PROGRAMS`` of them, the same LRU on both sides of the pipe).  Per program a rank **keeps** everything that
+depends only on the program's structure — per-nest facts, loaded
+kernels, run plans with their post/wait steps, exchange descriptions
+and the mappings of its segments; per call it **resets** what depends on
+the data — local arrays, scalars, pending corner scalars, ordinals,
+record columns and counters.  So a warm call pays for its kernels and for
+the exchanges that move bytes, and ``comm.kernel_loads`` reads the loads
+*this* call performed: every kernel on a program's first call, 0 later.
+
+Segments are unnamed between calls.  Rank 0 creates a segment under a
+name, every rank maps it, rank 0 unlinks the name (two barrier waits,
+once per segment per program); the mappings live on in the ranks.  The
+one per-call segment — initial arrays in, result arrays out — belongs to
+the coordinator, which unlinks it before returning.  Nothing of a killed
+run can therefore outlive it under ``/dev/shm`` except a name caught
+inside that handshake, and :func:`_reclaim` sweeps for those.
+
+A rank that dies (a signal, the OOM killer, ``os._exit``) trips its
+process sentinel, which the coordinator waits on together with the
+pipes: the run fails at once with a typed :class:`ReproError` naming the
+rank and how it went, its peers — parked in a barrier — are terminated
+with the rest of the pool, and the next call forks a fresh one.
+
+The driver walk is *lockstep deterministic*: every rank performs the
 same walk over the same program, so barrier sequences, segment names and
-exchange ordinals agree without any coordination messages.  The walk
+exchange ordinals agree without any coordination messages.  A message
+none of whose events crosses a chunk boundary on this grid (a row
+sweep's strip crosses at one row only) has no copies: it is counted,
+recorded and timed like any other, but no rank waits at a barrier for
+it — the decision is read off the plan, so every rank takes it alike
+(``comm.barrier_waits`` counts the waits rank 0 did perform).  The walk
 executes runs of consecutive :class:`~repro.scalarize.loopnest.LoopNest`
 nodes (the one node kind that touches arrays; a reduction is a fold
 statement inside one) and evaluates everything else as replicated scalar
 control flow.
 
-Kernels are compiled once, not once per invocation.  Every nest a worker
+Kernels are compiled once, not once per invocation.  Every nest a rank
 executes becomes a one-nest mini-program whose region is *symbolic* over
 reserved integer scalars (``__shard_lo<d>`` / ``__shard_hi<d>``) and whose
 live-in scalars are declared ``scalar_inputs``; the local backend loads
 it once per (nest, kind, allocation bounds) and every later execution —
-the next row of a sweep, the next time step — is a call with that
-invocation's clamp bounds and scalar values as arguments
+the next row of a sweep, the next time step, the next call — is a call
+with that invocation's clamp bounds and scalar values as arguments
 (``comm.kernel_loads`` counts the loads).
 
 Scalars travel through a small pickle segment.  Reduction results are
@@ -49,7 +87,7 @@ decisions because they depend only on the lockstep walk
 
 A nest's partition plan puts it in one of two rank classes for the
 dimensions the grid cuts (:meth:`repro.scalarize.loopnest.PartitionPlan.
-rank_class`, computed once per nest per worker).  *Clamped* nests run on
+rank_class`, computed once per nest per rank).  *Clamped* nests run on
 every rank over its own chunk.  *Gathered* nests — a flow crossing or a
 circular buffer along a cut dimension — need their blocks in dependence
 order and execute whole on rank 0 (gather → execute → scatter, counted
@@ -73,13 +111,17 @@ apart under ``comm.reduce_bytes`` / ``comm.gather_bytes``.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import pickle
 import struct
+import threading
 import time
 import traceback
 import uuid
+from array import array
+from collections import OrderedDict
 from typing import (
     Dict,
     Iterable,
@@ -93,6 +135,7 @@ from typing import (
 
 import numpy as np
 
+from repro.daemon import proc, shm
 from repro.interp.evalexpr import eval_scalar
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -135,6 +178,11 @@ _SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
 
 _SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
+#: A pool nobody called for this long retires itself (the frozen
+#: benchmark kills children still alive 3 s after its last operation).
+_IDLE_S = 1.0
+#: Programs a pool remembers, least recently run evicted first.
+_KEPT_PROGRAMS = 8
 _RED_PREFIX = "__shard_red"
 #: The integer scalar inputs every kernel's region is symbolic over.
 _LO, _HI = "__shard_lo%d", "__shard_hi%d"
@@ -150,6 +198,12 @@ _COMM_COUNTERS = (
     "comm.gather_bytes",
     "comm.kernel_loads",
     "comm.scalar_bcasts",
+    "comm.barrier_waits",
+)
+
+DAEMONIC_MESSAGE = (
+    "mp-shard cannot start its rank processes from inside a daemonic "
+    "process (a `repro serve --daemon` worker is one)"
 )
 
 
@@ -167,10 +221,11 @@ def default_procs() -> int:
 class ExchangeDescription(NamedTuple):
     """What one planned wire message carries, shared by its executions.
 
-    A row sweep executes value-equal messages hundreds of times, so the
-    worker interns descriptions by value and every
-    :class:`ExchangeRecord` of such a message points at one object
-    (pickle's memo keeps the sharing across the result queue).
+    A row sweep executes value-equal messages hundreds of times, and a
+    warm pool executes the same program call after call: rank 0 interns
+    descriptions by value, ships each to the coordinator once per
+    program, and every :class:`CommReport` of that program refers to the
+    same objects.
     """
 
     arrays: Tuple[str, ...]
@@ -206,14 +261,6 @@ class ExchangeRecord:
     post_point = _described("post_point")
     wait_point = _described("wait_point")
 
-    def __reduce__(self):
-        # Positional, so a report of hundreds of records pickles without
-        # repeating the slot names' state dict per record.
-        return ExchangeRecord, (
-            self.ordinal, self.description, self.measured_bytes,
-            self.duration_us,
-        )
-
     def __repr__(self) -> str:
         return (
             "ExchangeRecord(#%d %s planned=%dB measured=%dB model=%dB"
@@ -225,26 +272,55 @@ class ExchangeRecord:
 
 
 class CommReport:
-    """Everything the validation harness compares against the model."""
+    """Everything the validation harness compares against the model.
+
+    A report is kept (the benchmark keeps every one of a run), so it
+    holds its executed messages column-wise — ``described[i]``,
+    ``measured[i]`` and ``durations_us[i]`` belong to ordinal ``i`` — over
+    a ``descriptions`` tuple shared with every other report of the same
+    program on the same pool.  :attr:`records` builds the
+    :class:`ExchangeRecord` view on each access and keeps nothing.
+    """
 
     def __init__(self, procs: int, grid_shape: Tuple[int, ...],
-                 records: List[ExchangeRecord], counters: Dict[str, int]) -> None:
+                 counters: Dict[str, int],
+                 descriptions: Tuple[ExchangeDescription, ...] = (),
+                 described: Sequence[int] = (),
+                 measured: Sequence[int] = (),
+                 durations_us: Sequence[float] = ()) -> None:
         self.procs = procs
         self.grid_shape = grid_shape
-        self.records = records
         self.counters = counters
+        self.descriptions = descriptions
+        #: per ordinal: index into ``descriptions``
+        self.described = described
+        #: per ordinal: bytes the ranks wrote, summed over ranks
+        self.measured = measured
+        #: per ordinal: post-to-wait time on rank 0
+        self.durations_us = durations_us
+
+    @property
+    def records(self) -> List[ExchangeRecord]:
+        return [
+            ExchangeRecord(ordinal, self.descriptions[index], nbytes, us)
+            for ordinal, (index, nbytes, us) in enumerate(
+                zip(self.described, self.measured, self.durations_us)
+            )
+        ]
 
     @property
     def exchanges(self) -> int:
-        return len(self.records)
+        return len(self.described)
 
     @property
     def measured_bytes(self) -> int:
-        return sum(record.measured_bytes for record in self.records)
+        return sum(self.measured)
 
     @property
     def model_bytes(self) -> int:
-        return sum(record.model_bytes for record in self.records)
+        return sum(
+            self.descriptions[index].model_bytes for index in self.described
+        )
 
 
 # -- geometry helpers ------------------------------------------------------
@@ -354,93 +430,157 @@ class _NestFacts:
         }
 
 
-class _Worker:
-    """One shard: local arrays, replicated scalars, the lockstep walk."""
+class _Steps(NamedTuple):
+    """One run's plan as the walk executes it, derived once and kept."""
 
-    def __init__(self, rank: int, program: ScalarProgram, layout: ShardLayout,
-                 options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs: Optional[Mapping[str, np.ndarray]],
-                 scalars: Optional[Mapping[str, object]] = None) -> None:
+    plan: RunPlan
+    seg_name: str
+    #: rank 0 only: each message's index into the worker's descriptions
+    described: Optional[List[int]]
+    #: per step 0..len(run): None, or (messages posted here, messages
+    #: awaited here, whether any of them has a copy — i.e. whether the
+    #: ranks synchronise at this step at all)
+    steps: List[Optional[tuple]]
+    fallback: frozenset
+
+
+def _global_bytes(layout: ShardLayout, name: str) -> int:
+    bounds, kind = layout.allocs[name]
+    return int(np.prod(_shape_of(bounds))) * np.dtype(DTYPES[kind]).itemsize
+
+
+def _call_views(buf, layout: ShardLayout, seeded: Iterable[str]):
+    """``(results, inputs)``: NumPy views over a call's segment.
+
+    A result slot per array, then an input slot per seeded array, each
+    the array's global allocation.  They are kept apart because a rank
+    that runs ahead writes its results while a slower one may still be
+    reading the initial values of its halo.
+    """
+    cursor = 0
+    results: Dict[str, np.ndarray] = {}
+    inputs: Dict[str, np.ndarray] = {}
+    for views, names in ((results, layout.allocs), (inputs, seeded)):
+        for name in sorted(names):
+            bounds, kind = layout.allocs[name]
+            views[name] = np.ndarray(
+                _shape_of(bounds), dtype=DTYPES[kind], buffer=buf,
+                offset=cursor,
+            )
+            cursor += _global_bytes(layout, name)
+    return results, inputs
+
+
+class _Worker:
+    """One rank's share of one program: what it keeps, and the walk.
+
+    Built when the program is shipped and kept while the pool remembers
+    the program.  ``__init__`` holds what the program's structure
+    decides; :meth:`_begin` resets what a call's data decides.
+    """
+
+    def __init__(self, rank: int, barrier, program: ScalarProgram,
+                 layout: ShardLayout, options: CommOptions,
+                 local_backend: str, sid: str) -> None:
         self.rank = rank
+        self.barrier = barrier
         self.program = program
         self.layout = layout
         self.options = options
         self.local_backend = local_backend
+        #: prefix of this program's segment names on this pool
         self.sid = sid
-        self.barrier = barrier
         self.config_env = int_config_env(program.configs)
-        self.scalars: Dict[str, object] = {
-            name: _SCALAR_DEFAULTS[kind]
-            for name, kind in program.scalars.items()
-        }
-        self.scalars.update(scalars or {})
-        #: contraction-corner scalars only their owner holds: name -> rank
-        self.pending: Dict[str, int] = {}
         self.array_kinds = {n: k for n, (_b, k) in layout.allocs.items()}
-        self.local_bounds: Dict[str, Bounds] = {}
-        self.locals: Dict[str, np.ndarray] = {}
-        for name, (bounds, kind) in layout.allocs.items():
-            local = layout.local_alloc(rank, name)
-            self.local_bounds[name] = local
-            array = np.zeros(_shape_of(local), dtype=DTYPES[kind])
-            if inputs and name in inputs:
-                box = _intersect(local, bounds)
-                if box is not None:
-                    array[_index(local, box)] = np.asarray(inputs[name])[
-                        _index(bounds, box)
-                    ]
-            self.locals[name] = array
+        self.local_bounds: Dict[str, Bounds] = {
+            name: layout.local_alloc(rank, name) for name in layout.allocs
+        }
+        #: mapped on every rank, named on none (see :meth:`_segment`)
         self.segments: Dict[str, object] = {}
-        self.plan_cache: Dict[
-            tuple, Tuple[RunPlan, str, Optional[List[ExchangeDescription]]]
-        ] = {}
+        self.plan_cache: Dict[tuple, _Steps] = {}
         self.facts: Dict[int, _NestFacts] = {}
         #: (nest identity, mini kind, allocation bounds) -> (loaded run,
         #: scalar input names besides the region bounds): the one memo
         #: behind every nest execution
         self.kernels: Dict[tuple, tuple] = {}
-        self.descriptions: Dict[tuple, ExchangeDescription] = {}
+        #: rank 0: description value -> index, in first-seen order; the
+        #: coordinator has been sent the first ``described_sent`` of them
+        self.descriptions: Dict[tuple, int] = {}
+        self.description_list: List[ExchangeDescription] = []
+        self.described_sent = 0
         self.event_dicts: Dict[tuple, dict] = {}
         self.next_seg = 0
-        self.next_ordinal = 0
-        self.measured: Dict[int, int] = {}
-        self.records: List[ExchangeRecord] = []
+
+    def _begin(self, inputs: Optional[Mapping[str, np.ndarray]],
+               scalars: Optional[Mapping[str, object]]) -> None:
+        """Reset everything one call owns."""
+        self.scalars: Dict[str, object] = {
+            name: _SCALAR_DEFAULTS[kind]
+            for name, kind in self.program.scalars.items()
+        }
+        self.scalars.update(scalars or {})
+        #: contraction-corner scalars only their owner holds: name -> rank
+        self.pending: Dict[str, int] = {}
+        self.locals: Dict[str, np.ndarray] = {}
+        for name, (bounds, kind) in self.layout.allocs.items():
+            local = self.local_bounds[name]
+            values = np.zeros(_shape_of(local), dtype=DTYPES[kind])
+            if inputs and name in inputs:
+                box = _intersect(local, bounds)
+                if box is not None:
+                    values[_index(local, box)] = inputs[name][
+                        _index(bounds, box)
+                    ]
+            self.locals[name] = values
+        #: per ordinal: bytes this rank wrote / (rank 0) which description
+        #: it executed and how long post-to-wait took
+        self.measured = array("q")
+        self.described = array("I")
+        self.durations_us = array("d")
         self.counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
         self._inflight: Dict[int, float] = {}
         self._steps = 0
 
     # -- shared memory -----------------------------------------------------
 
+    def _sync(self) -> None:
+        if self.rank == 0:
+            self.counters["comm.barrier_waits"] += 1
+        self.barrier.wait(_BARRIER_TIMEOUT_S)
+
     def _segment(self, name: str, size: int):
+        """The mapping of segment ``name``, shared on first use.
+
+        Rank 0 creates it, every rank maps it, rank 0 unlinks the name:
+        two waits once, then the mapping is kept with the program and
+        ``/dev/shm`` holds nothing of it.
+        """
         seg = self.segments.get(name)
         if seg is not None:
             return seg
-        from multiprocessing import shared_memory
-
-        size = max(size, 1)
         if self.rank == 0:
-            # Registered before the wait: if the barrier breaks (a peer
-            # died), close() still unlinks what this rank created.
-            seg = self.segments[name] = shared_memory.SharedMemory(
-                name=name, create=True, size=size
+            from multiprocessing import shared_memory
+
+            seg = shared_memory.SharedMemory(
+                name=name, create=True, size=max(size, 1)
             )
-            self.barrier.wait(_BARRIER_TIMEOUT_S)
+            try:
+                self._sync()  # created
+                self._sync()  # mapped everywhere
+            finally:
+                seg.unlink()
         else:
-            self.barrier.wait(_BARRIER_TIMEOUT_S)
-            seg = self.segments[name] = shared_memory.SharedMemory(name=name)
+            self._sync()
+            seg = shm.attach(name)
+            self._sync()
+        self.segments[name] = seg
         return seg
 
     def close(self) -> None:
+        """Drop the mappings (the program was evicted)."""
         for seg in self.segments.values():
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
-            if self.rank == 0:
-                try:
-                    seg.unlink()
-                except OSError:
-                    pass
+            shm.close_quietly(seg)
+        self.segments.clear()
 
     # -- replicated scalars ------------------------------------------------
 
@@ -455,10 +595,10 @@ class _Worker:
                 raise ShardError("scalar broadcast of %dB too large" % len(blob))
             struct.pack_into("<Q", seg.buf, 0, len(blob))
             seg.buf[8:8 + len(blob)] = blob
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
         (length,) = struct.unpack_from("<Q", seg.buf, 0)
         self._assign(pickle.loads(bytes(seg.buf[8:8 + length])))
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
 
     def _assign(self, values: Mapping[str, object]) -> None:
         """Set scalars to values every rank agrees on."""
@@ -595,7 +735,7 @@ class _Worker:
                 ][_index(self.local_bounds[planned_event.event.array], own)]
                 written += _elements(own) * ELEM_BYTES
         if written:
-            self.measured[ordinal] = self.measured.get(ordinal, 0) + written
+            self.measured[ordinal] += written
             self.counters["comm.bytes"] += written
 
     def _read_message(self, seg, message) -> None:
@@ -615,8 +755,8 @@ class _Worker:
                     _index(copy.box, sub)
                 ]
 
-    def _describe(self, message) -> ExchangeDescription:
-        """The interned description of one planned message."""
+    def _describe(self, message) -> int:
+        """The index of one planned message's interned description."""
         events = [
             (
                 ("array", pe.event.array),
@@ -638,23 +778,23 @@ class _Worker:
             message.model_bytes, message.corner_bytes,
             message.post_point, message.wait_point,
         )
-        description = self.descriptions.get(key)
-        if description is None:
-            description = self.descriptions[key] = ExchangeDescription(
+        index = self.descriptions.get(key)
+        if index is None:
+            index = self.descriptions[key] = len(self.description_list)
+            self.description_list.append(ExchangeDescription(
                 message.arrays,
                 tuple(
                     self.event_dicts.setdefault(items, dict(items))
                     for items in events
                 ),
                 *key[2:],
-            )
-        return description
+            ))
+        return index
 
     # -- run execution -----------------------------------------------------
 
     def _plan_for(self, run: Sequence[LoopNest], bounds: Sequence[Bounds],
-                  env: Mapping[str, int]) -> tuple:
-        """(plan, segment name, rank 0's description per message)."""
+                  env: Mapping[str, int]) -> _Steps:
         key = (tuple(id(node) for node in run), tuple(bounds))
         entry = self.plan_cache.get(key)
         if entry is None:
@@ -663,13 +803,28 @@ class _Worker:
                 if self._facts(node).gathered
             )
             plan = plan_run(run, self.layout, env, self.options, fallback)
-            name = "%s_x%d" % (self.sid, self.next_seg)
-            self.next_seg += 1
-            described = (
+            posts: List[list] = [[] for _ in range(len(run) + 1)]
+            waits: List[list] = [[] for _ in range(len(run) + 1)]
+            for message in plan.messages:
+                posts[message.post_point].append(message)
+                waits[message.wait_point].append(message)
+            steps = [
+                (
+                    tuple(post), tuple(wait),
+                    any(pe.copies for m in post + wait for pe in m.events),
+                )
+                if post or wait else None
+                for post, wait in zip(posts, waits)
+            ]
+            entry = self.plan_cache[key] = _Steps(
+                plan,
+                "%s_x%d" % (self.sid, self.next_seg),
                 [self._describe(message) for message in plan.messages]
-                if self.rank == 0 else None
+                if self.rank == 0 else None,
+                steps,
+                frozenset(fallback),
             )
-            entry = self.plan_cache[key] = (plan, name, described)
+            self.next_seg += 1
         return entry
 
     def _exec_run(self, run: Sequence[LoopNest]) -> None:
@@ -678,49 +833,46 @@ class _Worker:
         )
         env = self._region_env()
         bounds = [tuple(node.region.concrete_bounds(env)) for node in run]
-        plan, seg_name, described = self._plan_for(run, bounds, env)
+        plan, seg_name, described, steps, fallback = self._plan_for(
+            run, bounds, env
+        )
         seg = (
             self._segment(seg_name, plan.segment_bytes)
             if plan.segment_bytes else None
         )
-        posts: Dict[int, List] = {}
-        waits: Dict[int, List] = {}
-        first = self.next_ordinal  # message.index is its position in the plan
-        self.next_ordinal += len(plan.messages)
-        for message in plan.messages:
-            posts.setdefault(message.post_point, []).append(message)
-            waits.setdefault(message.wait_point, []).append(message)
+        first = len(self.measured)  # message.index is its place in the plan
+        self.measured.frombytes(bytes(8 * len(plan.messages)))
         if self.rank == 0:
             self.counters["comm.exchanges"] += len(plan.messages)
             self.counters["comm.combined"] += plan.combined
             self.counters["comm.eliminated"] += plan.eliminated
-            self.counters["comm.fallback_nests"] += len(plan.fallback_indices)
-            self.records.extend(
-                ExchangeRecord(first + index, description)
-                for index, description in enumerate(described)
-            )
-        fallback = set(plan.fallback_indices)
-        for step in range(len(run) + 1):
-            post_here = posts.get(step)
-            wait_here = waits.get(step)
-            if post_here or wait_here:
+            self.counters["comm.fallback_nests"] += len(fallback)
+            self.described.extend(described)
+            self.durations_us.frombytes(bytes(8 * len(described)))
+        for step, here in enumerate(steps):
+            if here is not None:
+                posts, waits, sync = here
                 now = time.perf_counter()
-                for message in post_here or ():
+                for message in posts:
                     self._inflight[first + message.index] = now
-                    self._write_message(seg, message, first + message.index)
-                self.barrier.wait(_BARRIER_TIMEOUT_S)
-                for message in wait_here or ():
-                    self._read_message(seg, message)
-                self.barrier.wait(_BARRIER_TIMEOUT_S)
+                if sync:
+                    for message in posts:
+                        self._write_message(seg, message, first + message.index)
+                    self._sync()
+                    for message in waits:
+                        self._read_message(seg, message)
+                    self._sync()
+                # A step none of whose messages has a copy moves nothing,
+                # so nobody waits for anybody: the plan says so on every
+                # rank alike.  Its messages are still recorded and timed.
                 done = time.perf_counter()
-                for message in wait_here or ():
+                for message in waits:
                     ordinal = first + message.index
-                    posted = self._inflight.pop(ordinal, now)
+                    posted = self._inflight.pop(ordinal)
                     if self.rank == 0:
-                        # ordinals are dense: a record sits at its ordinal
-                        self.records[ordinal].duration_us = (
-                            done - posted
-                        ) * 1e6
+                        self.durations_us[ordinal] = max(
+                            (done - posted) * 1e6, 1e-3
+                        )
             if step < len(run):
                 if step in fallback:
                     self._exec_fallback(run[step], bounds[step], seg_name, step)
@@ -786,7 +938,7 @@ class _Worker:
                 self.counters["comm.reduce_bytes"] += (
                     _elements(clamp) * ELEM_BYTES
                 )
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
         payload = None
         if self.rank == 0:
             # Folds start from the accumulator's pre-nest value (the
@@ -834,7 +986,7 @@ class _Worker:
             views[name][_index(allocs[name][0], own)] = (
                 self.locals[name][_index(self.local_bounds[name], own)]
             )
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
         payload = None
         if self.rank == 0:
             self.counters["comm.gather_bytes"] += cursor
@@ -851,7 +1003,7 @@ class _Worker:
                     target for _r, _k, _op, target in facts.reductions
                 )
             }
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
         for name in facts.writes:
             local = self.local_bounds[name]
             if _elements(local) > 0:
@@ -859,7 +1011,7 @@ class _Worker:
                     views[name][_index(allocs[name][0], local)],
                     self.locals[name].shape,
                 )
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self._sync()
         if facts.corners or facts.reductions:
             self._bcast(0, payload)
 
@@ -910,72 +1062,74 @@ class _Worker:
                 raise ShardError("cannot execute %r sharded" % (node,))
             index += 1
 
-    def finish(self, out_names: Mapping[str, str]) -> dict:
-        """Write owned boxes to the output segments; return the summary."""
-        self._flush(list(self.pending))  # rank 0 reports every final scalar
-        for name, seg_name in out_names.items():
-            bounds, kind = self.layout.allocs[name]
-            seg = self.segments.get(seg_name)
-            if seg is None:
-                from multiprocessing import shared_memory
-
-                seg = shared_memory.SharedMemory(name=seg_name)
-                self.segments[seg_name] = seg
-            view = np.ndarray(
-                _shape_of(bounds), dtype=DTYPES[kind], buffer=seg.buf
-            )
-            own = self.layout.owned_box(self.rank, bounds)
-            if own is not None:
-                view[_index(bounds, own)] = self.locals[name][
-                    _index(self.local_bounds[name], own)
-                ]
-        summary = {
-            "rank": self.rank,
-            "measured": self.measured,
-            "counters": self.counters,
-        }
+    def run(self, call_seg: str, seeded: Sequence[str],
+            scalars: Optional[Mapping[str, object]]) -> dict:
+        """One call: seed, walk, write the owned boxes, report."""
+        seg = shm.attach(call_seg)
+        try:
+            results, inputs = _call_views(seg.buf, self.layout, seeded)
+            self._begin(inputs, scalars)
+            self.execute_body(self.program.body)
+            self._flush(list(self.pending))  # rank 0 reports every scalar
+            for name, view in results.items():
+                bounds = self.layout.allocs[name][0]
+                own = self.layout.owned_box(self.rank, bounds)
+                if own is not None:
+                    view[_index(bounds, own)] = self.locals[name][
+                        _index(self.local_bounds[name], own)
+                    ]
+        finally:
+            results = inputs = view = None  # views pin the mapping
+            shm.close_quietly(seg)
+            self.locals = {}  # a call's data is not kept with the program
+        summary = {"measured": self.measured, "counters": self.counters}
         if self.rank == 0:
             summary["scalars"] = {
                 name: self.scalars[name] for name in self.program.scalars
             }
-            summary["records"] = self.records
+            summary["described"] = self.described
+            summary["durations_us"] = self.durations_us
+            summary["descriptions"] = self.description_list[
+                self.described_sent:
+            ]
+            self.described_sent = len(self.description_list)
         return summary
 
 
-def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
-                 options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs, scalars, out_names: Mapping[str, str],
-                 result_queue, error_queue) -> None:
-    worker = None
-    try:
-        worker = _Worker(
-            rank, program, layout, options, local_backend, sid, barrier,
-            inputs, scalars,
-        )
-        worker.execute_body(program.body)
-        result_queue.put(worker.finish(out_names))
-    except BaseException as error:
-        # Run-time errors the single-process backends also raise keep
-        # their type across the process boundary.
-        kind = type(error) if isinstance(error, InterpError) else ReproError
-        error_queue.put((rank, kind, traceback.format_exc()))
+def _rank_main(conn, rank: int, barrier, born_with: dict) -> None:
+    """A rank process: run what the coordinator says until it says stop.
+
+    ``born_with`` (slot -> what would have been shipped) is the program
+    the pool was forked for: it arrives with the fork, so a cold call
+    pickles nothing."""
+    #: slot -> the program's worker, least recently run first (the
+    #: coordinator's memo evicts in the same order)
+    workers: "OrderedDict[int, _Worker]" = OrderedDict()
+
+    def run(message: tuple) -> tuple:
+        _run, slot, shipped, call_seg, seeded, scalars = message
         try:
+            shipped = shipped or born_with.pop(slot, None)
+            if shipped is not None:
+                workers[slot] = _Worker(rank, barrier, *shipped)
+                if len(workers) > _KEPT_PROGRAMS:
+                    workers.popitem(last=False)[1].close()
+            workers.move_to_end(slot)
+            return "ok", workers[slot].run(call_seg, seeded, scalars)
+        except Exception as error:
+            # Its peers are, or soon will be, parked in Barrier.wait.
             barrier.abort()
-        except (ValueError, OSError):
-            pass
-    finally:
-        if worker is not None:
-            # rank 0 owns unlinking of lockstep segments; output segments
-            # belong to the coordinator, so drop them from the registry
-            # before closing to avoid double-unlink races.
-            for seg_name in list(out_names.values()):
-                seg = worker.segments.pop(seg_name, None)
-                if seg is not None:
-                    try:
-                        seg.close()
-                    except (OSError, BufferError):
-                        pass
-            worker.close()
+            # Run-time errors the single-process backends also raise keep
+            # their type across the process boundary; a broken barrier is
+            # some other rank's failure, not this one's.
+            return (
+                "error",
+                type(error) if isinstance(error, InterpError) else ReproError,
+                traceback.format_exc(),
+                isinstance(error, threading.BrokenBarrierError),
+            )
+
+    proc.serve(conn, run)
 
 
 # -- the coordinator -------------------------------------------------------
@@ -989,36 +1143,17 @@ def _single_process(program: ScalarProgram, initial_arrays, initial_scalars,
         program, local_backend, initial_arrays=initial_arrays,
         initial_scalars=initial_scalars,
     )
-    report = CommReport(
-        procs, grid.shape, [], dict.fromkeys(_COMM_COUNTERS, 0)
+    return result, CommReport(
+        procs, grid.shape, dict.fromkeys(_COMM_COUNTERS, 0)
     )
-    return result, report
-
-
-def _dead_rank(workers) -> Optional[tuple]:
-    """``(rank, error type, what happened)`` for a worker that died mute.
-
-    A worker that posted its result — or caught an error and posted that
-    — exits with code 0.  Any other exit (a signal, the OOM killer,
-    ``os._exit``) posted nothing and leaves its peers waiting for it.
-    """
-    for rank, process in enumerate(workers):
-        code = process.exitcode
-        if code:
-            how = (
-                "killed by signal %d" % -code if code < 0
-                else "exited with code %d" % code
-            )
-            return rank, ReproError, "process %s before posting a result" % how
-    return None
 
 
 def _reclaim(sid: str) -> None:
-    """Unlink every segment of run ``sid`` a dead rank left behind.
+    """Unlink every segment of pool ``sid`` a killed run left behind.
 
-    Ranks unlink what they create when they close, so this finds
-    something only after one was killed.  Linux-only (elsewhere there is
-    no ``/dev/shm`` to list)."""
+    Between calls no segment has a name, so this finds something only
+    when a rank died inside the create-map-unlink handshake.  Linux-only
+    (elsewhere there is no ``/dev/shm`` to list)."""
     try:
         leftovers = [
             entry for entry in os.listdir("/dev/shm")
@@ -1026,11 +1161,204 @@ def _reclaim(sid: str) -> None:
         ]
     except OSError:
         return
-    if leftovers:
-        from repro.daemon.shm import unlink_quietly
+    for entry in leftovers:
+        shm.unlink_quietly(entry)
 
-        for entry in leftovers:
-            unlink_quietly(entry)
+
+class _Shipped:
+    """What the coordinator remembers of a program its ranks hold."""
+
+    __slots__ = ("program", "slot", "layout", "descriptions")
+
+    def __init__(self, program: ScalarProgram, slot: int,
+                 layout: ShardLayout) -> None:
+        #: referenced, so the ``id`` in the memo's key cannot be recycled
+        self.program = program
+        self.slot = slot
+        self.layout = layout
+        #: every description rank 0 has sent so far; reports share it
+        self.descriptions: Tuple[ExchangeDescription, ...] = ()
+
+
+class _Pool:
+    """``procs`` rank processes, kept between calls.
+
+    Only :func:`execute_sharded` and :func:`_retire_pool` touch a pool,
+    both under ``_POOL_LOCK``: one run at a time, and retiring cannot
+    race a run.
+    """
+
+    def __init__(self, procs: int) -> None:
+        self.procs = procs
+        #: prefix of every segment name of this pool
+        self.sid = "rs%s" % uuid.uuid4().hex[:10]
+        #: forked by the first :meth:`run`, holding its program
+        self.ranks: List[proc.Child] = []
+        #: (program identity, comm options, local backend) -> _Shipped,
+        #: least recently run first
+        self.programs: "OrderedDict[tuple, _Shipped]" = OrderedDict()
+        self.slots = 0
+        self.calls = 0
+        self.last_used = time.monotonic()
+        self.retired = threading.Event()
+
+    def _fork(self, born_with: dict) -> None:
+        from multiprocessing import resource_tracker
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context("spawn")
+        # Started before the fork so every rank inherits it: one tracker
+        # sees rank 0's creates and unlinks in the order they happen.
+        resource_tracker.ensure_running()
+        barrier = ctx.Barrier(self.procs)
+        for rank in range(self.procs):
+            self.ranks.append(proc.Child(
+                ctx, _rank_main, (rank, barrier, born_with),
+                "repro-shard-rank-%d" % rank,
+            ))
+        threading.Thread(
+            target=self._retire_when_idle, name="repro-shard-idle", daemon=True
+        ).start()
+
+    def _retire_when_idle(self) -> None:
+        wait_s = _IDLE_S
+        while not self.retired.wait(wait_s):
+            with _POOL_LOCK:
+                wait_s = self.last_used + _IDLE_S - time.monotonic()
+                if wait_s <= 0 and not self.retired.is_set():
+                    _retire_locked()
+
+    def retire(self, failed: bool = False) -> None:
+        """Stop the ranks; after a failure, without asking."""
+        self.retired.set()
+        for child in self.ranks:
+            if failed:  # parked in a barrier, or worse: nobody is listening
+                child.process.terminate()
+            child.stop()
+        for child in self.ranks:
+            child.join(5)
+        if failed:
+            _reclaim(self.sid)
+
+    def run(self, program: ScalarProgram, options: CommOptions,
+            local_backend: str, initial_arrays, initial_scalars):
+        """``(arrays, per-rank summaries, the program's memo entry)``."""
+        from multiprocessing import shared_memory
+
+        key = (
+            id(program),
+            (options.redundancy_elimination, options.combining,
+             options.pipelining),
+            local_backend,
+        )
+        entry = self.programs.get(key)
+        shipped = None
+        if entry is None:
+            grid = ProcessorGrid(self.procs, max(program_rank(program), 1))
+            entry = self.programs[key] = _Shipped(
+                program, self.slots,
+                ShardLayout(program, grid, int_config_env(program.configs)),
+            )
+            self.slots += 1
+            if len(self.programs) > _KEPT_PROGRAMS:
+                self.programs.popitem(last=False)
+            shipped = (
+                program, entry.layout, options, local_backend,
+                "%s_p%d" % (self.sid, entry.slot),
+            )
+        self.programs.move_to_end(key)
+        if not self.ranks:
+            self._fork({entry.slot: shipped})
+            shipped = None
+        seeded = sorted(initial_arrays or ())
+        self.calls += 1
+        seg = shared_memory.SharedMemory(
+            name="%s_c%d" % (self.sid, self.calls), create=True,
+            size=max(1, sum(
+                _global_bytes(entry.layout, name)
+                for name in list(entry.layout.allocs) + seeded
+            )),
+        )
+        try:
+            results, inputs = _call_views(seg.buf, entry.layout, seeded)
+            for name, view in inputs.items():
+                view[...] = initial_arrays[name]
+            message = (
+                "run", entry.slot, shipped, seg.name, seeded, initial_scalars
+            )
+            proc.tell_all(self.ranks, message)
+            summaries = self._collect()
+            arrays = {name: view.copy() for name, view in results.items()}
+        except proc.ChildDied as death:
+            raise ReproError(
+                "mp-shard worker %d failed:\nprocess %s before posting a "
+                "result" % (self.ranks.index(death.child), death)
+            ) from None
+        finally:
+            results = inputs = view = None  # views pin the mapping
+            shm.close_quietly(seg)
+            seg.unlink()
+        entry.descriptions += tuple(summaries[0]["descriptions"])
+        self.last_used = time.monotonic()
+        return arrays, summaries, entry
+
+    def _collect(self) -> List[dict]:
+        """Every rank's summary, or the run's failure raised."""
+        waiting = {id(child): rank for rank, child in enumerate(self.ranks)}
+        summaries: List[Optional[dict]] = [None] * self.procs
+        failure = None
+        deadline = time.monotonic() + _BARRIER_TIMEOUT_S + 60
+        while waiting:
+            # After a rank that only saw the barrier break, give the one
+            # that broke it a moment to say why.
+            timeout = deadline - time.monotonic() if failure is None else 1.0
+            spoke = proc.replies(
+                [self.ranks[rank] for rank in waiting.values()], timeout
+            )
+            if not spoke:
+                break
+            for child, (status, *body) in spoke:
+                rank = waiting.pop(id(child))
+                if status == "ok":
+                    summaries[rank] = body[0]
+                    continue
+                kind, text, secondhand = body
+                if failure is None or not secondhand:
+                    failure = (rank, kind, text)
+                if not secondhand:
+                    waiting.clear()
+        if failure is not None:
+            rank, kind, text = failure
+            raise kind("mp-shard worker %d failed:\n%s" % (rank, text))
+        if waiting:
+            raise ReproError(
+                "mp-shard collected %d/%d worker results"
+                % (self.procs - len(waiting), self.procs)
+            )
+        return summaries
+
+
+_POOL: Optional[_Pool] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _retire_locked(failed: bool = False) -> None:
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL, None
+        pool.retire(failed)
+
+
+def _retire_pool() -> None:
+    """Stop the rank pool, if there is one (interpreter exit; tests that
+    patch rank code start from here so that the next call forks)."""
+    with _POOL_LOCK:
+        _retire_locked()
+
+
+atexit.register(_retire_pool)
 
 
 def execute_sharded(
@@ -1043,7 +1371,7 @@ def execute_sharded(
     tracer=None,
     initial_scalars=None,
 ):
-    """Run ``program`` sharded over ``procs`` workers.
+    """Run ``program`` sharded over ``procs`` ranks.
 
     Returns ``(ExecutionResult, CommReport)``.  The report carries one
     :class:`ExchangeRecord` per executed wire message with planned,
@@ -1051,7 +1379,12 @@ def execute_sharded(
     measured-vs-modeled validation in :mod:`repro.parallel.validate`.
     ``initial_scalars`` seeds the program's ``scalar_inputs``, as in
     :func:`repro.exec.execute`.
+
+    The ranks are kept for the next call (see the module docstring);
+    after any failure they are all stopped, and the next call forks
+    anew.
     """
+    global _POOL
     from repro.exec.backends import ExecutionResult, get_backend
 
     local_backend = get_backend(local_backend).name
@@ -1061,8 +1394,7 @@ def execute_sharded(
         procs = default_procs()
     if procs < 1:
         raise ReproError("procs must be positive, got %d" % procs)
-    rank = max(program_rank(program), 1)
-    grid = ProcessorGrid(procs, rank)
+    grid = ProcessorGrid(procs, max(program_rank(program), 1))
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
     initial_arrays = validate_inputs(program, initial_arrays)
     initial_scalars = validate_scalars(program, initial_scalars)
@@ -1080,112 +1412,36 @@ def execute_sharded(
         )
         _emit_obs(report, metrics, tracer, time.perf_counter() - started)
         return result, report
+    if multiprocessing.current_process().daemon:
+        raise ReproError(DAEMONIC_MESSAGE)
 
-    env = int_config_env(program.configs)
-    layout = ShardLayout(program, grid, env)
-    sid = "rs%s" % uuid.uuid4().hex[:10]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context("spawn")
-    barrier = ctx.Barrier(procs)
-    result_queue = ctx.Queue()
-    error_queue = ctx.Queue()
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL.procs != procs:
+            _retire_locked()
+        if _POOL is None:
+            _POOL = _Pool(procs)
+        try:
+            arrays, summaries, entry = _POOL.run(
+                program, options, local_backend, initial_arrays,
+                initial_scalars,
+            )
+        except BaseException:
+            _retire_locked(failed=True)
+            raise
 
-    from multiprocessing import shared_memory
-
-    out_names: Dict[str, str] = {}
-    out_segments = []
-    try:
-        for index, name in enumerate(sorted(layout.allocs)):
-            bounds, kind = layout.allocs[name]
-            size = max(
-                1,
-                int(np.prod(_shape_of(bounds)))
-                * np.dtype(DTYPES[kind]).itemsize,
-            )
-            seg = shared_memory.SharedMemory(
-                name="%s_o%d" % (sid, index), create=True, size=size
-            )
-            out_segments.append(seg)
-            out_names[name] = seg.name
-        workers = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_rank, program, layout, options, local_backend,
-                    sid, barrier, initial_arrays, initial_scalars, out_names,
-                    result_queue, error_queue,
-                ),
-            )
-            for worker_rank in range(procs)
-        ]
-        for process in workers:
-            process.start()
-        summaries = []
-        deadline = time.monotonic() + _BARRIER_TIMEOUT_S + 60
-        failure = None
-        while len(summaries) < procs and time.monotonic() < deadline:
-            if not error_queue.empty():
-                failure = error_queue.get()
-                break
-            failure = _dead_rank(workers)
-            if failure is not None:
-                # Its peers are, or soon will be, parked in Barrier.wait.
-                barrier.abort()
-                break
-            if not any(p.is_alive() for p in workers) and result_queue.empty():
-                break
-            try:
-                summaries.append(result_queue.get(timeout=0.25))
-            except Exception:
-                continue
-        for process in workers:
-            process.join(timeout=5 if failure is None else 1)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1)
-        if failure is None and not error_queue.empty():
-            failure = error_queue.get()
-        if failure is not None:
-            failed_rank, kind, text = failure
-            raise kind("mp-shard worker %d failed:\n%s" % (failed_rank, text))
-        if len(summaries) != procs:
-            raise ReproError(
-                "mp-shard collected %d/%d worker results" % (
-                    len(summaries), procs
-                )
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        for name, seg_name in out_names.items():
-            bounds, kind = layout.allocs[name]
-            seg = next(s for s in out_segments if s.name == seg_name)
-            arrays[name] = np.ndarray(
-                _shape_of(bounds), dtype=DTYPES[kind], buffer=seg.buf
-            ).copy()
-    finally:
-        for seg in out_segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:
-                pass
-        _reclaim(sid)
-
-    rank0 = next(s for s in summaries if s["rank"] == 0)
-    records: List[ExchangeRecord] = rank0["records"]
-    measured_total: Dict[int, int] = {}
-    counters: Dict[str, int] = {}
+    counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
+    measured = array("q", summaries[0]["measured"])
     for summary in summaries:
-        for ordinal, nbytes in summary["measured"].items():
-            measured_total[ordinal] = measured_total.get(ordinal, 0) + nbytes
         for name, value in summary["counters"].items():
-            counters[name] = counters.get(name, 0) + value
-    for record in records:
-        record.measured_bytes = measured_total.get(record.ordinal, 0)
-    report = CommReport(procs, grid.shape, records, counters)
-    scalars = dict(rank0["scalars"])
-    result = ExecutionResult(arrays, scalars)
+            counters[name] += value
+    for summary in summaries[1:]:
+        for ordinal, nbytes in enumerate(summary["measured"]):
+            measured[ordinal] += nbytes
+    report = CommReport(
+        procs, grid.shape, counters, entry.descriptions,
+        summaries[0]["described"], measured, summaries[0]["durations_us"],
+    )
+    result = ExecutionResult(arrays, dict(summaries[0]["scalars"]))
     _emit_obs(report, metrics, tracer, time.perf_counter() - started)
     return result, report
 
@@ -1195,8 +1451,8 @@ def _emit_obs(report: CommReport, metrics, tracer, elapsed_s: float) -> None:
         for name, value in report.counters.items():
             if value:
                 metrics.incr(name, value)
-        for record in report.records:
-            metrics.observe("comm.exchange", record.duration_us / 1e6)
+        for duration_us in report.durations_us:
+            metrics.observe("comm.exchange", duration_us / 1e6)
     if tracer is not None and getattr(tracer, "enabled", False):
         for record in report.records:
             tracer.record(

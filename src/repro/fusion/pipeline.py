@@ -29,6 +29,7 @@ from repro.fusion.algorithm import (
 )
 from repro.fusion.contract import eligible_candidates
 from repro.fusion.partition import FusionPartition
+from repro.fusion.weights import weight_env
 from repro.ir.program import IRProgram
 from repro.ir.statement import ArrayStatement
 from repro.util.errors import ReproError
@@ -323,7 +324,9 @@ def plan_block(
 
     timed = timers.time if timers is not None else (lambda _name: nullcontext())
 
-    config_env = program.config_env()
+    # Only reference weights read it: stand-ins for loop variables never
+    # reach a legality test.
+    config_env = weight_env(program, block)
     with timed("compile.deps"):
         graph = build_asdg(block)
     partition = FusionPartition(graph)

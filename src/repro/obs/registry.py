@@ -301,15 +301,23 @@ COUNTERS: List[CounterDef] = [
     ),
     CounterDef(
         "comm.kernel_loads",
-        "Per-nest kernels loaded by mp-shard workers (Backend.load calls, "
-        "summed over workers): one per nest, kind and allocation, however "
-        "many rows or time steps then call it.",
+        "Per-nest kernels this mp-shard call loaded (Backend.load calls, "
+        "summed over ranks): one per nest, kind and allocation on a "
+        "program's first call on a rank pool, 0 on later calls — the ranks "
+        "keep their kernels.",
     ),
     CounterDef(
         "comm.scalar_bcasts",
         "Scalar broadcasts mp-shard performed (counted on rank 0): one per "
         "folded reduction nest, plus one per owner whenever a pending "
         "contraction-corner scalar is about to be read or the run ends.",
+    ),
+    CounterDef(
+        "comm.barrier_waits",
+        "Barrier waits rank 0 performed during an mp-shard call (exact): "
+        "for exchange steps that move bytes, reductions, gathers and "
+        "broadcasts, plus two per segment on the call that first maps it; "
+        "a message without copies takes none.",
     ),
     CounterDef(
         "daemon.worker_cc",

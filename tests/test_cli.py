@@ -384,3 +384,19 @@ class TestServeDaemonFlags:
             capsys, ["serve", source_file, "--daemon", "--batch-max", "0"]
         )
         assert "--batch-max" in err
+
+    @pytest.mark.parametrize("backend", ["mp-shard", "shard"])
+    def test_mp_shard_backend_rejected_at_start_up(
+        self, source_file, capsys, backend
+    ):
+        # Daemon workers are daemonic and may not fork ranks: one typed
+        # line before anything listens, not a 500 on every request.
+        from repro.exec.mp_shard import DAEMONIC_MESSAGE
+
+        assert main(
+            ["serve", source_file, "--daemon", "--backend", backend]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % DAEMONIC_MESSAGE
+        assert "listening" not in captured.out
+

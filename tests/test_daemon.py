@@ -93,6 +93,42 @@ class TestExecute:
         assert err.value.status == 500
         assert "allocation needs" in str(err.value)
 
+    def test_mp_shard_request_is_a_typed_500_not_an_assertion(
+        self, tmp_path, monkeypatch
+    ):
+        # A daemonic worker may not fork ranks.  The request comes back
+        # with execute_sharded's own sentence (it was the interpreter's
+        # "daemonic processes are not allowed to have children"), and
+        # the worker lives on.
+        from repro.exec.mp_shard import DAEMONIC_MESSAGE
+
+        monkeypatch.setenv("REPRO_PROCS", "2")  # inherited by the workers
+        d = Daemon(DaemonConfig(workers=1, cache_dir=str(tmp_path / "cache")))
+        d.start()
+        try:
+            pids = d.pool.worker_pids()
+            with DaemonClient(port=d.port) as client:
+                with pytest.raises(DaemonError) as err:
+                    client.execute(SOURCE, backend="mp-shard")
+                assert err.value.status == 500
+                assert "ReproError: " + DAEMONIC_MESSAGE in str(err.value)
+                assert client.execute(SOURCE)["scalars"]["s"] == (
+                    pytest.approx(1504.0)
+                )
+            assert d.pool.worker_pids() == pids
+            assert d.pool.restart_count() == 0
+        finally:
+            d.stop(drain=True)
+        assert shm.leaked_segments(d.token) == []
+
+    def test_mp_shard_as_the_daemon_backend_is_refused_at_start_up(self):
+        from repro.exec.mp_shard import DAEMONIC_MESSAGE
+        from repro.util.errors import ReproError
+
+        with pytest.raises(ReproError) as err:
+            Daemon(DaemonConfig(backend="shard"))
+        assert str(err.value) == DAEMONIC_MESSAGE
+
     @pytest.mark.parametrize(
         "field,value", [("level", "zzz"), ("backend", "bogus")]
     )

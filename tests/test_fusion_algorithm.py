@@ -1,6 +1,8 @@
 """Tests for FUSION-FOR-CONTRACTION (Figure 3), GROW, locality fusion,
 pairwise fusion and reference weights."""
 
+import pytest
+
 from repro.deps import build_asdg
 from repro.fusion import (
     FusionPartition,
@@ -262,3 +264,86 @@ class TestLocalityAndPairwise:
         fuse_all_legal(partition)
         assert partition.cluster_count() == 1
         assert fuse_all_legal(partition) == 0
+
+
+# -- a region whose extent depends on an enclosing loop variable ---------------
+
+TRIANGLE = """
+program tri;
+config n : integer = 8;
+region R = [1..n, 1..n];
+region H = [0..n+1, 0..n+1];
+var A, B : [H] float;
+var s : float;
+var j, m : integer;
+begin
+  [R] A := Index1 + Index2;
+  m := n;
+  for j := %s do
+    [2..j, j] B := A@(-1,0) * 2.0;
+  end;
+  s := +<< [R] B;
+end;
+"""
+
+#: loop header -> where the weight's stand-in for ``j`` comes from
+TRIANGLE_LOOPS = {
+    "ascending": "2 to n",  # the loop's static bounds
+    "descending": "n downto 2",
+    "run-time bound": "2 to m",  # the allocation's extent
+}
+
+
+class TestLoopDependentExtent:
+    """``[2..j, j]`` has no size at plan time.  The reference weight is
+    only an ordering key, but evaluating it raised ``cannot evaluate
+    j - 1: 'j' is unbound`` at the five levels that order arrays for
+    locality fusion (f3, c2+f3, c2+f4 and their +cse twins)."""
+
+    @pytest.mark.parametrize("loop", sorted(TRIANGLE_LOOPS))
+    def test_every_level_and_backend_agrees_with_baseline(self, loop):
+        from repro.exec import execute, native
+        from repro.fusion import ALL_LEVELS, LEVELS_BY_NAME
+        from repro.scalarize import compile_program
+
+        program = normalize_source(TRIANGLE % TRIANGLE_LOOPS[loop])
+        backends = ["interp", "codegen_py", "codegen_np"]
+        if native.cc_available():
+            backends.append("c")
+        expected = execute(
+            compile_program(program, LEVELS_BY_NAME["baseline"]), "interp"
+        )
+        assert expected.scalars["s"] == 504.0
+        for level in ALL_LEVELS:
+            compiled = compile_program(program, level)
+            for backend in backends:
+                result = execute(compiled, backend)
+                assert result.scalars["s"] == expected.scalars["s"], (
+                    level, backend
+                )
+                assert (result.arrays["B"] == expected.arrays["B"]).all(), (
+                    level, backend
+                )
+
+    def test_stand_ins_leave_cancelling_extents_alone(self):
+        from repro.fusion.weights import weight_env
+
+        program = normalize_source(TRIANGLE % "2 to n")
+        blocks = list(program.blocks())
+        inside = next(b for b in blocks if "j" in b[0].region.free_variables())
+        assert weight_env(program, inside)["j"] == 8  # the loop's top
+        assert reference_weight(
+            "B", build_asdg(inside), weight_env(program, inside)
+        ) == 7  # [2..8, 8]
+        runtime = normalize_source(TRIANGLE % "2 to m")
+        inside = next(
+            b for b in runtime.blocks() if "j" in b[0].region.free_variables()
+        )
+        assert weight_env(runtime, inside)["j"] == 9  # H's upper bound
+        # [i, 1..m] is one row whatever i is: no stand-in, same env
+        rows = normalize_source(
+            (TEMPLATE % "for i := 1 to n do\n[i, 1..n] B := A;\nend;")
+            .replace("var s : float;", "var s : float;\nvar i : integer;")
+        )
+        block = next(iter(rows.blocks()))
+        assert weight_env(rows, block) == rows.config_env()

@@ -2,7 +2,14 @@
 measured-vs-modeled validation, and the zero-counter metrics fix."""
 
 import importlib
+import multiprocessing
+import os
 import pkgutil
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +18,8 @@ import repro.parallel
 from repro.benchsuite import get_benchmark
 from repro.exec import native
 from repro.exec.backends import execute
-from repro.exec.mp_shard import default_procs, execute_sharded
+from repro.exec import mp_shard
+from repro.exec.mp_shard import CommReport, default_procs, execute_sharded
 from repro.fusion import ALL_LEVELS
 from repro.parallel.comm import analyze_run
 from repro.parallel.commopt import (
@@ -43,6 +51,16 @@ LEVELS = {str(level): level for level in ALL_LEVELS}
 
 def bench_program(name, level="Level(c2)"):
     return compile_program(get_benchmark(name).test_program(), LEVELS[level])
+
+
+@pytest.fixture
+def fresh_pool():
+    """For tests that patch rank code: the next call forks ranks that carry
+    the patch, and no later test inherits them.  ``_retire_pool`` is what
+    ``atexit`` calls — the one test-visible handle on the pool."""
+    mp_shard._retire_pool()
+    yield
+    mp_shard._retire_pool()
 
 
 def _all_runs(program):
@@ -287,10 +305,19 @@ class TestExecution:
         program = bench_program("Simple")
         _result, report = execute_sharded(program, procs=2)
         check_report(report)
-        if report.records:
-            report.records[0].measured_bytes += 8
-            with pytest.raises(ValidationError):
-                check_report(report)
+        assert report.records
+        # Records are views built on access: tamper with the column.
+        tampered = CommReport(
+            report.procs, report.grid_shape, report.counters,
+            report.descriptions, report.described,
+            [report.measured[0] + 8] + list(report.measured[1:]),
+            report.durations_us,
+        )
+        assert tampered.records[0].measured_bytes == (
+            report.records[0].measured_bytes + 8
+        )
+        with pytest.raises(ValidationError):
+            check_report(tampered)
 
     def test_metrics_and_counters_emitted(self):
         program = bench_program("Simple")
@@ -377,13 +404,13 @@ class TestLoadOnce:
         check_report(report)
 
 
-    def test_rank_class_is_computed_once_per_nest_per_rank(self, monkeypatch):
+    def test_rank_class_is_computed_once_per_nest_per_rank(
+        self, monkeypatch, fresh_pool
+    ):
         # The gather-or-clamp verdict is a fact of (nest, grid): it lives
         # beside the worker's other per-nest facts, not in the plan-cache
         # miss path a row sweep takes once per row (251 calls per rank on
         # SP at n=64 when it did).
-        import multiprocessing
-
         from repro.scalarize.loopnest import PartitionPlan
 
         calls = multiprocessing.get_context("fork").Value("i", 0)
@@ -399,11 +426,13 @@ class TestLoadOnce:
         _result, report = execute_sharded(program, procs=2)
         check_report(report)
         assert 0 < calls.value <= 2 * len(program.loop_nests())
+        # ... and not once per call: a pooled rank keeps its facts.
+        first = calls.value
+        execute_sharded(program, procs=2)
+        assert calls.value == first
 
 
 def _shard_segments():
-    import os
-
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm to audit")
     return {entry for entry in os.listdir("/dev/shm") if entry.startswith("rs")}
@@ -412,44 +441,371 @@ def _shard_segments():
 class TestDeadRank:
     @pytest.mark.parametrize("victim", [0, 1])
     def test_a_killed_rank_fails_the_run_fast_and_leaks_nothing(
-        self, victim, monkeypatch
+        self, victim, monkeypatch, fresh_pool
     ):
-        # SIGKILL one of two ranks on its third run of nests: segments
-        # exist, its peer is (or soon will be) parked in a barrier wait.
-        import multiprocessing
-        import os
-        import signal
-        import time
+        # SIGKILL one of two *pooled* ranks on the third run of nests of
+        # its second call: the pool is warm, its peer is (or soon will
+        # be) parked in a barrier wait.
+        run, exec_run = mp_shard._Worker.run, mp_shard._Worker._exec_run
+        seen = {"calls": 0, "runs": 0}  # counted in each forked rank
 
-        from repro.exec import mp_shard
+        def counting_run(self, *args):
+            seen["calls"] += 1
+            seen["runs"] = 0
+            return run(self, *args)
 
-        worker_main = mp_shard._worker_main
+        def dying(self, nests):
+            seen["runs"] += 1
+            if (self.rank, seen["calls"], seen["runs"]) == (victim, 2, 3):
+                os.kill(os.getpid(), signal.SIGKILL)
+            exec_run(self, nests)
 
-        def dying_worker_main(rank, *args):
-            if rank == victim:  # patched in the forked child only
-                exec_run = mp_shard._Worker._exec_run
-                runs = []
-
-                def dying(self, run):
-                    runs.append(run)
-                    if len(runs) == 3:
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    exec_run(self, run)
-
-                mp_shard._Worker._exec_run = dying
-            worker_main(rank, *args)
-
-        monkeypatch.setattr(mp_shard, "_worker_main", dying_worker_main)
+        monkeypatch.setattr(mp_shard._Worker, "run", counting_run)
+        monkeypatch.setattr(mp_shard._Worker, "_exec_run", dying)
+        program = sized_program("Tomcatv", 16, 2)
+        oracle = execute(program, "codegen_np")
+        result, _report = execute_sharded(program, procs=2)
+        assert_identical(result, oracle)
         before = _shard_segments()
         started = time.monotonic()
         with pytest.raises(
             ReproError,
             match=r"worker %d failed:\s+process killed by signal 9" % victim,
         ):
-            execute_sharded(sized_program("Tomcatv", 16, 2), procs=2)
+            execute_sharded(program, procs=2)
         assert time.monotonic() - started < 5.0
         assert _shard_segments() <= before
         assert multiprocessing.active_children() == []
+        # The next call forks a fresh pool (whose ranks count from 0).
+        result, report = execute_sharded(program, procs=2)
+        assert_identical(result, oracle)
+        check_report(report)
+        assert len(multiprocessing.active_children()) == 2
+
+
+# -- the rank pool ------------------------------------------------------------
+
+
+def _record_facts(report):
+    """Every record field except the one that is a timing."""
+    return [
+        (r.ordinal, r.description, r.measured_bytes) for r in report.records
+    ]
+
+
+def _stable(counters):
+    """The counters that do not depend on what the pool already holds."""
+    return {
+        name: value for name, value in counters.items()
+        if name not in ("comm.kernel_loads", "comm.barrier_waits")
+    }
+
+
+def _rank_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+class TestRankPool:
+    def test_three_calls_on_one_pool_match_a_fresh_pool(self):
+        program = sized_program("Tomcatv", 64, 2)
+        oracle = execute(program, "codegen_np")
+        mp_shard._retire_pool()
+        runs = [execute_sharded(program, procs=2) for _ in range(3)]
+        pids = _rank_pids()
+        assert len(pids) == 2
+        mp_shard._retire_pool()
+        assert _rank_pids() == []
+        runs.append(execute_sharded(program, procs=2))  # a fresh pool
+        assert not set(_rank_pids()) & set(pids)
+        first_result, first = runs[0]
+        for result, report in runs:
+            assert_identical(result, oracle)
+            check_report(report)
+            assert _record_facts(report) == _record_facts(first)
+            assert _stable(report.counters) == _stable(first.counters)
+            assert all(r.duration_us > 0 for r in report.records)
+        loads = [report.counters["comm.kernel_loads"] for _r, report in runs]
+        assert loads[0] == loads[3] > 0 and loads[1] == loads[2] == 0
+        waits = [report.counters["comm.barrier_waits"] for _r, report in runs]
+        # 511 when every message took two waits; a first call also maps
+        # its segments (two waits each)
+        assert waits[1] == waits[2] < waits[0] == waits[3] <= 40
+
+    def test_interleaved_programs_and_options_stay_warm(self):
+        programs = [
+            sized_program(name, 12, 2) for name in ("Tomcatv", "SP", "Simple")
+        ]
+        oracles = [execute(program, "codegen_np") for program in programs]
+        mp_shard._retire_pool()
+        calls = [(i, opts) for opts in (ALL_COMM_OPTS, NO_COMM_OPTS)
+                 for i in range(3)]
+        exchanges = {}
+        for sweep in range(3):
+            for index, options in calls:
+                result, report = execute_sharded(
+                    programs[index], procs=2, comm_options=options
+                )
+                assert_identical(result, oracles[index])
+                check_report(report)
+                assert (report.counters["comm.kernel_loads"] > 0) == (
+                    sweep == 0
+                )
+                # what a (program, options) pair executes never changes
+                assert exchanges.setdefault(
+                    (index, options), report.exchanges
+                ) == report.exchanges
+        assert exchanges[0, NO_COMM_OPTS] > exchanges[0, ALL_COMM_OPTS]
+        assert len(_rank_pids()) == 2
+
+    def test_a_ninth_program_evicts_the_first(self):
+        assert mp_shard._KEPT_PROGRAMS == 8
+        programs = [
+            bench_program("Simple", level) for level in sorted(LEVELS)[:9]
+        ]
+        oracles = [execute(program, "codegen_np") for program in programs]
+        mp_shard._retire_pool()
+
+        def loads(index):
+            result, report = execute_sharded(programs[index], procs=2)
+            assert_identical(result, oracles[index])
+            check_report(report)
+            return report.counters["comm.kernel_loads"]
+
+        assert all(loads(index) > 0 for index in range(8))
+        assert all(loads(index) == 0 for index in range(8))
+        assert loads(8) > 0  # evicts programs[0], the least recently run
+        assert loads(1) == 0
+        assert loads(0) > 0  # shipped and loaded again, no error
+        assert loads(0) == 0
+        assert len(_rank_pids()) == 2
+
+    def test_seeded_arrays_and_scalars_are_per_call(self):
+        # Inputs travel through the call's segment (apart from the
+        # results) and are read again on every call, halos included.
+        from repro.ir import expr as ir
+        from repro.ir.region import Region
+        from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
+
+        full = Region.literal((0, 9), (0, 9))
+        inner = Region.literal((1, 8), (1, 8))
+        program = ScalarProgram(
+            "seeded", {}, {"A": (full, "float"), "B": (full, "float")},
+            {"k": "float"},
+            [LoopNest(inner, (1, 2), [ElemAssign("A", None, ir.BinOp(
+                "+", ir.ArrayRef("A", (1, 0)),
+                ir.BinOp("*", ir.ScalarRef("k"), ir.ArrayRef("B", (-1, 0))),
+            ))], carried_depth=0)],
+            scalar_inputs=("k",),
+        )
+        rng = np.random.default_rng(7)
+        for call in range(3):
+            arrays = {"A": rng.random((10, 10)), "B": rng.random((10, 10))}
+            if call == 2:
+                del arrays["B"]  # unseeded arrays start at zero again
+            scalars = {"k": float(call + 1)}
+            oracle = execute(
+                program, "codegen_np", initial_arrays=arrays,
+                initial_scalars=scalars,
+            )
+            for procs in (2, 4):
+                result, report = execute_sharded(
+                    program, arrays, procs=procs, initial_scalars=scalars
+                )
+                assert_identical(result, oracle)
+                check_report(report)
+                assert report.exchanges == 2
+
+    def test_changing_procs_keeps_one_pool_alive(self):
+        program = sized_program("Simple", 12, 2)
+        oracle = execute(program, "codegen_np")
+        for procs in (2, 4, 2):
+            result, report = execute_sharded(program, procs=procs)
+            assert_identical(result, oracle)
+            check_report(report)
+            assert report.procs == procs
+            assert len(_rank_pids()) == procs
+
+    def test_two_threads_calling_at_once_queue_on_one_pool(self):
+        programs = [sized_program(name, 12, 2) for name in ("Tomcatv", "SP")]
+        oracles = [execute(program, "codegen_np") for program in programs]
+        mp_shard._retire_pool()
+        failures = []
+
+        def caller(index):
+            try:
+                for _ in range(4):
+                    result, report = execute_sharded(programs[index], procs=2)
+                    assert_identical(result, oracles[index])
+                    check_report(report)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(_rank_pids()) == 2
+
+    @pytest.mark.parametrize("procs", [2, 4, 6])
+    def test_benchsuite_every_level_with_empty_messages_unsynchronised(
+        self, procs, benchsuite_at_ten_levels
+    ):
+        # One pool per worker count; every call is a program's first.
+        skipped = 0
+        for program, oracle in benchsuite_at_ten_levels:
+            result, report = execute_sharded(program, procs=procs)
+            assert_identical(result, oracle)
+            check_report(report)
+            skipped += sum(
+                not any(event["pairs"] for event in record.events)
+                for record in report.records
+            )
+        assert skipped > 0  # there were messages nobody waited for
+
+
+@pytest.fixture(scope="module")
+def benchsuite_at_ten_levels():
+    """(program, codegen_np result) for 6 programs x 10 levels."""
+    pairs = []
+    for bench in ("EP", "Fibro", "Frac", "SP", "Simple", "Tomcatv"):
+        source = get_benchmark(bench).test_program()
+        for level in ALL_LEVELS:
+            if str(level) != "Level(c2+p)":  # partial contraction: the 11th
+                program = compile_program(source, level)
+                pairs.append((program, execute(program, "codegen_np")))
+    assert len(pairs) == 60
+    return pairs
+
+
+_THREE_CALLS = """
+import os, sys, time
+from multiprocessing import resource_tracker
+from repro.benchsuite import get_benchmark
+from repro.exec import mp_shard
+from repro.fusion import LEVELS_BY_NAME
+from repro.scalarize import compile_program
+
+bench = get_benchmark("Tomcatv")
+program = compile_program(
+    bench.program(dict(bench.default_config, n=12, m=12, steps=2)),
+    LEVELS_BY_NAME["c2+f4+cse"],
+)
+for _ in range(3):
+    mp_shard.execute_sharded(program, procs=2)
+
+
+def children():
+    me, found = str(os.getpid()), []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open("/proc/%s/stat" % entry) as handle:
+                    fields = handle.read().rpartition(")")[2].split()
+            except OSError:
+                continue
+            if fields[1] == me and fields[0] != "Z":
+                found.append(int(entry))
+    return found
+
+
+print("ranks", len(children()) - 1, flush=True)  # minus the resource tracker
+if sys.argv[1] == "idle":
+    time.sleep(mp_shard._IDLE_S + 1.0)
+    tracker = resource_tracker._resource_tracker._pid
+    print("children", [pid for pid in children() if pid != tracker])
+    print("segments", sorted(
+        name for name in os.listdir("/dev/shm") if name.startswith("rs")
+    ))
+else:
+    print("pids", " ".join(map(str, children())), flush=True)
+    while True:
+        mp_shard.execute_sharded(program, procs=2)
+"""
+
+
+def _script(mode):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    ).rstrip(os.pathsep)
+    return subprocess.Popen(
+        [sys.executable, "-c", _THREE_CALLS, mode], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestPoolLifetime:
+    def test_an_idle_pool_retires_and_leaves_nothing(self):
+        before = _shard_segments()
+        child = _script("idle")
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        # no resource_tracker warning, no traceback: nothing at all
+        assert err == ""
+        assert out.splitlines() == ["ranks 2", "children []", "segments %r"
+                                    % sorted(before)]
+
+    def test_ranks_of_a_killed_coordinator_exit(self):
+        before = _shard_segments()
+        child = _script("busy")
+        try:
+            assert child.stdout.readline().strip() == "ranks 2"
+            pids = [int(pid) for pid in child.stdout.readline().split()[1:]]
+            assert len(pids) == 3  # two ranks and the resource tracker
+            time.sleep(0.2)  # mid-run, as good as certainly
+        finally:
+            child.kill()
+        child.wait(10)
+
+        def running(pid):
+            try:
+                with open("/proc/%d/stat" % pid) as handle:
+                    return handle.read().rpartition(")")[2].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 2.0
+        while any(running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "ranks outlived their parent"
+            time.sleep(0.02)
+        assert _shard_segments() <= before
+
+
+class TestKeptReports:
+    def test_a_kept_report_is_columns_over_shared_descriptions(self):
+        import pickle
+        import tracemalloc
+
+        program = sized_program("Tomcatv", 64, 2)
+        _result, first = execute_sharded(program, procs=2)
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(8):
+                kept.append(execute_sharded(program, procs=2)[1])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 36 KB a report when each held 248 record objects and a private
+        # copy of its descriptions
+        assert grown / len(kept) < 10_000
+        assert first.exchanges == 248
+        for report in kept:
+            assert report.descriptions is first.descriptions
+            assert report.records[5].events is first.records[5].events
+        clone = pickle.loads(pickle.dumps(kept[0]))
+        check_report(clone)
+        assert _record_facts(clone) == _record_facts(kept[0])
+        assert clone.counters == kept[0].counters
+        assert (clone.exchanges, clone.measured_bytes, clone.model_bytes) == (
+            first.exchanges, first.measured_bytes, first.model_bytes
+        )
 
 
 def _corner_program(reader, kind="float"):
