@@ -11,8 +11,8 @@ paper's machinery applied to Python-traced code.
 Mapping rules:
 
 * ``input`` leaves become user arrays named ``in<i>`` over ``[1..s1,
-  ...]`` regions; they are seeded through the existing
-  ``Storage.seed_arrays`` / ``run(_inputs)`` path at execution time.
+  ...]`` regions; they are seeded like any request's arrays
+  (``run(inputs)`` -> ``emit_common.build_state``) at execution time.
 * ``const``/``full``/``index`` leaves are inlined as ``Const`` /
   ``IndexRef`` expressions — they occupy no storage *unless* a ``shift``
   reads them, in which case they are first bound to a temporary array so

@@ -13,12 +13,13 @@ The flush is two-phase, and the first phase is the whole point:
    lowering as a thunk; the pipeline (fusion, contraction, CSE,
    scalarization, codegen — unmodified) runs once per digest.
 
-Execution feeds traced inputs through the existing
-``Storage.seed_arrays`` / ``run(_inputs)`` path: each ``in<i>`` value is
-padded into its allocation region (declared region plus halo, halo
-zero-filled — that zero fill is what defines out-of-edge ``shift``
-reads), and each ``out<i>``/``res<i>`` result is sliced back to its
-declared shape.
+Execution feeds traced inputs through the path any request takes
+(``CompiledProgram.execute({"arrays": ...})``, checked and copied in by
+:func:`repro.scalarize.emit_common.build_state`): each ``in<i>`` value
+is padded into its slot of the program's storage layout (declared region
+plus halo, halo zero-filled — that zero fill is what defines out-of-edge
+``shift`` reads), and each ``out<i>``/``res<i>`` result is sliced back
+to its declared shape.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.array.graph import Node, Trace
 from repro.array.lowering import lower_trace
 from repro.fusion import resolve_level
 from repro.obs.tracer import NOOP_SPAN
-from repro.scalarize.emit_common import DTYPES
+from repro.scalarize.emit_common import NP_DTYPES
 from repro.util.errors import ReproError
 
 #: Defaults for the module-level service: maximum fusion on the
@@ -59,21 +60,19 @@ def set_default_service(service) -> None:
     _default_service = service
 
 
-def _interior_slices(alloc_region, shape):
-    """Slices selecting the declared ``[1..s]`` region inside an allocation."""
-    bounds = alloc_region.concrete_bounds({})
+def _interior_slices(slot, shape):
+    """Slices selecting the declared ``[1..s]`` region inside the
+    allocation a layout slot describes."""
     return tuple(
-        slice(1 - lo, 1 - lo + extent)
-        for (lo, _hi), extent in zip(bounds, shape)
+        slice(1 - base, 1 - base + extent)
+        for base, extent in zip(slot.bases, shape)
     )
 
 
-def _pad_input(node: Node, alloc_region, kind: str) -> np.ndarray:
-    """The input value embedded in a zero-filled allocation-region buffer."""
-    bounds = alloc_region.concrete_bounds({})
-    alloc_shape = tuple(hi - lo + 1 for lo, hi in bounds)
-    buffer = np.zeros(alloc_shape, dtype=getattr(np, DTYPES[kind]))
-    buffer[_interior_slices(alloc_region, node.shape)] = node.payload
+def _pad_input(node: Node, slot) -> np.ndarray:
+    """The input value embedded in a zero-filled buffer of its slot."""
+    buffer = np.zeros(slot.shape, dtype=NP_DTYPES[slot.kind])
+    buffer[_interior_slices(slot, node.shape)] = node.payload
     return buffer
 
 
@@ -143,23 +142,22 @@ def compute_nodes(
     if all(node.cache.get(digest) is not None for node in trace.outputs):
         return [node.cache[digest] for node in trace.outputs]
 
-    allocs = compiled.scalar_program.array_allocs
+    slots = {slot.name: slot for slot in compiled.scalar_program.layout}
     inputs: Dict[str, np.ndarray] = {}
     for node in trace.inputs:
         name = trace.input_name(node)
-        alloc = allocs.get(name)
-        if alloc is None:  # pragma: no cover - inputs are never contracted
+        slot = slots.get(name)
+        if slot is None:  # pragma: no cover - inputs are never contracted
             raise ReproError("input %r missing from compiled allocation" % name)
-        inputs[name] = _pad_input(node, alloc[0], alloc[1])
+        inputs[name] = _pad_input(node, slot)
 
     result = compiled.execute({"arrays": inputs} if inputs else None)
 
     values: List[object] = []
     for node, name in zip(trace.outputs, names):
         if node.is_array:
-            alloc_region, _kind = allocs[name]
             raw = result.arrays[name]
-            value = raw[_interior_slices(alloc_region, node.shape)].copy()
+            value = raw[_interior_slices(slots[name], node.shape)].copy()
         else:
             value = result.scalars[name]
         node.cache[digest] = value

@@ -9,6 +9,7 @@ from repro.exec.backends import (
     ExecutionResult,
     InitialArrays,
     aliases_of,
+    bind,
     execute,
     get_backend,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "ExecutionResult",
     "InitialArrays",
     "aliases_of",
+    "bind",
     "execute",
     "get_backend",
 ]

@@ -13,6 +13,18 @@ starting values of the program's ``scalar_inputs``, if it declares any).
 per-worker executor all go through that record, so adding a backend is
 one entry in :data:`BACKENDS`.
 
+What a single-process backend *writes* is one function, its kernel
+loader: ``kernel(program, code=None, artifacts=None)`` returns
+``kernel(arrays, scalars, **options) -> final scalars``, which works in
+place on arrays the caller built and allocates no program storage
+itself.  ``load`` is derived from it by :func:`bind`, the one place a
+run starts and ends: check the request and build its state
+(:func:`repro.scalarize.emit_common.build_state` over
+:attr:`ScalarProgram.layout`), call the kernel, hand back the arrays it
+worked on and the final scalars as plain Python values in declared
+order.  ``mp-shard`` is a driver, not a kernel: it has its own ``load``
+and its ranks call the local backend's kernel on their local arrays.
+
 ``interp``
     The tree-walking loop interpreter (:mod:`repro.interp.loop_interp`).
     Slowest; the semantic anchor every code generator is tested against.
@@ -60,13 +72,19 @@ array and scalar state, directly comparable across back ends.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.scalarize.codegen_c import c_abi, render_c_module
+from repro.scalarize.codegen_c import render_c_module
 from repro.scalarize.codegen_np import render_numpy
 from repro.scalarize.codegen_py import render_python
+from repro.scalarize.emit_common import (
+    build_state,
+    scalar_value,
+    validate_scalars,
+)
 from repro.scalarize.loopnest import ScalarProgram
 from repro.util.errors import ReproError
 
@@ -85,10 +103,12 @@ class ExecutionResult(NamedTuple):
 class Artifacts(NamedTuple):
     """What a loader may reuse across processes, handed in by the caller.
 
-    Every ``Backend.load`` accepts one; only ``c`` consults it, for the
+    Every ``Backend.load`` accepts one.  ``c`` consults the
     content-addressed ``.so`` tier of ``cache`` (keyed from the payload
-    ``digest``).  ``metrics`` counts compiler invocations and ``timers``
-    (anything with ``.time(name)``; default ``metrics``) times them.
+    ``digest``); ``metrics`` counts compiler invocations and, on every
+    run of the loaded program, the bytes its state cost
+    (``exec.bytes_zeroed`` / ``exec.bytes_copied``); ``timers`` (anything
+    with ``.time(name)``; default ``metrics``) times the compiler.
     """
 
     cache: object
@@ -104,6 +124,10 @@ InitialScalars = Optional[Mapping[str, object]]
 #: ``run(inputs, scalars=None, **options)``: one execution of a loaded
 #: program.
 Run = Callable[..., ExecutionResult]
+
+#: ``kernel(arrays, scalars, **options) -> final scalars``: one execution
+#: in place on the arrays (and from the starting scalars) it is handed.
+Kernel = Callable[..., Mapping[str, object]]
 
 
 class Backend(NamedTuple):
@@ -123,6 +147,38 @@ class Backend(NamedTuple):
     #: later processes reuse, so the serving layer loads at build time
     #: (under its cross-process build lock) instead of on first execute.
     eager: bool = False
+    #: ``kernel(program, code=None, artifacts=None)`` -> :data:`Kernel`,
+    #: the function ``load`` is derived from (:func:`_from_kernel`);
+    #: None for a driver that has no kernel form (``mp-shard``).
+    kernel: Optional[Callable[..., Kernel]] = None
+
+
+def bind(program: ScalarProgram, kernel: Kernel, metrics=None) -> Run:
+    """The ``run`` of ``program`` on a loaded ``kernel``.
+
+    Each call checks the request, builds fresh state from the program's
+    layout (inputs are copied in, never written), runs the kernel in
+    place on it and returns those arrays with the final scalars as plain
+    ``bool`` / ``int`` / ``float`` in the program's declared order.
+    Nothing is kept between calls, so ``run`` is as thread-safe as the
+    kernel.  A bad request raises :class:`~repro.util.errors.InputError`
+    before the kernel is entered.
+    """
+    layout = program.layout
+    names = tuple(program.scalars)
+
+    def run(
+        inputs: InitialArrays = None, scalars: InitialScalars = None, **options
+    ) -> ExecutionResult:
+        arrays, start = build_state(
+            layout, inputs, validate_scalars(program, scalars), metrics
+        )
+        final = kernel(arrays, start, **options)
+        return ExecutionResult(
+            arrays, {name: scalar_value(final[name]) for name in names}
+        )
+
+    return run
 
 
 def _render_nothing(program: ScalarProgram) -> None:
@@ -135,90 +191,76 @@ def _render_numpy_par(program: ScalarProgram) -> str:
     return render_numpy_par(program)
 
 
-def _load_interp(program: ScalarProgram, code=None, artifacts=None) -> Run:
-    from repro.interp import run_scalarized
+def _interp_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
+    from repro.interp.loop_interp import LoopInterpreter
 
-    def run(
-        inputs: InitialArrays = None, scalars: InitialScalars = None
-    ) -> ExecutionResult:
-        storage = run_scalarized(program, inputs, scalars)
-        return ExecutionResult(storage.snapshot(), dict(storage.scalars))
+    def kernel(arrays, scalars):
+        return LoopInterpreter(program, arrays, scalars).run().scalars
 
-    return run
+    return kernel
 
 
-def _generated_entry(render, filename: str, program: ScalarProgram, code):
-    """The ``run`` function of one generated-Python module.
-
-    Generated modules take ``_scalars`` only when the program declares
-    scalar inputs, so it is passed by keyword and only when present.
-    """
-    if code is None:
-        code = render(program)
+def _entry(code: str, filename: str):
+    """The ``run(_arrays, _scalars, ...)`` of one generated-Python module:
+    already the kernel form."""
     namespace: Dict[str, object] = {}
     exec(compile(code, filename, "exec"), namespace)
-    entry = namespace["run"]
-
-    def call(inputs, scalars, *args):
-        if scalars is None:
-            return entry(inputs, *args)
-        return entry(inputs, *args, _scalars=scalars)
-
-    return call
+    return namespace["run"]
 
 
-def _generated_loader(render, filename: str):
-    def load(program: ScalarProgram, code=None, artifacts=None) -> Run:
-        entry = _generated_entry(render, filename, program, code)
+def _generated_kernel(render, filename: str):
+    def kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
+        return _entry(render(program) if code is None else code, filename)
 
-        def run(
-            inputs: InitialArrays = None, scalars: InitialScalars = None
-        ) -> ExecutionResult:
-            arrays, final = entry(inputs, scalars)
-            return ExecutionResult(dict(arrays), dict(final))
-
-        return run
-
-    return load
+    return kernel
 
 
-def _load_np_par(program: ScalarProgram, code=None, artifacts=None) -> Run:
-    entry = _generated_entry(
-        _render_numpy_par, "<repro-codegen-np-par>", program, code
+def _np_par_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
+    entry = _entry(
+        _render_numpy_par(program) if code is None else code,
+        "<repro-codegen-np-par>",
     )
 
-    def run(
-        inputs: InitialArrays = None,
-        scalars: InitialScalars = None,
-        workers: Optional[int] = None,
-        tile_shape=None,
-        engine=None,
-    ) -> ExecutionResult:
+    def kernel(arrays, scalars, workers=None, tile_shape=None, engine=None):
         if engine is None and (workers is not None or tile_shape is not None):
             from repro.parallel.engine import TileEngine
 
             engine = TileEngine(workers=workers, tile_shape=tile_shape)
-        arrays, final = entry(inputs, scalars, engine)
-        return ExecutionResult(dict(arrays), dict(final))
+        return entry(arrays, scalars, engine)
 
-    return run
+    return kernel
 
 
-def _load_c(program: ScalarProgram, code=None, artifacts=None) -> Run:
+def _c_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
     from repro.exec import native
 
     if code is None:
         code = render_c_module(program)
-    kernel = native.kernel_for_source(code, artifacts=artifacts)
-    abi = c_abi(program)
+    return functools.partial(
+        native.call_kernel,
+        native.kernel_for_source(code, artifacts=artifacts),
+        program.layout,
+    )
 
-    def run(
-        inputs: InitialArrays = None, scalars: InitialScalars = None
-    ) -> ExecutionResult:
-        arrays, final = native.run_kernel(kernel, abi, inputs, scalars)
-        return ExecutionResult(dict(arrays), dict(final))
 
-    return run
+def _from_kernel(
+    name: str,
+    description: str,
+    render,
+    kernel,
+    options: Tuple[str, ...] = (),
+    eager: bool = False,
+) -> Backend:
+    """A backend record whose ``load`` is :func:`bind` over its kernel."""
+
+    def load(program: ScalarProgram, code=None, artifacts=None) -> Run:
+        return bind(
+            program,
+            kernel(program, code, artifacts),
+            artifacts.metrics if artifacts is not None else None,
+        )
+
+    return Backend(name, description, render, load, options, eager, kernel)
 
 
 def _load_mp_shard(program: ScalarProgram, code=None, artifacts=None) -> Run:
@@ -245,33 +287,33 @@ def _load_mp_shard(program: ScalarProgram, code=None, artifacts=None) -> Run:
 
 
 BACKENDS: Dict[str, Backend] = {
-    "interp": Backend(
-        "interp", "tree-walking loop interpreter", _render_nothing, _load_interp
+    "interp": _from_kernel(
+        "interp", "tree-walking loop interpreter", _render_nothing, _interp_kernel
     ),
-    "codegen_py": Backend(
+    "codegen_py": _from_kernel(
         "codegen_py",
         "generated Python element loops",
         render_python,
-        _generated_loader(render_python, "<repro-codegen>"),
+        _generated_kernel(render_python, "<repro-codegen>"),
     ),
-    "codegen_np": Backend(
+    "codegen_np": _from_kernel(
         "codegen_np",
         "generated whole-region NumPy slices",
         render_numpy,
-        _generated_loader(render_numpy, "<repro-codegen-np>"),
+        _generated_kernel(render_numpy, "<repro-codegen-np>"),
     ),
-    "np-par": Backend(
+    "np-par": _from_kernel(
         "np-par",
         "tile-parallel NumPy sweeps on a worker pool",
         _render_numpy_par,
-        _load_np_par,
+        _np_par_kernel,
         options=("workers", "tile_shape", "engine"),
     ),
-    "c": Backend(
+    "c": _from_kernel(
         "c",
         "host-compiled C loop nests (cc + ctypes)",
         render_c_module,
-        _load_c,
+        _c_kernel,
         eager=True,
     ),
     "mp-shard": Backend(
@@ -350,10 +392,6 @@ def execute(
     ``workers=``, ``tile_shape=`` or ``engine=``); backends reject
     options they do not understand.
     """
-    from repro.scalarize.emit_common import validate_inputs, validate_scalars
-
-    initial_arrays = validate_inputs(program, initial_arrays)
-    initial_scalars = validate_scalars(program, initial_scalars)
     return get_backend(backend).load(program)(
         initial_arrays, initial_scalars, **options
     )

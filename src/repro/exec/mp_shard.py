@@ -152,8 +152,9 @@ from repro.parallel.shard import (
 )
 from repro.scalarize.emit_common import (
     DTYPES,
+    SCALAR_INIT,
     infer_expr_kind,
-    int_config_env,
+    scalar_value,
     validate_inputs,
     validate_scalars,
 )
@@ -167,14 +168,13 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    int_config_env,
     partition_plan,
     walk,
 )
 from repro.util.errors import InterpError, ReproError
 
 Bounds = Tuple[Tuple[int, int], ...]
-
-_SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
 
 _SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
@@ -355,15 +355,6 @@ def _intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
     return tuple(out)
 
 
-def _scalar_value(value: object) -> object:
-    """A plain Python value: what crosses a broadcast or enters a kernel."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 # -- the worker ------------------------------------------------------------
 
 
@@ -499,9 +490,10 @@ class _Worker:
         self.segments: Dict[str, object] = {}
         self.plan_cache: Dict[tuple, _Steps] = {}
         self.facts: Dict[int, _NestFacts] = {}
-        #: (nest identity, mini kind, allocation bounds) -> (loaded run,
-        #: scalar input names besides the region bounds): the one memo
-        #: behind every nest execution
+        #: (nest identity, mini kind, allocation bounds) -> (loaded
+        #: kernel, scalar input names besides the region bounds, every
+        #: scalar it declares at its kind's zero): the one memo behind
+        #: every nest execution
         self.kernels: Dict[tuple, tuple] = {}
         #: rank 0: description value -> index, in first-seen order; the
         #: coordinator has been sent the first ``described_sent`` of them
@@ -515,7 +507,7 @@ class _Worker:
                scalars: Optional[Mapping[str, object]]) -> None:
         """Reset everything one call owns."""
         self.scalars: Dict[str, object] = {
-            name: _SCALAR_DEFAULTS[kind]
+            name: SCALAR_INIT[kind]
             for name, kind in self.program.scalars.items()
         }
         self.scalars.update(scalars or {})
@@ -651,8 +643,9 @@ class _Worker:
 
     def _run_kernel(self, node: LoopNest, kind: str,
                     allocs: Dict[str, Tuple[Bounds, str]], bounds: Bounds,
-                    arrays: Mapping[str, np.ndarray]):
-        """Execute one mini kind of ``node`` over ``bounds``.
+                    arrays: Mapping[str, np.ndarray]) -> Mapping[str, object]:
+        """Execute one mini kind of ``node`` over ``bounds``, in place on
+        ``arrays`` (one per name of ``allocs``); returns its final scalars.
 
         The kernel is built on first use and kept for the life of the
         worker: its region is symbolic over the ``__shard_lo/hi`` scalars
@@ -666,8 +659,10 @@ class _Worker:
         kernel = self.kernels.get(key)
         if kernel is None:
             kernel = self.kernels[key] = self._load_kernel(node, kind, allocs)
-        run, names = kernel
-        scalars = {name: _scalar_value(self.scalars[name]) for name in names}
+        run, names, zeros = kernel
+        scalars = dict(zeros)
+        for name in names:
+            scalars[name] = scalar_value(self.scalars[name])
         for d, (lo, hi) in enumerate(bounds, start=1):
             scalars[_LO % d] = lo
             scalars[_HI % d] = hi
@@ -675,7 +670,8 @@ class _Worker:
 
     def _load_kernel(self, node: LoopNest, kind: str,
                      allocs: Dict[str, Tuple[Bounds, str]]) -> tuple:
-        """(loaded run, its scalar input names besides the region bounds)."""
+        """(loaded kernel, its scalar input names besides the region
+        bounds, its starting scalars before those are filled in)."""
         from repro.exec.backends import get_backend
 
         body, carried_depth = self._facts(node).kernels[kind]
@@ -714,7 +710,11 @@ class _Worker:
             scalar_inputs=names + tuple(bound_names),
         )
         self.counters["comm.kernel_loads"] += 1
-        return get_backend(self.local_backend).load(mini), names
+        return (
+            get_backend(self.local_backend).kernel(mini),
+            names,
+            {name: SCALAR_INIT[kind] for name, kind in scalars.items()},
+        )
 
     # -- exchange execution ------------------------------------------------
 
@@ -886,25 +886,24 @@ class _Worker:
         facts = self._facts(node)
         self._flush(facts.live_in)
         clamp = self.layout.clamp(self.rank, bounds)
-        result = None
+        arrays = final = None
         if clamp is not None:
             allocs = {
                 name: (self.local_bounds[name], self.array_kinds[name])
                 for name in facts.arrays
             }
+            arrays = {name: self.locals[name] for name in facts.arrays}
             for red_name, kind, _op, _target in facts.reductions:
                 allocs[red_name] = (clamp, kind)
-            result = self._run_kernel(
-                node, "clamped", allocs, clamp,
-                {name: self.locals[name] for name in facts.arrays},
-            )
-            for name in facts.writes:
-                self.locals[name] = result.arrays[name]
+                arrays[red_name] = np.zeros(
+                    _shape_of(clamp), dtype=DTYPES[kind]
+                )
+            final = self._run_kernel(node, "clamped", allocs, clamp, arrays)
         if facts.reductions and _elements(bounds):
             # Over an empty region nothing is folded: every rank sees the
             # same bounds, so all of them skip the barriers together.
             self._combine_reductions(
-                node, facts, bounds, clamp, result, seg_prefix, step
+                node, facts, bounds, clamp, arrays, seg_prefix, step
             )
         if facts.corners and _elements(bounds):
             # Only the rank owning the final index point holds the values
@@ -913,13 +912,17 @@ class _Worker:
             owner = self.layout.corner_owner(bounds, node.structure)
             for name in facts.corners:
                 if self.rank == owner:
-                    self.scalars[name] = _scalar_value(result.scalars[name])
+                    self.scalars[name] = scalar_value(final[name])
                 self.pending[name] = owner
 
     def _combine_reductions(self, node: LoopNest, facts: _NestFacts,
-                            bounds: Bounds, clamp: Optional[Bounds], result,
+                            bounds: Bounds, clamp: Optional[Bounds],
+                            arrays: Optional[Mapping[str, np.ndarray]],
                             seg_prefix: str, step: int) -> None:
-        """Gather per-point operands to rank 0; fold in oracle order."""
+        """Gather per-point operands to rank 0; fold in oracle order.
+
+        ``arrays`` holds this rank's clamped scratch (None when its
+        clamp is empty)."""
         slot_bytes = _elements(bounds) * ELEM_BYTES
         seg = self._segment(
             "%s_r%d" % (seg_prefix, step), slot_bytes * len(facts.reductions)
@@ -932,9 +935,9 @@ class _Worker:
             for slot, (red_name, kind, _op, _target)
             in enumerate(facts.reductions)
         }
-        if result is not None:
+        if arrays is not None:
             for red_name, view in views.items():
-                view[_index(bounds, clamp)] = result.arrays[red_name]
+                view[_index(bounds, clamp)] = arrays[red_name]
                 self.counters["comm.reduce_bytes"] += (
                     _elements(clamp) * ELEM_BYTES
                 )
@@ -949,11 +952,10 @@ class _Worker:
                     red_name: (bounds, kind)
                     for red_name, kind, _op, _target in facts.reductions
                 },
-                bounds,
-                {red_name: view.copy() for red_name, view in views.items()},
+                bounds, views,
             )
             payload = {
-                target: _scalar_value(folded.scalars[target])
+                target: scalar_value(folded[target])
                 for _red, _kind, _op, target in facts.reductions
             }
         self._bcast(0, payload)
@@ -990,15 +992,12 @@ class _Worker:
         payload = None
         if self.rank == 0:
             self.counters["comm.gather_bytes"] += cursor
-            result = self._run_kernel(
+            final = self._run_kernel(
                 node, "fallback",
-                {name: allocs[name] for name in facts.arrays}, bounds,
-                {name: views[name].copy() for name in facts.arrays},
+                {name: allocs[name] for name in facts.arrays}, bounds, views,
             )
-            for name in facts.writes:
-                views[name][...] = result.arrays[name]
             payload = {
-                name: _scalar_value(result.scalars[name])
+                name: scalar_value(final[name])
                 for name in facts.corners + tuple(
                     target for _r, _k, _op, target in facts.reductions
                 )
@@ -1085,7 +1084,8 @@ class _Worker:
         summary = {"measured": self.measured, "counters": self.counters}
         if self.rank == 0:
             summary["scalars"] = {
-                name: self.scalars[name] for name in self.program.scalars
+                name: scalar_value(self.scalars[name])
+                for name in self.program.scalars
             }
             summary["described"] = self.described
             summary["durations_us"] = self.durations_us
@@ -1387,17 +1387,18 @@ def execute_sharded(
     global _POOL
     from repro.exec.backends import ExecutionResult, get_backend
 
+    if get_backend(local_backend).kernel is None:
+        raise ReproError(
+            "mp-shard needs a local backend with a kernel form to run on "
+            "its ranks; %r has none" % local_backend
+        )
     local_backend = get_backend(local_backend).name
-    if local_backend == "mp-shard":
-        raise ReproError("mp-shard cannot be its own local backend")
     if procs is None:
         procs = default_procs()
     if procs < 1:
         raise ReproError("procs must be positive, got %d" % procs)
     grid = ProcessorGrid(procs, max(program_rank(program), 1))
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
-    initial_arrays = validate_inputs(program, initial_arrays)
-    initial_scalars = validate_scalars(program, initial_scalars)
     started = time.perf_counter()
     # Boundary statements (wrap/reflect fills) address whole global
     # edges and have no clamped form: such programs run unsharded.
@@ -1412,6 +1413,8 @@ def execute_sharded(
         )
         _emit_obs(report, metrics, tracer, time.perf_counter() - started)
         return result, report
+    initial_arrays = validate_inputs(program.layout, initial_arrays)
+    initial_scalars = validate_scalars(program, initial_scalars)
     if multiprocessing.current_process().daemon:
         raise ReproError(DAEMONIC_MESSAGE)
 

@@ -20,9 +20,11 @@ Pieces:
   keeps the compiler from fusing multiply-adds (bit-identity with the
   Python element loops is a test invariant), ``-fwrapv`` matches
   ``np.int64`` wraparound.
-* :class:`NativeKernel` — a loaded shared object plus the marshalling
-  that seeds allocation-region buffers (the ``Storage.seed_arrays``
-  contract) and passes scalars in and out through one-element buffers.
+* :class:`NativeKernel` — a loaded shared object, and
+  :func:`call_kernel`, which runs it in place on arrays the caller built
+  (:func:`repro.scalarize.emit_common.build_state`) after checking that
+  each is the buffer its slot describes, passing scalars in and out
+  through one-element buffers.
 * :func:`kernel_for_source` — the one ladder from a rendered
   translation unit to a loaded kernel: per-process memo (by source
   hash), then the service layer's content-addressed ``.so`` artifacts
@@ -39,16 +41,17 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.scalarize.codegen_c import AbiEntry
-from repro.scalarize.emit_common import DTYPES
+from repro.scalarize.emit_common import NP_DTYPES, build_state
 from repro.util.errors import (
     BackendUnavailableError,
     InterpError,
     NativeCompileError,
+    ReproError,
 )
 
 #: Compile flags for every generated translation unit.  Recorded in the
@@ -191,8 +194,14 @@ class NativeKernel:
         self._fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
 
     def run(self, buffers: List[np.ndarray]) -> None:
+        # The address through the buffer protocol: ``ndarray.ctypes``
+        # builds a helper object per access (3-4x the cost), and this
+        # form itself refuses a read-only or non-contiguous buffer.
         pointers = (ctypes.c_void_p * len(buffers))(
-            *(buf.ctypes.data for buf in buffers)
+            *[
+                ctypes.addressof(ctypes.c_char.from_buffer(buf))
+                for buf in buffers
+            ]
         )
         status = self._fn(pointers)
         if status != 0:
@@ -211,43 +220,58 @@ def load_kernel(so_bytes: bytes) -> NativeKernel:
     return NativeKernel(path)
 
 
-def marshal_buffers(
-    abi: List[AbiEntry], inputs=None, scalars=None
-) -> Tuple[List[np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Allocate and seed the flat buffer vector for one kernel call.
+def call_kernel(
+    kernel: NativeKernel, abi: Sequence[AbiEntry], arrays, scalars
+) -> Dict[str, object]:
+    """Run ``kernel`` in place on ``arrays``; returns the final scalars.
 
-    Arrays get zero-filled allocation-region buffers (seeded from
-    ``inputs`` exactly like ``Storage.seed_arrays``); scalars get
-    one-element buffers the kernel reads its starting values from — the
-    kind's zero unless ``scalars`` names the slot — and writes back on
-    return.  Returns the ordered buffer list plus name-keyed views of both.
+    ``abi`` is the program's storage layout (:func:`c_abi`), the order of
+    the buffer vector.  The compiled code indexes each array by the
+    slot's constant extents and writes in place, so a buffer of another
+    dtype or shape, or one that is not C-contiguous and writable, is
+    refused with a :class:`ReproError` rather than handed over as a
+    pointer.  Every scalar travels in a one-element buffer holding its
+    starting value, which the kernel overwrites on return.
     """
     buffers: List[np.ndarray] = []
-    arrays: Dict[str, np.ndarray] = {}
-    scalar_bufs: Dict[str, np.ndarray] = {}
     for entry in abi:
-        dtype = np.dtype(getattr(np, DTYPES[entry.kind]))
+        dtype = NP_DTYPES[entry.kind]
         if entry.role == "array":
-            buf = np.zeros(entry.shape, dtype=dtype)
-            if inputs is not None and entry.name in inputs:
-                buf[...] = inputs[entry.name]
-            arrays[entry.name] = buf
+            buf = arrays[entry.name]
+            flags = buf.flags
+            if (
+                buf.dtype != dtype
+                or buf.shape != entry.shape
+                or not (flags.c_contiguous and flags.writeable)
+            ):
+                raise ReproError(
+                    "the c kernel needs %r as a writable C-contiguous %s "
+                    "array of shape %s, got %s of shape %s (C-contiguous: "
+                    "%s, writable: %s)"
+                    % (
+                        entry.name, dtype, entry.shape, buf.dtype, buf.shape,
+                        flags.c_contiguous, flags.writeable,
+                    )
+                )
         else:
-            buf = np.zeros(1, dtype=dtype)
-            if scalars is not None and entry.name in scalars:
-                buf[0] = scalars[entry.name]
-            scalar_bufs[entry.name] = buf
+            buf = np.array([scalars[entry.name]], dtype=dtype)
         buffers.append(buf)
-    return buffers, arrays, scalar_bufs
+    kernel.run(buffers)
+    return {
+        entry.name: buf.item()
+        for entry, buf in zip(abi, buffers)
+        if entry.role == "scalar"
+    }
 
 
 def run_kernel(
-    kernel: NativeKernel, abi: List[AbiEntry], inputs=None, scalars=None
+    kernel: NativeKernel, abi: Sequence[AbiEntry], inputs=None, scalars=None
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """One marshalled call: returns (arrays, scalars) like the emitters."""
-    buffers, arrays, scalar_bufs = marshal_buffers(abi, inputs, scalars)
-    kernel.run(buffers)
-    return arrays, {name: buf[0] for name, buf in scalar_bufs.items()}
+    """One call from scratch: build the state ``abi`` describes, seeded
+    from ``inputs`` / ``scalars``, and run on it.  Returns (arrays, final
+    scalars)."""
+    arrays, start = build_state(abi, inputs, scalars)
+    return arrays, call_kernel(kernel, abi, arrays, start)
 
 
 # -- the kernel ladder ---------------------------------------------------------

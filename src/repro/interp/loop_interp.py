@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.interp.evalexpr import accumulate, eval_point, eval_scalar
 from repro.interp.storage import Storage
+from repro.scalarize.emit_common import build_state
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -25,36 +26,23 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    int_config_env,
 )
 from repro.util.errors import InterpError
 from repro.util.vectors import add
 
 
 class LoopInterpreter:
-    """Executes a :class:`ScalarProgram`."""
+    """Executes a :class:`ScalarProgram` in place on the ``arrays`` and
+    starting ``scalars`` it is handed (:func:`~repro.scalarize.emit_common.
+    build_state` over the program's layout)."""
 
-    def __init__(
-        self, program: ScalarProgram, initial_arrays=None, initial_scalars=None
-    ) -> None:
-        from repro.scalarize.emit_common import int_config_env
-
+    def __init__(self, program: ScalarProgram, arrays, scalars) -> None:
         self.program = program
-        self.storage = Storage()
+        self.storage = Storage(
+            arrays, program.array_bases(), scalars, program.partial
+        )
         self._config_env = int_config_env(program.configs)
-        for name, (region, kind) in program.array_allocs.items():
-            if name in program.partial:
-                dim, depth = program.partial[name]
-                self.storage.allocate_buffer(
-                    name, region, kind, dim, depth, self._config_env
-                )
-            else:
-                self.storage.allocate_array(name, region, kind, self._config_env)
-        if initial_arrays:
-            self.storage.seed_arrays(initial_arrays)
-        for name, kind in program.scalars.items():
-            self.storage.declare_scalar(name, kind)
-        if initial_scalars:
-            self.storage.scalars.update(initial_scalars)
         self._steps = 0
         self._max_steps = 50_000_000
 
@@ -172,4 +160,7 @@ def run_scalarized(
 ) -> Storage:
     """Execute a scalarized program, optionally seeding array contents and
     the starting values of its ``scalar_inputs``."""
-    return LoopInterpreter(program, initial_arrays, initial_scalars).run()
+    arrays, scalars = build_state(
+        program.layout, initial_arrays, initial_scalars
+    )
+    return LoopInterpreter(program, arrays, scalars).run()

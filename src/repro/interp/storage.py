@@ -14,23 +14,37 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.ir.region import Region
-from repro.scalarize.emit_common import slice_start_stop
-from repro.util.errors import InputError, InterpError
-
-_DTYPES = {"float": np.float64, "integer": np.int64, "boolean": np.bool_}
-
-_SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
+from repro.scalarize.emit_common import (
+    NP_DTYPES,
+    SCALAR_INIT,
+    slice_start_stop,
+)
+from repro.util.errors import InterpError
 
 
 class Storage:
-    """All program state: arrays (with halos) and scalars."""
+    """All program state: arrays (with halos) and scalars.
 
-    def __init__(self) -> None:
-        self.arrays: Dict[str, np.ndarray] = {}
-        self.bases: Dict[str, Tuple[int, ...]] = {}
-        self.scalars: Dict[str, object] = {}
-        #: Circular-buffer arrays (partial contraction): name -> (dim, depth)
-        self.wrapped: Dict[str, Tuple[int, int]] = {}
+    Built empty and filled by :meth:`allocate_array` /
+    :meth:`declare_scalar` (the reference interpreter), or built *over*
+    state the caller already holds — ``arrays`` with their lower bounds
+    ``bases``, ``scalars``, and ``wrapped`` naming the circular buffers —
+    which it then reads and writes in place (the loop interpreter).
+    """
+
+    def __init__(
+        self,
+        arrays: Optional[Dict[str, np.ndarray]] = None,
+        bases: Optional[Dict[str, Tuple[int, ...]]] = None,
+        scalars: Optional[Dict[str, object]] = None,
+        wrapped: Optional[Mapping[str, Tuple[int, int]]] = None,
+    ) -> None:
+        self.arrays: Dict[str, np.ndarray] = {} if arrays is None else arrays
+        self.bases: Dict[str, Tuple[int, ...]] = {} if bases is None else bases
+        self.scalars: Dict[str, object] = {} if scalars is None else scalars
+        #: Circular-buffer arrays (partial contraction): name -> (dim, depth);
+        #: indices along ``dim`` are taken modulo ``depth`` on every access.
+        self.wrapped: Dict[str, Tuple[int, int]] = dict(wrapped or {})
 
     # -- construction ------------------------------------------------------
 
@@ -45,28 +59,8 @@ class Storage:
         appearing in its bounds."""
         bounds = region.concrete_bounds(dict(env) if env else {})
         shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-        self.arrays[name] = np.zeros(shape, dtype=_DTYPES[kind])
+        self.arrays[name] = np.zeros(shape, dtype=NP_DTYPES[kind])
         self.bases[name] = tuple(lo for lo, _hi in bounds)
-
-    def allocate_buffer(
-        self,
-        name: str,
-        region: Region,
-        kind: str,
-        dim: int,
-        depth: int,
-        env: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """Allocate a partially contracted array: ``depth`` rows along ``dim``.
-
-        Indices along ``dim`` are taken modulo ``depth`` on every access.
-        """
-        bounds = list(region.concrete_bounds(dict(env) if env else {}))
-        bounds[dim - 1] = (0, depth - 1)
-        shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-        self.arrays[name] = np.zeros(shape, dtype=_DTYPES[kind])
-        self.bases[name] = tuple(lo for lo, _hi in bounds)
-        self.wrapped[name] = (dim, depth)
 
     def _map_point(self, name: str, point: Tuple[int, ...]) -> Tuple[int, ...]:
         wrap = self.wrapped.get(name)
@@ -83,39 +77,7 @@ class Storage:
         return tuple(mapped)
 
     def declare_scalar(self, name: str, kind: str) -> None:
-        self.scalars[name] = _SCALAR_DEFAULTS[kind]
-
-    def seed_arrays(self, initial: Mapping[str, np.ndarray]) -> None:
-        """Overwrite allocated arrays with caller-provided initial contents.
-
-        Values must match the allocation-region shape (halo included) —
-        exactly the layout :meth:`snapshot` returns, so one run's output
-        feeds the next run's input.  Contents must be safely castable to
-        the declared element kind; lossy casts raise instead of silently
-        truncating.
-        """
-        for name, value in initial.items():
-            array = self.arrays.get(name)
-            if array is None:
-                raise InputError(
-                    "cannot seed unknown array %r (have: %s)"
-                    % (name, ", ".join(sorted(self.arrays)))
-                )
-            value = np.asarray(value)
-            if value.shape != array.shape:
-                raise InputError(
-                    "initial value for %r has shape %s, allocation needs %s"
-                    % (name, value.shape, array.shape)
-                )
-            if value.dtype != array.dtype and not np.can_cast(
-                value.dtype, array.dtype, casting="safe"
-            ):
-                raise InputError(
-                    "initial value for %r has dtype %s, array is %s and "
-                    "the cast is not value-preserving"
-                    % (name, value.dtype, array.dtype)
-                )
-            array[...] = value
+        self.scalars[name] = SCALAR_INIT[kind]
 
     # -- access --------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    int_config_env,
 )
 from repro.util.errors import MachineError
 
@@ -143,7 +144,9 @@ class SequentialCostModel:
 
     def estimate(self) -> CostResult:
         hierarchy = CacheHierarchy(self.machine.caches)
-        counts = self._body_cost(self.program.body, {}, hierarchy)
+        counts = self._body_cost(
+            self.program.body, int_config_env(self.program.configs), hierarchy
+        )
         cycles = self._cycles(counts)
         return CostResult(counts, cycles, self.machine)
 
@@ -206,13 +209,8 @@ class SequentialCostModel:
         bounds = node.region.concrete_bounds(env)
         if node.array not in self.layout.bases:
             return counts
-        strides = self.layout.strides[node.array]
-        lows = self.layout.lower_bounds[node.array]
-        del strides, lows
         region_extents = [hi - lo + 1 for lo, hi in bounds]
-        alloc_region, _kind = self.program.array_allocs[node.array]
-        alloc = alloc_region.concrete_bounds({})
-        alloc_extents = [hi - lo + 1 for lo, hi in alloc]
+        alloc_extents = self.layout.shapes[node.array]
         cells = 0
         for dim in range(len(bounds)):
             halo = alloc_extents[dim] - region_extents[dim]

@@ -32,21 +32,24 @@ class MemoryLayout:
         self.partial: Dict[str, Tuple[int, int]] = dict(
             getattr(program, "partial", {}) or {}
         )
+        #: name -> allocation shape, as :attr:`ScalarProgram.layout` has it
+        self.shapes: Dict[str, Tuple[int, ...]] = {}
+        slots = {slot.name: slot for slot in program.layout}
         cursor = 0
-        for name, (region, kind) in program.array_allocs.items():
-            bounds = region.concrete_bounds({})
-            shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-            elem = _ELEM_SIZES[kind]
+        for name in program.array_allocs:  # addresses follow declaration order
+            slot = slots[name]
+            elem = _ELEM_SIZES[slot.kind]
             strides: List[int] = []
             running = elem
-            for extent in reversed(shape):
+            for extent in reversed(slot.shape):
                 strides.append(running)
                 running *= extent
             strides.reverse()
             cursor = -(-cursor // alignment) * alignment  # round up
             self.bases[name] = cursor
             self.strides[name] = tuple(strides)
-            self.lower_bounds[name] = tuple(lo for lo, _hi in bounds)
+            self.lower_bounds[name] = slot.bases
+            self.shapes[name] = slot.shape
             self.elem_sizes[name] = elem
             cursor += running
         self.total_bytes = cursor

@@ -197,6 +197,16 @@ COUNTERS: List[CounterDef] = [
         "execute.tuned_requests", "Requests that ran under a tuned plan."
     ),
     CounterDef(
+        "exec.bytes_zeroed",
+        "Bytes of program storage zero-filled to start runs "
+        "(emit_common.build_state; per run a constant of the program's "
+        "layout).  Counted for runs loaded with Artifacts.metrics.",
+    ),
+    CounterDef(
+        "exec.bytes_copied",
+        "Bytes of caller-supplied initial arrays copied into that storage.",
+    ),
+    CounterDef(
         "plan.*",
         "Requests per serving plan id, e.g. plan.c2/np-par/w4/t32x1600.",
     ),

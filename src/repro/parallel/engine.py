@@ -262,8 +262,8 @@ def default_engine() -> TileEngine:
 class ParNumpyGenerator(NumpyGenerator):
     """Emits tile kernels plus ``_engine.sweep`` calls per shardable nest."""
 
-    def __init__(self, program: ScalarProgram, env=None) -> None:
-        super().__init__(program, env)
+    def __init__(self, program: ScalarProgram) -> None:
+        super().__init__(program)
         self._kernel_id = 0
         #: Array name -> snapshot variable, applied to RHS reads only
         #: while rendering a self-hazard statement's kernel body.
@@ -282,7 +282,7 @@ class ParNumpyGenerator(NumpyGenerator):
             "from repro.parallel.engine import default_engine",
             "from repro.util.errors import InterpError",
             "",
-            self._run_header("_engine=None"),
+            "def run(_arrays, _scalars, _engine=None):",
             "    if _engine is None:",
             "        _engine = default_engine()",
         ]
@@ -422,8 +422,6 @@ class ParNumpyGenerator(NumpyGenerator):
         return super()._vexpr(expr, ctx)
 
 
-def render_numpy_par(
-    program: ScalarProgram, env: Optional[Dict[str, int]] = None
-) -> str:
+def render_numpy_par(program: ScalarProgram) -> str:
     """Render a scalarized program as tile-parallel NumPy source."""
-    return ParNumpyGenerator(program, env).render()
+    return ParNumpyGenerator(program).render()

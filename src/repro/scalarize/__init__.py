@@ -17,6 +17,7 @@ from repro.scalarize.loopnest import (
     ScalarProgram,
     SeqLoop,
     SIf,
+    Slot,
     SNode,
     SWhile,
     loop_variable,
@@ -50,6 +51,7 @@ __all__ = [
     "Scalarizer",
     "SeqLoop",
     "SIf",
+    "Slot",
     "SNode",
     "SWhile",
     "compile_program",

@@ -28,7 +28,7 @@ required to be *bit-identical* to :mod:`codegen_py` (see
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -45,8 +45,10 @@ from repro.scalarize.loopnest import (
     ScalarProgram,
     SeqLoop,
     SIf,
+    Slot,
     SNode,
     SWhile,
+    int_config_env,
     loop_variable,
     sinkable,
     walk,
@@ -123,48 +125,22 @@ _REDUCE_STEP = {
 }
 
 
-class AbiEntry(NamedTuple):
-    """One slot of the ``repro_run(void **bufs)`` buffer vector."""
-
-    name: str
-    role: str  #: "array" or "scalar"
-    kind: str  #: element kind ("float" / "integer" / "boolean")
-    shape: Tuple[int, ...]  #: allocation-region shape; () for scalars
-    bases: Tuple[int, ...]  #: constant lower bound per dimension
+#: One slot of the ``repro_run(void **bufs)`` buffer vector.
+AbiEntry = Slot
 
 
-def c_abi(program: ScalarProgram) -> List[AbiEntry]:
+def c_abi(program: ScalarProgram) -> List[Slot]:
     """The buffer order of the compiled entry point, as data.
 
-    Both the emitter (:func:`render_c_module`) and the runner
-    (:mod:`repro.exec.native`) derive the ABI from this one function, so
-    they cannot drift: arrays in sorted name order, then scalars in
-    sorted name order.  Scalars travel as one-element buffers, read on
-    entry (the runner seeds a program's ``scalar_inputs`` there) and
-    written back on return.
+    It is the program's storage layout (:attr:`ScalarProgram.layout`):
+    the emitter (:func:`render_c_module`) and the runner
+    (:mod:`repro.exec.native`) both read it, so they cannot drift —
+    arrays in sorted name order, then scalars in sorted name order.
+    Scalars travel as one-element buffers, read on entry (their starting
+    values, a program's ``scalar_inputs`` among them) and written back
+    on return.
     """
-    from repro.scalarize.emit_common import int_config_env
-
-    env = int_config_env(program.configs)
-    entries: List[AbiEntry] = []
-    for name in sorted(program.array_allocs):
-        region, kind = program.array_allocs[name]
-        shape: List[int] = []
-        bases: List[int] = []
-        for lo, hi in region.dims:
-            lo_value = lo.substitute(env)
-            extent = (hi - lo + 1).substitute(env)
-            if not (lo_value.is_constant and extent.is_constant):
-                raise ScalarizationError(
-                    "array %s has a non-constant allocation region %s"
-                    % (name, region)
-                )
-            bases.append(lo_value.const)
-            shape.append(max(extent.const, 1))
-        entries.append(AbiEntry(name, "array", kind, tuple(shape), tuple(bases)))
-    for name in sorted(program.scalars):
-        entries.append(AbiEntry(name, "scalar", program.scalars[name], (), ()))
-    return entries
+    return list(program.layout)
 
 
 class CGenerator:
@@ -175,19 +151,15 @@ class CGenerator:
         self._module = module
         self._seq_counter = 0
         self._lines: List[str] = []
-        # Array base offsets: name -> list of constant lower bounds.
-        self._bases: Dict[str, List[int]] = {}
+        self._bases: Dict[str, Tuple[int, ...]] = program.array_bases()
         self._helpers: set = set()
         self._array_kinds = {
             name: kind for name, (_r, kind) in program.array_allocs.items()
         }
-        from repro.scalarize.emit_common import int_config_env
-
         self._env = int_config_env(program.configs)
 
     def render(self) -> str:
         self._lines = []
-        self._bases = {}
         self._helpers = set()
         if self._module:
             self._render_module()
@@ -221,7 +193,6 @@ class CGenerator:
         for slot, entry in enumerate(abi):
             if entry.role != "array":
                 continue
-            self._bases[entry.name] = list(entry.bases)
             self._emit(self._buffer_cast(entry, slot), 1)
         for slot, entry in enumerate(abi):
             if entry.role != "scalar":
@@ -299,24 +270,9 @@ class CGenerator:
     def _emit_declarations(self) -> None:
         for name in sorted(self._region_free_config_names()):
             self._emit("static const int64_t %s = %d;" % (name, self._env[name]))
-        for name, (region, kind) in sorted(self._program.array_allocs.items()):
-            extents = []
-            bases = []
-            for lo, hi in region.dims:
-                lo_value = lo.substitute(self._env)
-                extent = (hi - lo + 1).substitute(self._env)
-                if not (lo_value.is_constant and extent.is_constant):
-                    raise ScalarizationError(
-                        "array %s has a non-constant allocation region %s"
-                        % (name, region)
-                    )
-                bases.append(lo_value.const)
-                extents.append(extent.const)
-            self._bases[name] = bases
-            dims = "".join("[%d]" % max(e, 1) for e in extents)
-            self._emit("static %s %s%s;" % (_C_TYPES[kind], name, dims))
-        for name, kind in sorted(self._program.scalars.items()):
-            self._emit("static %s %s;" % (_C_TYPES[kind], name))
+        for slot in self._program.layout:
+            dims = "".join("[%d]" % extent for extent in slot.shape)
+            self._emit("static %s %s%s;" % (_C_TYPES[slot.kind], slot.name, dims))
         loop_vars = [loop_variable(d) for d in self._loop_dims_needed()]
         if loop_vars:
             self._emit("static int64_t %s;" % ", ".join(loop_vars))

@@ -35,7 +35,7 @@ region the fold does not run and the accumulator keeps its value.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -265,8 +265,6 @@ class NumpyGenerator(PyGenerator):
         raise ScalarizationError("cannot render %r" % expr)
 
 
-def render_numpy(
-    program: ScalarProgram, env: Optional[Dict[str, int]] = None
-) -> str:
+def render_numpy(program: ScalarProgram) -> str:
     """Render a scalarized program as vectorized NumPy source."""
-    return NumpyGenerator(program, env).render()
+    return NumpyGenerator(program).render()

@@ -6,6 +6,12 @@ scalarizer chose) and ``exec``-utes it.  Runs much faster than the
 tree-walking interpreter and cross-validates code generation — the tests
 require codegen output, interpreter output and reference semantics to agree.
 
+The emitted ``run(_arrays, _scalars)`` is a *kernel*: it binds its names
+from the arrays and starting scalars the caller built
+(:func:`repro.scalarize.emit_common.build_state` over
+:attr:`ScalarProgram.layout`), works in place on those arrays, allocates
+nothing, and returns the final scalars.
+
 The vectorizing back end (:mod:`repro.scalarize.codegen_np`) subclasses
 :class:`PyGenerator`, overriding loop-nest emission with whole-region
 slice operations; everything the two back ends must agree on
@@ -15,21 +21,12 @@ lives in :mod:`repro.scalarize.emit_common`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.region import Region
-from repro.scalarize.emit_common import (
-    DTYPES,
-    PY_INTRINSICS,
-    SCALAR_INIT,
-    halo_planes,
-    int_config_env,
-)
+from repro.scalarize.emit_common import PY_INTRINSICS, halo_planes
 from repro.scalarize.loopnest import (
-    ElemAssign,
     LoopNest,
     SBoundary,
     ScalarAssign,
@@ -38,26 +35,24 @@ from repro.scalarize.loopnest import (
     SIf,
     SNode,
     SWhile,
+    int_config_env,
     loop_variable,
 )
 from repro.util.errors import ScalarizationError
 
 
 class PyGenerator:
-    """Emits a Python module whose ``run()`` returns the final state."""
+    """Emits a Python module whose ``run(_arrays, _scalars)`` executes the
+    program in place and returns the final scalars."""
 
-    def __init__(
-        self, program: ScalarProgram, env: Optional[Dict[str, int]] = None
-    ) -> None:
+    def __init__(self, program: ScalarProgram) -> None:
         self._program = program
         self._lines: List[str] = []
-        self._bases: Dict[str, Tuple[int, ...]] = {}
+        self._bases: Dict[str, Tuple[int, ...]] = program.array_bases()
         #: Config environment for evaluating region bounds at generation
-        #: time (allocations, halo fills) — the codegen analogue of the
-        #: interpreter's ``_int_env()``.
-        self._env: Dict[str, int] = (
-            dict(env) if env is not None else int_config_env(program.configs)
-        )
+        #: time (halo fills) — the codegen analogue of the interpreter's
+        #: ``_int_env()``.
+        self._env: Dict[str, int] = int_config_env(program.configs)
 
     def _preamble(self) -> List[str]:
         return [
@@ -66,21 +61,13 @@ class PyGenerator:
             "",
             "from repro.util.errors import InterpError",
             "",
-            self._run_header(),
+            "def run(_arrays, _scalars):",
         ]
-
-    def _run_header(self, *extra: str) -> str:
-        """``def run(...)``: ``_scalars`` only when the program takes any,
-        so text rendered for frontend-produced programs never changes."""
-        params = ["_inputs=None", *extra]
-        if self._program.scalar_inputs:
-            params.append("_scalars=None")
-        return "def run(%s):" % ", ".join(params)
 
     def render(self) -> str:
         self._lines = self._preamble()
         self._emit_config_bindings()
-        self._emit_allocations()
+        self._emit_bindings()
         self._emit_body(self._program.body, 1)
         self._emit_return()
         return "\n".join(self._lines) + "\n"
@@ -102,31 +89,18 @@ class PyGenerator:
     def _emit(self, text: str, depth: int = 1) -> None:
         self._lines.append("    " * depth + text)
 
-    def _emit_allocations(self) -> None:
-        for name, (region, kind) in self._program.array_allocs.items():
-            bounds = region.concrete_bounds(self._env)
-            shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-            self._bases[name] = tuple(lo for lo, _hi in bounds)
-            self._emit(
-                "%s = np.zeros(%r, dtype=np.%s)" % (name, shape, DTYPES[kind])
-            )
-            self._emit(
-                "if _inputs is not None and %r in _inputs: "
-                "%s[...] = _inputs[%r]" % (name, name, name)
-            )
-        for name, kind in self._program.scalars.items():
-            self._emit("%s = %s" % (name, SCALAR_INIT[kind]))
-        for name in self._program.scalar_inputs:
+    def _emit_bindings(self) -> None:
+        """Every array and scalar name, bound from what the caller built."""
+        for name in self._program.array_allocs:
+            self._emit("%s = _arrays[%r]" % (name, name))
+        for name in self._program.scalars:
             self._emit("%s = _scalars[%r]" % (name, name))
 
     def _emit_return(self) -> None:
-        arrays = ", ".join(
-            "%r: %s" % (name, name) for name in self._program.array_allocs
+        self._emit(
+            "return {%s}"
+            % ", ".join("%r: %s" % (name, name) for name in self._program.scalars)
         )
-        scalars = ", ".join(
-            "%r: %s" % (name, name) for name in self._program.scalars
-        )
-        self._emit("return ({%s}, {%s})" % (arrays, scalars))
 
     # ------------------------------------------------------------------
 
@@ -299,12 +273,6 @@ class PyGenerator:
         raise ScalarizationError("cannot render %r" % expr)
 
 
-def render_python(
-    program: ScalarProgram, env: Optional[Dict[str, int]] = None
-) -> str:
-    """Render a scalarized program as executable Python source.
-
-    ``env`` supplies integer bindings for region bounds that reference
-    configuration scalars; it defaults to the program's own config table.
-    """
-    return PyGenerator(program, env).render()
+def render_python(program: ScalarProgram) -> str:
+    """Render a scalarized program as executable Python source."""
+    return PyGenerator(program).render()

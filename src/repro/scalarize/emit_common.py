@@ -11,17 +11,24 @@ interpreters in :mod:`repro.interp`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
+# Re-exported: the frozen benchmark and two test modules import it from here.
+from repro.scalarize.loopnest import int_config_env  # noqa: F401
 from repro.util.errors import InputError
 
 #: Element-kind -> numpy dtype attribute name (matches interp.storage).
 DTYPES = {"float": "float64", "integer": "int64", "boolean": "bool_"}
 
-#: Element-kind -> initial value literal for declared scalars.
-SCALAR_INIT = {"float": "0.0", "integer": "0", "boolean": "False"}
+#: Element-kind -> numpy dtype.
+NP_DTYPES = {kind: np.dtype(name) for kind, name in DTYPES.items()}
+
+#: Element-kind -> the value a declared scalar starts at.
+SCALAR_INIT = {"float": 0.0, "integer": 0, "boolean": False}
 
 #: Scalar-context intrinsic spelling (element loops; ``mod`` is rendered
 #: inline as floored ``%`` to match ``np.mod``, see ``codegen_py._expr``).
@@ -147,26 +154,8 @@ def frac_operand(expr: ir.IRExpr) -> Optional[ir.IRExpr]:
     return None
 
 
-def int_config_env(configs: Mapping[str, object]) -> Dict[str, int]:
-    """Integer-valued configuration bindings for region-bound evaluation.
-
-    The same filter as :meth:`repro.ir.program.IRProgram.config_env`:
-    region bounds are affine over integers, so only integral configs can
-    appear in them.
-    """
-    env: Dict[str, int] = {}
-    for name, value in configs.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, int):
-            env[name] = value
-        elif isinstance(value, float) and value.is_integer():
-            env[name] = int(value)
-    return env
-
-
-def validate_inputs(program, inputs):
-    """Check per-request initial arrays against a scalarized program.
+def validate_inputs(layout, inputs):
+    """Check per-request initial arrays against a program's storage layout.
 
     Every backend shares one contract: a seeded value must name a real
     (non-contracted) array, match its allocation-region shape exactly
@@ -176,53 +165,106 @@ def validate_inputs(program, inputs):
     ``ReproError``) with the offending name spelled out, instead of a
     raw numpy broadcast/cast surprise deep inside a generated kernel.
 
-    Returns the inputs as ndarrays, or None when ``inputs`` is None.
+    ``layout`` is :attr:`ScalarProgram.layout`.  Returns the inputs as
+    ndarrays, or None when ``inputs`` is None.
     """
     if inputs is None:
         return None
-    import numpy as np
-
-    env = int_config_env(program.configs)
+    slots = {slot.name: slot for slot in layout if slot.role == "array"}
     checked = {}
     for name, value in inputs.items():
-        alloc = program.array_allocs.get(name)
-        if alloc is None:
+        slot = slots.get(name)
+        if slot is None:
             raise InputError(
                 "cannot seed unknown array %r (have: %s)"
-                % (name, ", ".join(sorted(program.array_allocs)) or "none")
+                % (name, ", ".join(sorted(slots)) or "none")
             )
-        region, kind = alloc
         value = np.asarray(value)
-        try:
-            bounds = region.concrete_bounds(env)
-        except Exception:
-            bounds = None  # dynamic allocation bounds: shape checked at run
-        if bounds is not None:
-            shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-            if value.shape != shape:
-                raise InputError(
-                    "initial value for %r has shape %s, allocation needs %s"
-                    % (name, value.shape, shape)
-                )
-        dtype = np.dtype(DTYPES[kind])
+        if value.shape != slot.shape:
+            raise InputError(
+                "initial value for %r has shape %s, allocation needs %s"
+                % (name, value.shape, slot.shape)
+            )
+        dtype = NP_DTYPES[slot.kind]
         if value.dtype != dtype and not np.can_cast(
             value.dtype, dtype, casting="safe"
         ):
             raise InputError(
                 "initial value for %r has dtype %s, array is %s (%s) and "
                 "the cast is not value-preserving"
-                % (name, value.dtype, dtype, kind)
+                % (name, value.dtype, dtype, slot.kind)
             )
         checked[name] = value
     return checked
+
+
+def build_state(layout, inputs=None, scalars=None, metrics=None):
+    """``(arrays, scalars)``: the state one run of a program starts from.
+
+    The one place storage is allocated and seeded.  ``inputs`` is checked
+    (:func:`validate_inputs`) before anything is allocated; every array
+    slot of ``layout`` gets a fresh zero-filled buffer of its shape and
+    kind, overwritten with the caller's value where one was given (a
+    copy: the caller's array is never written); every scalar slot starts
+    at its kind's zero (:data:`SCALAR_INIT`) unless ``scalars`` — already
+    checked by :func:`validate_scalars` — names it.  A kernel then works
+    in place on exactly these arrays.
+
+    ``metrics`` (anything with ``incr``) counts ``exec.bytes_zeroed`` and
+    ``exec.bytes_copied``, the cost a buffer plan would remove.
+    """
+    inputs = validate_inputs(layout, inputs) or {}
+    arrays = {}
+    start = {}
+    for name, role, kind, shape, _bases in layout:
+        if role != "array":
+            start[name] = SCALAR_INIT[kind]
+            continue
+        arrays[name] = buffer = np.zeros(shape, dtype=NP_DTYPES[kind])
+        if name in inputs:
+            buffer[...] = inputs[name]
+    if scalars:
+        start.update(scalars)
+    if metrics is not None:
+        metrics.incr(
+            "exec.bytes_zeroed", sum(buffer.nbytes for buffer in arrays.values())
+        )
+        if inputs:
+            metrics.incr(
+                "exec.bytes_copied", sum(arrays[name].nbytes for name in inputs)
+            )
+    return arrays, start
+
+
+#: The exact types runs leave in scalars -> the plain type of each (one
+#: dict probe; the ``isinstance`` ladder below costs 4x as much a value).
+_PLAIN = {
+    bool: bool, int: int, float: float,
+    np.bool_: bool, np.int64: int, np.float64: float,
+}
+
+
+def scalar_value(value: object) -> object:
+    """A plain Python ``bool`` / ``int`` / ``float``, by run-time type.
+
+    What leaves a run as a final scalar and what crosses an mp-shard
+    broadcast.  The *value's* type decides, never the scalar's declared
+    kind: a float left in an integer scalar stays visible as a float.
+    """
+    plain = _PLAIN.get(type(value))
+    if plain is not None:
+        return plain(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
 
 
 _KIND_TYPES = {"float": float, "integer": int, "boolean": bool}
 
 
 def _is_kind(value, kind: str) -> bool:
-    import numpy as np
-
     if isinstance(value, (bool, np.bool_)):
         return kind == "boolean"
     if isinstance(value, (int, np.integer)):

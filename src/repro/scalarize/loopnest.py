@@ -21,7 +21,9 @@ touches, :func:`partition_plan` says along which dimensions it may be
 split, with what halo and what hazard left — the one answer the slice,
 thread, rank and loop-interchange consumers each derive their verdict
 from — and :func:`sinkable` says whether a column sweep's serial loop may
-move under its row loops.
+move under its row loops.  :attr:`ScalarProgram.layout` says what storage
+a program needs: one :class:`Slot` per array and scalar, the only place an
+allocation region becomes a shape.
 
 This IR is what the interpreters execute, the cache simulator traces, and
 the code generators print.
@@ -29,6 +31,7 @@ the code generators print.
 
 from __future__ import annotations
 
+import functools
 from typing import (
     Dict,
     Iterator,
@@ -598,8 +601,40 @@ def sinkable(
     )
 
 
+def int_config_env(configs: Mapping[str, object]) -> Dict[str, int]:
+    """Integer-valued configuration bindings for region-bound evaluation.
+
+    The same filter as :meth:`repro.ir.program.IRProgram.config_env`:
+    region bounds are affine over integers, so only integral configs can
+    appear in them.
+    """
+    env: Dict[str, int] = {}
+    for name, value in configs.items():
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, int):
+            env[name] = value
+        elif isinstance(value, float) and value.is_integer():
+            env[name] = int(value)
+    return env
+
+
+class Slot(NamedTuple):
+    """One array or scalar of a program's storage layout."""
+
+    name: str
+    role: str  #: "array" or "scalar"
+    kind: str  #: element kind ("float" / "integer" / "boolean")
+    shape: Tuple[int, ...]  #: allocation-region shape; () for scalars
+    bases: Tuple[int, ...]  #: constant lower bound per dimension
+
+
 class ScalarProgram:
-    """A fully scalarized program, ready for execution or code generation."""
+    """A fully scalarized program, ready for execution or code generation.
+
+    It is not mutated once built: :attr:`layout` is computed on first use
+    and kept.
+    """
 
     #: Class-level default so programs unpickled from artifacts written
     #: before the attribute existed read as having no scalar inputs.
@@ -635,6 +670,37 @@ class ScalarProgram:
             raise ValueError(
                 "scalar inputs %s are not declared scalars" % undeclared
             )
+
+    @functools.cached_property
+    def layout(self) -> Tuple[Slot, ...]:
+        """The program's storage: arrays in name order, then scalars in
+        name order.
+
+        Every executor, emitter and model reads shapes and lower bounds
+        here, so they cannot drift: allocation regions (halo included)
+        are evaluated under the integer configs, an empty extent still
+        gets one element, and this order *is* the buffer order of the C
+        entry point (:func:`repro.scalarize.codegen_c.c_abi`).  A region
+        that is not constant under the configs raises (``'n' is unbound``).
+        """
+        env = int_config_env(self.configs)
+        slots: List[Slot] = []
+        for name in sorted(self.array_allocs):
+            region, kind = self.array_allocs[name]
+            bounds = region.concrete_bounds(env)
+            shape = tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
+            bases = tuple(lo for lo, _hi in bounds)
+            slots.append(Slot(name, "array", kind, shape, bases))
+        for name in sorted(self.scalars):
+            slots.append(Slot(name, "scalar", self.scalars[name], (), ()))
+        return tuple(slots)
+
+    def array_bases(self) -> Dict[str, Tuple[int, ...]]:
+        """Array name -> constant lower bound per dimension (:attr:`layout`):
+        element ``p`` of an array lives at raw index ``p - base``."""
+        return {
+            slot.name: slot.bases for slot in self.layout if slot.role == "array"
+        }
 
     def loop_nests(self) -> List[LoopNest]:
         """All loop nests in the program, in pre-order."""

@@ -168,10 +168,6 @@ class CompiledProgram:
         backend_obj = get_backend(backend or self.backend)
         backend_name = backend_obj.name
         config, arrays = split_request(request)
-        if arrays is not None:
-            from repro.scalarize.emit_common import validate_inputs
-
-            arrays = validate_inputs(self.scalar_program, arrays)
         if config and config != {
             name: self.config.get(name) for name in config
         }:

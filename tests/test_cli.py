@@ -49,7 +49,7 @@ class TestCompile:
 
     def test_emit_python(self, source_file, capsys):
         assert main(["compile", source_file, "--emit", "py"]) == 0
-        assert "def run(_inputs=None):" in capsys.readouterr().out
+        assert "def run(_arrays, _scalars):" in capsys.readouterr().out
 
     def test_level_selection(self, source_file, capsys):
         assert main(

@@ -48,9 +48,14 @@ class TestRendering:
     def test_contains_loops_and_allocs(self):
         program = normalize_source(TEMPLATE % BODY)
         source = render_python(compile_program(program, BASELINE))
-        assert "np.zeros" in source
+        # The emitted function is a kernel: it binds the caller's arrays
+        # and starting scalars by name and allocates nothing.
+        assert "def run(_arrays, _scalars):" in source
+        assert "    A = _arrays['A']" in source
+        assert "    s = _scalars['s']" in source
+        assert "np.zeros" not in source and "_inputs" not in source
         assert "for _i1 in range(" in source
-        assert "def run(_inputs=None):" in source
+        assert source.splitlines()[-1].startswith("    return {'s': s")
 
     def test_reversed_loop_emitted(self):
         program = normalize_source(

@@ -346,10 +346,22 @@ def test_config_dependent_bounds_execute(backend):
 
 def test_config_dependent_bounds_render():
     program = config_bound_program()
+    # The allocation shape is the layout's, evaluated under the configs;
+    # the emitted kernels index from its bases and bind ``n`` by name.
+    (slot,) = program.layout
+    assert (slot.name, slot.shape, slot.bases) == ("A", (7,), (0,))
     for source in (render_python(program), render_numpy(program)):
-        assert "np.zeros((7,)" in source
+        assert "    n = 5\n    A = _arrays['A']\n" in source
 
 
-def test_explicit_env_overrides_configs():
-    result_source = render_python(config_bound_program(), env={"n": 3})
-    assert "np.zeros((5,)" in result_source
+def test_cost_models_lay_out_what_the_backends_run():
+    """``MemoryLayout`` and the cost models read the one layout, so a
+    config-bound allocation prices instead of raising ``'n' is unbound``."""
+    from repro.machine import CRAY_T3E, estimate_sequential
+    from repro.machine.trace import MemoryLayout
+    from repro.tune.space import default_plan, predict_cost
+
+    program = config_bound_program()
+    assert MemoryLayout(program).total_bytes == 7 * 8
+    assert estimate_sequential(program, CRAY_T3E).cycles > 0
+    assert predict_cost(program, default_plan()) > 0

@@ -431,6 +431,68 @@ class TestLoadOnce:
         execute_sharded(program, procs=2)
         assert calls.value == first
 
+    @pytest.mark.parametrize("bench", ["Tomcatv", "SP", "Simple"])
+    def test_a_warm_kernel_call_allocates_nothing(
+        self, bench, monkeypatch, fresh_pool
+    ):
+        # A rank's kernels run in place on its local arrays: inside
+        # ``_run_kernel`` nothing is allocated (the emitted preamble made
+        # one ``np.zeros`` and one copy per array per call when kernels
+        # allocated their own), and the only arrays the walk allocates at
+        # all are a clamped fold's scratch operands.
+        ctx = multiprocessing.get_context("fork")
+        in_kernel, in_walk, scratch, kernel_calls = (
+            ctx.Value("i", 0) for _ in range(4)
+        )
+        state = {"kernel": 0, "walk": 0}  # nesting depth, per process
+        zeros = np.zeros
+
+        def bump(counter, by=1):
+            with counter.get_lock():
+                counter.value += by
+
+        def counting_zeros(*args, **kwargs):
+            if state["kernel"]:
+                bump(in_kernel)
+            if state["walk"]:
+                bump(in_walk)
+            return zeros(*args, **kwargs)
+
+        def during(flag, function):
+            def wrapped(*args, **kwargs):
+                state[flag] += 1
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    state[flag] -= 1
+
+            return wrapped
+
+        run_kernel = during("kernel", mp_shard._Worker._run_kernel)
+
+        def counting_kernel(self, node, kind, allocs, bounds, arrays):
+            bump(kernel_calls)
+            bump(scratch, sum(name.startswith("__shard_red") for name in arrays)
+                 if kind == "clamped" else 0)
+            return run_kernel(self, node, kind, allocs, bounds, arrays)
+
+        monkeypatch.setattr(np, "zeros", counting_zeros)
+        monkeypatch.setattr(mp_shard._Worker, "_run_kernel", counting_kernel)
+        monkeypatch.setattr(
+            mp_shard._Worker, "execute_body",
+            during("walk", mp_shard._Worker.execute_body),
+        )
+        program = sized_program(bench, 64, 1)
+        execute_sharded(program, procs=2)  # loads the kernels
+        for counter in (in_kernel, in_walk, scratch, kernel_calls):
+            counter.value = 0
+        _result, report = execute_sharded(program, procs=2)
+        check_report(report)
+        assert report.counters["comm.kernel_loads"] == 0
+        assert kernel_calls.value > 0
+        assert in_kernel.value == 0
+        assert in_walk.value == scratch.value > 0
+
 
 def _shard_segments():
     if not os.path.isdir("/dev/shm"):

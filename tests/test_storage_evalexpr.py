@@ -62,21 +62,23 @@ class TestStorage:
         view = storage.slice_view("A", ((2, 2), (1, 1)), (-1, -1))
         assert view[0, 0] == 9.0
 
-    def test_buffer_wraps(self):
-        storage = Storage()
-        storage.allocate_buffer(
-            "W", Region.literal((1, 8), (1, 4)), "float", dim=1, depth=2
+    @staticmethod
+    def make_buffer():
+        # A circular buffer is laid out like any array (the scalarizer
+        # already made its modular dimension [0..depth-1]); the storage
+        # is told which dimension wraps.
+        return Storage(
+            {"W": np.zeros((2, 4))}, {"W": (0, 1)}, wrapped={"W": (1, 2)}
         )
-        assert storage.arrays["W"].shape == (2, 4)
+
+    def test_buffer_wraps(self):
+        storage = self.make_buffer()
         storage.set_element("W", (5, 2), 3.0)  # 5 % 2 == 1
         assert storage.element("W", (7, 2)) == 3.0  # 7 % 2 == 1
         assert storage.element("W", (6, 2)) == 0.0
 
     def test_buffer_slice_rejected(self):
-        storage = Storage()
-        storage.allocate_buffer(
-            "W", Region.literal((1, 8), (1, 4)), "float", dim=1, depth=2
-        )
+        storage = self.make_buffer()
         with pytest.raises(InterpError, match="circular buffer"):
             storage.slice_view("W", ((1, 8), (1, 4)), (0, 0))
 
