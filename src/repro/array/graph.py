@@ -13,9 +13,10 @@ deterministic topological order so that:
   from the graph alone, so a warm materialization can seed and extract
   arrays without ever lowering to IR.
 
-Element kinds and promotion mirror ``scalarize.emit_common`` exactly;
-the lowered IR must evaluate bit-identically to what a hand-written
-mini-ZPL program with the same per-element op DAG produces.
+Arity and result kinds come from :mod:`repro.lang.operators`, the table
+semantic analysis reads; the lowered IR must evaluate bit-identically to
+what a hand-written mini-ZPL program with the same per-element op DAG
+produces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.scalarize.emit_common import join_kinds
+from repro.lang import operators
 from repro.util.errors import ReproError
 
 #: numpy dtype name -> element kind (the inverse of emit_common.DTYPES).
@@ -36,31 +37,6 @@ DTYPE_OF_KIND = {
     "integer": np.int64,
     "boolean": np.bool_,
 }
-
-#: Intrinsic name -> (arity, result kind or None = join of argument kinds).
-#: Matches ``repro.lang.sema.INTRINSICS``.
-INTRINSICS = {
-    "sqrt": (1, "float"),
-    "exp": (1, "float"),
-    "log": (1, "float"),
-    "sin": (1, "float"),
-    "cos": (1, "float"),
-    "tan": (1, "float"),
-    "atan": (1, "float"),
-    "abs": (1, None),
-    "floor": (1, "integer"),
-    "ceil": (1, "integer"),
-    "min": (2, None),
-    "max": (2, None),
-    "pow": (2, "float"),
-    "mod": (2, None),
-    "sign": (1, None),
-}
-
-_COMPARISONS = ("<", "<=", ">", ">=", "=", "!=")
-_ARITH = ("+", "-", "*", "/", "%", "^")
-_LOGICAL = ("and", "or")
-REDUCE_OPS = ("+", "*", "min", "max")
 
 
 def kind_of_value(value) -> str:
@@ -217,44 +193,37 @@ def _join_shape(op: str, args: Sequence[Node]) -> Optional[Tuple[int, ...]]:
 
 
 def bin_node(op: str, left: Node, right: Node) -> Node:
-    if op not in _ARITH + _COMPARISONS + _LOGICAL:
+    row = operators.BINARY.get(op)
+    if row is None:
         raise ReproError("unknown binary operator %r" % op)
     shape = _join_shape(op, (left, right))
-    if op in ("/", "^"):
-        kind = "float"
-    elif op in _COMPARISONS or op in _LOGICAL:
-        kind = "boolean"
-    else:
-        kind = join_kinds(left.kind, right.kind)
+    kind = operators.result_kind(row, (left.kind, right.kind))
     return Node("bin", (left, right), shape, kind, op)
 
 
 def un_node(op: str, operand: Node) -> Node:
-    if op not in ("-", "not"):
+    row = operators.UNARY.get(op)
+    if row is None:
         raise ReproError("unknown unary operator %r" % op)
-    kind = "boolean" if op == "not" else operand.kind
+    kind = operators.result_kind(row, (operand.kind,))
     return Node("un", (operand,), operand.shape, kind, op)
 
 
 def call_node(name: str, args: Sequence[Node]) -> Node:
-    spec = INTRINSICS.get(name)
-    if spec is None:
+    row = operators.INTRINSICS.get(name)
+    if row is None:
         raise ReproError(
             "unknown intrinsic %r (have: %s)"
-            % (name, ", ".join(sorted(INTRINSICS)))
+            % (name, ", ".join(sorted(operators.INTRINSICS)))
         )
-    arity, result_kind = spec
-    if len(args) != arity:
+    if len(args) != row.arity:
         raise ReproError(
             "intrinsic %r takes %d argument(s), got %d"
-            % (name, arity, len(args))
+            % (name, row.arity, len(args))
         )
     shape = _join_shape(name, args)
-    if result_kind is None:
-        result_kind = "boolean"
-        for arg in args:
-            result_kind = join_kinds(result_kind, arg.kind)
-    return Node("call", tuple(args), shape, result_kind, name)
+    kind = operators.result_kind(row, [arg.kind for arg in args])
+    return Node("call", tuple(args), shape, kind, name)
 
 
 def shift_node(operand: Node, offset: Sequence[int]) -> Node:
@@ -270,12 +239,14 @@ def shift_node(operand: Node, offset: Sequence[int]) -> Node:
 
 
 def reduce_node(op: str, operand: Node) -> Node:
-    if op not in REDUCE_OPS:
+    row = operators.REDUCTIONS.get(op)
+    if row is None:
         raise ReproError("unknown reduction %r (have: %s)"
-                         % (op, ", ".join(REDUCE_OPS)))
+                         % (op, ", ".join(operators.REDUCTIONS)))
     if operand.shape is None:
         raise ReproError("reductions need an array operand, got a scalar")
-    return Node("reduce", (operand,), None, operand.kind, op)
+    kind = operators.result_kind(row, (operand.kind,))
+    return Node("reduce", (operand,), None, kind, op)
 
 
 # -- the trace ---------------------------------------------------------------

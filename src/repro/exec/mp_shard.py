@@ -153,7 +153,6 @@ from repro.parallel.shard import (
 from repro.scalarize.emit_common import (
     DTYPES,
     SCALAR_INIT,
-    infer_expr_kind,
     scalar_value,
     validate_inputs,
     validate_scalars,
@@ -385,7 +384,7 @@ class _NestFacts:
         self.reductions = [
             (
                 "%s%d" % (_RED_PREFIX, index),
-                infer_expr_kind(stmt.rhs, array_kinds, scalar_kinds),
+                ir.kind_of(stmt.rhs, array_kinds, scalar_kinds),
                 stmt.reduce_op,
                 stmt.scalar_target,
             )

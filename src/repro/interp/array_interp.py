@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.interp.evalexpr import eval_region, eval_scalar, reduce_values
+from repro.interp.evalexpr import eval_region, eval_scalar
 from repro.interp.storage import Storage
 from repro.ir import expr as ir
 from repro.ir.program import IRProgram
@@ -29,6 +29,7 @@ from repro.ir.statement import (
     ScalarStatement,
     WhileStatement,
 )
+from repro.lang import operators
 from repro.util.errors import InterpError
 
 
@@ -155,7 +156,10 @@ class ArrayInterpreter:
         values = eval_region(node.operand, self.storage.scalars, array_view, index_grid)
         full_shape = tuple(hi - lo + 1 for lo, hi in bounds)
         values = np.broadcast_to(np.asarray(values), full_shape)
-        return reduce_values(node.op, values)
+        row = operators.REDUCTIONS.get(node.op)
+        if row is None:
+            raise InterpError("unknown reduction operator %r" % node.op)
+        return row.np(values)
 
 
 def run_reference(program: IRProgram) -> Storage:

@@ -1,6 +1,7 @@
 """Shared IR-expression evaluation for the interpreters.
 
-Two evaluation modes share one dispatch:
+Two evaluation modes share one dispatch (:func:`_evaluate`); what each
+operator computes is the ``np`` column of :mod:`repro.lang.operators`:
 
 * **region mode** — every array reference becomes a numpy view of the
   statement's region translated by the reference offset; the expression
@@ -19,99 +20,45 @@ import numpy as np
 from repro.ir import expr as ir
 from repro.util.errors import InterpError
 
-_INTRINSICS: Mapping[str, Callable] = {
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "atan": np.arctan,
-    "abs": np.abs,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "min": np.minimum,
-    "max": np.maximum,
-    "pow": np.power,
-    "mod": np.mod,
-    "sign": np.sign,
-}
 
-_REDUCERS = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}
+def _evaluate(
+    expr: ir.IRExpr,
+    scalar_env: Mapping[str, object],
+    array_leaf: Callable[[str, Tuple[int, ...]], object],
+    index_leaf: Callable[[int], object],
+):
+    """The one dispatch both modes share; they differ in the two leaves.
 
-
-def apply_binop(op: str, left, right):
-    """Apply a source-level binary operator to numpy values."""
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return np.true_divide(left, right)
-    if op == "%":
-        return np.mod(left, right)
-    if op == "^":
-        return np.power(np.asarray(left, dtype=np.float64), right)
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "and":
-        return np.logical_and(left, right)
-    if op == "or":
-        return np.logical_or(left, right)
-    raise InterpError("unknown binary operator %r" % op)
-
-
-def apply_unop(op: str, operand):
-    if op == "-":
-        return -operand
-    if op == "not":
-        return np.logical_not(operand)
-    raise InterpError("unknown unary operator %r" % op)
-
-
-def apply_intrinsic(name: str, args):
-    fn = _INTRINSICS.get(name)
-    if fn is None:
-        raise InterpError("unknown intrinsic %r" % name)
-    result = fn(*args)
-    if name in ("floor", "ceil"):
-        as_array = np.asarray(result)
-        if as_array.ndim == 0:
-            return int(as_array)
-        return as_array.astype(np.int64)
-    return result
-
-
-def accumulate(op: str, current, value):
-    """One reduction step: fold ``value`` into ``current``."""
-    if op == "+":
-        return current + value
-    if op == "*":
-        return current * value
-    if op == "max":
-        return np.maximum(current, value)
-    if op == "min":
-        return np.minimum(current, value)
-    raise InterpError("unknown reduction operator %r" % op)
-
-
-def reduce_values(op: str, values) -> object:
-    reducer = _REDUCERS.get(op)
-    if reducer is None:
-        raise InterpError("unknown reduction operator %r" % op)
-    return reducer(values)
+    Every operator node evaluates its operands and applies the reference
+    ``np`` callable of its :mod:`repro.lang.operators` row.
+    """
+    row = expr.row()
+    if row is not None:
+        operands = expr.children()
+        if len(operands) == 2:  # unrolled: this is the interpreters' hot path
+            return row.np(
+                _evaluate(operands[0], scalar_env, array_leaf, index_leaf),
+                _evaluate(operands[1], scalar_env, array_leaf, index_leaf),
+            )
+        return row.np(
+            *[
+                _evaluate(operand, scalar_env, array_leaf, index_leaf)
+                for operand in operands
+            ]
+        )
+    if isinstance(expr, ir.ArrayRef):
+        return array_leaf(expr.name, expr.offset)
+    if isinstance(expr, ir.Const):
+        return expr.value
+    if isinstance(expr, ir.ScalarRef):
+        if expr.name not in scalar_env:
+            raise InterpError("undefined scalar %r" % expr.name)
+        return scalar_env[expr.name]
+    if isinstance(expr, ir.IndexRef):
+        return index_leaf(expr.dim)
+    if isinstance(expr, ir.Reduce):
+        raise InterpError("nested reduction in an element-wise expression")
+    raise InterpError("unknown operator in %r" % expr)
 
 
 def eval_region(
@@ -126,35 +73,7 @@ def eval_region(
     region translated by ``offset``; ``index_grid(dim)`` returns a
     broadcastable grid of coordinates along ``dim``.
     """
-    if isinstance(expr, ir.Const):
-        return expr.value
-    if isinstance(expr, ir.ScalarRef):
-        if expr.name not in scalar_env:
-            raise InterpError("undefined scalar %r" % expr.name)
-        return scalar_env[expr.name]
-    if isinstance(expr, ir.ArrayRef):
-        return array_view(expr.name, expr.offset)
-    if isinstance(expr, ir.IndexRef):
-        return index_grid(expr.dim)
-    if isinstance(expr, ir.BinOp):
-        return apply_binop(
-            expr.op,
-            eval_region(expr.left, scalar_env, array_view, index_grid),
-            eval_region(expr.right, scalar_env, array_view, index_grid),
-        )
-    if isinstance(expr, ir.UnOp):
-        return apply_unop(
-            expr.op, eval_region(expr.operand, scalar_env, array_view, index_grid)
-        )
-    if isinstance(expr, ir.Call):
-        args = [
-            eval_region(arg, scalar_env, array_view, index_grid)
-            for arg in expr.args
-        ]
-        return apply_intrinsic(expr.name, args)
-    if isinstance(expr, ir.Reduce):
-        raise InterpError("nested reduction in array context")
-    raise InterpError("cannot evaluate %r" % expr)
+    return _evaluate(expr, scalar_env, array_view, index_grid)
 
 
 def eval_point(
@@ -167,28 +86,7 @@ def eval_point(
 
     ``element(name, offset)`` reads the element at ``point + offset``.
     """
-    if isinstance(expr, ir.Const):
-        return expr.value
-    if isinstance(expr, ir.ScalarRef):
-        if expr.name not in scalar_env:
-            raise InterpError("undefined scalar %r" % expr.name)
-        return scalar_env[expr.name]
-    if isinstance(expr, ir.ArrayRef):
-        return element(expr.name, expr.offset)
-    if isinstance(expr, ir.IndexRef):
-        return point[expr.dim - 1]
-    if isinstance(expr, ir.BinOp):
-        return apply_binop(
-            expr.op,
-            eval_point(expr.left, scalar_env, element, point),
-            eval_point(expr.right, scalar_env, element, point),
-        )
-    if isinstance(expr, ir.UnOp):
-        return apply_unop(expr.op, eval_point(expr.operand, scalar_env, element, point))
-    if isinstance(expr, ir.Call):
-        args = [eval_point(arg, scalar_env, element, point) for arg in expr.args]
-        return apply_intrinsic(expr.name, args)
-    raise InterpError("cannot evaluate %r" % expr)
+    return _evaluate(expr, scalar_env, element, lambda dim: point[dim - 1])
 
 
 def eval_scalar(expr: ir.IRExpr, scalar_env: Mapping[str, object]):

@@ -13,8 +13,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.interp.evalexpr import accumulate, eval_point, eval_scalar
+from repro.interp.evalexpr import eval_point, eval_scalar
 from repro.interp.storage import Storage
+from repro.lang import operators
 from repro.scalarize.emit_common import build_state
 from repro.scalarize.loopnest import (
     ElemAssign,
@@ -146,9 +147,9 @@ class LoopInterpreter:
 
         value = eval_point(stmt.rhs, scalars, read, index)
         if stmt.reduce_op is not None:
-            scalars[stmt.scalar_target] = accumulate(
-                stmt.reduce_op, scalars[stmt.scalar_target], value
-            )
+            scalars[stmt.scalar_target] = operators.REDUCTIONS[
+                stmt.reduce_op
+            ].step(scalars[stmt.scalar_target], value)
         elif stmt.is_contracted:
             scalars[stmt.scalar_target] = value
         else:

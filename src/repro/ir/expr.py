@@ -8,8 +8,9 @@ only in scalar statements; normalization hoists them out of array contexts.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.lang import operators
 from repro.util.vectors import IntVector, format_vector, is_zero
 
 
@@ -39,6 +40,12 @@ class IRExpr:
 
     def children(self) -> Sequence["IRExpr"]:
         return ()
+
+    def row(self) -> Optional[operators.Op]:
+        """The :mod:`repro.lang.operators` row that says what this
+        element-wise operator node means; ``None`` for every other node,
+        and for an operator the language does not have (hand-built IR)."""
+        return None
 
     def map(self, fn: Callable[["IRExpr"], Optional["IRExpr"]]) -> "IRExpr":
         """Rebuild the tree bottom-up; ``fn`` may replace any node.
@@ -148,6 +155,9 @@ class BinOp(IRExpr):
     def _rebuild(self, children: List[IRExpr]) -> IRExpr:
         return BinOp(self.op, children[0], children[1])
 
+    def row(self) -> Optional[operators.Op]:
+        return operators.BINARY.get(self.op)
+
     def __repr__(self) -> str:
         return "BinOp(%r, %r, %r)" % (self.op, self.left, self.right)
 
@@ -170,6 +180,9 @@ class UnOp(IRExpr):
     def _rebuild(self, children: List[IRExpr]) -> IRExpr:
         return UnOp(self.op, children[0])
 
+    def row(self) -> Optional[operators.Op]:
+        return operators.UNARY.get(self.op)
+
     def __repr__(self) -> str:
         return "UnOp(%r, %r)" % (self.op, self.operand)
 
@@ -191,6 +204,9 @@ class Call(IRExpr):
 
     def _rebuild(self, children: List[IRExpr]) -> IRExpr:
         return Call(self.name, children)
+
+    def row(self) -> Optional[operators.Op]:
+        return operators.INTRINSICS.get(self.name)
 
     def __repr__(self) -> str:
         return "Call(%s, %r)" % (self.name, list(self.args))
@@ -224,6 +240,52 @@ class Reduce(IRExpr):
 
     def __str__(self) -> str:
         return "%s<< %s %s" % (self.op, self.region, self.operand)
+
+
+def kind_of(
+    expr: IRExpr,
+    array_kinds: Mapping[str, str],
+    scalar_kinds: Mapping[str, str],
+    strict: bool = False,
+) -> Optional[str]:
+    """The element kind ``expr`` evaluates to — the one kind inference.
+
+    Leaves carry their own kind (constants by Python type, references by
+    the two tables, index grids integer); every other node asks its
+    operator row (:func:`repro.lang.operators.result_kind`).  That mirrors
+    the numpy promotion the interpreters perform, so a reduction
+    accumulator can start at the kind the reduction will actually produce.
+
+    A reference missing from its table counts as ``"float"`` — callers
+    hold complete tables — unless ``strict``, which propagates it as
+    ``None``: a rewrite gated on the kind must only fire when the kind,
+    and with it the IEEE signed-zero and dtype-promotion behaviour, is
+    certain.
+    """
+    unknown = None if strict else "float"
+
+    def visit(node: IRExpr) -> Optional[str]:
+        if isinstance(node, Const):
+            if isinstance(node.value, bool):
+                return "boolean"
+            if isinstance(node.value, int):
+                return "integer"
+            return "float" if isinstance(node.value, float) else unknown
+        if isinstance(node, ScalarRef):
+            return scalar_kinds.get(node.name, unknown)
+        if isinstance(node, ArrayRef):
+            return array_kinds.get(node.name, unknown)
+        if isinstance(node, IndexRef):
+            return "integer"
+        if isinstance(node, Reduce):
+            row = operators.REDUCTIONS.get(node.op)
+        else:
+            row = node.row()
+        if row is None:
+            return unknown
+        return operators.result_kind(row, map(visit, node.children()))
+
+    return visit(expr)
 
 
 def substitute_refs(

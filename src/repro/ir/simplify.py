@@ -18,6 +18,7 @@ import math
 from typing import Dict, List, Mapping, Optional
 
 from repro.ir import expr as ir
+from repro.lang import operators
 from repro.ir.program import IRProgram
 from repro.ir.statement import (
     ArrayStatement,
@@ -27,33 +28,6 @@ from repro.ir.statement import (
     ScalarStatement,
     WhileStatement,
 )
-
-_FOLDABLE_CALLS = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
-    "abs": abs,
-    "min": min,
-    "max": max,
-    "pow": math.pow,
-}
-
-#: Intrinsics closed over the integers: int arguments produce an int
-#: result under the runtime semantics (np.abs/np.minimum/np.maximum on
-#: int64 operands stay int64), so their folds must stay int too.
-_INT_CLOSED_CALLS = frozenset(["abs", "min", "max"])
-
-#: numpy promotion order (mirrors ``emit_common._KIND_RANK``; duplicated
-#: here so the IR layer does not import the scalarize layer).
-_KIND_RANK = {"boolean": 0, "integer": 1, "float": 2}
-
-
-def join_kinds(left: str, right: str) -> str:
-    return left if _KIND_RANK[left] >= _KIND_RANK[right] else right
 
 
 def _const_value(node: ir.IRExpr):
@@ -71,68 +45,6 @@ def _is_zero(node: ir.IRExpr) -> bool:
 def _is_one(node: ir.IRExpr) -> bool:
     value = _const_value(node)
     return value == 1
-
-
-def _strict_kind(
-    expr: ir.IRExpr,
-    array_kinds: Mapping[str, str],
-    scalar_kinds: Mapping[str, str],
-) -> Optional[str]:
-    """The element kind of ``expr``, or ``None`` when it cannot be proved.
-
-    Unlike :func:`repro.scalarize.emit_common.infer_expr_kind` (which
-    defaults unknown references to ``"float"`` because its callers hold
-    complete kind tables), this variant propagates *unknown*: identity
-    rewrites must only fire when the kind — and with it the IEEE
-    signed-zero and dtype-promotion behaviour — is certain.
-    """
-    if isinstance(expr, ir.Const):
-        if isinstance(expr.value, bool):
-            return "boolean"
-        if isinstance(expr.value, int):
-            return "integer"
-        if isinstance(expr.value, float):
-            return "float"
-        return None
-    if isinstance(expr, ir.ScalarRef):
-        return scalar_kinds.get(expr.name)
-    if isinstance(expr, ir.ArrayRef):
-        return array_kinds.get(expr.name)
-    if isinstance(expr, ir.IndexRef):
-        return "integer"
-    if isinstance(expr, ir.BinOp):
-        if expr.op in ("/", "^"):
-            return "float"
-        if expr.op in ("<", "<=", ">", ">=", "=", "!=", "and", "or"):
-            return "boolean"
-        left = _strict_kind(expr.left, array_kinds, scalar_kinds)
-        right = _strict_kind(expr.right, array_kinds, scalar_kinds)
-        if left is None or right is None:
-            return None
-        return join_kinds(left, right)
-    if isinstance(expr, ir.UnOp):
-        if expr.op == "not":
-            return "boolean"
-        return _strict_kind(expr.operand, array_kinds, scalar_kinds)
-    if isinstance(expr, ir.Call):
-        if expr.name in ("floor", "ceil"):
-            return "integer"
-        if expr.name in ("abs", "min", "max", "mod", "sign"):
-            kind = "boolean"
-            for arg in expr.args:
-                arg_kind = _strict_kind(arg, array_kinds, scalar_kinds)
-                if arg_kind is None:
-                    return None
-                kind = join_kinds(kind, arg_kind)
-            return kind
-        if expr.name in ("sqrt", "exp", "log", "sin", "cos", "tan", "atan"):
-            return "float"
-        # ``pow`` is deliberately None: np.power keeps int operands int
-        # while math.pow floats them, so its kind cannot be certified.
-        return None
-    if isinstance(expr, ir.Reduce):
-        return _strict_kind(expr.operand, array_kinds, scalar_kinds)
-    return None
 
 
 def _is_neg_zero(node: ir.IRExpr) -> bool:
@@ -169,7 +81,7 @@ def _fold_identity(
     """
 
     def kind_of(side: ir.IRExpr) -> Optional[str]:
-        return _strict_kind(side, array_kinds, scalar_kinds)
+        return ir.kind_of(side, array_kinds, scalar_kinds, strict=True)
 
     def zero_fold_ok(zero: ir.IRExpr, keep: ir.IRExpr) -> bool:
         # x + 0 (int zero) is exact for int x; x + (-0.0) for float x.
@@ -216,40 +128,32 @@ def _fold_identity(
     return None
 
 
-def _fold_binop(
-    node: ir.BinOp,
-    array_kinds: Mapping[str, str],
-    scalar_kinds: Mapping[str, str],
-) -> Optional[ir.IRExpr]:
-    left = _const_value(node.left)
-    right = _const_value(node.right)
+def _fold_constants(node: ir.IRExpr) -> Optional[ir.Const]:
+    """``node`` applied to constant operands, as the constant it evaluates to.
 
-    if left is not None and right is not None:
-        try:
-            if node.op == "+":
-                return ir.Const(left + right)
-            if node.op == "-":
-                return ir.Const(left - right)
-            if node.op == "*":
-                return ir.Const(left * right)
-            if node.op == "/":
-                return ir.Const(left / right)
-            if node.op == "%":
-                return ir.Const(left % right)
-            if node.op == "^":
-                return ir.Const(float(left) ** right)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None  # keep the runtime behaviour (error / inf)
+    The operator's row says how (``fold``) and of which kind the result
+    is: integer operands of ``abs``/``min``/``max`` fold to an integer,
+    as they evaluate at run time.  ``None`` when an operand is not a
+    numeric constant, the row is left to run time, or evaluating raises
+    (the run-time behaviour — an error, an ``inf`` — is kept).
+    """
+    row = node.row()
+    if row is None or row.fold is None:
         return None
+    values = [_const_value(child) for child in node.children()]
+    if any(value is None for value in values):
+        return None
+    try:
+        result = row.fold(*values)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    kinds = ["integer" if isinstance(value, int) else "float" for value in values]
+    if operators.result_kind(row, kinds) == "integer":
+        return ir.Const(int(result))
+    return ir.Const(float(result))
 
-    # Identity elements.  (x*0 and 0/x are NOT folded: NaN/inf semantics.)
-    return _fold_identity(node, array_kinds, scalar_kinds)
 
-
-def _fold_unop(node: ir.UnOp) -> Optional[ir.IRExpr]:
-    value = _const_value(node.operand)
-    if node.op == "-" and value is not None:
-        return ir.Const(-value)
+def _fold_double_negation(node: ir.UnOp) -> Optional[ir.IRExpr]:
     if (
         node.op == "-"
         and isinstance(node.operand, ir.UnOp)
@@ -257,31 +161,6 @@ def _fold_unop(node: ir.UnOp) -> Optional[ir.IRExpr]:
     ):
         return node.operand.operand
     return None
-
-
-def _fold_call(node: ir.Call) -> Optional[ir.IRExpr]:
-    fn = _FOLDABLE_CALLS.get(node.name)
-    if fn is None:
-        return None
-    values = [_const_value(arg) for arg in node.args]
-    if any(value is None for value in values):
-        return None
-    all_int = all(isinstance(value, int) for value in values)
-    try:
-        if node.name == "pow" and all_int and values[1] >= 0:
-            # np.power on int operands stays int; math.pow would float
-            # the fold.  Negative exponents divide, hence go float.
-            result = values[0] ** values[1]
-        else:
-            result = fn(*values)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return None
-    if all_int and (
-        node.name in _INT_CLOSED_CALLS
-        or (node.name == "pow" and values[1] >= 0)
-    ):
-        return ir.Const(int(result))
-    return ir.Const(float(result))
 
 
 def simplify_expr(
@@ -299,12 +178,16 @@ def simplify_expr(
     scalar_kinds = scalar_kinds or {}
 
     def visit(node: ir.IRExpr) -> Optional[ir.IRExpr]:
+        if not isinstance(node, (ir.BinOp, ir.UnOp, ir.Call)):
+            return None
+        folded = _fold_constants(node)
+        if folded is not None:
+            return folded
+        # Identity elements.  (x*0 and 0/x are NOT folded: NaN/inf semantics.)
         if isinstance(node, ir.BinOp):
-            return _fold_binop(node, array_kinds, scalar_kinds)
+            return _fold_identity(node, array_kinds, scalar_kinds)
         if isinstance(node, ir.UnOp):
-            return _fold_unop(node)
-        if isinstance(node, ir.Call):
-            return _fold_call(node)
+            return _fold_double_negation(node)
         return None
 
     return expr.map(visit)

@@ -17,26 +17,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
+from repro.lang import operators
 from repro.util.errors import SemanticError
-
-INTRINSICS = {
-    # name -> (arity, result kind or None meaning "same as argument")
-    "sqrt": (1, "float"),
-    "exp": (1, "float"),
-    "log": (1, "float"),
-    "sin": (1, "float"),
-    "cos": (1, "float"),
-    "tan": (1, "float"),
-    "atan": (1, "float"),
-    "abs": (1, None),
-    "floor": (1, "integer"),
-    "ceil": (1, "integer"),
-    "min": (2, None),
-    "max": (2, None),
-    "pow": (2, "float"),
-    "mod": (2, None),
-    "sign": (1, None),
-}
 
 
 def index_array_dimension(name: str) -> Optional[int]:
@@ -391,11 +373,16 @@ class Checker:
             return self._check_binop(expr, allow_arrays, statement_rank)
         if isinstance(expr, ast.UnOp):
             operand = self._check_expr(expr.operand, allow_arrays, statement_rank)
-            if expr.op == "not" and operand.kind != "boolean":
-                raise SemanticError("'not' requires a boolean operand", expr.location)
-            if expr.op == "-" and operand.kind == "boolean":
+            row = operators.UNARY[expr.op]
+            if row.operands == operators.BOOLEAN and operand.kind != "boolean":
+                raise SemanticError(
+                    "%r requires a boolean operand" % expr.op, expr.location
+                )
+            if row.operands == operators.NUMERIC and operand.kind == "boolean":
                 raise SemanticError("cannot negate a boolean", expr.location)
-            return operand
+            return ExprType(
+                operators.result_kind(row, (operand.kind,)), operand.rank
+            )
         if isinstance(expr, ast.Call):
             return self._check_call(expr, allow_arrays, statement_rank)
         if isinstance(expr, ast.Reduce):
@@ -472,25 +459,17 @@ class Checker:
     ) -> ExprType:
         left = self._check_expr(expr.left, allow_arrays, statement_rank)
         right = self._check_expr(expr.right, allow_arrays, statement_rank)
-        if expr.op in ("and", "or"):
-            if left.kind != "boolean" or right.kind != "boolean":
-                raise SemanticError(
-                    "%r requires boolean operands" % expr.op, expr.location
-                )
-            result_kind = "boolean"
-        elif expr.op in ("=", "!=", "<", "<=", ">", ">="):
-            result_kind = "boolean"
-        else:
-            if left.kind == "boolean" or right.kind == "boolean":
-                raise SemanticError(
-                    "arithmetic on boolean operands is not allowed", expr.location
-                )
-            if expr.op == "/" or expr.op == "^":
-                result_kind = "float"
-            elif left.kind == "float" or right.kind == "float":
-                result_kind = "float"
-            else:
-                result_kind = "integer"
+        row = operators.BINARY[expr.op]
+        kinds = (left.kind, right.kind)
+        if row.operands == operators.BOOLEAN and kinds != ("boolean", "boolean"):
+            raise SemanticError(
+                "%r requires boolean operands" % expr.op, expr.location
+            )
+        if row.operands == operators.NUMERIC and "boolean" in kinds:
+            raise SemanticError(
+                "arithmetic on boolean operands is not allowed", expr.location
+            )
+        result_kind = operators.result_kind(row, kinds)
         rank = self._merge_ranks(left, right, expr)
         return ExprType(result_kind, rank)
 
@@ -508,21 +487,19 @@ class Checker:
     def _check_call(
         self, expr: ast.Call, allow_arrays: bool, statement_rank: Optional[int]
     ) -> ExprType:
-        spec = INTRINSICS.get(expr.name)
-        if spec is None:
+        row = operators.INTRINSICS.get(expr.name)
+        if row is None:
             raise SemanticError("unknown function %r" % expr.name, expr.location)
-        arity, result_kind = spec
-        if len(expr.args) != arity:
+        if len(expr.args) != row.arity:
             raise SemanticError(
                 "%s expects %d argument(s), got %d"
-                % (expr.name, arity, len(expr.args)),
+                % (expr.name, row.arity, len(expr.args)),
                 expr.location,
             )
         arg_types = [
             self._check_expr(arg, allow_arrays, statement_rank) for arg in expr.args
         ]
         rank = 0
-        kind = result_kind
         for arg_type in arg_types:
             if arg_type.kind == "boolean":
                 raise SemanticError(
@@ -534,11 +511,8 @@ class Checker:
                         "rank mismatch in call to %s" % expr.name, expr.location
                     )
                 rank = arg_type.rank
-            if kind is None:
-                kind = arg_type.kind
-            elif result_kind is None and arg_type.kind == "float":
-                kind = "float"
-        return ExprType(kind or "float", rank)
+        kind = operators.result_kind(row, [arg.kind for arg in arg_types])
+        return ExprType(kind, rank)
 
     def _check_reduce(self, expr: ast.Reduce) -> ExprType:
         reduce_rank: Optional[int] = None
@@ -560,9 +534,10 @@ class Checker:
                     % (rank, operand.rank),
                     expr.location,
                 )
-        if operand.kind == "boolean":
+        row = operators.REDUCTIONS[expr.op]
+        if row.operands == operators.NUMERIC and operand.kind == "boolean":
             raise SemanticError("cannot reduce a boolean array", expr.location)
-        return ExprType(operand.kind, 0)
+        return ExprType(operators.result_kind(row, (operand.kind,)), 0)
 
 
 def analyze(program: ast.Program) -> CheckedProgram:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
+from repro.util.tables import markdown_table
+
 
 class SpanDef(NamedTuple):
     name: str
@@ -385,19 +387,9 @@ TIMERS: List[TimerDef] = [
 ]
 
 
-def _table(header: Tuple[str, ...], rows: List[Tuple[str, ...]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join("---" for _ in header) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
-
-
 def spans_reference_markdown() -> str:
     """The span reference table embedded in docs/OBSERVABILITY.md."""
-    return _table(
+    return markdown_table(
         ("span", "attributes", "emitted by", "meaning"),
         [
             (
@@ -413,11 +405,11 @@ def spans_reference_markdown() -> str:
 
 def metrics_reference_markdown() -> str:
     """The counter + timer reference embedded in docs/OBSERVABILITY.md."""
-    counters = _table(
+    counters = markdown_table(
         ("counter", "meaning"),
         [("`%s`" % c.name, c.description) for c in COUNTERS],
     )
-    timers = _table(
+    timers = markdown_table(
         ("timer", "meaning"),
         [("`%s`" % t.name, t.description) for t in TIMERS],
     )

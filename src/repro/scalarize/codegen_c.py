@@ -33,11 +33,8 @@ from typing import Dict, List, Tuple
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.scalarize.emit_common import (
-    frac_operand,
-    halo_planes,
-    infer_expr_kind,
-)
+from repro.lang import operators
+from repro.scalarize.emit_common import frac_operand, halo_planes
 from repro.scalarize.loopnest import (
     LoopNest,
     SBoundary,
@@ -113,17 +110,6 @@ _HELPERS = {
         "}",
     ],
 }
-
-#: Fold steps.  The min/max comparison keeps the *accumulator* on ties,
-#: matching the Python fold ``min(acc, value)`` bit for bit (including
-#: -0.0/+0.0 ties and NaN propagation order).
-_REDUCE_STEP = {
-    "+": "%s += %s;",
-    "*": "%s *= %s;",
-    "max": "%s = (%s > %s) ? %s : %s;",
-    "min": "%s = (%s < %s) ? %s : %s;",
-}
-
 
 #: One slot of the ``repro_run(void **bufs)`` buffer vector.
 AbiEntry = Slot
@@ -281,7 +267,7 @@ class CGenerator:
     # ------------------------------------------------------------------
 
     def _kind(self, expr: ir.IRExpr) -> str:
-        return infer_expr_kind(expr, self._array_kinds, self._program.scalars)
+        return ir.kind_of(expr, self._array_kinds, self._program.scalars)
 
     def _emit_body(self, body: List[SNode], depth: int) -> None:
         for node in body:
@@ -350,16 +336,9 @@ class CGenerator:
             value = self._expr(stmt.rhs)
             if stmt.reduce_op is None:
                 self._emit("%s = %s;" % (target, value), inner)
-            elif stmt.reduce_op in ("+", "*"):
-                self._emit(
-                    _REDUCE_STEP[stmt.reduce_op] % (target, value), inner
-                )
             else:
-                self._emit(
-                    _REDUCE_STEP[stmt.reduce_op]
-                    % (target, value, target, value, target),
-                    inner,
-                )
+                step = operators.REDUCTIONS[stmt.reduce_op].c_step
+                self._emit(step.format(target, value), inner)
         for level in range(inner - 1, depth - 1, -1):
             self._emit("}", level)
 
@@ -466,22 +445,6 @@ class CGenerator:
                 indices.append("[%s]" % loop_variable(dim))
         return array + "".join(indices)
 
-    def _helper(self, name: str) -> str:
-        self._helpers.add(name)
-        return name
-
-    def _mod(self, expr: ir.IRExpr) -> str:
-        """``expr`` is a ``%`` :class:`~repro.ir.expr.BinOp` or a ``mod`` call."""
-        dividend = frac_operand(expr)
-        if dividend is not None:
-            return "%s(%s)" % (self._helper("repro_frac"), self._expr(dividend))
-        left, right = expr.children()
-        if self._kind(left) == "float" or self._kind(right) == "float":
-            fn = self._helper("repro_mod")
-        else:
-            fn = self._helper("repro_imod")
-        return "%s(%s, %s)" % (fn, self._expr(left), self._expr(right))
-
     def _const(self, value) -> str:
         if isinstance(value, bool):
             return "1" if value else "0"
@@ -508,65 +471,22 @@ class CGenerator:
             return loop_variable(expr.dim)
         if isinstance(expr, ir.ArrayRef):
             return self._element(expr.name, expr.offset)
-        if isinstance(expr, ir.BinOp):
-            op = {"=": "==", "and": "&&", "or": "||"}.get(expr.op, expr.op)
-            if expr.op == "^":
-                return "pow(%s, %s)" % (
-                    self._expr(expr.left),
-                    self._expr(expr.right),
-                )
-            if expr.op == "%":
-                # C's % truncates toward zero (and rejects doubles);
-                # the canonical semantics is floored np.mod.
-                return self._mod(expr)
-            if expr.op == "/":
-                # Language division is float division; C would truncate
-                # when both operands are integral.
-                left, right = self._expr(expr.left), self._expr(expr.right)
-                if (
-                    self._kind(expr.left) != "float"
-                    and self._kind(expr.right) != "float"
-                ):
-                    return "((double)(%s) / (double)(%s))" % (left, right)
-                return "(%s / %s)" % (left, right)
-            return "(%s %s %s)" % (
-                self._expr(expr.left),
-                op,
-                self._expr(expr.right),
-            )
-        if isinstance(expr, ir.UnOp):
-            op = "!" if expr.op == "not" else expr.op
-            return "(%s%s)" % (op, self._expr(expr.operand))
-        if isinstance(expr, ir.Call):
-            if expr.name == "mod":
-                return self._mod(expr)
-            if expr.name == "abs":
-                (arg,) = expr.args
-                fn = (
-                    "fabs"
-                    if self._kind(arg) == "float"
-                    else self._helper("repro_iabs")
-                )
-                return "%s(%s)" % (fn, self._expr(arg))
-            if expr.name == "sign":
-                (arg,) = expr.args
-                return "%s(%s)" % (
-                    self._helper("repro_sign"),
-                    self._expr(arg),
-                )
-            if expr.name in ("min", "max"):
-                # Ternary operand order mirrors Python's min/max: the
-                # *second* argument wins only on a strict comparison, so
-                # ties (and NaN comparisons) keep the first argument —
-                # bit-identical to codegen_py.
-                cmp = "<" if expr.name == "min" else ">"
-                a, b = (self._expr(arg) for arg in expr.args)
-                return "((%s %s %s) ? %s : %s)" % (b, cmp, a, b, a)
-            return "%s(%s)" % (
-                expr.name,
-                ", ".join(self._expr(a) for a in expr.args),
-            )
-        raise ScalarizationError("cannot render expression %r" % expr)
+        dividend = frac_operand(expr)
+        if dividend is not None:
+            self._helpers.add("repro_frac")
+            return "repro_frac(%s)" % self._expr(dividend)
+        row = expr.row()
+        if row is None:
+            raise ScalarizationError("cannot render expression %r" % expr)
+        args = expr.children()
+        spelling = row.c
+        if not isinstance(spelling, operators.CText):
+            spelling = spelling[
+                operators.operand_class([self._kind(a) for a in args])
+            ]
+        if spelling.helper is not None:
+            self._helpers.add(spelling.helper)
+        return spelling.text.format(*[self._expr(a) for a in args])
 
 
 def render_c(program: ScalarProgram) -> str:

@@ -28,9 +28,10 @@ reads outside the nest observe exactly the value serial execution would
 have left behind.
 
 Fold statements evaluate their operand over the whole region and combine
-``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator,
-mirroring the interpreters (:mod:`repro.interp.evalexpr`); over an empty
-region the fold does not run and the accumulator keeps its value.
+``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator
+(the ``np_step`` of the reduction's :mod:`repro.lang.operators` row),
+mirroring the reference interpreter; over an empty region the fold does
+not run and the accumulator keeps its value.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.scalarize.codegen_py import PyGenerator
-from repro.scalarize.emit_common import (
-    NP_INTRINSICS,
-    bound_text,
-    frac_operand,
-)
+from repro.lang import operators
+from repro.scalarize.emit_common import bound_text, frac_operand
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -146,10 +144,8 @@ class NumpyGenerator(PyGenerator):
     ) -> None:
         value = self._vexpr(stmt.rhs, ctx)
         if stmt.reduce_op is not None:
-            folded = self._vector_fold(
-                stmt.reduce_op,
-                stmt.scalar_target,
-                self._broadcast(value, ctx),
+            folded = operators.REDUCTIONS[stmt.reduce_op].np_step.format(
+                stmt.scalar_target, self._broadcast(value, ctx)
             )
             self._emit("%s = %s" % (stmt.scalar_target, folded), depth)
         elif stmt.is_contracted:
@@ -165,18 +161,6 @@ class NumpyGenerator(PyGenerator):
                 stmt.target, (0,) * nest.rank, ctx
             )
             self._emit("%s = %s" % (target, value), depth)
-
-    @staticmethod
-    def _vector_fold(op: str, accumulator: str, region_value: str) -> str:
-        if op == "+":
-            return "%s + np.sum(%s)" % (accumulator, region_value)
-        if op == "*":
-            return "%s * np.prod(%s)" % (accumulator, region_value)
-        if op == "max":
-            return "np.maximum(%s, np.max(%s))" % (accumulator, region_value)
-        if op == "min":
-            return "np.minimum(%s, np.min(%s))" % (accumulator, region_value)
-        raise ScalarizationError("unknown reduction operator %r" % op)
 
     def _broadcast(self, value: str, ctx: _VectorContext) -> str:
         return "np.broadcast_to(np.asarray(%s), %s)" % (
@@ -233,36 +217,14 @@ class NumpyGenerator(PyGenerator):
             # ``np.mod(x, 1.0)`` without its per-element libm fmod; the
             # walrus keeps the operand evaluated once.
             return "((_f := %s) - np.floor(_f))" % self._vexpr(dividend, ctx)
-        if isinstance(expr, ir.BinOp):
-            left = self._vexpr(expr.left, ctx)
-            right = self._vexpr(expr.right, ctx)
-            # Mirror repro.interp.evalexpr.apply_binop operator for
-            # operator so slice results match the interpreters.
-            if expr.op in ("and", "or"):
-                return "np.logical_%s(%s, %s)" % (expr.op, left, right)
-            if expr.op == "^":
-                return "np.power(np.asarray(%s, dtype=np.float64), %s)" % (
-                    left,
-                    right,
-                )
-            op = "==" if expr.op == "=" else expr.op
-            return "(%s %s %s)" % (left, op, right)
-        if isinstance(expr, ir.UnOp):
-            if expr.op == "not":
-                return "np.logical_not(%s)" % self._vexpr(expr.operand, ctx)
-            return "(%s%s)" % (expr.op, self._vexpr(expr.operand, ctx))
-        if isinstance(expr, ir.Call):
-            args = ", ".join(self._vexpr(a, ctx) for a in expr.args)
-            if expr.name in ("floor", "ceil"):
-                return "np.asarray(np.%s(%s)).astype(np.int64)" % (
-                    expr.name,
-                    args,
-                )
-            fn = NP_INTRINSICS.get(expr.name)
-            if fn is None:
-                raise ScalarizationError("unknown intrinsic %r" % expr.name)
-            return "%s(%s)" % (fn, args)
-        raise ScalarizationError("cannot render %r" % expr)
+        # The NumPy column mirrors the reference evaluation operator for
+        # operator, so slice results match the interpreters.
+        row = expr.row()
+        if row is None:
+            raise ScalarizationError("cannot render %r" % expr)
+        return row.np_text.format(
+            *[self._vexpr(arg, ctx) for arg in expr.children()]
+        )
 
 
 def render_numpy(program: ScalarProgram) -> str:

@@ -25,7 +25,8 @@ from typing import Dict, List, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.region import Region
-from repro.scalarize.emit_common import PY_INTRINSICS, halo_planes
+from repro.lang import operators
+from repro.scalarize.emit_common import halo_planes
 from repro.scalarize.loopnest import (
     LoopNest,
     SBoundary,
@@ -165,12 +166,10 @@ class PyGenerator:
         for stmt in nest.body:
             value = self._expr(stmt.rhs)
             if stmt.reduce_op is not None:
+                fold = operators.REDUCTIONS[stmt.reduce_op].py_step
                 self._emit(
                     "%s = %s"
-                    % (
-                        stmt.scalar_target,
-                        self._fold(stmt.reduce_op, stmt.scalar_target, value),
-                    ),
+                    % (stmt.scalar_target, fold.format(stmt.scalar_target, value)),
                     inner,
                 )
             elif stmt.is_contracted:
@@ -201,16 +200,6 @@ class PyGenerator:
             str(source) if d == dim else ":" for d in range(rank)
         )
         self._emit("%s[%s] = %s[%s]" % (array, dest_idx, array, src_idx), depth)
-
-    @staticmethod
-    def _fold(op: str, accumulator: str, value: str) -> str:
-        if op == "+":
-            return "%s + %s" % (accumulator, value)
-        if op == "*":
-            return "%s * %s" % (accumulator, value)
-        if op in ("max", "min"):
-            return "%s(%s, %s)" % (op, accumulator, value)
-        raise ScalarizationError("unknown reduction operator %r" % op)
 
     # ------------------------------------------------------------------
 
@@ -246,31 +235,10 @@ class PyGenerator:
             return loop_variable(expr.dim)
         if isinstance(expr, ir.ArrayRef):
             return self._element(expr.name, expr.offset)
-        if isinstance(expr, ir.BinOp):
-            op = {"=": "==", "^": "**"}.get(expr.op, expr.op)
-            return "(%s %s %s)" % (self._expr(expr.left), op, self._expr(expr.right))
-        if isinstance(expr, ir.UnOp):
-            if expr.op == "not":
-                return "(not %s)" % self._expr(expr.operand)
-            return "(%s%s)" % (expr.op, self._expr(expr.operand))
-        if isinstance(expr, ir.Call):
-            if expr.name == "mod":
-                # Floored modulo, matching the interpreter's np.mod (the
-                # sign follows the divisor; math.fmod follows the dividend).
-                left, right = expr.args
-                return "(%s %% %s)" % (self._expr(left), self._expr(right))
-            fn = PY_INTRINSICS.get(expr.name)
-            if fn is None:
-                if expr.name == "sign":
-                    (arg,) = expr.args
-                    text = self._expr(arg)
-                    return "(0.0 if %s == 0 else math.copysign(1.0, %s))" % (
-                        text,
-                        text,
-                    )
-                raise ScalarizationError("unknown intrinsic %r" % expr.name)
-            return "%s(%s)" % (fn, ", ".join(self._expr(a) for a in expr.args))
-        raise ScalarizationError("cannot render %r" % expr)
+        row = expr.row()
+        if row is None:
+            raise ScalarizationError("cannot render %r" % expr)
+        return row.py_text.format(*[self._expr(arg) for arg in expr.children()])
 
 
 def render_python(program: ScalarProgram) -> str:

@@ -2,16 +2,17 @@
 
 Both back ends — the element-loop emitter (:mod:`codegen_py`) and the
 whole-region slice emitter (:mod:`codegen_np`) — agree on dtype mapping,
-scalar initialization, intrinsic spelling, the halo-plane order of boundary
-fills and the slice/offset translation that turns a region bound plus a
-constant reference offset into a storage index.  This module centralizes
-those rules so the two emitters cannot drift apart, and so they match the
-interpreters in :mod:`repro.interp`.
+scalar initialization, the halo-plane order of boundary fills and the
+slice/offset translation that turns a region bound plus a constant
+reference offset into a storage index.  This module centralizes those
+rules so the two emitters cannot drift apart, and so they match the
+interpreters in :mod:`repro.interp`.  What an operator means and how each
+emitter spells it is not here: that is :mod:`repro.lang.operators`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,102 +30,6 @@ NP_DTYPES = {kind: np.dtype(name) for kind, name in DTYPES.items()}
 
 #: Element-kind -> the value a declared scalar starts at.
 SCALAR_INIT = {"float": 0.0, "integer": 0, "boolean": False}
-
-#: Scalar-context intrinsic spelling (element loops; ``mod`` is rendered
-#: inline as floored ``%`` to match ``np.mod``, see ``codegen_py._expr``).
-PY_INTRINSICS = {
-    "sqrt": "math.sqrt",
-    "exp": "math.exp",
-    "log": "math.log",
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tan": "math.tan",
-    "atan": "math.atan",
-    "abs": "abs",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "min": "min",
-    "max": "max",
-    "pow": "math.pow",
-}
-
-#: Vector-context intrinsic spelling (whole-slice operations; mirrors
-#: ``repro.interp.evalexpr._INTRINSICS`` so codegen_np matches the
-#: interpreters element for element).
-NP_INTRINSICS = {
-    "sqrt": "np.sqrt",
-    "exp": "np.exp",
-    "log": "np.log",
-    "sin": "np.sin",
-    "cos": "np.cos",
-    "tan": "np.tan",
-    "atan": "np.arctan",
-    "abs": "np.abs",
-    "min": "np.minimum",
-    "max": "np.maximum",
-    "pow": "np.power",
-    "mod": "np.mod",
-    "sign": "np.sign",
-}
-
-_KIND_RANK = {"boolean": 0, "integer": 1, "float": 2}
-
-
-def join_kinds(left: str, right: str) -> str:
-    """The wider of two element kinds (numpy promotion order)."""
-    return left if _KIND_RANK[left] >= _KIND_RANK[right] else right
-
-
-def infer_expr_kind(
-    expr: ir.IRExpr,
-    array_kinds: Mapping[str, str],
-    scalar_kinds: Mapping[str, str],
-) -> str:
-    """Infer the element kind an IR expression evaluates to.
-
-    Mirrors the numpy promotion the interpreters perform, so reduction
-    accumulators can be initialized with the kind the reduction will
-    actually produce (not the declared kind of wherever the value lands).
-    """
-    if isinstance(expr, ir.Const):
-        if isinstance(expr.value, bool):
-            return "boolean"
-        if isinstance(expr.value, int):
-            return "integer"
-        return "float"
-    if isinstance(expr, ir.ScalarRef):
-        return scalar_kinds.get(expr.name, "float")
-    if isinstance(expr, ir.ArrayRef):
-        return array_kinds.get(expr.name, "float")
-    if isinstance(expr, ir.IndexRef):
-        return "integer"
-    if isinstance(expr, ir.BinOp):
-        if expr.op in ("/", "^"):
-            return "float"
-        if expr.op in ("<", "<=", ">", ">=", "=", "!=", "and", "or"):
-            return "boolean"
-        return join_kinds(
-            infer_expr_kind(expr.left, array_kinds, scalar_kinds),
-            infer_expr_kind(expr.right, array_kinds, scalar_kinds),
-        )
-    if isinstance(expr, ir.UnOp):
-        if expr.op == "not":
-            return "boolean"
-        return infer_expr_kind(expr.operand, array_kinds, scalar_kinds)
-    if isinstance(expr, ir.Call):
-        if expr.name in ("floor", "ceil"):
-            return "integer"
-        if expr.name in ("abs", "min", "max", "mod", "sign"):
-            kind = "boolean"
-            for arg in expr.args:
-                kind = join_kinds(
-                    kind, infer_expr_kind(arg, array_kinds, scalar_kinds)
-                )
-            return kind
-        return "float"
-    if isinstance(expr, ir.Reduce):
-        return infer_expr_kind(expr.operand, array_kinds, scalar_kinds)
-    return "float"
 
 
 def frac_operand(expr: ir.IRExpr) -> Optional[ir.IRExpr]:

@@ -47,6 +47,7 @@ from typing import (
 from repro.ir.expr import ArrayRef, IRExpr
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
+from repro.lang import operators
 from repro.util.vectors import IntVector
 
 
@@ -90,6 +91,8 @@ class ElemAssign(SNode):
             raise ValueError("exactly one of target/scalar_target required")
         if reduce_op is not None and scalar_target is None:
             raise ValueError("reductions accumulate into a scalar target")
+        if reduce_op is not None and reduce_op not in operators.REDUCTIONS:
+            raise ValueError("unknown reduction operator %r" % reduce_op)
         self.target = target
         self.scalar_target = scalar_target
         self.rhs = rhs

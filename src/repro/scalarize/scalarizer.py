@@ -15,8 +15,6 @@ from repro.fusion.pipeline import Level, ProgramPlan, plan_program
 from repro.ir import expr as ir
 from repro.ir.program import IRProgram
 from repro.ir.region import Region
-import math
-
 from repro.ir.statement import (
     ArrayStatement,
     BoundaryStatement,
@@ -28,7 +26,7 @@ from repro.ir.statement import (
     WhileStatement,
     basic_blocks,
 )
-from repro.scalarize.emit_common import infer_expr_kind
+from repro.lang import operators
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -49,35 +47,6 @@ def contraction_scalar(array: str) -> str:
     return array + "__s"
 
 
-def _reduction_init(op: str, kind: str = "float") -> ir.Const:
-    """The identity element a fused reduction's scalar starts from.
-
-    The identity must match the kind of the reduced values: a float
-    identity (``0.0``) silently promotes an integer reduction to float,
-    diverging from the reference semantics (``np.sum`` over an int array
-    is an ``np.int64``).
-    """
-    if kind in ("integer", "boolean"):
-        if op == "+":
-            return ir.Const(0)
-        if op == "*":
-            return ir.Const(1)
-        if op == "max":
-            return ir.Const(-(2 ** 63))
-        if op == "min":
-            return ir.Const(2 ** 63 - 1)
-    else:
-        if op == "+":
-            return ir.Const(0.0)
-        if op == "*":
-            return ir.Const(1.0)
-        if op == "max":
-            return ir.Const(-math.inf)
-        if op == "min":
-            return ir.Const(math.inf)
-    raise ScalarizationError("unknown reduction operator %r" % op)
-
-
 class Scalarizer:
     """Lower an :class:`IRProgram` under a :class:`ProgramPlan`."""
 
@@ -95,7 +64,7 @@ class Scalarizer:
         }
 
     def _expr_kind(self, expr: ir.IRExpr) -> str:
-        return infer_expr_kind(expr, self._array_kinds, self._scalars)
+        return ir.kind_of(expr, self._array_kinds, self._scalars)
 
     def run(self) -> ScalarProgram:
         for (_uid, array), scalar in sorted(self._range_scalars.items()):
@@ -181,7 +150,9 @@ class Scalarizer:
         )
         structure = tuple(range(1, node.region.rank + 1))
         return [
-            ScalarAssign(target, _reduction_init(node.op, kind)),
+            ScalarAssign(
+                target, ir.Const(operators.REDUCTIONS[node.op].identity_of(kind))
+            ),
             LoopNest(node.region, structure, [step], carried_depth=0),
         ]
 
@@ -224,10 +195,9 @@ class Scalarizer:
             for stmt in members:
                 if isinstance(stmt, ReductionStatement):
                     kind = self._expr_kind(self._rewrite_stmt(stmt))
+                    identity = operators.REDUCTIONS[stmt.op].identity_of(kind)
                     nests.append(
-                        ScalarAssign(
-                            stmt.scalar_target, _reduction_init(stmt.op, kind)
-                        )
+                        ScalarAssign(stmt.scalar_target, ir.Const(identity))
                     )
             body: List[ElemAssign] = []
             for stmt in members:

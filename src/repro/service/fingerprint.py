@@ -44,7 +44,7 @@ from repro.util.errors import ReproError
 
 #: Stamped into every digest and artifact; bump on any change to the
 #: compiler, the generated code, or the artifact layout.
-CODE_VERSION = "repro-%s/artifact-5" % __version__
+CODE_VERSION = "repro-%s/artifact-6" % __version__
 
 
 # -- canonical encodings ----------------------------------------------------

@@ -50,6 +50,16 @@ def render_table(
     return "\n".join(lines)
 
 
+def markdown_table(
+    headers: Sequence[str], rows: Iterable[Sequence[str]]
+) -> str:
+    """A GitHub-flavoured markdown table (the generated reference tables
+    in ``docs/``: cells are already strings)."""
+    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    return "\n".join(lines)
+
+
 def percent(before: float, after: float) -> float:
     """Percent change from ``before`` to ``after``: 100 * (after-before)/before."""
     if before == 0:

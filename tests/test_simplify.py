@@ -160,9 +160,10 @@ class TestIntCallFolds:
         assert lo.value == 2 and isinstance(lo.value, int)
         assert hi.value == 5 and isinstance(hi.value, int)
 
-    def test_pow_int_stays_int(self):
+    def test_pow_of_ints_is_float(self):
+        # ``pow`` has one kind, the one sema declares: float, as ``^``.
         folded = simplify_expr(Call("pow", (Const(2), Const(3))))
-        assert folded.value == 8 and isinstance(folded.value, int)
+        assert folded.value == 8.0 and isinstance(folded.value, float)
 
     def test_pow_negative_exponent_goes_float(self):
         folded = simplify_expr(Call("pow", (Const(2), Const(-1))))

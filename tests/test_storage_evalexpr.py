@@ -3,18 +3,48 @@
 import numpy as np
 import pytest
 
-from repro.interp.evalexpr import (
-    accumulate,
-    apply_binop,
-    apply_intrinsic,
-    apply_unop,
-    eval_point,
-    eval_scalar,
-    reduce_values,
-)
+from repro.interp.evalexpr import eval_point, eval_region, eval_scalar
 from repro.interp.storage import Storage
-from repro.ir import ArrayRef, BinOp, Call, Const, IndexRef, Region, ScalarRef, UnOp
+from repro.ir import (
+    ArrayRef,
+    BinOp,
+    Call,
+    Const,
+    IndexRef,
+    Reduce,
+    Region,
+    ScalarRef,
+    UnOp,
+)
+from repro.lang.operators import REDUCTIONS
 from repro.util.errors import InterpError
+
+
+def _operand(value):
+    """A leaf holding ``value``: a constant, or (arrays) a scalar-env entry."""
+    if isinstance(value, np.ndarray):
+        return ScalarRef("v%d" % id(value)), {"v%d" % id(value): value}
+    return Const(value), {}
+
+
+def apply_binop(op, left, right):
+    """``left op right`` through the evaluator (the old helper's inputs)."""
+    (lnode, lenv), (rnode, renv) = _operand(left), _operand(right)
+    return eval_scalar(BinOp(op, lnode, rnode), {**lenv, **renv})
+
+
+def apply_unop(op, operand):
+    node, env = _operand(operand)
+    return eval_scalar(UnOp(op, node), env)
+
+
+def apply_intrinsic(name, args):
+    nodes, env = [], {}
+    for arg in args:
+        node, arg_env = _operand(arg)
+        nodes.append(node)
+        env.update(arg_env)
+    return eval_scalar(Call(name, nodes), env)
 
 
 class TestStorage:
@@ -149,22 +179,45 @@ class TestIntrinsics:
 class TestReductions:
     def test_reduce_values(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert reduce_values("+", values) == 10.0
-        assert reduce_values("*", values) == 24.0
-        assert reduce_values("max", values) == 4.0
-        assert reduce_values("min", values) == 1.0
+        assert REDUCTIONS["+"].np(values) == 10.0
+        assert REDUCTIONS["*"].np(values) == 24.0
+        assert REDUCTIONS["max"].np(values) == 4.0
+        assert REDUCTIONS["min"].np(values) == 1.0
 
     def test_unknown_reducer(self):
+        from repro.interp import run_reference
+        from repro.ir import ReductionStatement, normalize_source
+        from repro.scalarize.loopnest import ElemAssign
+
+        program = normalize_source(
+            "program p; config n : integer = 2; region R = [1..n]; "
+            "var A : [R] float; var s : float; "
+            "procedure main(); begin s := +<< [R] A; end;"
+        )
+        (fold,) = [
+            stmt for stmt in program.body if isinstance(stmt, ReductionStatement)
+        ]
+        fold.op = "xor"
         with pytest.raises(InterpError):
-            reduce_values("xor", np.array([1.0]))
+            run_reference(program)
+        # The scalarized form cannot even hold one.
+        with pytest.raises(ValueError):
+            ElemAssign(None, "s", Const(1.0), reduce_op="-")
 
     def test_accumulate(self):
-        assert accumulate("+", 1.0, 2.0) == 3.0
-        assert accumulate("*", 2.0, 3.0) == 6.0
-        assert accumulate("max", 1.0, 5.0) == 5.0
-        assert accumulate("min", 1.0, 5.0) == 1.0
-        with pytest.raises(InterpError):
-            accumulate("-", 1.0, 2.0)
+        assert REDUCTIONS["+"].step(1.0, 2.0) == 3.0
+        assert REDUCTIONS["*"].step(2.0, 3.0) == 6.0
+        assert REDUCTIONS["max"].step(1.0, 5.0) == 5.0
+        assert REDUCTIONS["min"].step(1.0, 5.0) == 1.0
+
+    def test_nested_reduce_is_one_error_in_both_modes(self):
+        nested = BinOp("+", Const(1.0), Reduce("+", None, Const(2.0)))
+        with pytest.raises(InterpError) as point:
+            eval_point(nested, {}, lambda name, offset: 0.0, (1,))
+        with pytest.raises(InterpError) as region:
+            eval_region(nested, {}, lambda name, offset: 0.0, lambda dim: 0)
+        assert str(point.value) == str(region.value)
+        assert "nested reduction" in str(point.value)
 
 
 class TestEvalPoint:
