@@ -77,7 +77,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.scalarize.codegen_c import render_c_module
+from repro.scalarize.codegen_c import c_abi, render_c_module
 from repro.scalarize.codegen_np import render_numpy
 from repro.scalarize.codegen_py import render_python
 from repro.scalarize.emit_common import (
@@ -104,8 +104,9 @@ class Artifacts(NamedTuple):
     """What a loader may reuse across processes, handed in by the caller.
 
     Every ``Backend.load`` accepts one.  ``c`` consults the
-    content-addressed ``.so`` tier of ``cache`` (keyed from the payload
-    ``digest``); ``metrics`` counts compiler invocations and, on every
+    content-addressed ``.so`` tier of ``cache`` (keyed by its C text, so
+    shared by every ``digest`` that renders it); ``metrics`` counts
+    compiler invocations and, on every
     run of the loaded program, the bytes its state cost
     (``exec.bytes_zeroed`` / ``exec.bytes_copied``); ``timers`` (anything
     with ``.time(name)``; default ``metrics``) times the compiler.
@@ -239,7 +240,7 @@ def _c_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
     return functools.partial(
         native.call_kernel,
         native.kernel_for_source(code, artifacts=artifacts),
-        program.layout,
+        c_abi(program),
     )
 
 

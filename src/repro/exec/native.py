@@ -26,9 +26,11 @@ Pieces:
   each is the buffer its slot describes, passing scalars in and out
   through one-element buffers.
 * :func:`kernel_for_source` — the one ladder from a rendered
-  translation unit to a loaded kernel: per-process memo (by source
-  hash), then the service layer's content-addressed ``.so`` artifacts
-  when the caller hands them in, then the host compiler.
+  translation unit to a loaded kernel: per-process memo, then the
+  service layer's content-addressed ``.so`` artifacts when the caller
+  hands them in, then the host compiler — every rung keyed by the
+  *text*, which carries no sizes, so one program at any number of sizes
+  is one compiler run and one ``dlopen``.
 """
 
 from __future__ import annotations
@@ -225,18 +227,35 @@ def call_kernel(
 ) -> Dict[str, object]:
     """Run ``kernel`` in place on ``arrays``; returns the final scalars.
 
-    ``abi`` is the program's storage layout (:func:`c_abi`), the order of
-    the buffer vector.  The compiled code indexes each array by the
-    slot's constant extents and writes in place, so a buffer of another
-    dtype or shape, or one that is not C-contiguous and writable, is
-    refused with a :class:`ReproError` rather than handed over as a
-    pointer.  Every scalar travels in a one-element buffer holding its
-    starting value, which the kernel overwrites on return.
+    ``abi`` is :func:`c_abi` of the program: its storage layout, the
+    order of the buffer vector, then the size vector.  The compiled code
+    indexes each array by the extents the size vector carries and writes
+    in place, so a buffer of another dtype or shape, or one that is not
+    C-contiguous and writable, is refused with a :class:`ReproError`
+    rather than handed over as a pointer — and so is a size vector whose
+    extents are not those of the buffers just checked.  Every scalar
+    travels in a one-element buffer holding its starting value, which
+    the kernel overwrites on return.
     """
+    if not abi or abi[-1].role != "sizes":
+        raise ReproError(
+            "the c kernel needs c_abi(program): the layout alone lacks the "
+            "size vector its text reads"
+        )
     buffers: List[np.ndarray] = []
     for entry in abi:
         dtype = NP_DTYPES[entry.kind]
-        if entry.role == "array":
+        if entry.role == "sizes":
+            for k, name, dim in entry.extents:
+                if entry.values[k] != arrays[name].shape[dim]:
+                    raise ReproError(
+                        "the c kernel's size vector says %r has extent %d "
+                        "along dimension %d, the buffer has %d"
+                        % (name, entry.values[k], dim + 1,
+                           arrays[name].shape[dim])
+                    )
+            buf = np.array(entry.values or (0,), dtype=dtype)
+        elif entry.role == "array":
             buf = arrays[entry.name]
             flags = buf.flags
             if (
@@ -267,19 +286,19 @@ def call_kernel(
 def run_kernel(
     kernel: NativeKernel, abi: Sequence[AbiEntry], inputs=None, scalars=None
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """One call from scratch: build the state ``abi`` describes, seeded
-    from ``inputs`` / ``scalars``, and run on it.  Returns (arrays, final
-    scalars)."""
-    arrays, start = build_state(abi, inputs, scalars)
+    """One call from scratch: build the state ``abi`` describes (all of
+    it but the final size entry is storage), seeded from ``inputs`` /
+    ``scalars``, and run on it.  Returns (arrays, final scalars)."""
+    arrays, start = build_state(abi[:-1], inputs, scalars)
     return arrays, call_kernel(kernel, abi, arrays, start)
 
 
 # -- the kernel ladder ---------------------------------------------------------
 
-#: Per-process JIT memo: (compiler, source hash) -> loaded kernel.  The
-#: differential fuzz corpus compiles thousands of small programs; this
-#: dedupes repeats within a process.
-_kernel_memo: Dict[Tuple[str, str], NativeKernel] = {}
+#: Per-process JIT memo: native key -> loaded kernel.  The differential
+#: fuzz corpus compiles thousands of small programs, and every size of one
+#: program renders one text; this dedupes both within a process.
+_kernel_memo: Dict[str, NativeKernel] = {}
 
 
 def kernel_for_source(
@@ -287,14 +306,22 @@ def kernel_for_source(
 ) -> NativeKernel:
     """The loaded kernel for one rendered translation unit.
 
-    Resolution order: the per-process memo, the content-addressed ``.so``
-    tier of ``artifacts.cache`` (a :class:`repro.exec.Artifacts`; a warm
-    serve in a fresh process performs *zero* compiler invocations), and
-    only then the host ``cc`` — with the shared object stored back for
-    the next process.  A persistent cache's own file is what gets
-    dlopened; the ``repro-native-*`` scratch directory is used only
-    without one.  Machines without a compiler raise
-    :class:`BackendUnavailableError`.
+    Every rung is keyed by the *text*
+    (:func:`repro.service.fingerprint.native_digest` over the source
+    hash, the compiler and the flags), not by the artifact it came from,
+    so any two artifacts that render equal text — one program at other
+    sizes, in other cache entries — share one compiler run and one
+    ``dlopen``.  Resolution order: the per-process memo, the
+    content-addressed ``.so`` tier of ``artifacts.cache`` (a
+    :class:`repro.exec.Artifacts`; a warm serve in a fresh process
+    performs *zero* compiler invocations), and only then the host ``cc``
+    — one process at a time per key (``cache.build_lock``), with the
+    shared object stored back for the next process.  A memo hit leaves
+    the object in the caller's persistent cache too (a file copy), so
+    that cache serves a later process whichever rung served this one.  A
+    persistent cache's own file is what gets dlopened; the
+    ``repro-native-*`` scratch directory is used only without one.
+    Machines without a compiler raise :class:`BackendUnavailableError`.
     """
     cc = cc or find_cc()
     if cc is None:
@@ -302,34 +329,48 @@ def kernel_for_source(
             "the c backend needs a host C compiler "
             "(cc, gcc or clang on PATH, or REPRO_CC=/path/to/cc)"
         )
-    key = (cc, hashlib.sha256(source.encode("utf-8")).hexdigest())
+    from repro.service import fingerprint
+
+    cache = artifacts.cache if artifacts is not None else None
+    key = fingerprint.native_digest(
+        hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        compiler_identity(cc),
+        DEFAULT_CFLAGS,
+        code_version=cache.code_version if cache is not None else None,
+    )
     kernel = _kernel_memo.get(key)
+    if kernel is not None and cache is not None and cache.persistent:
+        # Loaded from another cache (or from none): leave a copy in this
+        # one, unless it holds the object already.
+        elsewhere = os.path.dirname(os.path.dirname(kernel.path)) != cache.root
+        if elsewhere and cache.get_native(key) is None:
+            try:
+                with open(kernel.path, "rb") as handle:
+                    cache.put_native(key, handle.read())
+            except OSError:
+                kernel = None  # its file is gone: build again
     if kernel is None:
-        kernel = _kernel_memo[key] = _build_kernel(source, cc, artifacts)
+        kernel = _kernel_memo[key] = _build_kernel(source, cc, key, artifacts)
     return kernel
 
 
-def _build_kernel(source: str, cc: str, artifacts) -> NativeKernel:
-    native_key = None
-    timed = contextlib.nullcontext()
-    if artifacts is not None:
-        from repro.service import fingerprint
-
-        native_key = fingerprint.native_digest(
-            artifacts.digest,
-            compiler_identity(cc),
-            DEFAULT_CFLAGS,
-            code_version=artifacts.cache.code_version,
-        )
-        so_path = artifacts.cache.get_native(native_key)
-        if so_path is not None:
-            return NativeKernel(so_path)
-        timed = (artifacts.timers or artifacts.metrics).time("compile.cc")
-    with timed:
-        so_bytes = compile_shared(source, cc)
-    if artifacts is not None:
-        artifacts.metrics.incr("native.cc_invocations")
-        so_path = artifacts.cache.put_native(native_key, so_bytes)
-        if so_path is not None:
-            return NativeKernel(so_path)
-    return load_kernel(so_bytes)
+def _build_kernel(source: str, cc: str, key: str, artifacts) -> NativeKernel:
+    cache = artifacts.cache if artifacts is not None else None
+    so_path = cache.get_native(key) if cache is not None else None
+    with contextlib.ExitStack() as held:
+        if cache is not None and so_path is None:
+            # Single flight per key, across processes and across digests
+            # (always taken inside a digest's lock, never around one):
+            # whoever waited here finds the object the holder published.
+            held.enter_context(cache.build_lock(key))
+            so_path = cache.get_native(key)
+        if so_path is None:
+            if artifacts is not None:
+                held.enter_context(
+                    (artifacts.timers or artifacts.metrics).time("compile.cc")
+                )
+            so_bytes = compile_shared(source, cc)
+            if artifacts is not None:
+                artifacts.metrics.incr("native.cc_invocations")
+                so_path = cache.put_native(key, so_bytes)
+    return NativeKernel(so_path) if so_path is not None else load_kernel(so_bytes)

@@ -94,8 +94,10 @@ SPANS: List[SpanDef] = [
         (),
         "exec.native.kernel_for_source",
         "One host C-compiler invocation turning the rendered translation "
-        "unit into a shared object; build-path (cache-miss) only — warm "
-        "serves load the content-addressed .so without this span.",
+        "unit into a shared object; build-path (cache-miss) only, and "
+        "only for a text no earlier build compiled — warm serves and "
+        "other sizes of a program load the content-addressed .so without "
+        "this span.",
     ),
     SpanDef(
         "trace.record",
@@ -189,8 +191,10 @@ COUNTERS: List[CounterDef] = [
     ),
     CounterDef(
         "native.cc_invocations",
-        "Host C-compiler runs performed (cold c-backend compiles only; "
-        "zero on a warm serve).",
+        "Host C-compiler runs performed: one per distinct C text, which "
+        "carries no sizes, so one per program however many sizes of it "
+        "are compiled (service.compiles counts those); zero on a warm "
+        "serve.",
     ),
     CounterDef("service.compiles", "Cold compiles (misses that ran the pipeline)."),
     CounterDef("service.batches", "submit_many invocations."),

@@ -16,6 +16,19 @@ reductions as fold statements inside those nests.  It renders in two modes:
   entry point returns 0; no emitted path returns anything else today, and
   the runner treats any other value as a failed run.
 
+The module text is **size-free**.  Every integer the emitter writes at a
+*size site* — an array's row extents, a constant loop bound, the value of
+a config a region names, an integer constant in a serial loop's bounds, a
+boundary fill's plane indices and extents — goes through one hook
+(:meth:`CGenerator._size`) that writes ``_p<k>`` and appends the value to
+the program's *size vector*, which travels as one more buffer at the end
+of the vector (:class:`SizeEntry`).  The inspection mode spells the same
+hook as the literal, so there is one walk.  Two programs that differ only
+in sizes therefore render the same text and share one compiled object
+(:func:`repro.exec.native.kernel_for_source`); a program that uses a size
+anywhere else — a config in arithmetic, a plan that differs at a
+degenerate size — renders different text and gets its own.
+
 Emission is kind-typed end to end: ``double`` / ``int64_t`` /
 ``unsigned char`` storage matching ``emit_common.DTYPES``, accumulators
 typed like the scalar they fold into (their identities arrive as ordinary
@@ -28,7 +41,7 @@ required to be *bit-identical* to :mod:`codegen_py` (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -115,18 +128,46 @@ _HELPERS = {
 AbiEntry = Slot
 
 
+class SizeEntry(NamedTuple):
+    """The final ABI entry: the program's size vector.
+
+    Named like a :class:`Slot` (``role`` is ``"sizes"``, so code that
+    filters a layout by role passes it by) plus what the runner needs:
+    ``values[k]`` is what the module text calls ``_p<k>``, and
+    ``extents`` lists every ``(k, array, dim)`` whose value is the extent
+    of ``array`` along 0-based ``dim`` — the row-pointer casts, which the
+    runner checks against the buffers it is about to hand over.  A
+    program with no size site has an empty vector; the runner still hands
+    over one element, never a zero-length buffer.
+    """
+
+    name: str
+    role: str
+    kind: str
+    values: Tuple[int, ...]
+    extents: Tuple[Tuple[int, str, int], ...]
+
+
 def c_abi(program: ScalarProgram) -> List[Slot]:
     """The buffer order of the compiled entry point, as data.
 
-    It is the program's storage layout (:attr:`ScalarProgram.layout`):
-    the emitter (:func:`render_c_module`) and the runner
-    (:mod:`repro.exec.native`) both read it, so they cannot drift —
-    arrays in sorted name order, then scalars in sorted name order.
-    Scalars travel as one-element buffers, read on entry (their starting
-    values, a program's ``scalar_inputs`` among them) and written back
-    on return.
+    It is the program's storage layout (:attr:`ScalarProgram.layout`)
+    followed by one :class:`SizeEntry`: the emitter
+    (:func:`render_c_module`) and the runner (:mod:`repro.exec.native`)
+    both read it, so they cannot drift — arrays in sorted name order,
+    then scalars in sorted name order, then the size vector.  Scalars
+    travel as one-element buffers, read on entry (their starting values,
+    a program's ``scalar_inputs`` among them) and written back on return;
+    the size vector is read only.
+
+    The size vector is a product of the emitter's walk, which keeps it on
+    the program beside ``layout`` (and so inside a pickled artifact): a
+    program that was rendered before, in this process or the one that
+    built its artifact, is not rendered again here.
     """
-    return list(program.layout)
+    if program.c_sizes is None:
+        CGenerator(program, module=True).render()
+    return [*program.layout, program.c_sizes]
 
 
 class CGenerator:
@@ -143,12 +184,23 @@ class CGenerator:
             name: kind for name, (_r, kind) in program.array_allocs.items()
         }
         self._env = int_config_env(program.configs)
+        self._sizes: List[int] = []
+        self._extents: List[Tuple[int, str, int]] = []
 
     def render(self) -> str:
         self._lines = []
         self._helpers = set()
+        self._sizes = []
+        self._extents = []
         if self._module:
             self._render_module()
+            self._program.c_sizes = SizeEntry(
+                "_sizes",
+                "sizes",
+                "integer",
+                tuple(self._sizes),
+                tuple(self._extents),
+            )
         else:
             self._render_inspection()
         header = [
@@ -171,11 +223,31 @@ class CGenerator:
         self._emit_body(self._program.body, 1)
         self._emit("}")
 
+    def _size(self, value: int, extent: Optional[Tuple[str, int]] = None) -> str:
+        """The spelling of one integer at a size site.
+
+        The module text names it ``_p<k>`` and the value joins the size
+        vector (``extent`` = (array, dim) when it is that array's extent
+        along that dimension); the inspection text, whose static arrays
+        cannot be variably sized, spells the literal.
+        """
+        if not self._module:
+            return "%d" % value
+        k = len(self._sizes)
+        self._sizes.append(value)
+        if extent is not None:
+            self._extents.append((k, *extent))
+        return "_p%d" % k
+
     def _render_module(self) -> None:
-        abi = c_abi(self._program)
+        abi = self._program.layout
         self._emit("int repro_run(void **_bufs) {")
+        top = len(self._lines)
         for name in sorted(self._region_free_config_names()):
-            self._emit("const int64_t %s = %d;" % (name, self._env[name]), 1)
+            self._emit(
+                "const int64_t %s = %s;" % (name, self._size(self._env[name])),
+                1,
+            )
         for slot, entry in enumerate(abi):
             if entry.role != "array":
                 continue
@@ -203,16 +275,28 @@ class CGenerator:
             )
         self._emit("return 0;", 1)
         self._emit("}")
+        # The walk above found the size sites; their loads go first.
+        if self._sizes:
+            loads = ["const int64_t *_sizes = (const int64_t *) _bufs[%d];" % len(abi)]
+            loads.extend(
+                "const int64_t _p%d = _sizes[%d];" % (k, k)
+                for k in range(len(self._sizes))
+            )
+            self._lines[top:top] = ["    " + line for line in loads]
 
-    @staticmethod
-    def _buffer_cast(entry: AbiEntry, slot: int) -> str:
+    def _buffer_cast(self, entry: AbiEntry, slot: int) -> str:
         """Zero-copy pointer-to-array cast for one buffer slot.
 
-        Extents are compile-time constants, so multi-dimensional arrays
-        cast to pointer-to-row types and index with plain ``A[i][j]``.
+        Multi-dimensional arrays cast to pointer-to-row types (C99
+        variably modified: the row extents are sizes) and index with
+        plain ``A[i][j]``.
         """
         ctype = _C_TYPES[entry.kind]
-        tail = "".join("[%d]" % e for e in entry.shape[1:])
+        tail = "".join(
+            "[%s]" % self._size(extent, (entry.name, dim))
+            for dim, extent in enumerate(entry.shape)
+            if dim
+        )
         if tail:
             return "%s (*%s)%s = (%s (*)%s) _bufs[%d];" % (
                 ctype,
@@ -255,7 +339,10 @@ class CGenerator:
 
     def _emit_declarations(self) -> None:
         for name in sorted(self._region_free_config_names()):
-            self._emit("static const int64_t %s = %d;" % (name, self._env[name]))
+            self._emit(
+                "static const int64_t %s = %s;"
+                % (name, self._size(self._env[name]))
+            )
         for slot in self._program.layout:
             dims = "".join("[%d]" % extent for extent in slot.shape)
             self._emit("static %s %s%s;" % (_C_TYPES[slot.kind], slot.name, dims))
@@ -303,17 +390,17 @@ class CGenerator:
             if signed_dim > 0:
                 header = "for (%s = %s; %s <= %s; %s++) {" % (
                     var,
-                    self._linexpr(lo),
+                    self._bound(lo),
                     var,
-                    self._linexpr(hi),
+                    self._bound(hi),
                     var,
                 )
             else:
                 header = "for (%s = %s; %s >= %s; %s--) {" % (
                     var,
-                    self._linexpr(hi),
+                    self._bound(hi),
                     var,
-                    self._linexpr(lo),
+                    self._bound(lo),
                     var,
                 )
             self._emit(header, depth + level)
@@ -344,7 +431,8 @@ class CGenerator:
 
     def _emit_boundary(self, node: SBoundary, depth: int) -> None:
         """Halo fill as element copy loops (bounds are constant or
-        config-dependent; the config environment resolves the latter)."""
+        config-dependent; the config environment resolves the latter).
+        Plane indices and extents are sizes."""
         bounds = node.region.concrete_bounds(self._env)
         region, _kind = self._program.array_allocs[node.array]
         alloc = region.concrete_bounds(self._env)
@@ -358,18 +446,17 @@ class CGenerator:
                 var = loop_variable(d + 1)
                 other_extent = alloc[d][1] - alloc[d][0] + 1
                 self._emit(
-                    "for (%s = 0; %s < %d; %s++) {"
-                    % (var, var, other_extent, var),
+                    "for (%s = 0; %s < %s; %s++) {"
+                    % (var, var, self._size(other_extent), var),
                     inner,
                 )
                 inner += 1
-            dest_idx = "".join(
-                "[%d]" % raw if d == dim else "[%s]" % loop_variable(d + 1)
-                for d in range(rank)
-            )
-            src_idx = "".join(
-                "[%d]" % src if d == dim else "[%s]" % loop_variable(d + 1)
-                for d in range(rank)
+            dest_idx, src_idx = (
+                "".join(
+                    "[%s]" % (plane if d == dim else loop_variable(d + 1))
+                    for d in range(rank)
+                )
+                for plane in (self._size(raw), self._size(src))
             )
             self._emit(
                 "%s%s = %s%s;" % (node.array, dest_idx, node.array, src_idx),
@@ -393,10 +480,12 @@ class CGenerator:
         self._seq_counter += 1
         it = "_seq%d" % self._seq_counter
         cmp_op, step = (">=", "--") if node.downto else ("<=", "++")
-        lo = self._expr(node.lo)
+        lo = self._expr(node.lo, sizes=True)
         inner = depth + 1
         self._emit("{", depth)
-        self._emit("int64_t %s_hi = %s;" % (it, self._expr(node.hi)), inner)
+        self._emit(
+            "int64_t %s_hi = %s;" % (it, self._expr(node.hi, sizes=True)), inner
+        )
         sunk = sinkable(node, self._program.partial, self._env)
         if sunk:
             (nest,) = node.body
@@ -420,7 +509,12 @@ class CGenerator:
 
     # ------------------------------------------------------------------
 
-    def _linexpr(self, expr: LinearExpr) -> str:
+    def _bound(self, expr: LinearExpr) -> str:
+        """A loop-header bound: a constant one is a size, a symbolic one
+        (over a serial loop's variable, a config, a scalar input) is text
+        over names that are already run-time values."""
+        if expr.is_constant:
+            return self._size(expr.const)
         return str(expr).replace(" ", "")
 
     def _element(self, array: str, offset) -> str:
@@ -462,8 +556,13 @@ class CGenerator:
             return "%dLL" % value
         return str(value)
 
-    def _expr(self, expr: ir.IRExpr) -> str:
+    def _expr(self, expr: ir.IRExpr, sizes: bool = False) -> str:
+        """``sizes``: the expression is a serial loop's bound, where an
+        integer constant is a size (normalization substitutes configs by
+        value: ``n - 1`` arrives as ``10 - 1``)."""
         if isinstance(expr, ir.Const):
+            if sizes and type(expr.value) is int:
+                return self._size(expr.value)
             return self._const(expr.value)
         if isinstance(expr, ir.ScalarRef):
             return expr.name
@@ -474,7 +573,7 @@ class CGenerator:
         dividend = frac_operand(expr)
         if dividend is not None:
             self._helpers.add("repro_frac")
-            return "repro_frac(%s)" % self._expr(dividend)
+            return "repro_frac(%s)" % self._expr(dividend, sizes)
         row = expr.row()
         if row is None:
             raise ScalarizationError("cannot render expression %r" % expr)
@@ -486,7 +585,7 @@ class CGenerator:
             ]
         if spelling.helper is not None:
             self._helpers.add(spelling.helper)
-        return spelling.text.format(*[self._expr(a) for a in args])
+        return spelling.text.format(*[self._expr(a, sizes) for a in args])
 
 
 def render_c(program: ScalarProgram) -> str:
@@ -499,6 +598,8 @@ def render_c_module(program: ScalarProgram) -> str:
 
     The unit exposes ``int repro_run(void **bufs)``; buffers arrive in
     :func:`c_abi` order (arrays over their allocation regions, then
-    one-element scalar buffers, both name-sorted) and it returns 0.
+    one-element scalar buffers, both name-sorted, then the size vector)
+    and it returns 0.  The text is size-free: programs that differ only
+    in sizes render the same unit and differ in their size vectors.
     """
     return CGenerator(program, module=True).render()

@@ -636,12 +636,17 @@ class ScalarProgram:
     """A fully scalarized program, ready for execution or code generation.
 
     It is not mutated once built: :attr:`layout` is computed on first use
-    and kept.
+    and kept, and so is :attr:`c_sizes`.
     """
 
     #: Class-level default so programs unpickled from artifacts written
     #: before the attribute existed read as having no scalar inputs.
     scalar_inputs: Tuple[str, ...] = ()
+
+    #: The size vector of the C module text, kept here (beside ``layout``,
+    #: and so inside a pickled artifact) by the emitter's walk that found
+    #: the sites (:func:`repro.scalarize.codegen_c.c_abi`); None until then.
+    c_sizes = None
 
     def __init__(
         self,

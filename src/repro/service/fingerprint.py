@@ -44,7 +44,7 @@ from repro.util.errors import ReproError
 
 #: Stamped into every digest and artifact; bump on any change to the
 #: compiler, the generated code, or the artifact layout.
-CODE_VERSION = "repro-%s/artifact-6" % __version__
+CODE_VERSION = "repro-%s/artifact-7" % __version__
 
 
 # -- canonical encodings ----------------------------------------------------
@@ -262,24 +262,26 @@ def trace_digest(
 
 
 def native_digest(
-    payload_digest: str,
+    source_hash: str,
     compiler: str,
     flags,
     code_version: Optional[str] = None,
 ) -> str:
     """Content digest of a compiled native shared object.
 
-    Extends the artifact ``payload_digest`` (which already covers the
-    program, level, config and backend) with the *compiler identity* and
-    the exact flag vector: upgrading the system compiler or changing
-    ``DEFAULT_CFLAGS`` must re-key every cached ``.so``, because the
-    machine code they would produce differs.  Computed at use time — the
-    compiler is a property of the machine, not of the program.
+    Covers what determines the machine code and nothing else: the
+    SHA-256 of the C *text* (``source_hash``), the *compiler identity*
+    and the exact flag vector — upgrading the system compiler or changing
+    ``DEFAULT_CFLAGS`` must re-key every cached ``.so``.  The text of the
+    ``c`` backend carries no sizes (they travel in the ABI), so the
+    artifacts of one program at every size, in every cache entry, name
+    the same object here: one ``.so`` per text.  Computed at use time —
+    the compiler is a property of the machine, not of the program.
     """
     return _digest_of(
         {
             "kind": "native",
-            "payload": payload_digest,
+            "source": source_hash,
             "compiler": compiler,
             "flags": list(flags),
             "code_version": code_version or CODE_VERSION,

@@ -20,7 +20,12 @@ What is covered here and nowhere else:
   backend from its search space, the CLI marks it unavailable — and
   compilation of the *artifact* still succeeds (the rendered C stays
   inspectable);
-* golden-pinned translation units for every benchsuite program.
+* golden-pinned translation units for every benchsuite program;
+* the sharing property: the module text carries no sizes, so one program
+  at any number of sizes is one text, one compiler run and one ``.so`` —
+  and where a size is more than a size (a config in arithmetic, a plan
+  that differs at a degenerate size) the text differs and nothing is
+  shared.
 
 Bit-level agreement across the whole corpus lives in
 ``test_fuzz_differential.py``; this file owns the plumbing.
@@ -39,13 +44,14 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro import benchsuite  # noqa: E402
 from repro.exec import execute  # noqa: E402
 from repro.exec.native import cc_available, find_cc  # noqa: E402
-from repro.fusion import LEVELS_BY_NAME, plan_program  # noqa: E402
+from repro.fusion import LEVELS_BY_NAME, plan_program, resolve_level  # noqa: E402
 from repro.interp import run_reference  # noqa: E402
 from repro.ir import normalize_source  # noqa: E402
 from repro.scalarize import c_abi, render_c_module, scalarize  # noqa: E402
 from repro.util.errors import (  # noqa: E402
     BackendUnavailableError,
     InputError,
+    ReproError,
 )
 
 needs_cc = pytest.mark.skipif(
@@ -85,10 +91,20 @@ def test_abi_orders_arrays_then_scalars():
     abi = c_abi(sp)
     arrays = [e for e in abi if e.role == "array"]
     scalars = [e for e in abi if e.role == "scalar"]
-    # Arrays sorted by name first, then scalars sorted by name: the
-    # buffer vector's order is part of the ABI and must never depend on
-    # declaration order.
-    assert abi == arrays + scalars
+    # Arrays sorted by name first, then scalars sorted by name, then the
+    # size vector: the buffer vector's order is part of the ABI and must
+    # never depend on declaration order.
+    assert abi[:-1] == arrays + scalars
+    assert abi[:-1] == list(sp.layout)
+    sizes = abi[-1]
+    assert sizes.role == "sizes" and sizes.kind == "integer"
+    # Every row extent of a cast is a named position of the vector.
+    shapes = {e.name: e.shape for e in arrays}
+    assert {(name, dim) for _k, name, dim in sizes.extents} == {
+        (e.name, dim) for e in arrays for dim in range(1, len(e.shape))
+    }
+    for k, name, dim in sizes.extents:
+        assert sizes.values[k] == shapes[name][dim]
     assert [e.name for e in arrays] == sorted(e.name for e in arrays)
     assert [e.name for e in scalars] == sorted(e.name for e in scalars)
     # Shapes are allocation-region shapes (halo included: the stencil on
@@ -112,8 +128,10 @@ def test_module_exposes_repro_run_entry_point():
     _program, sp = compile_at(BASIC_SOURCE)
     code = render_c_module(sp)
     assert "int repro_run(void **_bufs)" in code
-    # Zero-copy: every array buffer is cast to a pointer-to-row type.
-    assert "(double (*)[6]) _bufs[" in code
+    # Zero-copy: every array buffer is cast to a pointer-to-row type
+    # whose extent is a size, never a literal.
+    assert "(double (*)[_p0]) _bufs[" in code
+    assert "(*)[6]" not in code
 
 
 # -- execution and validation ------------------------------------------------
@@ -279,11 +297,12 @@ print(json.dumps({
 """ % BASIC_SOURCE
 
 
-def _serve_in_subprocess(cache_dir, **extra_env):
+def _run_script(script, *args, **extra_env):
+    """The last line a ``python -c script`` child printed, as JSON."""
     env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR)
     proc = subprocess.run(
-        [sys.executable, "-c", _SERVE_SCRIPT, cache_dir],
+        [sys.executable, "-c", script, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -292,6 +311,10 @@ def _serve_in_subprocess(cache_dir, **extra_env):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _serve_in_subprocess(cache_dir, **extra_env):
+    return _run_script(_SERVE_SCRIPT, cache_dir, **extra_env)
 
 
 @needs_cc
@@ -451,16 +474,368 @@ def test_benchsuite_c_runs_bit_identical_to_py(name):
     sp = scalarize(
         program, plan_program(program, LEVELS_BY_NAME["c2+f4+cse"])
     )
+    assert_c_is_py(sp, name)
+
+
+# -- one text, one compiler run, one .so per program ---------------------------
+
+SHARED_SIZES = (8, 16, 40, 100)
+
+
+def compile_sized(source, level, **config):
+    program = normalize_source(source, config)
+    return scalarize(program, plan_program(program, resolve_level(level)))
+
+
+def assert_c_is_py(sp, where):
+    """``c`` against the Python element loops, bit for bit."""
     c = execute(sp, "c")
     py = execute(sp, "codegen_py")
-    for aname, arr in c.arrays.items():
-        assert arr.dtype == py.arrays[aname].dtype, (name, aname)
-        assert np.array_equal(arr, py.arrays[aname], equal_nan=True), (
-            name,
-            aname,
+    for name, arr in c.arrays.items():
+        assert arr.dtype == py.arrays[name].dtype, (where, name)
+        assert np.array_equal(arr, py.arrays[name], equal_nan=True), (where, name)
+    for name, value in c.scalars.items():
+        assert repr(float(value)) == repr(float(py.scalars[name])), (where, name)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty kernel memo: what an earlier test compiled cannot absorb
+    a compiler run this one counts."""
+    from repro.exec import native
+
+    monkeypatch.setattr(native, "_kernel_memo", {})
+    return native._kernel_memo
+
+
+@needs_cc
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_benchsuite_program_is_one_text_and_one_cc_at_every_size(
+    name, tmp_path, fresh_memo
+):
+    from repro.service import Service
+
+    bench = benchsuite.get_benchmark(name)
+    texts, vectors = set(), set()
+    for n in SHARED_SIZES:
+        sp = compile_sized(
+            bench.source, "c2+f4+cse", **dict(bench.test_config, n=n, m=n)
         )
-    for sname, value in c.scalars.items():
-        assert repr(float(value)) == repr(float(py.scalars[sname])), (
-            name,
-            sname,
+        texts.add(render_c_module(sp))
+        vectors.add(c_abi(sp)[-1].values)
+    assert len(texts) == 1
+    assert len(vectors) == len(SHARED_SIZES)
+    svc = Service(cache_dir=str(tmp_path / "cache"), backend="c")
+    digests = set()
+    for n in SHARED_SIZES:
+        compiled = svc.compile(
+            bench.source, level="c2+f4+cse", config=dict(bench.test_config, n=n, m=n)
         )
+        digests.add(compiled.digest)
+        if n <= 16:  # the element loops of the oracle are slow beyond
+            assert_c_is_py(compiled.scalar_program, (name, n))
+        compiled.execute()
+    counters = svc.metrics.snapshot()["counters"]
+    # The pipeline ran per size; the compiler once.
+    assert len(digests) == len(SHARED_SIZES)
+    assert counters["service.compiles"] == len(SHARED_SIZES)
+    assert counters["native.cc_invocations"] == 1
+    assert len(fresh_memo) == 1
+    assert svc.cache.stats()["native_entries"] == 1
+
+
+CONFIG_IN_ARITHMETIC = """program scaled;
+config n : integer = 4;
+region R = [1..n];
+var A : [R] float;
+var s : float;
+begin
+  [R] A := Index1 * 1.0 / n;
+  s := +<< [R] A;
+end;
+"""
+
+
+@needs_cc
+def test_config_in_arithmetic_is_not_a_size(tmp_path, fresh_memo):
+    # Normalization substitutes a config by value wherever it is used;
+    # only region bounds are size sites, so this ``n`` stays in the text
+    # and each binding is its own shared object, as before.
+    from repro.service import Service
+
+    svc = Service(cache_dir=str(tmp_path / "cache"), backend="c")
+    texts = set()
+    for n in (4, 7):
+        compiled = svc.compile(CONFIG_IN_ARITHMETIC, config={"n": n})
+        texts.add(compiled.code)
+        assert "/ %d" % n in compiled.code
+        assert_c_is_py(compiled.scalar_program, n)
+        result = compiled.execute()
+        assert float(result.scalars["s"]) == pytest.approx((n + 1) / 2.0)
+    assert len(texts) == 2
+    counters = svc.metrics.snapshot()["counters"]
+    assert counters["native.cc_invocations"] == 2
+    assert svc.cache.stats()["native_entries"] == 2
+
+
+BOUNDARY_FILLS = """program fills;
+config n : integer = 6;
+region R = [1..n, 1..n];
+var A, B : [R] float;
+var s : float;
+var i : integer;
+begin
+  [R] A := Index1 * 1.0 + Index2 * 0.25;
+  for i := 1 to 2 do
+    [R] wrap A;
+    [R] B := (A@(-1,0) + A@(1,0)) * 0.5;
+    [R] A := B;
+  end;
+  [R] reflect A;
+  s := +<< [R] (A@(0,1) + A);
+end;
+"""
+
+THREE_D = """program cube;
+config n : integer = 4;
+region R = [1..n, 1..n, 1..n];
+region I = [2..n-1, 2..n-1, 2..n-1];
+var A, B : [R] float;
+var s : float;
+begin
+  [R] A := Index1 * 1.5 + Index2 * 0.25 - Index3;
+  [I] B := A@(1,0,0) + A@(0,-1,0) + A@(0,0,1);
+  s := max<< [R] B;
+end;
+"""
+
+CIRCULAR_BUFFER = """program sweep;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var A, W, Z : [R] float;
+var i : integer;
+var s : float;
+begin
+  [R] A := Index1 * 1.0 + Index2 * 0.5;
+  for i := 2 to n do
+    [i, 1..n] W := A * 2.0 + W@(-1,0) * 0.25;
+    [i, 1..n] Z := W + A;
+  end;
+  s := +<< [R] Z;
+end;
+"""
+
+COLUMN_SWEEP = """program colsink;
+config n : integer = 9;
+region R = [1..n, 1..n];
+var T, B : [R] float;
+var j : integer;
+var s : float;
+begin
+  [R] T := (Index1 * -3.7 + Index2 * 1.3) % 1.0;
+  [R] B := Index1 + Index2 * 0.25;
+  for j := 2 to n do
+    [2..n-1, j] T := T@(0,-1) * 0.5 + B@(1,-1);
+  end;
+  for j := n-1 downto 1 do
+    [2..n-1, j] T := (T - B * T@(0,1)) * 0.5;
+  end;
+  s := +<< [R] (T + B);
+end;
+"""
+
+NARROW_REGION = """program narrow;
+config n : integer = 5;
+region R = [1..n, 1..n];
+region I = [3..n-2, 1..n];
+var A, B : [R] float;
+var s, t : float;
+begin
+  [R] A := Index1 * 1.0 + Index2;
+  [I] B := A@(-1,0) + A@(1,0);
+  s := +<< [I] B;
+  t := max<< [R] A;
+end;
+"""
+
+
+def _bench_source(name):
+    return benchsuite.get_benchmark(name).source
+
+
+def _bench_config(name, n):
+    return dict(benchsuite.get_benchmark(name).test_config, n=n, m=n)
+
+
+#: (id, source, level, one config per size, whether the sizes share a text)
+SIZE_FAMILIES = [
+    # [2..n-1] is empty at n = 2 and one wide at n = 3: the plan may
+    # differ there (its own text), the answer may not.
+    ("tomcatv-degenerate", _bench_source("Tomcatv"), "c2+f4+cse",
+     [_bench_config("Tomcatv", n) for n in (2, 3)], False),
+    ("fibro-degenerate", _bench_source("Fibro"), "c2+f4+cse",
+     [_bench_config("Fibro", n) for n in (2, 3)], False),
+    # I = [3..n-2, ...]: empty at 4, one wide at 5, three wide at 7.
+    ("empty-and-one-wide", NARROW_REGION, "baseline",
+     [{"n": n} for n in (4, 5, 7)], True),
+    ("wrap-and-reflect", BOUNDARY_FILLS, "c2+f4+cse",
+     [{"n": n} for n in (4, 6, 9)], True),
+    ("three-dimensional", THREE_D, "c2+f4+cse",
+     [{"n": n} for n in (3, 4, 6)], True),
+    ("circular-buffer", CIRCULAR_BUFFER, "c2+p",
+     [{"n": n} for n in (3, 8, 11)], True),
+    ("column-sunk-sweep", COLUMN_SWEEP, "c2+f4+cse",
+     [{"n": n} for n in (4, 9, 12)], True),
+]
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "source, level, configs, shared",
+    [family[1:] for family in SIZE_FAMILIES],
+    ids=[family[0] for family in SIZE_FAMILIES],
+)
+def test_sizes_share_text_and_match_py(source, level, configs, shared, fresh_memo):
+    texts = set()
+    for config in configs:
+        sp = compile_sized(source, level, **config)
+        texts.add(render_c_module(sp))
+        assert_c_is_py(sp, config)
+    if shared:
+        assert len(texts) == 1
+        assert len(fresh_memo) == 1
+    # Never more kernels than texts, shared or not.
+    assert len(fresh_memo) == len(texts)
+
+
+def test_circular_buffer_family_is_partially_contracted():
+    sp = compile_sized(CIRCULAR_BUFFER, "c2+p", n=8)
+    assert sp.partial == {"W": (1, 2)}
+    assert "% 2]" in render_c_module(sp)
+
+
+def test_column_sweep_family_is_sunk():
+    # Both sweeps run with their row loop outside the serial loop.
+    text = render_c_module(compile_sized(COLUMN_SWEEP, "c2+f4+cse", n=9))
+    assert text.count("_lo = ") == 2
+
+
+def test_inspection_text_keeps_literal_sizes():
+    # Static storage cannot be variably sized: the same walk spells the
+    # sizes as literals, and leaves no vector behind.
+    from repro.scalarize import render_c
+
+    _program, sp = compile_at(BASIC_SOURCE)
+    code = render_c(sp)
+    assert "static double A[8][6];" in code
+    assert "for (_i1 = 2; _i1 <= 5; _i1++) {" in code
+    assert "_p0" not in code and "_sizes" not in code
+    assert sp.c_sizes is None
+
+
+def test_abi_of_an_unpickled_program_does_not_render(monkeypatch):
+    # The vector is found by the build-time walk and travels with the
+    # program an artifact pickles; a load renders nothing.
+    import pickle
+
+    from repro.scalarize import codegen_c
+
+    _program, sp = compile_at(BASIC_SOURCE)
+    render_c_module(sp)
+    loaded = pickle.loads(pickle.dumps(sp))
+
+    def no_render(self):
+        raise AssertionError("c_abi rendered an already-rendered program")
+
+    monkeypatch.setattr(codegen_c.CGenerator, "render", no_render)
+    assert c_abi(loaded) == c_abi(sp)
+    assert c_abi(loaded)[-1].values
+
+
+@needs_cc
+def test_scalar_only_program_travels_a_one_element_vector():
+    # No size site at all: the entry is still there (the ABI has one
+    # shape) and its buffer is one element, never zero bytes.
+    _program, sp = compile_at(
+        """program scalars;
+var s, t : float;
+begin
+  s := 1.5;
+  t := s * 2.0;
+end;
+"""
+    )
+    sizes = c_abi(sp)[-1]
+    assert sizes.values == ()
+    assert "_sizes" not in render_c_module(sp)
+    assert float(execute(sp, "c").scalars["t"]) == 3.0
+
+
+class _NeverCalled:
+    path = "<none>"
+
+    def run(self, buffers):
+        raise AssertionError("the pointer call was reached")
+
+
+def test_call_kernel_refuses_a_vector_that_disagrees_with_the_buffers():
+    from repro.exec import native
+    from repro.scalarize.emit_common import build_state
+
+    _program, sp = compile_at(BASIC_SOURCE)
+    abi = c_abi(sp)
+    arrays, scalars = build_state(abi[:-1])
+    sizes = abi[-1]
+    k, name, dim = sizes.extents[0]
+    values = list(sizes.values)
+    values[k] += 1
+    bad = abi[:-1] + [sizes._replace(values=tuple(values))]
+    with pytest.raises(ReproError, match="size vector says %r" % name):
+        native.call_kernel(_NeverCalled(), bad, arrays, scalars)
+    # The layout alone (the ABI before the size entry existed) is refused
+    # too: the text would read a buffer nobody handed over.
+    with pytest.raises(ReproError, match="c_abi"):
+        native.call_kernel(_NeverCalled(), list(sp.layout), arrays, scalars)
+    # The buffers themselves are still checked first, as before.
+    arrays[name] = np.zeros((2, 2))
+    with pytest.raises(ReproError, match="C-contiguous"):
+        native.call_kernel(_NeverCalled(), abi, arrays, scalars)
+
+
+# -- the .so follows the text into every cache that asks for it ----------------
+
+_TWO_CACHES_SCRIPT = """
+import json, sys
+from repro.service import Service
+
+SRC = '''%s'''
+out = []
+for cache_dir, n in zip(sys.argv[1:], (6, 9)):
+    svc = Service(cache_dir=cache_dir, backend="c")
+    compiled = svc.compile(SRC, level="c2+f4+cse", config={"n": n})
+    result = compiled.execute()
+    counters = svc.metrics.snapshot()["counters"]
+    out.append({
+        "s": repr(float(result.scalars["s"])),
+        "from_cache": compiled.from_cache,
+        "cc": counters.get("native.cc_invocations", 0),
+        "native_entries": svc.cache.stats()["native_entries"],
+    })
+print(json.dumps(out))
+""" % BASIC_SOURCE
+
+
+@needs_cc
+def test_memo_hit_leaves_the_so_in_the_callers_cache(tmp_path):
+    # One process, one program, two sizes, two cache directories: the
+    # second compile hits the kernel memo, and must still leave the
+    # shared object in *its* cache, or the next process to open that
+    # directory finds an artifact and no machine code for it.
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    both = _run_script(_TWO_CACHES_SCRIPT, first, second)
+    assert [run["cc"] for run in both] == [1, 0]
+    assert [run["native_entries"] for run in both] == [1, 1]
+    assert not both[1]["from_cache"]
+    (warm,) = _run_script(_TWO_CACHES_SCRIPT.replace("(6, 9)", "(9,)"), second)
+    assert warm["from_cache"] and warm["cc"] == 0
+    assert warm["s"] == both[1]["s"]

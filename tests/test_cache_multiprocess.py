@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.exec.native import cc_available
 from repro.service.cache import ArtifactCache
 from repro.service.metrics import Metrics
 
@@ -65,6 +66,26 @@ def _racing_compiler(root, barrier, queue):
         (
             service.metrics.counter("service.compiles"),
             service.metrics.counter("cache.lock_waits"),
+            result.scalars["s"],
+        )
+    )
+
+
+def _racing_size(root, n, barrier, queue):
+    from repro.exec import native
+    from repro.service.service import Service
+
+    native._kernel_memo.clear()  # a forked child inherits the parent's
+    service = Service(level="c2", backend="c", cache_dir=root, metrics=Metrics())
+    barrier.wait()
+    compiled = service.compile(SOURCE, config={"n": n})
+    result = compiled.execute()
+    queue.put(
+        (
+            service.metrics.counter("service.compiles"),
+            service.metrics.counter("native.cc_invocations"),
+            service.metrics.counter("cache.lock_waits"),
+            compiled.digest,
             result.scalars["s"],
         )
     )
@@ -142,6 +163,37 @@ class TestCrossProcessSingleFlight:
             % (count, compiles)
         )
         assert len(values) == 1  # and they all computed the same answer
+
+    @pytest.mark.skipif(not cc_available(), reason="no host C compiler")
+    def test_sizes_of_one_program_race_to_one_cc(self, tmp_path):
+        """Four processes compile four *sizes* of one program on ``c``
+        against one fresh cache directory: four digests, four pipeline
+        runs, and — the C text carrying no sizes — one native key, whose
+        build lock admits exactly one compiler run."""
+        ctx = _mp_context()
+        sizes = (6, 8, 11, 16)
+        barrier = ctx.Barrier(len(sizes))
+        queue = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_racing_size, args=(str(tmp_path), n, barrier, queue)
+            )
+            for n in sizes
+        ]
+        for proc in procs:
+            proc.start()
+        results = [queue.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert sum(r[0] for r in results) == len(sizes)
+        assert len({r[3] for r in results}) == len(sizes)
+        assert sum(r[1] for r in results) == 1
+        assert ArtifactCache(root=str(tmp_path)).stats()["native_entries"] == 1
+        # sum of i + 2j over [1..n, 1..n]: each ran on its own extents.
+        assert sorted(r[4] for r in results) == [
+            3 * n * n * (n + 1) / 2 for n in sizes
+        ]
 
     def test_contended_lock_blocks_and_counts(self, tmp_path):
         """A process that hits a held build lock records cache.lock_waits

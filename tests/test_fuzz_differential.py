@@ -206,6 +206,49 @@ def test_fuzz_cse_bit_identical_to_twin(seed):
                 ), "%s scalar %s\n%s" % (where, name, source)
 
 
+#: Levels of the two-binding cell: nothing fused, everything fused, and
+#: the circular buffers of partial contraction.
+REBOUND_LEVELS = ("baseline", "c2+f4+cse", "c2+p")
+
+
+@pytest.mark.skipif(not cc_available(), reason="no host C compiler")
+@pytest.mark.parametrize("seed", range(FUZZ_COUNT))
+def test_fuzz_c_cell_at_two_bindings_through_one_memo(seed):
+    # The C text carries no sizes, so a second binding of ``n`` runs the
+    # kernel the first one compiled, fed another size vector.  Each seed's
+    # ``c`` cell at its own ``n`` and at ``n + 3`` must stay bit-identical
+    # to the Python element loops, and wherever the two bindings render
+    # one text they must be one entry of the kernel memo.
+    from repro.exec import native
+    from repro.fusion import resolve_level
+    from repro.scalarize import render_c_module
+
+    source = generate_program(seed)
+    n = int(re.search(r"config n : integer = (\d+);", source).group(1))
+    for level_name in REBOUND_LEVELS:
+        level = resolve_level(level_name)
+        texts = set()
+        before = len(native._kernel_memo)
+        for binding in (n, n + 3):
+            program = normalize_source(source, {"n": binding})
+            scalar_program = scalarize(program, plan_program(program, level))
+            texts.add(render_c_module(scalar_program))
+            c_result = execute(scalar_program, "c")
+            py_result = execute(scalar_program, "codegen_py")
+            where = "seed %d %s n=%d" % (seed, level_name, binding)
+            for name, array in c_result.arrays.items():
+                other = py_result.arrays[name]
+                assert array.dtype == other.dtype, where
+                assert np.array_equal(array, other, equal_nan=True), (
+                    "%s != codegen_py on array %s\n%s" % (where, name, source)
+                )
+            for name in ("s", "t"):
+                assert repr(float(c_result.scalars[name])) == repr(
+                    float(py_result.scalars[name])
+                ), "%s scalar %s != codegen_py\n%s" % (where, name, source)
+        assert len(native._kernel_memo) - before <= len(texts), where
+
+
 def test_corpus_is_deterministic():
     # A seed is a stable address: the corpus must never drift between
     # runs, machines, or CI jobs, or failures stop being replayable.
