@@ -63,7 +63,6 @@ def compute(
     *values,
     backend: Optional[str] = None,
     level=None,
-    tune: object = False,
     service=None,
 ):
     """Materialize several lazy values through **one** fused program.
@@ -86,7 +85,6 @@ def compute(
         tuple(value.node for value in values),
         backend=backend,
         level=level,
-        tune=tune,
         service=service,
     )
     return results[0] if len(results) == 1 else tuple(results)

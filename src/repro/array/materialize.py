@@ -24,7 +24,6 @@ to its declared shape.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -80,7 +79,6 @@ def compute_nodes(
     nodes: Sequence[Node],
     backend: Optional[str] = None,
     level=None,
-    tune: object = False,
     service=None,
 ) -> List[object]:
     """Materialize graph nodes; one fused program, results in slot order."""
@@ -94,16 +92,6 @@ def compute_nodes(
     with record_cm as record_span:
         trace = Trace(tuple(nodes))
         canonical = trace.canonical()
-        if tune:
-            # The tuning DB is keyed by program text; the canonical trace
-            # encoding *is* this program's text.  A stored plan overrides
-            # level and backend, exactly like Service.compile(tune=).
-            tuned = service._tuned_plan(
-                json.dumps(canonical, sort_keys=True), None, tune
-            )
-            if tuned is not None:
-                level = tuned.level
-                backend = tuned.backend
         level_name = resolve_level(level, service.level).name
         from repro.exec import get_backend
 

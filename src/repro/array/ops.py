@@ -151,7 +151,6 @@ class _LazyBase:
         self,
         backend: Optional[str] = None,
         level=None,
-        tune: object = False,
         service=None,
     ):
         """Materialize this value through the fusion pipeline.
@@ -164,8 +163,7 @@ class _LazyBase:
         from repro.array import materialize
 
         return materialize.compute_nodes(
-            (self.node,), backend=backend, level=level, tune=tune,
-            service=service,
+            (self.node,), backend=backend, level=level, service=service
         )[0]
 
 

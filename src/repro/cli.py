@@ -26,11 +26,6 @@ Commands
     ``GET /metrics`` serves the same Prometheus exposition that
     ``repro stats --format=prom`` emits as its scrape-file twin.
 
-``tune FILE``
-    Search serving plans (level x backend x workers x tile shape) under a
-    wall-clock budget, print the predicted-vs-measured ranking table, and
-    persist the winner in the tuning database for ``serve --tune``.
-
 ``trace FILE``
     Compile and execute once with structured tracing on, then print the
     span tree (compile passes, cache probe, execution, per-tile sweeps);
@@ -83,17 +78,15 @@ def _level(name: str):
         raise SystemExit(str(error))
 
 
-def _parse_config(pairs: Optional[List[str]]) -> Dict[str, int]:
-    config: Dict[str, int] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise SystemExit("--config expects name=value, got %r" % pair)
-        name, _eq, value = pair.partition("=")
+def _config_pair(text: str):
+    """Validate one --config value (``name=number``) at parse time."""
+    name, _eq, value = text.partition("=")
+    for convert in (int, float):
         try:
-            config[name.strip()] = int(value)
+            return name.strip(), convert(value)
         except ValueError:
-            config[name.strip()] = float(value)  # type: ignore[assignment]
-    return config
+            pass
+    raise argparse.ArgumentTypeError("expected name=number, got %r" % text)
 
 
 def _backend_name(name: str) -> str:
@@ -141,16 +134,6 @@ def _port(text: str):
     return value
 
 
-def _tile_shape(text: str):
-    """Parse and validate a --tile-shape value (``N`` or ``NxM``)."""
-    from repro.parallel.tiling import parse_tile_shape
-
-    try:
-        return parse_tile_shape(text)
-    except ReproError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
 def _add_backend_argument(parser, default: str) -> None:
     parser.add_argument(
         "--backend", default=default, type=_backend_name,
@@ -182,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="mini-ZPL source file, or - for stdin")
         p.add_argument("--level", default="c2", help="optimization level "
                        "(%s)" % ", ".join(LEVEL_NAMES))
-        p.add_argument("--config", action="append", metavar="NAME=VALUE",
+        p.add_argument("--config", action="append", type=_config_pair,
+                       metavar="NAME=VALUE",
                        help="override a config constant (repeatable)")
         p.add_argument("--self-temp-policy", default="always",
                        choices=("always", "zero_offset", "reversal"))
@@ -210,11 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=None, metavar="N",
         help="tile-engine worker threads (np-par backend only; default: "
         "$REPRO_WORKERS or the processor count)",
-    )
-    run_parser.add_argument(
-        "--tile-shape", type=_tile_shape, default=None, metavar="N|NxM",
-        help="force the tile shape for np-par sweeps (e.g. 32 or 32x1600; "
-        "default: $REPRO_TILE_SHAPE or balanced factorization)",
     )
     run_parser.add_argument(
         "--procs", type=_positive_int, default=None, metavar="N",
@@ -249,15 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=None,
         help="fan request execution out across N threads (also sizes the "
         "np-par backend's tile-engine pool)",
-    )
-    serve_parser.add_argument(
-        "--tile-shape", type=_tile_shape, default=None, metavar="N|NxM",
-        help="force the tile shape for np-par sweeps (e.g. 32 or 32x1600)",
-    )
-    serve_parser.add_argument(
-        "--tune", action="store_true",
-        help="consult the tuning database and serve each program under "
-        "its stored winning plan (run 'repro tune' first)",
     )
     serve_parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
@@ -332,48 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tile-engine worker threads (np-par backend only)",
     )
     trace_parser.add_argument(
-        "--tile-shape", type=_tile_shape, default=None, metavar="N|NxM",
-        help="force the tile shape for np-par sweeps",
-    )
-    trace_parser.add_argument(
         "--out", metavar="PATH",
         help="also write Chrome trace-event JSON to PATH "
         "(open in https://ui.perfetto.dev)",
-    )
-
-    tune_parser = sub.add_parser(
-        "tune", help="search serving plans, persist the winner"
-    )
-    common(tune_parser)
-    _add_backend_argument(tune_parser, default="codegen_np")
-    tune_parser.add_argument(
-        "--budget-s", type=float, default=20.0, metavar="SECONDS",
-        help="wall-clock measurement budget (default: 20)",
-    )
-    tune_parser.add_argument(
-        "--top-k", type=_positive_int, default=6, metavar="K",
-        help="measure only the K best plans by predicted cost (default: 6)",
-    )
-    tune_parser.add_argument(
-        "--repeats", type=_positive_int, default=3, metavar="N",
-        help="timed repeats per candidate; the median is kept (default: 3)",
-    )
-    tune_parser.add_argument(
-        "--warmup", type=int, default=1, metavar="N",
-        help="untimed warmup runs per candidate (default: 1)",
-    )
-    tune_parser.add_argument(
-        "--force", action="store_true",
-        help="re-measure even if the tuning database already has a winner",
-    )
-    tune_parser.add_argument(
-        "--no-save", action="store_true",
-        help="do not persist the winning plan to the tuning database",
-    )
-    tune_parser.add_argument(
-        "--cache-dir", default=None,
-        help="cache root holding the tunedb (default: $REPRO_CACHE_DIR "
-        "or .repro-cache)",
     )
 
     sub.add_parser(
@@ -403,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _compile(args):
     source = _load(args)
     program = normalize_source(
-        source, _parse_config(args.config), args.self_temp_policy
+        source, dict(args.config or ()), args.self_temp_policy
     )
     if args.simplify:
         from repro.ir import simplify_program
@@ -512,7 +443,7 @@ def cmd_run(args) -> int:
     scalar_program = scalarize(program, plan)
     options = {}
     accepted = get_backend(args.backend).options
-    for flag in ("workers", "tile_shape", "procs", "local_backend"):
+    for flag in ("workers", "procs", "local_backend"):
         value = getattr(args, flag)
         if value is None:
             continue
@@ -582,7 +513,12 @@ def _load_requests(path: Optional[str]):
     else:
         with open(path) as handle:
             raw = handle.read()
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as error:
+        raise ReproError(
+            "--requests %s is not valid JSON: %s" % (path, error)
+        ) from None
     if isinstance(data, dict) and "requests" in data:
         data = data["requests"]
     if not isinstance(data, list):
@@ -666,26 +602,21 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         persistent=not args.no_cache,
         workers=args.workers,
-        tile_shape=args.tile_shape,
-        tune=args.tune,
         self_temp_policy=args.self_temp_policy,
         simplify=args.simplify,
         # --trace-dir forces tracing on; otherwise $REPRO_TRACE decides.
         trace=True if args.trace_dir else None,
     )
-    base_config = _parse_config(args.config)
+    base_config = dict(args.config or ())
     requests = _load_requests(args.requests)
     compiled = service.compile(source, level, base_config)
     print(
-        "compiled %s  level=%s backend=%s  %s%s"
+        "compiled %s  level=%s backend=%s  %s"
         % (
             compiled.digest[:12],
             compiled.level,
             compiled.backend,
             "cache hit" if compiled.from_cache else "cache miss (cold compile)",
-            "  plan=%s (tuned)" % compiled.plan_id
-            if compiled.plan.get("tuned")
-            else "",
         )
     )
     for round_index in range(max(args.repeat, 1)):
@@ -736,40 +667,6 @@ def _emit_serve_trace(service, compiled, trace_dir: Optional[str]) -> None:
         print(render_tree(spans), file=sys.stderr)
 
 
-def cmd_tune(args) -> int:
-    from repro.service import Metrics
-    from repro.service.cache import default_cache_dir
-    from repro.tune import TuneDB, default_space, tune
-
-    source = _load(args)
-    level = _level(args.level)
-    root = args.cache_dir or default_cache_dir()
-    import os
-
-    metrics = Metrics()
-    db = TuneDB(root=os.path.join(root, "tunedb"), metrics=metrics)
-    space = default_space(level=level.name, backend=args.backend)
-    result = tune(
-        source,
-        config=_parse_config(args.config),
-        level=level.name,
-        backend=args.backend,
-        space=space,
-        top_k=args.top_k,
-        budget_s=args.budget_s,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        db=db,
-        force=args.force,
-        save=not args.no_save,
-        metrics=metrics,
-        self_temp_policy=args.self_temp_policy,
-        simplify=args.simplify,
-    )
-    print(result.render_table())
-    return 0
-
-
 def cmd_trace(args) -> int:
     """Compile and execute once with tracing, print/export the spans."""
     from repro.obs import render_tree, write_chrome_trace
@@ -784,12 +681,11 @@ def cmd_trace(args) -> int:
         backend=args.backend,
         persistent=False,
         workers=args.workers,
-        tile_shape=args.tile_shape,
         self_temp_policy=args.self_temp_policy,
         simplify=args.simplify,
         trace=True,
     )
-    compiled = service.compile(source, level, _parse_config(args.config))
+    compiled = service.compile(source, level, dict(args.config or ()))
     compiled.execute()
     spans = service.tracer.spans()
     print(render_tree(spans))
@@ -923,7 +819,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": cmd_run,
         "estimate": cmd_estimate,
         "serve": cmd_serve,
-        "tune": cmd_tune,
         "trace": cmd_trace,
         "backends": cmd_backends,
         "stats": cmd_stats,

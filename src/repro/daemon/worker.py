@@ -7,10 +7,10 @@ private in-process :class:`~repro.service.service.Service`, and writes
 outputs into a response segment it creates under the job's deterministic
 ``-out`` name.
 
-Workers share the *disk* tiers with every sibling: the artifact cache,
-the native ``.so`` store and the tunedb all live under one cache
-directory, and the cache's cross-process build lock makes cold compiles
-single-flight across the pool.  Each worker's in-memory LRU tier warms
+Workers share the *disk* tiers with every sibling: the artifact cache
+and the native ``.so`` store both live under one cache directory, and
+the cache's cross-process build lock makes cold compiles single-flight
+across the pool.  Each worker's in-memory LRU tier warms
 independently, so a repeat request for a digest the worker has seen is
 pure execution.
 

@@ -9,8 +9,8 @@ backends that run the program directly), ``load(program, code,
 artifacts)`` produces ``run``, and ``run(inputs, scalars=None,
 **options)`` returns an :class:`ExecutionResult` (``scalars`` carries the
 starting values of the program's ``scalar_inputs``, if it declares any).
-:func:`execute`, the serving layer, the autotuner and ``mp-shard``'s
-per-worker executor all go through that record, so adding a backend is
+:func:`execute`, the serving layer and ``mp-shard``'s per-worker
+executor all go through that record, so adding a backend is
 one entry in :data:`BACKENDS`.
 
 What a single-process backend *writes* is one function, its kernel
@@ -43,8 +43,7 @@ and its ranks call the local backend's kernel on their local arrays.
     The tile-parallel engine (:mod:`repro.parallel.engine`): each
     dependence-free sweep is sharded into tiles executed on a worker
     pool, with shardability proved from the same carry analysis.
-    Accepts ``workers=`` / ``tile_shape=`` options (or a prebuilt
-    ``engine=``).
+    Accepts a ``workers=`` option (or a prebuilt ``engine=``).
 
 ``c`` (alias ``cc``, ``native``)
     Host-compiled C (:mod:`repro.exec.native`): the fused loop nests
@@ -222,11 +221,11 @@ def _np_par_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
         "<repro-codegen-np-par>",
     )
 
-    def kernel(arrays, scalars, workers=None, tile_shape=None, engine=None):
-        if engine is None and (workers is not None or tile_shape is not None):
+    def kernel(arrays, scalars, workers=None, engine=None):
+        if engine is None and workers is not None:
             from repro.parallel.engine import TileEngine
 
-            engine = TileEngine(workers=workers, tile_shape=tile_shape)
+            engine = TileEngine(workers=workers)
         return entry(arrays, scalars, engine)
 
     return kernel
@@ -308,7 +307,7 @@ BACKENDS: Dict[str, Backend] = {
         "tile-parallel NumPy sweeps on a worker pool",
         _render_numpy_par,
         _np_par_kernel,
-        options=("workers", "tile_shape", "engine"),
+        options=("workers", "engine"),
     ),
     "c": _from_kernel(
         "c",
@@ -390,8 +389,8 @@ def execute(
     the same contract: unknown, missing or wrong-kind names raise
     ``InputError`` first.
     Keyword ``options`` pass through to the backend (``np-par`` takes
-    ``workers=``, ``tile_shape=`` or ``engine=``); backends reject
-    options they do not understand.
+    ``workers=`` or ``engine=``); backends reject options they do not
+    understand.
     """
     return get_backend(backend).load(program)(
         initial_arrays, initial_scalars, **options

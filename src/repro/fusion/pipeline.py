@@ -174,7 +174,7 @@ def resolve_level(
     """The :class:`Level` for a name (or a level itself; ``None`` = default).
 
     The one place a user-supplied level name is validated: the CLI, the
-    service, the daemon, the tuner and ``repro.array`` all come here.
+    service, the daemon and ``repro.array`` all come here.
     """
     if level is None:
         level = default

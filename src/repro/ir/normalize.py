@@ -101,10 +101,13 @@ class Normalizer:
                 value = self._overrides[decl.name]
             else:
                 value = self._eval_const(decl.default)
-            if decl.kind == "integer":
-                value = int(value)
-            else:
-                value = float(value)
+            convert = int if decl.kind == "integer" else float
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                raise NormalizationError(
+                    "config %r is %s, got %r" % (decl.name, decl.kind, value)
+                ) from None
             self._configs[decl.name] = value
         unknown = set(self._overrides) - set(self._configs)
         if unknown:

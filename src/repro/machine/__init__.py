@@ -12,12 +12,10 @@ from repro.machine.models import (
     ALL_MACHINES,
     CRAY_T3E,
     CommParams,
-    HOST,
     IBM_SP2,
     INTEL_PARAGON,
     MACHINES_BY_NAME,
     MachineModel,
-    host_machine_model,
 )
 from repro.machine.trace import MemoryLayout, nest_trace, run_trace
 
@@ -31,7 +29,6 @@ __all__ = [
     "CommParams",
     "CostResult",
     "Counts",
-    "HOST",
     "IBM_SP2",
     "INTEL_PARAGON",
     "MACHINES_BY_NAME",
@@ -40,7 +37,6 @@ __all__ = [
     "SequentialCostModel",
     "estimate_analytic",
     "estimate_sequential",
-    "host_machine_model",
     "nest_trace",
     "run_trace",
     "simulate_trace",

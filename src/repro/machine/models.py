@@ -142,37 +142,3 @@ INTEL_PARAGON = MachineModel(
 
 ALL_MACHINES: List[MachineModel] = [CRAY_T3E, IBM_SP2, INTEL_PARAGON]
 MACHINES_BY_NAME = {machine.name: machine for machine in ALL_MACHINES}
-
-
-def host_machine_model() -> MachineModel:
-    """A generic model of the machine we are actually running on.
-
-    Used by the autotuner's cost prior (:mod:`repro.tune.space`) to rank
-    candidate plans before measuring them.  The absolute numbers do not
-    matter — only the ratios that decide a ranking: cheap flops relative
-    to memory, a large last-level cache (the working set threshold that
-    makes tile-at-a-time execution win), and thread dispatch that is
-    orders of magnitude cheaper than the paper's message passing.
-    """
-    return MachineModel(
-        name="host",
-        clock_mhz=2000.0,
-        caches=[
-            CacheConfig(size=32 * 1024, line=64, assoc=8, miss_penalty=4.0),
-            CacheConfig(
-                size=2 * 1024 * 1024, line=64, assoc=16, miss_penalty=40.0
-            ),
-        ],
-        load_hit_cycles=0.25,
-        store_cycles=0.25,
-        flop_cycles=0.25,
-        intrinsic_cycles=10.0,
-        loop_overhead_cycles=0.5,
-        scalar_op_cycles=0.5,
-        # "Communication" on a shared-memory host is tile dispatch: a
-        # worker-pool submit, no network latency or per-KB wire cost.
-        comm=CommParams(sw_overhead_us=15.0, latency_us=0.0, per_kb_us=0.0),
-    )
-
-
-HOST = host_machine_model()

@@ -56,7 +56,7 @@ def render_prometheus(
     )
     lines.append(
         "# HELP repro_timer_seconds Timed sections (compile passes, "
-        "backend executions, tuner measurements), labelled by timer name."
+        "backend executions), labelled by timer name."
     )
     lines.append("# TYPE repro_timer_seconds histogram")
     for name in sorted(timers):

@@ -117,10 +117,10 @@ SPANS: List[SpanDef] = [
     ),
     SpanDef(
         "execute",
-        ("digest", "backend", "plan"),
+        ("digest", "backend", "level"),
         "CompiledProgram.execute",
-        "One request execution on the artifact's backend.  plan is the "
-        "serving plan id (level/backend/workers/tile shape).",
+        "One request execution on the artifact's backend at the level it "
+        "was compiled for.",
     ),
     SpanDef(
         "par.sweep",
@@ -136,13 +136,6 @@ SPANS: List[SpanDef] = [
         "One tile of a sweep; recorded on the worker thread that ran it "
         "but parented to the submitting sweep span, so Perfetto shows "
         "per-worker timelines under one sweep.",
-    ),
-    SpanDef(
-        "tune.measure",
-        ("repeats", "aborted"),
-        "tune.runner.Runner.measure",
-        "Measuring one candidate plan: warmup, timed repeats, variance "
-        "guard.",
     ),
     SpanDef(
         "daemon.request",
@@ -171,7 +164,7 @@ SPANS: List[SpanDef] = [
     ),
 ]
 
-#: Every counter name (``Metrics.incr``).  ``*`` suffixes are dynamic.
+#: Every counter name (``Metrics.incr``).
 COUNTERS: List[CounterDef] = [
     CounterDef("cache.hits", "Service-level artifact-cache hits (any tier)."),
     CounterDef("cache.misses", "Service-level misses: the pipeline ran."),
@@ -200,9 +193,6 @@ COUNTERS: List[CounterDef] = [
     CounterDef("service.batches", "submit_many invocations."),
     CounterDef("execute.requests", "Requests executed by CompiledProgram."),
     CounterDef(
-        "execute.tuned_requests", "Requests that ran under a tuned plan."
-    ),
-    CounterDef(
         "exec.bytes_zeroed",
         "Bytes of program storage zero-filled to start runs "
         "(emit_common.build_state; per run a constant of the program's "
@@ -211,10 +201,6 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "exec.bytes_copied",
         "Bytes of caller-supplied initial arrays copied into that storage.",
-    ),
-    CounterDef(
-        "plan.*",
-        "Requests per serving plan id, e.g. plan.c2/np-par/w4/t32x1600.",
     ),
     CounterDef(
         "trace.materializations",
@@ -226,18 +212,6 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "par.snapshots", "Read snapshots taken for self-hazard statements."
     ),
-    CounterDef("tune.measurements", "Candidate measurements taken."),
-    CounterDef("tune.extra_repeats", "Variance-guard re-measurements."),
-    CounterDef("tune.candidates", "Candidate plans ranked by the prior."),
-    CounterDef("tune.plan_applied", "Serves that applied a stored tuned plan."),
-    CounterDef("tune.plan_misses", "Tuned serves with no stored plan."),
-    CounterDef("tune.db_hits", "Tuning-database record hits."),
-    CounterDef("tune.db_misses", "Tuning-database record misses."),
-    CounterDef(
-        "tune.db_invalid", "Tuning records dropped (stamp/signature mismatch)."
-    ),
-    CounterDef("tune.db_writes", "Tuning records persisted."),
-    CounterDef("tune.db_write_errors", "Failed tuning-record writes."),
     CounterDef(
         "cache.lock_waits",
         "Contended cross-process build-lock acquisitions (another "
@@ -369,9 +343,6 @@ TIMERS: List[TimerDef] = [
         "Per-backend execution time, e.g. execute.codegen_np, "
         "execute.np-par.",
     ),
-    TimerDef("tune.total", "One whole tune() call."),
-    TimerDef("tune.compile", "Per-level compilation inside tune()."),
-    TimerDef("tune.measure", "One candidate measurement (incl. warmup)."),
     TimerDef(
         "comm.exchange",
         "One mp-shard wire message round trip (post write to wait read).",
@@ -425,25 +396,18 @@ def known_span_names() -> List[str]:
 
 
 def is_known_counter(name: str) -> bool:
-    """Whether a recorded counter name is declared (families by prefix)."""
-    for counter in COUNTERS:
-        if counter.name.endswith("*"):
-            if name.startswith(counter.name[:-1]):
-                return True
-        elif name == counter.name:
-            return True
-    return False
+    """Whether a recorded counter name is declared."""
+    return name in registered_counter_names()
 
 
 def registered_counter_names() -> List[str]:
-    """Static (non-family) counter names, for zero-value registration.
+    """Every counter name, for zero-value registration.
 
-    Dynamic families (``plan.*``) are excluded: they have no fixed name
-    to pre-register.  Seeding these into a ``Metrics`` instance makes
-    never-incremented counters visible in ``/metrics`` and
-    ``repro stats`` instead of silently absent.
+    Seeding these into a ``Metrics`` instance makes never-incremented
+    counters visible in ``/metrics`` and ``repro stats`` instead of
+    silently absent.
     """
-    return [c.name for c in COUNTERS if not c.name.endswith("*")]
+    return [c.name for c in COUNTERS]
 
 
 def is_known_timer(name: str) -> bool:

@@ -33,7 +33,7 @@ from repro.parallel.shard import (
     plan_run,
     program_rank,
 )
-from repro.parallel.tiling import halo_elements, plan_tiles
+from repro.parallel.tiling import plan_tiles
 from repro.parallel.validate import (
     ValidationError,
     ValidationRow,
@@ -75,7 +75,6 @@ __all__ = [
     "eliminate_redundant",
     "estimate_parallel",
     "exchange_table",
-    "halo_elements",
     "halo_widths",
     "message_cost_us",
     "optimized_comm_cost_us",

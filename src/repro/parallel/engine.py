@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.parallel.tiling import TileShape, parse_tile_shape, plan_tiles
+from repro.parallel.tiling import TileShape, plan_tiles
 from repro.scalarize.codegen_np import NumpyGenerator, _VectorContext
 from repro.scalarize.emit_common import bound_text
 from repro.scalarize.loopnest import (
@@ -65,7 +65,6 @@ from repro.scalarize.loopnest import (
 )
 
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_TILE_SHAPE = "REPRO_TILE_SHAPE"
 
 
 class TileEngine:
@@ -90,8 +89,8 @@ class TileEngine:
         if workers is None:
             workers = default_workers()
         self.workers = max(int(workers), 1)
-        if tile_shape is None:
-            tile_shape = default_tile_shape()
+        #: A forced tile shape (None: the heuristic layout of
+        #: :func:`~repro.parallel.tiling.plan_tiles`).
         self.tile_shape = (
             tuple(tile_shape)
             if isinstance(tile_shape, (list, tuple))
@@ -225,37 +224,19 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def default_tile_shape() -> TileShape:
-    """Forced tile shape from ``$REPRO_TILE_SHAPE`` (``N`` or ``NxM``).
-
-    Unset, empty, or unparsable values mean the heuristic layout.
-    """
-    raw = os.environ.get(ENV_TILE_SHAPE)
-    if not raw:
-        return None
-    try:
-        return parse_tile_shape(raw)
-    except Exception:
-        return None
-
-
-#: Shared engines per (worker count, tile shape), so bare ``run()``
-#: calls (no engine passed) reuse one pool instead of leaking executor
-#: threads per run.
-_DEFAULT_ENGINES: Dict[tuple, TileEngine] = {}
+#: Shared engines per worker count, so bare ``run()`` calls (no engine
+#: passed) reuse one pool instead of leaking executor threads per run.
+_DEFAULT_ENGINES: Dict[int, TileEngine] = {}
 _DEFAULT_LOCK = threading.Lock()
 
 
 def default_engine() -> TileEngine:
-    """The process-wide engine for the current default configuration."""
+    """The process-wide engine for the current default worker count."""
     workers = default_workers()
-    key = (workers, default_tile_shape())
     with _DEFAULT_LOCK:
-        engine = _DEFAULT_ENGINES.get(key)
+        engine = _DEFAULT_ENGINES.get(workers)
         if engine is None:
-            engine = _DEFAULT_ENGINES[key] = TileEngine(
-                workers=workers, tile_shape=key[1]
-            )
+            engine = _DEFAULT_ENGINES[workers] = TileEngine(workers=workers)
         return engine
 
 

@@ -59,30 +59,6 @@ TARGET_TILE_ELEMS = 1 << 18
 MIN_SWEEP_ELEMS = 1 << 12
 
 
-def parse_tile_shape(text: Optional[str]) -> TileShape:
-    """Parse a user-facing tile-shape spec: ``"32"`` or ``"32x1600"``.
-
-    A single integer applies to every sharded dimension (rank-safe for
-    any sweep); an ``x``-separated list forces one extent per dimension
-    and is rejected at sweep time if the ranks disagree.  Empty or
-    ``None`` means the heuristic layout.
-    """
-    if text is None:
-        return None
-    text = text.strip().lower()
-    if not text:
-        return None
-    try:
-        extents = tuple(int(part) for part in text.split("x"))
-    except ValueError:
-        raise MachineError(
-            "tile shape must be N or NxM[x...], got %r" % (text,)
-        )
-    if any(extent < 1 for extent in extents):
-        raise MachineError("tile extents must be positive, got %r" % (text,))
-    return extents[0] if len(extents) == 1 else extents
-
-
 def _forced_extents(tile_shape: TileShape, rank: int) -> Optional[Tuple[int, ...]]:
     if tile_shape is None:
         return None
@@ -148,25 +124,3 @@ def plan_tiles(
     for chunks in per_dim:
         tiles = [tile + (chunk,) for tile in tiles for chunk in chunks]
     return tuple(tiles)
-
-
-def halo_elements(tile: Tile, halo: Sequence[int]) -> int:
-    """Neighbor elements a tile reads beyond its bounds.
-
-    ``halo[d]`` is the widest constant offset along sharded dimension
-    ``d`` (see :attr:`repro.scalarize.loopnest.DimFacts.halo`); the
-    count is the volume of the halo-expanded tile minus the tile itself,
-    mirroring the border-strip byte accounting of
-    :func:`repro.parallel.comm.analyze_run`.
-    """
-    if len(tile) != len(halo):
-        raise MachineError(
-            "halo rank %d does not match tile rank %d" % (len(halo), len(tile))
-        )
-    inner = 1
-    outer = 1
-    for (lo, hi), width in zip(tile, halo):
-        extent = hi - lo + 1
-        inner *= extent
-        outer *= extent + 2 * int(width)
-    return outer - inner

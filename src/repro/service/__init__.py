@@ -34,7 +34,6 @@ from repro.service.fingerprint import (
     canonical_program,
     ir_digest,
     source_digest,
-    tune_digest,
 )
 from repro.service.metrics import Metrics, TimerStat
 from repro.service.service import COMPILE_PASSES, Service
@@ -56,5 +55,4 @@ __all__ = [
     "ir_digest",
     "source_digest",
     "split_request",
-    "tune_digest",
 ]

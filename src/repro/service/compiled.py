@@ -64,7 +64,6 @@ class CompiledProgram:
         metrics: Optional[Metrics] = None,
         from_cache: bool = False,
         engine=None,
-        plan: Optional[Dict[str, object]] = None,
         tracer=None,
         cache=None,
     ) -> None:
@@ -82,17 +81,6 @@ class CompiledProgram:
         #: Tile engine handed to backends taking an ``engine`` option
         #: (None: the process-wide default engine).
         self.engine = engine
-        #: The serving plan this artifact runs under: level, backend,
-        #: workers, tile shape, and whether the autotuner chose it.
-        #: Every ``execute`` records it, so ``repro serve --stats`` can
-        #: attribute request counts (and tail latency) to plans.
-        self._plan = plan or {
-            "level": payload.get("level"),
-            "backend": payload.get("backend"),
-            "workers": None,
-            "tile_shape": None,
-            "tuned": False,
-        }
         #: backend name -> loaded ``run``, and the lock loads happen under:
         #: the cache's memory-tier memo for this digest when there is one.
         self._runs, self._lock = (
@@ -134,26 +122,6 @@ class CompiledProgram:
     def compile_timings(self) -> Dict[str, float]:
         return dict(self._payload.get("compile_timings") or {})
 
-    @property
-    def plan(self) -> Dict[str, object]:
-        """The serving plan: level/backend/workers/tile_shape/tuned."""
-        return dict(self._plan)
-
-    @property
-    def plan_id(self) -> str:
-        """A compact plan label, e.g. ``c2+f4/np-par/w4/t32x1600``."""
-        parts = [str(self._plan.get("level")), str(self._plan.get("backend"))]
-        workers = self._plan.get("workers")
-        if workers is not None:
-            parts.append("w%d" % workers)
-        tile_shape = self._plan.get("tile_shape")
-        if tile_shape is not None:
-            if isinstance(tile_shape, (list, tuple)):
-                parts.append("t%s" % "x".join(str(e) for e in tile_shape))
-            else:
-                parts.append("t%s" % tile_shape)
-        return "/".join(parts)
-
     # -- execution ---------------------------------------------------------
 
     def execute(
@@ -183,7 +151,7 @@ class CompiledProgram:
                 "execute",
                 digest=self.digest,
                 backend=backend_name,
-                plan=self.plan_id,
+                level=self.level,
             )
             if tracer is not None and tracer.enabled
             else NOOP_SPAN
@@ -195,9 +163,6 @@ class CompiledProgram:
             else:
                 result = run(arrays)
         self.metrics.incr("execute.requests")
-        self.metrics.incr("plan.%s" % self.plan_id)
-        if self._plan.get("tuned"):
-            self.metrics.incr("execute.tuned_requests")
         return result
 
     # -- loaded-run memoization -------------------------------------------

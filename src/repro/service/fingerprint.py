@@ -287,29 +287,3 @@ def native_digest(
             "code_version": code_version or CODE_VERSION,
         }
     )
-
-
-def tune_digest(
-    source: str,
-    config: Optional[Mapping[str, object]] = None,
-    self_temp_policy: str = "always",
-    simplify: bool = False,
-    code_version: Optional[str] = None,
-) -> str:
-    """Content digest of the *tuning problem* for a program.
-
-    Deliberately excludes the optimization level, backend, worker count
-    and tile shape — those are the decision variables the autotuner
-    chooses, so every candidate plan of one program shares this address
-    and the winning plan is stored once per (program, machine).
-    """
-    return _digest_of(
-        {
-            "kind": "tune",
-            "source": source,
-            "config": _canonical_config(config),
-            "self_temp_policy": self_temp_policy,
-            "simplify": bool(simplify),
-            "code_version": code_version or CODE_VERSION,
-        }
-    )

@@ -4,11 +4,11 @@ One :class:`Metrics` instance aggregates everything a service does:
 cache hits/misses, per-pass compile time (``compile.normalize``,
 ``compile.deps``, ``compile.fusion``, ``compile.scalarize``,
 ``compile.codegen``), per-backend execution time
-(``execute.codegen_np`` etc.), and the autotuner's ``tune.*`` timers.
-Timer snapshots carry tail percentiles (``p50_s``/``p95_s``/``p99_s``,
-from a bounded reservoir) so tuned and default plans can be compared on
-tail latency, not just means.  Snapshots are plain JSON-serializable dicts,
-printed by ``repro serve --stats`` and exportable with ``--stats-json``.
+(``execute.codegen_np`` etc.).  Timer snapshots carry tail percentiles
+(``p50_s``/``p95_s``/``p99_s``, from a bounded reservoir) so backends and
+levels can be compared on tail latency, not just means.  Snapshots are
+plain JSON-serializable dicts, printed by ``repro serve --stats`` and
+exportable with ``--stats-json``.
 
 All mutation is lock-protected so ``Service.submit_many`` can record
 from worker-pool threads.
@@ -30,7 +30,7 @@ RESERVOIR_SIZE = 256
 #: Histogram bucket upper bounds (seconds) every timer accumulates into,
 #: exported as cumulative Prometheus ``le`` buckets (plus ``+Inf``).
 #: Log-spaced from 100 us to 10 s — compile passes sit in the low
-#: buckets, executions and tuner measurements in the upper ones.
+#: buckets, executions in the upper ones.
 HISTOGRAM_BUCKETS_S = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 
 

@@ -56,10 +56,8 @@ class Service:
         persistent: bool = True,
         metrics: Optional[Metrics] = None,
         workers: Optional[int] = None,
-        tile_shape=None,
         self_temp_policy: str = "always",
         simplify: bool = False,
-        tune: object = False,
         trace: object = None,
     ) -> None:
         self.level = resolve_level(level, "c2")
@@ -80,31 +78,16 @@ class Service:
             root=cache_dir, persistent=persistent, metrics=self.metrics
         )
         self.workers = workers
-        self.tile_shape = tile_shape
         self.self_temp_policy = self_temp_policy
         self.simplify = simplify
-        #: Default tuning behavior for ``compile``/``submit`` calls that
-        #: do not pass ``tune=`` themselves: False (never consult the
-        #: tuning DB), True (consult the default DB), or a
-        #: :class:`repro.tune.tunedb.TuneDB` instance.
-        self.tune = tune
         #: Tile engine shared by every tile-parallel execution this
         #: service runs, so tile/sweep/serial-fallback counts land in
         #: the service's metrics registry.
         from repro.parallel.engine import TileEngine
 
         self.tile_engine = TileEngine(
-            workers=workers,
-            tile_shape=tile_shape,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            workers=workers, metrics=self.metrics, tracer=self.tracer
         )
-        #: Engines for tuned plans that force a specific worker count /
-        #: tile shape, keyed by (workers, tile_shape) so every artifact
-        #: tuned to one configuration shares one pool.
-        self._engines: Dict[tuple, object] = {}
-        self._engines_lock = threading.Lock()
-        self._tunedb = None
         #: Single-flight compilation: digest -> in-progress Future, so
         #: concurrent misses on one digest run the pipeline exactly once.
         self._inflight: Dict[str, Future] = {}
@@ -132,98 +115,21 @@ class Service:
             code_version=self.cache.code_version,
         )
 
-    # -- tuning ------------------------------------------------------------
-
-    def tunedb(self):
-        """The tuning database this service consults (created lazily)."""
-        if self._tunedb is None:
-            from repro.tune.tunedb import TuneDB
-
-            self._tunedb = TuneDB(
-                metrics=self.metrics, code_version=self.cache.code_version
-            )
-        return self._tunedb
-
-    def _tuned_plan(self, source, config, tune):
-        """The stored winning plan for these inputs, or None.
-
-        ``tune`` may be False/None (never consult the DB), True (the
-        default DB) or a :class:`repro.tune.tunedb.TuneDB`.
-        """
-        if tune is None:
-            tune = self.tune
-        if not tune:
-            return None
-        from repro.tune.tunedb import TuneDB
-
-        db = tune if isinstance(tune, TuneDB) else self.tunedb()
-        record = db.get(
-            db.digest_for(source, config, self.self_temp_policy, self.simplify)
-        )
-        if record is None:
-            self.metrics.incr("tune.plan_misses")
-            return None
-        self.metrics.incr("tune.plan_applied")
-        return record.plan
-
-    def engine_for(self, workers=None, tile_shape=None):
-        """A shared tile engine for a specific (workers, tile shape).
-
-        Defaults fall through to the service-wide engine; tuned
-        configurations each get one pool, reused across artifacts.
-        """
-        if workers is None and tile_shape is None:
-            return self.tile_engine
-        if isinstance(tile_shape, list):
-            tile_shape = tuple(tile_shape)
-        key = (workers, tile_shape)
-        with self._engines_lock:
-            engine = self._engines.get(key)
-            if engine is None:
-                from repro.parallel.engine import TileEngine
-
-                engine = self._engines[key] = TileEngine(
-                    workers=workers if workers is not None else self.workers,
-                    tile_shape=tile_shape,
-                    metrics=self.metrics,
-                    tracer=self.tracer,
-                )
-            return engine
-
-    # -- compile (continued) ----------------------------------------------
-
     def compile(
         self,
         source: str,
         level: Union[Level, str, None] = None,
         config: Optional[Mapping[str, object]] = None,
         backend: Optional[str] = None,
-        tune: object = None,
     ) -> CompiledProgram:
-        """Compile once (or fetch the cached artifact) for these inputs.
-
-        With ``tune`` (or a service-wide ``tune=`` default), the tuning
-        database is consulted first; a stored plan overrides the level,
-        backend, worker count and tile shape, and the artifact is served
-        exactly as if those had been requested directly.
-        """
-        tuned = self._tuned_plan(source, config, tune)
-        if tuned is not None:
-            level = tuned.level
-            backend = tuned.backend
+        """Compile once (or fetch the cached artifact) for these inputs."""
         level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
-        plan = {
-            "level": level_obj.name,
-            "backend": backend_name,
-            "workers": tuned.workers if tuned is not None else None,
-            "tile_shape": tuned.tile_shape if tuned is not None else None,
-            "tuned": tuned is not None,
-        }
         digest = self.digest_for(source, level_obj, config, backend_name)
         return self._serve(
             digest,
-            plan,
+            level_obj.name,
+            backend_name,
             lambda: self._build(source, level_obj, config, backend_name, digest),
         )
 
@@ -261,28 +167,22 @@ class Service:
                 backend_name,
                 code_version=self.cache.code_version,
             )
-        plan = {
-            "level": level_obj.name,
-            "backend": backend_name,
-            "workers": None,
-            "tile_shape": None,
-            "tuned": False,
-        }
         return self._serve(
             digest,
-            plan,
+            level_obj.name,
+            backend_name,
             lambda: self._build_ir(build_ir, level_obj, backend_name, digest),
         )
 
-    def _serve(self, digest, plan, build_payload) -> CompiledProgram:
+    def _serve(self, digest, level, backend, build_payload) -> CompiledProgram:
         """Cache probe + single-flight build, shared by every compile path."""
         tracer = self.tracer
         compile_cm = (
             tracer.span(
                 "compile",
                 digest=digest,
-                level=plan["level"],
-                backend=plan["backend"],
+                level=level,
+                backend=backend,
             )
             if tracer.enabled
             else NOOP_SPAN
@@ -299,7 +199,7 @@ class Service:
             if payload is not None:
                 self.metrics.incr("cache.hits")
                 compile_span.set("cache_hit", True)
-                return self._wrap(payload, from_cache=True, plan=plan)
+                return self._wrap(payload, from_cache=True)
             compile_span.set("cache_hit", False)
 
             # Single-flight: the first thread to miss owns the build;
@@ -311,7 +211,7 @@ class Service:
                 if owner:
                     future = self._inflight[digest] = Future()
             if not owner:
-                return self._wrap(future.result(), from_cache=True, plan=plan)
+                return self._wrap(future.result(), from_cache=True)
             try:
                 # Cross-process single-flight: take the cache-dir lock
                 # for this digest, then re-probe — another process may
@@ -333,23 +233,14 @@ class Service:
             finally:
                 with self._inflight_lock:
                     self._inflight.pop(digest, None)
-            return self._wrap(payload, from_cache=from_cache, plan=plan)
+            return self._wrap(payload, from_cache=from_cache)
 
-    def _wrap(
-        self,
-        payload: Dict[str, object],
-        from_cache: bool,
-        plan: Optional[Dict[str, object]] = None,
-    ) -> CompiledProgram:
-        engine = self.tile_engine
-        if plan is not None and "engine" in get_backend(plan["backend"]).options:
-            engine = self.engine_for(plan.get("workers"), plan.get("tile_shape"))
+    def _wrap(self, payload: Dict[str, object], from_cache: bool) -> CompiledProgram:
         return CompiledProgram(
             payload,
             metrics=self.metrics,
             from_cache=from_cache,
-            engine=engine,
-            plan=plan,
+            engine=self.tile_engine,
             tracer=self.tracer,
             cache=self.cache,
         )
@@ -463,7 +354,6 @@ class Service:
         config: Optional[Mapping[str, object]],
         backend: Optional[str],
         compiled_by_digest: Dict[str, CompiledProgram],
-        tune: object = None,
     ):
         """Resolve one request to its per-binding artifact plus arrays.
 
@@ -478,7 +368,7 @@ class Service:
         route_key = self.digest_for(source, level, merged, backend)
         compiled = compiled_by_digest.get(route_key)
         if compiled is None:
-            compiled = self.compile(source, level, merged, backend, tune=tune)
+            compiled = self.compile(source, level, merged, backend)
             compiled_by_digest[route_key] = compiled
         return compiled, ({"arrays": arrays} if arrays is not None else None)
 
@@ -489,11 +379,10 @@ class Service:
         level: Union[Level, str, None] = None,
         config: Optional[Mapping[str, object]] = None,
         backend: Optional[str] = None,
-        tune: object = None,
     ) -> ExecutionResult:
         """Compile (or hit the cache) and execute one request."""
         compiled, exec_request = self._route(
-            source, request, level, config, backend, {}, tune=tune
+            source, request, level, config, backend, {}
         )
         return compiled.execute(exec_request)
 
@@ -505,7 +394,6 @@ class Service:
         level: Union[Level, str, None] = None,
         config: Optional[Mapping[str, object]] = None,
         backend: Optional[str] = None,
-        tune: object = None,
     ) -> List[ExecutionResult]:
         """Compile once per distinct config binding, execute every request.
 
@@ -517,8 +405,7 @@ class Service:
         compiled_by_digest: Dict[str, CompiledProgram] = {}
         routed = [
             self._route(
-                source, request, level, config, backend, compiled_by_digest,
-                tune=tune,
+                source, request, level, config, backend, compiled_by_digest
             )
             for request in requests
         ]

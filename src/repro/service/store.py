@@ -1,7 +1,7 @@
 """One stamped, content-addressed file store.
 
-Every on-disk cache here — pickled artifacts, native ``.so`` files,
-tuning records — is an object at ``<root>/<digest[:2]>/<digest><suffix>``
+Every on-disk cache here — pickled artifacts and native ``.so`` files —
+is an object at ``<root>/<digest[:2]>/<digest><suffix>``
 described by an envelope ``{"schema", "code_version", "digest", ...}``.
 :class:`Store` owns the mechanics once: addressing, atomic publication
 (temp file + ``os.replace``, so readers never observe a torn file), the
@@ -53,8 +53,8 @@ class Store:
     #: stored raw and the envelope beside it at ``path + sidecar``.
     sidecar = ""
     schema = 0
-    #: event (hit, miss, invalid, write, write_error, evict) -> counter
-    #: name; an event the kind does not name is not counted.
+    #: event (hit, invalid, write_error, evict) -> counter name; an event
+    #: the kind does not name is not counted.
     counters: Dict[str, str] = {}
 
     def __init__(self, root: str, metrics=None, code_version: Optional[str] = None):
@@ -116,7 +116,6 @@ class Store:
                 raise ValueError("stamp mismatch")
             body = self._body(path, envelope)
         except FileNotFoundError:
-            self._count("miss")
             return None
         except Exception:
             # Corrupted, truncated or stale: drop it rather than replay it.
@@ -147,7 +146,6 @@ class Store:
         except OSError:
             self._count("write_error")
             return None
-        self._count("write")
         return path
 
     def entries(self) -> List[Tuple[str, int, float]]:

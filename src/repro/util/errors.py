@@ -104,8 +104,7 @@ class BackendUnavailableError(ReproError):
 
     The ``c`` backend needs a host C compiler; on machines without one it
     stays registered (so ``repro backends`` can list and mark it) but any
-    attempt to execute raises this, and the tuner excludes it from the
-    plan space silently.
+    attempt to execute raises this.
     """
 
 

@@ -198,13 +198,11 @@ def assert_identical(got, want, context):
 
 
 def test_substituted_backend_is_picked_up_everywhere(monkeypatch, tmp_path):
-    # Adding a backend is one registry entry: execute, the serving layer
-    # (cold, then a cache hit in a fresh Service) and the autotuner's
-    # executor factory all reach it with no other edit.
+    # Adding a backend is one registry entry: execute and the serving
+    # layer (cold, then a cache hit in a fresh Service) both reach it with
+    # no other edit.
     from repro.exec import Backend
     from repro.service import Service
-    from repro.tune.space import Plan
-    from repro.tune.tuner import make_executor
 
     loads = []
 
@@ -247,31 +245,6 @@ def test_substituted_backend_is_picked_up_everywhere(monkeypatch, tmp_path):
         "submit_many",
     )
     assert loads[3:] == ["toy-marker"]
-
-    run, close = make_executor(program, Plan("c2", "toy"))
-    try:
-        assert_identical(run(), want, "make_executor")
-    finally:
-        close()
-
-
-def test_make_executor_runs_every_tunable_backend_bit_identically():
-    # The tuner's executor factory has no per-backend arm to forget: every
-    # backend the default space can name (c included wherever a compiler
-    # exists) plus interp builds, runs and matches execute bit for bit.
-    from repro.exec.native import cc_available
-    from repro.tune.space import Plan, default_space
-    from repro.tune.tuner import make_executor
-
-    program = scalar_program()
-    backends = dict.fromkeys(default_space().backends + ("interp",))
-    assert ("c" in backends) == cc_available()
-    for backend in backends:
-        run, close = make_executor(program, Plan("c2", backend))
-        try:
-            assert_identical(run(), execute(program, backend), backend)
-        finally:
-            close()
 
 
 def _real_backends():

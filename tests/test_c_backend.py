@@ -16,8 +16,8 @@ What is covered here and nowhere else:
   shared object from the content-addressed artifact cache with **zero**
   compiler invocations;
 * graceful degradation without a host C compiler (``REPRO_CC=""``):
-  execution raises ``BackendUnavailableError``, the tuner drops the
-  backend from its search space, the CLI marks it unavailable — and
+  execution raises ``BackendUnavailableError``, the CLI marks it
+  unavailable — and
   compilation of the *artifact* still succeeds (the rendered C stays
   inspectable);
 * golden-pinned translation units for every benchsuite program;
@@ -369,22 +369,6 @@ def test_persistent_cache_dlopens_its_own_so_without_scratch_dir(tmp_path):
     assert os.listdir(tmp) == []
 
 
-# -- the autotuner reaches c through the same registry -------------------------
-
-
-@needs_cc
-def test_tune_with_c_as_the_configured_backend(tmp_path):
-    from repro.service import Metrics
-    from repro.tune import TuneDB, tune
-    from repro.tune.space import default_plan
-
-    db = TuneDB(root=str(tmp_path / "tunedb"), metrics=Metrics())
-    result = tune(BASIC_SOURCE, backend="c", db=db, budget_s=10.0, top_k=1)
-    measured = {row.plan for row in result.ranking if row.measurement is not None}
-    assert default_plan("c2", "c") in measured
-    assert any(row.note.endswith("<- winner") for row in result.ranking)
-
-
 # -- degradation without a compiler ------------------------------------------
 
 
@@ -399,23 +383,6 @@ def test_execute_without_cc_raises_backend_unavailable(monkeypatch):
     _program, sp = compile_at(BASIC_SOURCE)
     with pytest.raises(BackendUnavailableError, match="C compiler"):
         execute(sp, "c")
-
-
-def test_tuner_space_excludes_c_without_cc(monkeypatch):
-    from repro.tune.space import default_space
-
-    monkeypatch.setenv("REPRO_CC", "")
-    assert "c" not in default_space().backends
-    # Even when c is the *configured* backend, the space silently falls
-    # back rather than enumerating plans the host cannot run.
-    assert "c" not in default_space(backend="c").backends
-
-
-@needs_cc
-def test_tuner_space_includes_c_with_cc():
-    from repro.tune.space import default_space
-
-    assert "c" in default_space().backends
 
 
 def test_cli_backends_marks_c_unavailable(monkeypatch, capsys):

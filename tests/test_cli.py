@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -160,6 +164,57 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
 
+class TestUserErrors:
+    """Bad user input ends in one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def _cli(tmp_path, *argv):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [
+                    os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH", ""),
+                ])
+            ),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode in (1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, proc.stderr
+        return errors[0]
+
+    def test_config_value_not_a_number(self, source_file, tmp_path):
+        line = self._cli(tmp_path, "run", source_file, "--config", "n=abc")
+        assert "'n=abc'" in line
+
+    def test_requests_file_not_json(self, source_file, tmp_path):
+        requests = tmp_path / "bad.json"
+        requests.write_text("[{")
+        line = self._cli(
+            tmp_path, "serve", source_file, "--requests", str(requests)
+        )
+        assert str(requests) in line and "not valid JSON" in line
+
+    def test_request_config_not_a_number(self, source_file, tmp_path):
+        requests = tmp_path / "requests.json"
+        requests.write_text('[{"config": {"n": "x"}}]')
+        line = self._cli(
+            tmp_path, "serve", source_file, "--requests", str(requests)
+        )
+        assert "'n'" in line and "'x'" in line
+
+    def test_removed_tune_subcommand_is_a_usage_error(self, source_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", source_file])
+        assert excinfo.value.code == 2
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["0", "-2", "three"])
     def test_bad_workers_rejected_at_parse_time(self, source_file, value):
@@ -168,72 +223,17 @@ class TestArgumentValidation:
                   "--workers", value])
         assert excinfo.value.code == 2  # argparse usage error
 
-    def test_bad_tile_shape_rejected_at_parse_time(self, source_file):
+    @pytest.mark.parametrize("command", ["run", "serve", "trace"])
+    def test_removed_tile_shape_flag_is_a_usage_error(self, source_file, command):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", source_file, "--backend", "np-par",
-                  "--tile-shape", "8xfoo"])
+            main([command, source_file, "--backend", "np-par",
+                  "--tile-shape", "8"])
         assert excinfo.value.code == 2
 
     def test_workers_require_np_par(self, source_file):
         with pytest.raises(SystemExit):
             main(["run", source_file, "--backend", "codegen_np",
                   "--workers", "2"])
-
-    def test_tile_shape_requires_np_par(self, source_file):
-        with pytest.raises(SystemExit):
-            main(["run", source_file, "--tile-shape", "8"])
-
-
-class TestTileShape:
-    def test_run_with_forced_tile_shape(self, source_file, capsys):
-        main(["run", source_file])
-        interp_out = capsys.readouterr().out
-        assert main(["run", source_file, "--backend", "np-par",
-                     "--workers", "2", "--tile-shape", "3x6"]) == 0
-        assert capsys.readouterr().out == interp_out
-
-    def test_env_tile_shape(self, source_file, capsys, monkeypatch):
-        from repro.parallel import engine
-
-        monkeypatch.setenv(engine.ENV_TILE_SHAPE, "2")
-        assert main(["run", source_file, "--backend", "np-par",
-                     "--workers", "1"]) == 0
-        assert "total = " in capsys.readouterr().out
-
-
-class TestTune:
-    def test_tune_prints_ranking_and_persists(
-        self, source_file, tmp_path, capsys
-    ):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["tune", source_file, "--budget-s", "5",
-                     "--top-k", "2", "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "winner:" in out
-        assert "predicted" in out and "measured" in out
-        assert "<- winner" in out
-
-        # The second invocation must be a pure database hit.
-        assert main(["tune", source_file, "--budget-s", "5",
-                     "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "tunedb hit" in out
-
-    def test_serve_tune_applies_stored_plan(
-        self, source_file, tmp_path, capsys, monkeypatch
-    ):
-        cache_dir = str(tmp_path / "cache")
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
-        assert main(["tune", source_file, "--budget-s", "5",
-                     "--top-k", "2"]) == 0
-        winner_line = next(
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("winner:")
-        )
-        assert main(["serve", source_file, "--tune"]) == 0
-        out = capsys.readouterr().out
-        assert "plan=" in out and "(tuned)" in out
-        assert winner_line.split()[1] in out
 
 
 class TestTrace:
@@ -248,8 +248,9 @@ class TestTrace:
         import json
 
         path = str(tmp_path / "trace.json")
+        # 96 x 96 points: large enough that two workers split the sweep.
         assert main(["trace", source_file, "--backend", "np-par",
-                     "--workers", "2", "--tile-shape", "3x3",
+                     "--workers", "2", "--config", "n=96",
                      "--out", path]) == 0
         out = capsys.readouterr().out
         assert "perfetto" in out

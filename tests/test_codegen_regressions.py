@@ -359,9 +359,7 @@ def test_cost_models_lay_out_what_the_backends_run():
     config-bound allocation prices instead of raising ``'n' is unbound``."""
     from repro.machine import CRAY_T3E, estimate_sequential
     from repro.machine.trace import MemoryLayout
-    from repro.tune.space import default_plan, predict_cost
 
     program = config_bound_program()
     assert MemoryLayout(program).total_bytes == 7 * 8
     assert estimate_sequential(program, CRAY_T3E).cycles > 0
-    assert predict_cost(program, default_plan()) > 0

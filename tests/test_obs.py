@@ -417,7 +417,11 @@ class TestHistogramBuckets:
 
 
 # ---------------------------------------------------------------------------
-# Wiring: Service / TileEngine / tuner emit the declared spans
+# Wiring: Service / TileEngine emit the declared spans
+
+#: Large enough (96 x 96 = 9 216 points) that plan_tiles splits a sweep
+#: between two workers.
+MULTI_TILE = {"n": 96}
 
 
 class TestServiceTracing:
@@ -478,10 +482,9 @@ class TestServiceTracing:
             backend="np-par",
             cache_dir=str(tmp_path),
             workers=2,
-            tile_shape=(4, 4),
             trace=tracer,
         )
-        compiled = service.compile(SOURCE)
+        compiled = service.compile(SOURCE, config=MULTI_TILE)
         compiled.execute()
         known = set(registry.known_span_names())
         for span in tracer.spans():
@@ -505,10 +508,9 @@ class TestTileEngineTracing:
             backend="np-par",
             cache_dir=str(tmp_path),
             workers=2,
-            tile_shape=(4, 4),
             trace=tracer,
         )
-        service.compile(SOURCE).execute()
+        service.compile(SOURCE, config=MULTI_TILE).execute()
         sweeps = [s for s in tracer.spans() if s.name == "par.sweep"]
         tiles = [s for s in tracer.spans() if s.name == "par.tile"]
         assert sweeps and tiles
@@ -549,19 +551,6 @@ class TestTileEngineTracing:
         assert len(tracer) == 0
 
 
-class TestTunerTracing:
-    def test_runner_measure_records_span(self):
-        tracer = Tracer()
-        from repro.tune.runner import Runner
-
-        runner = Runner(warmup=0, repeats=2, tracer=tracer)
-        measurement = runner.measure(lambda: None)
-        assert measurement is not None
-        (span,) = [s for s in tracer.spans() if s.name == "tune.measure"]
-        assert span.attrs["repeats"] == measurement.repeats
-        assert span.attrs["aborted"] is False
-
-
 # ---------------------------------------------------------------------------
 # Perfetto structural validation on a benchsuite program (acceptance)
 
@@ -575,10 +564,11 @@ class TestPerfettoStructure:
             backend="np-par",
             cache_dir=str(tmp_path / "cache"),
             workers=2,
-            tile_shape=4,
             trace=tracer,
         )
-        compiled = service.compile(bench.source, config=bench.test_config)
+        compiled = service.compile(
+            bench.source, config=dict(bench.test_config, n=96, m=96)
+        )
         compiled.execute()
         path = str(tmp_path / "frac-trace.json")
         write_chrome_trace(tracer.spans(), path)

@@ -2,7 +2,7 @@
 
 * Hand-built nests, one per fact the plan records, each asserting all
   four verdicts derived from it: the slice split (``codegen_np``), the
-  thread class (``np-par``, the tuner), the rank class on three sets of
+  thread class (``np-par``), the rank class on three sets of
   cut dimensions (``mp-shard``) and ``sinkable`` of an enclosing column
   sweep (``c``).
 * ``partition_plan.parent.json``: every verdict of every nest of the six

@@ -387,81 +387,20 @@ def test_timer_reservoir_is_bounded():
     assert RESERVOIR_SIZE * 1 < p50 < RESERVOIR_SIZE * 3
 
 
-# -- tuned serving -----------------------------------------------------------
+# -- engine and request errors ---------------------------------------------
 
 
-def _store_plan(service, source, plan):
-    from repro.tune.tunedb import fresh_record
-
-    db = service.tunedb()
-    db.put(db.digest_for(source), fresh_record(plan, 0.001, 10.0))
-    return db
-
-
-def test_compile_applies_stored_tuned_plan(tmp_path, monkeypatch):
-    from repro.tune import Plan
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    service = Service(level="c2", backend="codegen_np", tune=True)
-    _store_plan(service, SOURCE, Plan("c2+f4", "np-par", workers=2,
-                                      tile_shape=(3,)))
+def test_every_artifact_runs_on_the_service_tile_engine(tmp_path):
+    service = Service(backend="np-par", workers=2, cache_dir=str(tmp_path))
     compiled = service.compile(SOURCE)
-    assert compiled.level == "c2+f4"
-    assert compiled.backend == "np-par"
-    assert compiled.plan == {
-        "level": "c2+f4",
-        "backend": "np-par",
-        "workers": 2,
-        "tile_shape": (3,),
-        "tuned": True,
-    }
-    assert compiled.plan_id == "c2+f4/np-par/w2/t3"
-    assert service.metrics.counter("tune.plan_applied") == 1
-    # The tuned engine is pooled per (workers, tile shape), not the
-    # service-wide default engine.
-    assert compiled.engine is service.engine_for(2, (3,))
-    assert compiled.engine is not service.tile_engine
-    result = compiled.execute()
-    assert result.scalars["total"] == service.submit(
-        SOURCE, tune=False
+    assert compiled.engine is service.tile_engine
+    assert compiled.execute().scalars["total"] == service.submit(
+        SOURCE, backend="codegen_np"
     ).scalars["total"]
-    assert service.metrics.counter("execute.tuned_requests") == 1
-    assert service.metrics.counter("plan.c2+f4/np-par/w2/t3") == 1
 
 
-def test_untuned_compile_records_default_plan(service):
-    compiled = service.compile(SOURCE)
-    assert compiled.plan["tuned"] is False
-    assert compiled.plan_id == "c2/codegen_np"
-    compiled.execute()
-    assert service.metrics.counter("plan.c2/codegen_np") == 1
-    assert service.metrics.counter("execute.tuned_requests") == 0
+def test_submit_rejects_a_config_value_that_is_not_a_number(service):
+    from repro.util.errors import NormalizationError
 
-
-def test_tune_miss_falls_back_to_defaults(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    service = Service(level="c2", backend="codegen_np", tune=True)
-    compiled = service.compile(SOURCE)
-    assert compiled.level == "c2"
-    assert compiled.backend == "codegen_np"
-    assert compiled.plan["tuned"] is False
-    assert service.metrics.counter("tune.plan_misses") == 1
-
-
-def test_per_call_tune_db_overrides_service_default(tmp_path):
-    from repro.tune import Plan, TuneDB
-
-    service = Service(level="c2", backend="codegen_np",
-                      cache_dir=str(tmp_path / "cache"))
-    db = TuneDB(root=str(tmp_path / "tunedb"))
-    db.put(db.digest_for(SOURCE),
-           __import__("repro.tune.tunedb", fromlist=["fresh_record"])
-           .fresh_record(Plan("f2", "codegen_py"), 0.001, 10.0))
-    assert service.compile(SOURCE).plan["tuned"] is False  # service default
-    tuned = service.compile(SOURCE, tune=db)
-    assert tuned.plan["tuned"] is True
-    assert tuned.level == "f2" and tuned.backend == "codegen_py"
-    assert (
-        tuned.execute().scalars["total"]
-        == service.compile(SOURCE).execute().scalars["total"]
-    )
+    with pytest.raises(NormalizationError, match="'n'.*'x'"):
+        service.submit(SOURCE, {"config": {"n": "x"}})

@@ -1,9 +1,8 @@
-"""One contract for the three kinds on ``repro.service.store.Store``.
+"""One contract for the two kinds on ``repro.service.store.Store``.
 
-Pickled artifacts, native ``.so`` + sidecar and tuning records share the
-store's mechanics; each case here runs against all three through their
-public owners (``ArtifactCache.get/put``, ``get_native/put_native``,
-``TuneDB.get/put``).  The formats are written by hand, byte for byte as
+Pickled artifacts and native ``.so`` + sidecar share the store's
+mechanics; each case here runs against both through their public owner
+(``ArtifactCache.get/put``, ``get_native/put_native``).  The formats are written by hand, byte for byte as
 the code before ``store.py`` existed wrote them, so a cache directory
 left by an older checkout must keep being served warm.
 """
@@ -17,8 +16,6 @@ import pytest
 
 from repro.service.cache import ARTIFACT_SCHEMA, ArtifactCache
 from repro.service.metrics import Metrics
-from repro.tune import Plan, TuneDB, TuneRecord, machine_signature
-from repro.tune.tunedb import TUNEDB_SCHEMA
 
 DIGEST = "ab" * 32
 OTHER = "cd" * 32
@@ -89,31 +86,7 @@ class NativeKind(ArtifactKind):
         return [self.so_bytes, json.dumps(stamp, sort_keys=True).encode()]
 
 
-class TuneKind(ArtifactKind):
-    name, suffixes, invalid = "tune", (".json",), "tune.db_invalid"
-    body = TuneRecord(
-        Plan("c2+f4", "np-par", workers=2, tile_shape=(8, 24)),
-        0.012,
-        340.0,
-        1700000000.5,
-        machine_signature(),
-    )
-
-    def owner(self):
-        return TuneDB(root=self.root, metrics=self.metrics)
-
-    def files(self, digest, code_version, stamped=None, schema=TUNEDB_SCHEMA):
-        envelope = {
-            "schema": schema,
-            "code_version": code_version,
-            "digest": stamped or digest,
-            "record": self.body.to_dict(),
-        }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-        return [text.encode("utf-8")]
-
-
-@pytest.fixture(params=[ArtifactKind, NativeKind, TuneKind], ids=lambda k: k.name)
+@pytest.fixture(params=[ArtifactKind, NativeKind], ids=lambda k: k.name)
 def kind(request, tmp_path):
     return request.param(str(tmp_path / "store"))
 
@@ -167,18 +140,14 @@ def test_stale_stamp_is_a_miss_and_deleted(kind, stale):
 
 def test_kind_stamp_is_checked(kind):
     # The stamp only this kind carries: the payload's type, the object's
-    # checksum, the machine the plan was tuned on.
+    # checksum.
     blobs = kind.files(DIGEST, kind.owner().code_version)
     if kind.name == "artifact":
         envelope = pickle.loads(blobs[0])
         envelope["payload"] = ["not", "a", "dict"]
         blobs = [pickle.dumps(envelope)]
-    elif kind.name == "native":
-        blobs[0] = blobs[0][:-1] + b"!"
     else:
-        envelope = json.loads(blobs[0])
-        envelope["record"]["signature"]["cpu_count"] = 999
-        blobs = [json.dumps(envelope).encode()]
+        blobs[0] = blobs[0][:-1] + b"!"
     kind.write(DIGEST, blobs)
     _assert_rejected(kind, DIGEST)
 

@@ -4,9 +4,11 @@ Every simplification PR left behind a count that must not grow back — one
 loader for generated Python, one native-kernel ladder, one on-disk store,
 one executable node, one partition plan, one run state, one operator
 table.  They are counted here, on the source text and its AST, so they run
-with the tier-1 suite instead of in a CI shell step.
+with the tier-1 suite instead of in a CI shell step.  So is the public
+surface: a change that adds a knob has to edit the count here.
 """
 
+import argparse
 import ast
 import inspect
 import os
@@ -53,6 +55,44 @@ def _trees(*subpaths):
     }
 
 
+# -- the public surface --------------------------------------------------------
+
+
+def _subcommands():
+    from repro.cli import _build_parser
+
+    (action,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_service_takes_ten_parameters():
+    from repro.service import Service
+
+    parameters = inspect.signature(Service.__init__).parameters
+    assert len(parameters) - 1 == 10, list(parameters)
+
+
+def test_cli_has_eight_subcommands_and_twenty_eight_flags():
+    subcommands = _subcommands()
+    assert len(subcommands) == 8, sorted(subcommands)
+    flags = {
+        option
+        for parser in subcommands.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert len(flags) == 28, sorted(flags)
+
+
+def test_seven_environment_variables():
+    names = set(re.findall(r"REPRO_[A-Z_]+", "\n".join(_sources().values())))
+    assert len(names) == 7, sorted(names)
+
+
 # -- one run state, one loader, one ladder, one store, one pipe ---------------
 
 
@@ -94,7 +134,7 @@ def test_written_once(pattern, where, expected):
 @pytest.mark.parametrize(
     "pattern, where, bound",
     [
-        (r"os\.listdir\(", ("service", "tune"), 2),
+        (r"os\.listdir\(", ("service",), 2),
         # the alias + __all__ entry the frozen benchmark imports
         (r"ReductionLoop", (), 2),
     ],

@@ -36,7 +36,6 @@ from repro.parallel.engine import (
 )
 from repro.parallel.tiling import (
     MIN_SWEEP_ELEMS,
-    halo_elements,
     plan_tiles,
 )
 from repro.scalarize import scalarize
@@ -146,16 +145,6 @@ def test_forced_shape_validation():
         plan_tiles(((1, 4), (1, 4)), 1, (2,))
     with pytest.raises(MachineError):
         plan_tiles(((1, 4),), 1, 0)
-
-
-def test_halo_elements_matches_strip_volume():
-    # 3x3 tile with halo 1 in both dims: 5*5 - 3*3 = 16 neighbor elements.
-    assert halo_elements(((1, 3), (1, 3)), (1, 1)) == 16
-    assert halo_elements(((1, 3), (1, 3)), (0, 0)) == 0
-    # Halo wider than the tile itself is well-defined (extent-1 tiles).
-    assert halo_elements(((2, 2),), (2,)) == 4
-    with pytest.raises(MachineError):
-        halo_elements(((1, 3),), (1, 1))
 
 
 # ---------------------------------------------------------------------------
