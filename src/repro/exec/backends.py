@@ -25,6 +25,12 @@ worked on and the final scalars as plain Python values in declared
 order.  ``mp-shard`` is a driver, not a kernel: it has its own ``load``
 and its ranks call the local backend's kernel on their local arrays.
 
+Importing this module has one process-wide side effect:
+:func:`retain_freed_memory` tells glibc's allocator to keep freed heap
+storage (up to 64 MiB) in the process instead of returning it to the OS,
+so a run's buffers reuse the pages the last run freed rather than
+faulting in new ones.
+
 ``interp``
     The tree-walking loop interpreter (:mod:`repro.interp.loop_interp`).
     Slowest; the semantic anchor every code generator is tested against.
@@ -71,6 +77,7 @@ array and scalar state, directly comparable across back ends.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -179,6 +186,42 @@ def bind(program: ScalarProgram, kernel: Kernel, metrics=None) -> Run:
         )
 
     return run
+
+
+#: ``(parameter, value)`` pairs for glibc's ``mallopt``: M_MMAP_THRESHOLD
+#: (-3) at 32 MiB, glibc's own ceiling for its dynamic threshold, and
+#: M_TRIM_THRESHOLD (-1) at 64 MiB, the most freed heap a process keeps.
+_RETAIN_FREED = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def retain_freed_memory() -> bool:
+    """Keep freed array storage in the process for the next run.
+
+    Every run allocates its region buffers afresh (:func:`bind`), and the
+    slice backends add region-sized temporaries on top.  Left alone,
+    glibc's dynamic thresholds serve blocks of 0.5-2 MiB from the heap
+    but trim the heap top as soon as a run frees more than twice that,
+    so the next run's buffers come back as new zero-filled pages (about
+    2 600 minor faults, 10 MiB, per warm n = 256 ``repro.array``
+    smoothing chain on ``codegen_np``).  With the thresholds fixed at
+    :data:`_RETAIN_FREED` those runs reuse the pages the last one freed
+    and fault none.
+
+    Process-wide and run once when this module is imported, so every
+    process that can run a kernel has it.  Setting the same values again
+    changes nothing.  Where the C library has no ``mallopt`` (macOS,
+    musl) it does nothing.  Returns whether every value was set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) for param, value in _RETAIN_FREED])
+
+
+retain_freed_memory()
 
 
 def _render_nothing(program: ScalarProgram) -> None:

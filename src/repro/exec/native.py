@@ -35,7 +35,6 @@ Pieces:
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import ctypes
 import hashlib
@@ -168,32 +167,29 @@ def compile_shared(source: str, cc: Optional[str] = None) -> bytes:
 
 # -- loading and marshalling -------------------------------------------------
 
-_scratch_dir_path: Optional[str] = None
-
-
-def _scratch_dir() -> str:
-    """Process-lifetime directory for shared objects loaded via ctypes.
-
-    A loaded ``.so`` must outlive the dlopen, so per-call temporary
-    directories will not do; one directory is created lazily and removed
-    at interpreter exit.
-    """
-    global _scratch_dir_path
-    if _scratch_dir_path is None:
-        _scratch_dir_path = tempfile.mkdtemp(prefix="repro-native-")
-        atexit.register(shutil.rmtree, _scratch_dir_path, ignore_errors=True)
-    return _scratch_dir_path
-
 
 class NativeKernel:
-    """A loaded shared object exposing ``int repro_run(void **bufs)``."""
+    """A loaded shared object exposing ``int repro_run(void **bufs)``.
 
-    def __init__(self, so_path: str) -> None:
+    ``so_bytes`` is the object's contents, held when ``so_path`` is a
+    file that was unlinked once loaded (:func:`load_kernel`).
+    """
+
+    def __init__(self, so_path: str, so_bytes: Optional[bytes] = None) -> None:
         self.path = so_path
+        self._bytes = so_bytes
         self._lib = ctypes.CDLL(so_path)
         self._fn = self._lib.repro_run
         self._fn.restype = ctypes.c_int
         self._fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+
+    def so_bytes(self) -> bytes:
+        """The shared object's contents; :class:`OSError` when they were
+        not held and its file is gone."""
+        if self._bytes is not None:
+            return self._bytes
+        with open(self.path, "rb") as handle:
+            return handle.read()
 
     def run(self, buffers: List[np.ndarray]) -> None:
         # The address through the buffer protocol: ``ndarray.ctypes``
@@ -211,15 +207,16 @@ class NativeKernel:
 
 
 def load_kernel(so_bytes: bytes) -> NativeKernel:
-    """Materialize shared-object bytes on disk and dlopen them."""
-    digest = hashlib.sha256(so_bytes).hexdigest()[:24]
-    path = os.path.join(_scratch_dir(), "kernel-%s.so" % digest)
-    if not os.path.exists(path):
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            handle.write(so_bytes)
-        os.replace(tmp, path)
-    return NativeKernel(path)
+    """dlopen shared-object bytes that no persistent cache holds.
+
+    They go to a temp file of their own, which is unlinked as soon as it
+    is loaded (the mapping outlives the name), so a process that dies
+    however it dies leaves no file behind.  The kernel keeps the bytes.
+    """
+    with tempfile.NamedTemporaryFile(prefix="repro-native-", suffix=".so") as handle:
+        handle.write(so_bytes)
+        handle.flush()
+        return NativeKernel(handle.name, so_bytes)
 
 
 def call_kernel(
@@ -319,8 +316,9 @@ def kernel_for_source(
     shared object stored back for the next process.  A memo hit leaves
     the object in the caller's persistent cache too (a file copy), so
     that cache serves a later process whichever rung served this one.  A
-    persistent cache's own file is what gets dlopened; the
-    ``repro-native-*`` scratch directory is used only without one.
+    persistent cache's own file is what gets dlopened; without one the
+    object is loaded from a temp file unlinked at once
+    (:func:`load_kernel`).
     Machines without a compiler raise :class:`BackendUnavailableError`.
     """
     cc = cc or find_cc()
@@ -345,8 +343,7 @@ def kernel_for_source(
         elsewhere = os.path.dirname(os.path.dirname(kernel.path)) != cache.root
         if elsewhere and cache.get_native(key) is None:
             try:
-                with open(kernel.path, "rb") as handle:
-                    cache.put_native(key, handle.read())
+                cache.put_native(key, kernel.so_bytes())
             except OSError:
                 kernel = None  # its file is gone: build again
     if kernel is None:

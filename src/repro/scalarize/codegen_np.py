@@ -20,7 +20,9 @@ emitter does with the answer:
   :class:`~repro.scalarize.codegen_py.PyGenerator`.
 
 Contraction scalars inside a vectorized nest become whole-region
-temporaries (the value at *every* index point, materialized with
+temporaries (the value at *every* index point: an operand holding an
+array reference already has that shape, and only one without — built
+from constants, index grids and scalars — is wrapped in
 ``np.broadcast_to``); after the nest body the scalar is restored from the
 "corner" — the index of the nest's final iteration, ``-1`` along
 ascending dimensions and ``0`` along descending ones — so subsequent
@@ -145,7 +147,7 @@ class NumpyGenerator(PyGenerator):
         value = self._vexpr(stmt.rhs, ctx)
         if stmt.reduce_op is not None:
             folded = operators.REDUCTIONS[stmt.reduce_op].np_step.format(
-                stmt.scalar_target, self._broadcast(value, ctx)
+                stmt.scalar_target, self._broadcast(stmt.rhs, value, ctx)
             )
             self._emit("%s = %s" % (stmt.scalar_target, folded), depth)
         elif stmt.is_contracted:
@@ -153,7 +155,8 @@ class NumpyGenerator(PyGenerator):
             # corner restore (and any vector read downstream) is well
             # defined even when the RHS contains no array reference.
             self._emit(
-                "%s = %s" % (stmt.scalar_target, self._broadcast(value, ctx)),
+                "%s = %s"
+                % (stmt.scalar_target, self._broadcast(stmt.rhs, value, ctx)),
                 depth,
             )
         else:
@@ -162,7 +165,20 @@ class NumpyGenerator(PyGenerator):
             )
             self._emit("%s = %s" % (target, value), depth)
 
-    def _broadcast(self, value: str, ctx: _VectorContext) -> str:
+    def _broadcast(
+        self, expr: ir.IRExpr, value: str, ctx: _VectorContext
+    ) -> str:
+        """``value`` (the rendering of ``expr``) at every index point.
+
+        An array reference that slices every vectorized dimension already
+        has the nest's vector shape, and every operator is element-wise,
+        so an expression holding one is the whole-region value as it
+        stands; only one without needs ``np.broadcast_to``.
+        """
+        if any(
+            ctx.vdims[-1] <= len(ref.offset) for ref in expr.array_refs()
+        ):
+            return value
         return "np.broadcast_to(np.asarray(%s), %s)" % (
             value,
             self._shape_text(ctx),

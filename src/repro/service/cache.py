@@ -281,8 +281,8 @@ class ArtifactCache:
     def put_native(self, digest: str, so_bytes: bytes) -> Optional[str]:
         """Store compiled shared-object bytes; returns the stored path.
 
-        Non-persistent caches return None — the native runner's
-        per-process scratch directory covers that mode.
+        Non-persistent caches return None — the native runner then
+        loads the bytes from a temp file it unlinks at once.
         """
         path = self._natives.put(digest, so_bytes) if self.persistent else None
         if path is not None:

@@ -12,7 +12,9 @@ Three layers of coverage:
   N times with fresh input values performs exactly one compile.
 """
 
+import ctypes
 import os
+import resource
 import sys
 
 import numpy as np
@@ -305,6 +307,34 @@ def test_warm_trace_digest_loads_generated_code_once(service, monkeypatch):
         assert np.array_equal(out, values * 2.0 + 1.0)
     assert service.metrics.counter("service.compiles") == 1
     assert len(loads) == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt"
+)
+def test_warm_compute_reuses_freed_pages(service):
+    # A warm n=256 smoothing chain on codegen_np frees ~10 MiB of region
+    # buffers and temporaries per call.  Without the allocator policy of
+    # repro.exec.backends, an unrelated multi-MiB temporary freed between
+    # calls (as a caller's own NumPy work does) makes glibc trim the heap,
+    # and the next call faults over a thousand pages back in.
+    def smoothed(values):
+        x = ra.asarray(values)
+        for _ in range(3):
+            x = (x + x.shift(0, 1) + x.shift(0, -1)
+                 + x.shift(1, 1) + x.shift(1, -1)) * 0.2
+        return x, x.sum()
+
+    rng = np.random.default_rng(3)
+    faults = []
+    for _round in range(5 + 20):  # the compile and four warm-up runs first
+        graph = smoothed(rng.random((256, 256)))
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        ra.compute(*graph, backend="codegen_np", level="c2+f4", service=service)
+        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+        temporary = np.ones((512, 512))
+        del temporary
+    assert sum(faults[5:]) < 32 * 20, faults
 
 
 def test_distinct_shapes_and_levels_get_distinct_artifacts(service):

@@ -15,6 +15,8 @@ What is covered here and nowhere else:
 * cross-process ``.so`` reuse: the second process serves the compiled
   shared object from the content-addressed artifact cache with **zero**
   compiler invocations;
+* no ``repro-native-*`` file outlives a process SIGKILLed with a
+  cache-less kernel loaded;
 * graceful degradation without a host C compiler (``REPRO_CC=""``):
   execution raises ``BackendUnavailableError``, the CLI marks it
   unavailable — and
@@ -33,6 +35,7 @@ Bit-level agreement across the whole corpus lives in
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -367,6 +370,44 @@ def test_persistent_cache_dlopens_its_own_so_without_scratch_dir(tmp_path):
     assert [run["cc"] for run in runs] == [1, 0]
     assert [run["scratch"] for run in runs] == [[], []]
     assert os.listdir(tmp) == []
+
+
+_LOAD_AND_WAIT_SCRIPT = """
+import time
+from repro.exec import execute
+from repro.ir import normalize_source
+from repro.fusion import C2, plan_program
+from repro.scalarize import scalarize
+
+program = normalize_source('''%s''')
+result = execute(scalarize(program, plan_program(program, C2)), "c")
+print(repr(float(result.scalars["s"])), flush=True)
+time.sleep(60)
+""" % BASIC_SOURCE
+
+
+@needs_cc
+def test_sigkilled_process_leaves_no_native_scratch(tmp_path):
+    # A cache-less load (bare execute, mp-shard ranks) dlopens a temp
+    # file that is unlinked at once, so a process killed with its kernel
+    # loaded has nothing left for an atexit hook to remove.
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR), TMPDIR=str(tmp))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LOAD_AND_WAIT_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        ran = child.stdout.readline()  # the kernel's answer: it is loaded
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert ran.strip() and child.returncode == -signal.SIGKILL
+    assert [name for name in os.listdir(tmp) if name.startswith("repro-native-")] == []
 
 
 # -- degradation without a compiler ------------------------------------------

@@ -100,6 +100,13 @@ begin
 end;
 """
     _program, scalar_program, source = compile_np(source_text, C2)
+    # A + 1.0 already has the region's shape: no broadcast_to around it.
+    assert "T__s = (A[0:6, 0:6] + 1.0)" in source
+    assert "T__s = T__s[-1, -1]" in source
+    # Without an array reference the value is widened to the region.
+    _program, _scalar_program, source = compile_np(
+        source_text.replace("A + 1.0", "Index1 * 1.0"), C2
+    )
     assert "T__s = np.broadcast_to(" in source
     assert "T__s = T__s[-1, -1]" in source
 

@@ -125,6 +125,11 @@ def test_the_extent_rule_has_three_spellings_at_most():
         (r"^(?!\s*def ).*compile_shared\(", (), 1),
         (r"mkstemp\(", (), 1),
         (r"\.Pipe\(", ("daemon", "exec"), 1),
+        # the allocator policy, set once per process by repro.exec.backends
+        (r"mallopt\(", (), 1),
+        # cache-less kernels are unlinked once loaded: no scratch directory
+        (r"_scratch_dir", (os.path.join("exec", "native.py"),), 0),
+        (r"atexit\.register\(shutil\.rmtree", (os.path.join("exec", "native.py"),), 0),
     ],
 )
 def test_written_once(pattern, where, expected):
