@@ -28,7 +28,7 @@ Commands
 
 ``trace FILE``
     Compile and execute once with structured tracing on, then print the
-    span tree (compile passes, cache probe, execution, per-tile sweeps);
+    span tree (compile passes, cache probe, execution);
     ``--out trace.json`` writes Chrome trace-event JSON loadable in
     Perfetto (https://ui.perfetto.dev).
 
@@ -140,9 +140,8 @@ def _add_backend_argument(parser, default: str) -> None:
         metavar="{%s}" % ",".join(BACKEND_CHOICES),
         help="execution back end (case-insensitive; aliases: %s): loop "
         "interpreter, generated Python element loops, generated "
-        "whole-region NumPy, tile-parallel NumPy sweeps, "
-        "host-compiled C (needs a C compiler), or multi-process "
-        "sharding with modeled halo exchanges"
+        "whole-region NumPy, host-compiled C (needs a C compiler), or "
+        "multi-process sharding with modeled halo exchanges"
         % ", ".join("%s=%s" % pair for pair in sorted(ALIASES.items())),
     )
 
@@ -191,11 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "max absolute divergence",
     )
     run_parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="tile-engine worker threads (np-par backend only; default: "
-        "$REPRO_WORKERS or the processor count)",
-    )
-    run_parser.add_argument(
         "--procs", type=_positive_int, default=None, metavar="N",
         help="worker processes (mp-shard backend only; default: "
         "$REPRO_PROCS or up to 4)",
@@ -226,8 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="fan request execution out across N threads (also sizes the "
-        "np-par backend's tile-engine pool)",
+        help="fan request execution out across N threads",
     )
     serve_parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
@@ -297,10 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(trace_parser)
     _add_backend_argument(trace_parser, default="codegen_np")
-    trace_parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="tile-engine worker threads (np-par backend only)",
-    )
     trace_parser.add_argument(
         "--out", metavar="PATH",
         help="also write Chrome trace-event JSON to PATH "
@@ -443,7 +432,7 @@ def cmd_run(args) -> int:
     scalar_program = scalarize(program, plan)
     options = {}
     accepted = get_backend(args.backend).options
-    for flag in ("workers", "procs", "local_backend"):
+    for flag in ("procs", "local_backend"):
         value = getattr(args, flag)
         if value is None:
             continue
@@ -680,7 +669,6 @@ def cmd_trace(args) -> int:
         level=level,
         backend=args.backend,
         persistent=False,
-        workers=args.workers,
         self_temp_policy=args.self_temp_policy,
         simplify=args.simplify,
         trace=True,

@@ -1,6 +1,6 @@
 """The execution-backend registry.
 
-Six ways to execute a scalarized program, one lifecycle.  The scalarizer
+Five ways to execute a scalarized program, one lifecycle.  The scalarizer
 hands every executor the same thing — one loop nest per fusible cluster,
 a single :class:`~repro.scalarize.loopnest.ScalarProgram` — and every
 :class:`Backend` record turns it into a callable the same way:
@@ -44,12 +44,6 @@ faulting in new ones.
     Generated whole-region NumPy slice operations
     (:mod:`repro.scalarize.codegen_np`), vectorizing every loop level the
     carry analysis proves dependence-free.
-
-``np-par`` (alias ``np_par``, ``par``)
-    The tile-parallel engine (:mod:`repro.parallel.engine`): each
-    dependence-free sweep is sharded into tiles executed on a worker
-    pool, with shardability proved from the same carry analysis.
-    Accepts a ``workers=`` option (or a prebuilt ``engine=``).
 
 ``c`` (alias ``cc``, ``native``)
     Host-compiled C (:mod:`repro.exec.native`): the fused loop nests
@@ -228,12 +222,6 @@ def _render_nothing(program: ScalarProgram) -> None:
     return None
 
 
-def _render_numpy_par(program: ScalarProgram) -> str:
-    from repro.parallel.engine import render_numpy_par
-
-    return render_numpy_par(program)
-
-
 def _interp_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
     from repro.interp.loop_interp import LoopInterpreter
 
@@ -254,22 +242,6 @@ def _entry(code: str, filename: str):
 def _generated_kernel(render, filename: str):
     def kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
         return _entry(render(program) if code is None else code, filename)
-
-    return kernel
-
-
-def _np_par_kernel(program: ScalarProgram, code=None, artifacts=None) -> Kernel:
-    entry = _entry(
-        _render_numpy_par(program) if code is None else code,
-        "<repro-codegen-np-par>",
-    )
-
-    def kernel(arrays, scalars, workers=None, engine=None):
-        if engine is None and workers is not None:
-            from repro.parallel.engine import TileEngine
-
-            engine = TileEngine(workers=workers)
-        return entry(arrays, scalars, engine)
 
     return kernel
 
@@ -345,13 +317,6 @@ BACKENDS: Dict[str, Backend] = {
         render_numpy,
         _generated_kernel(render_numpy, "<repro-codegen-np>"),
     ),
-    "np-par": _from_kernel(
-        "np-par",
-        "tile-parallel NumPy sweeps on a worker pool",
-        _render_numpy_par,
-        _np_par_kernel,
-        options=("workers", "engine"),
-    ),
     "c": _from_kernel(
         "c",
         "host-compiled C loop nests (cc + ctypes)",
@@ -374,8 +339,6 @@ ALIASES: Dict[str, str] = {
     "py": "codegen_py",
     "np": "codegen_np",
     "numpy": "codegen_np",
-    "np_par": "np-par",
-    "par": "np-par",
     "cc": "c",
     "native": "c",
     "mp_shard": "mp-shard",
@@ -431,9 +394,9 @@ def execute(
     ``program.scalar_inputs`` (none for frontend-produced programs) under
     the same contract: unknown, missing or wrong-kind names raise
     ``InputError`` first.
-    Keyword ``options`` pass through to the backend (``np-par`` takes
-    ``workers=`` or ``engine=``); backends reject options they do not
-    understand.
+    Keyword ``options`` pass through to the backend (``mp-shard`` takes
+    ``procs=``, ``local_backend=`` and ``comm_options=``); backends
+    reject options they do not understand.
     """
     return get_backend(backend).load(program)(
         initial_arrays, initial_scalars, **options

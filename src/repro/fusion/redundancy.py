@@ -28,18 +28,20 @@ Legality of a hoist (term ``T`` with occurrences in member statements
 
 1. ``T`` reads no array written by the cluster.  This makes ``T``
    loop-invariant with respect to the cluster's own stores, so the hoist
-   is valid under element order (interp/codegen_py), under whole-region
-   statement order (codegen_np) and under tile-distributed execution
-   with corner restore (np-par) alike.
+   is valid under element order (interp/codegen_py/c) and under
+   whole-region statement order (codegen_np) alike.
 2. No scalar read by ``T`` is (re)defined by a member statement between
    the first occurrence and a reused occurrence; occurrences past the
    first such definition simply stay inline (a later round may hoist
    them again separately).
-3. The rewrite must not degrade the tile sharding: a cluster that reads
-   one of its own arrays at a non-zero offset shards per-statement, and
-   introducing the *first* scalar-target statement into such a nest
-   would force it serial — those clusters are skipped unless they
-   already carry contracted statements.
+3. The rewrite must not change a nest's thread class
+   (:meth:`repro.scalarize.loopnest.PartitionPlan.thread_class`): a
+   cluster that reads one of its own arrays at a non-zero offset is
+   ``per-statement``, and introducing the *first* scalar-target
+   statement into such a nest would make it ``serial`` — those clusters
+   are skipped unless they already carry contracted statements.  The
+   rule also fixes which terms are hoisted, so the generated text and
+   the hoist counts are pinned by it.
 """
 
 from __future__ import annotations
@@ -324,8 +326,8 @@ def _eliminate_cluster(
 
     if offset_self_read and not has_contracted:
         # Hoisting would introduce the first scalar-target statement into
-        # a nest that shards per-statement, forcing it serial (legality
-        # rule 3).  Not worth it: skip the cluster.
+        # a per-statement nest, making its thread class serial (legality
+        # rule 3): skip the cluster.
         return None, stats._replace(clusters_skipped=1)
 
     while True:

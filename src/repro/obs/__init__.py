@@ -3,7 +3,7 @@
 The observability layer for the serving stack:
 
 * :class:`Tracer` — thread-safe nested spans with monotonic timestamps,
-  cross-thread parent attachment (tile-engine workers attach to the
+  cross-thread parent attachment (a worker thread's spans attach to the
   request that submitted them), and bounded ring-buffer retention;
 * exporters — Chrome trace-event JSON (loadable in Perfetto),
   human-readable span trees, and Prometheus text exposition of the

@@ -87,7 +87,7 @@ SPANS: List[SpanDef] = [
         "compile.codegen",
         (),
         "Service._build",
-        "Rendering backend source (Python / NumPy / tile-parallel NumPy / C).",
+        "Rendering backend source (Python / NumPy / C).",
     ),
     SpanDef(
         "compile.cc",
@@ -121,21 +121,6 @@ SPANS: List[SpanDef] = [
         "CompiledProgram.execute",
         "One request execution on the artifact's backend at the level it "
         "was compiled for.",
-    ),
-    SpanDef(
-        "par.sweep",
-        ("cluster", "tiles", "workers"),
-        "TileEngine.sweep",
-        "One barrier-delimited tile sweep of a fusible cluster.  cluster "
-        "is the generated kernel's name (stable within one artifact).",
-    ),
-    SpanDef(
-        "par.tile",
-        ("tile",),
-        "TileEngine.sweep",
-        "One tile of a sweep; recorded on the worker thread that ran it "
-        "but parented to the submitting sweep span, so Perfetto shows "
-        "per-worker timelines under one sweep.",
     ),
     SpanDef(
         "daemon.request",
@@ -205,12 +190,6 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "trace.materializations",
         "repro.array graph flushes (compute() or an implicit trigger).",
-    ),
-    CounterDef("par.sweeps", "Tile sweeps executed by the tile engine."),
-    CounterDef("par.tiles", "Tiles executed across all sweeps."),
-    CounterDef("par.serial_nests", "Nests that took the serial fallback."),
-    CounterDef(
-        "par.snapshots", "Read snapshots taken for self-hazard statements."
     ),
     CounterDef(
         "cache.lock_waits",
@@ -340,8 +319,7 @@ TIMERS: List[TimerDef] = [
     ),
     TimerDef(
         "execute.*",
-        "Per-backend execution time, e.g. execute.codegen_np, "
-        "execute.np-par.",
+        "Per-backend execution time, e.g. execute.codegen_np, execute.c.",
     ),
     TimerDef(
         "comm.exchange",

@@ -3,13 +3,12 @@
 A :class:`Tracer` records *spans* — named, attributed intervals on a
 monotonic clock — nested by a per-thread stack, so one traced request
 yields a tree: ``compile`` containing the per-pass spans the pipeline's
-``timers=`` hook emits, ``execute`` containing ``par.sweep`` containing
-one ``par.tile`` per tile.  Worker-pool threads attach their spans to an
-explicit parent handle (:meth:`Tracer.current` captured on the
-submitting thread), so a tile sweep fanned out over a
-``ThreadPoolExecutor`` still hangs off the request that issued it while
-every tile keeps its own thread id — exactly what the Chrome trace
-viewer needs to draw per-worker timelines.
+``timers=`` hook emits, then ``execute``.  A span recorded on another
+thread can attach to an explicit parent handle (:meth:`Tracer.current`
+captured on the submitting thread), so work fanned out to worker
+threads still hangs off the request that issued it while every span
+keeps its own thread id — exactly what the Chrome trace viewer needs to
+draw per-worker timelines.
 
 Completed spans land in a bounded ring buffer (oldest evicted first,
 :attr:`Tracer.dropped` counts the loss), so a long-lived service can
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional
 ENV_TRACE = "REPRO_TRACE"
 
 #: Default ring-buffer capacity: enough for a traced request batch
-#: (thousands of tile spans) at ~200 bytes per span.
+#: (thousands of spans) at ~200 bytes per span.
 DEFAULT_CAPACITY = 65536
 
 
@@ -190,7 +189,7 @@ class Tracer:
 
         ``parent`` overrides the per-thread nesting — pass the result of
         :meth:`current` captured on another thread to attach cross-thread
-        work (a pool worker's tile) to the span that submitted it.  When
+        work (a pool worker's task) to the span that submitted it.  When
         the tracer is disabled this returns :data:`NOOP_SPAN`; callers on
         hot paths should branch on :attr:`enabled` *before* building
         ``attrs`` so the disabled path allocates nothing.

@@ -19,13 +19,6 @@ from repro.parallel.distribution import (
     balanced_factorization,
     block_chunks,
 )
-from repro.parallel.engine import (
-    ParNumpyGenerator,
-    TileEngine,
-    default_engine,
-    default_workers,
-    render_numpy_par,
-)
 from repro.parallel.shard import (
     RunPlan,
     ShardLayout,
@@ -33,7 +26,6 @@ from repro.parallel.shard import (
     plan_run,
     program_rank,
 )
-from repro.parallel.tiling import plan_tiles
 from repro.parallel.validate import (
     ValidationError,
     ValidationRow,
@@ -56,12 +48,10 @@ __all__ = [
     "FAVOR_COMM",
     "FAVOR_FUSION",
     "NO_COMM_OPTS",
-    "ParNumpyGenerator",
     "ParallelCostModel",
     "ProcessorGrid",
     "RunPlan",
     "ShardLayout",
-    "TileEngine",
     "ValidationError",
     "ValidationRow",
     "analyze_run",
@@ -70,8 +60,6 @@ __all__ = [
     "check_report",
     "combine_messages",
     "comm_merge_filter",
-    "default_engine",
-    "default_workers",
     "eliminate_redundant",
     "estimate_parallel",
     "exchange_table",
@@ -79,9 +67,7 @@ __all__ = [
     "message_cost_us",
     "optimized_comm_cost_us",
     "plan_run",
-    "plan_tiles",
     "program_rank",
-    "render_numpy_par",
     "schedule",
     "singleton_messages",
     "validate_benchsuite",

@@ -46,9 +46,9 @@ def balanced_factorization(p: int, rank: int) -> Tuple[int, ...]:
 def block_chunks(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
     """Split ``[lo..hi]`` into ``parts`` contiguous chunks, sizes within 1.
 
-    The one block chunker: processor chunks of a distribution domain and
-    tile chunks of a sweep both come from here.  Larger chunks come
-    first (the remainder is spread over the leading chunks); when the
+    The one block chunker of a distribution domain over processors.
+    Larger chunks come first (the remainder is spread over the leading
+    chunks); when the
     extent is smaller than ``parts`` the tail chunks are empty
     (``lo > hi``), which is what a rank with nothing to own looks like —
     a caller that wants only non-empty chunks asks for at most the extent.

@@ -55,8 +55,8 @@ class PyGenerator:
         #: ``_int_env()``.
         self._env: Dict[str, int] = int_config_env(program.configs)
 
-    def _preamble(self) -> List[str]:
-        return [
+    def render(self) -> str:
+        self._lines = [
             "import math",
             "import numpy as np",
             "",
@@ -64,9 +64,6 @@ class PyGenerator:
             "",
             "def run(_arrays, _scalars):",
         ]
-
-    def render(self) -> str:
-        self._lines = self._preamble()
         self._emit_config_bindings()
         self._emit_bindings()
         self._emit_body(self._program.body, 1)

@@ -351,8 +351,8 @@ class PartitionPlan(NamedTuple):
     index ``dim - 1``), and each consumer's verdict is a derivation:
 
     * :meth:`slices` — whole-region slice operations (``codegen_np``);
-    * :meth:`thread_class` — blocks over shared arrays (``np-par``, an
-      OpenMP loop);
+    * :meth:`thread_class` — blocks over shared arrays (no executor reads
+      it today; a threaded ``c`` loop would);
     * :meth:`rank_class` — blocks over private arrays with pre-exchanged
       halos (``mp-shard``);
     * :func:`sinkable` — interchanging an enclosing serial loop (``c``).

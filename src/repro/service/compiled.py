@@ -63,7 +63,6 @@ class CompiledProgram:
         payload: Dict[str, object],
         metrics: Optional[Metrics] = None,
         from_cache: bool = False,
-        engine=None,
         tracer=None,
         cache=None,
     ) -> None:
@@ -78,9 +77,6 @@ class CompiledProgram:
         self._tracer = tracer
         #: Whether this instance was served from the artifact cache.
         self.from_cache = from_cache
-        #: Tile engine handed to backends taking an ``engine`` option
-        #: (None: the process-wide default engine).
-        self.engine = engine
         #: backend name -> loaded ``run``, and the lock loads happen under:
         #: the cache's memory-tier memo for this digest when there is one.
         self._runs, self._lock = (
@@ -158,10 +154,7 @@ class CompiledProgram:
         )
         with span_cm, self.metrics.time("execute.%s" % backend_name):
             run = self._runs.get(backend_name) or self._load(backend_obj)
-            if "engine" in backend_obj.options:
-                result = run(arrays, engine=self.engine)
-            else:
-                result = run(arrays)
+            result = run(arrays)
         self.metrics.incr("execute.requests")
         return result
 

@@ -77,17 +77,11 @@ class Service:
         self.cache = cache or ArtifactCache(
             root=cache_dir, persistent=persistent, metrics=self.metrics
         )
+        #: Default thread fan-out of :meth:`submit_many` (None or 1: the
+        #: calling thread executes every request).
         self.workers = workers
         self.self_temp_policy = self_temp_policy
         self.simplify = simplify
-        #: Tile engine shared by every tile-parallel execution this
-        #: service runs, so tile/sweep/serial-fallback counts land in
-        #: the service's metrics registry.
-        from repro.parallel.engine import TileEngine
-
-        self.tile_engine = TileEngine(
-            workers=workers, metrics=self.metrics, tracer=self.tracer
-        )
         #: Single-flight compilation: digest -> in-progress Future, so
         #: concurrent misses on one digest run the pipeline exactly once.
         self._inflight: Dict[str, Future] = {}
@@ -240,7 +234,6 @@ class Service:
             payload,
             metrics=self.metrics,
             from_cache=from_cache,
-            engine=self.tile_engine,
             tracer=self.tracer,
             cache=self.cache,
         )

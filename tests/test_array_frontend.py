@@ -31,7 +31,7 @@ from repro.scalarize.emit_common import DTYPES, int_config_env  # noqa: E402
 from repro.service import Service  # noqa: E402
 from repro.util.errors import ReproError  # noqa: E402
 
-BACKENDS = ("interp", "codegen_py", "codegen_np", "np-par")
+BACKENDS = ("interp", "codegen_py", "codegen_np")
 
 
 @pytest.fixture()

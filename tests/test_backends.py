@@ -43,7 +43,6 @@ def test_registry_names_and_aliases():
         "interp",
         "codegen_py",
         "codegen_np",
-        "np-par",
         "c",
         "mp-shard",
     }
@@ -53,8 +52,6 @@ def test_registry_names_and_aliases():
     assert get_backend("py").name == "codegen_py"
     assert get_backend("np").name == "codegen_np"
     assert get_backend("numpy").name == "codegen_np"
-    assert get_backend("np_par").name == "np-par"
-    assert get_backend("par").name == "np-par"
     assert get_backend("mp_shard").name == "mp-shard"
     assert get_backend("shard").name == "mp-shard"
     for target in ALIASES.values():

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.exec import ALIASES, BACKEND_CHOICES
+from tests.test_structure import REMOVED_BACKEND
 
 SOURCE = """
 program clidemo;
@@ -168,7 +170,7 @@ class TestUserErrors:
     """Bad user input ends in one ``error:`` line, never a traceback."""
 
     @staticmethod
-    def _cli(tmp_path, *argv):
+    def _cli(tmp_path, *argv, status=(1, 2)):
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join(
@@ -183,7 +185,7 @@ class TestUserErrors:
             [sys.executable, "-m", "repro", *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode in (1, 2), proc.stderr
+        assert proc.returncode in status, proc.stderr
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1, proc.stderr
@@ -214,26 +216,43 @@ class TestUserErrors:
             main(["tune", source_file])
         assert excinfo.value.code == 2
 
+    def test_removed_tile_backend_is_a_usage_error(self, source_file, tmp_path):
+        line = self._cli(
+            tmp_path, "run", source_file, "--backend", REMOVED_BACKEND,
+            status=(2,),
+        )
+        assert "unknown backend %r" % REMOVED_BACKEND in line
+
+    def test_removed_tile_backend_is_no_local_backend(self, source_file, tmp_path):
+        line = self._cli(
+            tmp_path, "run", source_file, "--backend", "mp-shard",
+            "--procs", "2", "--local-backend", REMOVED_BACKEND, status=(1,),
+        )
+        assert line == "error: unknown backend %r (have: %s; aliases: %s)" % (
+            REMOVED_BACKEND,
+            ", ".join(BACKEND_CHOICES),
+            ", ".join("%s=%s" % pair for pair in sorted(ALIASES.items())),
+        )
+
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["0", "-2", "three"])
     def test_bad_workers_rejected_at_parse_time(self, source_file, value):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", source_file, "--backend", "np-par",
-                  "--workers", value])
+            main(["serve", source_file, "--workers", value])
         assert excinfo.value.code == 2  # argparse usage error
 
     @pytest.mark.parametrize("command", ["run", "serve", "trace"])
     def test_removed_tile_shape_flag_is_a_usage_error(self, source_file, command):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, source_file, "--backend", "np-par",
-                  "--tile-shape", "8"])
+            main([command, source_file, "--tile-shape", "8"])
         assert excinfo.value.code == 2
 
-    def test_workers_require_np_par(self, source_file):
-        with pytest.raises(SystemExit):
-            main(["run", source_file, "--backend", "codegen_np",
-                  "--workers", "2"])
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_workers_is_a_serve_flag_only(self, source_file, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, source_file, "--workers", "2"])
+        assert excinfo.value.code == 2
 
 
 class TestTrace:
@@ -248,10 +267,7 @@ class TestTrace:
         import json
 
         path = str(tmp_path / "trace.json")
-        # 96 x 96 points: large enough that two workers split the sweep.
-        assert main(["trace", source_file, "--backend", "np-par",
-                     "--workers", "2", "--config", "n=96",
-                     "--out", path]) == 0
+        assert main(["trace", source_file, "--out", path]) == 0
         out = capsys.readouterr().out
         assert "perfetto" in out
         with open(path) as handle:
@@ -260,8 +276,8 @@ class TestTrace:
         assert all({"ph", "pid", "tid", "name"} <= set(e) for e in events)
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert "compile.fusion" in names  # nested compile-pass spans
-        assert "par.tile" in names  # per-tile spans
-        assert "par.sweep" in out  # the printed tree shows the sweep
+        assert "execute" in names
+        assert "backend=codegen_np" in out  # the printed tree
 
     def test_trace_is_cold_every_time(self, source_file, capsys):
         # persistent=False: the second invocation still shows the full

@@ -143,11 +143,10 @@ def test_python_emitter_text_is_pinned(bench):
     import hashlib
 
     from repro.fusion import C2P, LEVELS_BY_NAME
-    from repro.parallel.engine import render_numpy_par
     from repro.scalarize import render_numpy
 
     pins = _emitter_pins()
-    renderers = (render_python, render_numpy, render_numpy_par)
+    renderers = (render_python, render_numpy)
     program = bench.test_program()
     checked = 0
     for level in (BASELINE, C2, LEVELS_BY_NAME["c2+f4+cse"], C2P):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.daemon import Daemon, DaemonConfig, DaemonClient, DaemonError
 from repro.daemon import shm
+from tests.test_structure import REMOVED_BACKEND
 
 SOURCE = """
 program dtest;
@@ -130,7 +131,8 @@ class TestExecute:
         assert str(err.value) == DAEMONIC_MESSAGE
 
     @pytest.mark.parametrize(
-        "field,value", [("level", "zzz"), ("backend", "bogus")]
+        "field,value",
+        [("level", "zzz"), ("backend", "bogus"), ("backend", REMOVED_BACKEND)],
     )
     def test_unknown_level_or_backend_is_a_400_before_admission(
         self, daemon, field, value

@@ -4,7 +4,7 @@ The ``c`` and NumPy emitters replace a float modulo by the constant ``1.0``
 with the fractional part (:func:`repro.scalarize.emit_common.frac_operand`);
 ``interp`` (``np.mod``) and ``codegen_py`` (Python ``%``) keep the defining
 form and are the oracle.  One program, seeded with every value at which the
-two forms could part ways, must give the same bits on all six backends at
+two forms could part ways, must give the same bits on all five backends at
 ``baseline`` and ``c2+f4+cse`` — and every other divisor must keep calling
 ``repro_mod``.
 """
@@ -17,7 +17,6 @@ from repro.exec.backends import BACKENDS, execute
 from repro.fusion import LEVELS_BY_NAME, plan_program
 from repro.ir import expr as ir
 from repro.ir import normalize_source
-from repro.parallel.engine import render_numpy_par
 from repro.scalarize import render_c_module, render_numpy, render_python, scalarize
 from repro.scalarize.emit_common import frac_operand
 
@@ -122,11 +121,10 @@ def test_c_text_uses_frac_for_unit_divisors_only():
 
 def test_numpy_text_uses_floor_for_unit_divisors_only():
     scalar_program = compile_at("baseline")
-    for render in (render_numpy, render_numpy_par):
-        text = render(scalar_program)
-        assert text.count("np.floor(_f)") == 3
-        assert text.count("% 2.0") == 1 and text.count("np.mod(") == 1
-        assert "% 1.0" not in text and ", 1.0)" not in text
+    text = render_numpy(scalar_program)
+    assert text.count("np.floor(_f)") == 3
+    assert text.count("% 2.0") == 1 and text.count("np.mod(") == 1
+    assert "% 1.0" not in text and ", 1.0)" not in text
     # codegen_py keeps the defining form: it is the element-order oracle.
     text = render_python(scalar_program)
     assert text.count("% 1.0") == 3 and "floor" not in text

@@ -1,25 +1,19 @@
-"""Seeded differential fuzzing: five back ends, every level, one oracle.
+"""Seeded differential fuzzing: every back end, every level, one oracle.
 
 Each corpus seed maps deterministically (``tests/genprog.py``) to one
 mini-ZPL program, which is executed at **every** optimization level on
-**every** back end — the tree-walking interpreter, generated Python
-element loops, whole-region NumPy slices, the tile-parallel engine and
-(when the host has a C compiler) native host-compiled C — and compared
+**every** single-process back end — the tree-walking interpreter,
+generated Python element loops, whole-region NumPy slices and (when the
+host has a C compiler) native host-compiled C — and compared
 elementwise against the reference (array-semantics) interpreter to 1e-9
 relative tolerance.
 
-On top of the reference comparison, two bit-identity oracles:
-
-* ``np-par`` must match ``codegen_np`` *bit for bit*: tiling a
-  dependence-free sweep permutes only the order of independent element
-  computations, never the arithmetic, so any drift at all is a tiling
-  bug (a halo read of a freshly-written neighbor, a lost corner
-  restore) rather than float noise.
-* ``c`` must match ``codegen_py`` *bit for bit* — arrays (dtype +
-  ``np.array_equal``) **and** scalars (``repr``-exact) — at every
-  level.  Both execute the same loop nests in the same element order
-  with serial reduction folds, and the C unit is compiled with
-  ``-ffp-contract=off``, so IEEE semantics leave no room for drift.
+On top of the reference comparison, a bit-identity oracle: ``c`` must
+match ``codegen_py`` *bit for bit* — arrays (dtype + ``np.array_equal``)
+**and** scalars (``repr``-exact) — at every level.  Both execute the
+same loop nests in the same element order with serial reduction folds,
+and the C unit is compiled with ``-ffp-contract=off``, so IEEE semantics
+leave no room for drift.
 
 Pinned operation-order caveat (documented, not loosened): ``c`` vs
 ``codegen_np`` arrays are compared bitwise only for programs without a
@@ -61,7 +55,7 @@ from repro.exec.native import cc_available  # noqa: E402
 FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
 #: The native backend joins the differential only where it can run; the
 #: rest of the oracle is unchanged on compiler-less hosts.
-BACKENDS = ("interp", "codegen_py", "codegen_np", "np-par") + (
+BACKENDS = ("interp", "codegen_py", "codegen_np") + (
     ("c",) if cc_available() else ()
 )
 
@@ -119,19 +113,6 @@ def test_fuzz_backends_agree_at_every_level(seed):
                 py_result = result
             elif backend == "codegen_np":
                 np_result = result
-            elif backend == "np-par":
-                # Tiling must be bit-transparent relative to the
-                # whole-region slices it shards.
-                for name, array in result.arrays.items():
-                    other = np_result.arrays[name]
-                    assert array.dtype == other.dtype, where
-                    assert np.array_equal(
-                        array, other, equal_nan=True
-                    ), "%s != codegen_np on array %s\n%s" % (
-                        where,
-                        name,
-                        source,
-                    )
             elif backend == "c":
                 # Same element order, same serial folds, fp-contract
                 # off: the native kernel must be bit-transparent

@@ -382,7 +382,7 @@ class TestLoadOnce:
     @pytest.mark.parametrize(
         "local_backend",
         [
-            "interp", "py", "np", "np-par",
+            "interp", "py", "np",
             pytest.param(
                 "c",
                 marks=pytest.mark.skipif(
@@ -394,9 +394,7 @@ class TestLoadOnce:
     def test_every_local_backend(self, local_backend):
         program = sized_program("Tomcatv", 16, 2)
         # The local executor decides the fold order of float reductions.
-        oracle = execute(
-            program, "np" if local_backend == "np-par" else local_backend
-        )
+        oracle = execute(program, local_backend)
         result, report = execute_sharded(
             program, procs=2, local_backend=local_backend
         )

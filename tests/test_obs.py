@@ -2,8 +2,8 @@
 
 Covers the tentpole guarantees directly:
 
-* span nesting (same-thread stacks and explicit cross-thread parents,
-  including real ``TileEngine`` worker-pool attachment);
+* span nesting (same-thread stacks and explicit cross-thread parents:
+  a span recorded on a worker thread attaches to its submitter's span);
 * bounded ring-buffer retention with a ``dropped`` count;
 * exporter golden files (handmade spans, so timestamps and thread ids
   are deterministic);
@@ -35,7 +35,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs import registry
-from repro.parallel.engine import TileEngine
 from repro.service import Metrics, Service
 from repro.service.metrics import HISTOGRAM_BUCKETS_S, TimerStat
 
@@ -109,21 +108,21 @@ class TestTracer:
         results = {}
 
         def worker(parent):
-            with tracer.span("par.tile", parent=parent, tile=0):
+            with tracer.span("fanout.task", parent=parent, task=0):
                 results["tid"] = threading.get_ident()
 
-        with tracer.span("par.sweep") as sweep_span:
+        with tracer.span("fanout") as fanout_span:
             handle = tracer.current()
-            assert handle is sweep_span
+            assert handle is fanout_span
             thread = threading.Thread(target=worker, args=(handle,))
             thread.start()
             thread.join()
         by_name = {span.name: span for span in tracer.spans()}
-        tile = by_name["par.tile"]
-        assert tile.parent_id == by_name["par.sweep"].span_id
-        # The tile keeps the worker's thread identity for Perfetto rows.
-        assert tile.thread_id == results["tid"]
-        assert tile.thread_id != by_name["par.sweep"].thread_id
+        task = by_name["fanout.task"]
+        assert task.parent_id == by_name["fanout"].span_id
+        # The task keeps the worker's thread identity for Perfetto rows.
+        assert task.thread_id == results["tid"]
+        assert task.thread_id != by_name["fanout"].thread_id
 
     def test_worker_stack_does_not_leak_across_threads(self):
         tracer = Tracer()
@@ -260,14 +259,14 @@ def golden_spans():
             {
                 "digest": "abcdef0123456789abcdef0123456789abcdef01",
                 "level": "c2+f4",
-                "backend": "np-par",
+                "backend": "codegen_np",
                 "cache_hit": False,
             },
         ),
-        _span("par.tile", 5, 4, 630, 750, {"tile": 0}, tid=8, tname="repro-tile_0"),
-        _span("par.tile", 6, 4, 640, 760, {"tile": 1}, tid=9, tname="repro-tile_1"),
-        _span("par.sweep", 4, 3, 620, 880, {"cluster": "cluster_0", "tiles": 2, "workers": 2}),
-        _span("execute", 3, None, 600, 900, {"backend": "np-par"}),
+        _span("fanout.task", 5, 4, 630, 750, {"task": 0}, tid=8, tname="worker_0"),
+        _span("fanout.task", 6, 4, 640, 760, {"task": 1}, tid=9, tname="worker_1"),
+        _span("fanout", 4, 3, 620, 880, {"tasks": 2, "workers": 2}),
+        _span("execute", 3, None, 600, 900, {"backend": "codegen_np"}),
     ]
 
 
@@ -302,7 +301,7 @@ class TestChromeTrace:
             assert event["ts"] >= 0 and event["dur"] > 0
             assert event["cat"] == event["name"].split(".", 1)[0]
         execute = next(e for e in complete if e["name"] == "execute")
-        assert execute["args"] == {"backend": "np-par"}
+        assert execute["args"] == {"backend": "codegen_np"}
 
 
 class TestRenderTree:
@@ -417,11 +416,7 @@ class TestHistogramBuckets:
 
 
 # ---------------------------------------------------------------------------
-# Wiring: Service / TileEngine emit the declared spans
-
-#: Large enough (96 x 96 = 9 216 points) that plan_tiles splits a sweep
-#: between two workers.
-MULTI_TILE = {"n": 96}
+# Wiring: Service emits the declared spans
 
 
 class TestServiceTracing:
@@ -479,12 +474,11 @@ class TestServiceTracing:
         tracer = Tracer()
         service = Service(
             level="c2",
-            backend="np-par",
+            backend="codegen_np",
             cache_dir=str(tmp_path),
-            workers=2,
             trace=tracer,
         )
-        compiled = service.compile(SOURCE, config=MULTI_TILE)
+        compiled = service.compile(SOURCE)
         compiled.execute()
         known = set(registry.known_span_names())
         for span in tracer.spans():
@@ -500,57 +494,6 @@ class TestServiceTracing:
             )
 
 
-class TestTileEngineTracing:
-    def test_worker_tiles_attach_to_sweep(self, tmp_path):
-        tracer = Tracer()
-        service = Service(
-            level="c2",
-            backend="np-par",
-            cache_dir=str(tmp_path),
-            workers=2,
-            trace=tracer,
-        )
-        service.compile(SOURCE, config=MULTI_TILE).execute()
-        sweeps = [s for s in tracer.spans() if s.name == "par.sweep"]
-        tiles = [s for s in tracer.spans() if s.name == "par.tile"]
-        assert sweeps and tiles
-        sweep_ids = {s.span_id for s in sweeps}
-        assert all(t.parent_id in sweep_ids for t in tiles)
-        # Tile spans run on pool worker threads, not the request thread.
-        assert all(
-            t.thread_id != s.thread_id
-            for t in tiles
-            for s in sweeps
-            if t.parent_id == s.span_id
-        )
-        multi = [s for s in sweeps if s.attrs["tiles"] > 1]
-        assert multi, "expected at least one multi-tile sweep"
-        by_sweep = {}
-        for tile in tiles:
-            by_sweep.setdefault(tile.parent_id, []).append(tile)
-        for sweep in sweeps:
-            assert len(by_sweep.get(sweep.span_id, [])) == sweep.attrs["tiles"]
-            assert sweep.attrs["workers"] == 2
-
-    def test_engine_without_tracer_unchanged(self):
-        engine = TileEngine(workers=2, tile_shape=(4,))
-        try:
-            seen = []
-            engine.sweep(lambda lo, hi: seen.append((lo, hi)), [(1, 16)])
-            assert len(seen) == 4
-        finally:
-            engine.close()
-
-    def test_engine_with_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        engine = TileEngine(workers=2, tile_shape=(4,), tracer=tracer)
-        try:
-            engine.sweep(lambda lo, hi: None, [(1, 16)])
-        finally:
-            engine.close()
-        assert len(tracer) == 0
-
-
 # ---------------------------------------------------------------------------
 # Perfetto structural validation on a benchsuite program (acceptance)
 
@@ -561,9 +504,8 @@ class TestPerfettoStructure:
         tracer = Tracer()
         service = Service(
             level="c2",
-            backend="np-par",
+            backend="codegen_np",
             cache_dir=str(tmp_path / "cache"),
-            workers=2,
             trace=tracer,
         )
         compiled = service.compile(
@@ -584,17 +526,14 @@ class TestPerfettoStructure:
                 assert isinstance(event["ts"], int)
                 assert isinstance(event["dur"], int)
         names = {e["name"] for e in events if e["ph"] == "X"}
-        # Nested compile-pass spans and per-tile spans both present.
+        # Nested compile-pass spans under their compile span.
         assert {"compile", "compile.fusion", "execute"} <= names
-        assert "par.sweep" in names and "par.tile" in names
-        # par.tile events nest under a sweep (check via the span records,
-        # which carry explicit parent ids).
-        sweep_ids = {
-            s.span_id for s in tracer.spans() if s.name == "par.sweep"
+        compile_ids = {
+            s.span_id for s in tracer.spans() if s.name == "compile"
         }
         for span in tracer.spans():
-            if span.name == "par.tile":
-                assert span.parent_id in sweep_ids
+            if span.name == "compile.fusion":
+                assert span.parent_id in compile_ids
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ POW_PROGRAMS = {
 
 
 @pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("backend", BACKENDS + ("np-par", "mp-shard"))
+@pytest.mark.parametrize("backend", BACKENDS + ("mp-shard",))
 @pytest.mark.parametrize("body", list(POW_PROGRAMS))
 def test_pow_has_one_answer(body, backend, level):
     program = normalize_source(

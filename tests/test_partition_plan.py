@@ -2,15 +2,18 @@
 
 * Hand-built nests, one per fact the plan records, each asserting all
   four verdicts derived from it: the slice split (``codegen_np``), the
-  thread class (``np-par``), the rank class on three sets of
-  cut dimensions (``mp-shard``) and ``sinkable`` of an enclosing column
-  sweep (``c``).
+  thread class (read by no executor today; a threaded ``c`` loop would),
+  the rank class on three sets of cut dimensions (``mp-shard``) and
+  ``sinkable`` of an enclosing column sweep (``c``).
+* Thread-class and halo verdicts on small mini-ZPL programs and two
+  hand-built hazard nests; the halo per free dimension is checked
+  against the border strips ``parallel/comm.analyze_run`` prices.
 * ``partition_plan.parent.json``: every verdict of every nest of the six
   benchsuite programs at eleven levels, **recorded at the commit before
   the plan existed** from the four scans it replaced — per nest
   ``vector_split(nest, partial)``, ``shard_plan(nest, partial)`` (mode,
-  reason, serial levels, shardable dims, halo, hazard arrays) with
-  ``ParNumpyGenerator._self_hazard`` per statement,
+  reason, serial levels, shardable dims, halo, hazard arrays) with the
+  tile generator's self-hazard scan per statement,
   ``shard.nest_fallback_reason`` on grids of 2/4/6 processors, and
   ``sinkable`` of the ``SeqLoop`` directly around it (``null``: none) —
   deduplicated into 22 distinct rows.  The derivations must reproduce it.
@@ -28,8 +31,9 @@ import os
 import pytest
 
 from repro.benchsuite import ALL_BENCHMARKS, get_benchmark
-from repro.fusion import ALL_LEVELS, C2P, plan_program
+from repro.fusion import ALL_LEVELS, C2P, LEVELS_BY_NAME, plan_program
 from repro.ir import expr as ir
+from repro.ir import normalize_source
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.parallel.comm import analyze_run
@@ -41,12 +45,12 @@ from repro.parallel.shard import (
     plan_run,
     program_rank,
 )
-from repro.parallel.tiling import plan_tiles
 from repro.scalarize import scalarize
 from repro.scalarize.emit_common import int_config_env
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
+    ScalarProgram,
     SeqLoop,
     partition_plan,
     sinkable,
@@ -269,6 +273,176 @@ def test_a_serial_prefix_leaves_the_inner_dimension_free():
     assert plan.dims[1].halo == 2
 
 
+# -- (a') verdicts on programs and hand-built hazard nests --------------------
+
+STENCIL = """
+program stencil;
+config n : integer = 8;
+region R = [1..n, 1..n];
+region I = [2..n-1, 2..n-1];
+var A, B, C : [R] float;
+begin
+  [R] A := Index1 + Index2 * 0.5;
+  [I] B := A@(-1,0) + A@(1,0) + A@(0,-2) + A@(0,2);
+  [I] C := B * 0.25;
+end;
+"""
+
+
+def _plans(source, level_name="c2"):
+    program = normalize_source(source)
+    scalar_program = scalarize(program, plan_program(program, LEVELS_BY_NAME[level_name]))
+    return scalar_program, [
+        (nest, partition_plan(nest, scalar_program.partial))
+        for nest in scalar_program.loop_nests()
+    ]
+
+
+def _halo(plan):
+    return {dim: plan.dims[dim - 1].halo for dim in plan.free}
+
+
+def test_stencil_plan_is_parallel_with_halo_from_offsets():
+    _scalar, plans = _plans(STENCIL)
+    stencil_plans = [
+        (nest, plan)
+        for nest, plan in plans
+        if any("A" == ref.name for s in nest.body for ref in s.rhs.array_refs())
+        and plan.thread_class().mode != "serial"
+    ]
+    assert stencil_plans, "stencil nest should split"
+    nest, plan = stencil_plans[0]
+    assert plan.thread_class().mode == "parallel"
+    assert plan.serial_levels == ()
+    assert plan.free == (1, 2)
+    # Widest constant offsets per dimension: the Section 5 border widths.
+    assert _halo(plan) == {1: 1, 2: 2}
+    assert plan.thread_class().hazard_arrays == ()
+
+
+def test_halo_widths_match_comm_analysis():
+    # The plan's halo per free dimension is exactly the widest border
+    # strip analyze_run would exchange for the same nest on a grid that
+    # cuts that dimension.
+    scalar_program, plans = _plans(STENCIL)
+    grid = ProcessorGrid(4, 2)  # 2x2: cuts both dimensions
+    distributed = set(scalar_program.array_allocs)
+    for nest, plan in plans:
+        if plan.thread_class().mode == "serial":
+            continue
+        events = analyze_run([nest], grid, {"n": 8}, distributed)
+        widest = {}
+        for event in events:
+            widest[event.dim] = max(widest.get(event.dim, 0), event.width)
+        for dim in plan.free:
+            assert _halo(plan)[dim] == widest.get(dim, 0), (
+                "dim %d: halo %r vs comm %r" % (dim, _halo(plan), widest)
+            )
+
+
+def test_reduction_nest_falls_back_serial():
+    source = """
+program red;
+config n : integer = 6;
+region R = [1..n];
+var A : [R] float;
+var s : float;
+begin
+  [R] A := Index1 * 2.0;
+  s := +<< [R] (A + 1.0);
+end;
+"""
+    _scalar, plans = _plans(source, "c2+f4")
+    serial = [
+        plan.thread_class() for _nest, plan in plans
+        if plan.thread_class().mode == "serial"
+    ]
+    assert serial
+    for threads in serial:
+        assert threads.reason
+
+
+def test_carried_nest_keeps_serial_prefix():
+    # First-dimension recurrence: dim 1 must stay serial, dim 2 splits.
+    source = """
+program sweep;
+config n : integer = 6;
+region I = [2..n, 1..n];
+region R = [1..n, 1..n];
+var A, B : [R] float;
+begin
+  [R] A := Index1 + Index2;
+  [I] A := A@(-1,0) * 0.5 + 1.0;
+  [R] B := A * 2.0;
+end;
+"""
+    _scalar, plans = _plans(source, "f1")
+    carried = [
+        (nest, plan)
+        for nest, plan in plans
+        if plan.thread_class().mode != "serial" and plan.serial_levels
+    ]
+    assert carried, "expected a serial-prefix nest"
+    _nest, plan = carried[0]
+    assert abs(plan.serial_levels[0]) == 1
+    assert plan.free == (2,)
+    # The carried offset is along the serial dim, not a free-dim halo.
+    assert _halo(plan) == {2: 0}
+
+
+def test_hand_built_nest_without_carry_info_is_serial():
+    nest = LoopNest(
+        Region.literal((1, 4)),
+        (1,),
+        [ElemAssign("A", None, ir.Const(1.0))],
+        carried_depth=None,
+    )
+    threads = partition_plan(nest, {}).thread_class()
+    assert threads.mode == "serial"
+    assert "unknown" in threads.reason
+
+
+def _hazard_nest(body, n=64):
+    """A rank-1 dependence-free nest of a hand-built program."""
+    alloc = Region.literal((0, n + 1))
+    nest = LoopNest(Region.literal((1, n)), (1,), body, carried_depth=0)
+    program = ScalarProgram(
+        "hazard",
+        {"n": n},
+        {"A": (alloc, "float"), "B": (alloc, "float")},
+        {},
+        [nest],
+    )
+    return partition_plan(program.loop_nests()[0], program.partial)
+
+
+def test_self_hazard_statement_is_per_statement_with_a_snapshot():
+    # A := A@(-1) + 1 with carried_depth forced to 0: whole-region NumPy
+    # evaluates the full right-hand side before assigning, so blocks need
+    # the pre-statement copy of their own target.
+    plan = _hazard_nest([
+        ElemAssign("A", None, ir.BinOp("+", ir.ArrayRef("A", (-1,)), ir.Const(1.0)))
+    ])
+    threads = plan.thread_class()
+    assert threads.mode == "per-statement"
+    assert threads.hazard_arrays == ("A",)
+    assert threads.snapshots == (0,)
+    assert _halo(plan) == {1: 1}
+
+
+def test_cross_statement_hazard_needs_barriers_not_snapshots():
+    # B := A@(1); A := B * 2.  A barrier per statement reproduces
+    # statement-by-statement whole-region execution; no snapshot needed.
+    plan = _hazard_nest([
+        ElemAssign("B", None, ir.ArrayRef("A", (1,))),
+        ElemAssign("A", None, ir.BinOp("*", ir.ArrayRef("B", (0,)), ir.Const(2.0))),
+    ])
+    threads = plan.thread_class()
+    assert threads.mode == "per-statement"
+    assert threads.hazard_arrays == ("A",)
+    assert threads.snapshots == ()
+
+
 # -- (b) the table recorded before the refactor -------------------------------
 
 
@@ -299,7 +473,8 @@ def _derived(scalar):
         plan = partition_plan(nest, partial)
         threads = plan.thread_class()
         split = plan.slices()
-        # A serial ShardPlan carried no dims: record what np-par consumes.
+        # A serial ShardPlan carried no dims: record what a thread
+        # executor would consume.
         free = plan.free if threads.mode != "serial" else ()
         yield {
             "slices": None if split is None else [list(split[0]), list(split[1])],
@@ -388,16 +563,6 @@ def test_a_rank_with_nothing_to_own_gets_an_empty_tail_chunk():
     assert chunks[:2] == [(1, 1), (2, 2)]
     assert all(lo > hi for lo, hi in chunks[2:])
     assert block_chunks(5, 4, 3) == [(5, 4)] * 3
-
-
-def test_plan_tiles_still_clamps_parts_to_the_extent():
-    # 9 tiles wanted -> a 3x3 grid, but dimension 1 has only two rows.
-    bounds = ((1, 2), (1, 20000))
-    tiles = plan_tiles(bounds, workers=8)
-    assert len(tiles) == 2 * 3
-    assert all(lo <= hi for tile in tiles for lo, hi in tile)
-    assert sorted({tile[0] for tile in tiles}) == [(1, 1), (2, 2)]
-    assert sum((hi - lo + 1) for _rows, (lo, hi) in tiles) == 2 * 20000
 
 
 # -- (d) one schedule, priced and executed ------------------------------------

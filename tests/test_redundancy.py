@@ -19,7 +19,7 @@ from repro.ir import ArrayRef, BinOp, Call, Const, ScalarRef, normalize_source
 from repro.scalarize import scalarize
 from repro.scalarize.codegen_py import render_python
 
-BACKENDS = ("interp", "codegen_py", "codegen_np", "np-par")
+BACKENDS = ("interp", "codegen_py", "codegen_np")
 
 SHARED_STENCIL = """
 program shared;

@@ -18,7 +18,6 @@ from repro.fusion import ALL_LEVELS
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.parallel.engine import render_numpy_par
 from repro.scalarize.codegen_c import render_c_module
 from repro.scalarize.codegen_np import render_numpy
 from repro.scalarize.codegen_py import render_python
@@ -105,7 +104,7 @@ def test_backends_agree_with_each_other():
     program = hand_built()
     results = [
         execute(program, name, initial_scalars=SCALARS)
-        for name in ("interp", "codegen_py", "codegen_np", "np-par")
+        for name in ("interp", "codegen_py", "codegen_np")
     ]
     for other in results[1:]:
         assert other.scalars == results[0].scalars
@@ -156,7 +155,7 @@ def test_undeclared_scalar_input_is_rejected_at_construction():
 
 
 @pytest.mark.parametrize(
-    "render", [render_python, render_numpy, render_numpy_par, render_c_module]
+    "render", [render_python, render_numpy, render_c_module]
 )
 def test_text_without_scalar_inputs_is_unchanged(render):
     """... by declaring some: every scalar starts from what the caller
@@ -172,6 +171,3 @@ def test_frontend_programs_declare_no_scalar_inputs():
     )
     assert program.scalar_inputs == ()
     assert "def run(_arrays, _scalars):" in render_numpy(program)
-    assert (
-        "def run(_arrays, _scalars, _engine=None):" in render_numpy_par(program)
-    )

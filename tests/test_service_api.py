@@ -387,16 +387,7 @@ def test_timer_reservoir_is_bounded():
     assert RESERVOIR_SIZE * 1 < p50 < RESERVOIR_SIZE * 3
 
 
-# -- engine and request errors ---------------------------------------------
-
-
-def test_every_artifact_runs_on_the_service_tile_engine(tmp_path):
-    service = Service(backend="np-par", workers=2, cache_dir=str(tmp_path))
-    compiled = service.compile(SOURCE)
-    assert compiled.engine is service.tile_engine
-    assert compiled.execute().scalars["total"] == service.submit(
-        SOURCE, backend="codegen_np"
-    ).scalars["total"]
+# -- request errors ----------------------------------------------------------
 
 
 def test_submit_rejects_a_config_value_that_is_not_a_number(service):

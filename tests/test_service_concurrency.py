@@ -11,7 +11,6 @@ check-then-act race between the cache probe and the build.
 
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,7 +58,7 @@ def _hammer(fn, count=THREADS):
     return results
 
 
-@pytest.mark.parametrize("backend", ["np", "np-par"])
+@pytest.mark.parametrize("backend", ["np"])
 def test_concurrent_compile_builds_exactly_once(tmp_path, backend):
     metrics = Metrics()
     service = Service(
@@ -81,17 +80,17 @@ def test_concurrent_compile_builds_exactly_once(tmp_path, backend):
 def test_concurrent_submit_many_same_digest(tmp_path, monkeypatch):
     from repro.exec import BACKENDS
 
-    real = BACKENDS["np-par"]
+    real = BACKENDS["codegen_np"]
     loads = []
 
     def load(program, code=None, artifacts=None):
         loads.append(code)
         return real.load(program, code, artifacts)
 
-    monkeypatch.setitem(BACKENDS, "np-par", real._replace(load=load))
+    monkeypatch.setitem(BACKENDS, "codegen_np", real._replace(load=load))
     metrics = Metrics()
     service = Service(
-        backend="np-par",
+        backend="codegen_np",
         cache_dir=str(tmp_path),
         persistent=False,
         metrics=metrics,
@@ -210,25 +209,3 @@ def test_artifact_cache_single_digest_hot_loop(tmp_path):
 
     results = _hammer(read)
     assert sum(results) == THREADS * 500
-
-
-def test_shared_tile_engine_submit_many_parallel_executions(tmp_path):
-    # Many submit_many batches executing np-par concurrently all share
-    # the service's one TileEngine; its counters must stay consistent.
-    service = Service(
-        backend="np-par",
-        cache_dir=str(tmp_path),
-        persistent=False,
-        workers=3,
-    )
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        futures = [
-            pool.submit(service.submit, SOURCE) for _ in range(THREADS * 2)
-        ]
-        results = [f.result() for f in futures]
-    first = results[0]
-    for result in results[1:]:
-        assert float(result.scalars["s"]) == float(first.scalars["s"])
-    engine = service.tile_engine
-    assert engine.sweeps > 0
-    assert engine.tiles_executed >= engine.sweeps

@@ -13,12 +13,18 @@ import ast
 import inspect
 import os
 import re
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 TABLE = os.path.join("lang", "operators.py")
+
+#: The deleted tile-parallel backend's name: the user-error tests ask
+#: for it, and nothing under ``src/repro`` may spell it.
+REMOVED_BACKEND = "np-par"
 
 
 def _sources(*subpaths):
@@ -79,18 +85,47 @@ def test_cli_has_eight_subcommands_and_twenty_eight_flags():
     subcommands = _subcommands()
     assert len(subcommands) == 8, sorted(subcommands)
     flags = {
-        option
-        for parser in subcommands.values()
-        for action in parser._actions
-        for option in action.option_strings
-        if option.startswith("--") and option != "--help"
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, parser in subcommands.items()
     }
-    assert len(flags) == 28, sorted(flags)
+    assert len(set().union(*flags.values())) == 28, flags
+    # --workers sizes submit_many's fan-out; nothing else takes a count
+    # of threads.
+    assert [name for name in flags if "--workers" in flags[name]] == ["serve"]
 
 
-def test_seven_environment_variables():
+def test_six_environment_variables():
     names = set(re.findall(r"REPRO_[A-Z_]+", "\n".join(_sources().values())))
-    assert len(names) == 7, sorted(names)
+    assert len(names) == 6, sorted(names)
+
+
+def test_five_backends_and_no_tile_engine():
+    from repro.exec import BACKEND_CHOICES
+
+    assert len(BACKEND_CHOICES) == 5, BACKEND_CHOICES
+    pattern = "TileEngine|render_numpy_par|" + re.escape(REMOVED_BACKEND)
+    assert _count(pattern) == 0
+
+
+def test_a_service_imports_no_parallel_module():
+    code = (
+        "import sys\n"
+        "from repro.service import Service\n"
+        "Service(persistent=False)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.parallel')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, os.pardir))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- one run state, one loader, one ladder, one store, one pipe ---------------
@@ -159,13 +194,12 @@ def test_nest_fallback_reason_is_an_adapter_with_no_loop_of_its_own():
 def test_generated_python_binds_the_arrays_it_is_handed():
     from repro.benchsuite import get_benchmark
     from repro.fusion import LEVELS_BY_NAME
-    from repro.parallel.engine import render_numpy_par
     from repro.scalarize import compile_program, render_numpy, render_python
 
     tomcatv = compile_program(
         get_benchmark("Tomcatv").test_program(), LEVELS_BY_NAME["c2+f4+cse"]
     )
-    for render in (render_python, render_numpy, render_numpy_par):
+    for render in (render_python, render_numpy):
         assert "_inputs" not in render(tomcatv), render.__name__
 
 
