@@ -29,12 +29,15 @@ fork, a later one is pickled down the pipes the first time the pool sees
 it — and is recognised by identity afterwards (the last
 ``_KEPT_PROGRAMS`` of them, the same LRU on both sides of the pipe).  Per program a rank **keeps** everything that
 depends only on the program's structure — per-nest facts, loaded
-kernels, run plans with their post/wait steps, exchange descriptions
-and the mappings of its segments; per call it **resets** what depends on
-the data — local arrays, scalars, pending corner scalars, ordinals,
-record columns and counters.  So a warm call pays for its kernels and for
-the exchanges that move bytes, and ``comm.kernel_loads`` reads the loads
-*this* call performed: every kernel on a program's first call, 0 later.
+kernels, exchange descriptions, the mappings of its segments, and one
+*prepared run* per (run of nests, concrete bounds): its post/wait
+steps, each nest's rank class, clamp, kernel arguments and corner owner,
+and the segment views of every copy.  Per call it **resets** what
+depends on the data — local arrays, scalars, pending corner scalars,
+ordinals, record columns and counters.  So a warm call looks its runs up
+and pays for kernels and the exchanges that move bytes, and
+``comm.kernel_loads`` / ``comm.runs_prepared`` read what *this* call
+loaded and built: everything on a program's first call, 0 later.
 
 Segments are unnamed between calls.  Rank 0 creates a segment under a
 name, every rank maps it, rank 0 unlinks the name (two barrier waits,
@@ -52,7 +55,9 @@ with the rest of the pool, and the next call forks a fresh one.
 
 The driver walk is *lockstep deterministic*: every rank performs the
 same walk over the same program, so barrier sequences, segment names and
-exchange ordinals agree without any coordination messages.  A message
+exchange ordinals agree without any coordination messages; each rank
+builds a prepared run at the same point of the walk from the same
+replicated scalars, and maps the run's segments as it does.  A message
 none of whose events crosses a chunk boundary on this grid (a row
 sweep's strip crosses at one row only) has no copies: it is counted,
 recorded and timed like any other, but no rank waits at a barrier for
@@ -91,7 +96,8 @@ rank_class`, computed once per nest per rank).  *Clamped* nests run on
 every rank over its own chunk.  *Gathered* nests — a flow crossing or a
 circular buffer along a cut dimension — need their blocks in dependence
 order and execute whole on rank 0 (gather → execute → scatter, counted
-under ``comm.fallback_nests``).
+under ``comm.fallback_nests``): a prepared run's third step kind, beside
+exchanges and clamped nests.
 
 Bit-identity with the single-process oracle is a design invariant, not a
 tolerance: clamped nests compute the same elementwise values (halos hold
@@ -122,7 +128,9 @@ import traceback
 import uuid
 from array import array
 from collections import OrderedDict
+from itertools import groupby
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -144,7 +152,6 @@ from repro.parallel.commopt import ALL_COMM_OPTS, CommOptions
 from repro.parallel.distribution import ProcessorGrid
 from repro.parallel.shard import (
     ELEM_BYTES,
-    RunPlan,
     ShardError,
     ShardLayout,
     plan_run,
@@ -196,6 +203,7 @@ _COMM_COUNTERS = (
     "comm.reduce_bytes",
     "comm.gather_bytes",
     "comm.kernel_loads",
+    "comm.runs_prepared",
     "comm.scalar_bcasts",
     "comm.barrier_waits",
 )
@@ -420,20 +428,24 @@ class _NestFacts:
         }
 
 
-class _Steps(NamedTuple):
-    """One run's plan as the walk executes it, derived once and kept."""
+class _Run:
+    """A maximal run of consecutive nests in a body, with its prepared
+    runs: functions executing it at one set of concrete bounds, with all
+    that is pure in (run, bounds) — steps, clamps, kernel arguments,
+    segment views — bound in."""
 
-    plan: RunPlan
-    seg_name: str
-    #: rank 0 only: each message's index into the worker's descriptions
-    described: Optional[List[int]]
-    #: per step 0..len(run): None, or (messages posted here, messages
-    #: awaited here, whether any of them has a copy — i.e. whether the
-    #: ranks synchronise at this step at all)
-    steps: List[Optional[tuple]]
-    fallback: frozenset
+    __slots__ = ("nests", "free", "by_values", "by_bounds")
 
-
+    def __init__(self, nests: Sequence[LoopNest]) -> None:
+        self.nests = tuple(nests)
+        #: every name the run's region bounds read
+        self.free = tuple(dict.fromkeys(
+            name for node in nests for name in node.region.free_variables()
+        ))
+        #: the values of ``free`` -> the prepared run they select
+        self.by_values: Dict[tuple, Callable[[], None]] = {}
+        #: concrete bounds per nest -> the one prepared run for them
+        self.by_bounds: Dict[tuple, Callable[[], None]] = {}
 def _global_bytes(layout: ShardLayout, name: str) -> int:
     bounds, kind = layout.allocs[name]
     return int(np.prod(_shape_of(bounds))) * np.dtype(DTYPES[kind]).itemsize
@@ -485,14 +497,15 @@ class _Worker:
         self.local_bounds: Dict[str, Bounds] = {
             name: layout.local_alloc(rank, name) for name in layout.allocs
         }
+        #: body identity -> its nodes, each run of nests one :class:`_Run`
+        #: (which holds the run's prepared runs)
+        self.bodies: Dict[int, list] = {}
         #: mapped on every rank, named on none (see :meth:`_segment`)
         self.segments: Dict[str, object] = {}
-        self.plan_cache: Dict[tuple, _Steps] = {}
         self.facts: Dict[int, _NestFacts] = {}
         #: (nest identity, mini kind, allocation bounds) -> (loaded
         #: kernel, scalar input names besides the region bounds, every
-        #: scalar it declares at its kind's zero): the one memo behind
-        #: every nest execution
+        #: scalar it declares at its kind's zero)
         self.kernels: Dict[tuple, tuple] = {}
         #: rank 0: description value -> index, in first-seen order; the
         #: coordinator has been sent the first ``described_sent`` of them
@@ -529,7 +542,6 @@ class _Worker:
         self.described = array("I")
         self.durations_us = array("d")
         self.counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
-        self._inflight: Dict[int, float] = {}
         self._steps = 0
 
     # -- shared memory -----------------------------------------------------
@@ -568,7 +580,9 @@ class _Worker:
         return seg
 
     def close(self) -> None:
-        """Drop the mappings (the program was evicted)."""
+        """Drop the prepared runs, whose views pin the mappings, then the
+        mappings (the program was evicted, or the rank is stopping)."""
+        self.bodies.clear()
         for seg in self.segments.values():
             shm.close_quietly(seg)
         self.segments.clear()
@@ -619,16 +633,6 @@ class _Worker:
         self._flush(ref.name for ref in expr.scalar_refs())
         return eval_scalar(expr, self.scalars)
 
-    def _region_env(self) -> Dict[str, int]:
-        env = dict(self.config_env)
-        env.update(
-            (name, int(value))
-            for name, value in self.scalars.items()
-            if isinstance(value, (int, np.integer))
-            and not isinstance(value, bool)
-        )
-        return env
-
     # -- kernels -----------------------------------------------------------
 
     def _facts(self, node: LoopNest) -> _NestFacts:
@@ -640,13 +644,14 @@ class _Worker:
             )
         return facts
 
-    def _run_kernel(self, node: LoopNest, kind: str,
-                    allocs: Dict[str, Tuple[Bounds, str]], bounds: Bounds,
-                    arrays: Mapping[str, np.ndarray]) -> Mapping[str, object]:
-        """Execute one mini kind of ``node`` over ``bounds``, in place on
-        ``arrays`` (one per name of ``allocs``); returns its final scalars.
+    def _kernel(self, node: LoopNest, kind: str,
+                allocs: Dict[str, Tuple[Bounds, str]],
+                bounds: Bounds) -> tuple:
+        """One mini kind of ``node`` over ``bounds`` on arrays allocated
+        over ``allocs``: (loaded kernel, the scalar inputs it reads from
+        the walk, its other scalar arguments with ``__shard_lo/hi`` set).
 
-        The kernel is built on first use and kept for the life of the
+        The kernel is loaded on first use and kept for the life of the
         worker: its region is symbolic over the ``__shard_lo/hi`` scalars
         and every scalar its body observes is a scalar input, so one load
         serves every clamp and every scalar state the walk ever reaches.
@@ -655,16 +660,23 @@ class _Worker:
             id(node), kind,
             tuple((name, alloc) for name, (alloc, _kind) in allocs.items()),
         )
-        kernel = self.kernels.get(key)
-        if kernel is None:
-            kernel = self.kernels[key] = self._load_kernel(node, kind, allocs)
-        run, names, zeros = kernel
-        scalars = dict(zeros)
+        if key not in self.kernels:
+            self.kernels[key] = self._load_kernel(node, kind, allocs)
+        run, names, zeros = self.kernels[key]
+        template = dict(zeros)
+        for d, (lo, hi) in enumerate(bounds, start=1):
+            template[_LO % d] = lo
+            template[_HI % d] = hi
+        return run, names, template
+
+    def _run_kernel(self, kernel: tuple,
+                    arrays: Mapping[str, np.ndarray]) -> Mapping[str, object]:
+        """Execute a :meth:`_kernel` in place on ``arrays``; returns its
+        final scalars."""
+        run, names, template = kernel
+        scalars = dict(template)
         for name in names:
             scalars[name] = scalar_value(self.scalars[name])
-        for d, (lo, hi) in enumerate(bounds, start=1):
-            scalars[_LO % d] = lo
-            scalars[_HI % d] = hi
         return run(arrays, scalars)
 
     def _load_kernel(self, node: LoopNest, kind: str,
@@ -715,44 +727,7 @@ class _Worker:
             {name: SCALAR_INIT[kind] for name, kind in scalars.items()},
         )
 
-    # -- exchange execution ------------------------------------------------
-
-    def _write_message(self, seg, message, ordinal: int) -> None:
-        written = 0
-        for planned_event in message.events:
-            dtype = DTYPES[self.layout.allocs[planned_event.event.array][1]]
-            for copy in planned_event.copies:
-                own = self.layout.owned_box(self.rank, copy.box)
-                if own is None:
-                    continue
-                slot = np.ndarray(
-                    _shape_of(copy.box), dtype=dtype,
-                    buffer=seg.buf, offset=copy.offset_bytes,
-                )
-                slot[_index(copy.box, own)] = self.locals[
-                    planned_event.event.array
-                ][_index(self.local_bounds[planned_event.event.array], own)]
-                written += _elements(own) * ELEM_BYTES
-        if written:
-            self.measured[ordinal] += written
-            self.counters["comm.bytes"] += written
-
-    def _read_message(self, seg, message) -> None:
-        for planned_event in message.events:
-            name = planned_event.event.array
-            dtype = DTYPES[self.layout.allocs[name][1]]
-            local = self.local_bounds[name]
-            for copy in planned_event.copies:
-                sub = _intersect(copy.box, local)
-                if sub is None:
-                    continue
-                slot = np.ndarray(
-                    _shape_of(copy.box), dtype=dtype,
-                    buffer=seg.buf, offset=copy.offset_bytes,
-                )
-                self.locals[name][_index(local, sub)] = slot[
-                    _index(copy.box, sub)
-                ]
+    # -- prepared runs -----------------------------------------------------
 
     def _describe(self, message) -> int:
         """The index of one planned message's interned description."""
@@ -790,228 +765,292 @@ class _Worker:
             ))
         return index
 
-    # -- run execution -----------------------------------------------------
-
-    def _plan_for(self, run: Sequence[LoopNest], bounds: Sequence[Bounds],
-                  env: Mapping[str, int]) -> _Steps:
-        key = (tuple(id(node) for node in run), tuple(bounds))
-        entry = self.plan_cache.get(key)
-        if entry is None:
-            fallback = tuple(
-                index for index, node in enumerate(run)
-                if self._facts(node).gathered
+    def _exec_run(self, run: _Run) -> None:
+        self._flush(run.free)
+        key = tuple(map(self.scalars.get, run.free))
+        prepared = run.by_values.get(key)
+        if prepared is None:
+            # Every rank gets here at the same point of the walk with the
+            # same replicated scalars, so all of them build alike.
+            env = dict(self.config_env)
+            env.update(
+                (name, int(value)) for name, value in zip(run.free, key)
+                if isinstance(value, (int, np.integer))
+                and not isinstance(value, bool)
             )
-            plan = plan_run(run, self.layout, env, self.options, fallback)
-            posts: List[list] = [[] for _ in range(len(run) + 1)]
-            waits: List[list] = [[] for _ in range(len(run) + 1)]
-            for message in plan.messages:
-                posts[message.post_point].append(message)
-                waits[message.wait_point].append(message)
-            steps = [
-                (
-                    tuple(post), tuple(wait),
-                    any(pe.copies for m in post + wait for pe in m.events),
-                )
-                if post or wait else None
-                for post, wait in zip(posts, waits)
-            ]
-            entry = self.plan_cache[key] = _Steps(
-                plan,
-                "%s_x%d" % (self.sid, self.next_seg),
-                [self._describe(message) for message in plan.messages]
-                if self.rank == 0 else None,
-                steps,
-                frozenset(fallback),
+            bounds = tuple(
+                node.region.concrete_bounds(env) for node in run.nests
             )
-            self.next_seg += 1
-        return entry
+            prepared = run.by_bounds.get(bounds)
+            if prepared is None:
+                prepared = self._build(run.nests, bounds, env)
+                run.by_bounds[bounds] = prepared
+            run.by_values[key] = prepared
+        prepared()
 
-    def _exec_run(self, run: Sequence[LoopNest]) -> None:
-        self._flush(
-            name for node in run for name in node.region.free_variables()
+    def _build(self, nests: Sequence[LoopNest], bounds: Sequence[Bounds],
+               env: Mapping[str, int]) -> Callable[[], None]:
+        """Plan one run at concrete bounds and resolve each step of it: an
+        exchange at every post/wait point of the §5.5 schedule, and per
+        nest the step of its rank class."""
+        gathered = tuple(
+            index for index, node in enumerate(nests)
+            if self._facts(node).gathered
         )
-        env = self._region_env()
-        bounds = [tuple(node.region.concrete_bounds(env)) for node in run]
-        plan, seg_name, described, steps, fallback = self._plan_for(
-            run, bounds, env
-        )
+        plan = plan_run(nests, self.layout, env, self.options, gathered)
+        prefix = "%s_x%d" % (self.sid, self.next_seg)
+        self.next_seg += 1
+        self.counters["comm.runs_prepared"] += 1
         seg = (
-            self._segment(seg_name, plan.segment_bytes)
+            self._segment(prefix, plan.segment_bytes)
             if plan.segment_bytes else None
         )
-        first = len(self.measured)  # message.index is its place in the plan
-        self.measured.frombytes(bytes(8 * len(plan.messages)))
+        posts: List[list] = [[] for _ in range(len(nests) + 1)]
+        waits: List[list] = [[] for _ in range(len(nests) + 1)]
+        for message in plan.messages:
+            posts[message.post_point].append(message)
+            waits[message.wait_point].append(message)
+        steps = []
+        for step, (post, wait) in enumerate(zip(posts, waits)):
+            if post or wait:
+                steps.append(self._exchange_step(seg, post, wait))
+            if step == len(nests):
+                break
+            args = nests[step], bounds[step], prefix, step
+            if step not in gathered:
+                steps.append(self._clamped_step(*args))
+            elif _elements(bounds[step]):
+                # over an empty region nothing executes: arrays and
+                # scalars keep their values
+                steps.append(self._gathered_step(*args))
+        blank = bytes(8 * len(plan.messages))  # fresh per-ordinal columns
         if self.rank == 0:
-            self.counters["comm.exchanges"] += len(plan.messages)
-            self.counters["comm.combined"] += plan.combined
-            self.counters["comm.eliminated"] += plan.eliminated
-            self.counters["comm.fallback_nests"] += len(fallback)
-            self.described.extend(described)
-            self.durations_us.frombytes(bytes(8 * len(described)))
-        for step, here in enumerate(steps):
-            if here is not None:
-                posts, waits, sync = here
+            described = tuple(map(self._describe, plan.messages))
+            counts = (
+                ("comm.exchanges", len(plan.messages)),
+                ("comm.combined", plan.combined),
+                ("comm.eliminated", plan.eliminated),
+                ("comm.fallback_nests", len(gathered)),
+            )
+
+        def execute() -> None:
+            self._first = len(self.measured)  # message.index counts from here
+            self.measured.frombytes(blank)
+            if self.rank == 0:
+                for name, count in counts:
+                    self.counters[name] += count
+                self.described.extend(described)
+                self.durations_us.frombytes(blank)
+            for step in steps:
+                step()
+
+        return execute
+
+    def _slot(self, seg, name: str, box: Bounds, offset: int) -> np.ndarray:
+        """The view of ``name``'s ``box`` laid out at ``offset`` in ``seg``."""
+        return np.ndarray(
+            _shape_of(box), dtype=DTYPES[self.array_kinds[name]],
+            buffer=seg.buf, offset=offset,
+        )
+
+    def _exchange_step(self, seg, posts, waits) -> Callable[[], None]:
+        """One post/wait point: the boxes this rank writes for the
+        messages posted here and reads for those awaited here."""
+
+        def copies(messages, clip) -> list:
+            """Per message: its index, and per copy ``clip`` leaves to this
+            rank, (slot view of that box, array, local index, bytes)."""
+            found = []
+            for message in messages:
+                mine = []
+                for planned_event in message.events:
+                    name = planned_event.event.array
+                    for copy in planned_event.copies:
+                        box = clip(name, copy.box)
+                        if box is not None:
+                            slot = self._slot(
+                                seg, name, copy.box, copy.offset_bytes
+                            )
+                            mine.append((
+                                slot[_index(copy.box, box)], name,
+                                _index(self.local_bounds[name], box),
+                                _elements(box) * ELEM_BYTES,
+                            ))
+                found.append((message.index, mine))
+            return found
+
+        writes = copies(
+            posts, lambda _name, box: self.layout.owned_box(self.rank, box)
+        )
+        reads = copies(
+            waits, lambda name, box: _intersect(box, self.local_bounds[name])
+        )
+        # A step none of whose messages has a copy moves nothing, so
+        # nobody waits for anybody: the plan says so on every rank alike.
+        # Its messages are still recorded and timed.
+        sync = any(pe.copies for m in posts + waits for pe in m.events)
+
+        def exchange() -> None:
+            first = self._first
+            if self.rank == 0:  # the post time, until the wait replaces it
                 now = time.perf_counter()
-                for message in posts:
-                    self._inflight[first + message.index] = now
-                if sync:
-                    for message in posts:
-                        self._write_message(seg, message, first + message.index)
-                    self._sync()
-                    for message in waits:
-                        self._read_message(seg, message)
-                    self._sync()
-                # A step none of whose messages has a copy moves nothing,
-                # so nobody waits for anybody: the plan says so on every
-                # rank alike.  Its messages are still recorded and timed.
+                for index, _mine in writes:
+                    self.durations_us[first + index] = now
+            if sync:
+                arrays = self.locals
+                for index, mine in writes:
+                    for slot, name, local, nbytes in mine:
+                        slot[...] = arrays[name][local]
+                        self.measured[first + index] += nbytes
+                        self.counters["comm.bytes"] += nbytes
+                self._sync()
+                for _index, mine in reads:
+                    for slot, name, local, _nbytes in mine:
+                        arrays[name][local] = slot
+                self._sync()
+            if self.rank == 0:
                 done = time.perf_counter()
-                for message in waits:
-                    ordinal = first + message.index
-                    posted = self._inflight.pop(ordinal)
-                    if self.rank == 0:
-                        self.durations_us[ordinal] = max(
-                            (done - posted) * 1e6, 1e-3
-                        )
-            if step < len(run):
-                if step in fallback:
-                    self._exec_fallback(run[step], bounds[step], seg_name, step)
-                else:
-                    self._exec_clamped(run[step], bounds[step], seg_name, step)
+                for index, _mine in reads:
+                    posted = self.durations_us[first + index]
+                    self.durations_us[first + index] = max(
+                        (done - posted) * 1e6, 1e-3
+                    )
 
-    # -- node execution ----------------------------------------------------
+        return exchange
 
-    def _exec_clamped(self, node: LoopNest, bounds: Bounds,
-                      seg_prefix: str, step: int) -> None:
+    def _clamped_step(self, node: LoopNest, bounds: Bounds, prefix: str,
+                      step: int) -> Callable[[], None]:
+        """``node`` over this rank's clamp of ``bounds``; its folds gather
+        per-point operands to rank 0, which folds them in oracle order."""
         facts = self._facts(node)
-        self._flush(facts.live_in)
         clamp = self.layout.clamp(self.rank, bounds)
-        arrays = final = None
+        kernel, scratch = None, ()
         if clamp is not None:
             allocs = {
                 name: (self.local_bounds[name], self.array_kinds[name])
                 for name in facts.arrays
             }
-            arrays = {name: self.locals[name] for name in facts.arrays}
             for red_name, kind, _op, _target in facts.reductions:
                 allocs[red_name] = (clamp, kind)
-                arrays[red_name] = np.zeros(
-                    _shape_of(clamp), dtype=DTYPES[kind]
-                )
-            final = self._run_kernel(node, "clamped", allocs, clamp, arrays)
-        if facts.reductions and _elements(bounds):
-            # Over an empty region nothing is folded: every rank sees the
-            # same bounds, so all of them skip the barriers together.
-            self._combine_reductions(
-                node, facts, bounds, clamp, arrays, seg_prefix, step
+            kernel = self._kernel(node, "clamped", allocs, clamp)
+            scratch = [
+                (red_name, _shape_of(clamp), DTYPES[kind])
+                for red_name, kind, _op, _target in facts.reductions
+            ]
+        # Over an empty region nothing is folded: every rank sees the same
+        # bounds, so all of them skip the barriers together.
+        folds = facts.reductions if _elements(bounds) else ()
+        views, mine, fold = {}, [], None
+        if folds:
+            slot_bytes = _elements(bounds) * ELEM_BYTES
+            seg = self._segment(
+                "%s_r%d" % (prefix, step), slot_bytes * len(folds)
             )
-        if facts.corners and _elements(bounds):
+            for slot, (red_name, kind, _op, _target) in enumerate(folds):
+                view = views[red_name] = np.ndarray(
+                    _shape_of(bounds), dtype=DTYPES[kind],
+                    buffer=seg.buf, offset=slot * slot_bytes,
+                )
+                if clamp is not None:
+                    mine.append((red_name, view[_index(bounds, clamp)]))
+            # Folds start from the accumulator's pre-nest value (the
+            # oracle's ``acc = acc + np.sum(...)``): it is a scalar input.
+            if self.rank == 0:
+                fold = self._kernel(node, "fold", {
+                    red_name: (bounds, kind) for red_name, kind, _, _ in folds
+                }, bounds)
+        nbytes = len(mine) * _elements(clamp) * ELEM_BYTES if mine else 0
+        corners = facts.corners if _elements(bounds) else ()
+        if corners:
+            owner = self.layout.corner_owner(bounds, node.structure)
+
+        def clamped() -> None:
+            self._flush(facts.live_in)
+            if kernel is not None:
+                arrays = {name: self.locals[name] for name in facts.arrays}
+                for red_name, shape, dtype in scratch:
+                    arrays[red_name] = np.zeros(shape, dtype=dtype)
+                final = self._run_kernel(kernel, arrays)
+            if folds:
+                for red_name, view in mine:
+                    view[...] = arrays[red_name]
+                self.counters["comm.reduce_bytes"] += nbytes
+                self._sync()
+                payload = None
+                if fold is not None:
+                    folded = self._run_kernel(fold, views)
+                    payload = {
+                        target: scalar_value(folded[target])
+                        for _red, _kind, _op, target in folds
+                    }
+                self._bcast(0, payload)
             # Only the rank owning the final index point holds the values
             # serial execution leaves behind; the others learn them when
             # (if ever) something reads them.
-            owner = self.layout.corner_owner(bounds, node.structure)
-            for name in facts.corners:
+            for name in corners:
                 if self.rank == owner:
                     self.scalars[name] = scalar_value(final[name])
                 self.pending[name] = owner
 
-    def _combine_reductions(self, node: LoopNest, facts: _NestFacts,
-                            bounds: Bounds, clamp: Optional[Bounds],
-                            arrays: Optional[Mapping[str, np.ndarray]],
-                            seg_prefix: str, step: int) -> None:
-        """Gather per-point operands to rank 0; fold in oracle order.
+        return clamped
 
-        ``arrays`` holds this rank's clamped scratch (None when its
-        clamp is empty)."""
-        slot_bytes = _elements(bounds) * ELEM_BYTES
-        seg = self._segment(
-            "%s_r%d" % (seg_prefix, step), slot_bytes * len(facts.reductions)
-        )
-        views = {
-            red_name: np.ndarray(
-                _shape_of(bounds), dtype=DTYPES[kind],
-                buffer=seg.buf, offset=slot * slot_bytes,
-            )
-            for slot, (red_name, kind, _op, _target)
-            in enumerate(facts.reductions)
-        }
-        if arrays is not None:
-            for red_name, view in views.items():
-                view[_index(bounds, clamp)] = arrays[red_name]
-                self.counters["comm.reduce_bytes"] += (
-                    _elements(clamp) * ELEM_BYTES
-                )
-        self._sync()
-        payload = None
-        if self.rank == 0:
-            # Folds start from the accumulator's pre-nest value (the
-            # oracle's ``acc = acc + np.sum(...)``): it is a scalar input.
-            folded = self._run_kernel(
-                node, "fold",
-                {
-                    red_name: (bounds, kind)
-                    for red_name, kind, _op, _target in facts.reductions
-                },
-                bounds, views,
-            )
-            payload = {
-                target: scalar_value(folded[target])
-                for _red, _kind, _op, target in facts.reductions
-            }
-        self._bcast(0, payload)
-
-    def _exec_fallback(self, node: LoopNest, bounds: Bounds,
-                       seg_prefix: str, step: int) -> None:
+    def _gathered_step(self, node: LoopNest, bounds: Bounds, prefix: str,
+                       step: int) -> Callable[[], None]:
         """Gather → execute the whole nest on rank 0 → scatter."""
-        if not _elements(bounds):
-            return  # nothing executes: arrays and scalars keep their values
         facts = self._facts(node)
-        self._flush(facts.live_in)
         allocs = self.layout.allocs
         offsets: Dict[str, int] = {}
         cursor = 0
         for name in facts.arrays:
             offsets[name] = cursor
             cursor += _elements(allocs[name][0]) * ELEM_BYTES
-        seg = self._segment("%s_f%d" % (seg_prefix, step), cursor)
+        seg = self._segment("%s_f%d" % (prefix, step), cursor)
         views = {
-            name: np.ndarray(
-                _shape_of(allocs[name][0]), dtype=DTYPES[allocs[name][1]],
-                buffer=seg.buf, offset=offsets[name],
-            )
+            name: self._slot(seg, name, allocs[name][0], offsets[name])
             for name in facts.arrays
         }
+        gathers = []  # (slot view, array, local index) of the owned boxes
         for name in facts.arrays:
             own = self.layout.owned_box(self.rank, allocs[name][0])
-            if own is None:
-                continue
-            views[name][_index(allocs[name][0], own)] = (
-                self.locals[name][_index(self.local_bounds[name], own)]
-            )
-        self._sync()
-        payload = None
-        if self.rank == 0:
-            self.counters["comm.gather_bytes"] += cursor
-            final = self._run_kernel(
-                node, "fallback",
-                {name: allocs[name] for name in facts.arrays}, bounds, views,
-            )
-            payload = {
-                name: scalar_value(final[name])
-                for name in facts.corners + tuple(
-                    target for _r, _k, _op, target in facts.reductions
-                )
-            }
-        self._sync()
+            if own is not None:
+                gathers.append((
+                    views[name][_index(allocs[name][0], own)], name,
+                    _index(self.local_bounds[name], own),
+                ))
+        scatters = []  # (array, slot view of its local box, local shape)
         for name in facts.writes:
             local = self.local_bounds[name]
             if _elements(local) > 0:
-                self.locals[name][...] = np.reshape(
-                    views[name][_index(allocs[name][0], local)],
-                    self.locals[name].shape,
-                )
-        self._sync()
-        if facts.corners or facts.reductions:
-            self._bcast(0, payload)
+                scatters.append((
+                    name, views[name][_index(allocs[name][0], local)],
+                    _shape_of(local),
+                ))
+        kernel = self._kernel(
+            node, "fallback",
+            {name: allocs[name] for name in facts.arrays}, bounds,
+        ) if self.rank == 0 else None
+        results = facts.corners + tuple(
+            target for _r, _k, _op, target in facts.reductions
+        )
+
+        def gathered() -> None:
+            self._flush(facts.live_in)
+            for slot, name, local in gathers:
+                slot[...] = self.locals[name][local]
+            self._sync()
+            payload = None
+            if self.rank == 0:
+                self.counters["comm.gather_bytes"] += cursor
+                final = self._run_kernel(kernel, views)
+                payload = {name: scalar_value(final[name]) for name in results}
+            self._sync()
+            for name, slot, shape in scatters:
+                self.locals[name][...] = np.reshape(slot, shape)
+            self._sync()
+            if results:
+                self._bcast(0, payload)
+
+        return gathered
 
     # -- the walk ----------------------------------------------------------
 
@@ -1021,18 +1060,21 @@ class _Worker:
             raise ShardError("step limit exceeded (runaway loop?)")
 
     def execute_body(self, body: Sequence[SNode]) -> None:
-        index = 0
-        while index < len(body):
-            node = body[index]
+        nodes = self.bodies.get(id(body))
+        if nodes is None:
+            nodes = self.bodies[id(body)] = []
+            for is_nest, group in groupby(
+                body, key=lambda node: isinstance(node, LoopNest)
+            ):
+                if is_nest:
+                    nodes.append(_Run(list(group)))
+                else:
+                    nodes.extend(group)
+        for node in nodes:
             self._tick()
-            if isinstance(node, LoopNest):
-                end = index
-                while end < len(body) and isinstance(body[end], LoopNest):
-                    end += 1
-                self._exec_run(body[index:end])
-                index = end
-                continue
-            if isinstance(node, ScalarAssign):
+            if isinstance(node, _Run):
+                self._exec_run(node)
+            elif isinstance(node, ScalarAssign):
                 self._assign({node.target: self._eval(node.rhs)})
             elif isinstance(node, SeqLoop):
                 lo = int(self._eval(node.lo))
@@ -1058,7 +1100,6 @@ class _Worker:
                 )
             else:
                 raise ShardError("cannot execute %r sharded" % (node,))
-            index += 1
 
     def run(self, call_seg: str, seeded: Sequence[str],
             scalars: Optional[Mapping[str, object]]) -> dict:
@@ -1129,6 +1170,8 @@ def _rank_main(conn, rank: int, barrier, born_with: dict) -> None:
             )
 
     proc.serve(conn, run)
+    for worker in workers.values():
+        worker.close()
 
 
 # -- the coordinator -------------------------------------------------------

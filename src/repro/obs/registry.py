@@ -276,6 +276,13 @@ COUNTERS: List[CounterDef] = [
         "keep their kernels.",
     ),
     CounterDef(
+        "comm.runs_prepared",
+        "Prepared runs this mp-shard call built (summed over ranks): one "
+        "per run of nests and concrete bounds a rank meets for the first "
+        "time, so > 0 on a program's first call on a rank pool and 0 on "
+        "later calls — the ranks keep them with the program.",
+    ),
+    CounterDef(
         "comm.scalar_bcasts",
         "Scalar broadcasts mp-shard performed (counted on rank 0): one per "
         "folded reduction nest, plus one per owner whenever a pending "

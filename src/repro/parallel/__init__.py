@@ -12,7 +12,6 @@ from repro.parallel.commopt import (
     message_cost_us,
     optimized_comm_cost_us,
     schedule,
-    singleton_messages,
 )
 from repro.parallel.distribution import (
     ProcessorGrid,
@@ -69,7 +68,6 @@ __all__ = [
     "plan_run",
     "program_rank",
     "schedule",
-    "singleton_messages",
     "validate_benchsuite",
     "validate_program",
 ]

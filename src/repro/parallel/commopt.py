@@ -112,10 +112,6 @@ def combine_messages(
     return [groups[key] for key in order]
 
 
-def singleton_messages(events: Iterable[CommEvent]) -> List[List[CommEvent]]:
-    return [[event] for event in events]
-
-
 class Message(NamedTuple):
     """One wire message of a run's schedule.
 
@@ -147,7 +143,10 @@ def schedule(
         kept = eliminate_redundant(events, run)
     else:
         kept = {event: [] for event in events}
-    groups = combine_messages(kept) if options.combining else singleton_messages(kept)
+    if options.combining:
+        groups = combine_messages(kept)
+    else:
+        groups = [[event] for event in kept]
     messages: List[Message] = []
     for group in groups:
         wait = post = min(event.nest_index for event in group)

@@ -424,10 +424,13 @@ class TestLoadOnce:
         _result, report = execute_sharded(program, procs=2)
         check_report(report)
         assert 0 < calls.value <= 2 * len(program.loop_nests())
-        # ... and not once per call: a pooled rank keeps its facts.
+        # ... and not once per call: a pooled rank keeps its facts, and
+        # a warm call builds no prepared run that could ask again.
         first = calls.value
-        execute_sharded(program, procs=2)
+        _result, warm = execute_sharded(program, procs=2)
         assert calls.value == first
+        assert report.counters["comm.runs_prepared"] > 0
+        assert warm.counters["comm.runs_prepared"] == 0
 
     @pytest.mark.parametrize("bench", ["Tomcatv", "SP", "Simple"])
     def test_a_warm_kernel_call_allocates_nothing(
@@ -436,8 +439,9 @@ class TestLoadOnce:
         # A rank's kernels run in place on its local arrays: inside
         # ``_run_kernel`` nothing is allocated (the emitted preamble made
         # one ``np.zeros`` and one copy per array per call when kernels
-        # allocated their own), and the only arrays the walk allocates at
-        # all are a clamped fold's scratch operands.
+        # allocated their own), and the only arrays a warm walk allocates
+        # at all are a clamped fold's scratch operands: views, clamps and
+        # kernel arguments come prepared.
         ctx = multiprocessing.get_context("fork")
         in_kernel, in_walk, scratch, kernel_calls = (
             ctx.Value("i", 0) for _ in range(4)
@@ -468,11 +472,14 @@ class TestLoadOnce:
 
         run_kernel = during("kernel", mp_shard._Worker._run_kernel)
 
-        def counting_kernel(self, node, kind, allocs, bounds, arrays):
+        def counting_kernel(self, kernel, arrays):
             bump(kernel_calls)
-            bump(scratch, sum(name.startswith("__shard_red") for name in arrays)
-                 if kind == "clamped" else 0)
-            return run_kernel(self, node, kind, allocs, bounds, arrays)
+            # scratch operands own their memory; a fold reads segment views
+            bump(scratch, sum(
+                name.startswith("__shard_red") and values.flags.owndata
+                for name, values in arrays.items()
+            ))
+            return run_kernel(self, kernel, arrays)
 
         monkeypatch.setattr(np, "zeros", counting_zeros)
         monkeypatch.setattr(mp_shard._Worker, "_run_kernel", counting_kernel)
@@ -487,9 +494,97 @@ class TestLoadOnce:
         _result, report = execute_sharded(program, procs=2)
         check_report(report)
         assert report.counters["comm.kernel_loads"] == 0
+        assert report.counters["comm.runs_prepared"] == 0
         assert kernel_calls.value > 0
         assert in_kernel.value == 0
         assert in_walk.value == scratch.value > 0
+
+
+# -- prepared runs: same communication, walked from a memo --------------------
+
+
+#: Counts summed over two ranks at n = 64, ``c2+f4+cse``, exactly as the
+#: walk performed them before it ran from prepared runs: exchanges, bytes,
+#: combined, reduce_bytes, gather_bytes, fallback_nests, scalar_bcasts,
+#: then barrier_waits and kernel_loads on (the first call, a warm call).
+_PINNED = {
+    "Tomcatv": (248, 10_048, 492, 94_272, 0, 0, 5, (37, 25), (16, 0)),
+    "SP": (246, 12_896, 720, 32_768, 335_872, 2, 5, (47, 33), (23, 0)),
+    "Simple": (12, 10_912, 10, 32_768, 0, 0, 2, (23, 17), (13, 0)),
+}
+
+#: A row region that moves with a ``for`` variable and an extent that a
+#: fold computes inside a ``while``: one call meets many bounds per run.
+_REBOUND = """
+program rebound;
+config n : integer = 14;
+region G = [1..n, 1..n];
+var A, B : [G] float;
+var M : [G] integer;
+var k, c, w : integer;
+var s : float;
+begin
+  [G] A := Index1 * 0.5 + Index2 * 0.25;
+  [G] M := 1;
+  w := 3;
+  s := 0.0;
+  while w < n do
+    c := +<< [1..w, 1..1] M;
+    for k := 2 to c do
+      [k, 2..n-1] B := A@(-1,0) + A@(0,1) * 0.5;
+      [2..c, k] A := A + B@(0,-1) * 0.125;
+    end;
+    s := s + 0.001 * (+<< [2..c, 2..n-1] A);
+    w := c + 2;
+  end;
+end;
+"""
+
+
+class TestPreparedRuns:
+    @pytest.mark.parametrize("bench", sorted(_PINNED))
+    def test_a_warm_call_communicates_exactly_as_the_first(self, bench):
+        *exact, waits, loads = _PINNED[bench]
+        program = sized_program(bench, 64, 2)
+        oracle = execute(program, "codegen_np")
+        for call in (0, 1):
+            result, report = execute_sharded(program, procs=2)
+            assert_identical(result, oracle)
+            check_report(report)
+            counters = report.counters
+            assert [
+                counters["comm." + name] for name in (
+                    "exchanges", "bytes", "combined", "reduce_bytes",
+                    "gather_bytes", "fallback_nests", "scalar_bcasts",
+                )
+            ] == exact
+            assert counters["comm.barrier_waits"] == waits[call]
+            assert counters["comm.kernel_loads"] == loads[call]
+            assert (counters["comm.runs_prepared"] > 0) == (call == 0)
+
+    @pytest.mark.parametrize("procs", [2, 3, 4])
+    def test_bounds_that_change_within_a_call(self, procs):
+        from repro.ir import normalize_source
+
+        program = compile_program(
+            normalize_source(_REBOUND), LEVELS["Level(c2+f4+cse)"]
+        )
+        oracle = execute(program, "codegen_np")
+        assert oracle.scalars["w"] == 15 and oracle.scalars["s"] > 0
+        runs = len(_all_runs(program))
+        reports = []
+        for _call in range(2):
+            result, report = execute_sharded(program, procs=procs)
+            assert_identical(result, oracle)
+            check_report(report)
+            reports.append(report)
+        first, warm = reports
+        # every rank prepared more runs than the program has: the row and
+        # fold regions took several bounds each ...
+        assert first.counters["comm.runs_prepared"] > procs * runs
+        # ... and the warm call found each of them again
+        assert warm.counters["comm.runs_prepared"] == 0
+        assert _record_facts(warm) == _record_facts(first)
 
 
 def _shard_segments():
@@ -557,7 +652,9 @@ def _stable(counters):
     """The counters that do not depend on what the pool already holds."""
     return {
         name: value for name, value in counters.items()
-        if name not in ("comm.kernel_loads", "comm.barrier_waits")
+        if name not in (
+            "comm.kernel_loads", "comm.runs_prepared", "comm.barrier_waits"
+        )
     }
 
 
@@ -625,17 +722,29 @@ class TestRankPool:
         oracles = [execute(program, "codegen_np") for program in programs]
         mp_shard._retire_pool()
 
+        prepared = {}
+
         def loads(index):
             result, report = execute_sharded(programs[index], procs=2)
             assert_identical(result, oracles[index])
             check_report(report)
+            # a program's prepared runs are built with its kernels, on
+            # its first call on the pool, and only then
+            runs = report.counters["comm.runs_prepared"]
+            if report.counters["comm.kernel_loads"]:
+                assert runs == prepared.setdefault(index, runs) > 0
+            else:
+                assert runs == 0
             return report.counters["comm.kernel_loads"]
 
         assert all(loads(index) > 0 for index in range(8))
         assert all(loads(index) == 0 for index in range(8))
         assert loads(8) > 0  # evicts programs[0], the least recently run
         assert loads(1) == 0
-        assert loads(0) > 0  # shipped and loaded again, no error
+        # Shipped and loaded again, no error; every prepared run is built
+        # anew, so none outlived its worker: the memo is bounded by the
+        # LRU of programs.
+        assert loads(0) > 0
         assert loads(0) == 0
         assert len(_rank_pids()) == 2
 

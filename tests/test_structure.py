@@ -165,6 +165,11 @@ def test_the_extent_rule_has_three_spellings_at_most():
         # cache-less kernels are unlinked once loaded: no scratch directory
         (r"_scratch_dir", (os.path.join("exec", "native.py"),), 0),
         (r"atexit\.register\(shutil\.rmtree", (os.path.join("exec", "native.py"),), 0),
+        # an mp-shard run's plan, steps and views are one prepared run:
+        # no second memo beside it, no per-call region environment
+        (r"plan_cache|_region_env", (), 0),
+        # a schedule without combining spells its one-event groups inline
+        (r"singleton_messages", (), 0),
     ],
 )
 def test_written_once(pattern, where, expected):
