@@ -22,7 +22,8 @@ first call that needs N ranks forks them (children on control pipes,
 :mod:`repro.daemon.proc` — the substrate of the daemon's workers); later
 calls reuse them; a call with another N, any failure, ``_IDLE_S`` seconds
 without a call, and interpreter exit retire the pool, and a rank whose
-coordinator died reads EOF on its pipe and exits.  One run at a time:
+coordinator died reads EOF on its pipe, breaks the barrier a peer may be
+parked in, and exits.  One run at a time:
 callers from several threads queue on the pool's lock.  A program
 reaches the ranks once — the one a pool is forked for arrives with the
 fork, a later one is pickled down the pipes the first time the pool sees
@@ -45,7 +46,10 @@ once per segment per program); the mappings live on in the ranks.  The
 one per-call segment — initial arrays in, result arrays out — belongs to
 the coordinator, which unlinks it before returning.  Nothing of a killed
 run can therefore outlive it under ``/dev/shm`` except a name caught
-inside that handshake, and :func:`_reclaim` sweeps for those.
+inside that handshake, or a call segment whose coordinator was killed
+before the resource tracker heard of it; :func:`_reclaim` sweeps for
+those, on the coordinator after a failure and on rank 0 when its loop
+ends.
 
 A rank that dies (a signal, the OOM killer, ``os._exit``) trips its
 process sentinel, which the coordinator waits on together with the
@@ -1136,12 +1140,12 @@ class _Worker:
         return summary
 
 
-def _rank_main(conn, rank: int, barrier, born_with: dict) -> None:
+def _rank_main(conn, rank: int, barrier, born_with: dict, sid: str) -> None:
     """A rank process: run what the coordinator says until it says stop.
 
     ``born_with`` (slot -> what would have been shipped) is the program
     the pool was forked for: it arrives with the fork, so a cold call
-    pickles nothing."""
+    pickles nothing.  ``sid`` prefixes every segment name of the pool."""
     #: slot -> the program's worker, least recently run first (the
     #: coordinator's memo evicts in the same order)
     workers: "OrderedDict[int, _Worker]" = OrderedDict()
@@ -1170,8 +1174,17 @@ def _rank_main(conn, rank: int, barrier, born_with: dict) -> None:
             )
 
     proc.serve(conn, run)
+    # On EOF the coordinator may have died between two ranks' messages:
+    # a peer that got its run is parked in Barrier.wait, and only a
+    # broken barrier sends it home before the timeout.
+    barrier.abort()
     for worker in workers.values():
         worker.close()
+    if rank == 0:
+        # ... or inside SharedMemory() creating its call segment, before
+        # the resource tracker heard of the name.  After a stop the sweep
+        # finds nothing: between calls no segment has a name.
+        _reclaim(sid)
 
 
 # -- the coordinator -------------------------------------------------------
@@ -1194,8 +1207,9 @@ def _reclaim(sid: str) -> None:
     """Unlink every segment of pool ``sid`` a killed run left behind.
 
     Between calls no segment has a name, so this finds something only
-    when a rank died inside the create-map-unlink handshake.  Linux-only
-    (elsewhere there is no ``/dev/shm`` to list)."""
+    when a rank died inside the create-map-unlink handshake or the
+    coordinator inside a call.  Linux-only (elsewhere there is no
+    ``/dev/shm`` to list)."""
     try:
         leftovers = [
             entry for entry in os.listdir("/dev/shm")
@@ -1257,7 +1271,7 @@ class _Pool:
         barrier = ctx.Barrier(self.procs)
         for rank in range(self.procs):
             self.ranks.append(proc.Child(
-                ctx, _rank_main, (rank, barrier, born_with),
+                ctx, _rank_main, (rank, barrier, born_with, self.sid),
                 "repro-shard-rank-%d" % rank,
             ))
         threading.Thread(

@@ -9,7 +9,8 @@ semantic analysis and the lazy frontend read arity, operand constraint
 and result kind; kind inference (:func:`repro.ir.expr.kind_of`) reads the
 result kind; the constant folder reads ``fold``; the interpreters
 (:mod:`repro.interp.evalexpr`) evaluate with ``np``; the three emitters
-format ``py_text`` / ``np_text`` / ``c``; the scalarizer takes reduction
+format ``py_text`` / ``np_text`` / ``c``, and ``codegen_np`` writes a
+result in place through ``ufunc``; the scalarizer takes reduction
 identities from ``identity``.
 
 What is *definition* (arity, kinds, identities) is shared.  The
@@ -81,6 +82,11 @@ class Op(NamedTuple):
     py_text: str
     np_text: str
     c: Union[CText, Mapping[str, CText]]
+    #: The NumPy ufunc ``np_text`` computes (``np_text`` of an array
+    #: operand is ``np.<ufunc>(a, b)``), so ``codegen_np`` can write the
+    #: result into an existing buffer with ``out=``; ``None`` where
+    #: ``np_text`` is more than one ufunc call.
+    ufunc: Optional[str] = None
 
 
 class Reduction(NamedTuple):
@@ -164,14 +170,17 @@ _C_MOD = {
 }
 
 
-def _arith(name, np_fn, fold, c=None, result=JOIN) -> Op:
+def _arith(name, np_fn, fold, ufunc, c=None, result=JOIN) -> Op:
     text = "({0} %s {1})" % name
-    return Op(name, 2, NUMERIC, result, np_fn, fold, text, text, c or CText(text))
+    return Op(
+        name, 2, NUMERIC, result, np_fn, fold, text, text, c or CText(text),
+        ufunc,
+    )
 
 
-def _compare(name, fn) -> Op:
+def _compare(name, fn, ufunc) -> Op:
     text = "({0} %s {1})" % ("==" if name == "=" else name)
-    return Op(name, 2, ANY, BOOLEAN, fn, None, text, text, CText(text))
+    return Op(name, 2, ANY, BOOLEAN, fn, None, text, text, CText(text), ufunc)
 
 
 def _logical(name, np_fn, c_op) -> Op:
@@ -180,34 +189,35 @@ def _logical(name, np_fn, c_op) -> Op:
         "({0} %s {1})" % name,
         "np.logical_%s({0}, {1})" % name,
         CText("({0} %s {1})" % c_op),
+        "logical_" + name,
     )
 
 
 BINARY: Mapping[str, Op] = MappingProxyType({
     row.name: row
     for row in (
-        _arith("+", operator.add, operator.add),
-        _arith("-", operator.sub, operator.sub),
-        _arith("*", operator.mul, operator.mul),
+        _arith("+", operator.add, operator.add, "add"),
+        _arith("-", operator.sub, operator.sub, "subtract"),
+        _arith("*", operator.mul, operator.mul, "multiply"),
         # Language division is float division; C would truncate when
         # both operands are integral.
-        _arith("/", np.true_divide, operator.truediv, {
+        _arith("/", np.true_divide, operator.truediv, "divide", {
             FLOAT: CText("({0} / {1})"),
             INTEGER: CText("((double)({0}) / (double)({1}))"),
         }, result=FLOAT),
         # C's % truncates toward zero (and rejects doubles).
-        _arith("%", np.mod, operator.mod, _C_MOD),
+        _arith("%", np.mod, operator.mod, "remainder", _C_MOD),
         Op(
             "^", 2, NUMERIC, FLOAT, _float_power,
             lambda base, exponent: float(base) ** exponent,
             "({0} ** {1})", _FLOAT_POWER_TEXT, CText("pow({0}, {1})"),
         ),
-        _compare("<", operator.lt),
-        _compare("<=", operator.le),
-        _compare(">", operator.gt),
-        _compare(">=", operator.ge),
-        _compare("=", operator.eq),
-        _compare("!=", operator.ne),
+        _compare("<", operator.lt, "less"),
+        _compare("<=", operator.le, "less_equal"),
+        _compare(">", operator.gt, "greater"),
+        _compare(">=", operator.ge, "greater_equal"),
+        _compare("=", operator.eq, "equal"),
+        _compare("!=", operator.ne, "not_equal"),
         _logical("and", np.logical_and, "&&"),
         _logical("or", np.logical_or, "||"),
     )
@@ -216,11 +226,11 @@ BINARY: Mapping[str, Op] = MappingProxyType({
 UNARY: Mapping[str, Op] = MappingProxyType({
     "-": Op(
         "-", 1, NUMERIC, JOIN, operator.neg, operator.neg,
-        "(-{0})", "(-{0})", CText("(-{0})"),
+        "(-{0})", "(-{0})", CText("(-{0})"), "negative",
     ),
     "not": Op(
         "not", 1, BOOLEAN, BOOLEAN, np.logical_not, None,
-        "(not {0})", "np.logical_not({0})", CText("(!{0})"),
+        "(not {0})", "np.logical_not({0})", CText("(!{0})"), "logical_not",
     ),
 })
 
@@ -228,9 +238,10 @@ UNARY: Mapping[str, Op] = MappingProxyType({
 def _libm(name, np_fn, math_fn, np_name=None) -> Op:
     """A float-valued function of one argument, ``<name>`` in libm."""
     call = name + "({0})"
+    np_name = np_name or name
     return Op(
         name, 1, NUMERIC, FLOAT, np_fn, math_fn,
-        "math." + call, "np.%s({0})" % (np_name or name), CText(call),
+        "math." + call, "np.%s({0})" % np_name, CText(call), np_name,
     )
 
 
@@ -253,6 +264,7 @@ def _select(name, np_fn, py_fn, cmp) -> Op:
         name + "({0}, {1})",
         "np.%simum({0}, {1})" % name,
         CText("(({1} %s {0}) ? {1} : {0})" % cmp),
+        name + "imum",
     )
 
 
@@ -273,6 +285,7 @@ INTRINSICS: Mapping[str, Op] = MappingProxyType({
                 FLOAT: CText("fabs({0})"),
                 INTEGER: CText("repro_iabs({0})", "repro_iabs"),
             },
+            "absolute",
         ),
         _rounding("floor", np.floor),
         _rounding("ceil", np.ceil),
@@ -286,7 +299,7 @@ INTRINSICS: Mapping[str, Op] = MappingProxyType({
         # Floored, matching np.mod (math.fmod follows the dividend).
         Op(
             "mod", 2, NUMERIC, JOIN, np.mod, None,
-            "({0} % {1})", "np.mod({0}, {1})", _C_MOD,
+            "({0} % {1})", "np.mod({0}, {1})", _C_MOD, "remainder",
         ),
         # Plain copysign is wrong at zero.
         Op(
@@ -294,6 +307,7 @@ INTRINSICS: Mapping[str, Op] = MappingProxyType({
             "(0.0 if {0} == 0 else math.copysign(1.0, {0}))",
             "np.sign({0})",
             CText("repro_sign({0})", "repro_sign"),
+            "sign",
         ),
     )
 })
@@ -347,11 +361,17 @@ def reference_markdown() -> str:
                 _OPERANDS_TEXT[row.operands],
                 _RESULT_TEXT.get(row.result, row.result),
                 "`%s`" % row.np_text.format("a", "b"),
+                "`np.%s(%s, out=t)`" % (row.ufunc, ", ".join("ab"[: row.arity]))
+                if row.ufunc
+                else "—",
             )
             for row in table.values()
         ]
 
-    header = ("arity", "operand kinds", "result kind", "reference NumPy operation")
+    header = (
+        "arity", "operand kinds", "result kind", "reference NumPy operation",
+        "in place into `t` (`codegen_np`)",
+    )
     operator_table = markdown_table(
         ("operator",) + header, op_rows(BINARY) + op_rows(UNARY)
     )

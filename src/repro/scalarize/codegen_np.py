@@ -19,15 +19,38 @@ emitter does with the answer:
   buffer's modular indexing) — fall back to the element loops of
   :class:`~repro.scalarize.codegen_py.PyGenerator`.
 
-Contraction scalars inside a vectorized nest become whole-region
-temporaries (the value at *every* index point: an operand holding an
-array reference already has that shape, and only one without — built
-from constants, index grids and scalars — is wrapped in
-``np.broadcast_to``); after the nest body the scalar is restored from the
+Every region-sized value of a vectorized nest gets a buffer, decided once
+per nest from its body:
+
+* a stored statement whose top operator is one NumPy ufunc (the row's
+  ``ufunc`` column) and whose value has the target's kind writes straight
+  into the target, ``np.<ufunc>(l, r, out=<target slice>)`` — NumPy's
+  overlap rule makes that equal to ``target[...] = l op r`` even when an
+  operand overlaps the target;
+* a contraction scalar holds the value at *every* index point.  It is
+  computed with ``out=`` into the buffer of a scalar the statement reads
+  for the last time, when that buffer is *owned* — the fresh result of an
+  operator, not an ``np.broadcast_to`` view, an array view or a buffer an
+  alias ``S := P`` shares — and holds values of the same kind; otherwise
+  it is a fresh array (only a value without the region's shape — built
+  from constants, scalars and index grids along some dimensions — is
+  wrapped in ``np.broadcast_to``);
+* the kind is :func:`~repro.ir.expr.kind_of` over the expression that
+  computed the value, with the kinds of the region values it read, and
+  certain only if every other scalar it reads could hold any kind without
+  changing it: at ``c2`` a float-declared contraction scalar can hold
+  int64 values, and ``out=`` into an int64 buffer would raise or cast;
+* where there is no buffer to write into, the text keeps operator syntax:
+  ``np.add(a, b)`` without ``out=`` would lose NumPy's own reuse of the
+  refcount-1 temporaries of ``a + b``.
+
+After the nest body each contraction scalar is restored from the
 "corner" — the index of the nest's final iteration, ``-1`` along
 ascending dimensions and ``0`` along descending ones — so subsequent
 reads outside the nest observe exactly the value serial execution would
-have left behind.
+have left behind.  A scalar whose buffer is reused has its corner taken
+in the same statement, before the buffer is overwritten
+(``X, Y = X[-1, -1], np.add(X, r, out=X)``).
 
 Fold statements evaluate their operand over the whole region and combine
 ``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator
@@ -38,7 +61,7 @@ not run and the accumulator keeps its value.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
@@ -65,10 +88,18 @@ class _VectorContext:
     vectorized dimension, in ascending dimension order.
     """
 
-    def __init__(self, region: Region, vdims: Sequence[int]) -> None:
+    def __init__(self, region: Region, vdims: Sequence[int], corner: str) -> None:
         self.region = region
         self.vdims = sorted(vdims)
         self._axis = {dim: k for k, dim in enumerate(self.vdims)}
+        #: The index of the nest's final iteration within a region value.
+        self.corner = corner
+        #: Contraction scalars holding a region value at this point of the
+        #: body -> the kind of that value (``None``: not certain).
+        self.shaped: Dict[str, Optional[str]] = {}
+        #: The subset bound to a buffer no other name shares: the fresh
+        #: result of an operator -> its kind.
+        self.owned: Dict[str, str] = {}
 
     def axis_of(self, dim: int) -> int:
         return self._axis[dim]
@@ -78,8 +109,29 @@ class _VectorContext:
         return len(self.vdims)
 
 
+def _last_reads(body: Sequence[ElemAssign]) -> List[Set[str]]:
+    """Per statement, the scalars whose value it reads for the last time:
+    no later statement of the body reads it before it is assigned again."""
+    live: Set[str] = set()
+    last: List[Set[str]] = []
+    for stmt in reversed(body):
+        reads = {ref.name for ref in stmt.rhs.scalar_refs()}
+        if stmt.is_contracted and stmt.reduce_op is None:
+            live.discard(stmt.scalar_target)
+        last.append(reads - live)
+        live |= reads
+    last.reverse()
+    return last
+
+
 class NumpyGenerator(PyGenerator):
     """Emits whole-region slice operations where carry analysis allows."""
+
+    def __init__(self, program: ScalarProgram) -> None:
+        super().__init__(program)
+        self._array_kinds = {
+            name: kind for name, (_region, kind) in program.array_allocs.items()
+        }
 
     # -- loop nests --------------------------------------------------------
 
@@ -90,7 +142,11 @@ class NumpyGenerator(PyGenerator):
             super()._emit_nest(nest, depth)
             return
         serial_levels, vdims = split
-        ctx = _VectorContext(nest.region, vdims)
+        corner = ", ".join(
+            "-1" if self._dim_direction(nest, dim) > 0 else "0"
+            for dim in sorted(vdims)
+        )
+        ctx = _VectorContext(nest.region, vdims, corner)
         inner = self._emit_loop_headers(nest.region, serial_levels, depth)
 
         emptiness = self._region_emptiness(ctx)
@@ -105,14 +161,11 @@ class NumpyGenerator(PyGenerator):
             self._emit("if %s:" % self._nonempty_cond(ctx), inner)
             inner += 1
 
-        for stmt in nest.body:
-            self._emit_vector_stmt(stmt, nest, ctx, inner)
-        corner = ", ".join(
-            "-1" if self._dim_direction(nest, dim) > 0 else "0"
-            for dim in ctx.vdims
-        )
+        for stmt, last_reads in zip(nest.body, _last_reads(nest.body)):
+            self._emit_vector_stmt(stmt, last_reads, nest, ctx, inner)
         for name in plan.corners:
-            self._emit("%s = %s[%s]" % (name, name, corner), inner)
+            if name in ctx.shaped:
+                self._emit("%s = %s[%s]" % (name, name, corner), inner)
 
     @staticmethod
     def _dim_direction(nest: LoopNest, dim: int) -> int:
@@ -142,42 +195,147 @@ class NumpyGenerator(PyGenerator):
         return " and ".join(clauses)
 
     def _emit_vector_stmt(
-        self, stmt: ElemAssign, nest: LoopNest, ctx: _VectorContext, depth: int
+        self,
+        stmt: ElemAssign,
+        last_reads: Set[str],
+        nest: LoopNest,
+        ctx: _VectorContext,
+        depth: int,
     ) -> None:
-        value = self._vexpr(stmt.rhs, ctx)
         if stmt.reduce_op is not None:
             folded = operators.REDUCTIONS[stmt.reduce_op].np_step.format(
-                stmt.scalar_target, self._broadcast(stmt.rhs, value, ctx)
+                stmt.scalar_target, self._region_value(stmt.rhs, ctx)
             )
             self._emit("%s = %s" % (stmt.scalar_target, folded), depth)
-        elif stmt.is_contracted:
+            return
+        ufunc = self._ufunc(stmt.rhs)
+        if not stmt.is_contracted:
+            target = self._vector_element(stmt.target, (0,) * nest.rank, ctx)
+            if (
+                ufunc is not None
+                and self._axes(stmt.rhs, ctx)
+                and self._value_kind(stmt.rhs, ctx) == self._array_kinds[stmt.target]
+            ):
+                self._emit(self._into(ufunc, stmt.rhs, target, ctx), depth)
+            else:
+                self._emit("%s = %s" % (target, self._vexpr(stmt.rhs, ctx)), depth)
+            return
+        name = stmt.scalar_target
+        kind = self._value_kind(stmt.rhs, ctx)
+        # An owned buffer of this value's kind that no later statement reads.
+        dead = [
+            ref.name
+            for ref in stmt.rhs.scalar_refs()
+            if ref.name in last_reads and ctx.owned.get(ref.name) == kind
+        ] if ufunc is not None and kind is not None else []
+        if dead:
+            buffer = dead[0]
+            call = self._into(ufunc, stmt.rhs, buffer, ctx)
+            del ctx.owned[buffer]
+            if buffer == name:
+                self._emit("%s = %s" % (name, call), depth)
+            else:
+                # The buffer's region value dies here: keep its corner.
+                del ctx.shaped[buffer]
+                self._emit(
+                    "%s, %s = %s[%s], %s"
+                    % (buffer, name, buffer, ctx.corner, call),
+                    depth,
+                )
+            ctx.owned[name] = kind
+        else:
             # Materialize the scalar's value at every index point so the
             # corner restore (and any vector read downstream) is well
             # defined even when the RHS contains no array reference.
             self._emit(
-                "%s = %s"
-                % (stmt.scalar_target, self._broadcast(stmt.rhs, value, ctx)),
-                depth,
+                "%s = %s" % (name, self._region_value(stmt.rhs, ctx)), depth
             )
-        else:
-            target = self._vector_element(
-                stmt.target, (0,) * nest.rank, ctx
-            )
-            self._emit("%s = %s" % (target, value), depth)
+            if isinstance(stmt.rhs, ir.ScalarRef):
+                # ``S := P`` aliases P's buffer: neither name owns it.
+                ctx.owned.pop(stmt.rhs.name, None)
+            if (
+                kind is not None
+                and stmt.rhs.row() is not None
+                and len(self._axes(stmt.rhs, ctx)) == ctx.rank
+            ):
+                ctx.owned[name] = kind
+            else:
+                ctx.owned.pop(name, None)
+        ctx.shaped[name] = kind
 
-    def _broadcast(
-        self, expr: ir.IRExpr, value: str, ctx: _VectorContext
-    ) -> str:
-        """``value`` (the rendering of ``expr``) at every index point.
+    def _value_kind(self, expr: ir.IRExpr, ctx: _VectorContext) -> Optional[str]:
+        """The kind of the value ``expr`` computes, or ``None`` if it is not
+        certain.
 
-        An array reference that slices every vectorized dimension already
-        has the nest's vector shape, and every operator is element-wise,
-        so an expression holding one is the whole-region value as it
-        stands; only one without needs ``np.broadcast_to``.
+        Arrays hold their declared kind and region values the kind that
+        computed them, but any other scalar may hold any kind at run time
+        (a float left in an integer scalar stays a float).  A result kind
+        only grows with its operands' kinds, so ``expr``'s is certain when
+        those scalars all boolean and all float give the same one.
         """
-        if any(
-            ctx.vdims[-1] <= len(ref.offset) for ref in expr.array_refs()
-        ):
+        unknown = [
+            ref.name
+            for ref in expr.scalar_refs()
+            if ctx.shaped.get(ref.name) is None
+        ]
+        if not unknown:
+            return ir.kind_of(expr, self._array_kinds, ctx.shaped)
+        low, high = (
+            ir.kind_of(
+                expr, self._array_kinds, {**ctx.shaped, **dict.fromkeys(unknown, bound)}
+            )
+            for bound in ("boolean", "float")
+        )
+        return low if low == high else None
+
+    @staticmethod
+    def _ufunc(expr: ir.IRExpr) -> Optional[str]:
+        """The NumPy ufunc ``expr``'s top operator is, or ``None`` where its
+        NumPy text is more than one ufunc call."""
+        row = expr.row()
+        if row is None or frac_operand(expr) is not None:
+            return None
+        return row.ufunc
+
+    def _into(
+        self, ufunc: str, expr: ir.IRExpr, out: str, ctx: _VectorContext
+    ) -> str:
+        """``expr`` computed straight into ``out``.  Only with ``out=``: a
+        bare ``np.add(a, b)`` would lose NumPy's in-place reuse of the
+        refcount-1 temporaries of ``a + b``."""
+        return "np.%s(%s, out=%s)" % (
+            ufunc,
+            ", ".join(self._vexpr(arg, ctx) for arg in expr.children()),
+            out,
+        )
+
+    def _axes(self, expr: ir.IRExpr, ctx: _VectorContext) -> Set[int]:
+        """The vectorized dimensions ``expr``'s value spans: none for a
+        Python number, every one for a value with the nest's vector shape.
+
+        An array reference slicing every vectorized dimension and a
+        contraction scalar holding a region value span them all, an index
+        grid its own dimension, and every operator is element-wise.
+        """
+        axes: Set[int] = set()
+        for node in expr.walk():
+            if isinstance(node, ir.ArrayRef):
+                if ctx.vdims[-1] <= len(node.offset):
+                    return set(ctx.vdims)
+                axes.update(
+                    dim for dim in range(1, len(node.offset) + 1) if dim in ctx._axis
+                )
+            elif isinstance(node, ir.ScalarRef) and node.name in ctx.shaped:
+                return set(ctx.vdims)
+            elif isinstance(node, ir.IndexRef) and node.dim in ctx._axis:
+                axes.add(node.dim)
+        return axes
+
+    def _region_value(self, expr: ir.IRExpr, ctx: _VectorContext) -> str:
+        """``expr`` rendered as its value at every index point; only one
+        without the region's shape is widened with ``np.broadcast_to``."""
+        value = self._vexpr(expr, ctx)
+        if len(self._axes(expr, ctx)) == ctx.rank:
             return value
         return "np.broadcast_to(np.asarray(%s), %s)" % (
             value,

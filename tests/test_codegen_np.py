@@ -102,7 +102,8 @@ end;
     _program, scalar_program, source = compile_np(source_text, C2)
     # A + 1.0 already has the region's shape: no broadcast_to around it.
     assert "T__s = (A[0:6, 0:6] + 1.0)" in source
-    assert "T__s = T__s[-1, -1]" in source
+    # B is computed into T's buffer, so T's corner is taken first.
+    assert "T__s, B__s = T__s[-1, -1], np.multiply(T__s, 2.0, out=T__s)" in source
     # Without an array reference the value is widened to the region.
     _program, _scalar_program, source = compile_np(
         source_text.replace("A + 1.0", "Index1 * 1.0"), C2
@@ -224,3 +225,218 @@ end;
     _arrays, scalars = execute(scalar_program, "codegen_np")
     reference = run_reference(program)
     assert float(scalars["s"]) == float(reference.scalars["s"])
+
+
+# -- in-place buffers ---------------------------------------------------------
+#
+# Inside a vectorized nest a stored statement writes straight into its
+# target (``np.<ufunc>(..., out=target)``) and a contracted temporary
+# evaluates into the owned buffer of a temporary it reads for the last
+# time.  Each program below must leave bit-identical state on the element
+# loops (``codegen_py``), the tree-walking ``interp`` and ``codegen_np``,
+# and its text must show the rule firing, or not firing.
+
+
+def _same_state(actual, expected, label):
+    assert set(actual.arrays) == set(expected.arrays), label
+    for name, array in expected.arrays.items():
+        other = actual.arrays[name]
+        assert other.dtype == array.dtype, (label, name)
+        assert other.tobytes() == array.tobytes(), (label, name)
+    assert list(actual.scalars) == list(expected.scalars), label
+    for name, value in expected.scalars.items():
+        other = actual.scalars[name]
+        assert (type(other), repr(other)) == (type(value), repr(value)), (
+            label, name, other, value)
+
+
+def compile_checked(source, level=C2):
+    """The NumPy text of ``source`` at ``level``, after checking that
+    ``codegen_np`` leaves the state ``codegen_py`` and ``interp`` leave."""
+    program, scalar_program, text = compile_np(source, level)
+    expected = execute(scalar_program, "codegen_py")
+    _same_state(execute(scalar_program, "interp"), expected, "interp")
+    _same_state(execute(scalar_program, "codegen_np"), expected, "codegen_np")
+    reference = run_reference(program)
+    for name, array in reference.arrays.items():
+        if name in expected.arrays:
+            assert np.array_equal(expected.arrays[name], array), name
+    return text
+
+
+def _program(body, decls="var A, B, T1, T2, T3 : [R] float;", region="[1..n, 1..n]"):
+    return (
+        "program inplace;\nconfig n : integer = 8;\nregion R = %s;\n%s\n"
+        "begin\n%s\n  [R] wrap B;\nend;\n" % (region, decls, body)
+    )
+
+
+_SEED_A = "  [R] A := Index1 * 0.5 + Index2;\n"
+
+
+def test_contracted_chain_reuses_one_buffer():
+    text = compile_checked(_program(
+        _SEED_A
+        + "  [R] T1 := A * A;\n  [R] T2 := T1 + 2.0;\n"
+        "  [R] T3 := sqrt(T2);\n  [R] B := T3 * 0.5;"
+    ))
+    # Each temporary is computed into its predecessor's buffer, whose
+    # corner is kept before the buffer is overwritten.
+    assert "A__s, T1__s = A__s[-1, -1], np.multiply(A__s, A__s, out=A__s)" in text
+    assert "T1__s, T2__s = T1__s[-1, -1], np.add(T1__s, 2.0, out=T1__s)" in text
+    assert "T2__s, T3__s = T2__s[-1, -1], np.sqrt(T2__s, out=T2__s)" in text
+    # The stored statement writes straight into B.
+    assert "np.multiply(T3__s, 0.5, out=B[" in text
+    # Only the last temporary still holds its buffer at the nest's end.
+    assert "T1__s = T1__s[-1, -1]" not in text
+    assert "T3__s = T3__s[-1, -1]" in text
+
+
+def test_temporary_read_again_keeps_its_buffer():
+    text = compile_checked(_program(
+        _SEED_A
+        + "  [R] T1 := A + 1.0;\n  [R] T2 := T1 * 2.0;\n  [R] B := T2 + T1;"
+    ))
+    assert "T2__s = (T1__s * 2.0)" in text
+    assert "out=T1__s" not in text
+    assert "T1__s = T1__s[-1, -1]" in text
+
+
+def test_float_value_is_never_written_into_an_integer_buffer():
+    # T is declared float but holds int64 values; U's float value must
+    # not be computed into T's buffer, whatever T's declaration says.
+    text = compile_checked(_program(
+        "  [R] T1 := Index1 + 1;\n  [R] T2 := T1 * 0.5;\n  [R] B := T2 + 1.0;",
+        region="[1..n]",
+    ))
+    assert "T1__s = (np.arange(1, 9) + 1)" in text
+    assert "T2__s = (T1__s * 0.5)" in text
+    assert "out=T1__s" not in text
+    # An integer value may: the kind of the value decides, not the name's.
+    text = compile_checked(_program(
+        "  [R] T1 := Index1 + 1;\n  [R] T2 := T1 * 3;\n  [R] B := T2 + 1.0;",
+        region="[1..n]",
+    ))
+    assert "np.multiply(T1__s, 3, out=T1__s)" in text
+
+
+def test_aliased_buffer_is_never_reused():
+    text = compile_checked(_program(
+        _SEED_A
+        + "  [R] T1 := A + 1.0;\n  [R] T2 := T1;\n  [R] T3 := T1 * 2.0;\n"
+        "  [R] B := T2 + T3;",
+    ))
+    # T2 shares T1's buffer, so T1's last read frees nothing.
+    assert "T2__s = T1__s" in text
+    assert "T3__s = (T1__s * 2.0)" in text
+    assert "out=T1__s" not in text
+
+
+def test_serial_prefix_nest_reuses_per_hyperplane():
+    # Figure 1's tridiagonal solve over a whole region: serial in i,
+    # vectorized over j, the contracted R reused within each hyperplane.
+    text = compile_checked(
+        """
+program fig1;
+config n : integer = 8;
+config m : integer = 6;
+region G = [1..n, 1..m];
+region H = [2..n, 1..m];
+var R, D, DD, AA, RX, RY : [G] float;
+begin
+  [G] DD := Index1 + Index2 * 0.5 + 4.0;
+  [G] AA := Index2 * 0.25 - Index1 * 0.125;
+  [G] D := 1.0;
+  [G] RX := Index1 * 1.5;
+  [G] RY := Index2 * 0.75;
+  [H] R := AA * D@(-1,0);
+  [H] D := 1.0 / (DD - AA@(-1,0) * R);
+  [H] RX := RX - RX@(-1,0) * R;
+  [H] RY := RY - RY@(-1,0) * R;
+  [G] wrap D;
+  [G] wrap RX;
+  [G] wrap RY;
+end;
+"""
+    )
+    assert "for _i1 in range(" in text
+    assert "R__s, _T2__s = R__s[-1], np.subtract(" in text
+    assert "np.divide(1.0, " in text
+
+
+def test_guarded_nest_of_unknown_emptiness_reuses_inside_the_guard():
+    text = compile_checked(_program(
+        _SEED_A
+        + "  for i := 1 to n do\n"
+        "    [2..i, 1..n] T1 := A * 3.0;\n"
+        "    [2..i, 1..n] T2 := T1 - A;\n"
+        "    [2..i, 1..n] B := T2 * T2;\n"
+        "  end;",
+        decls="var A, B, T1, T2 : [R] float;\nvar i : integer;",
+    ))
+    guard = text.index("if (i) >= 2:")
+    assert text.index("out=T1__s", guard) > guard
+    assert "np.multiply(T2__s, T2__s, out=B[" in text
+
+
+def test_out_operand_may_overlap_its_target():
+    # A hand-built vectorized nest reading A on both sides of the slice it
+    # writes: NumPy's overlap rule makes ``out=`` equal to evaluating the
+    # whole right-hand side first, as the language's array semantics do.
+    region = Region([(LinearExpr(2), LinearExpr(7))])
+    alloc = Region([(LinearExpr(1), LinearExpr(8))])
+    rhs = ir.BinOp("+", ir.ArrayRef("A", (1,)), ir.ArrayRef("A", (-1,)))
+    nest = LoopNest(region, (1,), [ElemAssign("A", None, rhs)], carried_depth=0)
+    program = ScalarProgram("overlap", {}, {"A": (alloc, "float")}, {}, [nest])
+    text = render_numpy(program)
+    assert "np.add(A[2:8], A[0:6], out=A[1:7])" in text
+    start = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
+    arrays, _ = execute(program, "codegen_np", initial_arrays={"A": start})
+    expected = start.copy()
+    expected[1:7] = start[2:8] + start[0:6]
+    assert arrays["A"].tobytes() == expected.tobytes()
+
+
+def test_corner_values_match_the_element_loops():
+    # compile_checked compares every scalar, the restored corners of the
+    # contraction temporaries included, with the element loops.
+    for direction in ("", "\n  [R] B := B@(0,1) * 2.0;"):
+        text = compile_checked(_program(
+            _SEED_A
+            + "  [R] T1 := A - 3.0;\n  [R] T2 := abs(T1);\n"
+            "  [R] T3 := T2 * T1;\n  [R] B := T3 + A;" + direction,
+        ))
+        assert "T2__s, T3__s = T2__s[" in text
+
+
+def test_lazy_chain_run_peaks_at_seven_region_buffers():
+    # One codegen_np run of the lazy smoothing chain at n = 256 holds the
+    # layout's four arrays and one temporary per nest; the parent's text
+    # held every contracted temporary of a nest at once (~9 buffers).
+    import tracemalloc
+
+    import repro.array as ra
+    from repro.array.graph import Trace
+    from repro.array.lowering import lower_trace
+    from repro.exec import get_backend
+    from repro.fusion import LEVELS_BY_NAME
+
+    n = 256
+    x = ra.asarray(np.zeros((n, n)))
+    for _ in range(3):
+        x = (x + x.shift(0, 1) + x.shift(0, -1) + x.shift(1, 1) + x.shift(1, -1)) * 0.2
+    program = lower_trace(Trace((x.node, x.sum().node)))
+    scalar_program = scalarize(
+        program, plan_program(program, LEVELS_BY_NAME["c2+f4"])
+    )
+    run = get_backend("codegen_np").load(scalar_program)
+    padded = np.zeros((n + 2, n + 2))
+    padded[1:-1, 1:-1] = np.random.default_rng(0).random((n, n))
+    run({"in0": padded}, None)
+    tracemalloc.start()
+    try:
+        run({"in0": padded}, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * padded.nbytes, peak / padded.nbytes

@@ -123,7 +123,9 @@ def test_numpy_text_uses_floor_for_unit_divisors_only():
     scalar_program = compile_at("baseline")
     text = render_numpy(scalar_program)
     assert text.count("np.floor(_f)") == 3
-    assert text.count("% 2.0") == 1 and text.count("np.mod(") == 1
+    # ``A % 2.0`` and ``mod(A, 5.0)`` stay one ufunc, written into place.
+    assert text.count("np.remainder(") == 2
+    assert "np.remainder(A[0:4, 0:8], 2.0, out=M2[" in text
     assert "% 1.0" not in text and ", 1.0)" not in text
     # codegen_py keeps the defining form: it is the element-order oracle.
     text = render_python(scalar_program)

@@ -238,10 +238,43 @@ def test_corpus_is_deterministic():
     assert generate_program(0) != generate_program(1)
 
 
+def _chains_temporaries(source):
+    """Does a vectorized nest of ``source`` at ``c2+f4+cse`` compute a
+    contracted temporary from another one it reads for the last time?
+    That statement is where ``codegen_np`` may reuse the dead buffer."""
+    from repro.scalarize.loopnest import partition_plan
+
+    program = normalize_source(source)
+    scalar_program = scalarize(
+        program, plan_program(program, LEVELS_BY_NAME["c2+f4+cse"])
+    )
+    for nest in scalar_program.loop_nests():
+        if partition_plan(nest, scalar_program.partial).slices() is None:
+            continue
+        defined = set()
+        for index, stmt in enumerate(nest.body):
+            if not stmt.is_contracted or stmt.reduce_op is not None:
+                continue
+            later = {
+                ref.name
+                for after in nest.body[index + 1:]
+                for ref in after.rhs.scalar_refs()
+            }
+            if stmt.rhs.row() is not None and any(
+                ref.name in defined and ref.name not in later
+                for ref in stmt.rhs.scalar_refs()
+            ):
+                return True
+            defined.add(stmt.scalar_target)
+    return False
+
+
 def test_corpus_covers_optimizer_surfaces():
     # The generator must keep producing the constructs the fuzz oracle
     # exists to exercise; a regression here silently hollows out the suite.
     sources = [generate_program(seed) for seed in range(100)]
+    # A chain of contracted temporaries (codegen_np's buffer reuse).
+    assert any(_chains_temporaries(s) for s in sources)
     assert any("wrap" in s or "reflect" in s for s in sources)
     assert any("max<<" in s or "min<<" in s for s in sources)
     assert any("for i := 2 to n do" in s for s in sources)
@@ -392,6 +425,7 @@ def test_dual_corpus_is_deterministic():
 
 def test_dual_corpus_covers_frontend_surfaces():
     sources = [generate_dual_program(seed).zpl() for seed in range(60)]
+    assert any(_chains_temporaries(s) for s in sources)
     # Shifts on both axes, in both directions, wider than one element.
     assert any("@(-2,0)" in s or "@(2,0)" in s for s in sources)
     assert any("@(0,-2)" in s or "@(0,2)" in s for s in sources)

@@ -944,6 +944,21 @@ class TestPoolLifetime:
             time.sleep(0.02)
         assert _shard_segments() <= before
 
+    def test_rank_zero_sweeps_the_pool_names_when_its_loop_ends(
+        self, fresh_pool
+    ):
+        # A coordinator killed inside SharedMemory() leaves a call segment
+        # the resource tracker never heard of: nobody else unlinks it.
+        from multiprocessing import resource_tracker, shared_memory
+
+        execute_sharded(sized_program("Tomcatv", 16, 2), procs=2)
+        name = mp_shard._POOL.sid + "_c99"
+        stray = shared_memory.SharedMemory(name=name, create=True, size=8)
+        resource_tracker.unregister(stray._name, "shared_memory")
+        stray.close()
+        mp_shard._retire_pool()
+        assert name not in _shard_segments()
+
 
 class TestKeptReports:
     def test_a_kept_report_is_columns_over_shared_descriptions(self):
