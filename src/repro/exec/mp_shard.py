@@ -22,13 +22,14 @@ first call that needs N ranks forks them (children on control pipes,
 :mod:`repro.daemon.proc` — the substrate of the daemon's workers); later
 calls reuse them; a call with another N, any failure, ``_IDLE_S`` seconds
 without a call, and interpreter exit retire the pool, and a rank whose
-coordinator died reads EOF on its pipe, breaks the barrier a peer may be
-parked in, and exits.  One run at a time:
-callers from several threads queue on the pool's lock.  A program
+coordinator died reads EOF on its pipe, poisons the barrier a peer may be
+parked in, and exits.  One run at a time: callers from several threads
+queue on the pool's lock.  A program
 reaches the ranks once — the one a pool is forked for arrives with the
 fork, a later one is pickled down the pipes the first time the pool sees
 it — and is recognised by identity afterwards (the last
-``_KEPT_PROGRAMS`` of them, the same LRU on both sides of the pipe).  Per program a rank **keeps** everything that
+``_KEPT_PROGRAMS`` of them, the same LRU on both sides of the pipe).
+Per program a rank **keeps** everything that
 depends only on the program's structure — per-nest facts, loaded
 kernels, exchange descriptions, the mappings of its segments, and one
 *prepared run* per (run of nests, concrete bounds): its post/wait
@@ -38,24 +39,38 @@ depends on the data — local arrays, scalars, pending corner scalars,
 ordinals, record columns and counters.  So a warm call looks its runs up
 and pays for kernels and the exchanges that move bytes, and
 ``comm.kernel_loads`` / ``comm.runs_prepared`` read what *this* call
-loaded and built: everything on a program's first call, 0 later.
+loaded and built: everything on a program's first call, 0 later.  The
+coordinator keeps, per program and pool, everything (program, procs)
+decides: the grid, whether the program shards at all, its layout, and
+its call segment with the views over it.
+
+The ranks synchronise through :class:`_PipeBarrier`, a pipe per ordered
+pair of ranks: a wait is one token to and from every peer (one process
+wake-up), a scalar broadcast one frame from its owner, an abort poison
+to every peer.  Poison, EOF from a rank that died and the
+``_BARRIER_TIMEOUT_S`` deadline all raise
+:class:`threading.BrokenBarrierError`.  The coordinator holds every
+pipe end until the ranks are forked, so :func:`_max_procs` caps a pool
+by the open-file limit.
 
 Segments are unnamed between calls.  Rank 0 creates a segment under a
 name, every rank maps it, rank 0 unlinks the name (two barrier waits,
 once per segment per program); the mappings live on in the ranks.  The
-one per-call segment — initial arrays in, result arrays out — belongs to
-the coordinator, which unlinks it before returning.  Nothing of a killed
-run can therefore outlive it under ``/dev/shm`` except a name caught
-inside that handshake, or a call segment whose coordinator was killed
-before the resource tracker heard of it; :func:`_reclaim` sweeps for
+program's call segment — initial arrays in, result arrays out — belongs
+to the coordinator, which creates it on the program's first call and
+unlinks its name once that call's ranks have answered, so every rank has
+mapped it; both sides keep the mapping with the program.  Nothing of a
+killed run can therefore outlive it under ``/dev/shm`` except a name
+caught inside a handshake or a first call; :func:`_reclaim` sweeps for
 those, on the coordinator after a failure and on rank 0 when its loop
 ends.
 
 A rank that dies (a signal, the OOM killer, ``os._exit``) trips its
 process sentinel, which the coordinator waits on together with the
 pipes: the run fails at once with a typed :class:`ReproError` naming the
-rank and how it went, its peers — parked in a barrier — are terminated
-with the rest of the pool, and the next call forks a fresh one.
+rank and how it went, its peers — reading EOF from its pipes, or parked
+waiting on another rank — are terminated with the rest of the pool, and
+the next call forks a fresh one.
 
 The driver walk is *lockstep deterministic*: every rank performs the
 same walk over the same program, so barrier sequences, segment names and
@@ -81,9 +96,9 @@ the next row of a sweep, the next time step, the next call — is a call
 with that invocation's clamp bounds and scalar values as arguments
 (``comm.kernel_loads`` counts the loads).
 
-Scalars travel through a small pickle segment.  Reduction results are
-broadcast from rank 0 as soon as they are folded, because replicated
-control flow usually tests them next.  A *contraction-corner* scalar (the
+Scalars travel as pickled frames down the barrier's pipes.  Reduction
+results are broadcast from rank 0 as soon as they are folded, because
+replicated control flow usually tests them next.  A *contraction-corner* scalar (the
 value a contracted array's scalar holds after its nest's final index
 point, which only the rank owning that point computes) is merely recorded
 as *pending* on its owner: almost nothing ever reads one, so it is
@@ -122,10 +137,12 @@ apart under ``comm.reduce_bytes`` / ``comm.gather_bytes``.
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import os
 import pickle
-import struct
+import resource
+import sys
 import threading
 import time
 import traceback
@@ -133,6 +150,7 @@ import uuid
 from array import array
 from collections import OrderedDict
 from itertools import groupby
+from multiprocessing.connection import Connection, Pipe
 from typing import (
     Callable,
     Dict,
@@ -186,7 +204,6 @@ from repro.util.errors import InterpError, ReproError
 
 Bounds = Tuple[Tuple[int, int], ...]
 
-_SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
 #: A pool nobody called for this long retires itself (the frozen
 #: benchmark kills children still alive 3 s after its last operation).
@@ -366,6 +383,149 @@ def _intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
     return tuple(out)
 
 
+# -- the pipe barrier ------------------------------------------------------
+
+#: What a message down a barrier pipe is: a token, poison, or a frame
+#: (this tag byte, then the frame's bytes).
+_TOKEN, _POISON, _FRAME = b"", b"\x00", b"\x01"
+
+
+def _max_procs() -> int:
+    """The most ranks a pool may have: the coordinator holds every pipe
+    of their barrier, 2 N (N - 1) descriptors, before it forks them, and
+    they must fit in half the soft open-file limit."""
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    if soft == resource.RLIM_INFINITY:
+        return sys.maxsize
+    procs = 1
+    while 2 * (procs + 1) * procs <= soft // 2:
+        procs += 1
+    return procs
+
+
+class _PipeBarrier:
+    """The ranks' one synchronisation: a pipe per ordered pair of ranks.
+
+    The coordinator makes every pipe before it forks the ranks.  Each
+    rank keeps the read ends of the pipes into it and the write ends of
+    those out of it (:meth:`keep`); the coordinator closes every end once
+    the ranks are forked (:meth:`close`).  So rank a is the only writer
+    of the pipe from a to b, and a's death reads as EOF at b.
+
+    :meth:`wait` sends one token to every peer, then receives one from
+    every peer: no rank leaves a wait before every peer has entered it.
+    A pipe is FIFO, so a fast rank's token for its next wait queues
+    behind the one for this wait and cannot complete a slow rank's
+    current wait, however many ranks there are.  :meth:`send` /
+    :meth:`receive` move one frame from one rank to every peer down the
+    same pipes.  :meth:`abort` sends poison to every peer.  Poison, EOF
+    and ``_BARRIER_TIMEOUT_S`` passing in one wait or receive raise
+    :class:`threading.BrokenBarrierError`, as a broken
+    ``multiprocessing.Barrier`` would, and leave the barrier broken.
+    """
+
+    def __init__(self, procs: int) -> None:
+        #: (from rank, to rank) -> (read end, write end), until :meth:`keep`
+        self.pipes: Dict[Tuple[int, int], tuple] = {}
+        #: after :meth:`keep`: peer -> the read end from it, and the write
+        #: end to every peer
+        self.ins: Dict[int, Connection] = {}
+        self.outs: Tuple[Connection, ...] = ()
+        self.broken = self.aborted = False
+        try:
+            for a in range(procs):
+                for b in range(procs):
+                    if a != b:
+                        self.pipes[a, b] = Pipe(duplex=False)
+        except OSError:
+            self.close()
+            raise
+
+    def keep(self, rank: int) -> None:
+        """In rank ``rank``, after the fork: close the ends it does not own."""
+        outs = []
+        for (a, b), (read_end, write_end) in sorted(self.pipes.items()):
+            if b == rank:
+                self.ins[a] = read_end
+            else:
+                read_end.close()
+            if a == rank:
+                outs.append(write_end)
+            else:
+                write_end.close()
+        self.pipes = {}
+        self.outs = tuple(outs)
+
+    def close(self) -> None:
+        """Close every end still open in this process."""
+        ends = [end for pair in self.pipes.values() for end in pair]
+        ends += [*self.ins.values(), *self.outs]
+        self.pipes, self.ins, self.outs = {}, {}, ()
+        for end in ends:
+            end.close()
+
+    def wait(self) -> None:
+        self._send(_TOKEN)
+        deadline = time.monotonic() + _BARRIER_TIMEOUT_S
+        for peer in self.ins:
+            if self._receive(peer, deadline) != _TOKEN:
+                self._break("rank %d sent a frame, not a token" % peer)
+
+    def send(self, blob: bytes) -> None:
+        """One frame, ``blob``, to every peer."""
+        self._send(_FRAME + blob)
+
+    def receive(self, peer: int) -> bytes:
+        """The next frame from ``peer``."""
+        message = self._receive(peer, time.monotonic() + _BARRIER_TIMEOUT_S)
+        if message == _TOKEN:
+            self._break("rank %d sent a token, not a frame" % peer)
+        return message[1:]
+
+    def abort(self) -> None:
+        """Break the barrier here and poison every peer (once)."""
+        self.broken = True
+        if self.aborted:
+            return
+        self.aborted = True
+        for end in self.outs:
+            try:
+                # Five bytes, written whole or not at all: EAGAIN means
+                # the pipe is full, so its reader is not parked on it.
+                os.set_blocking(end.fileno(), False)
+                end.send_bytes(_POISON)
+            except OSError:  # EPIPE: the peer is gone
+                pass
+
+    def _break(self, why: str):
+        self.broken = True
+        raise threading.BrokenBarrierError(why)
+
+    def _send(self, message: bytes) -> None:
+        if self.broken:
+            self._break("the barrier is broken")
+        for end in self.outs:
+            try:
+                end.send_bytes(message)
+            except OSError:  # EPIPE: the peer is gone
+                self._break("a peer is gone")
+
+    def _receive(self, peer: int, deadline: float) -> bytes:
+        if self.broken:
+            self._break("the barrier is broken")
+        end = self.ins[peer]
+        if not end.poll(max(0.0, deadline - time.monotonic())):
+            self.abort()
+            self._break("timed out waiting for rank %d" % peer)
+        try:
+            message = end.recv_bytes()
+        except (EOFError, OSError):
+            self._break("rank %d is gone" % peer)
+        if message == _POISON:
+            self._break("rank %d aborted" % peer)
+        return message
+
+
 # -- the worker ------------------------------------------------------------
 
 
@@ -450,30 +610,36 @@ class _Run:
         self.by_values: Dict[tuple, Callable[[], None]] = {}
         #: concrete bounds per nest -> the one prepared run for them
         self.by_bounds: Dict[tuple, Callable[[], None]] = {}
-def _global_bytes(layout: ShardLayout, name: str) -> int:
-    bounds, kind = layout.allocs[name]
-    return int(np.prod(_shape_of(bounds))) * np.dtype(DTYPES[kind]).itemsize
 
 
-def _call_views(buf, layout: ShardLayout, seeded: Iterable[str]):
-    """``(results, inputs)``: NumPy views over a call's segment.
+def _call_bytes(layout: ShardLayout) -> int:
+    """The size of a program's call segment (see :func:`_call_views`)."""
+    return 2 * sum(
+        math.prod(_shape_of(bounds)) * np.dtype(DTYPES[kind]).itemsize
+        for bounds, kind in layout.allocs.values()
+    )
 
-    A result slot per array, then an input slot per seeded array, each
-    the array's global allocation.  They are kept apart because a rank
+
+def _call_views(buf, layout: ShardLayout):
+    """``(results, inputs)``: NumPy views over a program's call segment.
+
+    A result slot per array, then an input slot per array, each the
+    array's global allocation; a call seeds the input slots of the arrays
+    it was given and reads no other.  They are kept apart because a rank
     that runs ahead writes its results while a slower one may still be
     reading the initial values of its halo.
     """
     cursor = 0
     results: Dict[str, np.ndarray] = {}
     inputs: Dict[str, np.ndarray] = {}
-    for views, names in ((results, layout.allocs), (inputs, seeded)):
-        for name in sorted(names):
+    for views in (results, inputs):
+        for name in sorted(layout.allocs):
             bounds, kind = layout.allocs[name]
-            views[name] = np.ndarray(
+            view = views[name] = np.ndarray(
                 _shape_of(bounds), dtype=DTYPES[kind], buffer=buf,
                 offset=cursor,
             )
-            cursor += _global_bytes(layout, name)
+            cursor += view.nbytes
     return results, inputs
 
 
@@ -518,6 +684,10 @@ class _Worker:
         self.described_sent = 0
         self.event_dicts: Dict[tuple, dict] = {}
         self.next_seg = 0
+        #: the program's call segment, mapped on its first call, and the
+        #: (results, inputs) views over it
+        self.call = None
+        self.call_views: Tuple[dict, dict] = ({}, {})
 
     def _begin(self, inputs: Optional[Mapping[str, np.ndarray]],
                scalars: Optional[Mapping[str, object]]) -> None:
@@ -553,7 +723,7 @@ class _Worker:
     def _sync(self) -> None:
         if self.rank == 0:
             self.counters["comm.barrier_waits"] += 1
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
+        self.barrier.wait()
 
     def _segment(self, name: str, size: int):
         """The mapping of segment ``name``, shared on first use.
@@ -587,27 +757,34 @@ class _Worker:
         """Drop the prepared runs, whose views pin the mappings, then the
         mappings (the program was evicted, or the rank is stopping)."""
         self.bodies.clear()
-        for seg in self.segments.values():
-            shm.close_quietly(seg)
+        self.call_views = ({}, {})
+        for seg in [self.call, *self.segments.values()]:
+            if seg is not None:
+                shm.close_quietly(seg)
+        self.call = None
         self.segments.clear()
 
     # -- replicated scalars ------------------------------------------------
 
     def _bcast(self, owner: int, payload: Optional[dict]) -> None:
-        """Owner → every replica, through the pickle segment, double-fenced."""
-        seg = self._segment(self.sid + "_scal", _SCAL_SEG_BYTES)
+        """Owner → every replica: one frame down each of its pipes.
+
+        No wait brackets it.  Each peer reads the values after the owner
+        sent them, and a frame is bytes of its own in a FIFO, so nothing
+        is overwritten behind a reader.  The frame also orders a fold:
+        rank 0 reads every rank's operands in the fold views before it
+        sends the frame, and a peer writes its next operands there only
+        after the frame has reached it.
+        """
         if self.rank == 0:
             self.counters["comm.scalar_bcasts"] += 1
         if self.rank == owner:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) + 8 > seg.size:
-                raise ShardError("scalar broadcast of %dB too large" % len(blob))
-            struct.pack_into("<Q", seg.buf, 0, len(blob))
-            seg.buf[8:8 + len(blob)] = blob
-        self._sync()
-        (length,) = struct.unpack_from("<Q", seg.buf, 0)
-        self._assign(pickle.loads(bytes(seg.buf[8:8 + length])))
-        self._sync()
+            self.barrier.send(
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        else:
+            payload = pickle.loads(self.barrier.receive(owner))
+        self._assign(payload)
 
     def _assign(self, values: Mapping[str, object]) -> None:
         """Set scalars to values every rank agrees on."""
@@ -1108,10 +1285,12 @@ class _Worker:
     def run(self, call_seg: str, seeded: Sequence[str],
             scalars: Optional[Mapping[str, object]]) -> dict:
         """One call: seed, walk, write the owned boxes, report."""
-        seg = shm.attach(call_seg)
+        if self.call is None:  # named until every rank has mapped it
+            self.call = shm.attach(call_seg)
+            self.call_views = _call_views(self.call.buf, self.layout)
+        results, inputs = self.call_views
         try:
-            results, inputs = _call_views(seg.buf, self.layout, seeded)
-            self._begin(inputs, scalars)
+            self._begin({name: inputs[name] for name in seeded}, scalars)
             self.execute_body(self.program.body)
             self._flush(list(self.pending))  # rank 0 reports every scalar
             for name, view in results.items():
@@ -1122,8 +1301,6 @@ class _Worker:
                         _index(self.local_bounds[name], own)
                     ]
         finally:
-            results = inputs = view = None  # views pin the mapping
-            shm.close_quietly(seg)
             self.locals = {}  # a call's data is not kept with the program
         summary = {"measured": self.measured, "counters": self.counters}
         if self.rank == 0:
@@ -1140,12 +1317,14 @@ class _Worker:
         return summary
 
 
-def _rank_main(conn, rank: int, barrier, born_with: dict, sid: str) -> None:
+def _rank_main(conn, rank: int, barrier: _PipeBarrier, born_with: dict,
+               sid: str) -> None:
     """A rank process: run what the coordinator says until it says stop.
 
     ``born_with`` (slot -> what would have been shipped) is the program
     the pool was forked for: it arrives with the fork, so a cold call
     pickles nothing.  ``sid`` prefixes every segment name of the pool."""
+    barrier.keep(rank)
     #: slot -> the program's worker, least recently run first (the
     #: coordinator's memo evicts in the same order)
     workers: "OrderedDict[int, _Worker]" = OrderedDict()
@@ -1161,7 +1340,8 @@ def _rank_main(conn, rank: int, barrier, born_with: dict, sid: str) -> None:
             workers.move_to_end(slot)
             return "ok", workers[slot].run(call_seg, seeded, scalars)
         except Exception as error:
-            # Its peers are, or soon will be, parked in Barrier.wait.
+            # Its peers are, or soon will be, parked in a wait: poison
+            # sends them home.
             barrier.abort()
             # Run-time errors the single-process backends also raise keep
             # their type across the process boundary; a broken barrier is
@@ -1175,11 +1355,12 @@ def _rank_main(conn, rank: int, barrier, born_with: dict, sid: str) -> None:
 
     proc.serve(conn, run)
     # On EOF the coordinator may have died between two ranks' messages:
-    # a peer that got its run is parked in Barrier.wait, and only a
-    # broken barrier sends it home before the timeout.
+    # a peer that got its run is parked in a wait, and only poison (or
+    # this rank's exit) sends it home before the timeout.
     barrier.abort()
     for worker in workers.values():
         worker.close()
+    barrier.close()
     if rank == 0:
         # ... or inside SharedMemory() creating its call segment, before
         # the resource tracker heard of the name.  After a stop the sweep
@@ -1191,16 +1372,20 @@ def _rank_main(conn, rank: int, barrier, born_with: dict, sid: str) -> None:
 
 
 def _single_process(program: ScalarProgram, initial_arrays, initial_scalars,
-                    local_backend, procs: int, grid: ProcessorGrid):
+                    local_backend, grid: ProcessorGrid, metrics, tracer,
+                    started: float):
+    """A program with nothing to shard, run by ``local_backend`` here."""
     from repro.exec.backends import execute
 
     result = execute(
         program, local_backend, initial_arrays=initial_arrays,
         initial_scalars=initial_scalars,
     )
-    return result, CommReport(
-        procs, grid.shape, dict.fromkeys(_COMM_COUNTERS, 0)
+    report = CommReport(
+        grid.p, grid.shape, dict.fromkeys(_COMM_COUNTERS, 0)
     )
+    _emit_obs(report, metrics, tracer, time.perf_counter() - started)
+    return result, report
 
 
 def _reclaim(sid: str) -> None:
@@ -1208,8 +1393,8 @@ def _reclaim(sid: str) -> None:
 
     Between calls no segment has a name, so this finds something only
     when a rank died inside the create-map-unlink handshake or the
-    coordinator inside a call.  Linux-only (elsewhere there is no
-    ``/dev/shm`` to list)."""
+    coordinator inside a program's first call.  Linux-only (elsewhere
+    there is no ``/dev/shm`` to list)."""
     try:
         leftovers = [
             entry for entry in os.listdir("/dev/shm")
@@ -1222,18 +1407,56 @@ def _reclaim(sid: str) -> None:
 
 
 class _Shipped:
-    """What the coordinator remembers of a program its ranks hold."""
+    """What the coordinator keeps of a program for one pool: everything
+    (program, procs) decides, so a warm call derives none of it."""
 
-    __slots__ = ("program", "slot", "layout", "descriptions")
+    __slots__ = (
+        "key", "program", "slot", "grid", "layout", "shipped",
+        "descriptions", "call", "results", "inputs",
+    )
 
-    def __init__(self, program: ScalarProgram, slot: int,
-                 layout: ShardLayout) -> None:
+    def __init__(self, key: tuple, program: ScalarProgram, slot: int,
+                 procs: int, options: CommOptions, local_backend: str,
+                 prefix: str) -> None:
+        self.key = key
         #: referenced, so the ``id`` in the memo's key cannot be recycled
         self.program = program
         self.slot = slot
-        self.layout = layout
+        self.grid = ProcessorGrid(procs, max(program_rank(program), 1))
+        #: None when the program runs unsharded: the grid cuts nothing, or
+        #: it has boundary statements (wrap/reflect fills address whole
+        #: global edges and have no clamped form)
+        self.layout: Optional[ShardLayout] = None
+        if self.grid.cut_dimensions() and not any(
+            isinstance(node, SBoundary) for node in walk(program.body)
+        ):
+            self.layout = ShardLayout(
+                program, self.grid, int_config_env(program.configs)
+            )
+        #: what the ranks are sent on the program's first call, then None
+        self.shipped: Optional[tuple] = (
+            program, self.layout, options, local_backend, prefix
+        )
         #: every description rank 0 has sent so far; reports share it
         self.descriptions: Tuple[ExchangeDescription, ...] = ()
+        #: the call segment, created by the first call, and the (results,
+        #: inputs) views over it
+        self.call = None
+        self.results: Dict[str, np.ndarray] = {}
+        self.inputs: Dict[str, np.ndarray] = {}
+
+    def map_call(self, name: str) -> None:
+        from multiprocessing import shared_memory
+
+        self.call = shared_memory.SharedMemory(
+            name=name, create=True, size=max(1, _call_bytes(self.layout))
+        )
+        self.results, self.inputs = _call_views(self.call.buf, self.layout)
+
+    def close(self) -> None:
+        self.results = self.inputs = {}  # views pin the mapping
+        if self.call is not None:
+            shm.close_quietly(self.call)
 
 
 class _Pool:
@@ -1254,26 +1477,26 @@ class _Pool:
         #: least recently run first
         self.programs: "OrderedDict[tuple, _Shipped]" = OrderedDict()
         self.slots = 0
-        self.calls = 0
         self.last_used = time.monotonic()
         self.retired = threading.Event()
 
     def _fork(self, born_with: dict) -> None:
         from multiprocessing import resource_tracker
 
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("fork")  # the ranks inherit pipes
         # Started before the fork so every rank inherits it: one tracker
         # sees rank 0's creates and unlinks in the order they happen.
         resource_tracker.ensure_running()
-        barrier = ctx.Barrier(self.procs)
-        for rank in range(self.procs):
-            self.ranks.append(proc.Child(
-                ctx, _rank_main, (rank, barrier, born_with, self.sid),
-                "repro-shard-rank-%d" % rank,
-            ))
+        barrier = _PipeBarrier(self.procs)
+        try:
+            for rank in range(self.procs):
+                self.ranks.append(proc.Child(
+                    ctx, _rank_main, (rank, barrier, born_with, self.sid),
+                    "repro-shard-rank-%d" % rank,
+                ))
+        finally:
+            # Held here, a dead rank's pipes would never read as EOF.
+            barrier.close()
         threading.Thread(
             target=self._retire_when_idle, name="repro-shard-idle", daemon=True
         ).start()
@@ -1290,19 +1513,24 @@ class _Pool:
         """Stop the ranks; after a failure, without asking."""
         self.retired.set()
         for child in self.ranks:
-            if failed:  # parked in a barrier, or worse: nobody is listening
+            if failed:  # parked in a wait, or worse: nobody is listening
                 child.process.terminate()
             child.stop()
         for child in self.ranks:
             child.join(5)
+        for entry in self.programs.values():
+            entry.close()
         if failed:
             _reclaim(self.sid)
 
-    def run(self, program: ScalarProgram, options: CommOptions,
-            local_backend: str, initial_arrays, initial_scalars):
-        """``(arrays, per-rank summaries, the program's memo entry)``."""
-        from multiprocessing import shared_memory
+    def entry(self, program: ScalarProgram, options: CommOptions,
+              local_backend: str) -> _Shipped:
+        """The program's memo entry on this pool, made on first sight.
 
+        Only :meth:`run` moves an entry up the LRU, once the call is sure
+        to reach the ranks: a call refused before then (bad inputs, a
+        daemonic caller) must not reorder the coordinator's side alone,
+        or it would keep a program the ranks have evicted."""
         key = (
             id(program),
             (options.redundancy_elimination, options.combining,
@@ -1310,55 +1538,50 @@ class _Pool:
             local_backend,
         )
         entry = self.programs.get(key)
-        shipped = None
         if entry is None:
-            grid = ProcessorGrid(self.procs, max(program_rank(program), 1))
             entry = self.programs[key] = _Shipped(
-                program, self.slots,
-                ShardLayout(program, grid, int_config_env(program.configs)),
+                key, program, self.slots, self.procs, options, local_backend,
+                "%s_p%d" % (self.sid, self.slots),
             )
             self.slots += 1
             if len(self.programs) > _KEPT_PROGRAMS:
-                self.programs.popitem(last=False)
-            shipped = (
-                program, entry.layout, options, local_backend,
-                "%s_p%d" % (self.sid, entry.slot),
-            )
-        self.programs.move_to_end(key)
+                self.programs.popitem(last=False)[1].close()
+        return entry
+
+    def run(self, entry: _Shipped, initial_arrays, initial_scalars):
+        """``(arrays, per-rank summaries)`` of one call of a sharded
+        entry."""
+        self.programs.move_to_end(entry.key)
+        shipped, entry.shipped = entry.shipped, None
         if not self.ranks:
             self._fork({entry.slot: shipped})
             shipped = None
+        first = entry.call is None
+        if first:
+            entry.map_call("%s_c%d" % (self.sid, entry.slot))
         seeded = sorted(initial_arrays or ())
-        self.calls += 1
-        seg = shared_memory.SharedMemory(
-            name="%s_c%d" % (self.sid, self.calls), create=True,
-            size=max(1, sum(
-                _global_bytes(entry.layout, name)
-                for name in list(entry.layout.allocs) + seeded
-            )),
-        )
         try:
-            results, inputs = _call_views(seg.buf, entry.layout, seeded)
-            for name, view in inputs.items():
-                view[...] = initial_arrays[name]
-            message = (
-                "run", entry.slot, shipped, seg.name, seeded, initial_scalars
-            )
-            proc.tell_all(self.ranks, message)
+            for name in seeded:
+                entry.inputs[name][...] = initial_arrays[name]
+            proc.tell_all(self.ranks, (
+                "run", entry.slot, shipped, entry.call.name, seeded,
+                initial_scalars,
+            ))
             summaries = self._collect()
-            arrays = {name: view.copy() for name, view in results.items()}
+            arrays = {
+                name: view.copy() for name, view in entry.results.items()
+            }
         except proc.ChildDied as death:
             raise ReproError(
                 "mp-shard worker %d failed:\nprocess %s before posting a "
                 "result" % (self.ranks.index(death.child), death)
             ) from None
         finally:
-            results = inputs = view = None  # views pin the mapping
-            shm.close_quietly(seg)
-            seg.unlink()
+            if first:  # every rank has mapped it, or the pool retires
+                entry.call.unlink()
         entry.descriptions += tuple(summaries[0]["descriptions"])
         self.last_used = time.monotonic()
-        return arrays, summaries, entry
+        return arrays, summaries
 
     def _collect(self) -> List[dict]:
         """Every rank's summary, or the run's failure raised."""
@@ -1453,40 +1676,48 @@ def execute_sharded(
         procs = default_procs()
     if procs < 1:
         raise ReproError("procs must be positive, got %d" % procs)
-    grid = ProcessorGrid(procs, max(program_rank(program), 1))
+    most = _max_procs()
+    if procs > most:
+        raise ReproError(
+            "procs=%d is more ranks than the open-file limit allows: their "
+            "barrier needs %d pipe descriptors at once, so at most %d ranks"
+            % (procs, 2 * procs * (procs - 1), most)
+        )
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
     started = time.perf_counter()
-    # Boundary statements (wrap/reflect fills) address whole global
-    # edges and have no clamped form: such programs run unsharded.
-    if (
-        procs == 1
-        or not grid.cut_dimensions()
-        or any(isinstance(node, SBoundary) for node in walk(program.body))
-    ):
-        result, report = _single_process(
-            program, initial_arrays, initial_scalars, local_backend, procs,
-            grid,
+    if procs == 1:
+        return _single_process(
+            program, initial_arrays, initial_scalars, local_backend,
+            ProcessorGrid(1, max(program_rank(program), 1)), metrics, tracer,
+            started,
         )
-        _emit_obs(report, metrics, tracer, time.perf_counter() - started)
-        return result, report
-    initial_arrays = validate_inputs(program.layout, initial_arrays)
-    initial_scalars = validate_scalars(program, initial_scalars)
-    if multiprocessing.current_process().daemon:
-        raise ReproError(DAEMONIC_MESSAGE)
-
     with _POOL_LOCK:
-        if _POOL is not None and _POOL.procs != procs:
-            _retire_locked()
-        if _POOL is None:
-            _POOL = _Pool(procs)
-        try:
-            arrays, summaries, entry = _POOL.run(
-                program, options, local_backend, initial_arrays,
-                initial_scalars,
-            )
-        except BaseException:
-            _retire_locked(failed=True)
-            raise
+        # A pool of another size is retired only for a program it would
+        # run: a fresh pool forks nothing until its first run.
+        pool = _POOL if _POOL is not None and _POOL.procs == procs else (
+            _Pool(procs)
+        )
+        entry = pool.entry(program, options, local_backend)
+        if entry.layout is not None:
+            initial_arrays = validate_inputs(program.layout, initial_arrays)
+            initial_scalars = validate_scalars(program, initial_scalars)
+            if multiprocessing.current_process().daemon:
+                raise ReproError(DAEMONIC_MESSAGE)
+            if pool is not _POOL:
+                _retire_locked()
+                _POOL = pool
+            try:
+                arrays, summaries = _POOL.run(
+                    entry, initial_arrays, initial_scalars
+                )
+            except BaseException:
+                _retire_locked(failed=True)
+                raise
+    if entry.layout is None:
+        return _single_process(
+            program, initial_arrays, initial_scalars, local_backend,
+            entry.grid, metrics, tracer, started,
+        )
 
     counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
     measured = array("q", summaries[0]["measured"])
@@ -1497,7 +1728,7 @@ def execute_sharded(
         for ordinal, nbytes in enumerate(summary["measured"]):
             measured[ordinal] += nbytes
     report = CommReport(
-        procs, grid.shape, counters, entry.descriptions,
+        procs, entry.grid.shape, counters, entry.descriptions,
         summaries[0]["described"], measured, summaries[0]["durations_us"],
     )
     result = ExecutionResult(arrays, dict(summaries[0]["scalars"]))

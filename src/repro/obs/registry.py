@@ -286,14 +286,18 @@ COUNTERS: List[CounterDef] = [
         "comm.scalar_bcasts",
         "Scalar broadcasts mp-shard performed (counted on rank 0): one per "
         "folded reduction nest, plus one per owner whenever a pending "
-        "contraction-corner scalar is about to be read or the run ends.",
+        "contraction-corner scalar is about to be read or the run ends.  "
+        "Each is one frame from its owner down the ranks' pipes and takes "
+        "no barrier wait.",
     ),
     CounterDef(
         "comm.barrier_waits",
-        "Barrier waits rank 0 performed during an mp-shard call (exact): "
-        "for exchange steps that move bytes, reductions, gathers and "
-        "broadcasts, plus two per segment on the call that first maps it; "
-        "a message without copies takes none.",
+        "Barrier waits rank 0 performed during an mp-shard call (exact), "
+        "each one token to and from every peer: for exchange steps that "
+        "move bytes, reductions and gathers, plus two per segment on the "
+        "call that first maps it; a message without copies and a scalar "
+        "broadcast take none.  15 / 23 / 13 on a warm Tomcatv / SP / "
+        "Simple call at n = 64 on two ranks.",
     ),
     CounterDef(
         "daemon.worker_cc",

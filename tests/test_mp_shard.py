@@ -507,10 +507,11 @@ class TestLoadOnce:
 #: walk performed them before it ran from prepared runs: exchanges, bytes,
 #: combined, reduce_bytes, gather_bytes, fallback_nests, scalar_bcasts,
 #: then barrier_waits and kernel_loads on (the first call, a warm call).
+#: A broadcast is one frame down the barrier's pipes and takes no wait.
 _PINNED = {
-    "Tomcatv": (248, 10_048, 492, 94_272, 0, 0, 5, (37, 25), (16, 0)),
-    "SP": (246, 12_896, 720, 32_768, 335_872, 2, 5, (47, 33), (23, 0)),
-    "Simple": (12, 10_912, 10, 32_768, 0, 0, 2, (23, 17), (13, 0)),
+    "Tomcatv": (248, 10_048, 492, 94_272, 0, 0, 5, (25, 15), (16, 0)),
+    "SP": (246, 12_896, 720, 32_768, 335_872, 2, 5, (35, 23), (23, 0)),
+    "Simple": (12, 10_912, 10, 32_768, 0, 0, 2, (17, 13), (13, 0)),
 }
 
 #: A row region that moves with a ``for`` variable and an extent that a
@@ -638,6 +639,144 @@ class TestDeadRank:
         assert len(multiprocessing.active_children()) == 2
 
 
+# -- the pipe barrier ---------------------------------------------------------
+
+
+def _fork_ranks(procs, body):
+    """Run ``body(barrier, rank)`` in ``procs`` forked processes over one
+    pipe barrier, made and closed here as the pool does; their exit codes
+    (an assertion failing in ``body`` exits 1)."""
+    ctx = multiprocessing.get_context("fork")
+    barrier = mp_shard._PipeBarrier(procs)
+
+    def main(rank):
+        barrier.keep(rank)
+        body(barrier, rank)
+
+    try:
+        ranks = [ctx.Process(target=main, args=(rank,)) for rank in range(procs)]
+        for rank in ranks:
+            rank.start()
+    finally:
+        barrier.close()
+    for rank in ranks:
+        rank.join(60)
+    return [rank.exitcode for rank in ranks]
+
+
+class TestPipeBarrier:
+    @pytest.mark.parametrize("procs", [3, 4])
+    def test_no_rank_leaves_a_wait_before_every_peer_entered_it(self, procs):
+        import random
+
+        entered = multiprocessing.get_context("fork").Array(
+            "q", procs, lock=False
+        )
+
+        def body(barrier, rank):
+            rng = random.Random(1000 * procs + rank)
+            for generation in range(1, 2001):
+                if rng.random() < 0.3:
+                    time.sleep(rng.random() * 2e-4)
+                entered[rank] = generation
+                barrier.wait()
+                assert min(entered) >= generation, (rank, list(entered))
+
+        assert _fork_ranks(procs, body) == [0] * procs
+
+    def test_frames_of_any_size_interleave_with_waits(self):
+        def body(barrier, rank):
+            for step, size in enumerate((0, 5, 70_000, 3, 200_000, 1)):
+                owner = step % 3
+                blob = bytes([step]) * size
+                if rank == owner:
+                    barrier.send(blob)
+                else:
+                    assert barrier.receive(owner) == blob
+                barrier.wait()
+
+        assert _fork_ranks(3, body) == [0, 0, 0]
+
+    def test_abort_wakes_a_parked_peer(self):
+        def body(barrier, rank):
+            if rank == 0:
+                time.sleep(0.2)
+                barrier.abort()
+                time.sleep(2.0)  # alive: the poison, not EOF, wakes the peer
+                return
+            started = time.monotonic()
+            with pytest.raises(threading.BrokenBarrierError, match="aborted"):
+                barrier.wait()
+            assert time.monotonic() - started < 1.2
+            with pytest.raises(threading.BrokenBarrierError):
+                barrier.wait()  # broken stays broken
+
+        assert _fork_ranks(2, body) == [0, 0]
+
+    def test_a_killed_peer_breaks_the_wait_by_eof(self):
+        assert mp_shard._BARRIER_TIMEOUT_S > 10
+
+        def body(barrier, rank):
+            if rank == 0:
+                time.sleep(0.2)
+                os.kill(os.getpid(), signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(threading.BrokenBarrierError, match="gone"):
+                barrier.wait()
+            assert time.monotonic() - started < 1.2
+
+        assert _fork_ranks(2, body) == [-signal.SIGKILL, 0]
+
+    def test_a_short_timeout_breaks_the_barrier(self, monkeypatch):
+        # The ranks are forked after the patch, so they inherit it.
+        monkeypatch.setattr(mp_shard, "_BARRIER_TIMEOUT_S", 0.05)
+
+        def body(barrier, rank):
+            if rank == 0:
+                time.sleep(1.0)  # alive, and never waits
+                return
+            with pytest.raises(threading.BrokenBarrierError, match="timed out"):
+                barrier.wait()
+            with pytest.raises(threading.BrokenBarrierError):
+                barrier.receive(0)
+
+        assert _fork_ranks(2, body) == [0, 0]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    @pytest.mark.parametrize("procs", [2, 4])
+    def test_pool_cycles_leave_no_descriptor_behind(self, procs, fresh_pool):
+        # A pipe end the coordinator missed would leak 2 N (N - 1) of them
+        # per pool.
+        program = sized_program("Simple", 12, 2)
+
+        def cycle():
+            _result, report = execute_sharded(program, procs=procs)
+            assert report.exchanges > 0
+            mp_shard._retire_pool()
+
+        def descriptors():
+            # A retired pool, and the sentinels of its ranks, live until
+            # its idle thread has seen the retirement and left.
+            for thread in threading.enumerate():
+                if thread.name == "repro-shard-idle":
+                    thread.join(5)
+            found = {}
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    found[fd] = os.readlink("/proc/self/fd/" + fd)
+                except OSError:
+                    pass  # the listing's own descriptor, closed by now
+            return found
+
+        cycle()
+        before = descriptors()
+        for _ in range(20):
+            cycle()
+        assert descriptors() == before
+
+
 # -- the rank pool ------------------------------------------------------------
 
 
@@ -747,6 +886,46 @@ class TestRankPool:
         assert loads(0) > 0
         assert loads(0) == 0
         assert len(_rank_pids()) == 2
+
+    def test_a_refused_call_does_not_reorder_the_kept_programs(self):
+        # A call refused before it reaches the ranks must leave both
+        # LRUs alike: were X moved up on the coordinator's side alone, a
+        # ninth program would evict X on the ranks only, and the next call
+        # of X would send just its slot to ranks that dropped it.
+        from repro.util.errors import InputError
+
+        assert mp_shard._KEPT_PROGRAMS == 8
+        programs = [
+            bench_program("Simple", level) for level in sorted(LEVELS)[:9]
+        ]
+        x = programs[0]
+        mp_shard._retire_pool()
+        for program in programs[:8]:  # X, then seven more
+            execute_sharded(program, procs=2)
+        with pytest.raises(InputError, match="unknown array"):
+            execute_sharded(x, {"no_such_array": np.zeros(3)}, procs=2)
+        pids = _rank_pids()
+        _result, report = execute_sharded(programs[8], procs=2)
+        assert report.counters["comm.kernel_loads"] > 0
+        result, report = execute_sharded(x, procs=2)  # evicted on both sides
+        assert_identical(result, execute(x, "codegen_np"))
+        assert report.counters["comm.kernel_loads"] > 0
+        assert _rank_pids() == pids  # no failure retired the pool
+
+    def test_more_ranks_than_the_open_file_limit_allows_is_refused(
+        self, monkeypatch
+    ):
+        import resource
+
+        # 2 N (N - 1) pipe ends in half of 1 024 descriptors: N = 16.
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda which: (1024, 4096)
+        )
+        assert mp_shard._max_procs() == 16
+        mp_shard._retire_pool()
+        with pytest.raises(ReproError, match="at most 16 ranks"):
+            execute_sharded(sized_program("Simple", 12, 2), procs=17)
+        assert _rank_pids() == []
 
     def test_seeded_arrays_and_scalars_are_per_call(self):
         # Inputs travel through the call's segment (apart from the

@@ -170,6 +170,9 @@ def test_the_extent_rule_has_three_spellings_at_most():
         (r"plan_cache|_region_env", (), 0),
         # a schedule without combining spells its one-event groups inline
         (r"singleton_messages", (), 0),
+        # mp-shard ranks wait on their pipe barrier and broadcast scalars
+        # down its pipes: no multiprocessing barrier, no pickle segment
+        (r"ctx\.Barrier|_SCAL_SEG_BYTES", (), 0),
     ],
 )
 def test_written_once(pattern, where, expected):
