@@ -75,7 +75,7 @@ class _Lowerer:
     def _fresh_scalar_temp(self, kind: str) -> str:
         self._scalar_temp_count += 1
         name = "_s%d" % self._scalar_temp_count
-        self.scalars[name] = ScalarInfo(name, kind)
+        self.scalars[name] = ScalarInfo(name, kind, is_temp=True)
         return name
 
     # -- operand encoding --------------------------------------------------

@@ -380,8 +380,6 @@ def cmd_compile(args) -> int:
 
 def _print_scalars(scalars: Dict[str, object], prefix: str = "") -> None:
     for name in sorted(scalars):
-        if name.startswith("_") or name.endswith("__s"):
-            continue
         value = scalars[name]
         if isinstance(value, bool):
             text = str(value)

@@ -20,8 +20,8 @@ place on arrays the caller built and allocates no program storage
 itself.  ``load`` is derived from it by :func:`bind`, the one place a
 run starts and ends: check the request and build its state
 (:func:`repro.scalarize.emit_common.build_state` over
-:attr:`ScalarProgram.layout`), call the kernel, hand back the arrays it
-worked on and the final scalars as plain Python values in declared
+:attr:`ScalarProgram.layout`), call the kernel, hand back the program's
+result arrays and its final result scalars as plain Python values in declared
 order.  ``mp-shard`` is a driver, not a kernel: it has its own ``load``
 and its ranks call the local backend's kernel on their local arrays.
 
@@ -65,8 +65,10 @@ faulting in new ones.
     :class:`repro.parallel.commopt.CommOptions`).  Results are
     bit-identical to ``codegen_np``.
 
-All of them return an :class:`ExecutionResult`: plain dicts of final
-array and scalar state, directly comparable across back ends.
+All of them return an :class:`ExecutionResult`: plain dicts of the
+program's declared results (:attr:`ScalarProgram.result_arrays` and
+:attr:`ScalarProgram.result_scalars`), directly comparable across back
+ends and across fusion levels.
 """
 
 from __future__ import annotations
@@ -94,7 +96,17 @@ InitialArrays = Optional[Mapping[str, np.ndarray]]
 
 
 class ExecutionResult(NamedTuple):
-    """Final program state: array name -> ndarray, scalar name -> value."""
+    """What a run returns: the program's declared results, nothing else.
+
+    ``arrays`` maps each of :attr:`ScalarProgram.result_arrays` to its
+    final contents (allocation region, halo included) and ``scalars``
+    each of :attr:`ScalarProgram.result_scalars` to its final value, both
+    in declared order.  A compiler-invented name is never a key: not a
+    temporary array, hoisted reduction or contraction scalar, nor an
+    array the plan contracted.  So a frontend program's scalars are the
+    same keys at every level, and its arrays are the baseline's minus
+    the ones its plan contracted.
+    """
 
     arrays: Dict[str, np.ndarray]
     scalars: Dict[str, object]
@@ -127,7 +139,8 @@ InitialScalars = Optional[Mapping[str, object]]
 Run = Callable[..., ExecutionResult]
 
 #: ``kernel(arrays, scalars, **options) -> final scalars``: one execution
-#: in place on the arrays (and from the starting scalars) it is handed.
+#: in place on the arrays (and from the starting scalars) it is handed;
+#: the mapping holds at least the program's result scalars.
 Kernel = Callable[..., Mapping[str, object]]
 
 
@@ -159,14 +172,14 @@ def bind(program: ScalarProgram, kernel: Kernel, metrics=None) -> Run:
 
     Each call checks the request, builds fresh state from the program's
     layout (inputs are copied in, never written), runs the kernel in
-    place on it and returns those arrays with the final scalars as plain
-    ``bool`` / ``int`` / ``float`` in the program's declared order.
-    Nothing is kept between calls, so ``run`` is as thread-safe as the
-    kernel.  A bad request raises :class:`~repro.util.errors.InputError`
-    before the kernel is entered.
+    place on it and returns the result arrays among those with the final
+    result scalars as plain ``bool`` / ``int`` / ``float``, in the
+    program's declared order.  Nothing is kept between calls, so ``run``
+    is as thread-safe as the kernel.  A bad request raises
+    :class:`~repro.util.errors.InputError` before the kernel is entered.
     """
     layout = program.layout
-    names = tuple(program.scalars)
+    arrays_out, scalars_out = program.result_arrays, program.result_scalars
 
     def run(
         inputs: InitialArrays = None, scalars: InitialScalars = None, **options
@@ -176,7 +189,8 @@ def bind(program: ScalarProgram, kernel: Kernel, metrics=None) -> Run:
         )
         final = kernel(arrays, start, **options)
         return ExecutionResult(
-            arrays, {name: scalar_value(final[name]) for name in names}
+            {name: arrays[name] for name in arrays_out},
+            {name: scalar_value(final[name]) for name in scalars_out},
         )
 
     return run

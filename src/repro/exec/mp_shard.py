@@ -33,10 +33,10 @@ Per program a rank **keeps** everything that
 depends only on the program's structure — per-nest facts, loaded
 kernels, exchange descriptions, the mappings of its segments, and one
 *prepared run* per (run of nests, concrete bounds): its post/wait
-steps, each nest's rank class, clamp, kernel arguments and corner owner,
-and the segment views of every copy.  Per call it **resets** what
-depends on the data — local arrays, scalars, pending corner scalars,
-ordinals, record columns and counters.  So a warm call looks its runs up
+steps, each nest's rank class, clamp and kernel arguments, and the
+segment views of every copy.  Per call it **resets** what depends on
+the data — local arrays, scalars, ordinals, record columns and
+counters.  So a warm call looks its runs up
 and pays for kernels and the exchanges that move bytes, and
 ``comm.kernel_loads`` / ``comm.runs_prepared`` read what *this* call
 loaded and built: everything on a program's first call, 0 later.  The
@@ -96,18 +96,14 @@ the next row of a sweep, the next time step, the next call — is a call
 with that invocation's clamp bounds and scalar values as arguments
 (``comm.kernel_loads`` counts the loads).
 
-Scalars travel as pickled frames down the barrier's pipes.  Reduction
-results are broadcast from rank 0 as soon as they are folded, because
-replicated control flow usually tests them next.  A *contraction-corner* scalar (the
-value a contracted array's scalar holds after its nest's final index
-point, which only the rank owning that point computes) is merely recorded
-as *pending* on its owner: almost nothing ever reads one, so it is
-broadcast only before something does — a nest whose body observes it
-before redefining it, a region bound, a ``ScalarAssign`` / ``SeqLoop`` /
-``SIf`` / ``SWhile`` expression — and at the end of the run, so rank 0
-returns the oracle's final scalars.  Every rank takes the same flush
-decisions because they depend only on the lockstep walk
-(``comm.scalar_bcasts`` counts the broadcasts).
+Scalars travel as pickled frames down the barrier's pipes, and only
+fold results travel: rank 0 broadcasts them as soon as it has folded
+them, because replicated control flow usually tests them next
+(``comm.scalar_bcasts`` counts the broadcasts).  A contraction scalar
+never leaves its rank — no read outside its nest exists
+(:class:`~repro.scalarize.loopnest.ScalarProgram` refuses one) and no
+run returns it — and every other scalar is assigned alike on every rank
+by the replicated walk.
 
 A nest's partition plan puts it in one of two rank classes for the
 dimensions the grid cuts (:meth:`repro.scalarize.loopnest.PartitionPlan.
@@ -154,7 +150,6 @@ from multiprocessing.connection import Connection, Pipe
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -533,8 +528,7 @@ class _NestFacts:
     """What the walk needs to know about one nest, derived once."""
 
     __slots__ = (
-        "arrays", "writes", "live_in", "corners", "reductions", "kernels",
-        "gathered",
+        "arrays", "writes", "reductions", "kernels", "gathered",
     )
 
     def __init__(self, node: LoopNest, array_kinds: Mapping[str, str],
@@ -547,11 +541,6 @@ class _NestFacts:
         self.gathered = plan.rank_class(cut)[0] == "gathered"
         self.arrays: Tuple[str, ...] = tuple(sorted(node.arrays()))
         self.writes: List[str] = node.writes()
-        #: scalars whose pre-nest value the nest observes: a pending one
-        #: among them must be broadcast before the nest runs
-        self.live_in = node.live_in_scalars()
-        #: contraction scalars, left at their corner value by the nest
-        self.corners = plan.corners
         #: (scratch array, operand kind, op, accumulator) per fold
         self.reductions = [
             (
@@ -697,8 +686,6 @@ class _Worker:
             for name, kind in self.program.scalars.items()
         }
         self.scalars.update(scalars or {})
-        #: contraction-corner scalars only their owner holds: name -> rank
-        self.pending: Dict[str, int] = {}
         self.locals: Dict[str, np.ndarray] = {}
         for name, (bounds, kind) in self.layout.allocs.items():
             local = self.local_bounds[name]
@@ -784,35 +771,7 @@ class _Worker:
             )
         else:
             payload = pickle.loads(self.barrier.receive(owner))
-        self._assign(payload)
-
-    def _assign(self, values: Mapping[str, object]) -> None:
-        """Set scalars to values every rank agrees on."""
-        self.scalars.update(values)
-        for name in values:
-            self.pending.pop(name, None)
-
-    def _flush(self, names: Iterable[str]) -> None:
-        """Broadcast the pending scalars among ``names`` before a read.
-
-        One broadcast per distinct owner, carrying everything still
-        pending there.  ``pending`` evolves identically on every rank, so
-        all of them reach the same barriers.
-        """
-        if not self.pending:
-            return
-        owners = {self.pending[name] for name in names if name in self.pending}
-        for owner in sorted(owners):
-            held = [n for n, rank in self.pending.items() if rank == owner]
-            self._bcast(
-                owner,
-                {name: self.scalars[name] for name in held}
-                if self.rank == owner else None,
-            )
-
-    def _eval(self, expr: ir.IRExpr):
-        self._flush(ref.name for ref in expr.scalar_refs())
-        return eval_scalar(expr, self.scalars)
+        self.scalars.update(payload)
 
     # -- kernels -----------------------------------------------------------
 
@@ -853,7 +812,7 @@ class _Worker:
     def _run_kernel(self, kernel: tuple,
                     arrays: Mapping[str, np.ndarray]) -> Mapping[str, object]:
         """Execute a :meth:`_kernel` in place on ``arrays``; returns its
-        final scalars."""
+        folds' final accumulators."""
         run, names, template = kernel
         scalars = dict(template)
         for name in names:
@@ -900,6 +859,11 @@ class _Worker:
                 if name in allocs
             },
             scalar_inputs=names + tuple(bound_names),
+            # what the walk reads back: the folds' accumulators
+            results=[
+                stmt.scalar_target for stmt in body
+                if stmt.reduce_op is not None
+            ],
         )
         self.counters["comm.kernel_loads"] += 1
         return (
@@ -947,7 +911,6 @@ class _Worker:
         return index
 
     def _exec_run(self, run: _Run) -> None:
-        self._flush(run.free)
         key = tuple(map(self.scalars.get, run.free))
         prepared = run.by_values.get(key)
         if prepared is None:
@@ -1141,17 +1104,13 @@ class _Worker:
                     red_name: (bounds, kind) for red_name, kind, _, _ in folds
                 }, bounds)
         nbytes = len(mine) * _elements(clamp) * ELEM_BYTES if mine else 0
-        corners = facts.corners if _elements(bounds) else ()
-        if corners:
-            owner = self.layout.corner_owner(bounds, node.structure)
 
         def clamped() -> None:
-            self._flush(facts.live_in)
             if kernel is not None:
                 arrays = {name: self.locals[name] for name in facts.arrays}
                 for red_name, shape, dtype in scratch:
                     arrays[red_name] = np.zeros(shape, dtype=dtype)
-                final = self._run_kernel(kernel, arrays)
+                self._run_kernel(kernel, arrays)
             if folds:
                 for red_name, view in mine:
                     view[...] = arrays[red_name]
@@ -1165,13 +1124,6 @@ class _Worker:
                         for _red, _kind, _op, target in folds
                     }
                 self._bcast(0, payload)
-            # Only the rank owning the final index point holds the values
-            # serial execution leaves behind; the others learn them when
-            # (if ever) something reads them.
-            for name in corners:
-                if self.rank == owner:
-                    self.scalars[name] = scalar_value(final[name])
-                self.pending[name] = owner
 
         return clamped
 
@@ -1210,12 +1162,9 @@ class _Worker:
             node, "fallback",
             {name: allocs[name] for name in facts.arrays}, bounds,
         ) if self.rank == 0 else None
-        results = facts.corners + tuple(
-            target for _r, _k, _op, target in facts.reductions
-        )
+        results = [target for _r, _k, _op, target in facts.reductions]
 
         def gathered() -> None:
-            self._flush(facts.live_in)
             for slot, name, local in gathers:
                 slot[...] = self.locals[name][local]
             self._sync()
@@ -1256,23 +1205,23 @@ class _Worker:
             if isinstance(node, _Run):
                 self._exec_run(node)
             elif isinstance(node, ScalarAssign):
-                self._assign({node.target: self._eval(node.rhs)})
+                self.scalars[node.target] = eval_scalar(node.rhs, self.scalars)
             elif isinstance(node, SeqLoop):
-                lo = int(self._eval(node.lo))
-                hi = int(self._eval(node.hi))
+                lo = int(eval_scalar(node.lo, self.scalars))
+                hi = int(eval_scalar(node.hi, self.scalars))
                 iterator = (
                     range(lo, hi - 1, -1) if node.downto else range(lo, hi + 1)
                 )
                 for value in iterator:
-                    self._assign({node.var: value})
+                    self.scalars[node.var] = value
                     self.execute_body(node.body)
             elif isinstance(node, SIf):
-                if bool(self._eval(node.cond)):
+                if bool(eval_scalar(node.cond, self.scalars)):
                     self.execute_body(node.then_body)
                 else:
                     self.execute_body(node.else_body)
             elif isinstance(node, SWhile):
-                while bool(self._eval(node.cond)):
+                while bool(eval_scalar(node.cond, self.scalars)):
                     self._tick()
                     self.execute_body(node.body)
             elif isinstance(node, SBoundary):
@@ -1292,8 +1241,8 @@ class _Worker:
         try:
             self._begin({name: inputs[name] for name in seeded}, scalars)
             self.execute_body(self.program.body)
-            self._flush(list(self.pending))  # rank 0 reports every scalar
-            for name, view in results.items():
+            for name in self.program.result_arrays:
+                view = results[name]
                 bounds = self.layout.allocs[name][0]
                 own = self.layout.owned_box(self.rank, bounds)
                 if own is not None:
@@ -1306,7 +1255,7 @@ class _Worker:
         if self.rank == 0:
             summary["scalars"] = {
                 name: scalar_value(self.scalars[name])
-                for name in self.program.scalars
+                for name in self.program.result_scalars
             }
             summary["described"] = self.described
             summary["durations_us"] = self.durations_us
@@ -1569,7 +1518,8 @@ class _Pool:
             ))
             summaries = self._collect()
             arrays = {
-                name: view.copy() for name, view in entry.results.items()
+                name: entry.results[name].copy()
+                for name in entry.program.result_arrays
             }
         except proc.ChildDied as death:
             raise ReproError(

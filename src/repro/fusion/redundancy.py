@@ -59,10 +59,7 @@ from repro.util.vectors import is_zero
 #: three times) is.
 MIN_SAVED_OPS = 2
 
-#: Prefix for hoisted-term scalars.  Underscore-prefixed state is
-#: compiler-internal by convention (``_red*`` reduction temporaries,
-#: ``*__s`` contraction scalars) and excluded from observable-state
-#: comparisons.
+#: Prefix for hoisted-term scalars.
 CSE_SCALAR_PREFIX = "_cse"
 
 

@@ -294,7 +294,7 @@ class Normalizer:
     def _fresh_scalar_temp(self, kind: str) -> str:
         self._scalar_temp_count += 1
         name = "_s%d" % self._scalar_temp_count
-        self._scalars[name] = ScalarInfo(name, kind)
+        self._scalars[name] = ScalarInfo(name, kind, is_temp=True)
         return name
 
     def _convert_scalar_assign(self, stmt: ast.ScalarAssign) -> List[IRStatement]:

@@ -52,16 +52,20 @@ class ArrayInfo:
 
 
 class ScalarInfo:
-    """Metadata for a declared scalar variable."""
+    """Metadata for a declared (or compiler-introduced) scalar variable."""
 
-    __slots__ = ("name", "kind")
+    __slots__ = ("name", "kind", "is_temp")
 
-    def __init__(self, name: str, kind: str) -> None:
+    def __init__(self, name: str, kind: str, is_temp: bool = False) -> None:
         self.name = name
         self.kind = kind
+        #: Introduced by the compiler (a hoisted reduction's result), so
+        #: never part of what a run returns.
+        self.is_temp = is_temp
 
     def __repr__(self) -> str:
-        return "ScalarInfo(%s : %s)" % (self.name, self.kind)
+        tag = " (compiler temp)" if self.is_temp else ""
+        return "ScalarInfo(%s : %s%s)" % (self.name, self.kind, tag)
 
 
 class IRProgram:
@@ -109,6 +113,9 @@ class IRProgram:
 
     def compiler_arrays(self) -> List[ArrayInfo]:
         return [info for info in self.arrays.values() if info.is_temp]
+
+    def user_scalars(self) -> List[ScalarInfo]:
+        return [info for info in self.scalars.values() if not info.is_temp]
 
     def halo(self, array: str) -> IntVector:
         """Component-wise maximum |offset| used to reference ``array``.

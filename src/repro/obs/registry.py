@@ -285,10 +285,10 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "comm.scalar_bcasts",
         "Scalar broadcasts mp-shard performed (counted on rank 0): one per "
-        "folded reduction nest, plus one per owner whenever a pending "
-        "contraction-corner scalar is about to be read or the run ends.  "
-        "Each is one frame from its owner down the ranks' pipes and takes "
-        "no barrier wait.",
+        "folded reduction nest, carrying the folds' values and nothing "
+        "else (a contraction scalar never leaves its rank).  Each is one "
+        "frame from rank 0 down the ranks' pipes and takes no barrier "
+        "wait.",
     ),
     CounterDef(
         "comm.barrier_waits",

@@ -199,23 +199,6 @@ class ShardLayout:
                 return coord
         raise ShardError("index %d unowned along dim %d" % (index, dim))
 
-    def corner_owner(self, region_bounds: Bounds,
-                     structure: Sequence[int]) -> int:
-        """The rank owning a nest's final index point (contraction corner)."""
-        directions = {abs(s): (1 if s > 0 else -1) for s in structure}
-        coords = []
-        for dim in range(1, self.rank + 1):
-            if dim <= len(region_bounds) and self.grid.is_cut(dim):
-                lo, hi = region_bounds[dim - 1]
-                corner = hi if directions.get(dim, 1) > 0 else lo
-                coords.append(self.owner_of(dim, corner))
-            else:
-                coords.append(0)
-        return self.rank_of(tuple(coords))
-
-    def rank_of(self, coords: Sequence[int]) -> int:
-        return sum(c * s for c, s in zip(coords, self._strides))
-
     # -- per-worker boxes --------------------------------------------------
 
     def owned_box(self, rank_id: int, bounds: Bounds) -> Optional[Bounds]:

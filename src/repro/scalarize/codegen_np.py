@@ -44,19 +44,20 @@ per nest from its body:
   ``np.add(a, b)`` without ``out=`` would lose NumPy's own reuse of the
   refcount-1 temporaries of ``a + b``.
 
-After the nest body each contraction scalar is restored from the
-"corner" — the index of the nest's final iteration, ``-1`` along
-ascending dimensions and ``0`` along descending ones — so subsequent
-reads outside the nest observe exactly the value serial execution would
-have left behind.  A scalar whose buffer is reused has its corner taken
-in the same statement, before the buffer is overwritten
-(``X, Y = X[-1, -1], np.add(X, r, out=X)``).
+A contraction scalar is not observable after its nest
+(:class:`~repro.scalarize.loopnest.ScalarProgram` refuses any read
+there), so after the nest body every one the nest assigned is released
+(``del X, Y``): its region buffer goes back to the allocator before the
+next nest allocates its own.
 
 Fold statements evaluate their operand over the whole region and combine
 ``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator
 (the ``np_step`` of the reduction's :mod:`repro.lang.operators` row),
 mirroring the reference interpreter; over an empty region the fold does
-not run and the accumulator keeps its value.
+not run and the accumulator keeps its value.  A nest that assigns
+scalars (a fold or a contraction temporary) over a region that may be
+empty only at run time is guarded: ``np.broadcast_to`` refuses a
+negative extent.
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ class _VectorContext:
     vectorized dimension, in ascending dimension order.
     """
 
-    def __init__(self, region: Region, vdims: Sequence[int], corner: str) -> None:
+    def __init__(self, region: Region, vdims: Sequence[int]) -> None:
         self.region = region
         self.vdims = sorted(vdims)
         self._axis = {dim: k for k, dim in enumerate(self.vdims)}
-        #: The index of the nest's final iteration within a region value.
-        self.corner = corner
         #: Contraction scalars holding a region value at this point of the
         #: body -> the kind of that value (``None``: not certain).
         self.shaped: Dict[str, Optional[str]] = {}
@@ -142,37 +141,27 @@ class NumpyGenerator(PyGenerator):
             super()._emit_nest(nest, depth)
             return
         serial_levels, vdims = split
-        corner = ", ".join(
-            "-1" if self._dim_direction(nest, dim) > 0 else "0"
-            for dim in sorted(vdims)
-        )
-        ctx = _VectorContext(nest.region, vdims, corner)
+        ctx = _VectorContext(nest.region, vdims)
         inner = self._emit_loop_headers(nest.region, serial_levels, depth)
 
         emptiness = self._region_emptiness(ctx)
         if emptiness == "empty":
             # The vectorized dims are statically empty: the nest body never
             # executes (slice assignments would be no-ops, but reductions
-            # and corner restores must not run at all).
+            # must not run at all).
             if serial_levels:
                 self._emit("pass", inner)
             return
-        if (plan.folds or plan.corners) and emptiness == "unknown":
+        if emptiness == "unknown" and any(
+            stmt.is_contracted for stmt in nest.body
+        ):
             self._emit("if %s:" % self._nonempty_cond(ctx), inner)
             inner += 1
 
         for stmt, last_reads in zip(nest.body, _last_reads(nest.body)):
             self._emit_vector_stmt(stmt, last_reads, nest, ctx, inner)
-        for name in plan.corners:
-            if name in ctx.shaped:
-                self._emit("%s = %s[%s]" % (name, name, corner), inner)
-
-    @staticmethod
-    def _dim_direction(nest: LoopNest, dim: int) -> int:
-        for signed in nest.structure:
-            if abs(signed) == dim:
-                return 1 if signed > 0 else -1
-        raise ScalarizationError("dimension %d not in structure" % dim)
+        if ctx.shaped:
+            self._emit("del %s" % ", ".join(ctx.shaped), inner)
 
     def _region_emptiness(self, ctx: _VectorContext) -> str:
         """'nonempty' / 'empty' / 'unknown' for the vectorized dims."""
@@ -230,23 +219,16 @@ class NumpyGenerator(PyGenerator):
         ] if ufunc is not None and kind is not None else []
         if dead:
             buffer = dead[0]
-            call = self._into(ufunc, stmt.rhs, buffer, ctx)
             del ctx.owned[buffer]
-            if buffer == name:
-                self._emit("%s = %s" % (name, call), depth)
-            else:
-                # The buffer's region value dies here: keep its corner.
-                del ctx.shaped[buffer]
-                self._emit(
-                    "%s, %s = %s[%s], %s"
-                    % (buffer, name, buffer, ctx.corner, call),
-                    depth,
-                )
+            self._emit(
+                "%s = %s" % (name, self._into(ufunc, stmt.rhs, buffer, ctx)),
+                depth,
+            )
             ctx.owned[name] = kind
         else:
-            # Materialize the scalar's value at every index point so the
-            # corner restore (and any vector read downstream) is well
-            # defined even when the RHS contains no array reference.
+            # Materialize the scalar's value at every index point so any
+            # vector read downstream is well defined even when the RHS
+            # contains no array reference.
             self._emit(
                 "%s = %s" % (name, self._region_value(stmt.rhs, ctx)), depth
             )

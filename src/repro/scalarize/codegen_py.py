@@ -10,7 +10,7 @@ The emitted ``run(_arrays, _scalars)`` is a *kernel*: it binds its names
 from the arrays and starting scalars the caller built
 (:func:`repro.scalarize.emit_common.build_state` over
 :attr:`ScalarProgram.layout`), works in place on those arrays, allocates
-nothing, and returns the final scalars.
+nothing, and returns the final values of the program's result scalars.
 
 The vectorizing back end (:mod:`repro.scalarize.codegen_np`) subclasses
 :class:`PyGenerator`, overriding loop-nest emission with whole-region
@@ -44,7 +44,7 @@ from repro.util.errors import ScalarizationError
 
 class PyGenerator:
     """Emits a Python module whose ``run(_arrays, _scalars)`` executes the
-    program in place and returns the final scalars."""
+    program in place and returns the final result scalars."""
 
     def __init__(self, program: ScalarProgram) -> None:
         self._program = program
@@ -97,7 +97,9 @@ class PyGenerator:
     def _emit_return(self) -> None:
         self._emit(
             "return {%s}"
-            % ", ".join("%r: %s" % (name, name) for name in self._program.scalars)
+            % ", ".join(
+                "%r: %s" % (name, name) for name in self._program.result_scalars
+            )
         )
 
     # ------------------------------------------------------------------

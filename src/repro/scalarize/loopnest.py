@@ -359,17 +359,12 @@ class PartitionPlan(NamedTuple):
 
     ``serial_levels`` is the signed structure prefix that must stay
     serial loops (``None``: carry depth unknown, assume every level).
-    ``folds`` says some statement is a reduction step, ``corners`` names
-    the contraction scalars left at the final index point's value, and
-    ``unsafe_corner`` that one of them reads an array a later statement
-    overwrites (recomputing it after the sweep would see the new value).
+    ``folds`` says some statement is a reduction step.
     """
 
     dims: Tuple[DimFacts, ...]
     serial_levels: Optional[Tuple[int, ...]]
     folds: bool
-    corners: Tuple[str, ...]
-    unsafe_corner: bool
 
     @property
     def free(self) -> Tuple[int, ...]:
@@ -409,17 +404,6 @@ class PartitionPlan(NamedTuple):
             for dim in self.free
             for crossing in self.dims[dim - 1].flow + self.dims[dim - 1].anti
         ]
-        if self.corners and crossings:
-            return ThreadClass(
-                "serial",
-                "contraction scalars mixed with cross-tile reads of "
-                "nest-written arrays",
-            )
-        if self.unsafe_corner:
-            return ThreadClass(
-                "serial",
-                "contraction scalar reads an array a later statement overwrites",
-            )
         if crossings:
             return ThreadClass(
                 "per-statement",
@@ -484,20 +468,11 @@ def partition_plan(
     flow: List[List[Crossing]] = [[] for _ in range(rank)]
     anti: List[List[Crossing]] = [[] for _ in range(rank)]
     buffers: Dict[str, str] = {}
-    corners: Dict[str, None] = {}
-    folds = unsafe_corner = False
     for index, stmt in enumerate(nest.body):
-        corner = stmt.is_contracted and stmt.reduce_op is None
-        if corner:
-            corners[stmt.scalar_target] = None
-        elif stmt.reduce_op is not None:
-            folds = True
         for slot, ref in enumerate(stmt.rhs.array_refs()):
             if ref.name in partial:
                 buffers.setdefault(ref.name, "touches")
             stored = last_store.get(ref.name, -1)
-            if corner and stored > index:
-                unsafe_corner = True
             crossing = None
             for axis, offset in enumerate(ref.offset[:rank]):
                 if not offset:
@@ -541,9 +516,7 @@ def partition_plan(
             for axis in range(rank)
         ),
         serial_levels,
-        folds,
-        tuple(corners),
-        unsafe_corner,
+        any(stmt.reduce_op is not None for stmt in nest.body),
     )
 
 
@@ -574,8 +547,8 @@ def sinkable(
     Conditions 1, 3 and 4 are read off the nest's :class:`PartitionPlan`.
     Then rows touch disjoint elements of every written array, the order
     inside a row is kept, and the last iteration executed is the same
-    index point in both orders: arrays, contraction-corner scalars and the
-    loop variable end identical.  Whole-region emitters want the opposite
+    index point in both orders: arrays and the loop variable end
+    identical.  Whole-region emitters want the opposite
     order (serial loop outside, slice over the rows) and do not ask.
     """
     if len(loop.body) != 1 or not isinstance(loop.body[0], LoopNest):
@@ -637,6 +610,9 @@ class ScalarProgram:
 
     It is not mutated once built: :attr:`layout` is computed on first use
     and kept, and so is :attr:`c_sizes`.
+
+    It owns what a run returns (``results``, in declared order; default
+    all declared).  A contraction scalar is local to its nest: never one.
     """
 
     #: Class-level default so programs unpickled from artifacts written
@@ -657,6 +633,7 @@ class ScalarProgram:
         body: List[SNode],
         partial: Optional[Dict[str, Tuple[int, int]]] = None,
         scalar_inputs: Sequence[str] = (),
+        results: Optional[Sequence[str]] = None,
     ) -> None:
         self.name = name
         self.configs = configs
@@ -678,6 +655,28 @@ class ScalarProgram:
             raise ValueError(
                 "scalar inputs %s are not declared scalars" % undeclared
             )
+        local: Set[str] = set()
+        read = self.region_free_variables()
+        for node in walk(body):
+            for field in ("rhs", "lo", "hi", "cond"):  # scalar control flow
+                if hasattr(node, field):
+                    read.update(r.name for r in getattr(node, field).scalar_refs())
+            if isinstance(node, LoopNest):
+                read |= node.live_in_scalars()
+                local.update(
+                    stmt.scalar_target for stmt in node.body
+                    if stmt.is_contracted and stmt.reduce_op is None
+                )
+        returnable = (array_allocs.keys() | scalars.keys()) - local
+        results = returnable if results is None else set(results)
+        wrong = read & local | results - returnable
+        if wrong:
+            raise ValueError(
+                "%s: undeclared, or contraction scalars (local to their "
+                "nest) read outside it or named as results" % sorted(wrong)
+            )
+        self.result_arrays = tuple(n for n in array_allocs if n in results)
+        self.result_scalars = tuple(n for n in scalars if n in results)
 
     @functools.cached_property
     def layout(self) -> Tuple[Slot, ...]:

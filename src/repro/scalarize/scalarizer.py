@@ -87,6 +87,14 @@ class Scalarizer:
             array_allocs[name] = (region, info.elem_kind)
 
         body = self._convert_body(self._program.body)
+        # The compiler's own names — temporary arrays, hoisted reductions'
+        # ``_s*`` and ``_red*``, contraction and CSE scalars — are not
+        # results.
+        results = [
+            info.name
+            for info in self._program.user_arrays()
+            if info.name in array_allocs
+        ] + [info.name for info in self._program.user_scalars()]
         return ScalarProgram(
             self._program.name,
             dict(self._program.configs),
@@ -94,6 +102,7 @@ class Scalarizer:
             self._scalars,
             body,
             partial,
+            results=results,
         )
 
     # -- statement conversion ------------------------------------------------

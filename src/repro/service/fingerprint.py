@@ -44,7 +44,7 @@ from repro.util.errors import ReproError
 
 #: Stamped into every digest and artifact; bump on any change to the
 #: compiler, the generated code, or the artifact layout.
-CODE_VERSION = "repro-%s/artifact-9" % __version__
+CODE_VERSION = "repro-%s/artifact-10" % __version__
 
 
 # -- canonical encodings ----------------------------------------------------
@@ -169,7 +169,8 @@ def canonical_program(program: IRProgram) -> dict:
             for name, info in sorted(program.arrays.items())
         ],
         "scalars": [
-            [name, info.kind] for name, info in sorted(program.scalars.items())
+            [name, info.kind] + (["temp"] if info.is_temp else [])
+            for name, info in sorted(program.scalars.items())
         ],
         "body": [canonical_statement(stmt) for stmt in program.body],
     }

@@ -88,7 +88,7 @@ def test_carried_dependence_peels_outer_loop_only():
     assert np.allclose(arrays["B"], reference.arrays["B"])
 
 
-def test_contraction_scalar_restored_from_corner():
+def test_contraction_scalar_absent_from_results_and_released():
     source_text = """
 program contract;
 config n : integer = 6;
@@ -102,32 +102,18 @@ end;
     _program, scalar_program, source = compile_np(source_text, C2)
     # A + 1.0 already has the region's shape: no broadcast_to around it.
     assert "T__s = (A[0:6, 0:6] + 1.0)" in source
-    # B is computed into T's buffer, so T's corner is taken first.
-    assert "T__s, B__s = T__s[-1, -1], np.multiply(T__s, 2.0, out=T__s)" in source
+    # B is computed into T's buffer, and the nest ends by releasing both
+    # names: no run returns them, nothing outside the nest reads them.
+    assert "B__s = np.multiply(T__s, 2.0, out=T__s)" in source
+    assert source.rstrip().endswith("del T__s, B__s\n    return {}")
+    result = execute(scalar_program, "codegen_np")
+    assert set(result.arrays) == {"A"} and result.scalars == {}
     # Without an array reference the value is widened to the region.
     _program, _scalar_program, source = compile_np(
         source_text.replace("A + 1.0", "Index1 * 1.0"), C2
     )
     assert "T__s = np.broadcast_to(" in source
-    assert "T__s = T__s[-1, -1]" in source
-
-
-def test_reversed_loops_take_corner_at_zero():
-    region = Region([(LinearExpr(1), LinearExpr(6))])
-    nest = LoopNest(
-        region,
-        (-1,),
-        [ElemAssign(None, "T__s", ir.IndexRef(1))],
-        carried_depth=0,
-    )
-    program = ScalarProgram(
-        "rev", {}, {}, {"T__s": "float"}, [nest]
-    )
-    source = render_numpy(program)
-    assert "T__s = T__s[0]" in source
-    _arrays, scalars = execute(program, "codegen_np")
-    # Downward iteration ends at the region's low bound.
-    assert scalars["T__s"] == 1
+    assert "del T__s, B__s" in source
 
 
 def test_unknown_carry_depth_falls_back_to_element_loops():
@@ -280,16 +266,14 @@ def test_contracted_chain_reuses_one_buffer():
         + "  [R] T1 := A * A;\n  [R] T2 := T1 + 2.0;\n"
         "  [R] T3 := sqrt(T2);\n  [R] B := T3 * 0.5;"
     ))
-    # Each temporary is computed into its predecessor's buffer, whose
-    # corner is kept before the buffer is overwritten.
-    assert "A__s, T1__s = A__s[-1, -1], np.multiply(A__s, A__s, out=A__s)" in text
-    assert "T1__s, T2__s = T1__s[-1, -1], np.add(T1__s, 2.0, out=T1__s)" in text
-    assert "T2__s, T3__s = T2__s[-1, -1], np.sqrt(T2__s, out=T2__s)" in text
+    # Each temporary is computed into its predecessor's buffer.
+    assert "T1__s = np.multiply(A__s, A__s, out=A__s)" in text
+    assert "T2__s = np.add(T1__s, 2.0, out=T1__s)" in text
+    assert "T3__s = np.sqrt(T2__s, out=T2__s)" in text
     # The stored statement writes straight into B.
     assert "np.multiply(T3__s, 0.5, out=B[" in text
-    # Only the last temporary still holds its buffer at the nest's end.
-    assert "T1__s = T1__s[-1, -1]" not in text
-    assert "T3__s = T3__s[-1, -1]" in text
+    # The one buffer goes back to the allocator at the nest's end.
+    assert "del A__s, T1__s, T2__s, T3__s" in text
 
 
 def test_temporary_read_again_keeps_its_buffer():
@@ -299,7 +283,7 @@ def test_temporary_read_again_keeps_its_buffer():
     ))
     assert "T2__s = (T1__s * 2.0)" in text
     assert "out=T1__s" not in text
-    assert "T1__s = T1__s[-1, -1]" in text
+    assert "del A__s, T1__s, T2__s" in text
 
 
 def test_float_value_is_never_written_into_an_integer_buffer():
@@ -360,8 +344,11 @@ end;
 """
     )
     assert "for _i1 in range(" in text
-    assert "R__s, _T2__s = R__s[-1], np.subtract(" in text
+    assert "_T2__s = np.subtract(RY[_i1, 0:6], " in text
+    assert "out=R__s)" in text
     assert "np.divide(1.0, " in text
+    # released per hyperplane, inside the serial loop
+    assert "        del R__s, _T1__s, _T2__s\n" in text
 
 
 def test_guarded_nest_of_unknown_emptiness_reuses_inside_the_guard():
@@ -376,6 +363,7 @@ def test_guarded_nest_of_unknown_emptiness_reuses_inside_the_guard():
     ))
     guard = text.index("if (i) >= 2:")
     assert text.index("out=T1__s", guard) > guard
+    assert text.index("del T1__s, T2__s", guard) > guard
     assert "np.multiply(T2__s, T2__s, out=B[" in text
 
 
@@ -397,16 +385,15 @@ def test_out_operand_may_overlap_its_target():
     assert arrays["A"].tobytes() == expected.tobytes()
 
 
-def test_corner_values_match_the_element_loops():
-    # compile_checked compares every scalar, the restored corners of the
-    # contraction temporaries included, with the element loops.
+def test_reused_buffers_match_the_element_loops():
+    # compile_checked compares every result with the element loops.
     for direction in ("", "\n  [R] B := B@(0,1) * 2.0;"):
         text = compile_checked(_program(
             _SEED_A
             + "  [R] T1 := A - 3.0;\n  [R] T2 := abs(T1);\n"
             "  [R] T3 := T2 * T1;\n  [R] B := T3 + A;" + direction,
         ))
-        assert "T2__s, T3__s = T2__s[" in text
+        assert "T3__s = np.multiply(T2__s, T1__s, out=T2__s)" in text
 
 
 def test_lazy_chain_run_peaks_at_seven_region_buffers():

@@ -14,6 +14,7 @@ from repro.fusion import ALL_LEVELS, BASELINE, C2, plan_program
 from repro.interp import run_reference, run_scalarized
 from repro.ir import normalize_source
 from repro.scalarize import compile_program, render_python, scalarize
+from tests.test_result_contract import assert_declared_results
 
 TEMPLATE = """
 program p;
@@ -70,12 +71,13 @@ class TestExecution:
     def test_three_way_agreement(self, level):
         program = normalize_source(TEMPLATE % BODY)
         reference = run_reference(program)
-        scalar_program = compile_program(program, level)
+        plan = plan_program(program, level)
+        scalar_program = scalarize(program, plan)
         interpreted = run_scalarized(scalar_program)
-        arrays, scalars = execute(scalar_program, "codegen_py")
+        result = execute(scalar_program, "codegen_py")
+        assert_declared_results(result, program, plan)
+        arrays, scalars = result
         for name, array in arrays.items():
-            if name.startswith("_"):
-                continue
             assert np.allclose(array, reference.arrays[name]), (level.name, name)
             assert np.allclose(array, interpreted.arrays[name]), (level.name, name)
         assert np.isclose(float(scalars["s"]), float(reference.scalars["s"]))

@@ -339,19 +339,19 @@ def test_every_backend_agrees(name, level):
         assert "W" not in scalar_program.array_allocs  # contracted to W__s
     if "c" in results:
         # The sunk order and the element loops of codegen_py leave every
-        # scalar, contraction corners included, with the same bits.
+        # result scalar with the same bits.
         py, c = results["codegen_py"].scalars, results["c"].scalars
         assert sorted(py) == sorted(c)
         for scalar in py:
             assert repr(float(c[scalar])) == repr(float(py[scalar])), scalar
 
 
-# -- a contraction corner read after the loop --------------------------------
+# -- a contraction scalar inside the interchanged loop -------------------------
 
 
-def corner_program():
-    """Hand built, because no frontend reads a contraction scalar outside
-    its nest: ``out`` takes ``e`` as the last index point left it."""
+def local_scalar_program(reader):
+    """Hand built: ``e`` is contracted in a sunk sweep whose rows run
+    downwards, and ``reader`` comes after the loop."""
     full = Region.literal((1, N), (1, N))
     body = [
         LoopNest(full, (1, 2), [
@@ -370,17 +370,21 @@ def corner_program():
             ElemAssign("B", None, ir.BinOp(
                 "-", ir.ArrayRef("B", LEFT), ir.ScalarRef("e"))),
         ], structure=(-1, 2)),
-        ScalarAssign("out", ir.BinOp("+", ir.ScalarRef("e"), ir.ScalarRef("j"))),
+        ScalarAssign("out", ir.BinOp("+", reader, ir.ScalarRef("j"))),
     ]
     return ScalarProgram(
-        "corner", {}, {"B": (full, "float"), "T": (full, "float")},
+        "local", {}, {"B": (full, "float"), "T": (full, "float")},
         {"e": "float", "j": "integer", "out": "float"}, body,
     )
 
 
 @pytest.mark.skipif(not native.cc_available(), reason="no cc")
-def test_the_corner_value_survives_the_interchange():
-    program = corner_program()
+def test_the_interchange_keeps_contraction_scalars_local():
+    # ``out`` may not take ``e`` as the last index point left it: e does
+    # not outlive its nest, whichever order the rows run in.
+    with pytest.raises(ValueError, match="read outside"):
+        local_scalar_program(ir.ScalarRef("e"))
+    program = local_scalar_program(ir.Const(0.5))
     text = sized_c_module(program)
     assert seq_blocks(text) == {"j": ["sunk"]}
     assert "for (_i1 = 7; _i1 >= 2; _i1--) {" in text  # rows run downwards
@@ -389,7 +393,8 @@ def test_the_corner_value_survives_the_interchange():
         other = execute(program, backend)
         for name in ("B", "T"):
             assert np.array_equal(c.arrays[name], other.arrays[name]), backend
-        for name in ("e", "j", "out"):
+        assert list(other.scalars) == list(c.scalars) == ["j", "out"]
+        for name in ("j", "out"):
             assert repr(float(c.scalars[name])) == repr(
                 float(other.scalars[name])
             ), (backend, name)

@@ -35,11 +35,10 @@ class TestFragments:
             results = []
             for personality in (ZPL_113, CRAY_F90, PGI_HPF):
                 program = personality.normalize(fragment.source)
-                storage = run_reference(program)
+                snapshot = run_reference(program).snapshot()
                 arrays = {
-                    name: array
-                    for name, array in storage.snapshot().items()
-                    if not name.startswith("_")
+                    info.name: snapshot[info.name]
+                    for info in program.user_arrays()
                 }
                 results.append(arrays)
             for other in results[1:]:

@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from repro.benchsuite import ALL_BENCHMARKS
 from repro.exec import BACKENDS, execute
 from repro.fusion import ALL_LEVELS, plan_program
-from repro.interp import run_reference, run_scalarized
+from repro.interp import run_reference
 from repro.ir import normalize_source
 from repro.scalarize import scalarize
+from tests.test_result_contract import assert_declared_results
 
 
 def assert_array_matches(actual, expected, label):
@@ -167,10 +168,9 @@ def test_all_levels_preserve_semantics(source):
     for level in ALL_LEVELS:
         plan = plan_program(program, level)
         scalar_program = scalarize(program, plan)
-        result = run_scalarized(scalar_program)
+        result = execute(scalar_program, "interp")
+        assert_declared_results(result, program, plan)
         for name, array in result.arrays.items():
-            if name.startswith("_"):
-                continue
             assert np.allclose(
                 array, reference.arrays[name], equal_nan=True
             ), "array %s diverged under %s\n%s" % (name, level.name, source)
@@ -193,12 +193,12 @@ def test_all_backends_agree(source):
     program = normalize_source(source)
     reference = run_reference(program)
     for level in ALL_LEVELS:
-        scalar_program = scalarize(program, plan_program(program, level))
+        plan = plan_program(program, level)
+        scalar_program = scalarize(program, plan)
         for backend in ("codegen_py", "codegen_np"):
             result = execute(scalar_program, backend)
+            assert_declared_results(result, program, plan)
             for name, array in result.arrays.items():
-                if name.startswith("_"):
-                    continue
                 assert np.allclose(
                     array, reference.arrays[name], equal_nan=True
                 ), "array %s diverged under %s/%s\n%s" % (
@@ -230,30 +230,29 @@ def test_benchsuite_three_way_oracle(bench, level):
     """
     program = bench.test_program()
     reference = run_reference(program)
-    scalar_program = scalarize(program, plan_program(program, level))
+    plan = plan_program(program, level)
+    scalar_program = scalarize(program, plan)
     results = {
         name: execute(scalar_program, name) for name in sorted(BACKENDS)
     }
     for backend, result in results.items():
         where = "%s %s %s" % (bench.name, level.name, backend)
+        assert_declared_results(result, program, plan)
         for name, array in result.arrays.items():
-            if name.startswith("_") or name not in reference.arrays:
-                continue
             assert_array_matches(
                 array, reference.arrays[name], "%s array %s" % (where, name)
             )
-        for name, value in reference.scalars.items():
-            if name in result.scalars:
-                assert_scalar_matches(
-                    result.scalars[name], value, "%s scalar %s" % (where, name)
-                )
+        for name, value in result.scalars.items():
+            assert_scalar_matches(
+                value, reference.scalars[name], "%s scalar %s" % (where, name)
+            )
     # The two code generators must agree with the interpreter back end on
-    # the full surviving state, contraction temporaries included.
+    # every declared result.
     anchor = results["interp"]
     for backend in ("codegen_py", "codegen_np"):
         result = results[backend]
         where = "%s %s interp-vs-%s" % (bench.name, level.name, backend)
-        assert set(result.arrays) == set(anchor.arrays), where
+        assert list(result.scalars) == list(anchor.scalars), where
         for name, array in result.arrays.items():
             assert_array_matches(
                 array, anchor.arrays[name], "%s array %s" % (where, name)

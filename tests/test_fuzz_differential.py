@@ -51,6 +51,7 @@ from repro.ir import normalize_source  # noqa: E402
 from repro.scalarize import scalarize  # noqa: E402
 
 from repro.exec.native import cc_available  # noqa: E402
+from tests.test_result_contract import assert_declared_results  # noqa: E402
 
 FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
 #: The native backend joins the differential only where it can run; the
@@ -89,15 +90,15 @@ def test_fuzz_backends_agree_at_every_level(seed):
     # state; those seeds keep the tolerance oracle vs the NumPy engines.
     has_float_sum = "s := +<<" in source
     for level in ALL_LEVELS:
-        scalar_program = scalarize(program, plan_program(program, level))
+        plan = plan_program(program, level)
+        scalar_program = scalarize(program, plan)
         py_result = None
         np_result = None
         for backend in BACKENDS:
             result = execute(scalar_program, backend)
             where = "seed %d %s %s" % (seed, level.name, backend)
+            assert_declared_results(result, program, plan)
             for name, array in result.arrays.items():
-                if name.startswith("_") or name not in reference.arrays:
-                    continue
                 _assert_close(
                     array,
                     reference.arrays[name],
@@ -160,9 +161,8 @@ def test_fuzz_cse_bit_identical_to_twin(seed):
     source = generate_program(seed)
     program = normalize_source(source)
     for cse_name, base_name in CSE_TWINS.items():
-        cse_sp = scalarize(
-            program, plan_program(program, LEVELS_BY_NAME[cse_name])
-        )
+        cse_plan = plan_program(program, LEVELS_BY_NAME[cse_name])
+        cse_sp = scalarize(program, cse_plan)
         base_sp = scalarize(
             program, plan_program(program, LEVELS_BY_NAME[base_name])
         )
@@ -170,9 +170,9 @@ def test_fuzz_cse_bit_identical_to_twin(seed):
             cse_result = execute(cse_sp, backend)
             base_result = execute(base_sp, backend)
             where = "seed %d %s vs %s %s" % (seed, cse_name, base_name, backend)
+            assert_declared_results(cse_result, program, cse_plan)
+            assert set(cse_result.arrays) == set(base_result.arrays), where
             for name, array in base_result.arrays.items():
-                if name.startswith("_"):
-                    continue
                 other = cse_result.arrays[name]
                 assert other.dtype == array.dtype, where
                 assert np.array_equal(

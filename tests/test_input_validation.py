@@ -270,7 +270,7 @@ def test_final_scalars_are_plain_python_in_declared_order(backend, level):
         scalar_program, backend,
         initial_arrays=_contract_inputs(scalar_program), **_options(backend)
     )
-    assert list(result.scalars) == list(scalar_program.scalars)
+    assert list(result.scalars) == list(scalar_program.result_scalars)
     assert list(result.scalars)[:3] == ["t", "f", "c"]  # not name order
     assert type(result.scalars["t"]) is float
     assert type(result.scalars["f"]) is bool and result.scalars["f"] is True

@@ -507,11 +507,12 @@ class TestLoadOnce:
 #: walk performed them before it ran from prepared runs: exchanges, bytes,
 #: combined, reduce_bytes, gather_bytes, fallback_nests, scalar_bcasts,
 #: then barrier_waits and kernel_loads on (the first call, a warm call).
-#: A broadcast is one frame down the barrier's pipes and takes no wait.
+#: A broadcast is one frame down the barrier's pipes and takes no wait,
+#: and only a fold's value is broadcast: one per folded reduction nest.
 _PINNED = {
-    "Tomcatv": (248, 10_048, 492, 94_272, 0, 0, 5, (25, 15), (16, 0)),
-    "SP": (246, 12_896, 720, 32_768, 335_872, 2, 5, (35, 23), (23, 0)),
-    "Simple": (12, 10_912, 10, 32_768, 0, 0, 2, (17, 13), (13, 0)),
+    "Tomcatv": (248, 10_048, 492, 94_272, 0, 0, 3, (25, 15), (16, 0)),
+    "SP": (246, 12_896, 720, 32_768, 335_872, 2, 1, (35, 23), (23, 0)),
+    "Simple": (12, 10_912, 10, 32_768, 0, 0, 1, (17, 13), (13, 0)),
 }
 
 #: A row region that moves with a ``for`` variable and an extent that a
@@ -1171,15 +1172,14 @@ class TestKeptReports:
         )
 
 
-def _corner_program(reader, kind="float"):
-    """``t`` is contracted in a nest whose final point the *last* rank
-    owns; ``reader`` (a list of nodes) is what then observes it."""
+def _fold_program(reader, kind="float"):
+    """``t`` is folded (``max``) in a nest whose largest point the *last*
+    rank owns; ``reader`` (a list of nodes) is what then observes it."""
     from repro.ir import expr as ir
     from repro.ir.region import Region
     from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
 
     full = Region.literal((1, 8), (1, 8))
-    here = (0, 0)
     position = ir.BinOp(
         "+", ir.BinOp("*", ir.IndexRef(1), ir.Const(10)), ir.IndexRef(2)
     )
@@ -1190,20 +1190,21 @@ def _corner_program(reader, kind="float"):
                 None, "t",
                 ir.IndexRef(1) if kind == "integer"
                 else ir.BinOp("*", position, ir.Const(0.5)),
+                reduce_op="max",
             ),
-            ElemAssign("A", None, ir.BinOp("+", ir.ScalarRef("t"), position)),
+            ElemAssign("A", None, position),
         ],
         carried_depth=0,
     )
     return ScalarProgram(
-        "corner", {},
+        "fold", {},
         {"A": (full, "float"), "B": (full, "float")},
         {"t": kind, "u": "float", "j": "integer", "z": "integer"},
         [producer] + reader,
     )
 
 
-def _corner_readers():
+def _fold_readers():
     from repro.ir import expr as ir
     from repro.ir.linexpr import LinearExpr
     from repro.ir.region import Region
@@ -1255,31 +1256,44 @@ def _corner_readers():
 
 
 class TestDeferredBroadcast:
+    """What a nest leaves for replicated control flow to read is a fold's
+    value: rank 0 broadcasts it as soon as it has folded it, and no
+    reader — a scalar assignment, a condition, a loop or region bound, a
+    later nest — costs another.  A contraction scalar is never sent:
+    nothing outside its nest reads it and no run returns it."""
+
     @pytest.mark.parametrize("procs", [2, 4])
-    @pytest.mark.parametrize("reader", sorted(_corner_readers()))
+    @pytest.mark.parametrize("reader", sorted(_fold_readers()))
     def test_pending_scalar_reaches_its_reader(self, reader, procs):
-        kind, nodes = _corner_readers()[reader]
-        program = _corner_program(nodes, kind)
+        kind, nodes = _fold_readers()[reader]
+        program = _fold_program(nodes, kind)
         oracle = execute(program, "codegen_np")
         assert oracle.scalars["t"] != 0 and oracle.arrays["B"].any()
         result, report = execute_sharded(program, procs=procs)
         assert_identical(result, oracle)
-        # the value came from the last rank, in one broadcast
+        # the value came from rank 0, in one broadcast
         assert report.counters["comm.scalar_bcasts"] == 1
 
-    def test_unread_corner_scalars_cost_one_broadcast_at_the_end(self):
-        program = _corner_program([])
+    def test_contraction_scalars_cost_no_broadcast(self):
+        from repro.ir import expr as ir
+        from repro.ir.region import Region
+        from repro.scalarize.loopnest import ElemAssign, LoopNest, ScalarProgram
+
+        full = Region.literal((1, 8), (1, 8))
+        nest = LoopNest(
+            full, (1, 2),
+            [
+                ElemAssign(None, "t", ir.BinOp("*", ir.IndexRef(1), ir.Const(0.5))),
+                ElemAssign("A", None, ir.BinOp("+", ir.ScalarRef("t"), ir.IndexRef(2))),
+            ],
+            carried_depth=0,
+        )
+        program = ScalarProgram(
+            "local", {}, {"A": (full, "float")}, {"t": "float"}, [nest]
+        )
         result, report = execute_sharded(program, procs=4)
         assert_identical(result, execute(program, "codegen_np"))
-        assert report.counters["comm.scalar_bcasts"] == 1
-
-    def test_replicated_assignment_clears_a_pending_scalar(self):
-        from repro.ir import expr as ir
-        from repro.scalarize.loopnest import ScalarAssign
-
-        program = _corner_program([ScalarAssign("t", ir.Const(7.0))])
-        result, report = execute_sharded(program, procs=2)
-        assert result.scalars["t"] == 7.0
+        assert result.scalars == {}
         assert report.counters["comm.scalar_bcasts"] == 0
 
 

@@ -18,6 +18,7 @@ from repro.interp import run_reference
 from repro.ir import ArrayRef, BinOp, Call, Const, ScalarRef, normalize_source
 from repro.scalarize import scalarize
 from repro.scalarize.codegen_py import render_python
+from tests.test_result_contract import assert_declared_results
 
 BACKENDS = ("interp", "codegen_py", "codegen_np")
 
@@ -166,13 +167,13 @@ class TestEndToEnd:
         program = normalize_source(SHARED_STENCIL)
         reference = run_reference(program)
         for cse_name, base_name in CSE_TWINS.items():
-            _p, _plan, cse_sp = compile_at(SHARED_STENCIL, cse_name)
+            _p, cse_plan, cse_sp = compile_at(SHARED_STENCIL, cse_name)
             _p, _plan, base_sp = compile_at(SHARED_STENCIL, base_name)
             cse_result = execute(cse_sp, backend)
             base_result = execute(base_sp, backend)
+            assert_declared_results(cse_result, program, cse_plan)
+            assert set(cse_result.arrays) == set(base_result.arrays)
             for name, array in base_result.arrays.items():
-                if name.startswith("_"):
-                    continue
                 other = cse_result.arrays[name]
                 assert other.dtype == array.dtype
                 assert np.array_equal(other, array, equal_nan=True)

@@ -191,6 +191,20 @@ def test_bounded(pattern, where, bound):
     assert _count(pattern, *where) <= bound
 
 
+def test_no_result_is_recognised_by_its_name():
+    """What a run returns is declared (``ScalarProgram.result_scalars``):
+    no code under ``src/`` or ``tests/`` filters results by how a name is
+    spelled.  The namers (``contraction_scalar``, ``is_cse_scalar``) stay."""
+    filters = re.compile(r"""(startswith\(\s*(["'])_\2|endswith\(\s*(["'])__s\3)""")
+    tests = os.path.dirname(__file__)
+    texts = list(_sources().values())
+    for name in os.listdir(tests):
+        if name.endswith(".py"):
+            with open(os.path.join(tests, name)) as handle:
+                texts.append(handle.read())
+    assert sum(len(filters.findall(text)) for text in texts) == 0
+
+
 def test_nest_fallback_reason_is_an_adapter_with_no_loop_of_its_own():
     from repro.parallel.shard import nest_fallback_reason
 
