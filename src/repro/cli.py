@@ -18,11 +18,11 @@ Commands
 
 ``serve FILE``
     Compile once through the content-addressed artifact cache and execute
-    a batch of requests (``--requests requests.json``, optionally across
-    ``--workers`` threads); ``--stats`` prints the pipeline metrics JSON.
-    With ``--daemon``, run a long-lived serving daemon instead: HTTP
-    front end, bounded admission, multiprocessing worker pool with
-    zero-copy shared-memory array transport (see ``repro.daemon``);
+    a batch of requests (``--requests requests.json``) in order;
+    ``--stats`` prints the pipeline metrics JSON.  With ``--daemon``, run
+    a long-lived serving daemon instead: HTTP front end, bounded
+    admission, a pool of forked worker processes with zero-copy
+    shared-memory array transport (see ``repro.daemon``);
     ``GET /metrics`` serves the same Prometheus exposition that
     ``repro stats --format=prom`` emits as its scrape-file twin.
 
@@ -98,8 +98,9 @@ def _backend_name(name: str) -> str:
 
 
 def _positive_int(text: str):
-    """Validate count arguments (``--workers``) at parse time, so a bad
-    value is a clean usage error instead of a deep planner failure."""
+    """Validate count arguments (``--procs``, ``--daemon-workers``) at
+    parse time, so a bad value is a clean usage error instead of a deep
+    failure."""
     try:
         value = int(text)
     except ValueError:
@@ -219,10 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "with no overrides",
     )
     serve_parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="fan request execution out across N threads",
-    )
-    serve_parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="serve the request list N times (traffic simulation)",
     )
@@ -273,11 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=_positive_int, default=64, metavar="N",
         help="admission-queue bound; requests beyond it are shed with "
         "503 (default: 64)",
-    )
-    serve_parser.add_argument(
-        "--batch-max", type=_positive_int, default=8, metavar="N",
-        help="max same-digest requests dispatched to a worker as one "
-        "batch (default: 8)",
     )
     serve_parser.add_argument(
         "--max-request-mb", type=_positive_int, default=64, metavar="MB",
@@ -528,7 +520,6 @@ def cmd_serve_daemon(args) -> int:
         backend=args.backend,
         workers=args.daemon_workers,
         queue_depth=args.queue_depth,
-        batch_max=args.batch_max,
         max_request_bytes=args.max_request_mb * 1024 * 1024,
         host=args.host,
         port=args.port,
@@ -588,7 +579,6 @@ def cmd_serve(args) -> int:
         backend=args.backend,
         cache_dir=args.cache_dir,
         persistent=not args.no_cache,
-        workers=args.workers,
         self_temp_policy=args.self_temp_policy,
         simplify=args.simplify,
         # --trace-dir forces tracing on; otherwise $REPRO_TRACE decides.

@@ -2,16 +2,18 @@
 
 ``repro serve --daemon`` turns the in-process :class:`repro.service.
 service.Service` into a long-lived server: an HTTP front end with
-bounded admission, per-digest request batching, and a pool of worker
-*processes* (CPython threads share one GIL; processes don't) that move
-array payloads through ``multiprocessing.shared_memory`` — zero-copy on
-the worker side, never pickled anywhere.
+bounded admission and a pool of forked worker *processes* (CPython
+threads share one GIL; processes don't), each taking one request per
+dispatch, that move array payloads through
+``multiprocessing.shared_memory`` — zero-copy on the worker side, never
+pickled anywhere.  This is the one way serving runs requests
+concurrently.
 
 Modules:
 
 * :mod:`repro.daemon.server` — the front end (:class:`~repro.daemon.server.Daemon`).
 * :mod:`repro.daemon.client` — a stdlib client (:class:`~repro.daemon.client.DaemonClient`).
-* :mod:`repro.daemon.admission` — the bounded queue with digest batching.
+* :mod:`repro.daemon.admission` — the bounded admission queue.
 * :mod:`repro.daemon.pool` — worker processes, crash recovery, drain.
 * :mod:`repro.daemon.worker` — the worker-process entry point.
 * :mod:`repro.daemon.proc` — a child process on a control pipe: the

@@ -1,4 +1,4 @@
-"""Bounded admission with per-digest batch extraction.
+"""Bounded admission: one FIFO of jobs between HTTP threads and workers.
 
 The daemon's front end never blocks a client on queue pressure: a full
 queue means :meth:`AdmissionQueue.offer` returns ``False`` and the HTTP
@@ -6,11 +6,8 @@ layer sheds the request with an explicit 503 (the ``daemon.shed``
 counter records each one).  Load shedding with a visible signal beats a
 silently growing backlog — the client can back off or retry elsewhere.
 
-The dispatcher side takes work in *digest batches*: one blocking
-:meth:`take_batch` pops the head job plus every queued job for the same
-program digest (up to a cap), so a burst of traffic for one compiled
-program crosses the worker pipe as a single message and runs back to
-back over one warmed artifact.
+The dispatcher side is each worker's owner thread: one blocking
+:meth:`take` pops the head job, which crosses the worker pipe alone.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 
 @dataclass
@@ -40,7 +37,7 @@ class Job:
 
 
 class AdmissionQueue:
-    """A bounded FIFO of jobs with digest-batched removal."""
+    """A bounded FIFO of jobs."""
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
@@ -64,19 +61,18 @@ class AdmissionQueue:
             self._ready.notify()
             return True
 
-    def requeue_front(self, jobs: Sequence[Job]) -> None:
-        """Put crash-recovered jobs back at the head, bound ignored.
+    def requeue_front(self, job: Job) -> None:
+        """Put a crash-recovered job back at the head, bound ignored.
 
-        These jobs were already admitted once; bouncing them now would
-        turn a worker crash into client-visible sheds.
+        The job was already admitted once; bouncing it now would turn a
+        worker crash into a client-visible shed.
         """
         with self._lock:
-            for job in reversed(jobs):
-                self._jobs.appendleft(job)
-            self._ready.notify_all()
+            self._jobs.appendleft(job)
+            self._ready.notify()
 
-    def take_batch(self, max_batch: int) -> Optional[List[Job]]:
-        """Block for the next job; return it plus same-digest followers.
+    def take(self) -> Optional[Job]:
+        """Block for the head job.
 
         Returns None once the queue is closed and drained, which is the
         dispatcher's signal to exit.
@@ -86,27 +82,10 @@ class AdmissionQueue:
                 if self._closed:
                     return None
                 self._ready.wait()
-            head = self._jobs.popleft()
-            batch = [head]
-            if max_batch > 1 and self._jobs:
-                keep: deque = deque()
-                while self._jobs and len(batch) < max_batch:
-                    job = self._jobs.popleft()
-                    if job.digest == head.digest:
-                        batch.append(job)
-                    else:
-                        keep.append(job)
-                while keep:
-                    self._jobs.appendleft(keep.pop())
-            return batch
+            return self._jobs.popleft()
 
     def close(self) -> None:
-        """Stop admitting; blocked take_batch callers drain then get None."""
+        """Stop admitting; blocked take callers drain then get None."""
         with self._lock:
             self._closed = True
             self._ready.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed

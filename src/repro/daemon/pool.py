@@ -1,25 +1,25 @@
 """The multiprocessing worker pool behind the daemon.
 
-One OS process per worker on its own control pipe (a
+One forked OS process per worker on its own control pipe (a
 :class:`repro.daemon.proc.Child`, the substrate ``mp-shard``'s ranks run
 on too), and — the key structural choice — one *owner thread* per worker
-inside the daemon process.  Each owner thread loops: take a digest batch
+inside the daemon process.  Each owner thread loops: take the head job
 from the shared admission queue, send its metadata down the pipe, block
-on the reply, resolve the jobs' futures.  There is no central
+on the one reply, resolve the job's future.  There is no central
 dispatcher; the shared queue *is* the dispatcher, and because an owner
-thread knows exactly which jobs are in flight on its worker, crash
+thread knows exactly which job is in flight on its worker, crash
 recovery is local arithmetic rather than global bookkeeping.
 
-Crash path (pipe EOF): the owner thread unlinks any response segments
-the dead worker may have created (their names are deterministic),
-requeues the in-flight jobs at the *head* of the queue (bounded retries;
-jobs past the limit fail their futures instead of retrying forever), and
-forks a replacement worker — all without the queue, the HTTP threads or
-the sibling workers noticing.
+Crash path (pipe EOF): the owner thread unlinks the response segment
+the dead worker may have created (its name is deterministic), requeues
+the in-flight job at the *head* of the queue (bounded retries; a job
+past the limit fails its future instead of retrying forever), and forks
+a replacement worker — all without the queue, the HTTP threads or the
+sibling workers noticing.
 
-Start method: ``fork`` where the platform offers it (workers inherit the
+Workers are forked, as ``mp-shard``'s ranks are: they inherit the
 imported compiler, so the first request doesn't pay ~0.5 s of import
-time), ``spawn`` elsewhere; ``REPRO_DAEMON_MP`` overrides.
+time.
 """
 
 from __future__ import annotations
@@ -39,15 +39,8 @@ from repro.obs.tracer import NOOP_SPAN
 MAX_RETRIES = 1
 
 
-def default_start_method() -> str:
-    override = os.environ.get("REPRO_DAEMON_MP")
-    if override:
-        return override
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
 class WorkerPool:
-    """N worker processes pulling digest batches off one admission queue."""
+    """N worker processes pulling jobs off one admission queue."""
 
     def __init__(
         self,
@@ -56,8 +49,6 @@ class WorkerPool:
         workers: int,
         metrics,
         tracer=None,
-        batch_max: int = 8,
-        mp_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be >= 1")
@@ -66,13 +57,11 @@ class WorkerPool:
         self.workers = workers
         self.metrics = metrics
         self.tracer = tracer
-        self.batch_max = max(1, batch_max)
         self.token = settings["token"]
-        self._ctx = multiprocessing.get_context(mp_method or default_start_method())
+        self._ctx = multiprocessing.get_context("fork")
         self._threads: List[threading.Thread] = []
         self._children: Dict[int, proc.Child] = {}
         self._lock = threading.Lock()
-        self._stopping = False
         #: True during a non-draining stop: owner threads fail remaining
         #: queued jobs instead of executing them.
         self._kill_mode = False
@@ -82,7 +71,7 @@ class WorkerPool:
 
     def start(self) -> None:
         for worker_id in range(self.workers):
-            self._spawn(worker_id)
+            self._fork(worker_id)
             thread = threading.Thread(
                 target=self._owner_loop,
                 args=(worker_id,),
@@ -99,12 +88,9 @@ class WorkerPool:
         queued and in-flight job finish, then stop the workers.
         ``drain=False``: terminate workers immediately; queued jobs fail.
         """
-        with self._lock:
-            self._stopping = True
-            if not drain:
-                self._kill_mode = True
         if not drain:
             with self._lock:
+                self._kill_mode = True
                 children = list(self._children.values())
             for child in children:
                 child.process.terminate()
@@ -143,9 +129,9 @@ class WorkerPool:
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn(self, worker_id: int) -> None:
+    def _fork(self, worker_id: int) -> None:
         child = proc.Child(
-            self._ctx, worker_main, (worker_id, self.settings),
+            self._ctx, worker_main, (self.settings,),
             "repro-daemon-worker-%d" % worker_id,
         )
         with self._lock:
@@ -153,107 +139,84 @@ class WorkerPool:
 
     def _owner_loop(self, worker_id: int) -> None:
         while True:
-            batch = self.queue.take_batch(self.batch_max)
-            if batch is None:
+            job = self.queue.take()
+            if job is None:
                 self._stop_worker(worker_id)
                 return
             if self._kill_mode:
-                for job in batch:
-                    if not job.future.done():
-                        job.future.set_exception(
-                            RuntimeError("daemon stopped before execution")
-                        )
+                if not job.future.done():
+                    job.future.set_exception(
+                        RuntimeError("daemon stopped before execution")
+                    )
                 continue
-            self._run_batch(worker_id, batch)
+            self._run_job(worker_id, job)
 
-    def _run_batch(self, worker_id: int, batch: List[Job]) -> None:
+    def _run_job(self, worker_id: int, job: Job) -> None:
         with self._lock:
             child = self._children[worker_id]
         self.metrics.incr("daemon.dispatches")
-        now = time.monotonic()
-        for job in batch:
-            if job.enqueued_at:
-                self.metrics.observe("daemon.queue_wait", now - job.enqueued_at)
+        if job.enqueued_at:
+            self.metrics.observe(
+                "daemon.queue_wait", time.monotonic() - job.enqueued_at
+            )
         span_cm = (
             self.tracer.span(
-                "daemon.dispatch",
-                digest=batch[0].digest,
-                batch=len(batch),
-                worker=worker_id,
+                "daemon.dispatch", digest=job.digest, worker=worker_id
             )
             if self.tracer is not None and self.tracer.enabled
             else NOOP_SPAN
         )
-        payload = [
-            {
-                "id": job.id,
-                "spec": job.spec,
-                "shm_name": job.shm_name,
-                "shm_meta": job.shm_meta,
-            }
-            for job in batch
-        ]
         with span_cm, self.metrics.time("daemon.dispatch"):
             try:
-                child.send(("jobs", payload))
-                message = child.recv()
+                child.send((
+                    "job",
+                    {
+                        "id": job.id,
+                        "spec": job.spec,
+                        "shm_name": job.shm_name,
+                        "shm_meta": job.shm_meta,
+                    },
+                ))
+                reply = child.recv()
             except proc.ChildDied:
-                self._recover(worker_id, batch)
+                self._recover(worker_id, job)
                 return
-        replies = {reply["id"]: reply for reply in message[2]}
-        for job in batch:
-            reply = replies.get(job.id)
-            if reply is None:
-                reply = {
-                    "id": job.id,
-                    "ok": False,
-                    "error": "worker returned no reply for job %d" % job.id,
-                }
-            if reply.get("compiled"):
-                self.metrics.incr(
-                    "daemon.worker_compiles", reply["compiled"]
-                )
-            if reply.get("cc"):
-                self.metrics.incr("daemon.worker_cc", reply["cc"])
-            if reply.get("coalesced"):
-                self.metrics.incr("daemon.coalesced")
-            reply["worker"] = worker_id
-            if not job.future.done():
-                job.future.set_result(reply)
+        if reply.get("compiled"):
+            self.metrics.incr("daemon.worker_compiles", reply["compiled"])
+        if reply.get("cc"):
+            self.metrics.incr("daemon.worker_cc", reply["cc"])
+        reply["worker"] = worker_id
+        if not job.future.done():
+            job.future.set_result(reply)
 
-    def _recover(self, worker_id: int, inflight: List[Job]) -> None:
-        """A worker died mid-batch: clean up, requeue, restart."""
+    def _recover(self, worker_id: int, job: Job) -> None:
+        """A worker died mid-job: clean up, requeue, restart."""
         with self._lock:
             child = self._children.pop(worker_id, None)
         if child is not None:
             child.stop()
             child.join(5)
-        # The worker may have created response segments before dying;
-        # their deterministic names make them reachable without a reply.
-        for job in inflight:
-            shm.unlink_quietly(shm.segment_name(self.token, job.id, "out"))
-        retry: List[Job] = []
-        for job in inflight:
-            job.retries += 1
-            if self._kill_mode or job.retries > MAX_RETRIES:
-                if not job.future.done():
-                    job.future.set_exception(
-                        RuntimeError(
-                            "worker crashed executing job %d (retries "
-                            "exhausted)" % job.id
-                        )
+        # The worker may have created the response segment before dying;
+        # its deterministic name makes it reachable without a reply.
+        shm.unlink_quietly(shm.segment_name(self.token, job.id, "out"))
+        job.retries += 1
+        if self._kill_mode or job.retries > MAX_RETRIES:
+            if not job.future.done():
+                job.future.set_exception(
+                    RuntimeError(
+                        "worker crashed executing job %d (retries "
+                        "exhausted)" % job.id
                     )
-            else:
-                self.metrics.incr("daemon.requeued")
-                retry.append(job)
-        if retry:
-            self.queue.requeue_front(retry)
+                )
+        else:
+            self.metrics.incr("daemon.requeued")
+            self.queue.requeue_front(job)
         if self._kill_mode:
             return
         self.metrics.incr("daemon.worker_restarts")
         with self._lock:
             self._restarts += 1
-        self._spawn(worker_id)
+        self._fork(worker_id)
 
     def _stop_worker(self, worker_id: int) -> None:
         # Joined by stop(), which still finds the child in the table.

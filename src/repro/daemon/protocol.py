@@ -42,6 +42,11 @@ REQUEST_FIELDS = frozenset(
 )
 
 
+#: Upper bound on a request's ``delay_s`` (the workers' test hook that
+#: holds a job before executing it): a held job occupies a whole worker.
+MAX_DELAY_S = 5.0
+
+
 class ProtocolError(ReproError):
     """A malformed frame (bad JSON, manifest/payload mismatch)."""
 
@@ -125,7 +130,8 @@ def decode_frame(
 
 
 def validate_request_head(head: Dict[str, object]) -> None:
-    """Reject unknown fields and missing program text early."""
+    """Reject unknown fields, missing program text and a bad ``delay_s``
+    early: before a job is queued."""
     unknown = set(head) - REQUEST_FIELDS
     if unknown:
         raise ProtocolError(
@@ -137,3 +143,13 @@ def validate_request_head(head: Dict[str, object]) -> None:
     config = head.get("config")
     if config is not None and not isinstance(config, dict):
         raise ProtocolError("'config' must be an object of name: value pairs")
+    delay_s = head.get("delay_s")
+    if delay_s is not None and not (
+        isinstance(delay_s, (int, float))
+        and not isinstance(delay_s, bool)
+        and 0 <= delay_s <= MAX_DELAY_S
+    ):
+        raise ProtocolError(
+            "'delay_s' must be a number of seconds in 0..%g, got %r"
+            % (MAX_DELAY_S, delay_s)
+        )

@@ -4,9 +4,9 @@ Request dataflow (one POST /execute)::
 
     client --frame--> HTTP thread --pack--> shared memory
                          |                       |
-                     admission queue ---> owner thread ---> worker process
+                     admission queue ---> owner thread ---> forked worker
                          |                       |               |
-                      (full? shed 503)       pipe (metadata)  execute
+                      (full? shed 503)    pipe (one job)      execute
                                                  |               |
     client <--frame-- HTTP thread <--views-- shared memory <--pack--
 
@@ -53,7 +53,6 @@ class DaemonConfig:
     backend: str = "codegen_np"
     workers: int = 2
     queue_depth: int = 64
-    batch_max: int = 8
     #: Per-request bound on total array payload bytes (64 MiB).
     max_request_bytes: int = 64 * 1024 * 1024
     host: str = "127.0.0.1"
@@ -63,7 +62,6 @@ class DaemonConfig:
     cache_dir: Optional[str] = None
     persistent: bool = True
     request_timeout_s: float = 120.0
-    mp_method: Optional[str] = None
 
 
 class Daemon:
@@ -96,8 +94,6 @@ class Daemon:
             workers=self.config.workers,
             metrics=self.metrics,
             tracer=self.tracer,
-            batch_max=self.config.batch_max,
-            mp_method=self.config.mp_method,
         )
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -185,8 +181,9 @@ class Daemon:
             self.metrics.incr("daemon.errors")
             return _json_error(400, str(error))
         # Resolve names at admission: a typo is the client's error (400,
-        # no queue slot, no worker dispatch), and an alias must batch with
-        # its canonical spelling, so the digest hashes canonical names.
+        # no queue slot, no worker dispatch), and an alias names the same
+        # program as its canonical spelling, so the digest hashes
+        # canonical names.
         try:
             level = resolve_level(head.get("level"), self.config.level).name
             backend = get_backend(head.get("backend") or self.config.backend).name

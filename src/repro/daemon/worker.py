@@ -1,11 +1,11 @@
 """The worker-process entry point.
 
 Each worker runs :func:`worker_main` — a loop over its control pipe that
-receives job batches (metadata only: program source, options and
-shared-memory manifests), attaches input segments, executes through a
-private in-process :class:`~repro.service.service.Service`, and writes
-outputs into a response segment it creates under the job's deterministic
-``-out`` name.
+receives one job per message (metadata only: program source, options
+and shared-memory manifest), attaches the input segment, executes
+through a private in-process :class:`~repro.service.service.Service`,
+and writes outputs into a response segment it creates under the job's
+deterministic ``-out`` name.
 
 Workers share the *disk* tiers with every sibling: the artifact cache
 and the native ``.so`` store both live under one cache directory, and
@@ -14,11 +14,6 @@ across the pool.  Each worker's in-memory LRU tier warms
 independently, so a repeat request for a digest the worker has seen is
 pure execution.
 
-Because the admission queue hands a worker *same-digest* batches,
-identical scalar-only requests inside one batch coalesce: the worker
-executes once and replicates the reply (``daemon.coalesced`` counts the
-replicas).  See :func:`_coalesce_key` for the purity conditions.
-
 Signal policy: workers ignore SIGINT (a Ctrl+C hits the whole foreground
 process group, and the parent's drain needs the workers alive to finish
 the queue) but keep the default SIGTERM disposition — the parent never
@@ -26,37 +21,14 @@ uses SIGTERM for shutdown (it sends an explicit stop message down the
 pipe), and a worker that *can't* be terminated would deadlock
 ``multiprocessing``'s interpreter-exit cleanup, which terminates and
 joins daemon children.  If an outside SIGTERM does kill a worker
-mid-batch, the parent's crash recovery requeues and restarts as usual.
+mid-job, the parent's crash recovery requeues and restarts as usual.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.daemon import proc, shm
-
-
-def _coalesce_key(job: Dict[str, object]) -> Optional[tuple]:
-    """Key under which identical pure jobs in one batch share a result.
-
-    A mini-ZPL program has no randomness and no hidden state, so a
-    request that carries no input arrays and wants no output arrays is a
-    pure function of (program, level, backend, config): two such jobs in
-    the same batch are the *same* computation and the worker runs it
-    once.  Jobs with input segments (inputs may differ) or output
-    segments (each reply owns its own ``-out`` name) never coalesce.
-    """
-    spec = job["spec"]
-    if job.get("shm_name") or spec.get("want_arrays"):
-        return None
-    return (
-        spec["program"],
-        spec.get("level"),
-        spec.get("backend"),
-        json.dumps(spec.get("config"), sort_keys=True),
-        spec.get("delay_s"),
-    )
 
 
 def _execute_job(service, job: Dict[str, object], token: str) -> Dict[str, object]:
@@ -136,8 +108,8 @@ def _execute_job(service, job: Dict[str, object], token: str) -> Dict[str, objec
     return reply
 
 
-def worker_main(conn, worker_id: int, settings: Dict[str, object]) -> None:
-    """Answer job batches on ``conn`` until a stop message arrives."""
+def worker_main(conn, settings: Dict[str, object]) -> None:
+    """Answer one job per message on ``conn`` until a stop message arrives."""
     from repro.service.service import Service
 
     service = Service(
@@ -145,26 +117,6 @@ def worker_main(conn, worker_id: int, settings: Dict[str, object]) -> None:
         backend=settings["backend"],
         cache_dir=settings.get("cache_dir"),
         persistent=settings.get("persistent", True),
-        workers=1,
     )
     token = settings["token"]
-
-    def run_batch(message: tuple) -> tuple:
-        jobs: List[Dict[str, object]] = message[1]
-        replies = []
-        shared: Dict[tuple, Dict[str, object]] = {}
-        for job in jobs:
-            key = _coalesce_key(job)
-            done = shared.get(key) if key is not None else None
-            if done is not None and done.get("ok"):
-                replies.append(
-                    dict(done, id=job["id"], compiled=0, cc=0, coalesced=True)
-                )
-                continue
-            reply = _execute_job(service, job, token)
-            if key is not None:
-                shared[key] = reply
-            replies.append(reply)
-        return ("done", worker_id, replies)
-
-    proc.serve(conn, run_batch)
+    proc.serve(conn, lambda message: _execute_job(service, message[1], token))

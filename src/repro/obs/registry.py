@@ -142,10 +142,10 @@ SPANS: List[SpanDef] = [
     ),
     SpanDef(
         "daemon.dispatch",
-        ("digest", "batch", "worker"),
-        "daemon.pool.WorkerPool._run_batch",
-        "One digest batch crossing a worker pipe: send, execute in the "
-        "worker process, reply.  batch is the job count.",
+        ("digest", "worker"),
+        "daemon.pool.WorkerPool._run_job",
+        "One job crossing a worker pipe: send, execute in the worker "
+        "process, reply.",
     ),
 ]
 
@@ -211,7 +211,8 @@ COUNTERS: List[CounterDef] = [
     ),
     CounterDef(
         "daemon.dispatches",
-        "Digest batches sent to workers (one pipe round trip each).",
+        "Jobs sent to workers, one pipe round trip each (one per "
+        "admitted request that reached a worker).",
     ),
     CounterDef(
         "daemon.worker_restarts",
@@ -220,11 +221,6 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "daemon.requeued",
         "In-flight jobs requeued after their worker crashed.",
-    ),
-    CounterDef(
-        "daemon.coalesced",
-        "Replies served by coalescing an identical pure request in the "
-        "same batch onto one execution (scalar-only, no input arrays).",
     ),
     CounterDef(
         "daemon.worker_compiles",
@@ -346,7 +342,7 @@ TIMERS: List[TimerDef] = [
     ),
     TimerDef(
         "daemon.dispatch",
-        "One digest batch's worker round trip (pipe + execution).",
+        "One job's worker round trip (pipe + execution).",
     ),
 ]
 

@@ -54,10 +54,10 @@ Fold statements evaluate their operand over the whole region and combine
 ``np.sum``/``np.prod``/``np.max``/``np.min`` of it into the accumulator
 (the ``np_step`` of the reduction's :mod:`repro.lang.operators` row),
 mirroring the reference interpreter; over an empty region the fold does
-not run and the accumulator keeps its value.  A nest that assigns
-scalars (a fold or a contraction temporary) over a region that may be
-empty only at run time is guarded: ``np.broadcast_to`` refuses a
-negative extent.
+not run and the accumulator keeps its value.  A nest over a region that
+may be empty only at run time is guarded: a slice with a negative extent
+would wrap its stop (``A[2:-1]`` is not empty), and ``np.broadcast_to``
+refuses a negative extent.
 """
 
 from __future__ import annotations
@@ -152,9 +152,7 @@ class NumpyGenerator(PyGenerator):
             if serial_levels:
                 self._emit("pass", inner)
             return
-        if emptiness == "unknown" and any(
-            stmt.is_contracted for stmt in nest.body
-        ):
+        if emptiness == "unknown":
             self._emit("if %s:" % self._nonempty_cond(ctx), inner)
             inner += 1
 

@@ -13,9 +13,7 @@ cache probe and backend execution metered.
     compiled = service.compile(source)            # miss: full pipeline
     compiled = service.compile(source)            # hit: artifact replay
     results = service.submit_many(
-        source,
-        [{"config": {"n": size}} for size in (64, 128, 256)],
-        workers=4,
+        source, [{"config": {"n": size}} for size in (64, 128, 256)]
     )
     print(service.stats())
 """

@@ -148,8 +148,8 @@ class ArtifactCache:
         #: the lock that makes each load happen once)).
         self._memory: "OrderedDict[str, Tuple[dict, tuple]]" = OrderedDict()
         #: Guards the memory tier: OrderedDict reordering under
-        #: concurrent ``get``/``put`` (``Service.submit_many`` worker
-        #: threads) is not atomic on its own.
+        #: concurrent ``get``/``put`` (threads sharing one ``Service``)
+        #: is not atomic on its own.
         self._memory_lock = threading.Lock()
 
     @property

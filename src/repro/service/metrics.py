@@ -10,8 +10,8 @@ levels can be compared on tail latency, not just means.  Snapshots are
 plain JSON-serializable dicts, printed by ``repro serve --stats`` and
 exportable with ``--stats-json``.
 
-All mutation is lock-protected so ``Service.submit_many`` can record
-from worker-pool threads.
+All mutation is lock-protected so threads sharing one ``Service`` can
+record concurrently.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ turns source programs into :class:`CompiledProgram` artifacts:
   the full pipeline (normalize → ASDG → fusion/contraction → scalarize →
   codegen) with every pass timed, then persist the artifact.
 * ``submit(source, request)`` — compile (or hit) and execute one request.
-* ``submit_many(source, requests, workers=N)`` — compile once, execute a
-  batch of requests with varying config bindings / initial arrays,
-  optionally fanned out over a thread pool.
+* ``submit_many(source, requests)`` — compile once per distinct config
+  binding, execute a batch of requests with varying config bindings /
+  initial arrays on the calling thread.
 
 The paper's thesis is that array-level fusion and contraction analysis is
 cheap; this layer makes it *one-time*, so repeated traffic pays only
@@ -55,7 +55,6 @@ class Service:
         cache_dir: Optional[str] = None,
         persistent: bool = True,
         metrics: Optional[Metrics] = None,
-        workers: Optional[int] = None,
         self_temp_policy: str = "always",
         simplify: bool = False,
         trace: object = None,
@@ -77,9 +76,6 @@ class Service:
         self.cache = cache or ArtifactCache(
             root=cache_dir, persistent=persistent, metrics=self.metrics
         )
-        #: Default thread fan-out of :meth:`submit_many` (None or 1: the
-        #: calling thread executes every request).
-        self.workers = workers
         self.self_temp_policy = self_temp_policy
         self.simplify = simplify
         #: Single-flight compilation: digest -> in-progress Future, so
@@ -383,17 +379,16 @@ class Service:
         self,
         source: str,
         requests: Sequence[Request],
-        workers: Optional[int] = None,
         level: Union[Level, str, None] = None,
         config: Optional[Mapping[str, object]] = None,
         backend: Optional[str] = None,
     ) -> List[ExecutionResult]:
         """Compile once per distinct config binding, execute every request.
 
-        Results are order-preserving.  With ``workers > 1`` executions fan
-        out across a thread pool; compilation stays on the calling thread
+        Results are in request order, all computed on the calling thread
         (each distinct binding compiles exactly once, warm bindings are
-        cache hits).
+        cache hits).  Concurrent serving is the daemon's worker processes
+        (:mod:`repro.daemon`).
         """
         compiled_by_digest: Dict[str, CompiledProgram] = {}
         routed = [
@@ -402,19 +397,7 @@ class Service:
             )
             for request in requests
         ]
-        if workers is None:
-            workers = self.workers
         self.metrics.incr("service.batches")
-        if workers is not None and workers > 1 and len(routed) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda pair: pair[0].execute(pair[1]),
-                        routed,
-                    )
-                )
         return [compiled.execute(request) for compiled, request in routed]
 
     # -- introspection -----------------------------------------------------

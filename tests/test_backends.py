@@ -264,7 +264,7 @@ def test_substituted_backend_is_picked_up_everywhere(monkeypatch, tmp_path):
         handle = service.compile(SOURCE, backend="toy")
         assert_identical(handle.execute(), want, "compile+execute")
     assert_identical(
-        service.submit_many(SOURCE, [None] * 8, workers=4, backend="toy")[-1],
+        service.submit_many(SOURCE, [None] * 8, backend="toy")[-1],
         want,
         "submit_many",
     )

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec import ALIASES, BACKEND_CHOICES
-from tests.test_structure import REMOVED_BACKEND
+from tests.test_structure import REMOVED_BACKEND, _subcommands
 
 SOURCE = """
 program clidemo;
@@ -236,23 +236,30 @@ class TestUserErrors:
 
 
 class TestArgumentValidation:
-    @pytest.mark.parametrize("value", ["0", "-2", "three"])
-    def test_bad_workers_rejected_at_parse_time(self, source_file, value):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", source_file, "--workers", value])
-        assert excinfo.value.code == 2  # argparse usage error
-
     @pytest.mark.parametrize("command", ["run", "serve", "trace"])
     def test_removed_tile_shape_flag_is_a_usage_error(self, source_file, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, source_file, "--tile-shape", "8"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
-    def test_workers_is_a_serve_flag_only(self, source_file, command):
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-max"])
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_removed_fanout_flags_are_usage_errors(
+        self, source_file, capsys, command, flag
+    ):
+        # Concurrency is the daemon's worker processes, one request per
+        # dispatch: no subcommand sizes a thread fan-out or a batch.
+        positional = {
+            "backends": [], "stats": [], "figures": ["fig6"],
+        }.get(command, [source_file])
+        argv = [command, *positional, flag, "2"]
+        if command == "serve":
+            argv.append("--daemon")
         with pytest.raises(SystemExit) as excinfo:
-            main([command, source_file, "--workers", "2"])
+            main(argv)
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and flag in err, err
 
 
 class TestTrace:
@@ -395,12 +402,6 @@ class TestServeDaemonFlags:
             capsys, ["serve", source_file, "--daemon", flag, bad]
         )
         assert flag in err
-
-    def test_batch_max_must_be_positive(self, source_file, capsys):
-        err = self._err(
-            capsys, ["serve", source_file, "--daemon", "--batch-max", "0"]
-        )
-        assert "--batch-max" in err
 
     @pytest.mark.parametrize("backend", ["mp-shard", "shard"])
     def test_mp_shard_backend_rejected_at_start_up(

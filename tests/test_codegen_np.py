@@ -213,6 +213,40 @@ end;
     assert float(scalars["s"]) == float(reference.scalars["s"])
 
 
+RUN_TIME_EMPTY = """
+program emptyrt;
+config n : integer = 6;
+region R = [1..n, 1..n];
+var A, B : [R] float;
+var s : float;
+var i : integer;
+begin
+  [R] A := Index1 * 10.0 + Index2;
+  for i := -3 to 0 do
+    [3..i, 1..n] B := A;
+  end;
+  s := +<< [R] B;
+end;
+"""
+
+
+@pytest.mark.parametrize("level", [BASELINE, C2], ids=lambda l: l.name)
+@pytest.mark.parametrize("backend", ["interp", "codegen_py", "codegen_np", "c"])
+def test_region_empty_at_run_time_writes_nothing(backend, level):
+    # [3..i] is empty for every i of the loop; unguarded, the slice
+    # B[2:i] wraps its negative stop and writes rows of B.
+    from repro.exec import native
+
+    if backend == "c" and not native.cc_available():
+        pytest.skip("no C compiler")
+    _program, scalar_program, text = compile_np(RUN_TIME_EMPTY, level)
+    if backend == "codegen_np":
+        assert "if (i) >= 3:" in text
+    result = execute(scalar_program, backend)
+    assert not result.arrays["B"].any()
+    assert float(result.scalars["s"]) == 0.0
+
+
 # -- in-place buffers ---------------------------------------------------------
 #
 # Inside a vectorized nest a stored statement writes straight into its

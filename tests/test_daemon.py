@@ -232,10 +232,8 @@ class TestAdmission:
             # Shed responses must not leak their request segments.
             assert shm.leaked_segments(daemon.token) == []
 
-    def test_same_digest_requests_batch_onto_one_dispatch(self, tmp_path):
-        config = DaemonConfig(
-            workers=1, cache_dir=str(tmp_path / "cache"), batch_max=8
-        )
+    def test_every_admitted_request_is_its_own_dispatch(self, tmp_path):
+        config = DaemonConfig(workers=1, cache_dir=str(tmp_path / "cache"))
         with Daemon(config) as daemon:
             with DaemonClient(port=daemon.port) as warm:
                 warm.execute(SOURCE)
@@ -255,71 +253,36 @@ class TestAdmission:
             ]
             for thread in followers:
                 thread.start()
-            wait_until(lambda: len(daemon.queue) >= 4)
-            blocker.join(timeout=30)
-            for thread in followers:
-                thread.join(timeout=30)
-            assert len(results) == 5
-            counters = daemon.metrics.snapshot()["counters"]
-            # warm + blocker + one batched dispatch for the followers
-            # (allow one extra in case a follower raced the batch window)
-            assert counters["daemon.dispatches"] <= 4
-            assert counters["daemon.requests"] == 6
-
-
-class TestCoalescing:
-    def test_identical_pure_requests_in_a_batch_execute_once(self, tmp_path):
-        config = DaemonConfig(
-            workers=1, cache_dir=str(tmp_path / "cache"), batch_max=8
-        )
-        with Daemon(config) as daemon:
-            with DaemonClient(port=daemon.port) as warm:
-                warm.execute(SOURCE)
-            results = []
-
-            def submit(delay):
-                with DaemonClient(port=daemon.port) as client:
-                    results.append(client.execute(SOURCE, delay_s=delay))
-
-            blocker = threading.Thread(target=submit, args=(0.4,))
-            blocker.start()
-            wait_until(
-                lambda: daemon.metrics.counter("daemon.dispatches") >= 2
-            )
-            followers = [
-                threading.Thread(target=submit, args=(0.0,)) for _ in range(4)
-            ]
-            for thread in followers:
-                thread.start()
+            # Four same-digest jobs wait behind the blocker at once; each
+            # still crosses the worker pipe alone.
             wait_until(lambda: len(daemon.queue) >= 4)
             blocker.join(timeout=30)
             for thread in followers:
                 thread.join(timeout=30)
             assert len(results) == 5
             assert {r["scalars"]["s"] for r in results} == {1504.0}
+            assert all(r["compiled"] == 0 for r in results)
             counters = daemon.metrics.snapshot()["counters"]
-            # The four identical queued followers landed in one batch:
-            # one executed, the rest were replicas.
-            assert counters.get("daemon.coalesced", 0) >= 3
+            assert counters["daemon.requests"] == 6
+            assert counters["daemon.dispatches"] == counters["daemon.requests"]
 
-    def test_requests_with_arrays_never_coalesce(self, tmp_path):
-        from repro.daemon.worker import _coalesce_key
+    @pytest.mark.parametrize(
+        "delay", [1e9, -1, "x", float("inf")], ids=repr
+    )
+    def test_bad_delay_is_refused_before_admission(self, tmp_path, delay):
+        from repro.daemon import protocol
 
-        base_spec = {"program": "p", "level": "f2", "backend": None,
-                     "config": None, "want_arrays": None, "delay_s": None}
-        assert _coalesce_key({"spec": dict(base_spec), "shm_name": None}) \
-            is not None
-        assert _coalesce_key(
-            {"spec": dict(base_spec), "shm_name": "repro-x-1-in"}
-        ) is None
-        assert _coalesce_key(
-            {"spec": dict(base_spec, want_arrays=["B"]), "shm_name": None}
-        ) is None
-        assert _coalesce_key(
-            {"spec": dict(base_spec, config={"n": 4}), "shm_name": None}
-        ) != _coalesce_key(
-            {"spec": dict(base_spec, config={"n": 5}), "shm_name": None}
-        )
+        config = DaemonConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        with Daemon(config) as daemon:
+            frame = protocol.encode_frame({"program": SOURCE, "delay_s": delay})
+            if delay == float("inf"):
+                assert b'"delay_s": Infinity' in frame
+            status, _ctype, body = daemon.execute_frame(frame)
+            assert status == 400, body
+            assert b"delay_s" in body
+            counters = daemon.metrics.snapshot()["counters"]
+            assert counters["daemon.dispatches"] == 0
+            assert counters["daemon.errors"] == 1
 
 
 class TestSingleFlight:

@@ -39,6 +39,41 @@ begin
 end;
 """
 
+#: Three statements combining the same four-point neighbourhood sum.
+SHARED_STENCIL_X3 = """
+program shared;
+config n : integer = 8;
+region R = [1..n, 1..n];
+region I = [2..n-1, 2..n-1];
+var A, B, C, D : [R] float;
+var s, t : float;
+begin
+  [R] A := Index1 * 1.5 + Index2;
+  [I] B := (A@(0,-1) + A@(0,1) + A@(-1,0) + A@(1,0)) * 0.25;
+  [I] C := (A@(0,-1) + A@(0,1) + A@(-1,0) + A@(1,0)) * 0.75 + B;
+  [I] D := sqrt(abs(A@(0,-1) + A@(0,1) + A@(-1,0) + A@(1,0)) + 0.1);
+  s := 0.5;
+  t := (+<< [R] B) + (+<< [R] C) + (+<< [R] D);
+end;
+"""
+
+#: One term repeated inside a statement and again in the next one.
+INTRA_AND_CROSS = """
+program intra;
+config n : integer = 8;
+region R = [1..n, 1..n];
+region I = [2..n-1, 2..n-1];
+var A, B, C : [R] float;
+var s, t : float;
+begin
+  [R] A := Index1 + Index2 * 0.5;
+  [I] B := (A@(0,-1) + A@(0,1) + A@(-1,0)) * (A@(0,-1) + A@(0,1) + A@(-1,0));
+  [I] C := (A@(0,-1) + A@(0,1) + A@(-1,0)) * 0.5 + B;
+  s := 0.0;
+  t := (+<< [R] B) + (+<< [R] C);
+end;
+"""
+
 
 def compile_at(source, level_name):
     program = normalize_source(source)
@@ -156,6 +191,15 @@ class TestEndToEnd:
         _b, base_plan, base_sp = compile_at(SHARED_STENCIL, "c2+f4")
         assert nest_op_count(scalar_program) < nest_op_count(base_sp)
         assert any(is_cse_scalar(name) for name in scalar_program.scalars)
+
+    @pytest.mark.parametrize("source", [SHARED_STENCIL_X3, INTRA_AND_CROSS],
+                             ids=["shared stencil x3", "intra + cross reuse"])
+    @pytest.mark.parametrize("cse_name", sorted(CSE_TWINS))
+    def test_every_cse_level_hoists_and_cuts_nest_ops(self, source, cse_name):
+        _program, plan, scalar_program = compile_at(source, cse_name)
+        _b, _base_plan, base_sp = compile_at(source, CSE_TWINS[cse_name])
+        assert plan.cse_stats().terms_hoisted >= 1
+        assert nest_op_count(scalar_program) < nest_op_count(base_sp)
 
     def test_non_cse_twin_unchanged(self):
         _program, plan, scalar_program = compile_at(SHARED_STENCIL, "c2+f4")

@@ -145,17 +145,18 @@ def test_submit_many_routes_config_bindings(service):
     assert service.metrics.counter("cache.misses") == 3
 
 
-def test_submit_many_with_worker_pool_preserves_order(service):
+def test_submit_many_preserves_order(service):
     sizes = [4, 6, 8, 10, 6, 4]
-    serial = service.submit_many(
+    batch = service.submit_many(
         SOURCE, [{"config": {"n": size}} for size in sizes]
     )
-    pooled = service.submit_many(
-        SOURCE, [{"config": {"n": size}} for size in sizes], workers=4
-    )
-    assert [float(r.scalars["total"]) for r in pooled] == [
-        float(r.scalars["total"]) for r in serial
+    one_by_one = [
+        service.submit(SOURCE, {"config": {"n": size}}) for size in sizes
     ]
+    assert [float(r.scalars["total"]) for r in batch] == [
+        float(r.scalars["total"]) for r in one_by_one
+    ]
+    assert len(set(float(r.scalars["total"]) for r in batch)) == 4
 
 
 SEEDED_SOURCE = """
@@ -298,13 +299,13 @@ def test_cli_serve_stats_json_export(source_file, tmp_path, capsys):
     assert stats["cache"]["disk_entries"] == 1
 
 
-def test_cli_serve_repeat_and_workers(source_file, tmp_path, capsys):
+def test_cli_serve_repeat(source_file, tmp_path, capsys):
     from repro.cli import main
 
     assert main([
         "serve", source_file,
         "--cache-dir", str(tmp_path / "cache"),
-        "--workers", "2", "--repeat", "3", "--stats",
+        "--repeat", "3", "--stats",
     ]) == 0
     out = capsys.readouterr().out
     stats = json.loads(out[out.index("{"):])

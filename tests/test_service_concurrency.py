@@ -66,7 +66,6 @@ def test_concurrent_compile_builds_exactly_once(tmp_path, backend):
         cache_dir=str(tmp_path),
         persistent=False,
         metrics=metrics,
-        workers=2,
     )
     compiled = _hammer(lambda _i: service.compile(SOURCE))
     assert metrics.counter("service.compiles") == 1
@@ -94,7 +93,6 @@ def test_concurrent_submit_many_same_digest(tmp_path, monkeypatch):
         cache_dir=str(tmp_path),
         persistent=False,
         metrics=metrics,
-        workers=2,
     )
 
     def submit(_i):

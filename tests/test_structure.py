@@ -74,14 +74,14 @@ def _subcommands():
     return action.choices
 
 
-def test_service_takes_ten_parameters():
+def test_service_takes_nine_parameters():
     from repro.service import Service
 
     parameters = inspect.signature(Service.__init__).parameters
-    assert len(parameters) - 1 == 10, list(parameters)
+    assert len(parameters) - 1 == 9, list(parameters)
 
 
-def test_cli_has_eight_subcommands_and_twenty_eight_flags():
+def test_cli_has_eight_subcommands_and_twenty_six_flags():
     subcommands = _subcommands()
     assert len(subcommands) == 8, sorted(subcommands)
     flags = {
@@ -93,15 +93,31 @@ def test_cli_has_eight_subcommands_and_twenty_eight_flags():
         }
         for name, parser in subcommands.items()
     }
-    assert len(set().union(*flags.values())) == 28, flags
-    # --workers sizes submit_many's fan-out; nothing else takes a count
-    # of threads.
-    assert [name for name in flags if "--workers" in flags[name]] == ["serve"]
+    assert len(set().union(*flags.values())) == 26, flags
+    # Requests run concurrently only on the daemon's worker processes
+    # (--daemon-workers): no subcommand sizes a thread fan-out or a batch.
+    assert not [
+        name for name in flags if flags[name] & {"--workers", "--batch-max"}
+    ]
 
 
-def test_six_environment_variables():
+def test_five_environment_variables():
     names = set(re.findall(r"REPRO_[A-Z_]+", "\n".join(_sources().values())))
-    assert len(names) == 6, sorted(names)
+    assert len(names) == 5, sorted(names)
+
+
+def test_one_way_to_serve_concurrently():
+    # Requests run concurrently on the daemon's forked workers, one job
+    # per dispatch; no second way (batches, shared replies, another
+    # start method, a thread pool) may come back beside it.
+    from repro.daemon import DaemonConfig
+    from repro.service import Service
+
+    pattern = "take_batch|_coalesce_key|batch_max|mp_method|REPRO_DAEMON_MP"
+    assert _count(pattern) == 0
+    assert _count("ThreadPoolExecutor", "service") == 0
+    assert len(DaemonConfig.__dataclass_fields__) == 10
+    assert "workers" not in inspect.signature(Service.submit_many).parameters
 
 
 def test_five_backends_and_no_tile_engine():
