@@ -260,6 +260,11 @@ class Trace:
     canonical encoding are identical for every re-trace of the same
     program shape — that stability is what makes ``trace_digest`` a
     valid artifact-cache address.
+
+    The one walk that finds ``order`` also writes the canonical encoding
+    down as ``rows`` (one tuple per node) and ``output_ids``: hashable,
+    so a caller can key a memo of the digest on them without encoding
+    anything (:func:`repro.array.materialize.compute_nodes` does).
     """
 
     def __init__(self, outputs: Sequence[Node]) -> None:
@@ -267,31 +272,69 @@ class Trace:
             raise ReproError("compute() needs at least one output")
         self.outputs: Tuple[Node, ...] = tuple(outputs)
         self.order: List[Node] = []
+        self.inputs: List[Node] = []
         self._ids: Dict[int, int] = {}
+        rows: List[tuple] = []
         for root in self.outputs:
-            self._visit(root)
-        self.inputs: List[Node] = [
-            node for node in self.order if node.op == "input"
-        ]
+            self._visit(root, rows)
+        #: One canonical row per node of ``order`` (see :meth:`canonical`).
+        self.rows: Tuple[tuple, ...] = tuple(rows)
+        self.output_ids: Tuple[int, ...] = tuple(
+            self._ids[id(node)] for node in self.outputs
+        )
         self._input_index = {
             id(node): index for index, node in enumerate(self.inputs)
         }
 
-    def _visit(self, root: Node) -> None:
+    def _visit(self, root: Node, rows: List[tuple]) -> None:
         """Iterative postorder DFS (traces can outgrow the recursion limit)."""
+        ids, order = self._ids, self.order
         stack: List[Tuple[Node, bool]] = [(root, False)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, expanded = stack.pop()
-            if id(node) in self._ids:
+            node, expanded = pop()
+            key = id(node)
+            if key in ids:
                 continue
+            args = node.args
             if expanded:
-                self._ids[id(node)] = len(self.order)
-                self.order.append(node)
+                if len(args) == 2:  # bin, or a two-argument call
+                    row = (node.op, node.payload, ids[id(args[0])], ids[id(args[1])])
+                elif node.op == "shift":
+                    row = ("shift", ids[id(args[0])], node.payload)
+                elif args:  # un / call / reduce
+                    row = (node.op, node.payload) + tuple(
+                        [ids[id(arg)] for arg in args]
+                    )
+                else:
+                    row = self._leaf_row(node)
+                rows.append(row)
+                ids[key] = len(order)
+                order.append(node)
             else:
-                stack.append((node, True))
-                for arg in reversed(node.args):
-                    if id(arg) not in self._ids:
-                        stack.append((arg, False))
+                push((node, True))
+                for arg in reversed(args):
+                    if id(arg) not in ids:
+                        push((arg, False))
+
+    def _leaf_row(self, node: Node) -> tuple:
+        """The canonical row of an ``input`` / ``full`` / ``const`` /
+        ``index`` node."""
+        op = node.op
+        if op == "input":
+            self.inputs.append(node)
+            return ("input", len(self.inputs) - 1, node.shape, node.kind)
+        if op == "full":
+            return (
+                "full",
+                node.shape,
+                node.kind,
+                type(node.payload).__name__,
+                repr(node.payload),
+            )
+        if op == "const":
+            return ("const", type(node.payload).__name__, repr(node.payload))
+        return ("index", node.shape, node.payload)
 
     def node_id(self, node: Node) -> int:
         return self._ids[id(node)]
@@ -324,45 +367,14 @@ class Trace:
         Input *values* are excluded on purpose: every execution of one
         program shape shares the digest.  Constant values (``const`` /
         ``full``) are program text, so they are included, typed the same
-        way ``fingerprint.canonical_expr`` types ``Const``.
+        way ``fingerprint.canonical_expr`` types ``Const``.  The content
+        is ``rows`` and ``output_ids`` with every tuple a list, so it
+        encodes to the same JSON text.
         """
-        nodes: List[list] = []
-        for node in self.order:
-            if node.op == "input":
-                nodes.append(
-                    [
-                        "input",
-                        self._input_index[id(node)],
-                        list(node.shape),
-                        node.kind,
-                    ]
-                )
-            elif node.op == "full":
-                nodes.append(
-                    [
-                        "full",
-                        list(node.shape),
-                        node.kind,
-                        type(node.payload).__name__,
-                        repr(node.payload),
-                    ]
-                )
-            elif node.op == "const":
-                nodes.append(
-                    ["const", type(node.payload).__name__, repr(node.payload)]
-                )
-            elif node.op == "index":
-                nodes.append(["index", list(node.shape), node.payload])
-            elif node.op == "shift":
-                nodes.append(
-                    ["shift", self.node_id(node.args[0]), list(node.payload)]
-                )
-            else:  # bin / un / call / reduce
-                nodes.append(
-                    [node.op, node.payload]
-                    + [self.node_id(arg) for arg in node.args]
-                )
         return {
-            "nodes": nodes,
-            "outputs": [self.node_id(node) for node in self.outputs],
+            "nodes": [
+                [list(field) if isinstance(field, tuple) else field for field in row]
+                for row in self.rows
+            ],
+            "outputs": list(self.output_ids),
         }

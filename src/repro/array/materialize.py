@@ -8,7 +8,12 @@ The flush is two-phase, and the first phase is the whole point:
    artifact cache directly, so re-materializing the same program *shape*
    — a training loop calling the same traced computation on new data —
    never parses, lowers, fuses or renders anything: one compile for run
-   one, artifact-cache hits for runs 2..N.
+   one, artifact-cache hits for runs 2..N.  The digest itself is a pure
+   function of the trace's rows (:attr:`Trace.rows`, written by the walk
+   that orders the graph), the level, the backend and the code version,
+   so a per-process memo keyed by those (:data:`_DIGESTS`) hashes each
+   shape once; the cache is still asked on every flush, so its hit
+   counters count every one.
 2. **Lower only on a miss.**  ``Service.compile_ir`` receives the
    lowering as a thunk; the pipeline (fusion, contraction, CSE,
    scalarization, codegen — unmodified) runs once per digest.
@@ -17,9 +22,12 @@ Execution feeds traced inputs through the path any request takes
 (``CompiledProgram.execute({"arrays": ...})``, checked and copied in by
 :func:`repro.scalarize.emit_common.build_state`): each ``in<i>`` value
 is padded into its slot of the program's storage layout (declared region
-plus halo, halo zero-filled — that zero fill is what defines out-of-edge
-``shift`` reads), and each ``out<i>``/``res<i>`` result is sliced back
-to its declared shape.
+plus halo; only the halo ring is zeroed, by the same
+:func:`~repro.scalarize.emit_common.ringed` a run's own state uses, and
+that zero ring is what defines out-of-edge ``shift`` reads; a slot with
+no halo takes the traced value as it is).  Each ``out<i>``/``res<i>``
+result is sliced back to its declared shape; an array whose slot has no
+halo is handed back as the run's own fresh buffer, not copied.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from repro.array.graph import Node, Trace
 from repro.array.lowering import lower_trace
 from repro.fusion import resolve_level
 from repro.obs.tracer import NOOP_SPAN
-from repro.scalarize.emit_common import NP_DTYPES
+from repro.scalarize.emit_common import NP_DTYPES, ringed
 from repro.util.errors import ReproError
 
 #: Defaults for the module-level service: maximum fusion on the
@@ -59,20 +67,46 @@ def set_default_service(service) -> None:
     _default_service = service
 
 
-def _interior_slices(slot, shape):
-    """Slices selecting the declared ``[1..s]`` region inside the
-    allocation a layout slot describes."""
+def _interior_box(slot, shape):
+    """The raw ``(start, stop)`` pairs of the declared ``[1..s]`` region
+    inside the allocation a layout slot describes."""
     return tuple(
-        slice(1 - base, 1 - base + extent)
-        for base, extent in zip(slot.bases, shape)
+        (1 - base, 1 - base + extent) for base, extent in zip(slot.bases, shape)
     )
 
 
 def _pad_input(node: Node, slot) -> np.ndarray:
-    """The input value embedded in a zero-filled buffer of its slot."""
-    buffer = np.zeros(slot.shape, dtype=NP_DTYPES[slot.kind])
-    buffer[_interior_slices(slot, node.shape)] = node.payload
+    """The input value embedded in a buffer of its slot, zero on the halo
+    ring (the traced value itself when the slot has no halo: the run
+    copies it in and never writes it)."""
+    if slot.shape == node.shape:
+        return node.payload
+    box = _interior_box(slot, node.shape)
+    buffer, _zeroed = ringed(slot.shape, NP_DTYPES[slot.kind], box)
+    buffer[tuple(slice(*pair) for pair in box)] = node.payload
     return buffer
+
+
+#: (trace rows, output ids, level, backend, code version) -> trace digest:
+#: each program shape is encoded and hashed once per process.  Emptied
+#: when it reaches :data:`_DIGESTS_MAX` entries.
+_DIGESTS: Dict[tuple, str] = {}
+_DIGESTS_MAX = 256
+
+
+def _trace_digest(trace: Trace, level: str, backend: str, code_version) -> str:
+    key = (trace.rows, trace.output_ids, level, backend, code_version)
+    digest = _DIGESTS.get(key)
+    if digest is None:
+        from repro.service import fingerprint
+
+        digest = fingerprint.trace_digest(
+            trace.canonical(), level, backend, code_version=code_version
+        )
+        if len(_DIGESTS) >= _DIGESTS_MAX:
+            _DIGESTS.clear()
+        _DIGESTS[key] = digest
+    return digest
 
 
 def compute_nodes(
@@ -91,18 +125,12 @@ def compute_nodes(
     )
     with record_cm as record_span:
         trace = Trace(tuple(nodes))
-        canonical = trace.canonical()
         level_name = resolve_level(level, service.level).name
         from repro.exec import get_backend
 
         backend_name = get_backend(backend or service.backend).name
-        from repro.service import fingerprint
-
-        digest = fingerprint.trace_digest(
-            canonical,
-            level_name,
-            backend_name,
-            code_version=service.cache.code_version,
+        digest = _trace_digest(
+            trace, level_name, backend_name, service.cache.code_version
         )
         record_span.set("nodes", len(trace.order))
         record_span.set("outputs", len(trace.outputs))
@@ -142,10 +170,18 @@ def compute_nodes(
     result = compiled.execute({"arrays": inputs} if inputs else None)
 
     values: List[object] = []
+    handed_out = set()
     for node, name in zip(trace.outputs, names):
         if node.is_array:
             raw = result.arrays[name]
-            value = raw[_interior_slices(slots[name], node.shape)].copy()
+            if raw.shape != node.shape:
+                box = _interior_box(slots[name], node.shape)
+                value = raw[tuple(slice(*pair) for pair in box)].copy()
+            elif name in handed_out:  # a node requested in several slots
+                value = raw.copy()
+            else:
+                value = raw
+            handed_out.add(name)
         else:
             value = result.scalars[name]
         node.cache[digest] = value

@@ -49,6 +49,7 @@ class WorkerPool:
         workers: int,
         metrics,
         tracer=None,
+        drain_s: float = 120.0,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be >= 1")
@@ -57,6 +58,9 @@ class WorkerPool:
         self.workers = workers
         self.metrics = metrics
         self.tracer = tracer
+        #: How long a draining stop waits for admitted work (the daemon's
+        #: request timeout: no client waits longer for a reply anyway).
+        self.drain_s = drain_s
         self.token = settings["token"]
         self._ctx = multiprocessing.get_context("fork")
         self._threads: List[threading.Thread] = []
@@ -85,16 +89,21 @@ class WorkerPool:
         """Shut the pool down.
 
         ``drain=True`` (SIGTERM semantics): stop admitting, let every
-        queued and in-flight job finish, then stop the workers.
+        queued and in-flight job finish, then stop the workers.  The
+        drain is bounded by ``drain_s`` from its start: a job still
+        running then (a ``while`` loop that never ends) has its worker
+        terminated, fails, and leaves no segment behind, as does every
+        job still queued.
         ``drain=False``: terminate workers immediately; queued jobs fail.
         """
         if not drain:
-            with self._lock:
-                self._kill_mode = True
-                children = list(self._children.values())
-            for child in children:
-                child.process.terminate()
+            self._terminate_all()
         self.queue.close()
+        deadline = time.monotonic() + self.drain_s
+        for thread in self._threads:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+        if any(thread.is_alive() for thread in self._threads):
+            self._terminate_all()
         for thread in self._threads:
             thread.join()
         with self._lock:
@@ -102,6 +111,15 @@ class WorkerPool:
             self._children.clear()
         for child in children:
             child.join(10)
+
+    def _terminate_all(self) -> None:
+        """Fail what is left: owner threads fail queued jobs and recover
+        (unlink, no restart) from the workers terminated here."""
+        with self._lock:
+            self._kill_mode = True
+            children = list(self._children.values())
+        for child in children:
+            child.process.terminate()
 
     # -- introspection -----------------------------------------------------
 

@@ -94,6 +94,7 @@ class Daemon:
             workers=self.config.workers,
             metrics=self.metrics,
             tracer=self.tracer,
+            drain_s=self.config.request_timeout_s,
         )
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None

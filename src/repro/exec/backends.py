@@ -171,21 +171,22 @@ def bind(program: ScalarProgram, kernel: Kernel, metrics=None) -> Run:
     """The ``run`` of ``program`` on a loaded ``kernel``.
 
     Each call checks the request, builds fresh state from the program's
-    layout (inputs are copied in, never written), runs the kernel in
+    layout and fill plan (inputs are copied in, never written; only what
+    the program reads before it writes starts at zero), runs the kernel in
     place on it and returns the result arrays among those with the final
     result scalars as plain ``bool`` / ``int`` / ``float``, in the
     program's declared order.  Nothing is kept between calls, so ``run``
     is as thread-safe as the kernel.  A bad request raises
     :class:`~repro.util.errors.InputError` before the kernel is entered.
     """
-    layout = program.layout
+    layout, fill = program.layout, program.fill_plan
     arrays_out, scalars_out = program.result_arrays, program.result_scalars
 
     def run(
         inputs: InitialArrays = None, scalars: InitialScalars = None, **options
     ) -> ExecutionResult:
         arrays, start = build_state(
-            layout, inputs, validate_scalars(program, scalars), metrics
+            layout, inputs, validate_scalars(program, scalars), metrics, fill
         )
         final = kernel(arrays, start, **options)
         return ExecutionResult(

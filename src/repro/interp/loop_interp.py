@@ -162,6 +162,6 @@ def run_scalarized(
     """Execute a scalarized program, optionally seeding array contents and
     the starting values of its ``scalar_inputs``."""
     arrays, scalars = build_state(
-        program.layout, initial_arrays, initial_scalars
+        program.layout, initial_arrays, initial_scalars, fill=program.fill_plan
     )
     return LoopInterpreter(program, arrays, scalars).run()

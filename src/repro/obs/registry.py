@@ -180,12 +180,16 @@ COUNTERS: List[CounterDef] = [
     CounterDef(
         "exec.bytes_zeroed",
         "Bytes of program storage zero-filled to start runs "
-        "(emit_common.build_state; per run a constant of the program's "
-        "layout).  Counted for runs loaded with Artifacts.metrics.",
+        "(emit_common.build_state): arrays the program may read before it "
+        "writes them, whole, and the halo ring around what it writes first "
+        "(ScalarProgram.fill_plan); a seeded array is not zeroed.  Per run "
+        "a constant of the program and the arrays it is seeded with.  "
+        "Counted for runs loaded with Artifacts.metrics.",
     ),
     CounterDef(
         "exec.bytes_copied",
-        "Bytes of caller-supplied initial arrays copied into that storage.",
+        "Bytes of caller-supplied initial arrays copied into that storage "
+        "(each seeded array whole, with no fill first).",
     ),
     CounterDef(
         "trace.materializations",

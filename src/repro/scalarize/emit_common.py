@@ -12,6 +12,8 @@ emitter spells it is not here: that is :mod:`repro.lang.operators`.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,41 +105,86 @@ def validate_inputs(layout, inputs):
     return checked
 
 
-def build_state(layout, inputs=None, scalars=None, metrics=None):
+@functools.lru_cache(maxsize=256)
+def ring(shape: Tuple[int, ...], box) -> Tuple[Tuple[Tuple[slice, ...], ...], int]:
+    """``(slabs, elements)``: disjoint index tuples that cover an
+    allocation of ``shape`` minus ``box``, and how many elements they hold.
+
+    ``box`` is one ``(start, stop)`` raw index pair per dimension, inside
+    the allocation; what lies outside it is the *ring* (a region's halo).
+    Along each dimension in turn, the slabs below and above the box span
+    the box in the dimensions before it and the whole allocation in those
+    after.  Memoised: a program's runs ask for the same few rings.
+    """
+    slabs = []
+    inner: Tuple[slice, ...] = ()
+    for dim, (extent, (start, stop)) in enumerate(zip(shape, box)):
+        rest = (slice(None),) * (len(shape) - dim - 1)
+        for lo, hi in ((0, start), (stop, extent)):
+            if lo < hi:
+                slabs.append(inner + (slice(lo, hi),) + rest)
+        inner += (slice(start, stop),)
+    boxed = math.prod(stop - start for start, stop in box)
+    return tuple(slabs), math.prod(shape) - boxed
+
+
+def ringed(shape: Tuple[int, ...], dtype, box) -> Tuple[np.ndarray, int]:
+    """``(buffer, bytes zeroed)``: a fresh buffer that is zero on the
+    :func:`ring` around ``box`` and uninitialised inside it."""
+    slabs, elements = ring(shape, box)
+    buffer = np.empty(shape, dtype=dtype)
+    for slab in slabs:
+        buffer[slab] = 0
+    return buffer, elements * buffer.itemsize
+
+
+def build_state(layout, inputs=None, scalars=None, metrics=None, fill=None):
     """``(arrays, scalars)``: the state one run of a program starts from.
 
     The one place storage is allocated and seeded.  ``inputs`` is checked
     (:func:`validate_inputs`) before anything is allocated; every array
-    slot of ``layout`` gets a fresh zero-filled buffer of its shape and
-    kind, overwritten with the caller's value where one was given (a
-    copy: the caller's array is never written); every scalar slot starts
-    at its kind's zero (:data:`SCALAR_INIT`) unless ``scalars`` — already
-    checked by :func:`validate_scalars` — names it.  A kernel then works
-    in place on exactly these arrays.
+    slot of ``layout`` gets a fresh buffer of its shape and kind.  The
+    caller's value, where one was given, is copied in (the caller's array
+    is never written); an array ``fill`` (:attr:`ScalarProgram.fill_plan`)
+    boxes is zeroed only on the :func:`ring` around its box, which the
+    program writes before it reads; every other array starts at zero.
+    Every scalar slot starts at its kind's zero (:data:`SCALAR_INIT`)
+    unless ``scalars`` — already checked by :func:`validate_scalars` —
+    names it.  A kernel then works in place on exactly these arrays.
 
     ``metrics`` (anything with ``incr``) counts ``exec.bytes_zeroed`` and
-    ``exec.bytes_copied``, the cost a buffer plan would remove.
+    ``exec.bytes_copied``, the bytes actually zeroed and copied in.
     """
     inputs = validate_inputs(layout, inputs) or {}
+    fill = fill or {}
     arrays = {}
     start = {}
+    zeroed = copied = 0
     for name, role, kind, shape, _bases in layout:
         if role != "array":
             start[name] = SCALAR_INIT[kind]
             continue
-        arrays[name] = buffer = np.zeros(shape, dtype=NP_DTYPES[kind])
+        # A seeded array is covered whole by its copy.
+        box = (
+            tuple((0, extent) for extent in shape)
+            if name in inputs
+            else fill.get(name)
+        )
+        if box is None:
+            arrays[name] = buffer = np.zeros(shape, dtype=NP_DTYPES[kind])
+            zeroed += buffer.nbytes
+            continue
+        arrays[name], count = ringed(shape, NP_DTYPES[kind], box)
+        zeroed += count
         if name in inputs:
-            buffer[...] = inputs[name]
+            arrays[name][...] = inputs[name]
+            copied += arrays[name].nbytes
     if scalars:
         start.update(scalars)
     if metrics is not None:
-        metrics.incr(
-            "exec.bytes_zeroed", sum(buffer.nbytes for buffer in arrays.values())
-        )
+        metrics.incr("exec.bytes_zeroed", zeroed)
         if inputs:
-            metrics.incr(
-                "exec.bytes_copied", sum(arrays[name].nbytes for name in inputs)
-            )
+            metrics.incr("exec.bytes_copied", copied)
     return arrays, start
 
 

@@ -23,7 +23,8 @@ thread, rank and loop-interchange consumers each derive their verdict
 from — and :func:`sinkable` says whether a column sweep's serial loop may
 move under its row loops.  :attr:`ScalarProgram.layout` says what storage
 a program needs: one :class:`Slot` per array and scalar, the only place an
-allocation region becomes a shape.
+allocation region becomes a shape; :attr:`ScalarProgram.fill_plan` says
+which part of it a run may leave unfilled.
 
 This IR is what the interpreters execute, the cache simulator traces, and
 the code generators print.
@@ -595,6 +596,29 @@ def int_config_env(configs: Mapping[str, object]) -> Dict[str, int]:
     return env
 
 
+def _written_box(
+    nest: LoopNest, name: str, env: Mapping[str, int], bases: Tuple[int, ...]
+) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The raw box of ``name`` that ``nest`` writes before any read of it,
+    or None (:attr:`ScalarProgram.fill_plan` says when)."""
+    first = next(i for i, stmt in enumerate(nest.body) if stmt.target == name)
+    for index, stmt in enumerate(nest.body):
+        for ref in stmt.rhs.array_refs():
+            if ref.name == name and (index <= first or any(ref.offset)):
+                return None
+    region = nest.region
+    if (
+        region.rank != len(bases)
+        or not set(region.free_variables()) <= set(env)
+        or region.is_empty(env)
+    ):
+        return None
+    return tuple(
+        (lo - base, hi - base + 1)
+        for (lo, hi), base in zip(region.concrete_bounds(env), bases)
+    )
+
+
 class Slot(NamedTuple):
     """One array or scalar of a program's storage layout."""
 
@@ -608,8 +632,8 @@ class Slot(NamedTuple):
 class ScalarProgram:
     """A fully scalarized program, ready for execution or code generation.
 
-    It is not mutated once built: :attr:`layout` is computed on first use
-    and kept, and so is :attr:`c_sizes`.
+    It is not mutated once built: :attr:`layout` and :attr:`fill_plan`
+    are computed on first use and kept, and so is :attr:`c_sizes`.
 
     It owns what a run returns (``results``, in declared order; default
     all declared).  A contraction scalar is local to its nest: never one.
@@ -701,6 +725,40 @@ class ScalarProgram:
         for name in sorted(self.scalars):
             slots.append(Slot(name, "scalar", self.scalars[name], (), ()))
         return tuple(slots)
+
+    @functools.cached_property
+    def fill_plan(self) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+        """Array name -> the raw box ``((start, stop), ...)`` of its
+        allocation that the program writes before anything reads it.
+
+        A run must start an array at zero only outside its box (the
+        *ring*: halo reads see zeros there), and an array with no entry
+        whole.  Read off the top-level body, in order, up to the first
+        :class:`SeqLoop`, :class:`SIf`, :class:`SWhile` or
+        :class:`SBoundary`: an array gets the region of the first
+        :class:`LoopNest` that stores to it, provided no earlier node
+        reads it, the nest reads it only at offset 0 and only in
+        statements after the first one storing it (so every element a
+        read sees was written at that point), and the region is constant
+        under the configs and non-empty.  A partially contracted array
+        (a circular buffer) never has an entry.
+        """
+        env = int_config_env(self.configs)
+        bases = self.array_bases()
+        plan: Dict[str, Tuple[Tuple[int, int], ...]] = {}
+        seen: Set[str] = set(self.partial)  # read, stored or excluded
+        for node in self.body:
+            if isinstance(node, (SeqLoop, SIf, SWhile, SBoundary)):
+                break
+            if not isinstance(node, LoopNest):
+                continue  # a ScalarAssign reads no array
+            for name in node.writes():
+                if name not in seen:
+                    box = _written_box(node, name, env, bases[name])
+                    if box is not None:
+                        plan[name] = box
+            seen.update(node.arrays())
+        return plan
 
     def array_bases(self) -> Dict[str, Tuple[int, ...]]:
         """Array name -> constant lower bound per dimension (:attr:`layout`):

@@ -345,3 +345,81 @@ def test_distinct_shapes_and_levels_get_distinct_artifacts(service):
     (b * 2.0).compute(service=service)  # new shape, new digest
     counters = service.metrics.snapshot()["counters"]
     assert counters["service.compiles"] == 3
+
+
+# -- the warm path: one walk, a memoised digest, results handed over -------
+
+
+def test_trace_digest_runs_once_per_shape_level_and_backend(service, monkeypatch):
+    from repro.service import fingerprint
+
+    real = fingerprint.trace_digest
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fingerprint, "trace_digest", counting)
+    rng = np.random.default_rng(5)
+    for level in ("c2+f4", "baseline"):
+        for _round in range(5):
+            # (3, 11): a shape no other test of this process traces
+            values = rng.random((3, 11))
+            a = ra.asarray(values)
+            out = (a + a.shift(1, -1)).compute(
+                backend="codegen_np", level=level, service=service
+            )
+            expected = values.copy()
+            expected[:, 1:] += values[:, :-1]
+            assert np.array_equal(out, expected)
+    assert calls == [("c2+f4", "codegen_np"), ("baseline", "codegen_np")]
+    # The cache is still asked every time.
+    assert service.metrics.counter("cache.hits") == 8
+    assert service.metrics.counter("service.compiles") == 2
+
+
+def test_the_memoised_digest_is_the_digest_of_the_canonical_encoding(service):
+    import json
+
+    from repro.array.graph import Trace
+    from repro.array.materialize import _trace_digest
+    from repro.service import fingerprint
+
+    a = ra.asarray(np.ones((4, 6)))
+    b = ra.index((4, 6), 2)
+    total = (a.shift(0, 1) * b + 1.5).sum()
+    trace = Trace((total.node, (a * b).node, total.node))
+    version = service.cache.code_version
+    want = fingerprint.trace_digest(
+        trace.canonical(), "c2", "codegen_np", code_version=version
+    )
+    assert _trace_digest(trace, "c2", "codegen_np", version) == want
+    assert _trace_digest(trace, "c2", "codegen_np", version) == want
+    # The rows and the canonical encoding are one content: the same JSON.
+    assert json.dumps(trace.canonical()) == json.dumps(
+        {"nodes": trace.rows, "outputs": trace.output_ids}
+    )
+
+
+def test_a_node_requested_twice_gets_two_arrays(service):
+    a = ra.asarray(np.arange(12.0).reshape(3, 4))
+    b = a * 2.0
+    first, second = ra.compute(b, b, service=service)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    first[...] = -1.0
+    assert np.array_equal(second, np.arange(12.0).reshape(3, 4) * 2.0)
+
+
+def test_mutating_a_result_changes_no_later_result(service):
+    values = np.arange(20.0).reshape(4, 5)
+    results = []
+    for _round in range(3):
+        a = ra.asarray(values)
+        out, total = ra.compute(a * 3.0, (a.shift(0, 1) + a).sum(), service=service)
+        results.append((out.copy(), total))
+        out[...] = np.nan  # the caller owns what it was handed
+    assert all(np.array_equal(out, values * 3.0) for out, _total in results)
+    assert len({total for _out, total in results}) == 1
+    assert np.array_equal(values, np.arange(20.0).reshape(4, 5))

@@ -464,6 +464,44 @@ class TestDrain:
         assert shm.leaked_segments(daemon.token) == []
 
 
+    def test_stop_bounds_a_drain_whose_job_never_returns(self, tmp_path):
+        # A while loop whose condition never turns false: the client gets
+        # its 504 after request_timeout_s, and the drain that follows
+        # waits that long again at most, then ends the worker.
+        forever = SOURCE.replace(
+            "s := +<< [R] B;",
+            "s := +<< [R] B;\n  while 1 < 2 do s := s + 1.0; end;",
+        )
+        config = DaemonConfig(
+            workers=1, cache_dir=str(tmp_path / "cache"), request_timeout_s=1.0
+        )
+        daemon = Daemon(config)
+        daemon.start()
+        errors = []
+
+        def submit():
+            with DaemonClient(port=daemon.port, timeout=30) as client:
+                try:
+                    client.execute(
+                        forever,
+                        arrays={"A": np.ones((8, 8))},
+                        level="baseline",
+                        want_arrays=["B"],
+                    )
+                except DaemonError as error:
+                    errors.append(error)
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        thread.join(timeout=30)
+        assert errors and "timed out" in str(errors[0])
+        started = time.monotonic()
+        daemon.stop(drain=True)
+        assert time.monotonic() - started < config.request_timeout_s + 4.0
+        assert daemon.pool.worker_pids() == []
+        assert shm.leaked_segments(daemon.token) == []
+
+
 @pytest.mark.skipif(
     not __import__("repro.exec.native", fromlist=["cc_available"]).cc_available(),
     reason="needs a host C compiler",
