@@ -27,7 +27,12 @@ plus halo; only the halo ring is zeroed, by the same
 that zero ring is what defines out-of-edge ``shift`` reads; a slot with
 no halo takes the traced value as it is).  Each ``out<i>``/``res<i>``
 result is sliced back to its declared shape; an array whose slot has no
-halo is handed back as the run's own fresh buffer, not copied.
+halo is handed back as the run's own fresh buffer.  A node keeps, per
+digest, the values no caller holds — its scalars, and its arrays that
+were sliced out of a padded buffer — so computing it again skips
+execution and hands out copies; an array handed over as the run's own
+buffer is not kept, and computing it again runs the program again.
+Either way no result shares memory with an earlier one.
 """
 
 from __future__ import annotations
@@ -153,10 +158,11 @@ def compute_nodes(
         build_ir, level=level_name, backend=backend_name, digest=digest
     )
 
-    # Already-materialized values (same node, same digest) skip execution.
+    # Already-materialized values (same node, same digest) skip execution:
+    # the memo holds only values no caller holds, and hands out copies.
     names = trace.output_names()
     if all(node.cache.get(digest) is not None for node in trace.outputs):
-        return [node.cache[digest] for node in trace.outputs]
+        return [_fresh(node.cache[digest]) for node in trace.outputs]
 
     slots = {slot.name: slot for slot in compiled.scalar_program.layout}
     inputs: Dict[str, np.ndarray] = {}
@@ -175,15 +181,24 @@ def compute_nodes(
         if node.is_array:
             raw = result.arrays[name]
             if raw.shape != node.shape:
+                # The memo keeps a view into the run's padded buffer, which
+                # no caller holds; the caller gets the interior's copy.
                 box = _interior_box(slots[name], node.shape)
-                value = raw[tuple(slice(*pair) for pair in box)].copy()
+                node.cache[digest] = raw[tuple(slice(*pair) for pair in box)]
+                value = node.cache[digest].copy()
             elif name in handed_out:  # a node requested in several slots
                 value = raw.copy()
             else:
+                # The caller owns the run's own buffer: nothing is kept,
+                # and computing the node again runs the program again.
                 value = raw
             handed_out.add(name)
         else:
-            value = result.scalars[name]
-        node.cache[digest] = value
+            value = node.cache[digest] = result.scalars[name]
         values.append(value)
     return values
+
+
+def _fresh(value):
+    """A memoised value as a caller may own it: arrays are copied."""
+    return value.copy() if isinstance(value, np.ndarray) else value

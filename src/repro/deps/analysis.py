@@ -17,17 +17,17 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.deps.asdg import ASDG, DepLabel, DepType
+from repro.ir.expr import compile_memo
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.ir.statement import ArrayStatement
 from repro.util.vectors import IntVector, sub, zero
 
 
-def _maybe_nonnegative(expr: LinearExpr) -> bool:
-    """True iff ``expr >= 0`` may hold (conservatively true when symbolic)."""
-    if expr.is_constant:
-        return expr.const >= 0
-    return True
+def _may_precede(lo: LinearExpr, lo_shift: int, hi: LinearExpr, hi_shift: int) -> bool:
+    """May ``lo + lo_shift <= hi + hi_shift`` hold?  (True when symbolic.)"""
+    gap = hi.constant_offset_from(lo)
+    return gap is None or gap + hi_shift - lo_shift >= 0
 
 
 def regions_may_overlap(
@@ -41,14 +41,12 @@ def regions_may_overlap(
     if region_a.rank != region_b.rank:
         return False
     for dim in range(region_a.rank):
-        lo_a = region_a.dims[dim][0] + offset_a[dim]
-        hi_a = region_a.dims[dim][1] + offset_a[dim]
-        lo_b = region_b.dims[dim][0] + offset_b[dim]
-        hi_b = region_b.dims[dim][1] + offset_b[dim]
+        lo_a, hi_a = region_a.dims[dim]
+        lo_b, hi_b = region_b.dims[dim]
         # Overlap in this dimension requires lo_a <= hi_b and lo_b <= hi_a.
-        if not _maybe_nonnegative(hi_b - lo_a):
+        if not _may_precede(lo_a, offset_a[dim], hi_b, offset_b[dim]):
             return False
-        if not _maybe_nonnegative(hi_a - lo_b):
+        if not _may_precede(lo_b, offset_b[dim], hi_a, offset_a[dim]):
             return False
     return True
 
@@ -86,6 +84,11 @@ def build_asdg(block: Sequence[ArrayStatement]) -> ASDG:
     reduction in the same block writes (or vice versa) must stay in a
     different cluster, ordered after (before) the reduction.
     """
+    with compile_memo():
+        return _build_asdg(block)
+
+
+def _build_asdg(block: Sequence[ArrayStatement]) -> ASDG:
     graph = ASDG(block)
     accesses = [_accesses(stmt) for stmt in block]
     for stmt in block:
@@ -98,6 +101,13 @@ def build_asdg(block: Sequence[ArrayStatement]) -> ASDG:
                 graph.add_self_dependence(
                     stmt, DepLabel(stmt.target, ref.offset, DepType.ANTI)
                 )
+    # Per statement: array -> its accesses, in access order.
+    by_array = []
+    for stmt_accesses in accesses:
+        grouped = {}
+        for access in stmt_accesses:
+            grouped.setdefault(access.array, []).append(access)
+        by_array.append(grouped)
     scalar_writes = [set(stmt.scalar_writes()) for stmt in block]
     scalar_reads = [
         {ref.name for ref in stmt.rhs.scalar_refs()} for stmt in block
@@ -105,10 +115,9 @@ def build_asdg(block: Sequence[ArrayStatement]) -> ASDG:
     for i, earlier in enumerate(block):
         for j in range(i + 1, len(block)):
             later = block[j]
+            shared = by_array[j]
             for src in accesses[i]:
-                for dst in accesses[j]:
-                    if src.array != dst.array:
-                        continue
+                for dst in shared.get(src.array, ()):
                     dep_type = _classify(src.is_write, dst.is_write)
                     if dep_type is None:
                         continue
@@ -120,6 +129,8 @@ def build_asdg(block: Sequence[ArrayStatement]) -> ASDG:
                     graph.add_dependence(
                         earlier, later, DepLabel(src.array, udv, dep_type)
                     )
+            if not (scalar_writes[i] or scalar_writes[j]):
+                continue
             conflicts = (
                 (scalar_writes[i] & scalar_reads[j])
                 | (scalar_reads[i] & scalar_writes[j])

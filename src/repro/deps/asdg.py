@@ -9,7 +9,7 @@ vector, dependence type)`` labels.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.statement import ArrayStatement
 from repro.util.errors import DependenceError
@@ -62,6 +62,12 @@ class DepLabel:
         return hash((self.variable, self.udv, self.type))
 
 
+#: ``(source, target, labels)`` of one edge.
+Edge = Tuple[ArrayStatement, ArrayStatement, Tuple[DepLabel, ...]]
+#: ``(source, target, label)`` of one dependence.
+Dependence = Tuple[ArrayStatement, ArrayStatement, DepLabel]
+
+
 class ASDG:
     """The dependence graph of one basic block of array statements."""
 
@@ -77,6 +83,10 @@ class ASDG:
         # temporary) constrains the loop structure of whatever cluster it
         # joins, but creates no edge (the ASDG stays acyclic).
         self._self_labels: Dict[int, List[DepLabel]] = {}
+        #: Derived views, found on first use after the last change.
+        self._edge_list: Optional[List[Edge]] = None
+        self._on_variable: Optional[Dict[str, List[Dependence]]] = None
+        self._referencing: Optional[Dict[str, List[ArrayStatement]]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -98,12 +108,14 @@ class ASDG:
         if label not in labels:
             labels.append(label)
         self._succ[source.uid].add(target.uid)
+        self._edge_list = self._on_variable = None
 
     def add_self_dependence(self, stmt: ArrayStatement, label: DepLabel) -> None:
         """Record a within-statement dependence (target read by its own RHS)."""
         labels = self._self_labels.setdefault(stmt.uid, [])
         if label not in labels:
             labels.append(label)
+        self._on_variable = None
 
     def self_labels(self, stmt: ArrayStatement) -> List[DepLabel]:
         return list(self._self_labels.get(stmt.uid, ()))
@@ -119,14 +131,15 @@ class ASDG:
     def position(self, stmt: ArrayStatement) -> int:
         return self._index[stmt.uid]
 
-    def edges(self) -> Iterator[Tuple[ArrayStatement, ArrayStatement, List[DepLabel]]]:
-        """All edges with their labels, in deterministic order."""
-        for (src_uid, dst_uid) in sorted(self._labels):
-            yield (
-                self.statement(src_uid),
-                self.statement(dst_uid),
-                list(self._labels[(src_uid, dst_uid)]),
-            )
+    def edges(self) -> List[Edge]:
+        """All edges with their labels, in deterministic order (kept until
+        the next edge is added: read it, do not change it)."""
+        if self._edge_list is None:
+            self._edge_list = [
+                (self.statement(src_uid), self.statement(dst_uid), tuple(labels))
+                for (src_uid, dst_uid), labels in sorted(self._labels.items())
+            ]
+        return self._edge_list
 
     def edge_count(self) -> int:
         return len(self._labels)
@@ -139,39 +152,40 @@ class ASDG:
     def successors(self, stmt: ArrayStatement) -> List[ArrayStatement]:
         return [self.statement(uid) for uid in sorted(self._succ[stmt.uid])]
 
-    def dependences_on(self, variable: str) -> List[
-        Tuple[ArrayStatement, ArrayStatement, DepLabel]
-    ]:
+    def dependences_on(self, variable: str) -> List[Dependence]:
         """All dependences induced by ``variable``."""
-        result = []
-        for source, target, labels in self.edges():
-            for label in labels:
-                if label.variable == variable:
-                    result.append((source, target, label))
-        for stmt in self.statements:
-            for label in self._self_labels.get(stmt.uid, ()):
-                if label.variable == variable:
-                    result.append((stmt, stmt, label))
-        return result
+        if self._on_variable is None:
+            on_variable: Dict[str, List[Dependence]] = {}
+            for source, target, labels in self.edges():
+                for label in labels:
+                    on_variable.setdefault(label.variable, []).append(
+                        (source, target, label)
+                    )
+            for stmt in self.statements:
+                for label in self._self_labels.get(stmt.uid, ()):
+                    on_variable.setdefault(label.variable, []).append(
+                        (stmt, stmt, label)
+                    )
+            self._on_variable = on_variable
+        return list(self._on_variable.get(variable, ()))
 
     def variables(self) -> List[str]:
         """All array variables referenced in the block, in first-use order."""
-        names: List[str] = []
-        for stmt in self.statements:
-            for name in stmt.referenced_arrays():
-                if name not in names:
-                    names.append(name)
-        return names
+        return list(self._references())
 
     def statements_referencing(self, variable: str) -> List[ArrayStatement]:
         """Statements that read or write ``variable``."""
-        result = []
-        for stmt in self.statements:
-            if stmt.target == variable or any(
-                ref.name == variable for ref in stmt.reads()
-            ):
-                result.append(stmt)
-        return result
+        return list(self._references().get(variable, ()))
+
+    def _references(self) -> Dict[str, List[ArrayStatement]]:
+        """Array -> statements reading or writing it; keys in first-use order."""
+        if self._referencing is None:
+            referencing: Dict[str, List[ArrayStatement]] = {}
+            for stmt in self.statements:
+                for name in stmt.referenced_arrays():
+                    referencing.setdefault(name, []).append(stmt)
+            self._referencing = referencing
+        return self._referencing
 
     # -- rendering --------------------------------------------------------------
 

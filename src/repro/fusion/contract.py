@@ -48,10 +48,6 @@ def is_contractible(
     return referencing <= set(cluster_ids)
 
 
-def _definitely_nonnegative(expr) -> bool:
-    return expr.is_constant and expr.const >= 0
-
-
 def _contained(outer_region, inner_region, offset) -> bool:
     """Is ``inner_region + offset`` definitely contained in ``outer_region``?
 
@@ -64,9 +60,11 @@ def _contained(outer_region, inner_region, offset) -> bool:
     for (olo, ohi), (ilo, ihi), off in zip(
         outer_region.dims, inner_region.dims, offset
     ):
-        if not _definitely_nonnegative((ilo + off) - olo):
+        low_gap = ilo.constant_offset_from(olo)  # ilo + off >= olo
+        if low_gap is None or low_gap + off < 0:
             return False
-        if not _definitely_nonnegative(ohi - (ihi + off)):
+        high_gap = ohi.constant_offset_from(ihi)  # ohi >= ihi + off
+        if high_gap is None or high_gap - off < 0:
             return False
     return True
 
@@ -191,7 +189,7 @@ def split_live_ranges(
             ranges.append([stmt])
             current = ranges[-1]
             continue
-        if any(ref.name == variable for ref in stmt.reads()):
+        if variable in stmt.read_names():
             if current is None:
                 has_incoming = True
             else:

@@ -56,8 +56,7 @@ def partial_candidate(
     ref_stmts = [
         stmt
         for stmt in block
-        if stmt.target == variable
-        or any(ref.name == variable for ref in stmt.reads())
+        if stmt.target == variable or variable in stmt.read_names()
     ]
     writes = [stmt for stmt in ref_stmts if stmt.target == variable]
     if not writes:

@@ -41,6 +41,8 @@ class FusionPartition:
         self._members: Dict[int, List[ArrayStatement]] = {
             i: [stmt] for i, stmt in enumerate(graph.statements)
         }
+        #: The quotient graph, found on first use after the last merge.
+        self._cluster_edges: Optional[Dict[int, Set[int]]] = None
 
     # -- queries --------------------------------------------------------
 
@@ -90,14 +92,19 @@ class FusionPartition:
         return result
 
     def cluster_graph(self) -> Dict[int, Set[int]]:
-        """The quotient graph: edges between distinct clusters."""
-        edges: Dict[int, Set[int]] = {cid: set() for cid in self._members}
-        for source, target, _labels in self.graph.edges():
-            src_cluster = self._cluster_of[source.uid]
-            dst_cluster = self._cluster_of[target.uid]
-            if src_cluster != dst_cluster:
-                edges[src_cluster].add(dst_cluster)
-        return edges
+        """The quotient graph: edges between distinct clusters.
+
+        Kept until the next merge; callers read it and must not change it.
+        """
+        if self._cluster_edges is None:
+            edges: Dict[int, Set[int]] = {cid: set() for cid in self._members}
+            for source, target, _labels in self.graph.edges():
+                src_cluster = self._cluster_of[source.uid]
+                dst_cluster = self._cluster_of[target.uid]
+                if src_cluster != dst_cluster:
+                    edges[src_cluster].add(dst_cluster)
+            self._cluster_edges = edges
+        return self._cluster_edges
 
     # -- validity (Definition 5) -------------------------------------------
 
@@ -176,6 +183,7 @@ class FusionPartition:
         self._members[target] = survivors
         for stmt in survivors:
             self._cluster_of[stmt.uid] = target
+        self._cluster_edges = None
         return target
 
     # -- scalarization support ------------------------------------------------

@@ -30,6 +30,7 @@ from repro.fusion.algorithm import (
 from repro.fusion.contract import eligible_candidates
 from repro.fusion.partition import FusionPartition
 from repro.fusion.weights import weight_env
+from repro.ir.expr import compile_memo
 from repro.ir.program import IRProgram
 from repro.ir.statement import ArrayStatement
 from repro.util.errors import ReproError
@@ -230,9 +231,9 @@ class BlockPlan:
             range_scalars = {}
             for stmt in block:
                 for name in contracted:
-                    touches = (stmt.target == name and stmt.writes_array) or any(
-                        ref.name == name for ref in stmt.reads()
-                    )
+                    touches = (
+                        stmt.target == name and stmt.writes_array
+                    ) or name in stmt.read_names()
                     if touches:
                         range_scalars[(stmt.uid, name)] = name + "__s"
         self.range_scalars = range_scalars
@@ -406,10 +407,11 @@ def plan_program(
     meter the dependence and fusion passes separately.
     """
     plan = ProgramPlan(program, level)
-    for ordinal, block in enumerate(program.blocks()):
-        plan.add(
-            plan_block(
-                program, block, level, merge_filter, timers, ordinal
+    with compile_memo(), program.indexed():
+        for ordinal, block in enumerate(program.blocks()):
+            plan.add(
+                plan_block(
+                    program, block, level, merge_filter, timers, ordinal
+                )
             )
-        )
     return plan

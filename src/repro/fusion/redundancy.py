@@ -126,39 +126,50 @@ class BlockCSE:
 # -- value numbering ---------------------------------------------------------
 
 
-def _key(expr: ir.IRExpr) -> Tuple:
+def _key(expr: ir.IRExpr, memo: Optional[Dict[ir.IRExpr, Tuple]] = None) -> Tuple:
     """A structural key: equal keys <=> identical terms (dtype-exact).
 
     ``Const(1)``, ``Const(1.0)`` and ``Const(True)`` must not share a
     key — they promote differently — hence the value's type is part of
-    the key.
+    the key.  ``memo`` holds the keys of nodes already seen: a node never
+    changes, so neither does its key.
     """
+    if memo is None:
+        memo = {}
+    key = memo.get(expr)
+    if key is not None:
+        return key
     if isinstance(expr, ir.Const):
-        return ("c", type(expr.value).__name__, repr(expr.value))
-    if isinstance(expr, ir.ScalarRef):
-        return ("s", expr.name)
-    if isinstance(expr, ir.ArrayRef):
-        return ("a", expr.name, expr.offset)
-    if isinstance(expr, ir.IndexRef):
-        return ("i", expr.dim)
-    if isinstance(expr, ir.BinOp):
-        return ("b", expr.op, _key(expr.left), _key(expr.right))
-    if isinstance(expr, ir.UnOp):
-        return ("u", expr.op, _key(expr.operand))
-    if isinstance(expr, ir.Call):
-        return ("f", expr.name) + tuple(_key(arg) for arg in expr.args)
-    # Reduce (or future nodes): opaque, never value-numbered.
-    return ("opaque", id(expr))
+        key = ("c", type(expr.value).__name__, repr(expr.value))
+    elif isinstance(expr, ir.ScalarRef):
+        key = ("s", expr.name)
+    elif isinstance(expr, ir.ArrayRef):
+        key = ("a", expr.name, expr.offset)
+    elif isinstance(expr, ir.IndexRef):
+        key = ("i", expr.dim)
+    elif isinstance(expr, ir.BinOp):
+        key = ("b", expr.op, _key(expr.left, memo), _key(expr.right, memo))
+    elif isinstance(expr, ir.UnOp):
+        key = ("u", expr.op, _key(expr.operand, memo))
+    elif isinstance(expr, ir.Call):
+        key = ("f", expr.name) + tuple(_key(arg, memo) for arg in expr.args)
+    else:
+        # Reduce (or future nodes): opaque, never value-numbered.
+        key = ("opaque", id(expr))
+    memo[expr] = key
+    return key
 
 
-def _canonical_key(expr: ir.IRExpr) -> Tuple:
+def _canonical_key(
+    expr: ir.IRExpr, memo: Optional[Dict[ir.IRExpr, Tuple]] = None
+) -> Tuple:
     """The shift-canonicalized key: offsets relative to the term's first
     array reference, so ``A@(0,1) + B@(0,0)`` and ``A@(1,1) + B@(1,0)``
     share a value class (they read the same elements one iteration
     apart)."""
     refs = expr.array_refs()
     if not refs:
-        return _key(expr)
+        return _key(expr, memo)
     base = refs[0].offset
 
     def visit(node: ir.IRExpr) -> Optional[ir.IRExpr]:
@@ -167,21 +178,26 @@ def _canonical_key(expr: ir.IRExpr) -> Tuple:
             return ir.ArrayRef(node.name, delta)
         return None
 
-    return _key(expr.map(visit))
+    return _key(expr.map(visit), memo)
 
 
-def _replace_key(expr: ir.IRExpr, key: Tuple, repl: ir.IRExpr) -> ir.IRExpr:
+def _replace_key(
+    expr: ir.IRExpr,
+    key: Tuple,
+    repl: ir.IRExpr,
+    memo: Optional[Dict[ir.IRExpr, Tuple]] = None,
+) -> ir.IRExpr:
     """Top-down replacement of every subtree matching ``key``.
 
     Top-down, not :meth:`IRExpr.map` (bottom-up): rewriting an inner
     occurrence first would destroy the match of an enclosing one.
     """
-    if _key(expr) == key:
+    if _key(expr, memo) == key:
         return repl
     children = list(expr.children())
     if not children:
         return expr
-    new_children = [_replace_key(child, key, repl) for child in children]
+    new_children = [_replace_key(child, key, repl, memo) for child in children]
     if all(new is old for new, old in zip(new_children, children)):
         return expr
     return expr._rebuild(new_children)
@@ -234,6 +250,7 @@ def _rewrite_contracted(
 def _candidates(
     entries: List[_Entry],
     written_arrays: Set[str],
+    memo: Optional[Dict[ir.IRExpr, Tuple]] = None,
 ) -> List[_Candidate]:
     occurrences: Dict[Tuple, List[Tuple[int, ir.IRExpr]]] = {}
     for pos, entry in enumerate(entries):
@@ -242,7 +259,7 @@ def _candidates(
                 continue
             if isinstance(node, ir.Reduce):
                 continue
-            occurrences.setdefault(_key(node), []).append((pos, node))
+            occurrences.setdefault(_key(node, memo), []).append((pos, node))
 
     result: List[_Candidate] = []
     for key, occs in occurrences.items():
@@ -283,6 +300,7 @@ def _eliminate_cluster(
     written_arrays: Set[str] = set()
     has_contracted = False
     offset_self_read = False
+    key_memo: Dict[ir.IRExpr, Tuple] = {}
 
     for stmt in members:
         rhs = _rewrite_contracted(stmt, range_scalars)
@@ -311,7 +329,9 @@ def _eliminate_cluster(
     for entry in entries:
         for node in entry.rhs.walk():
             if isinstance(node, (ir.BinOp, ir.UnOp, ir.Call)):
-                classes.setdefault(_canonical_key(node), set()).add(_key(node))
+                classes.setdefault(_canonical_key(node, key_memo), set()).add(
+                    _key(node, key_memo)
+                )
     value_classes = sum(1 for keys in classes.values() if len(keys) >= 1)
     shifted_classes = sum(1 for keys in classes.values() if len(keys) >= 2)
 
@@ -328,7 +348,7 @@ def _eliminate_cluster(
         return None, stats._replace(clusters_skipped=1)
 
     while True:
-        candidates = _candidates(entries, written_arrays)
+        candidates = _candidates(entries, written_arrays, key_memo)
         if not candidates:
             break
         best = max(candidates, key=lambda c: (c.saved, -c.positions[0]))
@@ -336,7 +356,7 @@ def _eliminate_cluster(
         repl = ir.ScalarRef(scalar)
         first, last = best.positions[0], best.positions[-1]
         for pos in range(first, last + 1):
-            entries[pos].rhs = _replace_key(entries[pos].rhs, best.key, repl)
+            entries[pos].rhs = _replace_key(entries[pos].rhs, best.key, repl, key_memo)
         entries.insert(
             first,
             _Entry(

@@ -8,35 +8,115 @@ only in scalar statements; normalization hoists them out of array contexts.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import threading
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.lang import operators
 from repro.util.vectors import IntVector, format_vector, is_zero
 
 
+class _Refs:
+    """What one expression references: found in one walk of its tree."""
+
+    __slots__ = ("arrays", "scalars", "array_names")
+
+    def __init__(self, expr: "IRExpr") -> None:
+        arrays: List[ArrayRef] = []
+        scalars: List[ScalarRef] = []
+        for node in expr.walk():
+            kind = type(node)
+            if kind is ArrayRef:
+                arrays.append(node)
+            elif kind is ScalarRef:
+                scalars.append(node)
+        self.arrays: Tuple[ArrayRef, ...] = tuple(arrays)
+        self.scalars: Tuple[ScalarRef, ...] = tuple(scalars)
+        self.array_names: FrozenSet[str] = frozenset(ref.name for ref in arrays)
+
+
+class _CompileMemo(threading.local):
+    #: node -> its :class:`_Refs` while a :func:`compile_memo` block runs
+    refs: Optional[Dict["IRExpr", _Refs]] = None
+
+
+_MEMO = _CompileMemo()
+
+
+@contextmanager
+def compile_memo() -> Iterator[None]:
+    """Derive each expression's references at most once inside the block.
+
+    IR expression nodes are never mutated once built (a rewrite builds new
+    nodes), so what a node references is a fact about the node.  The passes
+    of one compile ask for the same facts many times; inside this block
+    they are found once and kept in a table owned by the block — not on the
+    nodes, which a compiled artifact keeps.  The table goes when the
+    outermost block exits, so no memo outlives a compile; nested blocks
+    share it.  Outside any block every query walks the tree.
+    """
+    if _MEMO.refs is not None:
+        yield
+        return
+    _MEMO.refs = {}
+    try:
+        yield
+    finally:
+        _MEMO.refs = None
+
+
 class IRExpr:
-    """Base class for IR expressions."""
+    """Base class for IR expressions.
+
+    Nodes are immutable: no field is assigned outside ``__init__``
+    (``tests/test_structure.py`` checks it), which is what lets
+    :func:`compile_memo` keep facts about a node.
+    """
 
     __slots__ = ()
 
-    def array_refs(self) -> List["ArrayRef"]:
-        """All array references in this expression, in source order."""
-        refs: List[ArrayRef] = []
-        for node in self.walk():
-            if isinstance(node, ArrayRef):
-                refs.append(node)
+    def _refs(self) -> _Refs:
+        memo = _MEMO.refs
+        if memo is None:
+            return _Refs(self)
+        refs = memo.get(self)
+        if refs is None:
+            refs = memo[self] = _Refs(self)
         return refs
 
-    def scalar_refs(self) -> List["ScalarRef"]:
-        """All scalar reads in this expression, in source order."""
-        return [node for node in self.walk() if isinstance(node, ScalarRef)]
+    def array_refs(self) -> Tuple["ArrayRef", ...]:
+        """All array references in this expression, in source order."""
+        return self._refs().arrays
 
-    def walk(self) -> Iterator["IRExpr"]:
-        """Pre-order traversal of the expression tree."""
-        yield self
-        for child in self.children():
-            for node in child.walk():
-                yield node
+    def scalar_refs(self) -> Tuple["ScalarRef", ...]:
+        """All scalar reads in this expression, in source order."""
+        return self._refs().scalars
+
+    def array_names(self) -> FrozenSet[str]:
+        """The names of the arrays this expression reads."""
+        return self._refs().array_names
+
+    def walk(self) -> List["IRExpr"]:
+        """Every node of the tree, in pre-order."""
+        nodes: List[IRExpr] = []
+        stack: List[IRExpr] = [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
+        return nodes
 
     def children(self) -> Sequence["IRExpr"]:
         return ()

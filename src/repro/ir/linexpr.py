@@ -10,7 +10,7 @@ cluster to operate under *the same* region.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.util.errors import NormalizationError
 
@@ -25,13 +25,23 @@ class LinearExpr:
     def __init__(self, const: int = 0, terms: Mapping[str, int] = ()) -> None:
         self.const = int(const)
         cleaned: Dict[str, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for name, coef in items:
-            coef = int(coef)
-            if coef:
-                cleaned[name] = cleaned.get(name, 0) + coef
+        if terms:
+            items = terms.items() if hasattr(terms, "items") else terms
+            for name, coef in items:
+                coef = int(coef)
+                if coef:
+                    cleaned[name] = cleaned.get(name, 0) + coef
         self.terms: Tuple[Tuple[str, int], ...] = tuple(sorted(cleaned.items()))
         self._hash = hash((self.const, self.terms))
+
+    @classmethod
+    def _canonical(cls, const: int, terms: Tuple[Tuple[str, int], ...]) -> "LinearExpr":
+        """Build from an ``int`` and terms already sorted and non-zero."""
+        expr = object.__new__(cls)
+        expr.const = const
+        expr.terms = terms
+        expr._hash = hash((const, terms))
+        return expr
 
     # -- constructors ----------------------------------------------------
 
@@ -50,18 +60,33 @@ class LinearExpr:
         return LinearExpr(int(value))
 
     # -- algebra ----------------------------------------------------------
+    #
+    # ``int`` operands and operands whose terms are empty or equal skip the
+    # merge: the result's terms are one side's, or none.
 
     def __add__(self, other: Number) -> "LinearExpr":
+        if type(other) is int:
+            return LinearExpr._canonical(self.const + other, self.terms)
         other = LinearExpr.coerce(other)
+        const = self.const + other.const
+        if not other.terms:
+            return LinearExpr._canonical(const, self.terms)
+        if not self.terms:
+            return LinearExpr._canonical(const, other.terms)
         terms = dict(self.terms)
         for name, coef in other.terms:
             terms[name] = terms.get(name, 0) + coef
-        return LinearExpr(self.const + other.const, terms)
+        return LinearExpr(const, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other: Number) -> "LinearExpr":
-        return self + LinearExpr.coerce(other).scaled(-1)
+        if type(other) is int:
+            return LinearExpr._canonical(self.const - other, self.terms)
+        other = LinearExpr.coerce(other)
+        if self.terms == other.terms:
+            return LinearExpr._canonical(self.const - other.const, ())
+        return self + other.scaled(-1)
 
     def __rsub__(self, other: Number) -> "LinearExpr":
         return LinearExpr.coerce(other) - self
@@ -70,6 +95,11 @@ class LinearExpr:
         return self.scaled(-1)
 
     def scaled(self, factor: int) -> "LinearExpr":
+        if type(factor) is int and factor:
+            return LinearExpr._canonical(
+                self.const * factor,
+                tuple((name, coef * factor) for name, coef in self.terms),
+            )
         return LinearExpr(
             self.const * factor, {name: coef * factor for name, coef in self.terms}
         )
@@ -93,6 +123,12 @@ class LinearExpr:
     def is_constant(self) -> bool:
         return not self.terms
 
+    def constant_offset_from(self, other: "LinearExpr") -> Optional[int]:
+        """``self - other`` when their variables cancel, else ``None``."""
+        if self.terms == other.terms:
+            return self.const - other.const
+        return None
+
     def free_variables(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
@@ -109,6 +145,8 @@ class LinearExpr:
 
     def substitute(self, env: Mapping[str, int]) -> "LinearExpr":
         """Partially evaluate: replace any variables present in ``env``."""
+        if not self.terms:
+            return self
         const = self.const
         terms: Dict[str, int] = {}
         for name, coef in self.terms:

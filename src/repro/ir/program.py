@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Set
 
 from repro.ir.region import Region
 from repro.ir.statement import (
     ArrayStatement,
+    BoundaryStatement,
     IRStatement,
     ScalarStatement,
     walk_blocks,
@@ -68,6 +70,44 @@ class ScalarInfo:
         return "ScalarInfo(%s : %s%s)" % (self.name, self.kind, tag)
 
 
+class ReferenceIndex:
+    """Which statements of a program reference each array, from one walk.
+
+    Every whole-program reference query of :class:`IRProgram` answers from
+    this table instead of rescanning the body.  It describes the body as it
+    was when built: :meth:`IRProgram.indexed` keeps one for the length of a
+    stage that rewrites no statement.
+    """
+
+    def __init__(self, body: List[IRStatement]) -> None:
+        self.array_statements: List[ArrayStatement] = []
+        #: array -> array statements that read it, in program order
+        self.readers: Dict[str, List[ArrayStatement]] = {}
+        #: array -> array statements that read or write it, in program order
+        self.touching: Dict[str, List[ArrayStatement]] = {}
+        #: array -> scalar statements whose right-hand side reads it
+        self.scalar_readers: Dict[str, List[ScalarStatement]] = {}
+        self.boundaries: List[BoundaryStatement] = []
+        #: array -> the offsets it is read at
+        self.read_offsets: Dict[str, Set[IntVector]] = {}
+        for stmt in walk_statements(body):
+            if isinstance(stmt, ArrayStatement):
+                self.array_statements.append(stmt)
+                names = stmt.read_names()
+                for name in names:
+                    self.readers.setdefault(name, []).append(stmt)
+                for name in names | {stmt.target}:
+                    self.touching.setdefault(name, []).append(stmt)
+                for ref in stmt.reads():
+                    self.read_offsets.setdefault(ref.name, set()).add(ref.offset)
+            elif isinstance(stmt, ScalarStatement):
+                for name in stmt.rhs.array_names():
+                    self.scalar_readers.setdefault(name, []).append(stmt)
+            elif isinstance(stmt, BoundaryStatement):
+                self.boundaries.append(stmt)
+        self.boundary_arrays = {stmt.array for stmt in self.boundaries}
+
+
 class IRProgram:
     """A normalized program: every array statement is in normal form."""
 
@@ -84,19 +124,37 @@ class IRProgram:
         self.arrays = arrays
         self.scalars = scalars
         self.body = body
+        self._index: Optional[ReferenceIndex] = None
 
     # -- structure queries -------------------------------------------------
+
+    @contextmanager
+    def indexed(self) -> Iterator[ReferenceIndex]:
+        """Answer reference queries from one :class:`ReferenceIndex`.
+
+        A stage that asks many queries and rewrites no statement (planning,
+        scalarization) runs inside this block; the index is dropped when the
+        outermost block exits, and outside one every query builds its own.
+        """
+        if self._index is not None:
+            yield self._index
+            return
+        self._index = ReferenceIndex(self.body)
+        try:
+            yield self._index
+        finally:
+            self._index = None
+
+    def references(self) -> ReferenceIndex:
+        """The active index, or a fresh one of the body as it is now."""
+        return self._index or ReferenceIndex(self.body)
 
     def blocks(self) -> Iterator[List[ArrayStatement]]:
         """Every basic block of array statements in the program."""
         return walk_blocks(self.body)
 
     def array_statements(self) -> List[ArrayStatement]:
-        return [
-            stmt
-            for stmt in walk_statements(self.body)
-            if isinstance(stmt, ArrayStatement)
-        ]
+        return list(self.references().array_statements)
 
     def config_env(self) -> Dict[str, int]:
         """Integer-valued configuration bindings (for region evaluation)."""
@@ -123,14 +181,9 @@ class IRProgram:
         Arrays are allocated over their declared region expanded by this halo
         so that constant-offset references never index out of storage.
         """
-        info = self.arrays[array]
-        offsets = []
-        for stmt in self.array_statements():
-            for ref in stmt.reads():
-                if ref.name == array:
-                    offsets.append(ref.offset)
+        offsets = self.references().read_offsets.get(array)
         if not offsets:
-            return zero(info.rank)
+            return zero(self.arrays[array].rank)
         return max_abs_per_dim(offsets)
 
     def allocation_region(self, array: str) -> Region:
@@ -142,30 +195,15 @@ class IRProgram:
 
     def reads_of(self, array: str) -> List[ArrayStatement]:
         """Array statements that read ``array``."""
-        result = []
-        for stmt in self.array_statements():
-            if any(ref.name == array for ref in stmt.reads()):
-                result.append(stmt)
-        return result
+        return list(self.references().readers.get(array, ()))
 
     def scalar_reads_of(self, array: str) -> List[ScalarStatement]:
         """Scalar statements whose reductions read ``array``."""
-        result = []
-        for stmt in walk_statements(self.body):
-            if isinstance(stmt, ScalarStatement):
-                if any(ref.name == array for ref in stmt.rhs.array_refs()):
-                    result.append(stmt)
-        return result
+        return list(self.references().scalar_readers.get(array, ()))
 
-    def boundary_statements(self):
+    def boundary_statements(self) -> List[BoundaryStatement]:
         """All wrap/reflect statements in the program."""
-        from repro.ir.statement import BoundaryStatement
-
-        return [
-            stmt
-            for stmt in walk_statements(self.body)
-            if isinstance(stmt, BoundaryStatement)
-        ]
+        return list(self.references().boundaries)
 
     def refs_confined_to_block(self, array: str, block: List[ArrayStatement]) -> bool:
         """True iff every reference to ``array`` in the program is in ``block``.
@@ -179,18 +217,11 @@ class IRProgram:
         info = self.arrays.get(array)
         if info is not None and info.is_output:
             return False
+        index = self.references()
+        if array in index.scalar_readers or array in index.boundary_arrays:
+            return False
         block_ids = {stmt.uid for stmt in block}
-        for stmt in self.array_statements():
-            touches = stmt.target == array or any(
-                ref.name == array for ref in stmt.reads()
-            )
-            if touches and stmt.uid not in block_ids:
-                return False
-        if self.scalar_reads_of(array):
-            return False
-        if any(stmt.array == array for stmt in self.boundary_statements()):
-            return False
-        return True
+        return all(stmt.uid in block_ids for stmt in index.touching.get(array, ()))
 
     def first_ref_is_definition(self, array: str, block: List[ArrayStatement]) -> bool:
         """True iff the first statement in ``block`` touching ``array`` writes it.
@@ -203,7 +234,7 @@ class IRProgram:
         for stmt in block:
             if stmt.target == array:
                 return True
-            if any(ref.name == array for ref in stmt.reads()):
+            if array in stmt.read_names():
                 return False
         return False
 
@@ -221,7 +252,6 @@ class IRProgram:
 
     def _render_body(self, body: List[IRStatement], indent: str) -> List[str]:
         from repro.ir.statement import (
-            BoundaryStatement,
             IfStatement,
             LoopStatement,
             WhileStatement,

@@ -18,7 +18,7 @@ from repro.util.vectors import IntVector
 class Region:
     """An immutable rank-n rectangular index set with affine bounds."""
 
-    __slots__ = ("dims", "_hash")
+    __slots__ = ("dims", "_hash", "_extents")
 
     def __init__(self, dims: Sequence[Tuple[LinearExpr, LinearExpr]]) -> None:
         self.dims: Tuple[Tuple[LinearExpr, LinearExpr], ...] = tuple(
@@ -42,8 +42,12 @@ class Region:
         return len(self.dims)
 
     def extents(self) -> Tuple[LinearExpr, ...]:
-        """Symbolic extent ``hi - lo + 1`` per dimension."""
-        return tuple(hi - lo + 1 for lo, hi in self.dims)
+        """Symbolic extent ``hi - lo + 1`` per dimension (found once)."""
+        try:
+            return self._extents
+        except AttributeError:
+            self._extents = tuple(hi - lo + 1 for lo, hi in self.dims)
+            return self._extents
 
     def static_size(self, env: Mapping[str, int]) -> int:
         """Number of elements, evaluating extents under ``env``.
@@ -100,6 +104,10 @@ class Region:
         )
 
     # -- dunders ----------------------------------------------------------
+
+    def __getstate__(self):
+        # Pickle what defines the region; the extents are derived again.
+        return None, {"dims": self.dims, "_hash": self._hash}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Region) and self.dims == other.dims

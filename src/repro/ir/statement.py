@@ -10,7 +10,7 @@ whose runs of array statements form ASDGs.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.expr import ArrayRef, IRExpr
 from repro.ir.region import Region
@@ -42,9 +42,13 @@ class ArrayStatement(IRStatement):
     def rank(self) -> int:
         return self.region.rank
 
-    def reads(self) -> List[ArrayRef]:
+    def reads(self) -> Tuple[ArrayRef, ...]:
         """Array references read by this statement."""
         return self.rhs.array_refs()
+
+    def read_names(self) -> FrozenSet[str]:
+        """The arrays this statement reads."""
+        return self.rhs.array_names()
 
     def referenced_arrays(self) -> List[str]:
         """All arrays referenced (read or written), target first."""

@@ -1,13 +1,24 @@
-"""Hand-written lexer for the mini-ZPL language."""
+"""Lexer for the mini-ZPL language: one compiled pattern scans the source."""
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.lang.tokens import KEYWORDS, Token, TokenType
 from repro.util.errors import LexError, SourceLocation
 
-_SIMPLE = {
+_PUNCT = {
+    "+<<": TokenType.SUMRED,
+    "*<<": TokenType.PRODRED,
+    ":=": TokenType.ASSIGN,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "!=": TokenType.NE,
+    "..": TokenType.DOTDOT,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+    ":": TokenType.COLON,
     "+": TokenType.PLUS,
     "-": TokenType.MINUS,
     "*": TokenType.STAR,
@@ -24,6 +35,28 @@ _SIMPLE = {
     "=": TokenType.EQ,
 }
 
+_REDUCTION_WORDS = {"max<<": TokenType.MAXRED, "min<<": TokenType.MINRED}
+
+# One alternative per token class, tried in order at each position; the
+# last one takes any character nothing else does.  A fraction needs a digit
+# after its '.' (so ``1..n`` is a range) and an exponent needs a digit after
+# its sign; ``max<<`` / ``min<<`` are one token only without a space before
+# the ``<<``.  A word must start with a letter or ``_``: ``\w`` also admits
+# digits no ``\d`` matches, refused below.
+_MASTER = re.compile(
+    r"""
+    (?P<trivia> (?: [ \t\r\n] | --[^\n]* )+ )
+  | (?P<float>  \d+ (?: \.\d+ (?: [eE][+-]?\d+ )? | [eE][+-]?\d+ ) )
+  | (?P<int>    \d+ )
+  | (?P<word>   (?:max|min)<< | \w+ )
+  | (?P<punct>  """
+    + "|".join(re.escape(text) for text in sorted(_PUNCT, key=len, reverse=True))
+    + r""" )
+  | (?P<error>  . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
 
 class Lexer:
     """Converts source text into a list of tokens.
@@ -34,139 +67,45 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self._source = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
     def tokenize(self) -> List[Token]:
         """Lex the whole input, ending with an EOF token."""
+        source = self._source
         tokens: List[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
+        append = tokens.append
+        line, line_start = 1, 0
+        for match in _MASTER.finditer(source):
+            kind = match.lastgroup
+            text = match.group()
+            if kind == "trivia":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = match.start() + text.rindex("\n") + 1
+                continue
+            loc = SourceLocation(line, match.start() - line_start + 1)
+            if kind == "word":
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise LexError("unexpected character %r" % text[0], loc)
+                if text.endswith("<<"):
+                    append(Token(_REDUCTION_WORDS[text], text, loc))
+                else:
+                    keyword = KEYWORDS.get(text)
+                    if keyword is not None:
+                        append(Token(keyword, text, loc))
+                    else:
+                        append(Token(TokenType.IDENT, text, loc, value=text))
+            elif kind == "punct":
+                append(Token(_PUNCT[text], text, loc))
+            elif kind == "int":
+                append(Token(TokenType.INT, text, loc, value=int(text)))
+            elif kind == "float":
+                append(Token(TokenType.FLOAT, text, loc, value=float(text)))
             else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._location()
-        ch = self._peek()
-        if not ch:
-            return Token(TokenType.EOF, "", loc)
-
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(loc)
-        if ch.isdigit():
-            return self._lex_number(loc)
-
-        two = ch + self._peek(1)
-        three = two + self._peek(2)
-        if three == "+<<" or three == "*<<":
-            self._advance(3)
-            kind = TokenType.SUMRED if three[0] == "+" else TokenType.PRODRED
-            return Token(kind, three, loc)
-        if two == ":=":
-            self._advance(2)
-            return Token(TokenType.ASSIGN, two, loc)
-        if two == "<=":
-            self._advance(2)
-            return Token(TokenType.LE, two, loc)
-        if two == ">=":
-            self._advance(2)
-            return Token(TokenType.GE, two, loc)
-        if two == "!=":
-            self._advance(2)
-            return Token(TokenType.NE, two, loc)
-        if two == "..":
-            self._advance(2)
-            return Token(TokenType.DOTDOT, two, loc)
-        if ch == "<":
-            self._advance()
-            return Token(TokenType.LT, ch, loc)
-        if ch == ">":
-            self._advance()
-            return Token(TokenType.GT, ch, loc)
-        if ch == ":":
-            self._advance()
-            return Token(TokenType.COLON, ch, loc)
-        if ch in _SIMPLE:
-            self._advance()
-            return Token(_SIMPLE[ch], ch, loc)
-        raise LexError("unexpected character %r" % ch, loc)
-
-    def _lex_word(self, loc: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start : self._pos]
-        # max<< / min<< reductions: a keyword-ish word followed by '<<'.
-        if text in ("max", "min") and self._peek() == "<" and self._peek(1) == "<":
-            self._advance(2)
-            kind = TokenType.MAXRED if text == "max" else TokenType.MINRED
-            return Token(kind, text + "<<", loc)
-        keyword = KEYWORDS.get(text)
-        if keyword is not None:
-            return Token(keyword, text, loc)
-        return Token(TokenType.IDENT, text, loc, value=text)
-
-    def _lex_number(self, loc: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        # A '.' starts a fraction only if not the '..' range operator.
-        if self._peek() == "." and self._peek(1) != "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start : self._pos]
-        if is_float:
-            return Token(TokenType.FLOAT, text, loc, value=float(text))
-        return Token(TokenType.INT, text, loc, value=int(text))
+                raise LexError("unexpected character %r" % text, loc)
+        end = SourceLocation(line, len(source) - line_start + 1)
+        append(Token(TokenType.EOF, "", end))
+        return tokens
 
 
 def tokenize(source: str) -> List[Token]:

@@ -77,13 +77,16 @@ class Parser:
         self._pos = 0
 
     # -- token helpers --------------------------------------------------
+    #
+    # The stream ends with EOF and ``_pos`` never moves past it.
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        if ahead:
+            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def _at(self, *types: TokenType) -> bool:
-        return self._peek().type in types
+        return self._tokens[self._pos].type in types
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fusion.pipeline import Level, ProgramPlan, plan_program
 from repro.ir import expr as ir
+from repro.ir.expr import compile_memo
 from repro.ir.program import IRProgram
 from repro.ir.region import Region
 from repro.ir.statement import (
@@ -285,7 +286,8 @@ class Scalarizer:
 
 def scalarize(program: IRProgram, plan: ProgramPlan) -> ScalarProgram:
     """Scalarize ``program`` under a previously computed plan."""
-    return Scalarizer(program, plan).run()
+    with compile_memo(), program.indexed():
+        return Scalarizer(program, plan).run()
 
 
 def compile_program(program: IRProgram, level: Level) -> ScalarProgram:

@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.exec import Artifacts, ExecutionResult, get_backend
 from repro.fusion import Level, plan_program, resolve_level
 from repro.ir import normalize_source
+from repro.ir.expr import compile_memo
 from repro.obs.tracer import NOOP_SPAN, TracedTimers, resolve_tracer
 from repro.scalarize import scalarize
 from repro.service import fingerprint
@@ -248,7 +249,7 @@ class Service:
         # fanout forwards each ``compile.*`` section to both sinks, so
         # spans nest under the active ``compile`` span automatically.
         timers = TracedTimers(build, self.tracer if self.tracer.enabled else None)
-        with build.time("compile.total"):
+        with build.time("compile.total"), compile_memo():
             with timers.time("compile.normalize"):
                 program = normalize_source(source, config, self.self_temp_policy)
                 if self.simplify:
@@ -273,7 +274,7 @@ class Service:
         build = Metrics()
         self.metrics.incr("service.compiles")
         timers = TracedTimers(build, self.tracer if self.tracer.enabled else None)
-        with build.time("compile.total"):
+        with build.time("compile.total"), compile_memo():
             program = build_ir()
             scalar_program, code = self._plan_and_render(
                 program, level, backend_name, digest, timers

@@ -7,7 +7,8 @@ described by an envelope ``{"schema", "code_version", "digest", ...}``.
 (temp file + ``os.replace``, so readers never observe a torn file), the
 verified read that deletes whatever fails verification (a bad store can
 only cost a rebuild, never a wrong answer), the shard-directory walk,
-tolerant removal and oldest-first size eviction.
+tolerant removal, oldest-first size eviction and the removal of the
+``.tmp`` files writers killed before their rename leave behind.
 
 A *kind* is a subclass supplying the codec: ``suffix``, an optional
 ``sidecar`` (a stamp file that lives and dies with its raw object),
@@ -20,9 +21,16 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional, Tuple
+import time
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.service import fingerprint
+
+#: What :func:`_publish` names the file it writes before the rename.
+TMP_SUFFIX = ".tmp"
+#: A ``.tmp`` file this many seconds old is no write in flight but the
+#: leftover of a writer killed before its rename; :func:`evict` deletes it.
+ORPHAN_TMP_AGE_S = 600.0
 
 
 def _remove(path: str) -> None:
@@ -35,7 +43,7 @@ def _remove(path: str) -> None:
 
 def _publish(path: str, data: bytes) -> None:
     """Atomically create or replace ``path`` (its directory must exist)."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=TMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -150,23 +158,7 @@ class Store:
 
     def entries(self) -> List[Tuple[str, int, float]]:
         """Every stored object of this kind as ``(path, bytes, mtime)``."""
-        entries: List[Tuple[str, int, float]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(self.suffix):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
+        return list(_files(self.root, (self.suffix,)))
 
     def _unlink(self, path: str) -> None:
         _remove(path)
@@ -177,20 +169,54 @@ class Store:
         self._unlink(self.path(digest))
 
     def clear(self) -> None:
-        for path, _size, _mtime in self.entries():
-            self._unlink(path)
+        """Delete every object of this kind and every ``.tmp`` file."""
+        for path, _size, _mtime in list(_files(self.root, (self.suffix, TMP_SUFFIX))):
+            if path.endswith(TMP_SUFFIX):
+                _remove(path)
+            else:
+                self._unlink(path)
+
+
+def _files(root: str, suffixes: Tuple[str, ...]) -> Iterator[Tuple[str, int, float]]:
+    """``(path, bytes, mtime)`` of the files in ``root``'s shard
+    directories whose names end in one of ``suffixes``, in name order."""
+    if not os.path.isdir(root):
+        return
+    for shard in sorted(os.listdir(root)):
+        shard_dir = os.path.join(root, shard)
+        if not os.path.isdir(shard_dir):
+            continue
+        for name in sorted(os.listdir(shard_dir)):
+            if not name.endswith(suffixes):
+                continue
+            path = os.path.join(shard_dir, name)
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue
+            yield path, stat.st_size, stat.st_mtime
 
 
 def evict(stores: Iterable[Store], max_bytes: int) -> None:
     """Delete oldest-first across ``stores`` until their objects fit in
-    ``max_bytes`` (zero or less: unbounded)."""
+    ``max_bytes`` (zero or less: unbounded), and, in the same walk, every
+    ``.tmp`` file older than :data:`ORPHAN_TMP_AGE_S`."""
     if max_bytes <= 0:
         return
-    entries = [
-        (mtime, size, path, store)
-        for store in stores
-        for path, size, mtime in store.entries()
-    ]
+    stores = list(stores)
+    found: Dict[int, list] = {id(store): [] for store in stores}
+    stale = time.time() - ORPHAN_TMP_AGE_S
+    suffixes = tuple(store.suffix for store in stores) + (TMP_SUFFIX,)
+    for root in dict.fromkeys(store.root for store in stores):
+        for path, size, mtime in _files(root, suffixes):
+            if path.endswith(TMP_SUFFIX):
+                if mtime < stale:
+                    _remove(path)
+                continue
+            for store in stores:
+                if store.root == root and path.endswith(store.suffix):
+                    found[id(store)].append((mtime, size, path, store))
+    entries = [entry for store in stores for entry in found[id(store)]]
     total = sum(size for _mtime, size, _path, _store in entries)
     for _mtime, size, path, store in sorted(entries, key=lambda e: e[0]):
         if total <= max_bytes:

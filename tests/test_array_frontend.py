@@ -423,3 +423,28 @@ def test_mutating_a_result_changes_no_later_result(service):
     assert all(np.array_equal(out, values * 3.0) for out, _total in results)
     assert len({total for _out, total in results}) == 1
     assert np.array_equal(values, np.arange(20.0).reshape(4, 5))
+
+
+def test_computing_a_node_again_shares_no_memory_with_the_first_result(service):
+    def runs():
+        return service.metrics.snapshot()["counters"]["execute.requests"]
+
+    base = np.arange(12.0).reshape(3, 4)
+    # Handed over as the run's own buffer: nothing is kept, so it runs again.
+    b = ra.asarray(base) * 2.0
+    first = b.compute(service=service)
+    first[...] = -5.0
+    again = b.compute(service=service)
+    assert np.array_equal(again, base * 2.0)
+    assert not np.shares_memory(again, first)
+    # Read at an offset, so sliced out of a padded buffer: kept, and a
+    # second compute is a memo hit that hands out a copy.
+    y = ra.asarray(base) * 3.0
+    total = (y.shift(0, 1) + y).sum()
+    y_first, _total = ra.compute(y, total, service=service)
+    y_first[...] = -5.0
+    executed = runs()
+    y_again, _total = ra.compute(y, total, service=service)
+    assert runs() == executed
+    assert np.array_equal(y_again, base * 3.0)
+    assert not np.shares_memory(y_again, y_first)

@@ -117,3 +117,21 @@ class TestPaperMetadata:
     def test_default_sizes_square(self):
         for bench in ALL_BENCHMARKS:
             assert bench.default_config["n"] == bench.default_config["m"]
+
+
+def test_the_six_top_level_plans_are_pinned():
+    """The exact plan counts the compile benchmark reports for the six
+    programs at ``c2+f4+cse`` (n = m = 16): a change that makes the
+    pipeline cheaper must leave every plan as it was."""
+    from repro.fusion import LEVELS_BY_NAME
+
+    level = LEVELS_BY_NAME["c2+f4+cse"]
+    clusters = contracted = hoisted = nests = 0
+    for bench in ALL_BENCHMARKS:
+        program = bench.program({"n": 16, "m": 16})
+        plan = plan_program(program, level)
+        clusters += sum(block.cluster_count for block in plan.block_plans.values())
+        contracted += len(plan.contracted_arrays())
+        hoisted += plan.cse_stats().terms_hoisted
+        nests += len(scalarize(program, plan).loop_nests())
+    assert (clusters, contracted, hoisted, nests) == (34, 96, 4, 34)

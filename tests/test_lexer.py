@@ -139,3 +139,12 @@ class TestErrors:
         with pytest.raises(LexError) as exc_info:
             tokenize("ab\n  #")
         assert exc_info.value.location.line == 2
+
+    def test_digit_characters_that_are_no_decimal_digits_are_lex_errors(self):
+        # '²' and '½' are digits to str.isdigit / numerics to \w, but no
+        # number: an error at their position, never a raw ValueError.
+        for text in ("x := ²;", "x := ½;", "x := ²1;"):
+            with pytest.raises(LexError) as exc_info:
+                tokenize(text)
+            location = exc_info.value.location
+            assert (location.line, location.column) == (1, 6)

@@ -11,11 +11,13 @@ import hashlib
 import json
 import os
 import pickle
+import time
 
 import pytest
 
 from repro.service.cache import ARTIFACT_SCHEMA, ArtifactCache
 from repro.service.metrics import Metrics
+from repro.service.store import ORPHAN_TMP_AGE_S, TMP_SUFFIX
 
 DIGEST = "ab" * 32
 OTHER = "cd" * 32
@@ -192,3 +194,31 @@ def test_eviction_takes_a_sidecar_with_its_object(tmp_path):
         so_path, stamp_path = kind.paths(digest)
         assert os.path.exists(so_path) == os.path.exists(stamp_path)
     assert sum(size for _p, size, _m in cache.native_entries()) <= cache.max_bytes
+
+
+def _plant_tmp(root, name, age_s):
+    """A writer's temp file, as ``_publish`` names it, ``age_s`` old."""
+    path = os.path.join(root, DIGEST[:2], name + TMP_SUFFIX)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(b"half a payload")
+    stamp = time.time() - age_s
+    os.utime(path, (stamp, stamp))
+    return path
+
+
+def test_writers_killed_before_the_rename_leave_nothing_for_long(tmp_path):
+    root = str(tmp_path / "store")
+    old = _plant_tmp(root, "tmpkilled", ORPHAN_TMP_AGE_S + 60)
+    fresh = _plant_tmp(root, "tmpwriting", 1)
+    cache = ArtifactCache(root=root, max_bytes=1 << 20, metrics=Metrics())
+    assert cache.disk_entries() == [] and cache.native_entries() == []
+    cache.put(OTHER, {"value": 1})  # a put evicts, and sweeps orphans
+    assert not os.path.exists(old)
+    assert os.path.exists(fresh)  # a write that may still be in flight
+    assert [path for path, _s, _m in cache.disk_entries()] == [
+        os.path.join(root, OTHER[:2], OTHER + ".pkl")
+    ]
+    cache.clear()
+    assert not os.path.exists(fresh)
+    assert cache.disk_entries() == []

@@ -311,3 +311,66 @@ def test_the_lazy_frontend_takes_kinds_from_the_table():
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     assert not alias.name.startswith("repro.scalarize"), path
+
+
+def test_no_ir_expression_node_is_changed_after_it_is_built():
+    """``repro.ir.expr.compile_memo`` keeps what a node references for a
+    whole compile, which holds only while nodes never change: a field of an
+    ``ir/expr.py`` node is assigned in its own class's ``__init__`` and
+    nowhere else.  Modules that import nothing from ``repro.ir`` (the
+    language front end and its own AST) hold no IR node and are skipped."""
+    trees = _trees()
+    expr_path = os.path.join("ir", "expr.py")
+    slots = {}  # IR node class -> its fields
+    for node in trees[expr_path].body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if node.name != "IRExpr" and not any(
+            getattr(base, "id", None) in slots for base in node.bases
+        ):
+            continue
+        slots[node.name] = set()
+        for item in node.body:
+            if isinstance(item, ast.Assign):
+                if ast.unparse(item.targets[0]) == "__slots__":
+                    slots[node.name] = set(ast.literal_eval(item.value))
+    fields = set().union(*slots.values())
+    assert {"value", "name", "offset", "left", "operand", "args"} <= fields
+
+    def stores(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr in fields:
+                    yield node
+
+    changed = []
+    for path, tree in trees.items():
+        if path == expr_path:
+            for cls in tree.body:
+                for item in getattr(cls, "body", ()):
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        if cls.name in slots:
+                            continue
+                    changed += ["%s:%d" % (path, n.lineno) for n in stores(item)]
+        elif _imports_ir(tree):
+            changed += [
+                "%s:%d" % (path, n.lineno)
+                for n in stores(tree)
+                if not (isinstance(n.value, ast.Name) and n.value.id == "self")
+            ]
+    assert changed == []
+
+
+def _imports_ir(tree):
+    """Does the module import anything from ``repro.ir``?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[:2] == ["repro", "ir"]:
+                return True
+            if node.module == "repro" and any(a.name == "ir" for a in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(
+            a.name.split(".")[:2] == ["repro", "ir"] for a in node.names
+        ):
+            return True
+    return False
