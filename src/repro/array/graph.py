@@ -366,8 +366,8 @@ class Trace:
 
         Input *values* are excluded on purpose: every execution of one
         program shape shares the digest.  Constant values (``const`` /
-        ``full``) are program text, so they are included, typed the same
-        way ``fingerprint.canonical_expr`` types ``Const``.  The content
+        ``full``) are program text, so they are included as their type
+        name and ``repr`` (so 1, 1.0 and True differ).  The content
         is ``rows`` and ``output_ids`` with every tuple a list, so it
         encodes to the same JSON text.
         """

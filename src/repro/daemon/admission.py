@@ -24,7 +24,6 @@ class Job:
     """One admitted execute request, from HTTP thread to worker."""
 
     id: int
-    digest: str
     #: The compile/execute spec a worker needs: program source, level,
     #: backend, config, want_arrays, delay_s.
     spec: Dict[str, object]

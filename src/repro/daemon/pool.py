@@ -178,13 +178,11 @@ class WorkerPool:
                 "daemon.queue_wait", time.monotonic() - job.enqueued_at
             )
         span_cm = (
-            self.tracer.span(
-                "daemon.dispatch", digest=job.digest, worker=worker_id
-            )
+            self.tracer.span("daemon.dispatch", worker=worker_id)
             if self.tracer is not None and self.tracer.enabled
             else NOOP_SPAN
         )
-        with span_cm, self.metrics.time("daemon.dispatch"):
+        with span_cm as span, self.metrics.time("daemon.dispatch"):
             try:
                 child.send((
                     "job",
@@ -199,6 +197,7 @@ class WorkerPool:
             except proc.ChildDied:
                 self._recover(worker_id, job)
                 return
+            span.set("digest", reply.get("digest"))
         if reply.get("compiled"):
             self.metrics.incr("daemon.worker_compiles", reply["compiled"])
         if reply.get("cc"):

@@ -40,7 +40,6 @@ from repro.exec import get_backend
 from repro.fusion import resolve_level
 from repro.obs.prom import render_prometheus
 from repro.obs.tracer import NOOP_SPAN, resolve_tracer
-from repro.service import fingerprint
 from repro.service.metrics import Metrics
 from repro.util.errors import ReproError
 
@@ -182,32 +181,25 @@ class Daemon:
             self.metrics.incr("daemon.errors")
             return _json_error(400, str(error))
         # Resolve names at admission: a typo is the client's error (400,
-        # no queue slot, no worker dispatch), and an alias names the same
-        # program as its canonical spelling, so the digest hashes
-        # canonical names.
+        # no queue slot, no worker dispatch).
         try:
-            level = resolve_level(head.get("level"), self.config.level).name
-            backend = get_backend(head.get("backend") or self.config.backend).name
+            resolve_level(head.get("level"), self.config.level)
+            get_backend(head.get("backend") or self.config.backend)
         except ReproError as error:
             self.metrics.incr("daemon.errors")
             return _json_error(400, str(error))
-        digest = fingerprint.source_digest(
-            head["program"], level, head.get("config"), backend
-        )
         span_cm = (
-            self.tracer.span("daemon.request", digest=digest)
+            self.tracer.span("daemon.request")
             if self.tracer.enabled
             else NOOP_SPAN
         )
         with span_cm as span:
-            status, ctype, payload = self._admit_and_wait(
-                head, arrays, digest, level, backend
-            )
+            status, ctype, payload = self._admit_and_wait(head, arrays, span)
             span.set("status", status)
         self.metrics.observe("daemon.request", time.perf_counter() - started)
         return status, ctype, payload
 
-    def _admit_and_wait(self, head, arrays, digest, level, backend):
+    def _admit_and_wait(self, head, arrays, span):
         total_bytes = shm.measure(arrays) if arrays else 0
         if total_bytes > self.config.max_request_bytes:
             self.metrics.incr("daemon.oversized")
@@ -231,7 +223,6 @@ class Daemon:
                 return _json_error(413, str(error))
         job = Job(
             id=job_id,
-            digest=digest,
             spec={
                 "program": head["program"],
                 "level": head.get("level"),
@@ -263,13 +254,15 @@ class Daemon:
             except Exception as error:
                 self.metrics.incr("daemon.errors")
                 return _json_error(500, str(error))
-            return self._render_reply(reply, level, backend)
+            # Admission hashes nothing: the worker names the artifact it ran.
+            span.set("digest", reply.get("digest"))
+            return self._render_reply(reply)
         finally:
             if in_shm is not None:
                 shm.close_quietly(in_shm)
                 shm.unlink_quietly(in_name)
 
-    def _render_reply(self, reply: Dict[str, object], level, backend):
+    def _render_reply(self, reply: Dict[str, object]):
         if not reply.get("ok"):
             self.metrics.incr("daemon.errors")
             return _json_error(500, str(reply.get("error", "execution failed")))

@@ -170,6 +170,16 @@ class LinearExpr:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self):
+        # ``_hash`` hashes variable names, which ``hash()`` salts per
+        # process: a pickle keeps what defines the expression, and loading
+        # hashes it again.
+        return self.const, self.terms
+
+    def __setstate__(self, state) -> None:
+        self.const, self.terms = state
+        self._hash = hash(state)
+
     def __repr__(self) -> str:
         return "LinearExpr(%s)" % self
 

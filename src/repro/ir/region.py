@@ -106,8 +106,13 @@ class Region:
     # -- dunders ----------------------------------------------------------
 
     def __getstate__(self):
-        # Pickle what defines the region; the extents are derived again.
-        return None, {"dims": self.dims, "_hash": self._hash}
+        # Pickle what defines the region; the hash (salted per process,
+        # like the bounds' own) and the extents are derived again.
+        return self.dims
+
+    def __setstate__(self, dims) -> None:
+        self.dims = dims
+        self._hash = hash(dims)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Region) and self.dims == other.dims

@@ -128,7 +128,9 @@ SPANS: List[SpanDef] = [
         "daemon.server.Daemon.execute_frame",
         "One daemon execute request end to end: decode, admission, "
         "shared-memory transport, worker round trip, response.  status "
-        "is the HTTP status (200, 503 shed, 413 oversized, 500 failed).",
+        "is the HTTP status (200, 503 shed, 413 oversized, 500 failed); "
+        "digest is the artifact digest the worker's reply names, when "
+        "there is one.",
     ),
     SpanDef(
         "comm.exchange",
@@ -145,7 +147,8 @@ SPANS: List[SpanDef] = [
         ("digest", "worker"),
         "daemon.pool.WorkerPool._run_job",
         "One job crossing a worker pipe: send, execute in the worker "
-        "process, reply.",
+        "process, reply.  digest is the artifact digest the worker's "
+        "reply names.",
     ),
 ]
 

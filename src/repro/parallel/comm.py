@@ -28,6 +28,11 @@ class CommEvent:
     within the same run (or ``None`` if the value entered the block from
     outside, in which case the exchange can be hoisted to the head of the
     run and overlaps the whole prefix).
+
+    ``spans`` is, per dimension, the (min, max) offset over the references
+    pooled into the event: along ``dim`` the single signed offset, along
+    the others the union of the references' offsets — diagonal stencils
+    widen it beyond zero.  It is not part of :meth:`key`.
     """
 
     __slots__ = (
@@ -38,6 +43,7 @@ class CommEvent:
         "bytes",
         "nest_index",
         "producer_index",
+        "spans",
     )
 
     def __init__(
@@ -49,6 +55,7 @@ class CommEvent:
         bytes_count: int,
         nest_index: int,
         producer_index: Optional[int],
+        spans: Sequence[Tuple[int, int]],
     ) -> None:
         self.array = array
         self.dim = dim
@@ -57,6 +64,7 @@ class CommEvent:
         self.bytes = bytes_count
         self.nest_index = nest_index
         self.producer_index = producer_index
+        self.spans: Tuple[Tuple[int, int], ...] = tuple(spans)
 
     def key(self) -> Tuple[str, int, int, int]:
         """Identity for redundancy elimination."""
@@ -97,7 +105,8 @@ def analyze_run(
     ``k`` needs the border strip of width ``|d_k|`` from the neighbor in
     direction ``sign(d_k)``.  One event is emitted per distinct
     ``(array, dim, direction, width)`` per nest (message vectorization:
-    whole strips move as single messages).
+    whole strips move as single messages); every reference it pools
+    widens the event's ``spans``.
     """
     events: List[CommEvent] = []
     last_writer: Dict[str, int] = {}
@@ -106,7 +115,7 @@ def analyze_run(
             continue
         if grid.rank >= 1:
             bounds = node.region.concrete_bounds(env)
-        seen: Set[Tuple[str, int, int, int]] = set()
+        pooled: Dict[Tuple[str, int, int, int], CommEvent] = {}
         for ref in node.reads():
             name, offset = ref.name, ref.offset
             if name not in distributed_arrays:
@@ -115,20 +124,24 @@ def analyze_run(
                 width = abs(offset[dim - 1])
                 direction = 1 if offset[dim - 1] > 0 else -1
                 key = (name, dim, direction, width)
-                if key in seen:
-                    continue
-                seen.add(key)
-                events.append(
-                    CommEvent(
-                        name,
-                        dim,
-                        direction,
-                        width,
-                        _border_bytes(bounds, dim, width),
-                        index,
-                        last_writer.get(name),
+                event = pooled.get(key)
+                if event is not None:
+                    event.spans = tuple(
+                        (min(lo, off), max(hi, off))
+                        for (lo, hi), off in zip(event.spans, offset)
                     )
+                    continue
+                event = pooled[key] = CommEvent(
+                    name,
+                    dim,
+                    direction,
+                    width,
+                    _border_bytes(bounds, dim, width),
+                    index,
+                    last_writer.get(name),
+                    [(off, off) for off in offset],
                 )
+                events.append(event)
         for name in node.writes():
             last_writer[name] = index
     return events

@@ -344,31 +344,6 @@ class RunPlan(NamedTuple):
     fallback_indices: Tuple[int, ...]
 
 
-def event_spans(node: LoopNest, event: CommEvent) -> List[Tuple[int, int]]:
-    """Per dimension: (min, max) offset over the refs behind ``event``.
-
-    Mirrors :func:`repro.parallel.comm.analyze_run`'s pooling: a ref
-    contributes iff its offset along ``event.dim`` has the event's sign
-    and width.  Along ``event.dim`` itself the span is the single signed
-    offset; along the others it is the union of the contributing refs'
-    offsets — diagonal stencils widen it beyond zero.
-    """
-    spans: Dict[int, Tuple[int, int]] = {}
-    d = event.dim
-    want = event.direction * event.width
-    for ref in node.reads():
-        if ref.name != event.array or len(ref.offset) < d:
-            continue
-        if ref.offset[d - 1] != want:
-            continue
-        for dim, off in enumerate(ref.offset, start=1):
-            lo, hi = spans.get(dim, (off, off))
-            spans[dim] = (min(lo, off), max(hi, off))
-    if not spans:
-        raise ShardError("event %r has no matching reference" % (event,))
-    return [spans[dim] for dim in sorted(spans)]
-
-
 def _consumer_box(
     event: CommEvent,
     bounds: Bounds,
@@ -398,15 +373,15 @@ def _consumer_box(
 
 
 def _event_copies(
-    consumers: Sequence[Tuple[LoopNest, Bounds]],
+    consumers: Sequence[Tuple[Bounds, Sequence[Tuple[int, int]]]],
     event: CommEvent,
     layout: ShardLayout,
     offset_bytes: int,
 ) -> Tuple[List[PlannedCopy], int, bool]:
     """The strip boxes for one event, with slot offsets assigned.
 
-    ``consumers`` is the kept event's own (node, bounds) first, followed
-    by the (node, bounds) of every later event redundancy elimination
+    ``consumers`` is the kept event's own (nest bounds, spans) first,
+    followed by those of every later event redundancy elimination
     satisfied with this one.  The wire box at each boundary is the
     bounding union of all consumer strips — an eliminated consumer may
     read a *wider* strip (diagonal stencils) than the event it leans on,
@@ -417,10 +392,7 @@ def _event_copies(
     """
     alloc_bounds, _kind = layout.allocs[event.array]
     d = event.dim
-    per_consumer = [
-        (bounds, event_spans(node, event)) for node, bounds in consumers
-    ]
-    primary_bounds = per_consumer[0][0]
+    primary_bounds = consumers[0][0]
     model_perp = 1
     for dim, (lo, hi) in enumerate(primary_bounds, start=1):
         if dim != d:
@@ -430,7 +402,7 @@ def _event_copies(
     for B in layout.boundaries(d):
         boxes = [
             _consumer_box(event, bounds, spans, alloc_bounds, B)
-            for bounds, spans in per_consumer
+            for bounds, spans in consumers
         ]
         live = [box for box in boxes if box is not None]
         if not live:
@@ -481,13 +453,12 @@ def plan_run(
     for index, message in enumerate(scheduled):
         planned_events: List[PlannedEvent] = []
         for event, covered in zip(message.events, message.covered):
-            pairs = [
-                (run[c.nest_index],
-                 tuple(run[c.nest_index].region.concrete_bounds(env)))
+            consumers = [
+                (tuple(run[c.nest_index].region.concrete_bounds(env)), c.spans)
                 for c in (event,) + covered
             ]
             copies, segment_bytes, clipped = _event_copies(
-                pairs, event, layout, segment_bytes
+                consumers, event, layout, segment_bytes
             )
             planned_events.append(PlannedEvent(event, copies, clipped))
         messages.append(

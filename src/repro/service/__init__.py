@@ -1,11 +1,11 @@
 """The compile-once serving layer.
 
 Treats the compiler as a long-lived service: programs are compiled once,
-content-addressed by a stable digest of ``(source/IR, level, config,
-backend, code version)``, stored in a two-tier artifact cache (in-memory
-LRU over a persistent on-disk store), and executed many times with
-varying config bindings and initial arrays — with every pipeline pass,
-cache probe and backend execution metered.
+content-addressed by a stable digest of ``(source or traced graph,
+level, config, backend, code version)``, stored in a two-tier artifact
+cache (in-memory LRU over a persistent on-disk store), and executed many
+times with varying config bindings and initial arrays — with every
+pipeline pass, cache probe and backend execution metered.
 
     from repro.service import Service
 
@@ -27,12 +27,7 @@ from repro.service.cache import (
     default_cache_dir,
 )
 from repro.service.compiled import CompiledProgram, split_request
-from repro.service.fingerprint import (
-    CODE_VERSION,
-    canonical_program,
-    ir_digest,
-    source_digest,
-)
+from repro.service.fingerprint import CODE_VERSION, source_digest
 from repro.service.metrics import Metrics, TimerStat
 from repro.service.service import COMPILE_PASSES, Service
 
@@ -48,9 +43,7 @@ __all__ = [
     "Metrics",
     "Service",
     "TimerStat",
-    "canonical_program",
     "default_cache_dir",
-    "ir_digest",
     "source_digest",
     "split_request",
 ]

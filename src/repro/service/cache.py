@@ -1,9 +1,9 @@
 """The two-tier compiled-artifact cache.
 
 Tier 1 is an in-memory LRU (bounded entry count) holding live artifact
-payloads, each with the backend ``run`` callables loaded from it, so
-every :class:`~repro.service.compiled.CompiledProgram` handle for a
-digest shares one load and the loaded code is dropped with the entry.
+payloads, each with the backend ``run`` loaded from it, so every
+:class:`~repro.service.compiled.CompiledProgram` handle for a digest
+shares one load and the loaded code is dropped with the entry.
 Tier 2 is a content-addressed on-disk store so warmth survives the
 process — the analogue of Bohrium's fuse cache, amortizing array-level
 analysis across runs.
@@ -125,6 +125,17 @@ class _NativeObjects(_Kind):
         return path
 
 
+class LoadedRun:
+    """The ``run`` loaded from one artifact (None until the first
+    execute), and the lock that makes the load happen once."""
+
+    __slots__ = ("run", "lock")
+
+    def __init__(self) -> None:
+        self.run = None
+        self.lock = threading.Lock()
+
+
 class ArtifactCache:
     """In-memory LRU over a persistent content-addressed store."""
 
@@ -144,9 +155,8 @@ class ArtifactCache:
         self.metrics = metrics or Metrics()
         self._artifacts = _PickledArtifacts(self.root, self.metrics, code_version)
         self._natives = _NativeObjects(self.root, self.metrics, code_version)
-        #: digest -> (payload, (backend name -> the ``run`` loaded from it,
-        #: the lock that makes each load happen once)).
-        self._memory: "OrderedDict[str, Tuple[dict, tuple]]" = OrderedDict()
+        #: digest -> (payload, the run loaded from it).
+        self._memory: "OrderedDict[str, Tuple[dict, LoadedRun]]" = OrderedDict()
         #: Guards the memory tier: OrderedDict reordering under
         #: concurrent ``get``/``put`` (threads sharing one ``Service``)
         #: is not atomic on its own.
@@ -177,14 +187,14 @@ class ArtifactCache:
         if self.persistent and self._artifacts.put(digest, payload):
             evict((self._artifacts, self._natives), self.max_bytes)
 
-    def loaded_runs(self, digest: str) -> Tuple[dict, threading.Lock]:
-        """The loaded-run memo (and its load lock) of ``digest``'s
-        memory-tier entry: every handle for a resident digest shares it,
-        so a backend loads the artifact once per process and the loaded
-        code is evicted with the entry.  Not resident: a private memo."""
+    def loaded_runs(self, digest: str) -> LoadedRun:
+        """The loaded run of ``digest``'s memory-tier entry: every handle
+        for a resident digest shares it, so the artifact is loaded once
+        per process and the loaded code is evicted with the entry.  Not
+        resident: a private one."""
         with self._memory_lock:
             entry = self._memory.get(digest)
-        return entry[1] if entry is not None else ({}, threading.Lock())
+        return entry[1] if entry is not None else LoadedRun()
 
     # -- cross-process single-flight ---------------------------------------
 
@@ -264,7 +274,7 @@ class ArtifactCache:
     def _memory_put(self, digest: str, payload: dict) -> None:
         evictions = 0
         with self._memory_lock:
-            self._memory[digest] = (payload, ({}, threading.Lock()))
+            self._memory[digest] = (payload, LoadedRun())
             self._memory.move_to_end(digest)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)

@@ -3,14 +3,16 @@
 ``CompiledProgram`` wraps a cached artifact payload (the scalarized
 program plus the rendered backend code) and executes it repeatedly with
 per-request initial array contents, without ever re-running the
-array-level pipeline.  The rendered code is loaded through the backend
-registry (:class:`repro.exec.Backend`) once per backend and the
-resulting ``run`` reused across requests: handles a
-:class:`~repro.service.service.Service` builds keep their loaded runs on
-the artifact cache's memory-tier entry, so every handle for one digest
-(each ``submit``, daemon job and ``repro.array`` materialization makes a
-new one) shares a single load; a handle built directly from a payload
-keeps a private memo.
+array-level pipeline.  It runs on the backend whose code it holds: the
+rendered code is loaded through the backend registry
+(:class:`repro.exec.Backend`) once and the resulting ``run`` reused
+across requests.  Handles a :class:`~repro.service.service.Service`
+builds keep their loaded run on the artifact cache's memory-tier entry,
+so every handle for one digest (each ``submit``, daemon job and
+``repro.array`` materialization makes a new one) shares a single load; a
+handle built directly from a payload keeps a private one.  To run the
+compiled program on another backend, hand ``scalar_program`` to
+:func:`repro.exec.execute`.
 
 Configuration bindings are *compile-time* in this compiler —
 normalization folds config values into region bounds and expressions —
@@ -22,12 +24,12 @@ here.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.exec import Artifacts, Backend, ExecutionResult, get_backend
+from repro.exec import Artifacts, ExecutionResult, get_backend
 from repro.obs.tracer import NOOP_SPAN
 from repro.scalarize.loopnest import ScalarProgram
+from repro.service.cache import LoadedRun
 from repro.service.metrics import Metrics
 from repro.util.errors import ReproError
 
@@ -77,12 +79,10 @@ class CompiledProgram:
         self._tracer = tracer
         #: Whether this instance was served from the artifact cache.
         self.from_cache = from_cache
-        #: backend name -> loaded ``run``, and the lock loads happen under:
-        #: the cache's memory-tier memo for this digest when there is one.
-        self._runs, self._lock = (
-            cache.loaded_runs(self.digest)
-            if cache is not None
-            else ({}, threading.Lock())
+        #: The ``run`` loaded from this artifact: the cache's memory-tier
+        #: one for this digest when there is one.
+        self._loaded = (
+            cache.loaded_runs(self.digest) if cache is not None else LoadedRun()
         )
 
     # -- payload views -----------------------------------------------------
@@ -120,17 +120,13 @@ class CompiledProgram:
 
     # -- execution ---------------------------------------------------------
 
-    def execute(
-        self, request: Request = None, backend: Optional[str] = None
-    ) -> ExecutionResult:
+    def execute(self, request: Request = None) -> ExecutionResult:
         """Run once; ``request`` may seed arrays: ``{"arrays": {"A": nd}}``.
 
         A request naming config bindings different from this artifact's is
         rejected — route it through ``Service.submit`` instead, which
         compiles (or cache-hits) the artifact for that binding.
         """
-        backend_obj = get_backend(backend or self.backend)
-        backend_name = backend_obj.name
         config, arrays = split_request(request)
         if config and config != {
             name: self.config.get(name) for name in config
@@ -146,42 +142,32 @@ class CompiledProgram:
             tracer.span(
                 "execute",
                 digest=self.digest,
-                backend=backend_name,
+                backend=self.backend,
                 level=self.level,
             )
             if tracer is not None and tracer.enabled
             else NOOP_SPAN
         )
-        with span_cm, self.metrics.time("execute.%s" % backend_name):
-            run = self._runs.get(backend_name) or self._load(backend_obj)
+        with span_cm, self.metrics.time("execute.%s" % self.backend):
+            run = self._loaded.run or self._load()
             result = run(arrays)
         self.metrics.incr("execute.requests")
         return result
 
-    # -- loaded-run memoization -------------------------------------------
-
-    def _load(self, backend: Backend):
-        """Load this artifact on ``backend`` once; later calls hit the memo.
-
-        The stored code is reused when it was rendered for this backend;
-        cross-backend execution renders on first use.
-        """
-        with self._lock:
-            run = self._runs.get(backend.name)
-            if run is None:
-                code = self.code if backend.name == self.backend else None
-                if code is None:
-                    with self.metrics.time("compile.codegen"):
-                        code = backend.render(self.scalar_program)
+    def _load(self):
+        """Load this artifact's code once; later calls reuse the run."""
+        loaded = self._loaded
+        with loaded.lock:
+            if loaded.run is None:
                 artifacts = (
                     Artifacts(self._cache, self.digest, self.metrics)
                     if self._cache is not None
                     else None
                 )
-                run = self._runs[backend.name] = backend.load(
-                    self.scalar_program, code, artifacts
+                loaded.run = get_backend(self.backend).load(
+                    self.scalar_program, self.code, artifacts
                 )
-        return run
+        return loaded.run
 
     def __repr__(self) -> str:
         return "CompiledProgram(%s, level=%s, backend=%s%s)" % (

@@ -1,12 +1,13 @@
 """Stable content hashing for compiled artifacts.
 
 A compiled artifact is addressed by the SHA-256 of a *canonical
-serialization* of everything that determines its contents:
+serialization* of everything that determines its contents, with one
+address per frontend:
 
-* the program — either the raw source text (fast path, no parsing needed
-  to probe the cache) or the normalized IR (via :func:`canonical_program`,
-  a deterministic nested-list encoding of every statement, region and
-  expression);
+* the program — the raw source text for mini-ZPL (:func:`source_digest`:
+  the cache is probed without parsing), or the canonical encoding of a
+  traced ``repro.array`` expression graph (:func:`trace_digest`: probed
+  without lowering);
 * the optimization level, configuration bindings, and normalization
   options (``self_temp_policy``, constant folding);
 * the execution backend whose code the artifact carries;
@@ -15,8 +16,9 @@ serialization* of everything that determines its contents:
 
 The encoding uses only sorted JSON of plain ints/floats/strings/lists, so
 digests are identical across processes, platforms, and ``PYTHONHASHSEED``
-values — unlike ``hash()``, which is salted per process.  Statement
-``uid`` fields (process-local counters) are deliberately excluded.
+values — unlike ``hash()``, which is salted per process.
+:func:`native_digest` addresses the ``c`` backend's shared objects the
+same way.
 """
 
 from __future__ import annotations
@@ -26,154 +28,10 @@ import json
 from typing import List, Mapping, Optional
 
 from repro import __version__
-from repro.ir import expr as ir
-from repro.ir.linexpr import LinearExpr
-from repro.ir.program import IRProgram
-from repro.ir.region import Region
-from repro.ir.statement import (
-    ArrayStatement,
-    BoundaryStatement,
-    IfStatement,
-    IRStatement,
-    LoopStatement,
-    ReductionStatement,
-    ScalarStatement,
-    WhileStatement,
-)
-from repro.util.errors import ReproError
 
 #: Stamped into every digest and artifact; bump on any change to the
 #: compiler, the generated code, or the artifact layout.
-CODE_VERSION = "repro-%s/artifact-11" % __version__
-
-
-# -- canonical encodings ----------------------------------------------------
-
-
-def canonical_linexpr(expr: LinearExpr) -> list:
-    """``const + sum(coef*var)`` as ``[const, [name, coef], ...]``.
-
-    ``LinearExpr.terms`` is already sorted by name, so the encoding is
-    order-independent of how the expression was built.
-    """
-    return [expr.const] + [[name, coef] for name, coef in expr.terms]
-
-
-def canonical_region(region: Region) -> list:
-    return [
-        [canonical_linexpr(lo), canonical_linexpr(hi)] for lo, hi in region.dims
-    ]
-
-
-def canonical_expr(expr: ir.IRExpr) -> list:
-    """A deterministic nested-list encoding of an IR expression tree."""
-    if isinstance(expr, ir.Const):
-        # Distinguish 1 from 1.0 from True: the type changes semantics.
-        return ["const", type(expr.value).__name__, repr(expr.value)]
-    if isinstance(expr, ir.ScalarRef):
-        return ["scalar", expr.name]
-    if isinstance(expr, ir.ArrayRef):
-        return ["array", expr.name, list(expr.offset)]
-    if isinstance(expr, ir.IndexRef):
-        return ["index", expr.dim]
-    if isinstance(expr, ir.BinOp):
-        return [
-            "bin",
-            expr.op,
-            canonical_expr(expr.left),
-            canonical_expr(expr.right),
-        ]
-    if isinstance(expr, ir.UnOp):
-        return ["un", expr.op, canonical_expr(expr.operand)]
-    if isinstance(expr, ir.Call):
-        return ["call", expr.name] + [canonical_expr(a) for a in expr.args]
-    if isinstance(expr, ir.Reduce):
-        return [
-            "reduce",
-            expr.op,
-            canonical_region(expr.region),
-            canonical_expr(expr.operand),
-        ]
-    raise ReproError("cannot fingerprint expression %r" % (expr,))
-
-
-def canonical_statement(stmt: IRStatement) -> list:
-    """A deterministic encoding of one IR statement (uids excluded)."""
-    if isinstance(stmt, ReductionStatement):
-        return [
-            "reduction",
-            canonical_region(stmt.region),
-            stmt.scalar_target,
-            stmt.op,
-            canonical_expr(stmt.rhs),
-        ]
-    if isinstance(stmt, ArrayStatement):
-        return [
-            "assign",
-            canonical_region(stmt.region),
-            stmt.target,
-            canonical_expr(stmt.rhs),
-        ]
-    if isinstance(stmt, ScalarStatement):
-        return ["sassign", stmt.target, canonical_expr(stmt.rhs)]
-    if isinstance(stmt, BoundaryStatement):
-        return ["boundary", canonical_region(stmt.region), stmt.kind, stmt.array]
-    if isinstance(stmt, LoopStatement):
-        return [
-            "for",
-            stmt.var,
-            canonical_expr(stmt.lo),
-            canonical_expr(stmt.hi),
-            bool(stmt.downto),
-            [canonical_statement(s) for s in stmt.body],
-        ]
-    if isinstance(stmt, IfStatement):
-        return [
-            "if",
-            canonical_expr(stmt.cond),
-            [canonical_statement(s) for s in stmt.then_body],
-            [canonical_statement(s) for s in stmt.else_body or []],
-        ]
-    if isinstance(stmt, WhileStatement):
-        return [
-            "while",
-            canonical_expr(stmt.cond),
-            [canonical_statement(s) for s in stmt.body],
-        ]
-    raise ReproError("cannot fingerprint statement %r" % (stmt,))
-
-
-def canonical_program(program: IRProgram) -> dict:
-    """The whole normalized program as a JSON-serializable structure.
-
-    Declaration tables are sorted by name (their dict order is a parse
-    artifact); the body keeps statement order, which is semantic.
-    """
-    return {
-        "name": program.name,
-        "configs": [
-            [name, type(value).__name__, repr(value)]
-            for name, value in sorted(program.configs.items())
-        ],
-        "arrays": [
-            # The trailing "output" marker is appended only when set, so
-            # programs that predate it (every parsed mini-ZPL program)
-            # keep their historical digests.
-            [
-                name,
-                canonical_region(info.region),
-                info.elem_kind,
-                bool(info.is_temp),
-            ]
-            + (["output"] if getattr(info, "is_output", False) else [])
-            for name, info in sorted(program.arrays.items())
-        ],
-        "scalars": [
-            [name, info.kind] + (["temp"] if info.is_temp else [])
-            for name, info in sorted(program.scalars.items())
-        ],
-        "body": [canonical_statement(stmt) for stmt in program.body],
-    }
+CODE_VERSION = "repro-%s/artifact-12" % __version__
 
 
 # -- digests -----------------------------------------------------------------
@@ -189,24 +47,6 @@ def _canonical_config(config: Optional[Mapping[str, object]]) -> List[list]:
         [name, type(value).__name__, repr(value)]
         for name, value in sorted((config or {}).items())
     ]
-
-
-def ir_digest(
-    program: IRProgram,
-    level: str,
-    backend: str,
-    code_version: Optional[str] = None,
-) -> str:
-    """Content digest of a normalized IR program plus compile options."""
-    return _digest_of(
-        {
-            "kind": "ir",
-            "program": canonical_program(program),
-            "level": level,
-            "backend": backend,
-            "code_version": code_version or CODE_VERSION,
-        }
-    )
 
 
 def source_digest(

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exec import Artifacts, ExecutionResult, get_backend
 from repro.fusion import Level, plan_program, resolve_level
-from repro.ir import normalize_source
+from repro.ir import IRProgram, normalize_source, simplify_program
 from repro.ir.expr import compile_memo
 from repro.obs.tracer import NOOP_SPAN, TracedTimers, resolve_tracer
 from repro.scalarize import scalarize
@@ -117,62 +117,45 @@ class Service:
         level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
         digest = self.digest_for(source, level_obj, config, backend_name)
-        return self._serve(
-            digest,
-            level_obj.name,
-            backend_name,
-            lambda: self._build(source, level_obj, config, backend_name, digest),
-        )
+
+        def normalize(timers) -> IRProgram:
+            with timers.time("compile.normalize"):
+                program = normalize_source(source, config, self.self_temp_policy)
+                if self.simplify:
+                    simplify_program(program)
+            return program
+
+        return self._serve(digest, level_obj, config, backend_name, normalize)
 
     def compile_ir(
         self,
-        program: object,
+        lower: Callable[[], IRProgram],
+        digest: str,
         level: Union[Level, str, None] = None,
         backend: Optional[str] = None,
-        digest: Optional[str] = None,
     ) -> CompiledProgram:
-        """Compile a prebuilt *normalized IR* program (or fetch its artifact).
+        """Compile the normalized IR ``lower()`` returns (or fetch its
+        artifact), addressed by the caller's own content ``digest``.
 
-        ``program`` is an :class:`repro.ir.IRProgram` or a zero-argument
-        callable returning one.  The callable form is the tracing-frontend
-        fast path: callers that can address the artifact by their own
-        content digest (``fingerprint.trace_digest`` of a recorded
-        expression graph) pass it as ``digest`` and pay for lowering only
-        on a cache miss — a warm probe never builds the IR at all.
-
-        Identical to :meth:`compile` minus the normalize pass: cache
-        probe, single-flight build, per-pass spans, artifact persistence.
+        The tracing frontend passes ``fingerprint.trace_digest`` of a
+        recorded expression graph and a thunk that lowers it, so lowering
+        is paid only on a cache miss — a warm probe never builds the IR.
+        Otherwise identical to :meth:`compile` minus the normalize pass.
         """
         level_obj = resolve_level(level, self.level)
         backend_name = get_backend(backend or self.backend).name
-        if callable(program):
-            build_ir = program
-        else:
-            build_ir = lambda: program  # noqa: E731
-        if digest is None:
-            built = build_ir()
-            build_ir = lambda: built  # noqa: E731
-            digest = fingerprint.ir_digest(
-                built,
-                level_obj.name,
-                backend_name,
-                code_version=self.cache.code_version,
-            )
         return self._serve(
-            digest,
-            level_obj.name,
-            backend_name,
-            lambda: self._build_ir(build_ir, level_obj, backend_name, digest),
+            digest, level_obj, None, backend_name, lambda _timers: lower()
         )
 
-    def _serve(self, digest, level, backend, build_payload) -> CompiledProgram:
+    def _serve(self, digest, level, config, backend, lower) -> CompiledProgram:
         """Cache probe + single-flight build, shared by every compile path."""
         tracer = self.tracer
         compile_cm = (
             tracer.span(
                 "compile",
                 digest=digest,
-                level=level,
+                level=level.name,
                 backend=backend,
             )
             if tracer.enabled
@@ -215,7 +198,9 @@ class Service:
                         compile_span.set("cache_hit", True)
                     else:
                         self.metrics.incr("cache.misses")
-                        payload = build_payload()
+                        payload = self._build(
+                            lower, level, config, backend, digest
+                        )
                         self.cache.put(digest, payload)
                 future.set_result(payload)
             except BaseException as error:
@@ -237,90 +222,48 @@ class Service:
 
     def _build(
         self,
-        source: str,
+        lower: Callable[[TracedTimers], IRProgram],
         level: Level,
         config: Optional[Mapping[str, object]],
         backend_name: str,
         digest: str,
     ) -> Dict[str, object]:
+        """The miss path: lower, fuse, scalarize and render one program.
+
+        ``lower(timers)`` builds the normalized IR (timing its own pass,
+        if it has one).  A backend whose loader keeps a product in the
+        artifact cache (``Backend.eager`` — the ``c`` backend's shared
+        object) is also loaded here, on the build (miss) path and under
+        the build lock, so the ``compile.cc`` span and
+        ``native.cc_invocations`` counter measure exactly the cold cost a
+        warm serve avoids.  Machines that cannot load it skip silently —
+        execution raises ``BackendUnavailableError`` there, but the
+        rendered code in the payload stays inspectable and cacheable.
+        """
         build = Metrics()
         self.metrics.incr("service.compiles")
+        backend = get_backend(backend_name)
         # Per-pass spans ride the same timers= hook the metrics use: the
         # fanout forwards each ``compile.*`` section to both sinks, so
         # spans nest under the active ``compile`` span automatically.
         timers = TracedTimers(build, self.tracer if self.tracer.enabled else None)
         with build.time("compile.total"), compile_memo():
-            with timers.time("compile.normalize"):
-                program = normalize_source(source, config, self.self_temp_policy)
-                if self.simplify:
-                    from repro.ir import simplify_program
-
-                    simplify_program(program)
-            scalar_program, code = self._plan_and_render(
-                program, level, backend_name, digest, timers
-            )
-        return self._finish_build(
-            build, digest, level, config, backend_name, scalar_program, code
-        )
-
-    def _build_ir(
-        self,
-        build_ir,
-        level: Level,
-        backend_name: str,
-        digest: str,
-    ) -> Dict[str, object]:
-        """The miss path for :meth:`compile_ir`: no normalize pass."""
-        build = Metrics()
-        self.metrics.incr("service.compiles")
-        timers = TracedTimers(build, self.tracer if self.tracer.enabled else None)
-        with build.time("compile.total"), compile_memo():
-            program = build_ir()
-            scalar_program, code = self._plan_and_render(
-                program, level, backend_name, digest, timers
-            )
-        return self._finish_build(
-            build, digest, level, None, backend_name, scalar_program, code
-        )
-
-    def _plan_and_render(self, program, level, backend_name, digest, timers):
-        """Fuse, scalarize and render one normalized program.
-
-        A backend whose loader keeps a product in the artifact cache
-        (``Backend.eager`` — the ``c`` backend's shared object) is also
-        loaded here, on the build (miss) path and under the build lock,
-        so the ``compile.cc`` span and ``native.cc_invocations`` counter
-        measure exactly the cold cost a warm serve avoids.  Machines that
-        cannot load it skip silently — execution raises
-        ``BackendUnavailableError`` there, but the rendered code in the
-        payload stays inspectable and cacheable.
-        """
-        backend = get_backend(backend_name)
-        # plan_program times compile.deps / compile.fusion internally.
-        plan = plan_program(program, level, timers=timers)
-        with timers.time("compile.scalarize"):
-            scalar_program = scalarize(program, plan)
-        with timers.time("compile.codegen"):
-            code = backend.render(scalar_program)
-        if backend.eager:
-            try:
-                backend.load(
-                    scalar_program,
-                    code,
-                    Artifacts(self.cache, digest, self.metrics, timers),
-                )
-            except BackendUnavailableError:
-                pass
-        return scalar_program, code
-
-    def _finish_build(
-        self, build, digest, level, config, backend_name, scalar_program, code
-    ) -> Dict[str, object]:
-        snapshot = build.snapshot()["timers"]
-        timings = {
-            name: stats["total_s"]
-            for name, stats in snapshot.items()
-        }
+            program = lower(timers)
+            # plan_program times compile.deps / compile.fusion internally.
+            plan = plan_program(program, level, timers=timers)
+            with timers.time("compile.scalarize"):
+                scalar_program = scalarize(program, plan)
+            with timers.time("compile.codegen"):
+                code = backend.render(scalar_program)
+            if backend.eager:
+                try:
+                    backend.load(
+                        scalar_program,
+                        code,
+                        Artifacts(self.cache, digest, self.metrics, timers),
+                    )
+                except BackendUnavailableError:
+                    pass
         self.metrics.merge(build)
         return {
             "digest": digest,
@@ -331,7 +274,10 @@ class Service:
             "simplify": self.simplify,
             "scalar_program": scalar_program,
             "code": code,
-            "compile_timings": timings,
+            "compile_timings": {
+                name: stats["total_s"]
+                for name, stats in build.snapshot()["timers"].items()
+            },
         }
 
     # -- serving -----------------------------------------------------------

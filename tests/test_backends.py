@@ -284,20 +284,28 @@ def _real_backends():
 @pytest.mark.parametrize("backend", _real_backends())
 def test_service_matches_execute_on_every_backend(backend):
     # The serving layer and bare execute share one loader per backend, so
-    # an artifact compiled for any backend reproduces execute bit for bit —
-    # on its own backend and on every other one (cross-backend execution
-    # renders on first use).
+    # an artifact compiled for any backend reproduces execute bit for bit
+    # on its own backend; its compiled program, run elsewhere through
+    # execute, reproduces the artifact compiled for that other backend.
     from repro.benchsuite import get_benchmark
     from repro.exec.native import cc_available
     from repro.service import Service
 
     bench = get_benchmark("Frac")
     service = Service(level="c2+f4", backend=backend, persistent=False)
-    compiled = service.compile(bench.source, config={"n": 12, "m": 10})
+    config = {"n": 12, "m": 10}
+    compiled = service.compile(bench.source, config=config)
+    assert_identical(
+        compiled.execute(),
+        execute(compiled.scalar_program, backend),
+        "%s artifact" % backend,
+    )
     others = [name for name in sorted(BACKENDS) if name != "c" or cc_available()]
-    for other in [backend] + [name for name in others if name != backend]:
-        assert_identical(
-            compiled.execute(backend=other),
-            execute(compiled.scalar_program, other),
-            "%s artifact on %s" % (backend, other),
-        )
+    for other in others:
+        if other != backend:
+            own = service.compile(bench.source, config=config, backend=other)
+            assert_identical(
+                execute(compiled.scalar_program, other),
+                own.execute(),
+                "%s program on %s" % (backend, other),
+            )

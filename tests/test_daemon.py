@@ -151,17 +151,22 @@ class TestExecute:
         assert len(offered) == 1  # only the valid request was enqueued
         assert daemon.metrics.counter("daemon.dispatches") == before + 1
 
-    def test_alias_and_canonical_backend_share_one_admission_digest(self, daemon):
-        digests = []
-        offer = daemon.queue.offer
-        daemon.queue.offer = lambda job: digests.append(job.digest) or offer(job)
-        with DaemonClient(port=daemon.port) as client:
-            for backend in ("np", "codegen_np", "NumPy", None):
-                client.execute(SOURCE, backend=backend)
-            client.execute(SOURCE, backend="py")
-        assert len(digests) == 5
-        assert len(set(digests[:4])) == 1  # one batching key per artifact
+    def test_alias_and_canonical_backend_share_one_digest(self, tmp_path):
+        # Admission hashes nothing: the worker's reply names the artifact,
+        # and the daemon.request / daemon.dispatch spans carry its digest.
+        config = DaemonConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        with Daemon(config, trace=True) as daemon:
+            with DaemonClient(port=daemon.port) as client:
+                digests = [
+                    client.execute(SOURCE, backend=backend)["digest"]
+                    for backend in ("np", "codegen_np", "NumPy", None, "py")
+                ]
+            spans = daemon.tracer.spans()
+        assert len(set(digests[:4])) == 1  # one artifact
         assert digests[4] != digests[0]
+        for name in ("daemon.request", "daemon.dispatch"):
+            labels = [span.attrs["digest"] for span in spans if span.name == name]
+            assert labels == digests, name
 
     def test_bad_frame_is_a_400(self, daemon):
         import http.client

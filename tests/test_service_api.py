@@ -177,12 +177,11 @@ end;
 def test_requests_with_initial_arrays(service, backend):
     # A is read but never written, so it survives contraction and its
     # seeded contents must be observed by every backend.
-    compiled = service.compile(SEEDED_SOURCE)
-    cold = compiled.execute(backend=backend)
+    compiled = service.compile(SEEDED_SOURCE, backend=backend)
+    cold = compiled.execute()
     assert float(cold.scalars["total"]) == 4.0
     seeded = compiled.execute(
-        {"arrays": {"A": np.full_like(cold.arrays["A"], 2.0)}},
-        backend=backend,
+        {"arrays": {"A": np.full_like(cold.arrays["A"], 2.0)}}
     )
     assert float(seeded.scalars["total"]) == 12.0
 
@@ -209,10 +208,14 @@ def test_unknown_level_raises(service):
 
 
 def test_cross_backend_execution_of_cached_artifact(service):
+    # An artifact runs on its own backend; its compiled program runs on
+    # another one through repro.exec.execute.
+    from repro.exec import execute
+
     compiled = service.compile(SOURCE)  # rendered for codegen_np
     np_result = compiled.execute()
-    py_result = compiled.execute(backend="codegen_py")
-    interp_result = compiled.execute(backend="interp")
+    py_result = execute(compiled.scalar_program, "codegen_py")
+    interp_result = execute(compiled.scalar_program, "interp")
     for other in (py_result, interp_result):
         assert float(other.scalars["total"]) == float(
             np_result.scalars["total"]

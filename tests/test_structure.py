@@ -128,6 +128,26 @@ def test_five_backends_and_no_tile_engine():
     assert _count(pattern) == 0
 
 
+def test_an_artifact_is_built_addressed_and_run_one_way():
+    # One build path for both frontends, one address per frontend (source
+    # or trace digest), and an artifact runs on the backend it holds code
+    # for; admission hashes nothing, the worker's reply names the digest.
+    from repro.daemon.admission import Job
+    from repro.service import CompiledProgram, Service
+
+    pattern = "_build_ir|ir_digest|canonical_program|canonical_expr|event_spans"
+    assert _count(pattern) == 0
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Service)))
+    builders = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_build")
+    ]
+    assert builders == ["_build"]
+    execute = inspect.signature(CompiledProgram.execute).parameters
+    assert list(execute) == ["self", "request"]
+    assert "digest" not in Job.__dataclass_fields__
+
+
 def test_a_service_imports_no_parallel_module():
     code = (
         "import sys\n"
