@@ -31,7 +31,9 @@ it — and is recognised by identity afterwards (the last
 ``_KEPT_PROGRAMS`` of them, the same LRU on both sides of the pipe).
 Per program a rank **keeps** everything that
 depends only on the program's structure — per-nest facts, loaded
-kernels, exchange descriptions, the mappings of its segments, and one
+kernels, the :class:`~repro.parallel.shard.Exchange` values its messages
+carry (rank 0 interns them by value, and every report of the program
+shares them), the mappings of its segments, and one
 *prepared run* per (run of nests, concrete bounds): its post/wait
 steps, each nest's rank class, clamp and kernel arguments, and the
 segment views of every copy.  Per call it **resets** what depends on
@@ -70,7 +72,11 @@ process sentinel, which the coordinator waits on together with the
 pipes: the run fails at once with a typed :class:`ReproError` naming the
 rank and how it went, its peers — reading EOF from its pipes, or parked
 waiting on another rank — are terminated with the rest of the pool, and
-the next call forks a fresh one.
+the next call forks a fresh one.  A :class:`ReproError` a rank raises —
+a runaway loop past :data:`repro.interp.evalexpr.STEP_LIMIT` is an
+``InterpError`` here as on the interpreters — reaches the caller as its
+own type and one line, ``mp-shard worker N: <message>``; any other
+exception is a bug and arrives with the rank's traceback.
 
 The driver walk is *lockstep deterministic*: every rank performs the
 same walk over the same program, so barrier sequences, segment names and
@@ -161,16 +167,23 @@ from typing import (
 import numpy as np
 
 from repro.daemon import proc, shm
+from repro.interp import evalexpr
 from repro.interp.evalexpr import eval_scalar
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
+from repro.obs.registry import registered_counter_names
+from repro.parallel.comm import ELEM_BYTES
 from repro.parallel.commopt import ALL_COMM_OPTS, CommOptions
 from repro.parallel.distribution import ProcessorGrid
 from repro.parallel.shard import (
-    ELEM_BYTES,
+    Exchange,
     ShardError,
     ShardLayout,
+    box_elements,
+    box_index,
+    box_intersect,
+    box_shape,
     plan_run,
     program_rank,
 )
@@ -210,18 +223,8 @@ _RED_PREFIX = "__shard_red"
 _LO, _HI = "__shard_lo%d", "__shard_hi%d"
 
 #: Every counter a run reports, so unused ones read 0 instead of vanishing.
-_COMM_COUNTERS = (
-    "comm.exchanges",
-    "comm.bytes",
-    "comm.combined",
-    "comm.eliminated",
-    "comm.fallback_nests",
-    "comm.reduce_bytes",
-    "comm.gather_bytes",
-    "comm.kernel_loads",
-    "comm.runs_prepared",
-    "comm.scalar_bcasts",
-    "comm.barrier_waits",
+_COMM_COUNTERS = tuple(
+    name for name in registered_counter_names() if name.startswith("comm.")
 )
 
 DAEMONIC_MESSAGE = (
@@ -241,48 +244,21 @@ def default_procs() -> int:
 # -- report types ----------------------------------------------------------
 
 
-class ExchangeDescription(NamedTuple):
-    """What one planned wire message carries, shared by its executions.
+class ExchangeRecord(NamedTuple):
+    """One executed wire message, with planned and measured bytes.
 
-    A row sweep executes value-equal messages hundreds of times, and a
-    warm pool executes the same program call after call: rank 0 interns
-    descriptions by value, ships each to the coordinator once per
-    program, and every :class:`CommReport` of that program refers to the
-    same objects.
+    Every field of its :class:`~repro.parallel.shard.Exchange` reads
+    through (``record.arrays``, ``record.events``, ``record.model_bytes``
+    ...).
     """
 
-    arrays: Tuple[str, ...]
-    events: Tuple[dict, ...]
-    planned_bytes: int
-    model_bytes: int
-    corner_bytes: int
-    post_point: int
-    wait_point: int
+    ordinal: int
+    description: Exchange
+    measured_bytes: int = 0
+    duration_us: float = 0.0
 
-
-def _described(name: str) -> property:
-    return property(lambda self: getattr(self.description, name))
-
-
-class ExchangeRecord:
-    """One executed wire message, with planned and measured bytes."""
-
-    __slots__ = ("ordinal", "description", "measured_bytes", "duration_us")
-
-    def __init__(self, ordinal: int, description: ExchangeDescription,
-                 measured_bytes: int = 0, duration_us: float = 0.0) -> None:
-        self.ordinal = ordinal
-        self.description = description
-        self.measured_bytes = measured_bytes
-        self.duration_us = duration_us
-
-    arrays = _described("arrays")
-    events = _described("events")
-    planned_bytes = _described("planned_bytes")
-    model_bytes = _described("model_bytes")
-    corner_bytes = _described("corner_bytes")
-    post_point = _described("post_point")
-    wait_point = _described("wait_point")
+    def __getattr__(self, name: str):
+        return getattr(self.description, name)
 
     def __repr__(self) -> str:
         return (
@@ -307,7 +283,7 @@ class CommReport:
 
     def __init__(self, procs: int, grid_shape: Tuple[int, ...],
                  counters: Dict[str, int],
-                 descriptions: Tuple[ExchangeDescription, ...] = (),
+                 descriptions: Tuple[Exchange, ...] = (),
                  described: Sequence[int] = (),
                  measured: Sequence[int] = (),
                  durations_us: Sequence[float] = ()) -> None:
@@ -344,38 +320,6 @@ class CommReport:
         return sum(
             self.descriptions[index].model_bytes for index in self.described
         )
-
-
-# -- geometry helpers ------------------------------------------------------
-
-
-def _shape_of(bounds: Bounds) -> Tuple[int, ...]:
-    return tuple(max(hi - lo + 1, 1) for lo, hi in bounds)
-
-
-def _elements(bounds: Bounds) -> int:
-    count = 1
-    for lo, hi in bounds:
-        count *= max(0, hi - lo + 1)
-    return count
-
-
-def _index(alloc: Bounds, box: Bounds) -> Tuple[slice, ...]:
-    """Numpy index of ``box`` inside an array allocated over ``alloc``."""
-    return tuple(
-        slice(blo - alo, bhi - alo + 1)
-        for (alo, _ahi), (blo, bhi) in zip(alloc, box)
-    )
-
-
-def _intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
-    out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if lo > hi:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
 
 
 # -- the pipe barrier ------------------------------------------------------
@@ -604,7 +548,7 @@ class _Run:
 def _call_bytes(layout: ShardLayout) -> int:
     """The size of a program's call segment (see :func:`_call_views`)."""
     return 2 * sum(
-        math.prod(_shape_of(bounds)) * np.dtype(DTYPES[kind]).itemsize
+        math.prod(box_shape(bounds)) * np.dtype(DTYPES[kind]).itemsize
         for bounds, kind in layout.allocs.values()
     )
 
@@ -625,7 +569,7 @@ def _call_views(buf, layout: ShardLayout):
         for name in sorted(layout.allocs):
             bounds, kind = layout.allocs[name]
             view = views[name] = np.ndarray(
-                _shape_of(bounds), dtype=DTYPES[kind], buffer=buf,
+                box_shape(bounds), dtype=DTYPES[kind], buffer=buf,
                 offset=cursor,
             )
             cursor += view.nbytes
@@ -666,12 +610,11 @@ class _Worker:
         #: kernel, scalar input names besides the region bounds, every
         #: scalar it declares at its kind's zero)
         self.kernels: Dict[tuple, tuple] = {}
-        #: rank 0: description value -> index, in first-seen order; the
-        #: coordinator has been sent the first ``described_sent`` of them
-        self.descriptions: Dict[tuple, int] = {}
-        self.description_list: List[ExchangeDescription] = []
+        #: rank 0: each distinct exchange -> its index, in first-seen
+        #: order; the coordinator has been sent the first
+        #: ``described_sent`` of them
+        self.descriptions: Dict[Exchange, int] = {}
         self.described_sent = 0
-        self.event_dicts: Dict[tuple, dict] = {}
         self.next_seg = 0
         #: the program's call segment, mapped on its first call, and the
         #: (results, inputs) views over it
@@ -689,12 +632,12 @@ class _Worker:
         self.locals: Dict[str, np.ndarray] = {}
         for name, (bounds, kind) in self.layout.allocs.items():
             local = self.local_bounds[name]
-            values = np.zeros(_shape_of(local), dtype=DTYPES[kind])
+            values = np.zeros(box_shape(local), dtype=DTYPES[kind])
             if inputs and name in inputs:
-                box = _intersect(local, bounds)
+                box = box_intersect(local, bounds)
                 if box is not None:
-                    values[_index(local, box)] = inputs[name][
-                        _index(bounds, box)
+                    values[box_index(local, box)] = inputs[name][
+                        box_index(bounds, box)
                     ]
             self.locals[name] = values
         #: per ordinal: bytes this rank wrote / (rank 0) which description
@@ -704,6 +647,7 @@ class _Worker:
         self.durations_us = array("d")
         self.counters: Dict[str, int] = dict.fromkeys(_COMM_COUNTERS, 0)
         self._steps = 0
+        self._max_steps = evalexpr.STEP_LIMIT
 
     # -- shared memory -----------------------------------------------------
 
@@ -874,42 +818,6 @@ class _Worker:
 
     # -- prepared runs -----------------------------------------------------
 
-    def _describe(self, message) -> int:
-        """The index of one planned message's interned description."""
-        events = [
-            (
-                ("array", pe.event.array),
-                ("dim", pe.event.dim),
-                ("direction", pe.event.direction),
-                ("width", pe.event.width),
-                ("nest_index", pe.event.nest_index),
-                ("event_bytes", pe.event.bytes),
-                ("pairs", len(pe.copies)),
-                ("clipped", pe.clipped),
-                ("planned_bytes", pe.bytes),
-                ("model_bytes", pe.model_bytes),
-                ("corner_bytes", pe.corner_bytes),
-            )
-            for pe in message.events
-        ]
-        key = (
-            message.arrays, tuple(events), message.size_bytes,
-            message.model_bytes, message.corner_bytes,
-            message.post_point, message.wait_point,
-        )
-        index = self.descriptions.get(key)
-        if index is None:
-            index = self.descriptions[key] = len(self.description_list)
-            self.description_list.append(ExchangeDescription(
-                message.arrays,
-                tuple(
-                    self.event_dicts.setdefault(items, dict(items))
-                    for items in events
-                ),
-                *key[2:],
-            ))
-        return index
-
     def _exec_run(self, run: _Run) -> None:
         key = tuple(map(self.scalars.get, run.free))
         prepared = run.by_values.get(key)
@@ -952,8 +860,8 @@ class _Worker:
         posts: List[list] = [[] for _ in range(len(nests) + 1)]
         waits: List[list] = [[] for _ in range(len(nests) + 1)]
         for message in plan.messages:
-            posts[message.post_point].append(message)
-            waits[message.wait_point].append(message)
+            posts[message.exchange.post_point].append(message)
+            waits[message.exchange.wait_point].append(message)
         steps = []
         for step, (post, wait) in enumerate(zip(posts, waits)):
             if post or wait:
@@ -963,13 +871,20 @@ class _Worker:
             args = nests[step], bounds[step], prefix, step
             if step not in gathered:
                 steps.append(self._clamped_step(*args))
-            elif _elements(bounds[step]):
+            elif box_elements(bounds[step]):
                 # over an empty region nothing executes: arrays and
                 # scalars keep their values
                 steps.append(self._gathered_step(*args))
         blank = bytes(8 * len(plan.messages))  # fresh per-ordinal columns
         if self.rank == 0:
-            described = tuple(map(self._describe, plan.messages))
+            # interned by value: every report of the program shares one
+            # object per distinct message
+            described = tuple(
+                self.descriptions.setdefault(
+                    message.exchange, len(self.descriptions)
+                )
+                for message in plan.messages
+            )
             counts = (
                 ("comm.exchanges", len(plan.messages)),
                 ("comm.combined", plan.combined),
@@ -993,7 +908,7 @@ class _Worker:
     def _slot(self, seg, name: str, box: Bounds, offset: int) -> np.ndarray:
         """The view of ``name``'s ``box`` laid out at ``offset`` in ``seg``."""
         return np.ndarray(
-            _shape_of(box), dtype=DTYPES[self.array_kinds[name]],
+            box_shape(box), dtype=DTYPES[self.array_kinds[name]],
             buffer=seg.buf, offset=offset,
         )
 
@@ -1007,19 +922,15 @@ class _Worker:
             found = []
             for message in messages:
                 mine = []
-                for planned_event in message.events:
-                    name = planned_event.event.array
-                    for copy in planned_event.copies:
-                        box = clip(name, copy.box)
-                        if box is not None:
-                            slot = self._slot(
-                                seg, name, copy.box, copy.offset_bytes
-                            )
-                            mine.append((
-                                slot[_index(copy.box, box)], name,
-                                _index(self.local_bounds[name], box),
-                                _elements(box) * ELEM_BYTES,
-                            ))
+                for name, box, offset in message.copies:
+                    part = clip(name, box)
+                    if part is not None:
+                        slot = self._slot(seg, name, box, offset)
+                        mine.append((
+                            slot[box_index(box, part)], name,
+                            box_index(self.local_bounds[name], part),
+                            box_elements(part) * ELEM_BYTES,
+                        ))
                 found.append((message.index, mine))
             return found
 
@@ -1027,12 +938,13 @@ class _Worker:
             posts, lambda _name, box: self.layout.owned_box(self.rank, box)
         )
         reads = copies(
-            waits, lambda name, box: _intersect(box, self.local_bounds[name])
+            waits,
+            lambda name, box: box_intersect(box, self.local_bounds[name]),
         )
         # A step none of whose messages has a copy moves nothing, so
         # nobody waits for anybody: the plan says so on every rank alike.
         # Its messages are still recorded and timed.
-        sync = any(pe.copies for m in posts + waits for pe in m.events)
+        sync = any(message.copies for message in posts + waits)
 
         def exchange() -> None:
             first = self._first
@@ -1078,32 +990,32 @@ class _Worker:
                 allocs[red_name] = (clamp, kind)
             kernel = self._kernel(node, "clamped", allocs, clamp)
             scratch = [
-                (red_name, _shape_of(clamp), DTYPES[kind])
+                (red_name, box_shape(clamp), DTYPES[kind])
                 for red_name, kind, _op, _target in facts.reductions
             ]
         # Over an empty region nothing is folded: every rank sees the same
         # bounds, so all of them skip the barriers together.
-        folds = facts.reductions if _elements(bounds) else ()
+        folds = facts.reductions if box_elements(bounds) else ()
         views, mine, fold = {}, [], None
         if folds:
-            slot_bytes = _elements(bounds) * ELEM_BYTES
+            slot_bytes = box_elements(bounds) * ELEM_BYTES
             seg = self._segment(
                 "%s_r%d" % (prefix, step), slot_bytes * len(folds)
             )
             for slot, (red_name, kind, _op, _target) in enumerate(folds):
                 view = views[red_name] = np.ndarray(
-                    _shape_of(bounds), dtype=DTYPES[kind],
+                    box_shape(bounds), dtype=DTYPES[kind],
                     buffer=seg.buf, offset=slot * slot_bytes,
                 )
                 if clamp is not None:
-                    mine.append((red_name, view[_index(bounds, clamp)]))
+                    mine.append((red_name, view[box_index(bounds, clamp)]))
             # Folds start from the accumulator's pre-nest value (the
             # oracle's ``acc = acc + np.sum(...)``): it is a scalar input.
             if self.rank == 0:
                 fold = self._kernel(node, "fold", {
                     red_name: (bounds, kind) for red_name, kind, _, _ in folds
                 }, bounds)
-        nbytes = len(mine) * _elements(clamp) * ELEM_BYTES if mine else 0
+        nbytes = len(mine) * box_elements(clamp) * ELEM_BYTES if mine else 0
 
         def clamped() -> None:
             if kernel is not None:
@@ -1136,7 +1048,7 @@ class _Worker:
         cursor = 0
         for name in facts.arrays:
             offsets[name] = cursor
-            cursor += _elements(allocs[name][0]) * ELEM_BYTES
+            cursor += box_elements(allocs[name][0]) * ELEM_BYTES
         seg = self._segment("%s_f%d" % (prefix, step), cursor)
         views = {
             name: self._slot(seg, name, allocs[name][0], offsets[name])
@@ -1147,16 +1059,16 @@ class _Worker:
             own = self.layout.owned_box(self.rank, allocs[name][0])
             if own is not None:
                 gathers.append((
-                    views[name][_index(allocs[name][0], own)], name,
-                    _index(self.local_bounds[name], own),
+                    views[name][box_index(allocs[name][0], own)], name,
+                    box_index(self.local_bounds[name], own),
                 ))
         scatters = []  # (array, slot view of its local box, local shape)
         for name in facts.writes:
             local = self.local_bounds[name]
-            if _elements(local) > 0:
+            if box_elements(local) > 0:
                 scatters.append((
-                    name, views[name][_index(allocs[name][0], local)],
-                    _shape_of(local),
+                    name, views[name][box_index(allocs[name][0], local)],
+                    box_shape(local),
                 ))
         kernel = self._kernel(
             node, "fallback",
@@ -1186,8 +1098,8 @@ class _Worker:
 
     def _tick(self) -> None:
         self._steps += 1
-        if self._steps > 50_000_000:
-            raise ShardError("step limit exceeded (runaway loop?)")
+        if self._steps > self._max_steps:
+            raise InterpError("step limit exceeded (runaway loop?)")
 
     def execute_body(self, body: Sequence[SNode]) -> None:
         nodes = self.bodies.get(id(body))
@@ -1246,8 +1158,8 @@ class _Worker:
                 bounds = self.layout.allocs[name][0]
                 own = self.layout.owned_box(self.rank, bounds)
                 if own is not None:
-                    view[_index(bounds, own)] = self.locals[name][
-                        _index(self.local_bounds[name], own)
+                    view[box_index(bounds, own)] = self.locals[name][
+                        box_index(self.local_bounds[name], own)
                     ]
         finally:
             self.locals = {}  # a call's data is not kept with the program
@@ -1259,10 +1171,10 @@ class _Worker:
             }
             summary["described"] = self.described
             summary["durations_us"] = self.durations_us
-            summary["descriptions"] = self.description_list[
+            summary["descriptions"] = list(self.descriptions)[
                 self.described_sent:
             ]
-            self.described_sent = len(self.description_list)
+            self.described_sent = len(self.descriptions)
         return summary
 
 
@@ -1292,13 +1204,15 @@ def _rank_main(conn, rank: int, barrier: _PipeBarrier, born_with: dict,
             # Its peers are, or soon will be, parked in a wait: poison
             # sends them home.
             barrier.abort()
-            # Run-time errors the single-process backends also raise keep
-            # their type across the process boundary; a broken barrier is
-            # some other rank's failure, not this one's.
+            # A ReproError crosses as its type and one line; anything else
+            # is a bug and keeps its traceback.  A broken barrier is some
+            # other rank's failure, not this one's.
+            if isinstance(error, ReproError):
+                kind, text = type(error), ": %s" % error
+            else:
+                kind, text = ReproError, " failed:\n" + traceback.format_exc()
             return (
-                "error",
-                type(error) if isinstance(error, InterpError) else ReproError,
-                traceback.format_exc(),
+                "error", kind, text,
                 isinstance(error, threading.BrokenBarrierError),
             )
 
@@ -1386,8 +1300,8 @@ class _Shipped:
         self.shipped: Optional[tuple] = (
             program, self.layout, options, local_backend, prefix
         )
-        #: every description rank 0 has sent so far; reports share it
-        self.descriptions: Tuple[ExchangeDescription, ...] = ()
+        #: every exchange rank 0 has sent so far; reports share it
+        self.descriptions: Tuple[Exchange, ...] = ()
         #: the call segment, created by the first call, and the (results,
         #: inputs) views over it
         self.call = None
@@ -1480,12 +1394,7 @@ class _Pool:
         to reach the ranks: a call refused before then (bad inputs, a
         daemonic caller) must not reorder the coordinator's side alone,
         or it would keep a program the ranks have evicted."""
-        key = (
-            id(program),
-            (options.redundancy_elimination, options.combining,
-             options.pipelining),
-            local_backend,
-        )
+        key = (id(program), options, local_backend)
         entry = self.programs.get(key)
         if entry is None:
             entry = self.programs[key] = _Shipped(
@@ -1556,11 +1465,12 @@ class _Pool:
                 kind, text, secondhand = body
                 if failure is None or not secondhand:
                     failure = (rank, kind, text)
-                if not secondhand:
+                if not secondhand:  # retiring the pool stops the rest
                     waiting.clear()
+                    break
         if failure is not None:
             rank, kind, text = failure
-            raise kind("mp-shard worker %d failed:\n%s" % (rank, text))
+            raise kind("mp-shard worker %d%s" % (rank, text))
         if waiting:
             raise ReproError(
                 "mp-shard collected %d/%d worker results"

@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.interp import evalexpr
 from repro.interp.evalexpr import eval_region, eval_scalar
 from repro.interp.storage import Storage
 from repro.ir import expr as ir
@@ -47,7 +48,7 @@ class ArrayInterpreter:
         for name, info in program.scalars.items():
             self.storage.declare_scalar(name, info.kind)
         self._steps = 0
-        self._max_steps = 50_000_000
+        self._max_steps = evalexpr.STEP_LIMIT
 
     # -- execution -------------------------------------------------------
 

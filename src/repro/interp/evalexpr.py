@@ -20,6 +20,10 @@ import numpy as np
 from repro.ir import expr as ir
 from repro.util.errors import InterpError
 
+#: Statements one run may execute before it is taken for a runaway loop:
+#: both interpreters and every mp-shard rank read it when a run starts.
+STEP_LIMIT = 50_000_000
+
 
 def _evaluate(
     expr: ir.IRExpr,

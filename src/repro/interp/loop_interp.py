@@ -13,6 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.interp import evalexpr
 from repro.interp.evalexpr import eval_point, eval_scalar
 from repro.interp.storage import Storage
 from repro.lang import operators
@@ -45,7 +46,7 @@ class LoopInterpreter:
         )
         self._config_env = int_config_env(program.configs)
         self._steps = 0
-        self._max_steps = 50_000_000
+        self._max_steps = evalexpr.STEP_LIMIT
 
     def run(self) -> Storage:
         self._execute_body(self.program.body)

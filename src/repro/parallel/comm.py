@@ -12,15 +12,20 @@ compiler-generated communication primitives are not normalized statements
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.parallel.distribution import ProcessorGrid
 from repro.scalarize.loopnest import LoopNest, SNode
 
-_ELEM_BYTES = 8
+#: The model's element size (bytes): every price, counter and plan figure
+#: uses it, regardless of the array's actual dtype, so measured bytes stay
+#: directly comparable to ``CommEvent.bytes``.
+ELEM_BYTES = 8
 
 
-class CommEvent:
+class CommEvent(NamedTuple):
     """One border exchange required before a loop nest executes.
 
     ``nest_index`` is the position of the consuming nest within its run;
@@ -35,58 +40,25 @@ class CommEvent:
     widen it beyond zero.  It is not part of :meth:`key`.
     """
 
-    __slots__ = (
-        "array",
-        "dim",
-        "direction",
-        "width",
-        "bytes",
-        "nest_index",
-        "producer_index",
-        "spans",
-    )
-
-    def __init__(
-        self,
-        array: str,
-        dim: int,
-        direction: int,
-        width: int,
-        bytes_count: int,
-        nest_index: int,
-        producer_index: Optional[int],
-        spans: Sequence[Tuple[int, int]],
-    ) -> None:
-        self.array = array
-        self.dim = dim
-        self.direction = direction
-        self.width = width
-        self.bytes = bytes_count
-        self.nest_index = nest_index
-        self.producer_index = producer_index
-        self.spans: Tuple[Tuple[int, int], ...] = tuple(spans)
+    array: str
+    dim: int
+    direction: int
+    width: int
+    bytes: int
+    nest_index: int
+    producer_index: Optional[int]
+    spans: Tuple[Tuple[int, int], ...]
 
     def key(self) -> Tuple[str, int, int, int]:
         """Identity for redundancy elimination."""
         return (self.array, self.dim, self.direction, self.width)
-
-    def __repr__(self) -> str:
-        return "CommEvent(%s, dim=%d, dir=%+d, width=%d, %dB, nest=%d, prod=%r)" % (
-            self.array,
-            self.dim,
-            self.direction,
-            self.width,
-            self.bytes,
-            self.nest_index,
-            self.producer_index,
-        )
 
 
 def _border_bytes(
     bounds: Sequence[Tuple[int, int]], dim: int, width: int
 ) -> int:
     """Bytes in a border strip of ``width`` along ``dim`` of a local block."""
-    total = _ELEM_BYTES * width
+    total = ELEM_BYTES * width
     for d, (lo, hi) in enumerate(bounds, start=1):
         if d != dim:
             total *= max(0, hi - lo + 1)
@@ -108,14 +80,13 @@ def analyze_run(
     whole strips move as single messages); every reference it pools
     widens the event's ``spans``.
     """
-    events: List[CommEvent] = []
+    pooled: Dict[Tuple[int, str, int, int, int], CommEvent] = {}
     last_writer: Dict[str, int] = {}
     for index, node in enumerate(run):
         if not isinstance(node, LoopNest):
             continue
         if grid.rank >= 1:
             bounds = node.region.concrete_bounds(env)
-        pooled: Dict[Tuple[str, int, int, int], CommEvent] = {}
         for ref in node.reads():
             name, offset = ref.name, ref.offset
             if name not in distributed_arrays:
@@ -123,26 +94,24 @@ def analyze_run(
             for dim in grid.cut_crossings(offset):
                 width = abs(offset[dim - 1])
                 direction = 1 if offset[dim - 1] > 0 else -1
-                key = (name, dim, direction, width)
+                key = (index, name, dim, direction, width)
                 event = pooled.get(key)
-                if event is not None:
-                    event.spans = tuple(
+                if event is None:
+                    pooled[key] = CommEvent(
+                        name,
+                        dim,
+                        direction,
+                        width,
+                        _border_bytes(bounds, dim, width),
+                        index,
+                        last_writer.get(name),
+                        tuple((off, off) for off in offset),
+                    )
+                else:
+                    pooled[key] = event._replace(spans=tuple(
                         (min(lo, off), max(hi, off))
                         for (lo, hi), off in zip(event.spans, offset)
-                    )
-                    continue
-                event = pooled[key] = CommEvent(
-                    name,
-                    dim,
-                    direction,
-                    width,
-                    _border_bytes(bounds, dim, width),
-                    index,
-                    last_writer.get(name),
-                    [(off, off) for off in offset],
-                )
-                events.append(event)
+                    ))
         for name in node.writes():
             last_writer[name] = index
-    return events
-
+    return list(pooled.values())

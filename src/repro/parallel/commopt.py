@@ -27,27 +27,12 @@ from repro.parallel.comm import CommEvent
 from repro.scalarize.loopnest import LoopNest, SNode
 
 
-class CommOptions:
+class CommOptions(NamedTuple):
     """Which communication optimizations to apply."""
 
-    __slots__ = ("redundancy_elimination", "combining", "pipelining")
-
-    def __init__(
-        self,
-        redundancy_elimination: bool = True,
-        combining: bool = True,
-        pipelining: bool = True,
-    ) -> None:
-        self.redundancy_elimination = redundancy_elimination
-        self.combining = combining
-        self.pipelining = pipelining
-
-    def __repr__(self) -> str:
-        return "CommOptions(re=%s, comb=%s, pipe=%s)" % (
-            self.redundancy_elimination,
-            self.combining,
-            self.pipelining,
-        )
+    redundancy_elimination: bool = True
+    combining: bool = True
+    pipelining: bool = True
 
 
 ALL_COMM_OPTS = CommOptions()
@@ -102,14 +87,10 @@ def combine_messages(
     is its own group.
     """
     groups: Dict[Tuple[int, int, int], List[CommEvent]] = {}
-    order: List[Tuple[int, int, int]] = []
     for event in events:
         key = (event.nest_index, event.dim, event.direction)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(event)
-    return [groups[key] for key in order]
+        groups.setdefault(key, []).append(event)
+    return list(groups.values())
 
 
 class Message(NamedTuple):

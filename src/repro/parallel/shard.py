@@ -15,6 +15,15 @@ memory, no clocks — so the same code computes the *predicted* schedule
 modeled then holds by construction for the schedule, and the harness
 only needs to check that the bytes actually written match the plan.
 
+A plan is immutable values, built once where it is decided:
+:func:`plan_run` turns each scheduled message into a
+:class:`PlannedMessage` — its :class:`Exchange` (what it carries, one
+:class:`EventPlan` per event with every byte count a report shows) and
+its ``(array, box, offset)`` copies — and ``mp-shard`` executes, interns
+and reports those same values.  The box algebra both sides need
+(:func:`box_elements`, :func:`box_shape`, :func:`box_index`,
+:func:`box_intersect`) is written here once.
+
 Layout contract
 ---------------
 
@@ -50,19 +59,45 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.ir.region import Region
-from repro.parallel.comm import CommEvent, analyze_run
+from repro.parallel.comm import ELEM_BYTES, CommEvent, analyze_run
 from repro.parallel.commopt import CommOptions, schedule
 from repro.parallel.distribution import ProcessorGrid, block_chunks
 from repro.scalarize.loopnest import LoopNest, ScalarProgram, partition_plan
 from repro.util.errors import ReproError
 
-#: The model's element size (bytes): every counter and plan figure uses
-#: it, regardless of the array's actual dtype, so measured bytes stay
-#: directly comparable to ``CommEvent.bytes``.
-ELEM_BYTES = 8
-
 Bounds = Tuple[Tuple[int, int], ...]
+
+
+def box_elements(box: Bounds) -> int:
+    """Elements in ``box`` (0 when it is empty along any dimension)."""
+    count = 1
+    for lo, hi in box:
+        count *= max(0, hi - lo + 1)
+    return count
+
+
+def box_shape(box: Bounds) -> Tuple[int, ...]:
+    """The NumPy shape of an array allocated over ``box``."""
+    return tuple(max(hi - lo + 1, 1) for lo, hi in box)
+
+
+def box_index(alloc: Bounds, box: Bounds) -> Tuple[slice, ...]:
+    """NumPy index of ``box`` inside an array allocated over ``alloc``."""
+    return tuple(
+        slice(blo - alo, bhi - alo + 1)
+        for (alo, _ahi), (blo, bhi) in zip(alloc, box)
+    )
+
+
+def box_intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
+    """``a`` ∩ ``b``, or None when they do not meet."""
+    out = []
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo > hi:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
 
 
 class ShardError(ReproError):
@@ -204,15 +239,10 @@ class ShardLayout:
     def owned_box(self, rank_id: int, bounds: Bounds) -> Optional[Bounds]:
         """``bounds`` ∩ this worker's ownership, or None when empty."""
         coords = self.coords_of(rank_id)
-        out: List[Tuple[int, int]] = []
-        for dim, (lo, hi) in enumerate(bounds, start=1):
-            if dim <= self.rank:
-                slo, shi = self.owner_slab(dim, coords[dim - 1])
-                lo, hi = max(lo, slo), min(hi, shi)
-            if lo > hi:
-                return None
-            out.append((lo, hi))
-        return tuple(out)
+        return box_intersect(bounds, tuple(
+            self.owner_slab(dim, coords[dim - 1]) if dim <= self.rank else span
+            for dim, span in enumerate(bounds, start=1)
+        ))
 
     def local_alloc(self, rank_id: int, array: str) -> Bounds:
         """The bounds of this worker's persistent copy of ``array``."""
@@ -235,103 +265,65 @@ class ShardLayout:
     def clamp(self, rank_id: int, bounds: Bounds) -> Optional[Bounds]:
         """``bounds`` ∩ this worker's raw chunks (compute clamp)."""
         coords = self.coords_of(rank_id)
-        out: List[Tuple[int, int]] = []
-        for dim, (lo, hi) in enumerate(bounds, start=1):
-            if dim <= self.rank and self.grid.is_cut(dim):
-                clo, chi = self.chunk(dim, coords[dim - 1])
-                lo, hi = max(lo, clo), min(hi, chi)
-            if lo > hi:
-                return None
-            out.append((lo, hi))
-        return tuple(out)
+        return box_intersect(bounds, tuple(
+            self.chunk(dim, coords[dim - 1])
+            if dim <= self.rank and self.grid.is_cut(dim) else span
+            for dim, span in enumerate(bounds, start=1)
+        ))
 
 
 # -- exchange planning -----------------------------------------------------
 
 
-class PlannedCopy:
-    """One contiguous global box of one event crossing one boundary."""
-
-    __slots__ = ("array", "box", "offset_bytes", "model_bytes", "corner_bytes")
-
-    def __init__(self, array: str, box: Bounds, offset_bytes: int,
-                 model_bytes: int, corner_bytes: int) -> None:
-        self.array = array
-        self.box = box
-        self.offset_bytes = offset_bytes
-        self.model_bytes = model_bytes
-        self.corner_bytes = corner_bytes
-
-    @property
-    def elements(self) -> int:
-        count = 1
-        for lo, hi in self.box:
-            count *= hi - lo + 1
-        return count
-
-    @property
-    def bytes(self) -> int:
-        return self.elements * ELEM_BYTES
-
-
-class PlannedEvent:
-    """One CommEvent realized as boxes (one per crossed boundary).
+class EventPlan(NamedTuple):
+    """One :class:`~repro.parallel.comm.CommEvent` realized across the
+    ``pairs`` chunk boundaries it crosses.
 
     ``clipped`` marks the one sanctioned divergence from the analytic
     price: the consuming region is narrower along the exchanged
     dimension than the event width, so the wire strip is smaller than
-    the ``width × perpendicular`` block ``CommEvent.bytes`` charges.
+    the ``width × perpendicular`` block ``event_bytes`` charges.
     """
 
-    __slots__ = ("event", "copies", "clipped")
-
-    def __init__(self, event: CommEvent, copies: List[PlannedCopy],
-                 clipped: bool = False) -> None:
-        self.event = event
-        self.copies = copies
-        self.clipped = clipped
-
-    @property
-    def bytes(self) -> int:
-        return sum(copy.bytes for copy in self.copies)
-
-    @property
-    def model_bytes(self) -> int:
-        return sum(copy.model_bytes for copy in self.copies)
-
-    @property
-    def corner_bytes(self) -> int:
-        return sum(copy.corner_bytes for copy in self.copies)
+    array: str
+    dim: int
+    direction: int
+    width: int
+    nest_index: int
+    event_bytes: int
+    pairs: int
+    clipped: bool
+    planned_bytes: int
+    model_bytes: int
+    corner_bytes: int
 
 
-class PlannedMessage:
-    """One wire message: every event it carries shares one shm write."""
+class Exchange(NamedTuple):
+    """What one planned wire message carries.
 
-    __slots__ = ("index", "events", "post_point", "wait_point", "size_bytes")
+    A value: a row sweep plans value-equal messages hundreds of times,
+    and ``mp-shard`` interns them, so every report of a program refers
+    to one object per distinct message.
+    """
 
-    def __init__(self, index: int, events: List[PlannedEvent],
-                 post_point: int, wait_point: int) -> None:
-        self.index = index
-        self.events = events
-        self.post_point = post_point
-        self.wait_point = wait_point
-        self.size_bytes = sum(pe.bytes for pe in events)
+    arrays: Tuple[str, ...]
+    events: Tuple[EventPlan, ...]
+    planned_bytes: int
+    model_bytes: int
+    corner_bytes: int
+    post_point: int
+    wait_point: int
 
-    @property
-    def model_bytes(self) -> int:
-        return sum(pe.model_bytes for pe in self.events)
 
-    @property
-    def corner_bytes(self) -> int:
-        return sum(pe.corner_bytes for pe in self.events)
+class PlannedMessage(NamedTuple):
+    """One wire message: its position in the run's schedule, what it
+    carries, and per crossed boundary one ``(array, box, offset)`` copy —
+    a contiguous global box laid out at ``offset`` bytes of the run's
+    segment.  Every copy of a message shares one segment write."""
 
-    @property
-    def arrays(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for pe in self.events:
-            if pe.event.array not in seen:
-                seen.append(pe.event.array)
-        return tuple(seen)
+    index: int
+    exchange: Exchange
+    copies: Tuple[Tuple[str, Bounds, int], ...]
 
 
 class RunPlan(NamedTuple):
@@ -341,7 +333,6 @@ class RunPlan(NamedTuple):
     segment_bytes: int
     eliminated: int
     combined: int
-    fallback_indices: Tuple[int, ...]
 
 
 def _consumer_box(
@@ -372,13 +363,12 @@ def _consumer_box(
     return tuple(box)
 
 
-def _event_copies(
+def _event_boxes(
     consumers: Sequence[Tuple[Bounds, Sequence[Tuple[int, int]]]],
     event: CommEvent,
     layout: ShardLayout,
-    offset_bytes: int,
-) -> Tuple[List[PlannedCopy], int, bool]:
-    """The strip boxes for one event, with slot offsets assigned.
+) -> Tuple[List[Bounds], int, bool]:
+    """The strip boxes for one event, their model bytes, and ``clipped``.
 
     ``consumers`` is the kept event's own (nest bounds, spans) first,
     followed by those of every later event redundancy elimination
@@ -397,34 +387,30 @@ def _event_copies(
     for dim, (lo, hi) in enumerate(primary_bounds, start=1):
         if dim != d:
             model_perp *= max(0, hi - lo + 1)
-    copies: List[PlannedCopy] = []
+    boxes: List[Bounds] = []
+    model = 0
     clipped = False
     for B in layout.boundaries(d):
-        boxes = [
+        found = [
             _consumer_box(event, bounds, spans, alloc_bounds, B)
             for bounds, spans in consumers
         ]
-        live = [box for box in boxes if box is not None]
+        live = [box for box in found if box is not None]
         if not live:
             continue
-        box = tuple(
+        boxes.append(tuple(
             (min(b[dim][0] for b in live), max(b[dim][1] for b in live))
             for dim in range(len(live[0]))
-        )
-        primary = boxes[0]
+        ))
+        primary = found[0]
         if primary is not None:
             strip_extent = primary[d - 1][1] - primary[d - 1][0] + 1
-            model = ELEM_BYTES * strip_extent * model_perp
+            model += ELEM_BYTES * strip_extent * model_perp
             if strip_extent < event.width:
                 clipped = True
         else:
-            model = 0
             clipped = True
-        copy = PlannedCopy(event.array, box, offset_bytes, model, 0)
-        copy.corner_bytes = copy.bytes - model
-        offset_bytes += copy.bytes
-        copies.append(copy)
-    return copies, offset_bytes, clipped
+    return boxes, model, clipped
 
 
 def plan_run(
@@ -432,16 +418,16 @@ def plan_run(
     layout: ShardLayout,
     env: Mapping[str, int],
     options: CommOptions,
-    fallback_indices: Sequence[int] = (),
+    gathered: Sequence[int] = (),
 ) -> RunPlan:
     """Turn one run's event stream into an executable exchange schedule.
 
-    ``fallback_indices`` are positions of nests executed whole on rank 0
+    ``gathered`` are positions of nests executed whole on rank 0
     (gather/scatter): their events are satisfied by the gather, so the
     schedule excludes them — the validation harness reports them
     separately rather than pretending they were border strips.
     """
-    skip = set(fallback_indices)
+    skip = set(gathered)
     events = [
         event
         for event in analyze_run(run, layout.grid, env, set(layout.allocs))
@@ -451,25 +437,39 @@ def plan_run(
     messages: List[PlannedMessage] = []
     segment_bytes = 0
     for index, message in enumerate(scheduled):
-        planned_events: List[PlannedEvent] = []
+        plans: List[EventPlan] = []
+        copies: List[Tuple[str, Bounds, int]] = []
         for event, covered in zip(message.events, message.covered):
             consumers = [
                 (tuple(run[c.nest_index].region.concrete_bounds(env)), c.spans)
                 for c in (event,) + covered
             ]
-            copies, segment_bytes, clipped = _event_copies(
-                consumers, event, layout, segment_bytes
-            )
-            planned_events.append(PlannedEvent(event, copies, clipped))
-        messages.append(
-            PlannedMessage(index, planned_events, message.post, message.wait)
+            boxes, model, clipped = _event_boxes(consumers, event, layout)
+            planned = 0
+            for box in boxes:
+                copies.append((event.array, box, segment_bytes + planned))
+                planned += box_elements(box) * ELEM_BYTES
+            segment_bytes += planned
+            plans.append(EventPlan(
+                event.array, event.dim, event.direction, event.width,
+                event.nest_index, event.bytes, len(boxes), clipped, planned,
+                model, planned - model,
+            ))
+        exchange = Exchange(
+            tuple(dict.fromkeys(plan.array for plan in plans)),
+            tuple(plans),
+            sum(plan.planned_bytes for plan in plans),
+            sum(plan.model_bytes for plan in plans),
+            sum(plan.corner_bytes for plan in plans),
+            message.post,
+            message.wait,
         )
+        messages.append(PlannedMessage(index, exchange, tuple(copies)))
     return RunPlan(
         messages,
         segment_bytes,
         sum(len(covered) for m in scheduled for covered in m.covered),
         sum(len(m.events) - 1 for m in scheduled),
-        tuple(fallback_indices),
     )
 
 

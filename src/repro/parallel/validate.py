@@ -86,20 +86,20 @@ def check_report(report) -> None:
                    record.model_bytes, record.corner_bytes)
             )
         for event in record.events:
-            expect = event["event_bytes"] * event["pairs"]
-            if event["model_bytes"] > expect:
+            expect = event.event_bytes * event.pairs
+            if event.model_bytes > expect:
                 raise ValidationError(
                     "exchange #%d %s: model %dB exceeds analyze_run %dB x "
-                    "%d pairs" % (record.ordinal, event["array"],
-                                  event["model_bytes"], event["event_bytes"],
-                                  event["pairs"])
+                    "%d pairs" % (record.ordinal, event.array,
+                                  event.model_bytes, event.event_bytes,
+                                  event.pairs)
                 )
-            if event["model_bytes"] < expect and not event["clipped"]:
+            if event.model_bytes < expect and not event.clipped:
                 raise ValidationError(
                     "exchange #%d %s: model %dB < analyze_run %dB x %d "
                     "pairs without a clipped strip"
-                    % (record.ordinal, event["array"], event["model_bytes"],
-                       event["event_bytes"], event["pairs"])
+                    % (record.ordinal, event.array, event.model_bytes,
+                       event.event_bytes, event.pairs)
                 )
 
 

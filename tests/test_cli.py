@@ -24,6 +24,22 @@ end;
 """
 
 
+RUNAWAY = """
+program runaway;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var A : [R] float;
+var s : float;
+begin
+  [R] A := Index1 * 1.5 + Index2;
+  s := +<< [R] A;
+  while s > 0.0 do
+    s := s + 1.0;
+  end;
+end;
+"""
+
+
 @pytest.fixture
 def source_file(tmp_path):
     path = tmp_path / "demo.zpl"
@@ -170,7 +186,9 @@ class TestUserErrors:
     """Bad user input ends in one ``error:`` line, never a traceback."""
 
     @staticmethod
-    def _cli(tmp_path, *argv, status=(1, 2)):
+    def _cli(tmp_path, *argv, status=(1, 2), prelude=None):
+        """``repro *argv`` in a fresh interpreter; ``prelude`` is Python
+        run there before the CLI starts."""
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join(
@@ -181,8 +199,12 @@ class TestUserErrors:
             ),
             REPRO_CACHE_DIR=str(tmp_path / "cache"),
         )
+        entry = ["-m", "repro"] if prelude is None else [
+            "-c",
+            prelude + "\nfrom repro.cli import main\nraise SystemExit(main())",
+        ]
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
+            [sys.executable, *entry, *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode in status, proc.stderr
@@ -210,6 +232,21 @@ class TestUserErrors:
             tmp_path, "serve", source_file, "--requests", str(requests)
         )
         assert "'n'" in line and "'x'" in line
+
+    @pytest.mark.parametrize(
+        "backend",
+        [["--backend", "interp"], ["--backend", "mp-shard", "--procs", "2"]],
+    )
+    def test_a_runaway_loop_is_one_line(self, tmp_path, backend):
+        # The one step limit, lowered in the process the ranks fork from.
+        path = tmp_path / "runaway.zpl"
+        path.write_text(RUNAWAY)
+        line = self._cli(
+            tmp_path, "run", str(path), *backend, status=(1,),
+            prelude="from repro.interp import evalexpr\n"
+                    "evalexpr.STEP_LIMIT = 1000",
+        )
+        assert line.endswith(": step limit exceeded (runaway loop?)"), line
 
     def test_removed_tune_subcommand_is_a_usage_error(self, source_file):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,6 +5,7 @@ import importlib
 import multiprocessing
 import os
 import pkgutil
+import re
 import signal
 import subprocess
 import sys
@@ -640,6 +641,64 @@ class TestDeadRank:
         assert len(multiprocessing.active_children()) == 2
 
 
+RUNAWAY = """
+program runaway;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var A : [R] float;
+var s : float;
+begin
+  [R] A := Index1 * 1.5 + Index2;
+  s := +<< [R] A;
+  while s > 0.0 do
+    s := s + 1.0;
+  end;
+end;
+"""
+
+
+class TestRankErrors:
+    def test_a_runaway_loop_hits_the_one_step_limit_on_every_backend(
+        self, monkeypatch, fresh_pool
+    ):
+        from repro.interp import evalexpr
+        from repro.ir import normalize_source
+        from repro.util.errors import InterpError
+
+        # Patched before the pool forks, so the ranks carry it.
+        monkeypatch.setattr(evalexpr, "STEP_LIMIT", 1000)
+        program = compile_program(
+            normalize_source(RUNAWAY), LEVELS["Level(c2)"]
+        )
+        with pytest.raises(InterpError, match="step limit exceeded"):
+            execute(program, "interp")
+        # Both ranks fail first-hand, often in one batch of replies (which
+        # once raised a KeyError out of the coordinator): try a few pools.
+        for _attempt in range(5):
+            with pytest.raises(InterpError) as excinfo:
+                execute_sharded(program, procs=2)
+            # one line: the rank and the interpreter's own message
+            assert re.fullmatch(
+                r"mp-shard worker [01]: step limit exceeded "
+                r"\(runaway loop\?\)",
+                str(excinfo.value),
+            )
+
+    def test_an_internal_error_on_a_rank_keeps_its_traceback(
+        self, monkeypatch, fresh_pool
+    ):
+        def broken(self, run):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(mp_shard._Worker, "_exec_run", broken)
+        with pytest.raises(ReproError) as excinfo:
+            execute_sharded(bench_program("Simple"), procs=2)
+        assert type(excinfo.value) is ReproError
+        text = str(excinfo.value)
+        assert re.match(r"mp-shard worker [01] failed:\nTraceback", text)
+        assert "ZeroDivisionError: a bug" in text
+
+
 # -- the pipe barrier ---------------------------------------------------------
 
 
@@ -1009,7 +1068,7 @@ class TestRankPool:
             assert_identical(result, oracle)
             check_report(report)
             skipped += sum(
-                not any(event["pairs"] for event in record.events)
+                not any(event.pairs for event in record.events)
                 for record in report.records
             )
         assert skipped > 0  # there were messages nobody waited for
@@ -1311,7 +1370,7 @@ class TestRecords:
         first, second = max(by_events.values(), key=len)[:2]
         assert first.events is second.events
         assert first.ordinal != second.ordinal
-        assert first.events[0]["array"] in first.arrays
+        assert first.events[0].array in first.arrays
         assert [r.ordinal for r in report.records] == list(
             range(len(report.records))
         )

@@ -571,7 +571,9 @@ ALL_OPTIONS = [
 
 
 def _identity(event):
-    return event.key() + (event.nest_index, event.producer_index)
+    """What a scheduled event and its plan agree on, compared by value."""
+    return (event.array, event.dim, event.direction, event.width,
+            event.nest_index)
 
 
 @pytest.mark.parametrize("bench", ["Tomcatv", "SP", "Simple"])
@@ -626,9 +628,9 @@ def test_the_schedule_partitions_the_events_and_plan_run_executes_it(bench):
             plan = plan_run(run, layout, bound, options, gathered)
             assert [
                 (
-                    [_identity(pe.event) for pe in planned.events],
-                    planned.post_point,
-                    planned.wait_point,
+                    [_identity(plan) for plan in planned.exchange.events],
+                    planned.exchange.post_point,
+                    planned.exchange.wait_point,
                 )
                 for planned in plan.messages
             ] == [

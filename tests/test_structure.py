@@ -209,6 +209,9 @@ def test_the_extent_rule_has_three_spellings_at_most():
         # mp-shard ranks wait on their pipe barrier and broadcast scalars
         # down its pipes: no multiprocessing barrier, no pickle segment
         (r"ctx\.Barrier|_SCAL_SEG_BYTES", (), 0),
+        # the §5.5 element size and the runaway-loop step limit
+        (r"ELEM_BYTES *=", ("parallel", "exec"), 1),
+        (r"50_000_000", (), 1),
     ],
 )
 def test_written_once(pattern, where, expected):
@@ -239,6 +242,27 @@ def test_no_result_is_recognised_by_its_name():
             with open(os.path.join(tests, name)) as handle:
                 texts.append(handle.read())
     assert sum(len(filters.findall(text)) for text in texts) == 0
+
+
+def test_an_exchange_is_one_immutable_value_from_schedule_to_report():
+    # mp-shard executes, interns and reports the tuples plan_run builds:
+    # no planned-object classes, no dict rebuilt from them, no second
+    # interning table, no forwarding properties.
+    from repro.exec.mp_shard import ExchangeRecord
+    from repro.parallel.comm import CommEvent
+    from repro.parallel.commopt import CommOptions
+    from repro.parallel.shard import EventPlan, Exchange, PlannedMessage
+
+    pattern = (
+        "PlannedCopy|PlannedEvent|ExchangeDescription|event_dicts|"
+        "_described|fallback_indices"
+    )
+    assert _count(pattern) == 0
+    for value in (
+        CommEvent, CommOptions, EventPlan, Exchange, PlannedMessage,
+        ExchangeRecord,
+    ):
+        assert issubclass(value, tuple), value
 
 
 def test_nest_fallback_reason_is_an_adapter_with_no_loop_of_its_own():
